@@ -7,9 +7,8 @@ The central objects are the database operators
 
 and the twirl average over (sigma, tau) pairs.  Averages are exhaustive for
 N <= 4 (all (N!)^2 pairs) and stratified seeded sampling above: a row sample
-of sigmas crossed with a column sample of taus, with the standard error taken
-as the larger of the row-mean and column-mean estimates (conservative for the
-product-grid design).
+of sigmas crossed with a column sample of taus, whose standard error adds
+the row and column variance components (see grid_mean_stderr).
 
 All element labels are 0-based; the 1-based 1/x weights become 1/(x+1).
 """
@@ -17,9 +16,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,9 +39,10 @@ from .oracles import (
     project_plus_db,
     spo_backend,
     spo_query,
+    _db_size_from_layout,
     _shift_table,
 )
-from .permutations import Permutation, all_permutations, invert, sample_uniform
+from .permutations import Permutation, all_permutations, sample_uniform
 from .relations import Relation
 from .reporting import VerificationReport, check, check_close
 from .states import LinearOperator, StateVector, from_matrix
@@ -69,6 +69,14 @@ class TwirlPlan:
     seed: int | None
     right_maps: np.ndarray  # (len(sigmas), n!): d -> idx(pi_d sigma^{-1})
     left_maps: np.ndarray   # (len(taus), n!):  d -> idx(tau pi_d)
+    sigma_inv: np.ndarray = field(init=False, repr=False)  # (len(sigmas), n)
+    tau_inv: np.ndarray = field(init=False, repr=False)    # (len(taus), n)
+
+    def __post_init__(self) -> None:
+        # The inverse images, built once: argsort inverts a permutation row.
+        for name, perms in (("sigma_inv", self.sigmas), ("tau_inv", self.taus)):
+            images = np.array([p.images for p in perms])
+            object.__setattr__(self, name, np.argsort(images, axis=1))
 
     @property
     def pair_count(self) -> int:
@@ -102,6 +110,10 @@ def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
     else:
         if seed is None:
             raise ValueError("sampled twirl plans require a seed")
+        if min_pairs < 2:
+            # A grid with one row or column has no stderr estimate.
+            raise ValueError("sampled twirl plans need min_pairs >= 2 (a 2 x 2 "
+                             f"grid at least), got min_pairs={min_pairs}")
         rng = np.random.default_rng(seed)
         side = math.ceil(math.sqrt(min_pairs))
         sigmas = tuple(sample_uniform(n, rng) for _ in range(side))
@@ -112,15 +124,37 @@ def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
 
 
 def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and a conservative standard error for a product-grid sample."""
+    """Mean and standard error for a crossed (rows x cols) sample.
+
+    The error is sqrt(var(row means) / R + var(col means) / C): the grand
+    mean of a crossed grid carries both the row and the column variance
+    (Owen, "The pigeonhole bootstrap", 2007), so either term alone
+    understates it.  One row or column gives no estimate and reports 0.
+    """
     mean = float(values.mean())
-    if values.shape[0] < 2 or values.shape[1] < 2:
+    rows, cols = values.shape
+    if rows < 2 or cols < 2:
         return mean, 0.0
-    row_means = values.mean(axis=1)
-    col_means = values.mean(axis=0)
-    se_rows = float(row_means.std(ddof=1) / math.sqrt(values.shape[0]))
-    se_cols = float(col_means.std(ddof=1) / math.sqrt(values.shape[1]))
-    return mean, max(se_rows, se_cols)
+    var_rows = float(values.mean(axis=1).var(ddof=1))
+    var_cols = float(values.mean(axis=0).var(ddof=1))
+    return mean, math.sqrt(var_rows / rows + var_cols / cols)
+
+
+def _twirl_average(plan: TwirlPlan, width: int,
+                   term: Callable[..., tuple[float, ...]]) -> list[tuple[float, float]]:
+    """(mean, stderr) over the plan of each of the ``width`` values that
+    ``term(sigma, tau, sigma_inv, tau_inv, minv)`` gives for one pair.
+
+    ``sigma_inv``/``tau_inv`` are inverse images; the twirled block is
+    ``block[..., minv]``.  Exhaustive plans give the exact mean with stderr
+    0, sampled plans the crossed-grid estimate of grid_mean_stderr.
+    """
+    grid = np.zeros((width, *plan.grid_shape))
+    for i, j, sigma, tau, minv in plan.pairs():
+        grid[:, i, j] = term(sigma, tau, plan.sigma_inv[i], plan.tau_inv[j], minv)
+    if plan.exhaustive:
+        return [(float(values.mean()), 0.0) for values in grid]
+    return [grid_mean_stderr(values) for values in grid]
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +214,14 @@ def _apply_progress(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.nd
     return out * mask[None, :]
 
 
+def _progress_norm2(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> float:
+    """||E^{R,x} v||^2 for a (rest, n!) block v and the section mask of R."""
+    if not mask.any():
+        return 0.0
+    out = _apply_progress(amps, n, x, mask)
+    return float(np.vdot(out, out).real)
+
+
 def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, float]:
     """Exact norm of sum_{pi: pi(x) in Y} |pi><pi| |+_{x+1}><+_{x+1}|, and
     the bound sqrt(|Y| / (x+1))."""
@@ -201,21 +243,13 @@ def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, 
 
 def _db_block(state: StateVector) -> np.ndarray:
     """View the amplitudes as (rest, n!) with the database label last."""
-    n = _db_size(state)
+    n = _db_size_from_layout(state.layout)
     return state.amps.reshape(-1, database_dim(n))
-
-
-def _db_size(state: StateVector) -> int:
-    sizes = [int(name[1:]) for name in state.layout.names if name.startswith("D")]
-    if not sizes:
-        raise ValueError("state carries no database registers")
-    return max(sizes)
 
 
 def check_uniform_weights(state: StateVector, tol: float = 1e-9) -> None:
     """Require ||<pi|phi>||^2 = 1/N! for every pi (holds along untwirled runs)."""
-    n = _db_size(state)
-    nf = database_dim(n)
+    nf = database_dim(_db_size_from_layout(state.layout))
     arr = _db_block(state)
     probs = np.einsum("rd,rd->d", arr.conj(), arr).real
     if np.max(np.abs(probs - 1.0 / nf)) > tol:
@@ -232,16 +266,6 @@ def _xslice_weights(state: StateVector) -> np.ndarray:
     axes = tuple(i for i, nm in enumerate(lay.names) if nm not in keep)
     n = lay.dim("X")
     return arr.sum(axis=axes).reshape(n, -1)
-
-
-def _complement_weights(amps: np.ndarray, n: int) -> np.ndarray:
-    """W[x, d] = per-label squared norms of (I - P_{+x}) |phi>, all x."""
-    nf = database_dim(n)
-    out = np.empty((n, nf))
-    for x in range(n):
-        proj = project_plus_db(amps, n, x, complement=True)
-        out[x] = np.einsum("rd,rd->d", proj.conj(), proj).real
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -283,31 +307,19 @@ def experiment_probabilities(circ: QueryCircuit, rel: Relation,
         if np.vdot(v, v).real > 1e-28:
             slices.append((x, y, v))
 
-    shape = plan.grid_shape
-    vals_i = np.zeros(shape)
-    vals_ii = np.zeros(shape)
-    for i, j, sigma, tau, minv in plan.pairs():
-        pi_acc = 0.0
-        pii_acc = 0.0
+    def term(sigma, tau, _si, _ti, minv):
+        p_i = p_ii = 0.0
         for x, y, v in slices:
-            sx, ty = sigma.images[x], tau.images[y]
-            mask = pi_table[:, sx] == ty
-            if not mask.any():
-                continue
+            sx = sigma.images[x]
+            mask = pi_table[:, sx] == tau.images[y]
             tv = v[:, minv]
-            pi_acc += float((np.abs(tv[:, mask]) ** 2).sum())
-            u = project_plus_db(tv, n, sx, complement=True)
-            pii_acc += float((np.abs(u[:, mask]) ** 2).sum())
-        vals_i[i, j] = pi_acc
-        vals_ii[i, j] = pii_acc
+            p_i += float((np.abs(tv[:, mask]) ** 2).sum())
+            p_ii += _progress_norm2(tv, n, sx, mask)
+        return p_i, p_ii
 
-    if plan.exhaustive:
-        return ExperimentResult(float(vals_i.mean()), float(vals_ii.mean()),
-                                0.0, 0.0, "exact", plan.pair_count)
-    mean_i, se_i = grid_mean_stderr(vals_i)
-    mean_ii, se_ii = grid_mean_stderr(vals_ii)
-    return ExperimentResult(mean_i, mean_ii, se_i, se_ii, "monte_carlo",
-                            plan.pair_count)
+    (p_i, se_i), (p_ii, se_ii) = _twirl_average(plan, 2, term)
+    method = "exact" if plan.exhaustive else "monte_carlo"
+    return ExperimentResult(p_i, p_ii, se_i, se_ii, method, plan.pair_count)
 
 
 def fundamental_check(circ: QueryCircuit, rel: Relation,
@@ -337,49 +349,39 @@ def p2_upper_bound(circ: QueryCircuit, rel: Relation,
     norm of <pi| (I - P_{+sigma(x)}) |phi^{sigma,tau}>.  Returns (value, stderr).
     """
     n = circ.n
-    final = run(circ, spo_backend(n))
-    amps = _db_block(final)
+    amps = _db_block(run(circ, spo_backend(n)))
     pi_table, _ = perm_tables(n)
-    pairs = rel.pairs()
-    vals = np.zeros(plan.grid_shape)
-    for i, j, sigma, tau, minv in plan.pairs():
+    sections = [(x, rel.section(x)) for x in range(n) if rel.section(x).size]
+
+    def term(sigma, tau, _si, _ti, minv):
         tw = amps[:, minv]
-        w = _complement_weights(tw, n)
         acc = 0.0
-        for x, y in pairs:
-            sx, ty = sigma.images[x], tau.images[y]
-            mask = pi_table[:, sx] == ty
-            acc += float(w[sx][mask].sum())
-        vals[i, j] = acc
-    if plan.exhaustive:
-        return float(vals.mean()), 0.0
-    return grid_mean_stderr(vals)
+        for x, ys in sections:
+            # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
+            hit = np.zeros(n, dtype=bool)
+            hit[[tau.images[y] for y in ys]] = True
+            sx = sigma.images[x]
+            acc += _progress_norm2(tw, n, sx, hit[pi_table[:, sx]])
+        return (acc,)
+
+    return _twirl_average(plan, 1, term)[0]
 
 
 def progress_measure(circ: QueryCircuit, rel: Relation,
                      plan: TwirlPlan) -> tuple[float, float]:
     """E over x, sigma, tau of || E^{R^{sigma,tau},x} |phi^{sigma,tau}> ||^2."""
     n = circ.n
-    final = run(circ, spo_backend(n))
-    amps = _db_block(final)
+    amps = _db_block(run(circ, spo_backend(n)))
     pi_table, _ = perm_tables(n)
-    vals = np.zeros(plan.grid_shape)
-    for i, j, sigma, tau, minv in plan.pairs():
+
+    def term(_sigma, _tau, si, ti, minv):
         tw = amps[:, minv]
-        si = np.array(invert(sigma).images)
-        ti = np.array(invert(tau).images)
         twisted = rel.members[np.ix_(si, ti)]  # R^{sigma,tau} bitset
-        acc = 0.0
-        for x in range(n):
-            mask = twisted[x][pi_table[:, x]]  # (x, pi_d(x)) in R^{sigma,tau}
-            if not mask.any():
-                continue
-            proj = project_plus_db(tw, n, x, complement=True)
-            acc += float((np.abs(proj[:, mask]) ** 2).sum())
-        vals[i, j] = acc / n
-    if plan.exhaustive:
-        return float(vals.mean()), 0.0
-    return grid_mean_stderr(vals)
+        # mask: (x, pi_d(x)) in R^{sigma,tau}
+        return (sum(_progress_norm2(tw, n, x, twisted[x][pi_table[:, x]])
+                    for x in range(n)) / n,)
+
+    return _twirl_average(plan, 1, term)[0]
 
 
 def progress_identity_check(circ: QueryCircuit, rel: Relation, plan: TwirlPlan,
@@ -425,6 +427,27 @@ def _fiber_sums(g_row: np.ndarray, n: int, x: int) -> np.ndarray:
     return g_row.reshape(-1, hi, radix, lo).sum(axis=2).reshape(g_row.shape[0], -1)
 
 
+def _fiber_terms(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, n: int,
+                 x: int) -> tuple[float, float, float]:
+    """The three fiber sums behind the zeta terms at register x, unweighted.
+
+    ``row`` is the section bitset R_x; ``lo[z]`` / ``hi[z]`` are the per-class
+    fiber sums read for an element z of the first / the other two sums (the
+    crucial lemma reads them through sigma^{-1} / tau^{-1}):
+      s1 = sum_{z < x}      lo[z] over classes with pi_{x^c}(z) in R_x,
+      s2 = sum_{z in R_x}   hi[z] over classes with pi_{>x}^{-1}(z) < x,
+      s3 = sum_{z > x} c *  hi[z] over classes with pi_{>x}^{-1}(z) = x,
+    where c = |{t <= x : pi_{>x}(t) in R_x}|.
+    """
+    pixc, pigt, pigt_inv = _class_tables(n, x)
+    s1 = sum(float(lo[z][row[pixc[:, z]]].sum()) for z in range(x))
+    s2 = sum(float(hi[z][pigt_inv[:, z] < x].sum()) for z in np.flatnonzero(row))
+    counts = row[pigt[:, : x + 1]].sum(axis=1)
+    s3 = sum(float((counts * hi[z])[pigt_inv[:, z] == x].sum())
+             for z in range(x + 1, n))
+    return s1, s2, s3
+
+
 def zeta_parts(state: StateVector, x: int, rel: Relation,
                direction: str) -> tuple[float, ...]:
     """The summands of zeta (forward: 3 terms) or zeta^inv (4 terms)."""
@@ -435,26 +458,13 @@ def zeta_parts(state: StateVector, x: int, rel: Relation,
     weight = len(rx) / (x + 1)
     term1 = weight * float(g[x].sum())
     term2 = len(rx) / ((x + 1) ** 2 * n)
-    pixc, pigt, pigt_inv = _class_tables(n, x)
     fs = _fiber_sums(g, n, x)  # (n, classes)
+    s1, s2, s3 = _fiber_terms(fs, fs, rel.members[x], n, x)
     inv_x = 1.0 / (x + 1)
     if direction == "forward":
-        term3 = 0.0
-        for z in range(x):
-            mask = rel.members[x, pixc[:, z]]
-            term3 += float(fs[z][mask].sum())
-        return term1, term2, inv_x * term3
+        return term1, term2, inv_x * s1
     if direction == "inverse":
-        term3 = 0.0
-        for z in rx:
-            mask = pigt_inv[:, z] < x
-            term3 += float(fs[z][mask].sum())
-        term4 = 0.0
-        counts = rel.members[x, pigt[:, : x + 1]].sum(axis=1)  # |[x] cap ...|
-        for z in range(x + 1, n):
-            mask = pigt_inv[:, z] == x
-            term4 += float((counts[mask] * fs[z][mask]).sum())
-        return term1, term2, inv_x * term3, inv_x * term4
+        return term1, term2, inv_x * s2, inv_x * s3
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
@@ -550,17 +560,16 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
     """E over x, sigma, tau of ||(I - P_{+x}) L^tau R^sigma |phi>||^2 / (x+1)."""
     n = plan.n
     amps = _db_block(state)
-    vals = np.zeros(plan.grid_shape)
-    for i, j, _sigma, _tau, minv in plan.pairs():
+
+    def term(_sigma, _tau, _si, _ti, minv):
         tw = amps[:, minv]
         acc = 0.0
         for x in range(n):
             proj = project_plus_db(tw, n, x, complement=True)
             acc += float(np.vdot(proj, proj).real) / (x + 1)
-        vals[i, j] = acc / n
-    if plan.exhaustive:
-        return float(vals.mean()), 0.0
-    return grid_mean_stderr(vals)
+        return (acc / n,)
+
+    return _twirl_average(plan, 1, term)[0]
 
 
 def crucial_term_values(circ: QueryCircuit, rel: Relation,
@@ -574,39 +583,21 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
     the averaging argument makes sufficient.
     """
     n = circ.n
-    pre = standard_form_prequery_states(circ)
     out = []
-    for _direction, state in pre:
+    for _direction, state in standard_form_prequery_states(circ):
         g = _xslice_weights(state)
-        t1 = np.zeros(plan.grid_shape)
-        t2 = np.zeros(plan.grid_shape)
-        t3 = np.zeros(plan.grid_shape)
-        for i, j, sigma, tau, minv in plan.pairs():
+
+        def term(_sigma, _tau, si, ti, minv):
             gg = g[:, minv]
-            si = np.array(invert(sigma).images)
-            ti = np.array(invert(tau).images)
             twisted = rel.members[np.ix_(si, ti)]  # R^{sigma,tau} bitset
-            a1 = a2 = a3 = 0.0
+            acc = np.zeros(3)
             for x in range(n):
-                pixc, pigt, pigt_inv = _class_tables(n, x)
                 fs = _fiber_sums(gg, n, x)
-                inv_x = 1.0 / (x + 1)
-                row = twisted[x]
-                for z in range(x):
-                    msk = row[pixc[:, z]]
-                    a1 += inv_x * float(fs[si[z]][msk].sum())
-                for z in np.flatnonzero(row):
-                    msk = pigt_inv[:, z] < x
-                    a2 += inv_x * float(fs[ti[z]][msk].sum())
-                counts = row[pigt[:, : x + 1]].sum(axis=1)
-                for z in range(x + 1, n):
-                    msk = pigt_inv[:, z] == x
-                    if msk.any():
-                        a3 += inv_x * float((counts[msk] * fs[ti[z]][msk]).sum())
-            t1[i, j] = a1 / n
-            t2[i, j] = a2 / n
-            t3[i, j] = a3 / n
-        out.append((float(t1.mean()), float(t2.mean()), float(t3.mean())))
+                terms = _fiber_terms(fs[si], fs[ti], twisted[x], n, x)
+                acc += np.array(terms) / (x + 1)
+            return acc / n
+
+        out.append(tuple(mean for mean, _se in _twirl_average(plan, 3, term)))
     return out
 
 

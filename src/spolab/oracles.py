@@ -276,11 +276,6 @@ def spo_query(state: StateVector, direction: str,
     return StateVector(state.layout, out.reshape(-1))
 
 
-def tspo_query(state: StateVector, direction: str,
-               sigma: Permutation, tau: Permutation) -> StateVector:
-    return spo_query(state, direction, sigma=sigma, tau=tau)
-
-
 def twirl(state: StateVector, side: str, perm: Permutation) -> StateVector:
     """L^tau (side='left': |pi> -> |tau pi>) or R^sigma (|pi> -> |pi sigma^{-1}>)."""
     n = perm.n
@@ -295,13 +290,6 @@ def twirl(state: StateVector, side: str, perm: Permutation) -> StateVector:
     out = np.empty_like(arr)
     out[:, mapping] = arr
     return StateVector(state.layout, out.reshape(-1))
-
-
-def twirl_operator(n: int, sigma: Permutation | None = None,
-                   tau: Permutation | None = None) -> LinearOperator:
-    """L^tau R^sigma as a basis permutation of the database."""
-    return from_permutation((database_dim(n),), left_right_map(n, tau=tau, sigma=sigma),
-                            label="L^tau R^sigma")
 
 
 def spo_recover(state: StateVector, sigma: Permutation | None = None,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -425,6 +425,3 @@ def inverse_expectation_bound(n: int, y: int) -> float:
     """1 + 2*y/n for 0-based y (1-based form: 1 + (2y-2)/N); always < 3."""
     return 1.0 + 2.0 * y / n
 
-
-def _as_permutation(value: Permutation | Sequence[int]) -> Permutation:
-    return value if isinstance(value, Permutation) else Permutation(tuple(value))

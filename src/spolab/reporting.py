@@ -10,10 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 EXACT_TOL = 1e-9
 MC_SIGMAS = 3.0
@@ -80,17 +78,6 @@ def check_close(name: str, lhs: float, rhs: float, *, tol: float = EXACT_TOL,
     return VerificationReport(name, float(lhs), float(rhs), bool(passed),
                               method="exact", runtime_ms=runtime_ms,
                               extra=dict(extra))
-
-
-@contextmanager
-def timed() -> Iterator[list[float]]:
-    """Context manager collecting elapsed milliseconds into a one-item list."""
-    box = [0.0]
-    start = time.perf_counter()
-    try:
-        yield box
-    finally:
-        box[0] = (time.perf_counter() - start) * 1000.0
 
 
 def suite_document(suite: str, n: int, seed: int | None,

@@ -233,7 +233,7 @@ def active_sets_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRepo
             if got != expected:
                 bad_prob += 1
             marginals.append(expected)
-        for pattern in _all_patterns(m, probe_x):
+        for pattern in _all_patterns(m):
             expected = Fraction(1)
             for k in range(m):
                 pk = marginals[k]
@@ -280,7 +280,7 @@ def active_sets_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRepo
     return out
 
 
-def _all_patterns(m: int, probe_x: int) -> list[tuple[int, ...]]:
+def _all_patterns(m: int) -> list[tuple[int, ...]]:
     import itertools
 
     patterns = []
@@ -746,7 +746,7 @@ def sparsity_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
     plan = make_twirl_plan(n)
     out = []
     for circ in suite_circuits(n, seed, max_q=3):
-        out.extend(sparsity_trajectory_check(circ, plan if n <= 4 else None))
+        out.extend(sparsity_trajectory_check(circ, plan))
     return out
 
 

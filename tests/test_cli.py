@@ -48,6 +48,16 @@ def test_verify_deterministic(tmp_path):
     assert strip(a) == strip(b)
 
 
+@pytest.mark.parametrize("samples", ["1", "0"])
+def test_verify_rejects_sampled_plan_below_2x2(tmp_path, capsys, samples):
+    out = tmp_path / "r.json"
+    code = run_cli(["verify", "--suite", "fundamental", "--n", "8",
+                    "--samples", samples, "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "min_pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_n_range(tmp_path):
     out = tmp_path / "r.json"
     code = run_cli(["verify", "--suite", "gamma", "--n", "2", "--n-max", "4",

@@ -324,6 +324,57 @@ def test_p2_dominates_and_identity():
             assert abs(n * progress_measure(circ, rel, plan)[0] - p2) < 1e-10
 
 
+def test_twirl_averages_on_non_square_sampled_grid():
+    """2 sigmas x 3 taus: every twirl average is the mean of its six
+    single-pair plans, with the crossed-grid stderr of that 2 x 3 grid."""
+    from spolab.lemmas import (
+        TwirlPlan,
+        crucial_term_values,
+        grid_mean_stderr,
+        sparsity_expectation,
+        standard_form_prequery_states,
+    )
+    from spolab.oracles import left_right_map
+
+    n = 4
+
+    def plan_of(sigmas, taus, exhaustive):
+        return TwirlPlan(n, tuple(sigmas), tuple(taus), exhaustive, None,
+                         np.stack([left_right_map(n, sigma=s) for s in sigmas]),
+                         np.stack([left_right_map(n, tau=t) for t in taus]))
+
+    rng = np.random.default_rng(5)
+    sigmas = [sample_uniform(n, rng) for _ in range(2)]
+    taus = [sample_uniform(n, rng) for _ in range(3)]
+    plan = plan_of(sigmas, taus, False)
+    assert plan.grid_shape == (2, 3)
+    singles = [[plan_of([s], [t], True) for t in taus] for s in sigmas]
+    circ = random_circuit(71, 1, 2, n)
+    rel = sponge_preimage_relation(2, 1, 1)
+    state = standard_form_prequery_states(circ)[-1][1]
+
+    def averages(p):
+        res = experiment_probabilities(circ, rel, p)
+        values = [(res.p_i, res.stderr_i), (res.p_ii, res.stderr_ii),
+                  p2_upper_bound(circ, rel, p), progress_measure(circ, rel, p),
+                  sparsity_expectation(state, p)]
+        crucial = [v for per_state in crucial_term_values(circ, rel, p)
+                   for v in per_state]
+        return values, crucial
+
+    got, got_crucial = averages(plan)
+    per_pair = [[averages(p) for p in row] for row in singles]
+    for k, (mean, se) in enumerate(got):
+        grid = np.array([[cell[0][k][0] for cell in row] for row in per_pair])
+        want_mean, want_se = grid_mean_stderr(grid)
+        assert mean == pytest.approx(want_mean, abs=1e-14)
+        assert se == pytest.approx(want_se, abs=1e-14)
+        assert se > 0.0
+    for k, mean in enumerate(got_crucial):
+        grid = np.array([[cell[1][k] for cell in row] for row in per_pair])
+        assert mean == pytest.approx(grid.mean(), abs=1e-14)
+
+
 # --------------------------------------------------------------------------
 # per-query growth and accumulation
 

@@ -57,6 +57,39 @@ def test_grid_mean_stderr():
     assert se1 == 0.0
 
 
+def test_grid_mean_stderr_crossed_coverage():
+    """A crossed grid with row and column effects: the grand mean must sit
+    within 3 stderr of the true mean (0) about 99.7 % of the time.  Taking
+    only the larger of the row and column errors covers about 97.5 %."""
+    rng = np.random.default_rng(2007)
+    side, grids = 45, 2000
+    covered = 0
+    for _ in range(grids):
+        rows = rng.normal(0.0, 1.0, size=(side, 1))
+        cols = rng.normal(0.0, 1.0, size=(1, side))
+        vals = rows + cols + rng.normal(0.0, 0.3, size=(side, side))
+        mean, se = grid_mean_stderr(vals)
+        covered += abs(mean) <= 3.0 * se
+    assert covered / grids >= 0.99
+
+
+@pytest.mark.parametrize("min_pairs", [1, 0, -3])
+def test_sampled_twirl_plan_rejects_fewer_than_2x2(monkeypatch, min_pairs):
+    import spolab.lemmas as lemmas
+
+    def no_sampling(*_args):
+        raise AssertionError("sampled before the size check")
+
+    monkeypatch.setattr(lemmas, "sample_uniform", no_sampling)
+    with pytest.raises(ValueError, match="min_pairs"):
+        make_twirl_plan(8, seed=1, min_pairs=min_pairs)
+
+
+def test_sampled_twirl_plan_smallest_grid():
+    plan = make_twirl_plan(5, seed=1, min_pairs=2)
+    assert plan.grid_shape == (2, 2)
+
+
 def test_twirl_plan_shapes():
     plan = make_twirl_plan(3)
     assert plan.exhaustive and plan.pair_count == 36
