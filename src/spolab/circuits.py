@@ -79,7 +79,8 @@ class QueryCircuit:
             if isinstance(step, LocalUnitary):
                 if not set(step.targets) <= allowed:
                     raise ValueError(f"unitary targets {step.targets} outside {allowed}")
-                if not probe_unitary(step.op):
+                # A basis mapping is a validated bijection, hence unitary.
+                if step.op.mapping is None and not probe_unitary(step.op):
                     raise ValueError(f"step {step.tag or step.targets} fails the "
                                      "unitarity probe")
             elif isinstance(step, Query):
@@ -306,7 +307,7 @@ def concrete_ensemble(circ: QueryCircuit, n: int) -> CQEnsemble:
 
 
 def spo_ensemble(circ: QueryCircuit, backend: OracleBackend) -> CQEnsemble:
-    """Init + run + recover against an spo/tspo backend."""
+    """Init + run + recover against a database backend, twirled or not."""
     from .oracles import spo_recover
 
     final = run(circ, backend)

@@ -25,11 +25,10 @@ import numpy as np
 from .bounds import harmonic
 from .circuits import (
     QueryCircuit,
-    concrete_backend,
-    output_distribution,
     run,
     run_with_intermediates,
     standard_form,
+    success_probability,
 )
 from .oracles import (
     database_dim,
@@ -37,15 +36,15 @@ from .oracles import (
     left_right_map,
     perm_tables,
     project_plus_db,
+    query_slice_map,
     spo_backend,
     spo_query,
     _db_size_from_layout,
-    _shift_table,
 )
-from .permutations import Permutation, all_permutations, sample_uniform
+from .permutations import Permutation, all_permutations, invert, sample_uniform
 from .relations import Relation
 from .reporting import VerificationReport, check, check_close
-from .states import LinearOperator, StateVector, from_matrix
+from .states import LinearOperator, StateVector, from_matrix, from_permutation
 
 EXHAUSTIVE_TWIRL_LIMIT = 4
 
@@ -67,8 +66,10 @@ class TwirlPlan:
     taus: tuple[Permutation, ...]
     exhaustive: bool
     seed: int | None
-    right_maps: np.ndarray  # (len(sigmas), n!): d -> idx(pi_d sigma^{-1})
-    left_maps: np.ndarray   # (len(taus), n!):  d -> idx(tau pi_d)
+    # Inverse label maps of R^sigma and L^tau, i.e. those of R^{sigma^{-1}}
+    # and L^{tau^{-1}}.
+    right_inv: np.ndarray  # (len(sigmas), n!): d -> idx(pi_d sigma)
+    left_inv: np.ndarray   # (len(taus), n!):  d -> idx(tau^{-1} pi_d)
     sigma_inv: np.ndarray = field(init=False, repr=False)  # (len(sigmas), n)
     tau_inv: np.ndarray = field(init=False, repr=False)    # (len(taus), n)
 
@@ -87,17 +88,12 @@ class TwirlPlan:
         return len(self.sigmas), len(self.taus)
 
     def pairs(self) -> Iterator[tuple[int, int, Permutation, Permutation, np.ndarray]]:
-        """Yields (i, j, sigma, tau, minv) with minv the inverse label map:
-        the twirled state is old_amps[..., minv]."""
-        nf = database_dim(self.n)
-        arange = np.arange(nf)
+        """Yields (i, j, sigma, tau, minv) with minv the inverse label map
+        of L^tau R^sigma: the twirled state is old_amps[..., minv]."""
         for i, sigma in enumerate(self.sigmas):
-            rm = self.right_maps[i]
+            ri = self.right_inv[i]
             for j, tau in enumerate(self.taus):
-                m = self.left_maps[j][rm]
-                minv = np.empty(nf, dtype=m.dtype)
-                minv[m] = arange
-                yield i, j, sigma, tau, minv
+                yield i, j, sigma, tau, ri[self.left_inv[j]]
 
 
 def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
@@ -118,9 +114,18 @@ def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
         side = math.ceil(math.sqrt(min_pairs))
         sigmas = tuple(sample_uniform(n, rng) for _ in range(side))
         taus = tuple(sample_uniform(n, rng) for _ in range(side))
-    right_maps = np.stack([left_right_map(n, sigma=s) for s in sigmas])
-    left_maps = np.stack([left_right_map(n, tau=t) for t in taus])
-    return TwirlPlan(n, sigmas, taus, exhaustive, seed, right_maps, left_maps)
+    right_inv = np.stack([left_right_map(n, sigma=invert(s)) for s in sigmas])
+    left_inv = np.stack([left_right_map(n, tau=invert(t)) for t in taus])
+    return TwirlPlan(n, sigmas, taus, exhaustive, seed, right_inv, left_inv)
+
+
+def _require_exhaustive(plan: TwirlPlan, check_name: str) -> None:
+    """Refuse a sampled plan where only the exact mean is reported."""
+    if not plan.exhaustive:
+        rows, cols = plan.grid_shape
+        raise ValueError(f"{check_name} reports exact rows and needs an "
+                         f"exhaustive twirl plan, got a sampled {rows} x {cols} "
+                         f"plan (n={plan.n}, seed={plan.seed})")
 
 
 def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -502,13 +507,9 @@ def easy_norm_check(n: int, x: int, rel: Relation, direction: str,
     anti = np.eye(nf) - np.diag(mask)
     e_yd = np.kron(np.eye(n), e_dense)
     anti_yd = np.kron(np.eye(n), anti)
-    shift = _shift_table(n, direction, None, None)
     worst = 0.0
     for z in range(n):
-        # Q^{SPO,z} on Y (x) D as a basis permutation: (y, d) -> (y ^ v, d)
-        ys = np.arange(n)[:, None] ^ shift[z][None, :]
-        ds = np.broadcast_to(np.arange(nf)[None, :], ys.shape)
-        q_map = (ys * nf + ds).reshape(-1)
+        q_map = query_slice_map(n, z, direction)  # Q^{SPO,z} on Y (x) D
         m = e_yd[:, q_map] @ anti_yd  # M Q for a basis permutation Q|b> = |q(b)>
         worst = max(worst, float(np.linalg.norm(m, 2)))
     bound = math.sqrt(len(rel.section(x)) / (x + 1))
@@ -603,6 +604,7 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
 
 def crucial_term_checks(circ: QueryCircuit, rel: Relation, plan: TwirlPlan,
                         name: str = "") -> list[VerificationReport]:
+    _require_exhaustive(plan, "crucial_term_checks")
     n = circ.n
     r = rel.r_max
     log_n = math.log(n)
@@ -618,6 +620,7 @@ def crucial_term_checks(circ: QueryCircuit, rel: Relation, plan: TwirlPlan,
 def progress_expectation_check(circ: QueryCircuit, rel: Relation,
                                plan: TwirlPlan, name: str = "") -> VerificationReport:
     """Progress measure <= 384 q^2 r (ln N + 2)/N^2 + 4 q r * sum_j E[...]."""
+    _require_exhaustive(plan, "progress_expectation_check")
     start = time.perf_counter()
     n = circ.n
     q = circ.query_count
@@ -736,32 +739,11 @@ def gamma_expectation(state: StateVector, gamma: LinearOperator) -> float:
     return float(np.vdot(amps.T, out).real)
 
 
-def _spo_slice_operator(n: int, z: int, direction: str) -> LinearOperator:
-    """O^{SPO,z} on Y (x) D as a basis permutation.
-
-    The Y action is XOR for power-of-two N and addition mod N otherwise;
-    the Gamma-commutator analysis only needs *some* group shift by pi_d(z),
-    so the non-power-of-two sizes required by the growth check are covered.
-    """
-    from .oracles import is_power_of_two
-    from .states import from_permutation
-
-    nf = database_dim(n)
-    shift = _shift_table(n, direction, None, None)
-    y_grid = np.arange(n)[:, None]
-    if is_power_of_two(n):
-        ys = y_grid ^ shift[z][None, :]
-    else:
-        ys = (y_grid + shift[z][None, :]) % n
-    ds = np.broadcast_to(np.arange(nf)[None, :], ys.shape)
-    mapping = (ys * nf + ds).reshape(-1)
-    return from_permutation((n, nf), mapping, label=f"O^SPO,{z}")
-
-
 def commutator_operator(n: int, z: int, direction: str,
                         gamma: LinearOperator) -> LinearOperator:
     """[Gamma, O^{SPO,z}] on the Y (x) D slice."""
-    q = _spo_slice_operator(n, z, direction)
+    q = from_permutation((n, database_dim(n)), query_slice_map(n, z, direction),
+                         label=f"O^SPO,{z}")
     dim = n * database_dim(n)
 
     def gamma_yd(block: np.ndarray) -> np.ndarray:
@@ -817,6 +799,8 @@ def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
     per-step increments bounded by the matching commutator norm; when a plan
     is given, the Gamma expectation is also matched against the direct twirl
     average (the defining identity) to 1e-10."""
+    if plan is not None:
+        _require_exhaustive(plan, "sparsity_trajectory_check")
     n = circ.n
     gamma = gamma_operator(n)
     backend = spo_backend(n)
@@ -848,15 +832,6 @@ def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
 # Main-theorem checker
 
 
-def relation_win_probability(circ: QueryCircuit, rel: Relation,
-                             perm: Permutation) -> float:
-    """Pr[(x, pi(x)) in R] for a fixed permutation, exact Born statistics."""
-    final = run(circ, concrete_backend(perm))
-    dist = output_distribution(final, "x")
-    images = perm.images
-    return float(sum(p for x, p in enumerate(dist) if rel.members[x, images[x]]))
-
-
 def theorem_check(circ: QueryCircuit, rel: Relation, *,
                   trials: int | None = None, seed: int | None = None,
                   name: str = "") -> VerificationReport:
@@ -869,11 +844,15 @@ def theorem_check(circ: QueryCircuit, rel: Relation, *,
     q = circ.query_count + 1
     rhs_raw = main_bound(q, n, rel.r_max) if rel.r_max else 0.0
     rhs = clamped(rhs_raw)
+
+    def in_relation(x: int, perm: Permutation) -> bool:
+        return rel.members[x, perm(x)]
+
     if trials is None:
         total = 0.0
         count = 0
         for perm in all_permutations(n):
-            total += relation_win_probability(circ, rel, perm)
+            total += success_probability(circ, perm, in_relation)
             count += 1
         lhs = total / count
         return check(name or f"theorem[{circ.name}]", lhs, rhs,
@@ -883,7 +862,7 @@ def theorem_check(circ: QueryCircuit, rel: Relation, *,
     if seed is None:
         raise ValueError("sampled theorem check requires a seed")
     rng = np.random.default_rng(seed)
-    vals = np.array([relation_win_probability(circ, rel, sample_uniform(n, rng))
+    vals = np.array([success_probability(circ, sample_uniform(n, rng), in_relation)
                      for _ in range(trials)])
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return check(name or f"theorem[{circ.name}]", float(vals.mean()), rhs,

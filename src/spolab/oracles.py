@@ -1,17 +1,19 @@
 """Quantum-accessible permutation oracles on registers X, Y, D.
 
-Three oracle modes:
+An :class:`OracleBackend` is one of two oracles:
 
-* ``concrete``: XOR unitaries U^pi, U^{pi^{-1}} for a fixed permutation
-  (no database); the in-place variants V^pi act on X alone.
-* ``spo``: the superposition permutation oracle.  The database D is a block
-  of registers D_n ... D_1 whose flat index is the mixed-radix factor label
-  of a permutation; queries XOR pi(x) (or its inverse) into Y, controlled on
-  the database in the permutation basis.
-* ``tspo``: the twirled variant with fixed sigma, tau pre/post-composed.
+* concrete (it holds ``perm``): the XOR unitaries U^pi, U^{pi^{-1}} on X, Y
+  for a fixed permutation, with no database; the in-place variants V^pi
+  act on X alone.
+* database (no ``perm``): the superposition permutation oracle.  The
+  database D is a block of registers D_n ... D_1 whose flat index is the
+  mixed-radix factor label of a permutation; queries XOR pi(x) (or its
+  inverse) into Y, controlled on the database in the permutation basis.
+  Given sigma and tau it is the twirled oracle, the same query on the
+  database relabelled by L^tau R^sigma.
 
-All query operators are basis permutations of the joint (X, Y, D) space and
-are applied as pure index shuffles backed by precomputed tables pi_d(x) and
+Database queries are basis permutations of the joint (X, Y, D) space,
+applied as pure index shuffles backed by precomputed tables pi_d(x) and
 pi_d^{-1}(x) for every database label d.
 """
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .permutations import (
     MonotoneFactorization,
     Permutation,
     SizeLimitError,
-    compose,
     compose_from_factors,
     invert,
     monotone_factorize,
@@ -37,6 +38,7 @@ from .states import (
     LinearOperator,
     RegisterLayout,
     StateVector,
+    apply,
     database_layout,
     database_names,
     from_permutation,
@@ -276,6 +278,28 @@ def spo_query(state: StateVector, direction: str,
     return StateVector(state.layout, out.reshape(-1))
 
 
+def query_slice_map(n: int, x: int, direction: str,
+                    sigma: Permutation | None = None,
+                    tau: Permutation | None = None) -> np.ndarray:
+    """The (y, d) basis map of O^{SPO,x} on Y (x) D, d varying fastest:
+    |y, d> -> |y + v[x, d], d> for the (twirled) shift table v of spo_query.
+
+    The Y action is XOR for power-of-two N and addition mod N otherwise;
+    the Gamma-commutator analysis only needs *some* group shift by pi_d(x),
+    so the non-power-of-two sizes of its growth check are covered too.
+    """
+    shift = _shift_table(n, direction,
+                         None if sigma is None else sigma.images,
+                         None if tau is None else tau.images)[x]
+    y_grid = np.arange(n)[:, None]
+    if is_power_of_two(n):
+        ys = y_grid ^ shift[None, :]
+    else:
+        ys = (y_grid + shift[None, :]) % n
+    nf = shift.size
+    return (ys * nf + np.arange(nf)[None, :]).reshape(-1)
+
+
 def twirl(state: StateVector, side: str, perm: Permutation) -> StateVector:
     """L^tau (side='left': |pi> -> |tau pi>) or R^sigma (|pi> -> |pi sigma^{-1}>)."""
     n = perm.n
@@ -319,35 +343,6 @@ def spo_recover(state: StateVector, sigma: Permutation | None = None,
     return out
 
 
-def recover_distribution(state: StateVector, n: int) -> np.ndarray:
-    """Outcome probabilities over database labels (no residual states)."""
-    nf = database_dim(n)
-    arr = state.amps.reshape(-1, nf)
-    return np.einsum("rd,rd->d", arr.conj(), arr).real
-
-
-def recover_sample(state: StateVector, rng: np.random.Generator,
-                   sigma: Permutation | None = None,
-                   tau: Permutation | None = None) -> tuple[Permutation, StateVector]:
-    """Sampling wrapper over the exact readout: one outcome, collapsed residual."""
-    lay = state.layout
-    n = _db_size_from_layout(lay)
-    probs = recover_distribution(state, n)
-    d = int(rng.choice(probs.size, p=probs / probs.sum()))
-    arr = state.amps.reshape(-1, probs.size)
-    residual = arr[:, d] / np.sqrt(probs[d])
-    perm = perm_of_index(n, d)
-    if tau is not None or sigma is not None:
-        left = invert(tau) if tau is not None else None
-        if left is not None and sigma is not None:
-            perm = compose(compose(left, perm), sigma)
-        elif left is not None:
-            perm = compose(left, perm)
-        elif sigma is not None:
-            perm = compose(perm, sigma)
-    return perm, StateVector(lay.drop(database_names(n)), residual.copy())
-
-
 def _db_size_from_layout(lay: RegisterLayout) -> int:
     sizes = [int(name[1:]) for name in lay.names if name.startswith("D")]
     if not sizes:
@@ -383,78 +378,57 @@ def project_plus_db(block: np.ndarray, n: int, x: int,
     return np.ascontiguousarray(out).reshape(shape)
 
 
-def db_value_mask(n: int, x: int, y: int, inverse: bool = False) -> np.ndarray:
-    """Boolean over labels d: pi_d(x) == y (or pi_d^{-1}(x) == y)."""
-    pi, inv = perm_tables(n)
-    table = inv if inverse else pi
-    return table[:, x] == y
-
-
 # --------------------------------------------------------------------------
 # Oracle backends
 
 
 @dataclass(frozen=True)
 class OracleBackend:
-    """Dispatch point for query application during circuit runs."""
+    """Dispatch point for query application during circuit runs.
+
+    A backend holding ``perm`` is the concrete oracle U^pi on X, Y; without
+    it, it is the database oracle, twirled by ``sigma``/``tau`` when given.
+    """
 
     n: int
-    mode: str  # "concrete" | "spo" | "tspo"
     perm: Permutation | None = None
     sigma: Permutation | None = None
     tau: Permutation | None = None
 
     def __post_init__(self) -> None:
-        if self.mode == "concrete":
-            if self.perm is None or self.perm.n != self.n:
+        if self.perm is not None:
+            if self.sigma is not None or self.tau is not None:
+                raise ValueError("a concrete backend takes no sigma or tau; "
+                                 "twirl the database oracle instead")
+            if self.perm.n != self.n:
                 raise ValueError("concrete backend needs a permutation of size n")
-        elif self.mode == "spo":
-            if self.n > EXACT_DB_LIMIT:
-                raise SizeLimitError(
-                    f"full database simulation capped at n={EXACT_DB_LIMIT}")
-        elif self.mode == "tspo":
-            if self.n > EXACT_DB_LIMIT:
-                raise SizeLimitError(
-                    f"full database simulation capped at n={EXACT_DB_LIMIT}")
-            if self.sigma is None or self.tau is None:
-                raise ValueError("tspo backend needs sigma and tau")
-        else:
-            raise ValueError(f"unknown backend mode {self.mode!r}")
+            return
+        if self.n > EXACT_DB_LIMIT:
+            raise SizeLimitError(
+                f"full database simulation capped at n={EXACT_DB_LIMIT}")
+        if any(p is not None and p.n != self.n for p in (self.sigma, self.tau)):
+            raise ValueError("sigma and tau must be permutations of size n")
 
     @property
     def has_database(self) -> bool:
-        return self.mode in ("spo", "tspo")
+        return self.perm is None
 
     def query(self, state: StateVector, direction: str) -> StateVector:
-        if self.mode == "concrete":
+        if self.perm is not None:
             return self._concrete_query(state, direction)
-        if self.mode == "spo":
-            return spo_query(state, direction)
         return spo_query(state, direction, sigma=self.sigma, tau=self.tau)
 
     def _concrete_query(self, state: StateVector, direction: str) -> StateVector:
-        n = self.n
-        _require_xor(n)
-        p = self.perm if direction == "forward" else invert(self.perm)
-        images = np.array(p.images)
-        lay = state.layout
-        if lay.names[-2:] != ("X", "Y"):
-            raise LayoutError("expected registers ..., X, Y for a concrete backend")
-        arr = state.amps.reshape(-1, n, n)
-        out = np.empty_like(arr)
-        ys = np.arange(n)
-        for x in range(n):
-            out[:, x, :] = arr[:, x, ys ^ images[x]]
-        return StateVector(lay, out.reshape(-1))
+        """U^pi (forward) or U^{pi^{-1}} (inverse) applied on X, Y."""
+        return apply(u_oracle(self.perm, inverse=direction == "inverse"),
+                     state, ("X", "Y"))
 
 
 def concrete_backend(perm: Permutation) -> OracleBackend:
-    return OracleBackend(perm.n, "concrete", perm=perm)
+    return OracleBackend(perm.n, perm=perm)
 
 
-def spo_backend(n: int) -> OracleBackend:
-    return OracleBackend(n, "spo")
-
-
-def tspo_backend(sigma: Permutation, tau: Permutation) -> OracleBackend:
-    return OracleBackend(sigma.n, "tspo", sigma=sigma, tau=tau)
+def spo_backend(n: int, sigma: Permutation | None = None,
+                tau: Permutation | None = None) -> OracleBackend:
+    """The database oracle; with sigma/tau, its twirl by L^tau R^sigma."""
+    return OracleBackend(n, sigma=sigma, tau=tau)

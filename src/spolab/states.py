@@ -171,7 +171,8 @@ class LinearOperator:
     """An operator on a block of registers with the given dims.
 
     ``apply_block`` maps a matricized (d, rest) array to its image; adjoint
-    likewise.  A dense ``matrix`` is optional and used for exact norms.
+    likewise.  A dense ``matrix`` is optional and used for exact norms; a
+    basis ``mapping`` (|j> -> |mapping[j]>) marks a validated permutation.
     """
 
     dims: tuple[int, ...]
@@ -179,6 +180,7 @@ class LinearOperator:
     adjoint_block: Callable[[np.ndarray], np.ndarray] | None = None
     matrix: np.ndarray | None = None
     label: str = ""
+    mapping: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -218,13 +220,17 @@ def from_matrix(mat: np.ndarray, dims: tuple[int, ...] | None = None,
 
 def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
                      label: str = "") -> LinearOperator:
-    """Basis permutation |j> -> |mapping[j]>."""
+    """Basis permutation |j> -> |mapping[j]>; rejects non-bijections."""
     mapping = np.asarray(mapping)
     d = int(np.prod(dims))
     if mapping.shape != (d,):
         raise ValueError("mapping length does not match dims")
-    inverse = np.empty_like(mapping)
+    if d and (mapping.min() < 0 or mapping.max() >= d):
+        raise ValueError(f"mapping values must lie in 0..{d - 1}")
+    inverse = np.full(d, -1, dtype=np.int64)
     inverse[mapping] = np.arange(d)
+    if (inverse < 0).any():
+        raise ValueError("mapping is not a bijection: some basis state is hit twice")
 
     def fwd(block: np.ndarray) -> np.ndarray:
         return block[inverse]
@@ -232,9 +238,7 @@ def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
     def bwd(block: np.ndarray) -> np.ndarray:
         return block[mapping]
 
-    op = LinearOperator(tuple(dims), fwd, bwd, label=label)
-    op.mapping = mapping  # type: ignore[attr-defined]
-    return op
+    return LinearOperator(tuple(dims), fwd, bwd, label=label, mapping=mapping)
 
 
 def from_diagonal(dims: tuple[int, ...], diag: np.ndarray,

@@ -59,9 +59,9 @@ from .oracles import (
     is_power_of_two,
     left_right_map,
     perm_tables,
+    query_slice_map,
     spo_backend,
     spo_init,
-    tspo_backend,
     twirl,
     u_oracle,
     v_oracle,
@@ -404,14 +404,11 @@ def small_x_untouched_checks(n: int) -> list[VerificationReport]:
     Exact statement on the label maps: the operator never moves D at all,
     and the Y shift pi_d(x) is constant on every block of labels that agree
     on the digits at and above x (block size x!)."""
-    from .lemmas import _spo_slice_operator
-
     nf = database_dim(n)
     pi_table, _ = perm_tables(n)
     violations = 0
     for x in range(n):
-        op = _spo_slice_operator(n, x, "forward")
-        mapping = op.mapping.reshape(n, nf)
+        mapping = query_slice_map(n, x, "forward").reshape(n, nf)
         if not np.array_equal(mapping % nf, np.broadcast_to(np.arange(nf), (n, nf))):
             violations += 1
         lo = math.factorial(x)
@@ -441,8 +438,8 @@ def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
     worst = 0.0
     for sigma in perms:
         for tau in perms:
-            tspo_ens = spo_ensemble(probe, tspo_backend(sigma, tau))
-            worst = max(worst, trace_distance(spo_ens, tspo_ens))
+            twirled = spo_ensemble(probe, spo_backend(n, sigma=sigma, tau=tau))
+            worst = max(worst, trace_distance(spo_ens, twirled))
     out.append(check(f"spo-vs-tspo-all-pairs[{probe.name}]", worst, 1e-9, tol=0.0))
     out.extend(standard_form_checks(n, seed))
     return out
@@ -460,9 +457,9 @@ def standard_form_checks(n: int, seed: int = DEFAULT_SEED) -> list[VerificationR
         worst12 = worst13 = 0.0
         for sigma in perms:
             for tau in perms:
-                ref = run(circ, tspo_backend(sigma, tau))
-                ref_z = _append_zero_z(ref, n)
-                got2 = run(b, tspo_backend(sigma, tau))
+                twirled = spo_backend(n, sigma=sigma, tau=tau)
+                ref_z = _append_zero_z(run(circ, twirled), n)
+                got2 = run(b, twirled)
                 worst12 = max(worst12, float(np.abs(ref_z.amps - got2.amps).max()))
                 got3 = run(dressed_standard_form(circ, sigma, tau), spo_backend(n))
                 worst13 = max(worst13, float(np.abs(ref_z.amps - got3.amps).max()))
@@ -523,15 +520,22 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     out.append(check(f"left-right-commute[n={n}]", bad_commute, 0, tol=0.0))
     out.append(check(f"left-right-compose[n={n}]", bad_conjugate, 0, tol=0.0))
 
-    # The twirled query equals (L R) O^SPO (L R)^{-1}: exact label-map identity.
+    # The twirled query equals (L R) O^SPO (L R)^{-1}: exact label-map identity
+    # on the joint (x, y, d) basis, the slice maps of O^{SPO,x} side by side.
     bad_ops = 0
     joint = np.arange(n * n * nf)
     rest, d_part = np.divmod(joint, nf)
+
+    def joint_map(direction, sigma=None, tau=None):
+        return np.concatenate([x * n * nf
+                               + query_slice_map(n, x, direction, sigma, tau)
+                               for x in range(n)])
+
     for direction in ("forward", "inverse"):
-        base_map = _query_label_map(n, direction, None, None)
+        base_map = joint_map(direction)
         for sigma in perms:
             for tau in perms:
-                twisted = _query_label_map(n, direction, sigma, tau)
+                twisted = joint_map(direction, sigma, tau)
                 m = left_right_map(n, tau=tau, sigma=sigma)
                 minv = np.empty_like(m)
                 minv[m] = arange
@@ -548,7 +552,7 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
         worst = 0.0
         for sigma in perms:
             for tau in perms:
-                direct = run(circ, tspo_backend(sigma, tau))
+                direct = run(circ, spo_backend(n, sigma=sigma, tau=tau))
                 relabeled = twirl(twirl(plain, "right", sigma), "left", tau)
                 worst = max(worst, float(np.abs(direct.amps - relabeled.amps).max()))
         out.append(check(f"twisted-vs-not[{circ.name}]", worst, 1e-12, tol=0.0))
@@ -568,20 +572,6 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
                 bad_rel += 1
     out.append(check(f"twirl-relation-invariants[n={n}]", bad_rel, 0, tol=0.0))
     return out
-
-
-def _query_label_map(n: int, direction: str, sigma, tau) -> np.ndarray:
-    """The joint (x, y, d) basis map of a query operator."""
-    from .oracles import _shift_table
-
-    shift = _shift_table(n, direction,
-                         None if sigma is None else sigma.images,
-                         None if tau is None else tau.images)
-    nf = shift.shape[1]
-    xs = np.arange(n)[:, None, None]
-    ys = np.arange(n)[None, :, None]
-    ds = np.arange(nf)[None, None, :]
-    return ((xs * n + (ys ^ shift[:, None, :])) * nf + ds).reshape(-1)
 
 
 # --------------------------------------------------------------------------
@@ -721,7 +711,7 @@ def commutator_suite(n: int) -> list[VerificationReport]:
     out = commutator_growth_check(n)
     # The commutation observation behind the bound: R^gamma commutes with
     # O^{SPO,x} whenever gamma fixes x (exact label-map identity).
-    from .lemmas import _all_cycles, _spo_slice_operator
+    from .lemmas import _all_cycles
     from .oracles import left_right_map as lrm
 
     nf = database_dim(n)
@@ -729,7 +719,7 @@ def commutator_suite(n: int) -> list[VerificationReport]:
     joint = np.arange(n * nf)
     ys, ds = np.divmod(joint, nf)
     for x in range(n):
-        qmap = _spo_slice_operator(n, x, "forward").mapping
+        qmap = query_slice_map(n, x, "forward")
         for cyc in _all_cycles(n, 2) + (_all_cycles(n, 3) if n >= 3 else []):
             if cyc.images[x] != x:
                 continue

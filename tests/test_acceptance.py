@@ -45,9 +45,9 @@ from spolab.lemmas import (
 from spolab.oracles import (
     database_dim,
     left_right_map,
+    query_slice_map,
     spo_backend,
     spo_init,
-    tspo_backend,
     twirl,
 )
 from spolab.permutations import (
@@ -184,7 +184,8 @@ def test_criterion_05_exact_oracle_simulation():
         ref = spo_ensemble(circ, spo_backend(n))
         for sigma in perms:
             for tau in perms:
-                d = trace_distance(ref, spo_ensemble(circ, tspo_backend(sigma, tau)))
+                twirled = spo_backend(n, sigma=sigma, tau=tau)
+                d = trace_distance(ref, spo_ensemble(circ, twirled))
                 worst_tspo = max(worst_tspo, d)
     ok &= worst_tspo <= 1e-9
     record(5, "exact simulation: 20 circuits + spo-vs-tspo ensembles, N = 4",
@@ -199,17 +200,21 @@ def test_criterion_06_twirl_algebra():
     ok = True
     for side, p in (("left", perms[7]), ("right", perms[13])):
         ok &= bool(np.array_equal(twirl(init, side, p).amps, init.amps))
-    # conjugation identity as exact label maps, all 576 pairs
-    from spolab.suites import _query_label_map
+    # conjugation identity as exact label maps, all 576 pairs; the joint
+    # (x, y, d) map of a query is its slice maps side by side
+    def joint_map(direction, sigma=None, tau=None):
+        return np.concatenate([x * n * nf
+                               + query_slice_map(n, x, direction, sigma, tau)
+                               for x in range(n)])
 
     arange = np.arange(nf)
     joint = np.arange(n * n * nf)
     rest, d_part = np.divmod(joint, nf)
     for direction in ("forward", "inverse"):
-        base = _query_label_map(n, direction, None, None)
+        base = joint_map(direction)
         for sigma in perms:
             for tau in perms:
-                twisted = _query_label_map(n, direction, sigma, tau)
+                twisted = joint_map(direction, sigma, tau)
                 m = left_right_map(n, tau=tau, sigma=sigma)
                 minv = np.empty_like(m)
                 minv[m] = arange
@@ -222,7 +227,7 @@ def test_criterion_06_twirl_algebra():
         plain = run(circ, spo_backend(n))
         for sigma in perms:
             for tau in perms:
-                direct = run(circ, tspo_backend(sigma, tau))
+                direct = run(circ, spo_backend(n, sigma=sigma, tau=tau))
                 relabeled = twirl(twirl(plain, "right", sigma), "left", tau)
                 worst = max(worst, float(np.abs(direct.amps - relabeled.amps).max()))
     ok &= worst <= 1e-12
@@ -240,8 +245,8 @@ def test_criterion_07_standard_form():
         ok &= b.query_count == 2 * circ.query_count
         for sigma in perms:
             for tau in perms:
-                ref = run(circ, tspo_backend(sigma, tau))
-                got2 = run(b, tspo_backend(sigma, tau))
+                ref = run(circ, spo_backend(n, sigma=sigma, tau=tau))
+                got2 = run(b, spo_backend(n, sigma=sigma, tau=tau))
                 got3 = run(dressed_standard_form(circ, sigma, tau), spo_backend(n))
                 a_dim = circ.work_dim
                 z2 = got2.amps.reshape(a_dim, n, -1)

@@ -6,6 +6,7 @@ import pytest
 
 from spolab.circuits import (
     LocalUnitary,
+    Query,
     QueryCircuit,
     averaged_grover_reference,
     classical_probe,
@@ -31,7 +32,7 @@ from spolab.circuits import (
     zero_search_adversary,
     zero_search_success_predicate,
 )
-from spolab.oracles import BudgetError, concrete_backend, spo_backend, tspo_backend
+from spolab.oracles import BudgetError, concrete_backend, spo_backend
 from spolab.permutations import all_permutations, identity, parse_one_line, sample_uniform
 from spolab.states import from_matrix, trace_distance
 
@@ -82,6 +83,45 @@ def test_circuit_rejects_nonunitary_step():
     bad = from_matrix(np.diag([1.0, 0.5, 1.0, 1.0]))
     with pytest.raises(ValueError):
         QueryCircuit(4, (LocalUnitary(("X",), bad),))
+
+
+def test_permutation_steps_are_not_probed(monkeypatch):
+    """A validated basis mapping is unitary by construction; only operators
+    without one go through the random unitarity probe."""
+    import spolab.circuits as circuits_mod
+    from spolab.oracles import shift_operator, swap_operator
+
+    def fail(op, *args, **kwargs):
+        raise AssertionError(f"probed {op.label}")
+
+    monkeypatch.setattr(circuits_mod, "probe_unitary", fail)
+    steps = (LocalUnitary(("X",), shift_operator(4, 1), tag="load1"),
+             Query("forward"),
+             LocalUnitary(("X", "Y"), swap_operator(4), tag="swap"))
+    circ = QueryCircuit(4, steps, output="xy")
+    assert circ.query_count == 1
+    with pytest.raises(AssertionError, match="probed"):
+        QueryCircuit(4, (LocalUnitary(("X",), from_matrix(np.eye(4))),))
+
+
+def test_concrete_ensemble_never_touches_the_database_kernel(monkeypatch):
+    """Criterion 05 compares two independent paths: the concrete side is the
+    explicit U^pi operator applied with ``apply``, never the SPO kernel."""
+    import spolab.oracles as oracles_mod
+    from spolab.suites import suite_circuits
+
+    n = 4
+    circ = next(c for c in suite_circuits(n, 7) if c.query_count >= 2)
+    spo = spo_ensemble(circ, spo_backend(n))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("database kernel used by the concrete oracle")
+
+    monkeypatch.setattr(oracles_mod, "spo_query", fail)
+    monkeypatch.setattr(oracles_mod, "_shift_table", fail)
+    concrete = concrete_ensemble(circ, n)
+    assert len(concrete.entries) == 24
+    assert trace_distance(concrete, spo) <= 1e-9
 
 
 def test_haar_unitary_is_unitary():
@@ -138,8 +178,8 @@ def test_standard_form_reproduces_tspo_run():
     rng = np.random.default_rng(4)
     for _ in range(6):
         sigma, tau = sample_uniform(n, rng), sample_uniform(n, rng)
-        ref = run(circ, tspo_backend(sigma, tau))
-        got = run(b, tspo_backend(sigma, tau))
+        ref = run(circ, spo_backend(n, sigma=sigma, tau=tau))
+        got = run(b, spo_backend(n, sigma=sigma, tau=tau))
         got3 = run(dressed_standard_form(circ, sigma, tau), spo_backend(n))
         # compare on the common registers: Z ends in |0>
         got_z0 = got.amps.reshape(circ.work_dim, n, -1)[:, 0, :]

@@ -45,7 +45,6 @@ from spolab.oracles import (
     perm_tables,
     spo_backend,
     spo_init,
-    tspo_backend,
 )
 from spolab.permutations import (
     invert,
@@ -262,7 +261,7 @@ def test_experiment_matches_direct_simulation():
     circ = random_circuit(41, 1, 2, n)
     rel = diagonal_relation(n)
     sigma, tau = sample_uniform(n, RNG), sample_uniform(n, RNG)
-    final = run(circ, tspo_backend(sigma, tau))
+    final = run(circ, spo_backend(n, sigma=sigma, tau=tau))
     lay = final.layout
     arr = final.reshaped()
     pi_table, _ = perm_tables(n)
@@ -284,8 +283,8 @@ def test_experiment_matches_direct_simulation():
     from spolab.oracles import left_right_map
 
     plan_one = TwirlPlan(n, (sigma,), (tau,), True, None,
-                         left_right_map(n, sigma=sigma)[None, :],
-                         left_right_map(n, tau=tau)[None, :])
+                         left_right_map(n, sigma=invert(sigma))[None, :],
+                         left_right_map(n, tau=invert(tau))[None, :])
     res = experiment_probabilities(circ, rel, plan_one)
     assert res.p_i == pytest.approx(p_i_direct, abs=1e-12)
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
@@ -340,8 +339,8 @@ def test_twirl_averages_on_non_square_sampled_grid():
 
     def plan_of(sigmas, taus, exhaustive):
         return TwirlPlan(n, tuple(sigmas), tuple(taus), exhaustive, None,
-                         np.stack([left_right_map(n, sigma=s) for s in sigmas]),
-                         np.stack([left_right_map(n, tau=t) for t in taus]))
+                         np.stack([left_right_map(n, sigma=invert(s)) for s in sigmas]),
+                         np.stack([left_right_map(n, tau=invert(t)) for t in taus]))
 
     rng = np.random.default_rng(5)
     sigmas = [sample_uniform(n, rng) for _ in range(2)]
@@ -445,13 +444,13 @@ def test_crucial_terms_match_direct_tspo_runs():
     for _trial in range(3):
         sigma, tau = sample_uniform(n, rng), sample_uniform(n, rng)
         plan_one = TwirlPlan(n, (sigma,), (tau,), True, None,
-                             left_right_map(n, sigma=sigma)[None, :],
-                             left_right_map(n, tau=tau)[None, :])
+                             left_right_map(n, sigma=perm_invert(sigma))[None, :],
+                             left_right_map(n, tau=perm_invert(tau))[None, :])
         from spolab.lemmas import crucial_term_values
 
         got_vals = crucial_term_values(circ, rel, plan_one)
         # direct run of B against TSPO^{sigma,tau}
-        _, pre = run_with_intermediates(b, tspo_backend(sigma, tau))
+        _, pre = run_with_intermediates(b, spo_backend(n, sigma=sigma, tau=tau))
         twisted = twirl_relation(rel, sigma, tau)
         si = perm_invert(sigma).images
         ti = perm_invert(tau).images
@@ -548,6 +547,27 @@ def test_progress_expectation_and_crucial():
             assert sub.passed, sub
     rep0 = progress_expectation_check(empty_circuit(n), diagonal_relation(n), plan)
     assert rep0.lhs == pytest.approx(0.0, abs=1e-12)
+
+
+def test_exact_only_checks_refuse_sampled_plans(monkeypatch):
+    """Checks that report only the mean of a twirl average as an exact row
+    raise on a sampled plan, before any circuit runs."""
+    import spolab.lemmas as lemmas_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a circuit ran before the plan was checked")
+
+    monkeypatch.setattr(lemmas_mod, "run", no_run)
+    monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
+    n = 4
+    sampled = make_twirl_plan(n, seed=1, min_pairs=4, exhaustive=False)
+    circ = random_circuit(55, 1, 2, n)
+    rel = diagonal_relation(n)
+    for call in (lambda: crucial_term_checks(circ, rel, sampled),
+                 lambda: progress_expectation_check(circ, rel, sampled),
+                 lambda: sparsity_trajectory_check(circ, sampled)):
+        with pytest.raises(ValueError, match=r"exhaustive .* sampled 2 x 2 plan"):
+            call()
 
 
 # --------------------------------------------------------------------------

@@ -9,20 +9,17 @@ from spolab.oracles import (
     cnot_operator,
     concrete_backend,
     database_dim,
-    db_value_mask,
     index_of_perm,
     left_right_map,
     perm_of_index,
     perm_tables,
     project_plus_db,
-    recover_distribution,
-    recover_sample,
+    query_slice_map,
     spo_backend,
     spo_init,
     spo_query,
     spo_recover,
     swap_operator,
-    tspo_backend,
     twirl,
     u_oracle,
     v_oracle,
@@ -255,21 +252,6 @@ def test_spo_recover_tspo_relabels():
         assert np.allclose(twisted.entries[relabeled].amps, state.amps)
 
 
-def test_recover_sample_deterministic():
-    rng = np.random.default_rng(5)
-    perm, residual = recover_sample(_fresh_state_xy(3), rng)
-    rng2 = np.random.default_rng(5)
-    perm2, _ = recover_sample(_fresh_state_xy(3), rng2)
-    assert perm.images == perm2.images
-    assert residual.norm() == pytest.approx(1.0)
-
-
-def test_recover_distribution_normalizes():
-    dist = recover_distribution(_fresh_state_xy(4), 4)
-    assert dist.sum() == pytest.approx(1.0)
-    assert np.allclose(dist, 1 / 24)
-
-
 def test_project_plus_db():
     n = 4
     nf = database_dim(n)
@@ -285,19 +267,16 @@ def test_project_plus_db():
     assert np.allclose(project_plus_db(v, n, 0, complement=True), 0.0)
 
 
-def test_db_value_mask():
-    pi_table, inv_table = perm_tables(4)
-    m = db_value_mask(4, 2, 3)
-    assert np.array_equal(m, pi_table[:, 2] == 3)
-    mi = db_value_mask(4, 2, 3, inverse=True)
-    assert np.array_equal(mi, inv_table[:, 2] == 3)
+def _joint_query_map(n, direction, sigma, tau):
+    """The (x, y, d) basis map of a query: its slice maps side by side."""
+    nf = database_dim(n)
+    return np.concatenate([x * n * nf + query_slice_map(n, x, direction, sigma, tau)
+                           for x in range(n)])
 
 
 def test_spo_query_matches_dense_matrix():
     # the query application (index shuffle) equals a dense matrix product on
     # the joint X (x) Y (x) D space (total dim 384 at N = 4)
-    from spolab.suites import _query_label_map
-
     n = 4
     nf = database_dim(n)
     lay = RegisterLayout(
@@ -310,7 +289,7 @@ def test_spo_query_matches_dense_matrix():
         sample_uniform(n, rng2)
     for direction in ("forward", "inverse"):
         for s, t in ((None, None), (sigma, tau)):
-            mapping = _query_label_map(n, direction, s, t)
+            mapping = _joint_query_map(n, direction, s, t)
             dense = np.zeros((len(mapping), len(mapping)))
             dense[mapping, np.arange(len(mapping))] = 1.0
             got = spo_query(state, direction, sigma=s, tau=t).amps
@@ -329,14 +308,12 @@ def test_exact_db_limit():
 def test_query_operators_controlled_on_database():
     # every query operator commutes with permutation-basis projectors on D:
     # exactly, its joint label map never moves the database part
-    from spolab.suites import _query_label_map
-
     for n in (2, 4):
         nf = database_dim(n)
         sigma, tau = sample_uniform(n, RNG), sample_uniform(n, RNG)
         for direction in ("forward", "inverse"):
             for s, t in ((None, None), (sigma, tau)):
-                mapping = _query_label_map(n, direction, s, t)
+                mapping = _joint_query_map(n, direction, s, t)
                 assert np.array_equal(mapping % nf,
                                       np.arange(n * n * nf) % nf)
 
@@ -353,12 +330,15 @@ def test_small_x_not_touched_up_to_n5():
 
 def test_backend_validation():
     with pytest.raises(ValueError):
-        OracleBackend(4, "concrete")
+        OracleBackend(4, perm=identity(3))
     with pytest.raises(ValueError):
-        OracleBackend(4, "tspo")
+        OracleBackend(4, perm=identity(4), sigma=identity(4))
     with pytest.raises(ValueError):
-        OracleBackend(4, "nonsense")
-    assert concrete_backend(identity(4)).mode == "concrete"
+        OracleBackend(4, perm=identity(4), tau=identity(4))
+    with pytest.raises(ValueError):
+        spo_backend(4, sigma=identity(3), tau=identity(4))
+    assert concrete_backend(identity(4)).perm == identity(4)
     assert not concrete_backend(identity(4)).has_database
     assert spo_backend(3).has_database
-    assert tspo_backend(identity(3), identity(3)).mode == "tspo"
+    twirled = spo_backend(3, sigma=identity(3), tau=identity(3))
+    assert twirled.has_database and twirled.perm is None

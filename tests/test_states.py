@@ -160,6 +160,17 @@ def test_probe_unitary():
     assert not probe_unitary(from_matrix(np.diag([1.0, 0.5])))
 
 
+def test_from_permutation_rejects_non_bijections():
+    op = from_permutation((3,), np.array([2, 0, 1]))
+    assert op.mapping.tolist() == [2, 0, 1]
+    assert from_matrix(np.eye(2)).mapping is None
+    with pytest.raises(ValueError, match="bijection"):
+        from_permutation((3,), np.array([0, 0, 1]))
+    for out_of_range in ([0, 1, 3], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="0..2"):
+            from_permutation((3,), np.array(out_of_range))
+
+
 def test_project_basis():
     lay = RegisterLayout((("A", 3), ("B", 4)))
     s = random_state(lay)

@@ -100,6 +100,20 @@ def test_twirl_plan_shapes():
         make_twirl_plan(5, seed=None, min_pairs=10)
 
 
+def test_twirl_plan_pairs_invert_the_composed_label_maps():
+    from spolab.oracles import left_right_map
+
+    n = 4
+    plan = make_twirl_plan(n)
+    arange = np.arange(24)
+    seen = 0
+    for _i, _j, sigma, tau, minv in plan.pairs():
+        m = left_right_map(n, tau=tau)[left_right_map(n, sigma=sigma)]
+        assert np.array_equal(m[minv], arange)
+        seen += 1
+    assert seen == plan.pair_count == 576
+
+
 def test_suite_registry_runs_small():
     for name in sorted(SUITES):
         if name == "all":
