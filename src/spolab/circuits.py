@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -28,19 +28,24 @@ from .oracles import (
     concrete_backend,
     database_dim,
     database_layout,
+    perm_tables,
     shift_operator,
     spo_backend,
     swap_operator,
     v_oracle,
 )
 from .permutations import Permutation, all_permutations, invert
+from .relations import Relation
 from .states import (
     CQEnsemble,
     LinearOperator,
     RegisterLayout,
     StateVector,
     apply,
+    database_names,
+    from_diagonal,
     from_matrix,
+    marginal,
     probe_unitary,
 )
 
@@ -52,6 +57,13 @@ class LocalUnitary:
     targets: tuple[str, ...]
     op: LinearOperator
     tag: str = ""
+
+    def __post_init__(self) -> None:
+        # A basis mapping is a validated bijection, hence unitary; any other
+        # operator is probed once, here, however many circuits reuse the step.
+        if self.op.mapping is None and not probe_unitary(self.op):
+            raise ValueError(f"step {self.tag or self.targets} fails the "
+                             "unitarity probe")
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,6 @@ class QueryCircuit:
             if isinstance(step, LocalUnitary):
                 if not set(step.targets) <= allowed:
                     raise ValueError(f"unitary targets {step.targets} outside {allowed}")
-                # A basis mapping is a validated bijection, hence unitary.
-                if step.op.mapping is None and not probe_unitary(step.op):
-                    raise ValueError(f"step {step.tag or step.targets} fails the "
-                                     "unitarity probe")
             elif isinstance(step, Query):
                 if step.direction not in ("forward", "inverse"):
                     raise ValueError(f"bad query direction {step.direction!r}")
@@ -153,14 +161,7 @@ def run_with_intermediates(
 
 def output_distribution(state: StateVector, output: str = "x") -> np.ndarray:
     """Exact Born probabilities of the declared output registers."""
-    lay = state.layout
-    arr = np.abs(state.reshaped()) ** 2
-    keep = ("X",) if output == "x" else ("X", "Y")
-    axes = tuple(i for i, name in enumerate(lay.names) if name not in keep)
-    probs = arr.sum(axis=axes)
-    if output == "xy" and lay.axis("X") > lay.axis("Y"):
-        probs = probs.T
-    return probs
+    return marginal(state, ("X",) if output == "x" else ("X", "Y"))
 
 
 # --------------------------------------------------------------------------
@@ -336,20 +337,26 @@ def _diffusion(n_bits: int, c: int) -> np.ndarray:
     return 2.0 * np.outer(psi, psi) - np.eye(dim)
 
 
-def _phase_flip(n_bits: int, predicate: Callable[[int], bool]) -> np.ndarray:
-    dim = 2 ** n_bits
-    return np.where([predicate(y) for y in range(dim)], -1.0, 1.0).astype(complex)
-
-
-def _grover_circuit(n_bits: int, c: int, predicate: Callable[[int], bool],
-                    iterations: int, name: str) -> QueryCircuit:
+def _grover_outputs(n_bits: int, c: int) -> np.ndarray:
+    """The output values 0..2^n - 1, once c is a valid capacity and the
+    budget holds the X (x) Y state and the two dense 2^n x 2^n matrices."""
     if not 1 <= c < n_bits:
         raise ValueError(f"capacity must satisfy 1 <= c < n, got c={c}, n={n_bits}")
-    n = 2 ** n_bits
-    from .states import from_diagonal
+    dim = 2 ** n_bits
+    if 3 * dim * dim > AMPLITUDE_BUDGET:
+        raise BudgetError(f"Grover circuit at n_bits={n_bits} needs {3 * dim * dim} "
+                          f"amplitudes (X, Y state and two dense {dim} x {dim} "
+                          f"matrices; budget {AMPLITUDE_BUDGET})")
+    return np.arange(dim)
 
+
+def _grover_circuit(n_bits: int, c: int, marked: np.ndarray,
+                    iterations: int, name: str) -> QueryCircuit:
+    """Amplitude amplification over {x || 0^c}; ``marked[y]`` flags the
+    outputs y = pi(x) whose phase flips."""
+    n = 2 ** n_bits
     prep = LocalUnitary(("X",), from_matrix(_subspace_prep(n_bits, c)), tag="prep")
-    flip = LocalUnitary(("Y",), from_diagonal((n,), _phase_flip(n_bits, predicate)),
+    flip = LocalUnitary(("Y",), from_diagonal((n,), np.where(marked, -1.0, 1.0)),
                         tag="flip")
     diffuse = LocalUnitary(("X",), from_matrix(_diffusion(n_bits, c)), tag="diffuse")
     steps: list[Step] = [prep]
@@ -364,58 +371,38 @@ def grover_preimage(n_bits: int, c: int, target: int,
     pi(x || 0^c); two forward queries per iteration (compute, phase, uncompute)."""
     if not 0 <= target < 2 ** (n_bits - c):
         raise ValueError(f"target outside 0..2^{n_bits - c} - 1")
-    return _grover_circuit(n_bits, c, lambda y: (y >> c) == target, iterations,
+    ys = _grover_outputs(n_bits, c)
+    return _grover_circuit(n_bits, c, (ys >> c) == target, iterations,
                            name=f"sponge-n{n_bits}c{c}k{iterations}")
 
 
 def zero_search_adversary(n_bits: int, c: int, iterations: int) -> QueryCircuit:
     """Find x with pi(x || 0^c) ending in 0^c."""
-    mask = 2 ** c - 1
-    return _grover_circuit(n_bits, c, lambda y: (y & mask) == 0, iterations,
+    ys = _grover_outputs(n_bits, c)
+    return _grover_circuit(n_bits, c, (ys & (2 ** c - 1)) == 0, iterations,
                            name=f"zero-n{n_bits}c{c}k{iterations}")
 
 
-def sponge_success_predicate(n_bits: int, c: int, target: int) -> Callable[[int, Permutation], bool]:
-    def pred(x_label: int, perm: Permutation) -> bool:
-        return (perm(x_label & ~(2 ** c - 1)) >> c) == target and \
-            (x_label & (2 ** c - 1)) == 0
-    return pred
-
-
-def zero_search_success_predicate(n_bits: int, c: int) -> Callable[[int, Permutation], bool]:
-    mask = 2 ** c - 1
-
-    def pred(x_label: int, perm: Permutation) -> bool:
-        return (perm(x_label & ~mask) & mask) == 0 and (x_label & mask) == 0
-    return pred
-
-
 def success_probability(circ: QueryCircuit, perm: Permutation,
-                        predicate: Callable[[int, Permutation], bool]) -> float:
-    """Exact Born success probability of the X output under a fixed pi."""
-    final = run(circ, concrete_backend(perm))
-    dist = output_distribution(final, "x")
-    return float(sum(p for x, p in enumerate(dist) if predicate(x, perm)))
+                        rel: Relation) -> float:
+    """Exact Born success probability of the X output under a fixed pi:
+    sum_x p(x) R[x, pi(x)], adding the winning p(x) in x order."""
+    if rel.n != circ.n:
+        raise ValueError(f"relation size {rel.n} != circuit size {circ.n}")
+    dist = output_distribution(run(circ, concrete_backend(perm)), "x")
+    return float(sum(dist[rel.members[np.arange(circ.n), perm.images]]))
 
 
-def spo_success_probability(circ: QueryCircuit,
-                            predicate: Callable[[int, Permutation], bool]) -> float:
-    """Success probability with the SPO backend: measure X and recover pi."""
-    from .oracles import perm_of_index
-
-    final = run(circ, spo_backend(circ.n))
-    lay = final.layout
-    arr = np.abs(final.reshaped()) ** 2
-    keep = {"X"} | {name for name in lay.names if name.startswith("D")}
-    sum_axes = tuple(i for i, name in enumerate(lay.names) if name not in keep)
-    joint = arr.sum(axis=sum_axes).reshape(circ.n, -1)  # (X, database label)
-    total = 0.0
-    for d in range(joint.shape[1]):
-        perm = perm_of_index(circ.n, d)
-        for x in range(circ.n):
-            if joint[x, d] > 0 and predicate(x, perm):
-                total += joint[x, d]
-    return float(total)
+def spo_success_probability(circ: QueryCircuit, rel: Relation) -> float:
+    """The same success against the SPO backend: the joint Born weight of
+    X = x and database label d, summed where R[x, pi_d(x)] holds."""
+    n = circ.n
+    if rel.n != n:
+        raise ValueError(f"relation size {rel.n} != circuit size {n}")
+    final = run(circ, spo_backend(n))
+    joint = marginal(final, ("X", *database_names(n))).reshape(n, -1)
+    pi, _ = perm_tables(n)
+    return float(joint[rel.members[np.arange(n)[:, None], pi.T]].sum())
 
 
 def grover_reference(marked: int, space: int, iterations: int) -> float:

@@ -44,7 +44,14 @@ from .oracles import (
 from .permutations import Permutation, all_permutations, invert, sample_uniform
 from .relations import Relation
 from .reporting import VerificationReport, check, check_close
-from .states import LinearOperator, StateVector, from_matrix, from_permutation
+from .states import (
+    LinearOperator,
+    StateVector,
+    database_names,
+    from_matrix,
+    from_permutation,
+    marginal,
+)
 
 EXHAUSTIVE_TWIRL_LIMIT = 4
 
@@ -263,16 +270,6 @@ def check_uniform_weights(state: StateVector, tol: float = 1e-9) -> None:
             f"{np.max(np.abs(probs - 1.0 / nf)):.2e}")
 
 
-def _xslice_weights(state: StateVector) -> np.ndarray:
-    """G[z, d] = squared norm of <z|_X <pi_d|_D |phi> over remaining registers."""
-    lay = state.layout
-    arr = np.abs(state.reshaped()) ** 2
-    keep = {"X"} | {nm for nm in lay.names if nm.startswith("D")}
-    axes = tuple(i for i, nm in enumerate(lay.names) if nm not in keep)
-    n = lay.dim("X")
-    return arr.sum(axis=axes).reshape(n, -1)
-
-
 # --------------------------------------------------------------------------
 # Fundamental-lemma experiments
 
@@ -458,7 +455,7 @@ def zeta_parts(state: StateVector, x: int, rel: Relation,
     """The summands of zeta (forward: 3 terms) or zeta^inv (4 terms)."""
     check_uniform_weights(state)
     n = rel.n
-    g = _xslice_weights(state)  # (n, n!)
+    g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
     rx = rel.section(x)
     weight = len(rx) / (x + 1)
     term1 = weight * float(g[x].sum())
@@ -586,7 +583,7 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
     n = circ.n
     out = []
     for _direction, state in standard_form_prequery_states(circ):
-        g = _xslice_weights(state)
+        g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
 
         def term(_sigma, _tau, si, ti, minv):
             gg = g[:, minv]
@@ -833,10 +830,10 @@ def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
 
 
 def theorem_check(circ: QueryCircuit, rel: Relation, *,
-                  trials: int | None = None, seed: int | None = None,
                   name: str = "") -> VerificationReport:
-    """lhs = Pr[(x, pi(x)) in R]; rhs = min(1, 914 q^3 r_max (ln N + 2)/N)
-    with 'fewer than q' semantics (q = query count + 1); flags vacuity."""
+    """lhs = Pr[(x, pi(x)) in R] over all pi; rhs = min(1, 914 q^3 r_max
+    (ln N + 2)/N) with 'fewer than q' semantics (q = query count + 1);
+    flags vacuity."""
     from .bounds import clamped, main_bound
 
     start = time.perf_counter()
@@ -844,28 +841,11 @@ def theorem_check(circ: QueryCircuit, rel: Relation, *,
     q = circ.query_count + 1
     rhs_raw = main_bound(q, n, rel.r_max) if rel.r_max else 0.0
     rhs = clamped(rhs_raw)
-
-    def in_relation(x: int, perm: Permutation) -> bool:
-        return rel.members[x, perm(x)]
-
-    if trials is None:
-        total = 0.0
-        count = 0
-        for perm in all_permutations(n):
-            total += success_probability(circ, perm, in_relation)
-            count += 1
-        lhs = total / count
-        return check(name or f"theorem[{circ.name}]", lhs, rhs,
-                     runtime_ms=(time.perf_counter() - start) * 1000.0,
-                     vacuous=(rhs >= 1.0), q=q, r_max=rel.r_max,
-                     bound_raw=rhs_raw)
-    if seed is None:
-        raise ValueError("sampled theorem check requires a seed")
-    rng = np.random.default_rng(seed)
-    vals = np.array([success_probability(circ, sample_uniform(n, rng), in_relation)
-                     for _ in range(trials)])
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return check(name or f"theorem[{circ.name}]", float(vals.mean()), rhs,
-                 method="monte_carlo", stderr=stderr, samples=trials,
+    total = 0.0
+    count = 0
+    for perm in all_permutations(n):
+        total += success_probability(circ, perm, rel)
+        count += 1
+    return check(name or f"theorem[{circ.name}]", total / count, rhs,
                  runtime_ms=(time.perf_counter() - start) * 1000.0,
                  vacuous=(rhs >= 1.0), q=q, r_max=rel.r_max, bound_raw=rhs_raw)

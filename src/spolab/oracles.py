@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -418,10 +418,20 @@ class OracleBackend:
             return self._concrete_query(state, direction)
         return spo_query(state, direction, sigma=self.sigma, tau=self.tau)
 
+    # U^pi and U^{pi^{-1}} are built once per backend, on first use; they
+    # live as long as the backend, so nothing outlives a trial.
+    @cached_property
+    def _u_forward(self) -> LinearOperator:
+        return u_oracle(self.perm)
+
+    @cached_property
+    def _u_inverse(self) -> LinearOperator:
+        return u_oracle(self.perm, inverse=True)
+
     def _concrete_query(self, state: StateVector, direction: str) -> StateVector:
         """U^pi (forward) or U^{pi^{-1}} (inverse) applied on X, Y."""
-        return apply(u_oracle(self.perm, inverse=direction == "inverse"),
-                     state, ("X", "Y"))
+        op = self._u_inverse if direction == "inverse" else self._u_forward
+        return apply(op, state, ("X", "Y"))
 
 
 def concrete_backend(perm: Permutation) -> OracleBackend:

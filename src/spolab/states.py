@@ -354,6 +354,16 @@ def operator_norm(op: LinearOperator, cap: int = DENSE_NORM_CAP,
         lower=math.sqrt(best), estimate=math.sqrt(best + bracket))
 
 
+def marginal(state: StateVector, keep: tuple[str, ...]) -> np.ndarray:
+    """Born probabilities of the ``keep`` registers, axes in ``keep`` order:
+    |amps|^2 summed over every other register."""
+    lay = state.layout
+    kept = sorted(keep, key=lay.axis)  # layout order; unknown names raise
+    axes = tuple(i for i, name in enumerate(lay.names) if name not in keep)
+    probs = (np.abs(state.reshaped()) ** 2).sum(axis=axes)
+    return probs.transpose([kept.index(name) for name in keep])
+
+
 def project_basis(state: StateVector, register: str, keep: Iterable[int]) -> StateVector:
     """Zero amplitudes outside ``keep`` on one register (subnormalized result)."""
     lay = state.layout

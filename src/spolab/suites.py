@@ -28,12 +28,10 @@ from .circuits import (
     random_circuit,
     run,
     spo_ensemble,
-    sponge_success_predicate,
     spo_success_probability,
     standard_form,
     success_probability,
     zero_search_adversary,
-    zero_search_success_predicate,
     averaged_grover_reference,
 )
 from .lemmas import (
@@ -100,6 +98,7 @@ from .relations import (
     full_relation,
     sponge_preimage_relation,
     twirl_relation,
+    zero_search_relation,
 )
 from .reporting import VerificationReport, check, check_close
 from .states import trace_distance
@@ -763,14 +762,20 @@ def theorem_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
 def run_attack(kind: str, n_bits: int, c: int, iterations: int,
                backend: str = "concrete", trials: int | None = None,
                seed: int | None = None, target: int = 0) -> dict:
-    """Attack experiment: empirical success, references, and the bound."""
+    """Attack experiment: empirical success, references, and the bound.
+
+    Success is scored against the attack's relation, whose N x N bitset is
+    built only after the circuit has passed the amplitude budget."""
+    if trials is not None and trials < 2:
+        raise ValueError(f"trials must be at least 2 for a sampled attack "
+                         f"(its spread needs two runs), got {trials}")
     if kind == "sponge":
         circ = grover_preimage(n_bits, c, target, iterations)
-        predicate = sponge_success_predicate(n_bits, c, target)
+        rel = sponge_preimage_relation(n_bits, c, target)
         bound_raw = bounds.sponge_bound(2 * iterations + 1, n_bits, c)
     elif kind == "zero-search":
         circ = zero_search_adversary(n_bits, c, iterations)
-        predicate = zero_search_success_predicate(n_bits, c)
+        rel = zero_search_relation(n_bits, c)
         bound_raw = bounds.zero_search_bound(2 * iterations + 1, n_bits, c)
     else:
         raise ValueError(f"unknown attack kind {kind!r}")
@@ -790,7 +795,7 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
     if backend == "spo":
         if 2 ** n_bits > 8:
             raise ValueError("spo attack backend requires 2^n_bits <= 8")
-        result["success_mean"] = spo_success_probability(circ, predicate)
+        result["success_mean"] = spo_success_probability(circ, rel)
         result["success_stderr"] = 0.0
         result["success_std"] = 0.0
         result["method"] = "exact-spo"
@@ -799,7 +804,7 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
         raise ValueError(f"unknown backend {backend!r}")
     n = 2 ** n_bits
     if trials is None:
-        vals = np.array([success_probability(circ, p, predicate)
+        vals = np.array([success_probability(circ, p, rel)
                          for p in all_permutations(n)])
         result["method"] = "exact-ensemble"
         result["success_mean"] = float(vals.mean())
@@ -809,7 +814,7 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
     if seed is None:
         raise ValueError("sampled attacks require a seed")
     rng = np.random.default_rng(seed)
-    vals = np.array([success_probability(circ, sample_uniform(n, rng), predicate)
+    vals = np.array([success_probability(circ, sample_uniform(n, rng), rel)
                      for _ in range(trials)])
     result["method"] = "monte_carlo"
     result["trials"] = trials

@@ -25,15 +25,20 @@ from spolab.circuits import (
     run,
     spo_ensemble,
     spo_success_probability,
-    sponge_success_predicate,
     standard_form,
     success_probability,
     with_loading_query,
     zero_search_adversary,
-    zero_search_success_predicate,
 )
 from spolab.oracles import BudgetError, concrete_backend, spo_backend
 from spolab.permutations import all_permutations, identity, parse_one_line, sample_uniform
+from spolab.relations import (
+    Relation,
+    from_pairs,
+    full_relation,
+    sponge_preimage_relation,
+    zero_search_relation,
+)
 from spolab.states import from_matrix, trace_distance
 
 RNG = np.random.default_rng(31)
@@ -104,6 +109,24 @@ def test_permutation_steps_are_not_probed(monkeypatch):
         QueryCircuit(4, (LocalUnitary(("X",), from_matrix(np.eye(4))),))
 
 
+def test_dense_steps_are_probed_once_when_built(monkeypatch):
+    """Standard forms reuse the original steps: nothing is probed again."""
+    import spolab.circuits as circuits_mod
+
+    bad = from_matrix(np.diag([1.0, 0.5, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="unitarity probe"):
+        LocalUnitary(("X",), bad)
+    circ = random_circuit(3, 2, 2, 4)
+
+    def fail(op, *args, **kwargs):
+        raise AssertionError(f"re-probed {op.label}")
+
+    monkeypatch.setattr(circuits_mod, "probe_unitary", fail)
+    assert standard_form(circ).query_count == 4
+    sigma, tau = parse_one_line("2 1 4 3"), parse_one_line("3 4 1 2")
+    assert dressed_standard_form(circ, sigma, tau).query_count == 4
+
+
 def test_concrete_ensemble_never_touches_the_database_kernel(monkeypatch):
     """Criterion 05 compares two independent paths: the concrete side is the
     explicit U^pi operator applied with ``apply``, never the SPO kernel."""
@@ -133,6 +156,26 @@ def test_budget_guard():
     circ = empty_circuit(8, work_dim=2 ** 23)
     with pytest.raises(BudgetError):
         initial_state(circ, spo_backend(8))
+
+
+def test_grover_budget_is_enforced_before_allocation(monkeypatch):
+    """The X (x) Y state and both dense 2^n x 2^n matrices are charged to
+    the budget before any of them exists."""
+    import spolab.circuits as circuits_mod
+
+    monkeypatch.setattr(circuits_mod, "AMPLITUDE_BUDGET", 3 * 16 * 16)
+    assert grover_preimage(4, 2, 1, 1).query_count == 2
+
+    def fail(*args, **kwargs):
+        raise AssertionError("allocated a dense Grover matrix")
+
+    monkeypatch.setattr(circuits_mod, "AMPLITUDE_BUDGET", 3 * 16 * 16 - 1)
+    monkeypatch.setattr(circuits_mod.np, "kron", fail)
+    monkeypatch.setattr(circuits_mod, "_diffusion", fail)
+    with pytest.raises(BudgetError, match="n_bits=4 needs 768 amplitudes"):
+        grover_preimage(4, 2, 1, 1)
+    with pytest.raises(BudgetError, match="768"):
+        zero_search_adversary(4, 2, 1)
 
 
 def test_backend_size_mismatch():
@@ -217,13 +260,13 @@ def test_grover_matches_reference_fixed_pi():
     n_bits, c, target = 4, 2, 1
     space = 2 ** (n_bits - c)
     rng = np.random.default_rng(8)
-    pred = sponge_success_predicate(n_bits, c, target)
+    rel = sponge_preimage_relation(n_bits, c, target)
     for _ in range(4):
         perm = sample_uniform(2 ** n_bits, rng)
-        marked = sum(1 for x in range(space) if pred(x << c, perm))
+        marked = sum(1 for x in range(space) if (x << c, perm(x << c)) in rel)
         for k in (0, 1, 2):
             circ = grover_preimage(n_bits, c, target, k)
-            got = success_probability(circ, perm, pred)
+            got = success_probability(circ, perm, rel)
             assert got == pytest.approx(grover_reference(marked, space, k),
                                         abs=1e-9)
 
@@ -231,25 +274,25 @@ def test_grover_matches_reference_fixed_pi():
 def test_zero_search_matches_reference_fixed_pi():
     n_bits, c = 4, 2
     space = 2 ** (n_bits - c)
-    pred = zero_search_success_predicate(n_bits, c)
+    rel = zero_search_relation(n_bits, c)
     perm = sample_uniform(16, np.random.default_rng(9))
-    marked = sum(1 for x in range(space) if pred(x << c, perm))
+    marked = sum(1 for x in range(space) if (x << c, perm(x << c)) in rel)
     for k in (0, 1):
-        got = success_probability(zero_search_adversary(n_bits, c, k), perm, pred)
+        got = success_probability(zero_search_adversary(n_bits, c, k), perm, rel)
         assert got == pytest.approx(grover_reference(marked, space, k), abs=1e-9)
 
 
 def test_zero_iteration_uniform_guess():
     # success of the 0-iteration attack equals the marked fraction per pi
     n_bits, c = 4, 2
-    pred = zero_search_success_predicate(n_bits, c)
+    rel = zero_search_relation(n_bits, c)
     total = 0.0
     rng = np.random.default_rng(10)
     trials = 60
     for _ in range(trials):
         perm = sample_uniform(16, rng)
         total += success_probability(zero_search_adversary(n_bits, c, 0),
-                                     perm, pred)
+                                     perm, rel)
     # expectation over pi is exactly 2^-c
     assert abs(total / trials - 0.25) < 0.06
 
@@ -265,21 +308,41 @@ def test_hypergeometric_pmf():
 def test_averaged_reference_matches_exhaustive_small():
     # against the exact ensemble at n_bits = 2 (N = 4, enumerable)
     n_bits, c, k = 2, 1, 1
-    pred = sponge_success_predicate(n_bits, c, 1)
+    rel = sponge_preimage_relation(n_bits, c, 1)
     circ = grover_preimage(n_bits, c, 1, k)
-    vals = [success_probability(circ, p, pred) for p in all_permutations(4)]
+    vals = [success_probability(circ, p, rel) for p in all_permutations(4)]
     assert np.mean(vals) == pytest.approx(
         averaged_grover_reference(n_bits, c, k, "sponge"), abs=1e-10)
 
 
 def test_spo_success_matches_concrete_small():
     n_bits, c, k = 2, 1, 1
-    pred = sponge_success_predicate(n_bits, c, 1)
-    circ = grover_preimage(n_bits, c, 1, k)
-    concrete = np.mean([success_probability(circ, p, pred)
-                        for p in all_permutations(4)])
-    assert spo_success_probability(circ, pred) == pytest.approx(concrete,
-                                                                abs=1e-10)
+    cases = [(grover_preimage(n_bits, c, 1, k),
+              sponge_preimage_relation(n_bits, c, 1)),
+             (random_circuit(21, 2, 2, 4),
+              Relation(4, np.random.default_rng(4).random((4, 4)) < 0.4))]
+    for circ, rel in cases:
+        concrete = np.mean([success_probability(circ, p, rel)
+                            for p in all_permutations(4)])
+        assert spo_success_probability(circ, rel) == pytest.approx(concrete,
+                                                                   abs=1e-10)
+
+
+def test_success_probability_reads_the_relation_at_pi_x():
+    n = 4
+    circ = random_circuit(5, 2, 2, n)
+    perm = parse_one_line("3 1 4 2")
+    dist = output_distribution(run(circ, concrete_backend(perm)), "x")
+    hit = from_pairs(n, [(0, perm(0)), (2, perm(2)), (1, perm(0))])
+    miss = from_pairs(n, [(x, y) for x in range(n) for y in range(n)
+                          if y != perm(x)])
+    assert success_probability(circ, perm, hit) == pytest.approx(
+        dist[0] + dist[2], abs=1e-12)
+    assert success_probability(circ, perm, miss) == 0.0
+    assert success_probability(circ, perm, full_relation(n)) == pytest.approx(
+        1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="relation size"):
+        success_probability(circ, perm, full_relation(2 * n))
 
 
 def test_circuit_text_roundtrip():

@@ -1,7 +1,9 @@
 """CLI surface: exit codes, report files, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +92,17 @@ def test_attack_json(tmp_path):
     assert 0 <= doc["success_mean"] <= 1
 
 
+@pytest.mark.parametrize("trials", ["1", "0", "-3"])
+def test_attack_rejects_fewer_than_two_trials(tmp_path, capsys, trials):
+    out = tmp_path / "attack.json"
+    code = run_cli(["attack", "--kind", "sponge", "--n-bits", "4", "--c", "2",
+                    "--iterations", "1", "--trials", trials, "--seed", "1",
+                    "--out", str(out)])
+    assert code == 1
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bound_commands(capsys):
     assert run_cli(["bound", "--kind", "main", "--q", "1", "--n", "1048576",
                     "--r-max", "1"]) == 0
@@ -148,9 +161,13 @@ def test_run_circuit(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # The child does not inherit pytest's ``pythonpath``; put src on its path.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "spolab.cli", "bound", "--kind", "main",
          "--q", "2", "--n", "16", "--r-max", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["clamped"] == 1.0

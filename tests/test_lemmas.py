@@ -670,16 +670,6 @@ def test_theorem_vacuity_flag():
     assert rep.passed
 
 
-def test_theorem_monte_carlo_path():
-    rep = theorem_check(classical_probe(4, 0, "forward"), diagonal_relation(4),
-                        trials=50, seed=5)
-    assert rep.method == "monte_carlo"
-    assert rep.samples == 50
-    assert rep.passed
-    with pytest.raises(ValueError):
-        theorem_check(empty_circuit(4), diagonal_relation(4), trials=10)
-
-
 def test_theorem_spo_cross_check():
     # the concrete lhs equals p_i of the loading-query circuit under the SPO
     n = 4

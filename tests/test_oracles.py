@@ -328,6 +328,28 @@ def test_small_x_not_touched_up_to_n5():
             assert np.all(shifts == shifts[:, :1])
 
 
+def test_concrete_backend_builds_u_oracle_once_per_direction(monkeypatch):
+    import spolab.oracles as oracles_mod
+    from spolab.circuits import random_circuit, run
+
+    built = []
+    original = oracles_mod.u_oracle
+
+    def counting(p, inverse=False):
+        built.append(inverse)
+        return original(p, inverse=inverse)
+
+    monkeypatch.setattr(oracles_mod, "u_oracle", counting)
+    backend = concrete_backend(parse_one_line("2 3 4 1"))
+    fwd = random_circuit(11, 2, 2, 4, directions=("forward", "forward"))
+    inv = random_circuit(12, 2, 2, 4, directions=("inverse", "inverse"))
+    first = run(fwd, backend)
+    run(inv, backend)
+    again = run(fwd, backend)
+    assert built == [False, True]
+    assert np.array_equal(first.amps, again.amps)
+
+
 def test_backend_validation():
     with pytest.raises(ValueError):
         OracleBackend(4, perm=identity(3))

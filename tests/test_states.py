@@ -16,6 +16,7 @@ from spolab.states import (
     from_matrix,
     from_permutation,
     identity_operator,
+    marginal,
     operator_norm,
     probe_unitary,
     product_uniform,
@@ -169,6 +170,18 @@ def test_from_permutation_rejects_non_bijections():
     for out_of_range in ([0, 1, 3], [-1, 0, 1]):
         with pytest.raises(ValueError, match="0..2"):
             from_permutation((3,), np.array(out_of_range))
+
+
+def test_marginal_sums_out_the_other_registers_in_keep_order():
+    lay = RegisterLayout((("A", 2), ("X", 3), ("Y", 4)))
+    state = random_state(lay)
+    probs = np.abs(state.reshaped()) ** 2
+    assert np.allclose(marginal(state, ("X",)), probs.sum(axis=(0, 2)))
+    assert np.allclose(marginal(state, ("Y", "X")), probs.sum(axis=0).T)
+    assert np.allclose(marginal(state, ("A", "X", "Y")), probs)
+    assert marginal(state, ("X", "Y")).sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(LayoutError):
+        marginal(state, ("X", "Z"))
 
 
 def test_project_basis():

@@ -181,6 +181,36 @@ def test_run_attack_validation():
         run_attack("sponge", 4, 2, 1, backend="spo")  # 2^4 > 8
 
 
+@pytest.mark.parametrize("trials", [1, 0, -3])
+def test_run_attack_rejects_fewer_than_two_trials(monkeypatch, trials):
+    import spolab.circuits as circuits_mod
+    import spolab.suites as suites_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built or ran a circuit before checking trials")
+
+    monkeypatch.setattr(circuits_mod, "run", fail)
+    monkeypatch.setattr(suites_mod, "grover_preimage", fail)
+    with pytest.raises(ValueError, match="trials"):
+        run_attack("sponge", 4, 2, 1, trials=trials, seed=1)
+
+
+def test_run_attack_checks_the_budget_before_the_relation(monkeypatch):
+    import spolab.circuits as circuits_mod
+    import spolab.suites as suites_mod
+    from spolab.oracles import BudgetError
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built the relation bitset before the budget check")
+
+    monkeypatch.setattr(circuits_mod, "AMPLITUDE_BUDGET", 3 * 16 * 16 - 1)
+    monkeypatch.setattr(suites_mod, "sponge_preimage_relation", fail)
+    monkeypatch.setattr(suites_mod, "zero_search_relation", fail)
+    for kind in ("sponge", "zero-search"):
+        with pytest.raises(BudgetError, match="768"):
+            run_attack(kind, 4, 2, 1, trials=10, seed=1)
+
+
 def test_run_attack_zero_iterations_exact():
     res = run_attack("zero-search", 2, 1, 0)
     # uniform guess: success exactly 2^{-c} in expectation over pi
