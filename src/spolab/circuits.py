@@ -101,9 +101,6 @@ class QueryCircuit:
     def query_count(self) -> int:
         return sum(1 for s in self.steps if isinstance(s, Query))
 
-    def register_dim(self, name: str) -> int:
-        return {"A": self.work_dim, "Z": self.n, "X": self.n, "Y": self.n}[name]
-
 
 def circuit_layout(circ: QueryCircuit, backend: OracleBackend) -> RegisterLayout:
     regs: list[tuple[str, int]] = [("A", circ.work_dim)]

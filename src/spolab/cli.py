@@ -194,6 +194,8 @@ def cmd_run_circuit(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.n_max is not None and args.n_max < args.n:
+        parser.error(f"--n-max {args.n_max} is below --n {args.n}")
     handlers = {
         "verify": cmd_verify,
         "attack": cmd_attack,

@@ -180,44 +180,10 @@ def _plus_projector_dense(n: int, x: int) -> np.ndarray:
     return project_plus_db(eye, n, x)  # symmetric, so row-wise action is fine
 
 
-def plus_projector(n: int, x: int) -> LinearOperator:
-    """|+_{x+1}><+_{x+1}| on register D_{x+1}, as an operator on the database."""
-    return from_matrix(_plus_projector_dense(n, x), (database_dim(n),),
-                       label=f"P+[{x}]")
-
-
 def _section_mask(rel: Relation, x: int) -> np.ndarray:
-    """Boolean over labels d: pi_d(x) in R_x."""
+    """Boolean over labels d: pi_d(x) in R_x (the diagonal of Pi^{R,x})."""
     pi, _ = perm_tables(rel.n)
     return rel.members[x, pi[:, x]]
-
-
-def relation_projector(rel: Relation, x: int) -> LinearOperator:
-    """Pi^{R,x} = sum over pi with pi(x) in R_x of |pi><pi|."""
-    mask = _section_mask(rel, x).astype(np.complex128)
-    nf = database_dim(rel.n)
-
-    def apply_block(block: np.ndarray) -> np.ndarray:
-        return mask[:, None] * block
-
-    return LinearOperator((nf,), apply_block, apply_block, label=f"Pi^R[{x}]")
-
-
-def progress_operator(rel: Relation, x: int) -> LinearOperator:
-    """E^{R,x} = Pi^{R,x} (I - |+_x><+_x|); not self-adjoint."""
-    n = rel.n
-    mask = _section_mask(rel, x).astype(np.complex128)
-    nf = database_dim(n)
-
-    def apply_block(block: np.ndarray) -> np.ndarray:
-        out = project_plus_db(block.T, n, x, complement=True).T
-        return mask[:, None] * out
-
-    def adjoint_block(block: np.ndarray) -> np.ndarray:
-        out = mask[:, None] * block
-        return project_plus_db(out.T, n, x, complement=True).T
-
-    return LinearOperator((nf,), apply_block, adjoint_block, label=f"E^R[{x}]")
 
 
 def _apply_progress(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.ndarray:
@@ -384,17 +350,6 @@ def progress_measure(circ: QueryCircuit, rel: Relation,
                     for x in range(n)) / n,)
 
     return _twirl_average(plan, 1, term)[0]
-
-
-def progress_identity_check(circ: QueryCircuit, rel: Relation, plan: TwirlPlan,
-                            name: str = "") -> VerificationReport:
-    """N * progress_measure equals the p_(ii)-dominating expression (1e-10)."""
-    start = time.perf_counter()
-    lhs = circ.n * progress_measure(circ, rel, plan)[0]
-    rhs = p2_upper_bound(circ, rel, plan)[0]
-    return check_close(name or f"progress-identity[{circ.name}]", lhs, rhs,
-                       tol=1e-10,
-                       runtime_ms=(time.perf_counter() - start) * 1000.0)
 
 
 # --------------------------------------------------------------------------
@@ -599,36 +554,65 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
     return out
 
 
-def crucial_term_checks(circ: QueryCircuit, rel: Relation, plan: TwirlPlan,
-                        name: str = "") -> list[VerificationReport]:
-    _require_exhaustive(plan, "crucial_term_checks")
-    n = circ.n
-    r = rel.r_max
-    log_n = math.log(n)
-    bounds = ((log_n + 3.0) * r / n ** 2,
-              (log_n + 1.0) * r / n ** 2,
-              (log_n + 1.0) * r / n ** 2)
-    values = crucial_term_values(circ, rel, plan)
-    worst = [max(v[k] for v in values) if values else 0.0 for k in range(3)]
-    base = name or f"crucial[{circ.name}]"
-    return [check(f"{base}:{k + 1}", worst[k], bounds[k]) for k in range(3)]
+def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
+                    plan: TwirlPlan) -> list[VerificationReport]:
+    """The progress rows of one circuit against each named relation.
 
+    Per relation R: N * progress_measure equals the p_(ii)-dominating
+    expression (1e-10), and that expression dominates p_(ii).  When the
+    circuit queries and R is non-empty, also the hard-database bound
 
-def progress_expectation_check(circ: QueryCircuit, rel: Relation,
-                               plan: TwirlPlan, name: str = "") -> VerificationReport:
-    """Progress measure <= 384 q^2 r (ln N + 2)/N^2 + 4 q r * sum_j E[...]."""
-    _require_exhaustive(plan, "progress_expectation_check")
-    start = time.perf_counter()
+        progress measure <= 384 q^2 r (ln N + 2)/N^2 + 4 q r * sum_j E[...]
+
+    and the three crucial-term bounds.  Each twirl average is computed once
+    per relation; the sparsity tail sum_j E[...] does not depend on R and is
+    computed once per circuit.  A row's runtime_ms is the time of the
+    averages it reads.
+    """
+    _require_exhaustive(plan, "progress_checks")
     n = circ.n
     q = circ.query_count
-    r = rel.r_max
-    lhs = progress_measure(circ, rel, plan)[0]
-    tail = 0.0
-    for _direction, state in standard_form_prequery_states(circ):
-        tail += sparsity_expectation(state, plan)[0]
-    rhs = 384.0 * q * q * r * (math.log(n) + 2.0) / n ** 2 + 4.0 * q * r * tail
-    return check(name or f"hard-database[{circ.name}]", lhs, rhs,
-                 runtime_ms=(time.perf_counter() - start) * 1000.0)
+    log_n = math.log(n)
+
+    def timed(fn, *args):
+        start = time.perf_counter()
+        value = fn(*args)
+        return value, (time.perf_counter() - start) * 1000.0
+
+    def sparsity_tail() -> float:
+        tail = 0.0
+        for _direction, state in standard_form_prequery_states(circ):
+            tail += sparsity_expectation(state, plan)[0]
+        return tail
+
+    tail = None
+    out = []
+    for rname, rel in rels:
+        tag = f"{circ.name},{rname}"
+        (measure, _), t_measure = timed(progress_measure, circ, rel, plan)
+        (p2, _), t_p2 = timed(p2_upper_bound, circ, rel, plan)
+        res, t_res = timed(experiment_probabilities, circ, rel, plan)
+        out.append(check_close(f"progress-identity[{tag}]", n * measure, p2,
+                               tol=1e-10, runtime_ms=t_measure + t_p2))
+        out.append(check(f"p2-dominates-p_ii[{tag}]", res.p_ii, p2, tol=1e-10,
+                         runtime_ms=t_res + t_p2))
+        if not (q and rel.size):
+            continue
+        if tail is None:
+            tail, t_tail = timed(sparsity_tail)
+        r = rel.r_max
+        rhs = 384.0 * q * q * r * (log_n + 2.0) / n ** 2 + 4.0 * q * r * tail
+        out.append(check(f"hard-database[{tag}]", measure, rhs,
+                         runtime_ms=t_measure + t_tail))
+        values, t_crucial = timed(crucial_term_values, circ, rel, plan)
+        bounds = ((log_n + 3.0) * r / n ** 2,
+                  (log_n + 1.0) * r / n ** 2,
+                  (log_n + 1.0) * r / n ** 2)
+        for k in range(3):
+            worst = max(v[k] for v in values) if values else 0.0
+            out.append(check(f"crucial[{tag}]:{k + 1}", worst, bounds[k],
+                             runtime_ms=t_crucial))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -124,9 +124,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
 
 def zero_state(layout: RegisterLayout) -> StateVector:
     return StateVector(layout, np.zeros(layout.total_dim, dtype=np.complex128))
@@ -190,14 +187,6 @@ class LinearOperator:
         if self.matrix is not None:
             return self.matrix
         return self.apply_block(np.eye(self.dim, dtype=np.complex128))
-
-    def adjoint(self) -> "LinearOperator":
-        if self.adjoint_block is None:
-            mat = self.dense().conj().T
-            return from_matrix(mat, self.dims, label=self.label + "^+")
-        return LinearOperator(self.dims, self.adjoint_block, self.apply_block,
-                              None if self.matrix is None else self.matrix.conj().T,
-                              self.label + "^+")
 
 
 def from_matrix(mat: np.ndarray, dims: tuple[int, ...] | None = None,

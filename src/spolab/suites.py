@@ -35,7 +35,6 @@ from .circuits import (
     averaged_grover_reference,
 )
 from .lemmas import (
-    crucial_term_checks,
     easy_norm_check,
     commutator_growth_check,
     experiment_probabilities,
@@ -44,10 +43,8 @@ from .lemmas import (
     cycle_average,
     help_norm,
     make_twirl_plan,
-    p2_upper_bound,
     progress_accumulation_check,
-    progress_expectation_check,
-    progress_identity_check,
+    progress_checks,
     query_step_check,
     sparsity_trajectory_check,
     theorem_check,
@@ -641,18 +638,7 @@ def progress_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
     circuits = suite_circuits(n, seed, max_q=2)
     rels = suite_relations(n)
     for circ in circuits:
-        for rname, rel in rels:
-            tag = f"{circ.name},{rname}"
-            out.append(progress_identity_check(circ, rel, plan,
-                                               name=f"progress-identity[{tag}]"))
-            p2, _ = p2_upper_bound(circ, rel, plan)
-            res = experiment_probabilities(circ, rel, plan)
-            out.append(check(f"p2-dominates-p_ii[{tag}]", res.p_ii, p2, tol=1e-10))
-            if circ.query_count and rel.size:
-                out.append(progress_expectation_check(
-                    circ, rel, plan, name=f"hard-database[{tag}]"))
-                out.extend(crucial_term_checks(circ, rel, plan,
-                                               name=f"crucial[{tag}]"))
+        out.extend(progress_checks(circ, rels, plan))
     # Per-query inequalities at every intermediate state of every run.
     from .circuits import run_with_intermediates
 
@@ -766,6 +752,12 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
 
     Success is scored against the attack's relation, whose N x N bitset is
     built only after the circuit has passed the amplitude budget."""
+    if backend == "spo":
+        # The spo backend is exact: a sample size or seed would go unused.
+        for option, value in (("trials", trials), ("seed", seed)):
+            if value is not None:
+                raise ValueError(f"the exact spo backend takes no {option}, "
+                                 f"got {option}={value}")
     if trials is not None and trials < 2:
         raise ValueError(f"trials must be at least 2 for a sampled attack "
                          f"(its spread needs two runs), got {trials}")

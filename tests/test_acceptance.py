@@ -25,7 +25,6 @@ from spolab.circuits import (
 )
 from spolab.lemmas import (
     commutator_norm,
-    crucial_term_checks,
     easy_norm_check,
     commutator_growth_check,
     experiment_probabilities,
@@ -36,7 +35,7 @@ from spolab.lemmas import (
     make_twirl_plan,
     p2_upper_bound,
     progress_accumulation_check,
-    progress_expectation_check,
+    progress_checks,
     progress_measure,
     query_step_check,
     sparsity_trajectory_check,
@@ -344,14 +343,15 @@ def test_criterion_11_per_query_lemmas():
         for x in range(n):
             for direction in ("forward", "inverse"):
                 ok &= easy_norm_check(n, x, rel, direction).passed
+    counts = {"hard-database": 0, "crucial": 0}
+    nonempty = [(rname, rel) for rname, rel in rels if rel.size]
     for circ in suite_circuits(n, SEED, max_q=2):
-        if not circ.query_count:
-            continue
-        for rname, rel in rels:
-            if not rel.size:
-                continue
-            ok &= progress_expectation_check(circ, rel, plan).passed
-            ok &= all(r.passed for r in crucial_term_checks(circ, rel, plan))
+        for rep in progress_checks(circ, nonempty, plan):
+            kind = rep.name.split("[")[0]
+            if kind in counts:
+                counts[kind] += 1
+                ok &= rep.passed
+    ok &= counts == {"hard-database": 16, "crucial": 48}
     record(11, "per-query lemmas, accumulation, hard-database, crucial terms",
            ok)
 

@@ -70,6 +70,19 @@ def test_verify_n_range(tmp_path):
     assert any("n=2" in nm for nm in names) and any("n=4" in nm for nm in names)
 
 
+def test_verify_n_max_below_n_is_usage_error(monkeypatch, capsys):
+    import spolab.cli as cli_mod
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the size range was checked")
+
+    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "--suite", "factorization", "--n", "4", "--n-max", "2"])
+    assert err.value.code == 2
+    assert "--n-max 2 is below --n 4" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "--suite", "nonsense", "--n", "4"])
@@ -100,6 +113,20 @@ def test_attack_rejects_fewer_than_two_trials(tmp_path, capsys, trials):
                     "--out", str(out)])
     assert code == 1
     assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--trials", "200", "--seed", "1"], "trials"),
+    (["--seed", "1"], "seed"),
+])
+def test_attack_spo_refuses_sampling_options(tmp_path, capsys, extra, named):
+    out = tmp_path / "attack.json"
+    code = run_cli(["attack", "--kind", "sponge", "--n-bits", "3", "--c", "1",
+                    "--iterations", "1", "--backend", "spo", *extra,
+                    "--out", str(out)])
+    assert code == 1
+    assert f"takes no {named}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,9 +14,10 @@ from spolab.circuits import (
 )
 from spolab.lemmas import (
     WeightPreconditionError,
+    _apply_progress,
+    _section_mask,
     check_uniform_weights,
     commutator_growth_check,
-    crucial_term_checks,
     cycle_average,
     easy_norm_check,
     experiment_probabilities,
@@ -26,14 +27,10 @@ from spolab.lemmas import (
     help_norm,
     make_twirl_plan,
     p2_upper_bound,
-    plus_projector,
     progress_accumulation_check,
-    progress_expectation_check,
-    progress_identity_check,
+    progress_checks,
     progress_measure,
-    progress_operator,
     query_step_check,
-    relation_projector,
     sparsity_trajectory_check,
     theorem_check,
     zeta_parts,
@@ -41,8 +38,10 @@ from spolab.lemmas import (
 )
 from spolab.oracles import (
     database_dim,
+    db_register_geometry,
     perm_of_index,
     perm_tables,
+    project_plus_db,
     spo_backend,
     spo_init,
 )
@@ -107,28 +106,33 @@ def test_help_norm_size_guard():
 
 
 def test_relation_and_progress_operators():
+    """Pi^{R,x}, E^{R,x} and P+ as the checks apply them: the section mask,
+    _apply_progress and project_plus_db (blocks are (rest, n!) rows)."""
     n = 4
     nf = database_dim(n)
+    eye = np.eye(nf, dtype=complex)
     rel = sponge_preimage_relation(2, 1, 1)
     init = spo_init(n)
     for x in range(n):
-        pi_op = relation_projector(rel, x)
-        e_op = progress_operator(rel, x)
+        mask = _section_mask(rel, x)
+        # Pi is diagonal with pi(x) in R_x on the label of pi
+        for d in range(nf):
+            assert mask[d] == rel.members[x, perm_of_index(n, d).images[x]]
         # E annihilates the fresh database
-        out = e_op.apply_block(init.amps[:, None])
+        out = _apply_progress(init.amps[None, :], n, x, mask)
         assert np.abs(out).max() < 1e-12
         # empty and full relations degenerate as expected
-        assert np.abs(relation_projector(empty_relation(n), x)
-                      .apply_block(np.eye(nf, dtype=complex))).max() == 0.0
-        full_e = progress_operator(full_relation(n), x)
-        plus = plus_projector(n, x).dense()
+        assert not _section_mask(empty_relation(n), x).any()
+        hi, radix, lo = db_register_geometry(n, x)
+        plus = np.kron(np.kron(np.eye(hi), np.full((radix, radix), 1.0 / radix)),
+                       np.eye(lo))  # |+><+| on D_{x+1}
+        assert np.abs(project_plus_db(eye, n, x) - plus).max() < 1e-12
         want = np.eye(nf) - plus
-        assert np.abs(full_e.apply_block(np.eye(nf, dtype=complex)) - want).max() \
-            < 1e-12
-        # Pi is diagonal; E = Pi (I - P+)
-        got = e_op.apply_block(np.eye(nf, dtype=complex))
-        mask = pi_op.apply_block(np.ones((nf, 1), dtype=complex))[:, 0].real
-        assert np.abs(got - mask[:, None] * (np.eye(nf) - plus)).max() < 1e-12
+        full_e = _apply_progress(eye, n, x, _section_mask(full_relation(n), x))
+        assert np.abs(full_e.T - want).max() < 1e-12
+        # E = Pi (I - P+); row d of the block holds E e_d, so compare E^T
+        got = _apply_progress(eye, n, x, mask)
+        assert np.abs(got.T - mask[:, None] * want).max() < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -318,8 +322,10 @@ def test_p2_dominates_and_identity():
             p2, _ = p2_upper_bound(circ, rel, plan)
             res = experiment_probabilities(circ, rel, plan)
             assert res.p_ii <= p2 + 1e-10
-            rep = progress_identity_check(circ, rel, plan)
+            rows = {r.name: r for r in progress_checks(circ, [("r", rel)], plan)}
+            rep = rows[f"progress-identity[{circ.name},r]"]
             assert rep.passed, rep
+            assert rep.rhs == p2
             assert abs(n * progress_measure(circ, rel, plan)[0] - p2) < 1e-10
 
 
@@ -540,13 +546,16 @@ def test_progress_expectation_and_crucial():
     n = 4
     plan = make_twirl_plan(n)
     circ = random_circuit(55, 1, 2, n)
-    for rel in (diagonal_relation(n), sponge_preimage_relation(2, 1, 1)):
-        rep = progress_expectation_check(circ, rel, plan)
-        assert rep.passed, rep
-        for sub in crucial_term_checks(circ, rel, plan):
-            assert sub.passed, sub
-    rep0 = progress_expectation_check(empty_circuit(n), diagonal_relation(n), plan)
-    assert rep0.lhs == pytest.approx(0.0, abs=1e-12)
+    rels = [("diag", diagonal_relation(n)),
+            ("sponge", sponge_preimage_relation(2, 1, 1))]
+    rows = {r.name: r for r in progress_checks(circ, rels, plan)}
+    for rname, _rel in rels:
+        tag = f"{circ.name},{rname}"
+        names = [f"hard-database[{tag}]"] + [f"crucial[{tag}]:{k}" for k in (1, 2, 3)]
+        for name in names:
+            assert rows[name].passed, rows[name]
+    assert progress_measure(empty_circuit(n), diagonal_relation(n), plan)[0] \
+        == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_only_checks_refuse_sampled_plans(monkeypatch):
@@ -563,8 +572,7 @@ def test_exact_only_checks_refuse_sampled_plans(monkeypatch):
     sampled = make_twirl_plan(n, seed=1, min_pairs=4, exhaustive=False)
     circ = random_circuit(55, 1, 2, n)
     rel = diagonal_relation(n)
-    for call in (lambda: crucial_term_checks(circ, rel, sampled),
-                 lambda: progress_expectation_check(circ, rel, sampled),
+    for call in (lambda: progress_checks(circ, [("diag", rel)], sampled),
                  lambda: sparsity_trajectory_check(circ, sampled)):
         with pytest.raises(ValueError, match=r"exhaustive .* sampled 2 x 2 plan"):
             call()

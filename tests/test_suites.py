@@ -136,6 +136,25 @@ def test_suite_circuit_and_relation_sets():
     assert [n for n, _r in suite_relations(8)][-1] == "sponge"
 
 
+def test_progress_suite_computes_each_twirl_average_once(monkeypatch):
+    """One progress_measure and one p2_upper_bound per (circuit, relation),
+    and the relation-free sparsity tail once per pre-query state of each
+    querying circuit's standard form."""
+    import spolab.lemmas as lemmas_mod
+
+    calls = {}
+    for name in ("progress_measure", "p2_upper_bound", "sparsity_expectation"):
+        def counted(*args, _orig=getattr(lemmas_mod, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(lemmas_mod, name, counted)
+    reports = run_suite("progress", 2)
+    assert all(r.passed for r in reports)
+    assert calls == {"progress_measure": 20, "p2_upper_bound": 20,
+                     "sparsity_expectation": 10}
+
+
 def test_sampler_chi_square_rejects_bias():
     # a deliberately skewed sample must fail the 4-sigma gate: simulate by
     # checking the statistic of a constant sample is enormous
@@ -193,6 +212,22 @@ def test_run_attack_rejects_fewer_than_two_trials(monkeypatch, trials):
     monkeypatch.setattr(suites_mod, "grover_preimage", fail)
     with pytest.raises(ValueError, match="trials"):
         run_attack("sponge", 4, 2, 1, trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("options, named", [
+    ({"trials": 200, "seed": 1}, "trials"),
+    ({"trials": 200}, "trials"),
+    ({"seed": 1}, "seed"),
+])
+def test_run_attack_spo_refuses_sampling_options(monkeypatch, options, named):
+    import spolab.suites as suites_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a circuit before checking the options")
+
+    monkeypatch.setattr(suites_mod, "grover_preimage", fail)
+    with pytest.raises(ValueError, match=f"spo backend takes no {named}"):
+        run_attack("sponge", 3, 1, 1, backend="spo", **options)
 
 
 def test_run_attack_checks_the_budget_before_the_relation(monkeypatch):
