@@ -274,21 +274,6 @@ def dressed_standard_form(circ: QueryCircuit, sigma: Permutation,
                         name=circ.name + "+dressed")
 
 
-def with_loading_query(circ: QueryCircuit) -> QueryCircuit:
-    """Append one forward query that loads pi(x) into Y.
-
-    The original Y content is parked in a fresh |0> scratch register first,
-    so the final (X, Y) readout is exactly (x, pi(x))."""
-    if circ.has_z:
-        raise ValueError("circuit already uses the Z register")
-    steps = circ.steps + (
-        LocalUnitary(("Y", "Z"), swap_operator(circ.n), tag="swapYZ"),
-        Query("forward"),
-    )
-    return QueryCircuit(circ.n, steps, work_dim=circ.work_dim, output="xy",
-                        has_z=True, name=circ.name + "+load")
-
-
 # --------------------------------------------------------------------------
 # Ensembles for the exact-simulation experiments
 

@@ -8,7 +8,8 @@ Subcommands:
   run-circuit  run a circuit description file and print output statistics
 
 Exit status: 0 when every emitted case passes, 1 on failures or budget
-errors, 2 on usage errors.  Reports embed the full config and seed so any
+errors, 2 on usage errors (a missing or out-of-range option), which are
+reported before any output.  Reports embed the full config and seed so any
 number they contain is regenerable from one command.
 """
 from __future__ import annotations
@@ -127,16 +128,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     if args.kind == "main":
-        if args.n is None or args.r_max is None:
-            raise SystemExit("main bound needs --n and --r-max")
         raw = bounds.main_bound(args.q, args.n, args.r_max)
     elif args.kind == "sponge":
-        if args.n_bits is None or args.c is None:
-            raise SystemExit("sponge bound needs --n-bits and --c")
         raw = bounds.sponge_bound(args.q, args.n_bits, args.c)
     else:
-        if args.n_bits is None or args.c is None:
-            raise SystemExit("zero-search bound needs --n-bits and --c")
         raw = bounds.zero_search_bound(args.q, args.n_bits, args.c)
     print(json.dumps({"kind": args.kind, "raw": raw,
                       "clamped": bounds.clamped(raw)}))
@@ -148,14 +143,19 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         if args.perm.strip().startswith("t:"):
             f = parse_factorization(args.perm)
             perm = compose_from_factors(f)
-            print(format_one_line(perm))
+            text = format_one_line(perm)
         else:
             perm = parse_one_line(args.perm)
             f = monotone_factorize(perm)
-            print(format_factorization(f))
+            text = format_factorization(f)
+        for option, element in (("--active", args.active),
+                                 ("--inverse-active", args.inverse_active)):
+            if element is not None and not 1 <= element <= f.n:
+                raise ValueError(f"{option} {element} outside 1..{f.n}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
     factors = " ".join(f"<{k + 1} {tk + 1}>" for k, tk in f.nontrivial_factors())
     print(f"strictly monotone: {factors if factors else '(identity)'}")
     print(f"cayley distance: {cayley_distance(f)}")
@@ -172,8 +172,6 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 def cmd_run_circuit(args: argparse.Namespace) -> int:
     circ = parse_circuit(args.file.read_text())
     if args.backend == "concrete":
-        if args.perm is None:
-            raise SystemExit("concrete backend needs --perm")
         backend = concrete_backend(parse_one_line(args.perm))
     else:
         backend = spo_backend(circ.n)
@@ -191,11 +189,27 @@ def cmd_run_circuit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_problem(args: argparse.Namespace) -> str | None:
+    """A missing or inconsistent option that parse_args cannot see alone."""
+    if args.command == "verify" and args.n_max is not None and args.n_max < args.n:
+        return f"--n-max {args.n_max} is below --n {args.n}"
+    if args.command == "bound":
+        needed = ("n", "r_max") if args.kind == "main" else ("n_bits", "c")
+        if any(getattr(args, dest) is None for dest in needed):
+            flags = " and ".join("--" + dest.replace("_", "-") for dest in needed)
+            return f"{args.kind} bound needs {flags}"
+    if args.command == "run-circuit" and args.backend == "concrete" \
+            and args.perm is None:
+        return "concrete backend needs --perm"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.n_max is not None and args.n_max < args.n:
-        parser.error(f"--n-max {args.n_max} is below --n {args.n}")
+    problem = _usage_problem(args)
+    if problem:
+        parser.error(problem)
     handlers = {
         "verify": cmd_verify,
         "attack": cmd_attack,

@@ -14,6 +14,7 @@ All element labels are 0-based; the 1-based 1/x weights become 1/(x+1).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .bounds import harmonic
+from .bounds import clamped, harmonic, main_bound
 from .circuits import (
     QueryCircuit,
     run,
@@ -31,6 +32,7 @@ from .circuits import (
     success_probability,
 )
 from .oracles import (
+    AMPLITUDE_BUDGET,
     database_dim,
     db_register_geometry,
     left_right_map,
@@ -51,6 +53,7 @@ from .states import (
     from_matrix,
     from_permutation,
     marginal,
+    operator_norm,
 )
 
 EXHAUSTIVE_TWIRL_LIMIT = 4
@@ -207,8 +210,7 @@ def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, 
         raise ValueError("dense help-lemma norms capped at n=6")
     pi, _ = perm_tables(n)
     y_arr = np.zeros(n, dtype=bool)
-    for y in y_set:
-        y_arr[y] = True
+    y_arr[list(y_set)] = True
     mask = y_arr[pi[:, x]].astype(float)
     mat = mask[:, None] * _plus_projector_dense(n, x)
     norm = float(np.linalg.norm(mat, 2)) if mask.any() else 0.0
@@ -230,10 +232,10 @@ def check_uniform_weights(state: StateVector, tol: float = 1e-9) -> None:
     nf = database_dim(_db_size_from_layout(state.layout))
     arr = _db_block(state)
     probs = np.einsum("rd,rd->d", arr.conj(), arr).real
-    if np.max(np.abs(probs - 1.0 / nf)) > tol:
+    deviation = float(np.max(np.abs(probs - 1.0 / nf)))
+    if deviation > tol:
         raise WeightPreconditionError(
-            "permutation-basis weights deviate from 1/N! by "
-            f"{np.max(np.abs(probs - 1.0 / nf)):.2e}")
+            f"permutation-basis weights deviate from 1/N! by {deviation:.2e}")
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +246,6 @@ def check_uniform_weights(state: StateVector, tol: float = 1e-9) -> None:
 class ExperimentResult:
     p_i: float
     p_ii: float
-    stderr_i: float
     stderr_ii: float
     method: str
     pairs: int
@@ -252,12 +253,14 @@ class ExperimentResult:
 
 def experiment_probabilities(circ: QueryCircuit, rel: Relation,
                              plan: TwirlPlan) -> ExperimentResult:
-    """p_(i') and p_(ii') of the fundamental lemma, averaged over the plan.
+    """p_(i') exactly and p_(ii') averaged over the plan.
 
     One untwirled SPO run provides the joint state; each (sigma, tau) branch
     is its database relabeling (checked separately as the twisted-vs-not
     identity).  For every output pair (x, y) in R the projector-norm forms
-    are evaluated on the <x,y| slice of the state.
+    are evaluated on the <x,y| slice of the state.  The twirl only relabels
+    a uniform permutation, so p_(i') is read once from the untwirled slices:
+    |v|^2 on the labels with pi_d(x) = y.
     """
     n = circ.n
     final = run(circ, spo_backend(n))
@@ -267,27 +270,27 @@ def experiment_probabilities(circ: QueryCircuit, rel: Relation,
     nf = database_dim(n)
     pi_table, _ = perm_tables(n)
 
+    p_i = 0.0
     slices: list[tuple[int, int, np.ndarray]] = []
     for x, y in rel.pairs():
         idx = [slice(None)] * len(lay.names)
         idx[x_ax], idx[y_ax] = x, y
         v = np.ascontiguousarray(arr[tuple(idx)]).reshape(-1, nf)
         if np.vdot(v, v).real > 1e-28:
+            p_i += float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
             slices.append((x, y, v))
 
     def term(sigma, tau, _si, _ti, minv):
-        p_i = p_ii = 0.0
+        p_ii = 0.0
         for x, y, v in slices:
             sx = sigma.images[x]
             mask = pi_table[:, sx] == tau.images[y]
-            tv = v[:, minv]
-            p_i += float((np.abs(tv[:, mask]) ** 2).sum())
-            p_ii += _progress_norm2(tv, n, sx, mask)
-        return p_i, p_ii
+            p_ii += _progress_norm2(v[:, minv], n, sx, mask)
+        return (p_ii,)
 
-    (p_i, se_i), (p_ii, se_ii) = _twirl_average(plan, 2, term)
+    p_ii, se_ii = _twirl_average(plan, 1, term)[0]
     method = "exact" if plan.exhaustive else "monte_carlo"
-    return ExperimentResult(p_i, p_ii, se_i, se_ii, method, plan.pair_count)
+    return ExperimentResult(p_i, p_ii, se_ii, method, plan.pair_count)
 
 
 def fundamental_check(circ: QueryCircuit, rel: Relation,
@@ -299,15 +302,15 @@ def fundamental_check(circ: QueryCircuit, rel: Relation,
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
     elapsed = (time.perf_counter() - start) * 1000.0
-    if res.method == "exact":
-        return check(name or f"fundamental[{circ.name}]", lhs, rhs,
-                     runtime_ms=elapsed, p_i=res.p_i, p_ii=res.p_ii)
-    # 1-sigma increment of the rhs under the p_ii standard error; well
-    # defined even at p_ii = 0 where the delta method degenerates.
-    se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
-    return check(name or f"fundamental[{circ.name}]", lhs, rhs,
-                 method="monte_carlo", stderr=se_rhs, samples=res.pairs,
-                 runtime_ms=elapsed, p_i=res.p_i, p_ii=res.p_ii)
+    sampled = {}
+    if res.method != "exact":
+        # p_i is exact, so the error sits on the rhs: the 1-sigma increment
+        # under the p_ii standard error, well defined even at p_ii = 0
+        # where the delta method degenerates.
+        se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
+        sampled = {"method": "monte_carlo", "stderr": se_rhs, "samples": res.pairs}
+    return check(name or f"fundamental[{circ.name}]", lhs, rhs, runtime_ms=elapsed,
+                 p_i=res.p_i, p_ii=res.p_ii, **sampled)
 
 
 def p2_upper_bound(circ: QueryCircuit, rel: Relation,
@@ -378,31 +381,34 @@ def _class_tables(n: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pixc, pigt, inv
 
 
-def _fiber_sums(g_row: np.ndarray, n: int, x: int) -> np.ndarray:
-    """Sum a per-label vector over the D_{x+1} fiber of each class."""
+def _fiber_sums(g: np.ndarray, n: int, x: int) -> np.ndarray:
+    """Sum per-label values (last axis) over the D_{x+1} fiber of each class."""
     hi, radix, lo = db_register_geometry(n, x)
-    return g_row.reshape(-1, hi, radix, lo).sum(axis=2).reshape(g_row.shape[0], -1)
+    lead = g.shape[:-1]
+    return g.reshape(*lead, hi, radix, lo).sum(axis=-2).reshape(*lead, -1)
 
 
-def _fiber_terms(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, n: int,
-                 x: int) -> tuple[float, float, float]:
-    """The three fiber sums behind the zeta terms at register x, unweighted.
+def _fiber_terms(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, n: int,
+                 x: int) -> np.ndarray:
+    """The three fiber sums behind the zeta terms at register x, unweighted,
+    for a batch: returns (batch, 3).
 
-    ``row`` is the section bitset R_x; ``lo[z]`` / ``hi[z]`` are the per-class
-    fiber sums read for an element z of the first / the other two sums (the
-    crucial lemma reads them through sigma^{-1} / tau^{-1}):
+    ``rows[b]`` is the section bitset R_x; ``lo[b, z]`` / ``hi[b, z]`` are
+    the per-class fiber sums read for an element z of the first / the other
+    two sums (the crucial lemma reads them through sigma^{-1} / tau^{-1}):
       s1 = sum_{z < x}      lo[z] over classes with pi_{x^c}(z) in R_x,
       s2 = sum_{z in R_x}   hi[z] over classes with pi_{>x}^{-1}(z) < x,
       s3 = sum_{z > x} c *  hi[z] over classes with pi_{>x}^{-1}(z) = x,
     where c = |{t <= x : pi_{>x}(t) in R_x}|.
     """
     pixc, pigt, pigt_inv = _class_tables(n, x)
-    s1 = sum(float(lo[z][row[pixc[:, z]]].sum()) for z in range(x))
-    s2 = sum(float(hi[z][pigt_inv[:, z] < x].sum()) for z in np.flatnonzero(row))
-    counts = row[pigt[:, : x + 1]].sum(axis=1)
-    s3 = sum(float((counts * hi[z])[pigt_inv[:, z] == x].sum())
-             for z in range(x + 1, n))
-    return s1, s2, s3
+    rows = rows.astype(float)
+    s1 = np.einsum("bzc,bcz->b", lo[:, :x], rows[:, pixc[:, :x]])
+    s2 = np.einsum("bzc,bz,cz->b", hi, rows, (pigt_inv < x).astype(float))
+    counts = rows[:, pigt[:, : x + 1]].sum(axis=2)
+    last = (pigt_inv == x) & (np.arange(n) > x)
+    s3 = np.einsum("bzc,bc,cz->b", hi, counts, last.astype(float))
+    return np.stack([s1, s2, s3], axis=1)
 
 
 def zeta_parts(state: StateVector, x: int, rel: Relation,
@@ -412,11 +418,10 @@ def zeta_parts(state: StateVector, x: int, rel: Relation,
     n = rel.n
     g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
     rx = rel.section(x)
-    weight = len(rx) / (x + 1)
-    term1 = weight * float(g[x].sum())
+    term1 = len(rx) / (x + 1) * float(g[x].sum())
     term2 = len(rx) / ((x + 1) ** 2 * n)
-    fs = _fiber_sums(g, n, x)  # (n, classes)
-    s1, s2, s3 = _fiber_terms(fs, fs, rel.members[x], n, x)
+    fs = _fiber_sums(g, n, x)[None]  # a batch of one: (1, n, classes)
+    s1, s2, s3 = _fiber_terms(fs, fs, rel.members[x][None], n, x)[0].tolist()
     inv_x = 1.0 / (x + 1)
     if direction == "forward":
         return term1, term2, inv_x * s1
@@ -438,8 +443,7 @@ def query_step_check(state: StateVector, x: int, rel: Relation,
     before = float(np.linalg.norm(_apply_progress(amps, n, x, mask)))
     queried = spo_query(state, direction)
     after = float(np.linalg.norm(_apply_progress(_db_block(queried), n, x, mask)))
-    comp = project_plus_db(amps, n, x, complement=True)
-    comp_norm = float(np.linalg.norm(comp))
+    comp_norm = float(np.linalg.norm(project_plus_db(amps, n, x, complement=True)))
     zeta = zeta_terms(state, x, rel, direction)
     kappa = 2.0 if direction == "forward" else 4.0
     lhs = after - before
@@ -454,8 +458,7 @@ def easy_norm_check(n: int, x: int, rel: Relation, direction: str,
     slice-wise over the X control (dense YD-slice norms)."""
     nf = database_dim(n)
     mask = _section_mask(rel, x).astype(float)
-    p_plus = _plus_projector_dense(n, x)
-    e_dense = mask[:, None] * (np.eye(nf) - p_plus)
+    e_dense = mask[:, None] * (np.eye(nf) - _plus_projector_dense(n, x))
     anti = np.eye(nf) - np.diag(mask)
     e_yd = np.kron(np.eye(n), e_dense)
     anti_yd = np.kron(np.eye(n), anti)
@@ -477,8 +480,7 @@ def progress_accumulation_check(circ: QueryCircuit, rel: Relation, x: int,
     mask = _section_mask(rel, x)
     lhs = float(np.linalg.norm(_apply_progress(amps, n, x, mask)))
     ratio = len(rel.section(x)) / (x + 1)
-    rhs_linear = 0.0
-    rhs_sq_sum = 0.0
+    rhs_linear = rhs_sq_sum = 0.0
     for direction, state in pre:
         comp = project_plus_db(_db_block(state), n, x, complement=True)
         comp_norm = float(np.linalg.norm(comp))
@@ -533,24 +535,32 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
     The underlying outcome distribution q_{omega,xi} is defined relative to a
     purification choice; here it is evaluated on the canonical joint state of
     the actual run (algorithm registers serve as the purifying system), which
-    the averaging argument makes sufficient.
+    the averaging argument makes sufficient.  Every pair of the plan is one
+    row of a batch, so the marginal is gathered as (pairs, n, n!) at once and
+    must fit AMPLITUDE_BUDGET.
     """
     n = circ.n
+    nf = database_dim(n)
+    if plan.pair_count * n * nf > AMPLITUDE_BUDGET:
+        raise ValueError(f"crucial terms gather {plan.pair_count} pairs x {n} "
+                         f"x {nf} labels, over the {AMPLITUDE_BUDGET} budget")
+    rows, cols = plan.grid_shape
+    # Pair (i, j) is row i * cols + j, with minv = right_inv[i][left_inv[j]].
+    minv = plan.right_inv[:, plan.left_inv].reshape(-1, nf)
+    si = np.repeat(plan.sigma_inv, cols, axis=0)  # (pairs, n) inverse images
+    ti = np.tile(plan.tau_inv, (rows, 1))
     out = []
     for _direction, state in standard_form_prequery_states(circ):
         g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
-
-        def term(_sigma, _tau, si, ti, minv):
-            gg = g[:, minv]
-            twisted = rel.members[np.ix_(si, ti)]  # R^{sigma,tau} bitset
-            acc = np.zeros(3)
-            for x in range(n):
-                fs = _fiber_sums(gg, n, x)
-                terms = _fiber_terms(fs[si], fs[ti], twisted[x], n, x)
-                acc += np.array(terms) / (x + 1)
-            return acc / n
-
-        out.append(tuple(mean for mean, _se in _twirl_average(plan, 3, term)))
+        gg = g[:, minv].transpose(1, 0, 2)  # (pairs, x, label)
+        acc = np.zeros((len(minv), 3))
+        for x in range(n):
+            fs = _fiber_sums(gg, n, x)
+            twisted = rel.members[si[:, x, None], ti]  # row x of R^{sigma,tau}
+            acc += _fiber_terms(np.take_along_axis(fs, si[..., None], axis=1),
+                                np.take_along_axis(fs, ti[..., None], axis=1),
+                                twisted, n, x) / (x + 1)
+        out.append(tuple(float(v) for v in (acc / n).mean(axis=0)))
     return out
 
 
@@ -565,9 +575,10 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         progress measure <= 384 q^2 r (ln N + 2)/N^2 + 4 q r * sum_j E[...]
 
     and the three crucial-term bounds.  Each twirl average is computed once
-    per relation; the sparsity tail sum_j E[...] does not depend on R and is
-    computed once per circuit.  A row's runtime_ms is the time of the
-    averages it reads.
+    per relation.  The sparsity tail sum_j E[...] does not depend on R; it is
+    sum_j <phi_j|Gamma|phi_j> over the standard-form pre-query states (the
+    identity the sparsity rows check), computed once per circuit.  A row's
+    runtime_ms is the time of the averages it reads.
     """
     _require_exhaustive(plan, "progress_checks")
     n = circ.n
@@ -580,10 +591,9 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         return value, (time.perf_counter() - start) * 1000.0
 
     def sparsity_tail() -> float:
-        tail = 0.0
-        for _direction, state in standard_form_prequery_states(circ):
-            tail += sparsity_expectation(state, plan)[0]
-        return tail
+        gamma = gamma_operator(n)
+        return sum(gamma_expectation(state, gamma)
+                   for _direction, state in standard_form_prequery_states(circ))
 
     tail = None
     out = []
@@ -621,8 +631,6 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
 
 def _all_cycles(n: int, length: int) -> list[Permutation]:
     """All distinct cycles of the given length as permutations of [n]."""
-    import itertools
-
     out = []
     for subset in itertools.combinations(range(n), length):
         first = subset[0]
@@ -750,26 +758,21 @@ def commutator_growth_check(n: int, name: str = "") -> list[VerificationReport]:
     """max_x ||[Gamma, O^{SPO,x}]|| <= 6 (ln N + 1) / N^2, both directions."""
     if n > 6:
         raise ValueError("commutator check capped at n=6")
-    from .states import operator_norm
-
     gamma = gamma_operator(n)
     bound = 6.0 * (math.log(n) + 1.0) / n ** 2
     out = []
     for direction in ("forward", "inverse"):
         start = time.perf_counter()
-        worst = 0.0
-        for z in range(n):
-            comm = commutator_operator(n, z, direction, gamma)
-            worst = max(worst, operator_norm(comm))
+        worst = commutator_norm(n, direction, gamma)
         out.append(check(name or f"commutator[n={n},{direction}]", worst, bound,
                          runtime_ms=(time.perf_counter() - start) * 1000.0))
     return out
 
 
-def commutator_norm(n: int, direction: str) -> float:
-    from .states import operator_norm
-
-    gamma = gamma_operator(n)
+def commutator_norm(n: int, direction: str,
+                    gamma: LinearOperator | None = None) -> float:
+    """max_z ||[Gamma, O^{SPO,z}]|| in one direction."""
+    gamma = gamma_operator(n) if gamma is None else gamma
     return max(operator_norm(commutator_operator(n, z, direction, gamma))
                for z in range(n))
 
@@ -791,16 +794,13 @@ def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
     per_query = 6.0 * (math.log(n) + 1.0) / n ** 2
     base = name or f"sparsity[{circ.name}]"
     out = []
-    comm_norms = {}
+    comm_norms = {d: commutator_norm(n, d, gamma) for d in set(directions)}
     values = [gamma_expectation(s, gamma) for s in states]
     for j, val in enumerate(values):
         out.append(check(f"{base}:j={j}", val, per_query * j))
     for j in range(1, len(values)):
-        d = directions[j - 1]
-        if d not in comm_norms:
-            comm_norms[d] = commutator_norm(n, d)
         out.append(check(f"{base}:step{j}", values[j] - values[j - 1],
-                         comm_norms[d]))
+                         comm_norms[directions[j - 1]]))
     if plan is not None:
         for j, state in enumerate(states):
             direct = sparsity_expectation(state, plan)[0]
@@ -818,8 +818,6 @@ def theorem_check(circ: QueryCircuit, rel: Relation, *,
     """lhs = Pr[(x, pi(x)) in R] over all pi; rhs = min(1, 914 q^3 r_max
     (ln N + 2)/N) with 'fewer than q' semantics (q = query count + 1);
     flags vacuity."""
-    from .bounds import clamped, main_bound
-
     start = time.perf_counter()
     n = circ.n
     q = circ.query_count + 1

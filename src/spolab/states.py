@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -123,34 +123,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-
-def zero_state(layout: RegisterLayout) -> StateVector:
-    return StateVector(layout, np.zeros(layout.total_dim, dtype=np.complex128))
-
-
-def basis_state(layout: RegisterLayout, indices: Mapping[str, int] | None = None) -> StateVector:
-    """|i_1, ..., i_r> with unspecified registers at index 0."""
-    indices = dict(indices or {})
-    flat = 0
-    for (name, dim), stride in zip(layout.registers, layout.strides):
-        i = indices.pop(name, 0)
-        if not 0 <= i < dim:
-            raise LayoutError(f"index {i} outside register {name} (dim {dim})")
-        flat += i * stride
-    if indices:
-        raise LayoutError(f"unknown registers {sorted(indices)}")
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
-    amps[flat] = 1.0
-    return StateVector(layout, amps)
-
-
-def uniform_state(dim: int, name: str = "R") -> StateVector:
-    """|+_dim> = (1/sqrt(dim)) * sum_t |t> on a single register."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    layout = RegisterLayout(((name, dim),))
-    return StateVector(layout, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
 
 def product_uniform(layout: RegisterLayout) -> StateVector:
@@ -351,23 +323,6 @@ def marginal(state: StateVector, keep: tuple[str, ...]) -> np.ndarray:
     axes = tuple(i for i, name in enumerate(lay.names) if name not in keep)
     probs = (np.abs(state.reshaped()) ** 2).sum(axis=axes)
     return probs.transpose([kept.index(name) for name in keep])
-
-
-def project_basis(state: StateVector, register: str, keep: Iterable[int]) -> StateVector:
-    """Zero amplitudes outside ``keep`` on one register (subnormalized result)."""
-    lay = state.layout
-    ax = lay.axis(register)
-    dim = lay.shape[ax]
-    keep_set = sorted(set(keep))
-    if any(not 0 <= k < dim for k in keep_set):
-        raise LayoutError(f"keep set exceeds register {register} (dim {dim})")
-    mask = np.zeros(dim, dtype=bool)
-    mask[keep_set] = True
-    arr = state.reshaped().copy()
-    sl = [slice(None)] * arr.ndim
-    sl[ax] = ~mask
-    arr[tuple(sl)] = 0.0
-    return StateVector(lay, arr.reshape(-1))
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from spolab.circuits import (
     spo_success_probability,
     standard_form,
     success_probability,
-    with_loading_query,
     zero_search_adversary,
 )
 from spolab.oracles import BudgetError, concrete_backend, spo_backend
@@ -40,6 +39,8 @@ from spolab.relations import (
     zero_search_relation,
 )
 from spolab.states import from_matrix, trace_distance
+
+from helpers import with_loading_query
 
 RNG = np.random.default_rng(31)
 

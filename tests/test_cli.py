@@ -145,6 +145,22 @@ def test_bound_commands(capsys):
     assert doc["raw"] == pytest.approx(6.82e-8, rel=1e-3)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "main", "--q", "1", "--n", "16"], "main bound needs --n and --r-max"),
+    (["--kind", "sponge", "--q", "1", "--c", "2"],
+     "sponge bound needs --n-bits and --c"),
+    (["--kind", "zero-search", "--q", "1", "--n-bits", "4"],
+     "zero-search bound needs --n-bits and --c"),
+])
+def test_bound_missing_option_is_usage_error(capsys, args, message):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["bound", *args])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_factorize_output(capsys):
     assert run_cli(["factorize", "2 3 1"]) == 0
     out = capsys.readouterr().out
@@ -174,6 +190,15 @@ def test_factorize_active_sets(capsys):
     assert "active(2): 2 3" in out
 
 
+@pytest.mark.parametrize("option", ["--active", "--inverse-active"])
+@pytest.mark.parametrize("element", ["0", "4"])
+def test_factorize_element_out_of_range_is_usage_error(capsys, option, element):
+    assert run_cli(["factorize", "2 3 1", option, element]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} {element} outside 1..3" in captured.err
+
+
 def test_run_circuit(tmp_path, capsys):
     path = tmp_path / "circ.txt"
     path.write_text("n 4\nload 1\nquery fwd\noutput xy\n")
@@ -185,6 +210,24 @@ def test_run_circuit(tmp_path, capsys):
     assert run_cli(["run-circuit", str(path), "--backend", "spo"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert sum(doc["distribution"].values()) == pytest.approx(1.0)
+
+
+def test_run_circuit_concrete_without_perm_is_usage_error(tmp_path, monkeypatch,
+                                                          capsys):
+    import spolab.cli as cli_mod
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the circuit was read before the options were checked")
+
+    monkeypatch.setattr(cli_mod, "parse_circuit", no_parse)
+    path = tmp_path / "circ.txt"
+    path.write_text("n 4\nquery fwd\n")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["run-circuit", str(path), "--backend", "concrete"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "concrete backend needs --perm" in captured.err
 
 
 def test_console_entry_point():

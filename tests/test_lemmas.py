@@ -60,6 +60,8 @@ from spolab.relations import (
 )
 from spolab.states import StateVector, operator_norm
 
+from helpers import with_loading_query
+
 RNG = np.random.default_rng(23)
 
 
@@ -294,6 +296,36 @@ def test_experiment_matches_direct_simulation():
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
 
 
+def test_p_i_equals_the_success_of_every_direct_twirled_run():
+    """p_i, read once from the untwirled state, is the success of experiment
+    (i') run directly against the oracle twirled by each of the 576 pairs at
+    N = 4, scored on spo_recover's relabelled one-line images
+    tau^{-1} pi sigma: (x, image[x]) in R."""
+    from spolab.oracles import spo_recover
+    from spolab.permutations import all_permutations
+    from spolab.states import marginal
+    from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
+
+    n = 4
+    circ = suite_circuits(n, DEFAULT_SEED, max_q=2)[-1]
+    assert circ.query_count == 2
+    rels = [rel for _name, rel in suite_relations(n) if rel.size]
+    plan = make_twirl_plan(n)
+    want = np.array([experiment_probabilities(circ, rel, plan).p_i for rel in rels])
+    members = np.stack([rel.members for rel in rels])  # (relation, x, y)
+    xs = np.arange(n)
+    perms = list(all_permutations(n))
+    for sigma in perms:
+        for tau in perms:
+            final = run(circ, spo_backend(n, sigma=sigma, tau=tau))
+            got = np.zeros(len(rels))
+            for images, rest in spo_recover(final, sigma, tau).entries.items():
+                xy = marginal(rest, ("X", "Y"))
+                ys = np.array(images)
+                got += (members[:, xs, ys] * xy[xs, ys]).sum(axis=1)
+            assert np.abs(got - want).max() <= 1e-12, (sigma, tau)
+
+
 def test_fundamental_check_suite_cases():
     n = 4
     plan = make_twirl_plan(n)
@@ -331,7 +363,8 @@ def test_p2_dominates_and_identity():
 
 def test_twirl_averages_on_non_square_sampled_grid():
     """2 sigmas x 3 taus: every twirl average is the mean of its six
-    single-pair plans, with the crossed-grid stderr of that 2 x 3 grid."""
+    single-pair plans, with the crossed-grid stderr of that 2 x 3 grid; p_i
+    is exact and the same for every plan."""
     from spolab.lemmas import (
         TwirlPlan,
         crucial_term_values,
@@ -360,23 +393,28 @@ def test_twirl_averages_on_non_square_sampled_grid():
 
     def averages(p):
         res = experiment_probabilities(circ, rel, p)
-        values = [(res.p_i, res.stderr_i), (res.p_ii, res.stderr_ii),
+        values = [(res.p_ii, res.stderr_ii),
                   p2_upper_bound(circ, rel, p), progress_measure(circ, rel, p),
                   sparsity_expectation(state, p)]
         crucial = [v for per_state in crucial_term_values(circ, rel, p)
                    for v in per_state]
-        return values, crucial
+        return res.p_i, values, crucial
 
-    got, got_crucial = averages(plan)
+    got_p_i, got, got_crucial = averages(plan)
     per_pair = [[averages(p) for p in row] for row in singles]
+    # p_i is exact: read once from the untwirled state, with no stderr, and
+    # the same whichever pairs the plan holds.
+    assert not hasattr(experiment_probabilities(circ, rel, plan), "stderr_i")
+    assert got_p_i > 0.0
+    assert all(cell[0] == got_p_i for row in per_pair for cell in row)
     for k, (mean, se) in enumerate(got):
-        grid = np.array([[cell[0][k][0] for cell in row] for row in per_pair])
+        grid = np.array([[cell[1][k][0] for cell in row] for row in per_pair])
         want_mean, want_se = grid_mean_stderr(grid)
         assert mean == pytest.approx(want_mean, abs=1e-14)
         assert se == pytest.approx(want_se, abs=1e-14)
         assert se > 0.0
     for k, mean in enumerate(got_crucial):
-        grid = np.array([[cell[1][k] for cell in row] for row in per_pair])
+        grid = np.array([[cell[2][k] for cell in row] for row in per_pair])
         assert mean == pytest.approx(grid.mean(), abs=1e-14)
 
 
@@ -558,6 +596,39 @@ def test_progress_expectation_and_crucial():
         == pytest.approx(0.0, abs=1e-12)
 
 
+def test_hard_database_rhs_is_the_direct_sparsity_tail():
+    """The hard-database rhs reads the tail through Gamma; it equals the
+    bound written with the direct twirl average of each pre-query state."""
+    from spolab.lemmas import sparsity_expectation, standard_form_prequery_states
+
+    n = 4
+    plan = make_twirl_plan(n)
+    circ = random_circuit(55, 2, 2, n)
+    rel = sponge_preimage_relation(2, 1, 1)
+    rows = {r.name: r for r in progress_checks(circ, [("sponge", rel)], plan)}
+    q, r = circ.query_count, rel.r_max
+    tail = sum(sparsity_expectation(state, plan)[0]
+               for _d, state in standard_form_prequery_states(circ))
+    want = 384.0 * q * q * r * (math.log(n) + 2.0) / n ** 2 + 4.0 * q * r * tail
+    assert tail > 0.0
+    assert abs(rows[f"hard-database[{circ.name},sponge]"].rhs - want) <= 1e-12
+
+
+def test_crucial_terms_refuse_a_gather_over_the_budget(monkeypatch):
+    """All pairs are gathered at once, so a plan whose (pairs, N, N!) marginal
+    exceeds the amplitude budget is refused before any circuit runs."""
+    import spolab.lemmas as lemmas_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a circuit ran before the budget was checked")
+
+    monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
+    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
+    with pytest.raises(ValueError, match="576 pairs x 4 x 24 labels"):
+        lemmas_mod.crucial_term_values(random_circuit(55, 1, 2, 4),
+                                       diagonal_relation(4), make_twirl_plan(4))
+
+
 def test_exact_only_checks_refuse_sampled_plans(monkeypatch):
     """Checks that report only the mean of a twirl average as an exact row
     raise on a sampled plan, before any circuit runs."""
@@ -684,8 +755,6 @@ def test_theorem_spo_cross_check():
     circ = random_circuit(67, 1, 2, n)
     rel = diagonal_relation(n)
     rep = theorem_check(circ, rel)
-    from spolab.circuits import with_loading_query
-
     plan = make_twirl_plan(n)
     res = experiment_probabilities(with_loading_query(circ), rel, plan)
     assert rep.lhs == pytest.approx(res.p_i, abs=1e-9)

@@ -31,7 +31,9 @@ from spolab.permutations import (
     parse_one_line,
     sample_uniform,
 )
-from spolab.states import RegisterLayout, StateVector, apply, basis_state
+from spolab.states import RegisterLayout, StateVector, apply
+
+from helpers import basis_state
 
 RNG = np.random.default_rng(11)
 

@@ -10,7 +10,6 @@ from spolab.states import (
     RegisterLayout,
     StateVector,
     apply,
-    basis_state,
     database_layout,
     from_diagonal,
     from_matrix,
@@ -20,11 +19,10 @@ from spolab.states import (
     operator_norm,
     probe_unitary,
     product_uniform,
-    project_basis,
     trace_distance,
-    uniform_state,
-    zero_state,
 )
+
+from helpers import basis_state
 
 RNG = np.random.default_rng(42)
 
@@ -48,18 +46,6 @@ def test_layout_validation():
         RegisterLayout((("A", 2), ("A", 3)))
     with pytest.raises(LayoutError):
         RegisterLayout((("A", 0),))
-
-
-def test_uniform_state():
-    s = uniform_state(1)
-    assert s.amps.tolist() == [1.0]
-    s4 = uniform_state(4)
-    assert np.allclose(s4.amps, 0.5)
-    for k in range(1, 9):
-        sk = uniform_state(k)
-        assert np.allclose(sk.amps, 1 / math.sqrt(k))
-    with pytest.raises(ValueError):
-        uniform_state(0)
 
 
 def test_product_uniform_is_flat():
@@ -184,18 +170,6 @@ def test_marginal_sums_out_the_other_registers_in_keep_order():
         marginal(state, ("X", "Z"))
 
 
-def test_project_basis():
-    lay = RegisterLayout((("A", 3), ("B", 4)))
-    s = random_state(lay)
-    assert np.allclose(project_basis(s, "B", range(4)).amps, s.amps)
-    assert project_basis(s, "B", []).norm_sq() == 0.0
-    # completeness: outcome probabilities sum to the input norm
-    total = sum(project_basis(s, "B", [k]).norm_sq() for k in range(4))
-    assert total == pytest.approx(s.norm_sq(), abs=1e-10)
-    plus = uniform_state(6, "R")
-    assert project_basis(plus, "R", [2]).norm_sq() == pytest.approx(1 / 6)
-
-
 def test_trace_distance_basic():
     lay = RegisterLayout((("A", 4),))
     psi = random_state(lay)
@@ -257,10 +231,8 @@ def test_ensemble_total_probability():
     assert ens.distribution()[0] == pytest.approx(0.5)
 
 
-def test_zero_and_basis_states():
+def test_basis_state_helper():
     lay = RegisterLayout((("A", 2), ("B", 3)))
-    z = zero_state(lay)
-    assert z.norm_sq() == 0.0
     b = basis_state(lay, {"A": 1, "B": 2})
     assert b.amps[1 * 3 + 2] == 1.0
     with pytest.raises(LayoutError):

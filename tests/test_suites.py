@@ -73,6 +73,49 @@ def test_grid_mean_stderr_crossed_coverage():
     assert covered / grids >= 0.99
 
 
+def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch):
+    """3-SE coverage on the per-pair grids the lab averages: the exhaustive
+    N = 4 grids of p_ii, the p2 expression and the progress measure of a
+    querying suite circuit against the pair and sponge relations.  Each draw
+    is the 45 x 45 grid that ``--samples 2000`` samples, rows and columns
+    drawn uniformly with replacement, as make_twirl_plan draws them."""
+    import spolab.lemmas as lemmas
+    from spolab.suites import DEFAULT_SEED
+
+    full = make_twirl_plan(4)
+    crossed = lemmas.TwirlPlan(4, full.sigmas, full.taus, False, None,
+                               full.right_inv, full.left_inv)
+    grids = []
+
+    def record(values):
+        grids.append(values.copy())
+        return grid_mean_stderr(values)
+
+    monkeypatch.setattr(lemmas, "grid_mean_stderr", record)
+    circ = suite_circuits(4, DEFAULT_SEED, max_q=2)[-1]
+    rels = dict(suite_relations(4))
+    for rname in ("pair", "sponge"):
+        lemmas.experiment_probabilities(circ, rels[rname], crossed)
+        lemmas.p2_upper_bound(circ, rels[rname], crossed)
+        lemmas.progress_measure(circ, rels[rname], crossed)
+    assert len(grids) == 6 and all(g.shape == (24, 24) for g in grids)
+
+    rng = np.random.default_rng(45)
+    draws, side = 1000, 45
+    picks = [(rng.integers(0, 24, side), rng.integers(0, 24, side))
+             for _ in range(draws)]
+    coverage = []
+    for grid in grids:
+        exact = grid.mean()
+        covered = 0
+        for rows, cols in picks:
+            mean, se = grid_mean_stderr(grid[np.ix_(rows, cols)])
+            covered += abs(mean - exact) <= 3.0 * se
+        coverage.append(covered / draws)
+    assert np.mean(coverage) >= 0.98, coverage
+    assert min(coverage) >= 0.97, coverage
+
+
 @pytest.mark.parametrize("min_pairs", [1, 0, -3])
 def test_sampled_twirl_plan_rejects_fewer_than_2x2(monkeypatch, min_pairs):
     import spolab.lemmas as lemmas
@@ -137,22 +180,23 @@ def test_suite_circuit_and_relation_sets():
 
 
 def test_progress_suite_computes_each_twirl_average_once(monkeypatch):
-    """One progress_measure and one p2_upper_bound per (circuit, relation),
-    and the relation-free sparsity tail once per pre-query state of each
-    querying circuit's standard form."""
+    """One progress_measure and one p2_upper_bound per (circuit, relation);
+    the relation-free sparsity tail is read through Gamma, so the direct
+    sparsity average never runs."""
     import spolab.lemmas as lemmas_mod
 
-    calls = {}
-    for name in ("progress_measure", "p2_upper_bound", "sparsity_expectation"):
+    calls = dict.fromkeys(("progress_measure", "p2_upper_bound",
+                           "sparsity_expectation"), 0)
+    for name in calls:
         def counted(*args, _orig=getattr(lemmas_mod, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls[_name] += 1
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(lemmas_mod, name, counted)
     reports = run_suite("progress", 2)
     assert all(r.passed for r in reports)
     assert calls == {"progress_measure": 20, "p2_upper_bound": 20,
-                     "sparsity_expectation": 10}
+                     "sparsity_expectation": 0}
 
 
 def test_sampler_chi_square_rejects_bias():
