@@ -1,9 +1,10 @@
 """Query circuits: oracle adversaries as alternating local unitaries and queries.
 
 A circuit runs on registers A (work), optionally Z (standard-form scratch),
-X, Y, plus the oracle database D when the backend carries one.  Local
-unitaries may target any subset of {A, Z, X, Y}; queries are forward or
-inverse oracle calls dispatched through an :class:`~spolab.oracles.OracleBackend`.
+X, Y, plus the oracle database D or, leading, the classical label P of a
+concrete backend's permutation table.  Local unitaries may target any subset
+of {A, Z, X, Y}; queries are forward or inverse oracle calls dispatched
+through an :class:`~spolab.oracles.OracleBackend`.
 
 The module also provides the concrete adversaries used by the verification
 experiments (classical probes, Grover preimage and double-sided zero search
@@ -28,13 +29,15 @@ from .oracles import (
     concrete_backend,
     database_dim,
     database_layout,
+    image_table,
     perm_tables,
     shift_operator,
     spo_backend,
+    spo_recover,
     swap_operator,
     v_oracle,
 )
-from .permutations import Permutation, all_permutations, invert
+from .permutations import Permutation, all_images, invert
 from .relations import Relation
 from .states import (
     CQEnsemble,
@@ -103,7 +106,8 @@ class QueryCircuit:
 
 
 def circuit_layout(circ: QueryCircuit, backend: OracleBackend) -> RegisterLayout:
-    regs: list[tuple[str, int]] = [("A", circ.work_dim)]
+    regs = [] if backend.has_database else [("P", len(backend.images))]
+    regs.append(("A", circ.work_dim))
     if circ.has_z:
         regs.append(("Z", circ.n))
     regs += [("X", circ.n), ("Y", circ.n)]
@@ -121,8 +125,8 @@ def initial_state(circ: QueryCircuit, backend: OracleBackend) -> StateVector:
     if backend.has_database:
         nf = database_dim(circ.n)
         amps.reshape(-1, nf)[0, :] = 1.0 / math.sqrt(nf)
-    else:
-        amps[0] = 1.0
+    else:  # one normalized run per label of P
+        amps.reshape(len(backend.images), -1)[:, 0] = 1.0
     return StateVector(lay, amps)
 
 
@@ -278,21 +282,19 @@ def dressed_standard_form(circ: QueryCircuit, sigma: Permutation,
 # Ensembles for the exact-simulation experiments
 
 
-def concrete_ensemble(circ: QueryCircuit, n: int) -> CQEnsemble:
-    """Experiment: sample pi uniformly, run against U^pi; labels are pi."""
-    nf = database_dim(n)
-    weight = 1.0 / math.sqrt(nf)
-    out = CQEnsemble()
-    for perm in all_permutations(n):
-        final = run(circ, concrete_backend(perm))
-        out.entries[perm.images] = StateVector(final.layout, final.amps * weight)
-    return out
+def concrete_ensemble(circ: QueryCircuit) -> CQEnsemble:
+    """Experiment: sample pi uniformly, run against U^pi; labels are pi.
+
+    One run covers all N! permutations, one per label of P."""
+    table = all_images(circ.n)
+    final = run(circ, concrete_backend(table))
+    weight = 1.0 / math.sqrt(len(table))
+    return CQEnsemble(table, final.layout.drop(("P",)),
+                      final.amps.reshape(len(table), -1) * weight)
 
 
 def spo_ensemble(circ: QueryCircuit, backend: OracleBackend) -> CQEnsemble:
     """Init + run + recover against a database backend, twirled or not."""
-    from .oracles import spo_recover
-
     final = run(circ, backend)
     return spo_recover(final, sigma=backend.sigma, tau=backend.tau)
 
@@ -365,26 +367,35 @@ def zero_search_adversary(n_bits: int, c: int, iterations: int) -> QueryCircuit:
                            name=f"zero-n{n_bits}c{c}k{iterations}")
 
 
-def success_probability(circ: QueryCircuit, perm: Permutation,
-                        rel: Relation) -> float:
-    """Exact Born success probability of the X output under a fixed pi:
-    sum_x p(x) R[x, pi(x)], adding the winning p(x) in x order."""
+def _row_success(joint: np.ndarray, images: np.ndarray, rel: Relation) -> np.ndarray:
+    """sum_x joint[k, x] R[x, pi_k(x)] for each row k of an image table,
+    adding the winning p(x) in x order."""
+    won = np.where(rel.members[np.arange(rel.n), images], joint, 0.0)
+    return np.cumsum(won, axis=1)[:, -1]
+
+
+def success_probability(circ: QueryCircuit, images: Permutation | np.ndarray,
+                        rel: Relation) -> np.ndarray:
+    """Exact Born success probability of the X output under each permutation
+    of a (K, N) image table, from one run with the table on P."""
     if rel.n != circ.n:
         raise ValueError(f"relation size {rel.n} != circuit size {circ.n}")
-    dist = output_distribution(run(circ, concrete_backend(perm)), "x")
-    return float(sum(dist[rel.members[np.arange(circ.n), perm.images]]))
+    table = image_table(images)
+    # A temporary backend frees its U maps before the readout; holding them
+    # longer doubled the page faults of a sampled attack.
+    final = run(circ, concrete_backend(table))
+    return _row_success(marginal(final, ("P", "X")), table, rel)
 
 
 def spo_success_probability(circ: QueryCircuit, rel: Relation) -> float:
-    """The same success against the SPO backend: the joint Born weight of
-    X = x and database label d, summed where R[x, pi_d(x)] holds."""
+    """The same success against the SPO backend, read the same way: the
+    joint Born weight of database label d and X = x, where R[x, pi_d(x)]."""
     n = circ.n
     if rel.n != n:
         raise ValueError(f"relation size {rel.n} != circuit size {n}")
     final = run(circ, spo_backend(n))
-    joint = marginal(final, ("X", *database_names(n))).reshape(n, -1)
-    pi, _ = perm_tables(n)
-    return float(joint[rel.members[np.arange(n)[:, None], pi.T]].sum())
+    joint = marginal(final, (*database_names(n), "X")).reshape(-1, n)
+    return float(_row_success(joint, perm_tables(n)[0], rel).sum())
 
 
 def grover_reference(marked: int, space: int, iterations: int) -> float:

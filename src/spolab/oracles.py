@@ -2,10 +2,11 @@
 
 An :class:`OracleBackend` is one of two oracles:
 
-* concrete (it holds ``perm``): the XOR unitaries U^pi, U^{pi^{-1}} on X, Y
-  for a fixed permutation, with no database; the in-place variants V^pi
+* concrete (it holds ``images``): the XOR unitaries U^pi, U^{pi^{-1}} on
+  X, Y for each row of a (K, N) table of permutations, selected by a
+  classical label register P, with no database; the in-place variants V^pi
   act on X alone.
-* database (no ``perm``): the superposition permutation oracle.  The
+* database (no ``images``): the superposition permutation oracle.  The
   database D is a block of registers D_n ... D_1 whose flat index is the
   mixed-radix factor label of a permutation; queries XOR pi(x) (or its
   inverse) into Y, controlled on the database in the permutation basis.
@@ -24,14 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .permutations import (
-    MonotoneFactorization,
-    Permutation,
-    SizeLimitError,
-    compose_from_factors,
-    invert,
-    monotone_factorize,
-)
+from .permutations import Permutation, SizeLimitError, invert
 from .states import (
     CQEnsemble,
     LayoutError,
@@ -138,16 +132,6 @@ def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, inv
 
 
-def index_of_perm(p: Permutation) -> int:
-    f = monotone_factorize(p)
-    return sum(tk * factorial(k) for k, tk in enumerate(f.t))
-
-
-def perm_of_index(n: int, d: int) -> Permutation:
-    digits = _digits_from_indices(n, np.array([d]))[0]
-    return compose_from_factors(MonotoneFactorization(tuple(int(v) for v in digits)))
-
-
 def left_right_map(n: int, tau: Permutation | None = None,
                    sigma: Permutation | None = None) -> np.ndarray:
     """Label map d -> index(tau o pi_d o sigma^{-1}).
@@ -169,15 +153,30 @@ def left_right_map(n: int, tau: Permutation | None = None,
 # Concrete oracles
 
 
-def u_oracle(p: Permutation, inverse: bool = False) -> LinearOperator:
-    """XOR oracle on X (x) Y: |x,y> -> |x, y xor pi^{+-1}(x)>."""
-    n = p.n
+def image_table(perms: Permutation | np.ndarray) -> np.ndarray:
+    """A read-only (K, N) table of one-line images, K >= 1; one permutation
+    is the table with K = 1."""
+    table = np.array(getattr(perms, "images", perms), dtype=np.int64, ndmin=2)
+    if table.ndim != 2 or not table.size or (
+            np.sort(table, axis=1) != np.arange(table.shape[1])).any():
+        raise ValueError(f"expected a (K, N) table whose rows are permutations "
+                         f"of 0..N-1, got {table.shape}")
+    table.setflags(write=False)
+    return table
+
+
+def u_oracle(images: Permutation | np.ndarray,
+             inverse: bool = False) -> LinearOperator:
+    """XOR oracle on P (x) X (x) Y for a (K, N) table of one-line images:
+    |k, x, y> -> |k, x, y xor pi_k^{+-1}(x)>."""
+    table = image_table(images)
+    k, n = table.shape
     _require_xor(n)
-    images = np.array((invert(p) if inverse else p).images)
-    x = np.arange(n)[:, None]
-    y = np.arange(n)[None, :]
-    mapping = (x * n + (y ^ images[:, None])).reshape(-1)
-    return from_permutation((n, n), mapping,
+    if inverse:  # row k of the argsort is the one-line form of pi_k^{-1}
+        table = np.argsort(table, axis=1)
+    xs = np.arange(k * n).reshape(k, n, 1)  # flat (k, x)
+    mapping = (xs * n + (np.arange(n) ^ table[:, :, None])).reshape(-1)
+    return from_permutation((k, n, n), mapping,
                             label=f"U^pi{'^-1' if inverse else ''}")
 
 
@@ -318,29 +317,21 @@ def twirl(state: StateVector, side: str, perm: Permutation) -> StateVector:
 
 def spo_recover(state: StateVector, sigma: Permutation | None = None,
                 tau: Permutation | None = None) -> CQEnsemble:
-    """Full computational-basis readout of D as a label -> residual ensemble.
+    """Full computational-basis readout of D as a label table.
 
-    Labels are one-line image tuples; the TSPO variant relabels each outcome
-    pi as tau^{-1} pi sigma.  Residual states keep all non-database registers
-    and are subnormalized by the outcome amplitude.
+    Row d is labelled by the one-line images of pi_d, which the TSPO variant
+    relabels as tau^{-1} pi_d sigma.  Residual states keep all non-database
+    registers and are subnormalized by the outcome amplitude.
     """
     lay = state.layout
     n = _db_size_from_layout(lay)
-    db = database_names(n)
-    nf = database_dim(n)
-    rest_layout = lay.drop(db)
-    arr = state.amps.reshape(-1, nf)
-    pi, _ = perm_tables(n)
-    tau_inv = np.array(invert(tau).images) if tau is not None else None
-    sig = np.array(sigma.images) if sigma is not None else None
-    out = CQEnsemble()
-    for d in range(nf):
-        images = pi[d]
-        if tau_inv is not None:
-            images = tau_inv[images[sig]]
-        out.entries[tuple(int(v) for v in images)] = StateVector(
-            rest_layout, np.ascontiguousarray(arr[:, d]))
-    return out
+    labels, _ = perm_tables(n)
+    if sigma is not None:
+        labels = labels[:, np.array(sigma.images)]
+    if tau is not None:
+        labels = np.array(invert(tau).images)[labels]
+    amps = np.ascontiguousarray(state.amps.reshape(-1, database_dim(n)).T)
+    return CQEnsemble(labels, lay.drop(database_names(n)), amps)
 
 
 def _db_size_from_layout(lay: RegisterLayout) -> int:
@@ -382,26 +373,31 @@ def project_plus_db(block: np.ndarray, n: int, x: int,
 # Oracle backends
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleBackend:
     """Dispatch point for query application during circuit runs.
 
-    A backend holding ``perm`` is the concrete oracle U^pi on X, Y; without
-    it, it is the database oracle, twirled by ``sigma``/``tau`` when given.
+    A backend holding ``images``, a (K, N) table of one-line images, is the
+    concrete oracle: U^{pi_k} on X, Y for label k of the register P.
+    Without it, it is the database oracle, twirled by ``sigma``/``tau`` when
+    given.
     """
 
     n: int
-    perm: Permutation | None = None
+    images: np.ndarray | None = None
     sigma: Permutation | None = None
     tau: Permutation | None = None
 
     def __post_init__(self) -> None:
-        if self.perm is not None:
+        if self.images is not None:
             if self.sigma is not None or self.tau is not None:
                 raise ValueError("a concrete backend takes no sigma or tau; "
                                  "twirl the database oracle instead")
-            if self.perm.n != self.n:
-                raise ValueError("concrete backend needs a permutation of size n")
+            table = image_table(self.images)
+            if table.shape[1] != self.n:
+                raise ValueError(f"concrete backend needs permutations of size "
+                                 f"{self.n}, got width {table.shape[1]}")
+            object.__setattr__(self, "images", table)
             return
         if self.n > EXACT_DB_LIMIT:
             raise SizeLimitError(
@@ -411,10 +407,10 @@ class OracleBackend:
 
     @property
     def has_database(self) -> bool:
-        return self.perm is None
+        return self.images is None
 
     def query(self, state: StateVector, direction: str) -> StateVector:
-        if self.perm is not None:
+        if self.images is not None:
             return self._concrete_query(state, direction)
         return spo_query(state, direction, sigma=self.sigma, tau=self.tau)
 
@@ -422,20 +418,22 @@ class OracleBackend:
     # live as long as the backend, so nothing outlives a trial.
     @cached_property
     def _u_forward(self) -> LinearOperator:
-        return u_oracle(self.perm)
+        return u_oracle(self.images)
 
     @cached_property
     def _u_inverse(self) -> LinearOperator:
-        return u_oracle(self.perm, inverse=True)
+        return u_oracle(self.images, inverse=True)
 
     def _concrete_query(self, state: StateVector, direction: str) -> StateVector:
-        """U^pi (forward) or U^{pi^{-1}} (inverse) applied on X, Y."""
+        """U^pi (forward) or U^{pi^{-1}} (inverse) applied on P, X, Y."""
         op = self._u_inverse if direction == "inverse" else self._u_forward
-        return apply(op, state, ("X", "Y"))
+        return apply(op, state, ("P", "X", "Y"))
 
 
-def concrete_backend(perm: Permutation) -> OracleBackend:
-    return OracleBackend(perm.n, perm=perm)
+def concrete_backend(perms: Permutation | np.ndarray) -> OracleBackend:
+    """The concrete oracle over one permutation or a (K, N) image table."""
+    table = image_table(perms)
+    return OracleBackend(table.shape[1], images=table)
 
 
 def spo_backend(n: int, sigma: Permutation | None = None,

@@ -295,6 +295,11 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield compose_from_factors(MonotoneFactorization(t))
 
 
+def all_images(n: int) -> np.ndarray:
+    """The (n!, n) table of one-line images, in ``all_permutations`` order."""
+    return np.array([p.images for p in all_permutations(n)], dtype=np.int64)
+
+
 def active_set(p: Permutation | MonotoneFactorization, x: int) -> ActiveSet:
     """Indices k with pi_{<k}(x) in {k, t_k}; always contains x itself."""
     f = p if isinstance(p, MonotoneFactorization) else monotone_factorize(p)

@@ -13,16 +13,13 @@ returns a fresh array, so read-only sharing across threads is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-ATOL = 1e-10
 DENSE_NORM_CAP = 4096
-
-Label = Hashable
 
 
 class LayoutError(ValueError):
@@ -120,9 +117,6 @@ class StateVector:
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def product_uniform(layout: RegisterLayout) -> StateVector:
@@ -329,50 +323,48 @@ def marginal(state: StateVector, keep: tuple[str, ...]) -> np.ndarray:
 # Classical-quantum ensembles
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CQEnsemble:
-    """Classical label -> subnormalized conditional state (sums to prob 1)."""
+    """The cq-state sum_k |pi_k><pi_k| (x) |psi_k><psi_k| as a label table.
 
-    entries: dict[Label, StateVector] = field(default_factory=dict)
+    Row k of ``labels`` holds the one-line images of pi_k and row k of
+    ``amps`` the subnormalized state psi_k over ``layout``; the squared norms
+    of the rows sum to 1.
+    """
 
-    def total_probability(self) -> float:
-        return sum(s.norm_sq() for s in self.entries.values())
+    labels: np.ndarray  # (K, N) one-line images
+    layout: RegisterLayout
+    amps: np.ndarray  # (K, layout.total_dim) complex128
 
-    def distribution(self) -> dict[Label, float]:
-        return {k: s.norm_sq() for k, s in self.entries.items()}
-
-
-def _pure_block_trace_norm(a: np.ndarray | None, b: np.ndarray | None) -> float:
-    """Trace norm of |a><a| - |b><b| for (sub)normalized vectors."""
-    na2 = float(np.vdot(a, a).real) if a is not None else 0.0
-    nb2 = float(np.vdot(b, b).real) if b is not None else 0.0
-    if na2 < 1e-300 and nb2 < 1e-300:
-        return 0.0
-    if na2 < 1e-300:
-        return nb2
-    if nb2 < 1e-300:
-        return na2
-    # Work in the (at most) 2-dim span of a and b.
-    e1 = a / np.sqrt(na2)
-    c = complex(np.vdot(e1, b))
-    b_perp = b - c * e1
-    mu = float(np.linalg.norm(b_perp))
-    m = np.array([[na2 - abs(c) ** 2, -c * mu],
-                  [-np.conj(c) * mu, -mu * mu]], dtype=np.complex128)
-    eig = np.linalg.eigvalsh(m)
-    return float(np.abs(eig).sum())
+    def __post_init__(self) -> None:
+        if self.labels.ndim != 2 or self.amps.shape != (
+                self.labels.shape[0], self.layout.total_dim):
+            raise LayoutError(f"labels {self.labels.shape} and amplitudes "
+                              f"{self.amps.shape} do not match layout dimension "
+                              f"{self.layout.total_dim}")
 
 
 def trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:
-    """(1/2)||rho_a - rho_b||_1 with labels embedded as orthogonal flags."""
-    total = 0.0
-    for label in set(a.entries) | set(b.entries):
-        sa = a.entries.get(label)
-        sb = b.entries.get(label)
-        if sa is not None and sb is not None and sa.layout != sb.layout:
-            raise LayoutError(f"ensembles disagree on layout for label {label!r}")
-        total += _pure_block_trace_norm(
-            sa.amps if sa is not None else None,
-            sb.amps if sb is not None else None,
-        )
-    return 0.5 * total
+    """(1/2)||rho_a - rho_b||_1 with labels embedded as orthogonal flags.
+
+    Rows are matched by label.  Per label, |u><u| - |v><v| has trace norm
+    sqrt((|u|^2 - |v|^2)^2 + 4 |u|^2 |v_perp|^2) with the vector
+    v_perp = v - (<u|v>/|u|^2) u; a label missing on one side is a zero row.
+    """
+    if a.layout != b.layout or a.labels.shape[1] != b.labels.shape[1]:
+        raise LayoutError("ensembles disagree on layout or label width")
+    union, code = np.unique(np.concatenate([a.labels, b.labels]), axis=0,
+                            return_inverse=True)
+    code = code.reshape(-1)
+    k = len(a.labels)
+    if len(np.unique(code[:k])) < k or len(np.unique(code[k:])) < len(code) - k:
+        raise ValueError("an ensemble repeats a label")
+    u = np.zeros((len(union), a.layout.total_dim), dtype=np.complex128)
+    v = np.zeros_like(u)
+    u[code[:k]] = a.amps
+    v[code[k:]] = b.amps
+    nu = (np.abs(u) ** 2).sum(axis=1)
+    nv = (np.abs(v) ** 2).sum(axis=1)
+    overlap = np.einsum("ij,ij->i", u.conj(), v) / np.where(nu > 0, nu, 1.0)
+    perp = (np.abs(v - overlap[:, None] * u) ** 2).sum(axis=1)
+    return 0.5 * float(np.sqrt((nu - nv) ** 2 + 4.0 * nu * perp).sum())

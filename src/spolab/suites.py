@@ -64,8 +64,10 @@ from .oracles import (
 from .permutations import (
     EXACT_ENUM_LIMIT,
     MonotoneFactorization,
+    SizeLimitError,
     active_set,
     all_factor_tuples,
+    all_images,
     all_permutations,
     apply_via_active,
     cayley_distance,
@@ -98,7 +100,7 @@ from .relations import (
     zero_search_relation,
 )
 from .reporting import VerificationReport, check, check_close
-from .states import trace_distance
+from .states import LayoutError, RegisterLayout, StateVector, trace_distance
 
 DEFAULT_SEED = 20240917
 
@@ -423,7 +425,7 @@ def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
     circuits = suite_circuits(n, seed, max_q=max_q)
     perms = list(all_permutations(n))
     for circ in circuits:
-        base = concrete_ensemble(circ, n)
+        base = concrete_ensemble(circ)
         spo = spo_ensemble(circ, spo_backend(n))
         out.append(check(f"concrete-vs-spo[{circ.name}]",
                          trace_distance(base, spo), 1e-9, tol=0.0))
@@ -466,20 +468,17 @@ def standard_form_checks(n: int, seed: int = DEFAULT_SEED) -> list[VerificationR
     return out
 
 
-def _append_zero_z(state, n: int):
+def _append_zero_z(state: StateVector, n: int) -> StateVector:
     """Tensor a |0>_Z register into the layout position used by standard form."""
-    from .states import RegisterLayout, StateVector
-
     lay = state.layout
     regs = list(lay.registers)
-    assert regs[0][0] == "A"
-    new_regs = [regs[0], ("Z", n)] + regs[1:]
-    new_lay = RegisterLayout(tuple(new_regs))
+    if regs[0][0] != "A" or lay.has("Z"):
+        raise LayoutError(f"expected a leading A register and no Z, got {lay.names}")
     a_dim = regs[0][1]
-    rest = lay.total_dim // a_dim
-    amps = np.zeros((a_dim, n, rest), dtype=np.complex128)
-    amps[:, 0, :] = state.amps.reshape(a_dim, rest)
-    return StateVector(new_lay, amps.reshape(-1))
+    amps = np.zeros((a_dim, n, lay.total_dim // a_dim), dtype=np.complex128)
+    amps[:, 0, :] = state.amps.reshape(a_dim, -1)
+    return StateVector(RegisterLayout((regs[0], ("Z", n), *regs[1:])),
+                       amps.reshape(-1))
 
 
 def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
@@ -697,7 +696,6 @@ def commutator_suite(n: int) -> list[VerificationReport]:
     # The commutation observation behind the bound: R^gamma commutes with
     # O^{SPO,x} whenever gamma fixes x (exact label-map identity).
     from .lemmas import _all_cycles
-    from .oracles import left_right_map as lrm
 
     nf = database_dim(n)
     bad = 0
@@ -708,7 +706,7 @@ def commutator_suite(n: int) -> list[VerificationReport]:
         for cyc in _all_cycles(n, 2) + (_all_cycles(n, 3) if n >= 3 else []):
             if cyc.images[x] != x:
                 continue
-            r_joint = ys * nf + lrm(n, sigma=cyc)[ds]
+            r_joint = ys * nf + left_right_map(n, sigma=cyc)[ds]
             if not np.array_equal(qmap[r_joint], r_joint[qmap]):
                 bad += 1
     out.append(check(f"commutes-when-fixed[n={n}]", bad, 0, tol=0.0))
@@ -761,6 +759,12 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
     if trials is not None and trials < 2:
         raise ValueError(f"trials must be at least 2 for a sampled attack "
                          f"(its spread needs two runs), got {trials}")
+    if trials is not None and seed is None:
+        raise ValueError("sampled attacks require a seed")
+    if trials is None and 2 ** n_bits > EXACT_ENUM_LIMIT:
+        raise SizeLimitError(f"an exact attack covers all N! permutations of "
+                             f"N = 2^{n_bits}, capped at N = {EXACT_ENUM_LIMIT}; "
+                             f"sample with trials and a seed instead")
     if kind == "sponge":
         circ = grover_preimage(n_bits, c, target, iterations)
         rel = sponge_preimage_relation(n_bits, c, target)
@@ -785,8 +789,6 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
     }
 
     if backend == "spo":
-        if 2 ** n_bits > 8:
-            raise ValueError("spo attack backend requires 2^n_bits <= 8")
         result["success_mean"] = spo_success_probability(circ, rel)
         result["success_stderr"] = 0.0
         result["success_std"] = 0.0
@@ -795,24 +797,19 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
     if backend != "concrete":
         raise ValueError(f"unknown backend {backend!r}")
     n = 2 ** n_bits
-    if trials is None:
-        vals = np.array([success_probability(circ, p, rel)
-                         for p in all_permutations(n)])
+    if trials is None:  # one run over all N! permutations on P
+        vals = success_probability(circ, all_images(n), rel)
         result["method"] = "exact-ensemble"
-        result["success_mean"] = float(vals.mean())
-        result["success_std"] = float(vals.std(ddof=1))
-        result["success_stderr"] = 0.0
-        return result
-    if seed is None:
-        raise ValueError("sampled attacks require a seed")
-    rng = np.random.default_rng(seed)
-    vals = np.array([success_probability(circ, sample_uniform(n, rng), rel)
-                     for _ in range(trials)])
-    result["method"] = "monte_carlo"
-    result["trials"] = trials
+    else:  # one run per trial: a (trials, N) table would hold every
+        # trial's state and its working copies at once
+        rng = np.random.default_rng(seed)
+        vals = np.concatenate([success_probability(circ, sample_uniform(n, rng), rel)
+                               for _ in range(trials)])
+        result.update(method="monte_carlo", trials=trials)
     result["success_mean"] = float(vals.mean())
     result["success_std"] = float(vals.std(ddof=1))
-    result["success_stderr"] = float(vals.std(ddof=1) / math.sqrt(trials))
+    result["success_stderr"] = (0.0 if trials is None else
+                                float(vals.std(ddof=1) / math.sqrt(trials)))
     return result
 
 

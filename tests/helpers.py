@@ -1,9 +1,19 @@
-"""Builders that only the tests use: basis states and a loading query."""
+"""Builders that only the tests use: basis states, database labels, a
+loading query, a counter of circuit runs and a dense trace-distance
+reference."""
+import math
+
 import numpy as np
 
 from spolab.circuits import LocalUnitary, Query, QueryCircuit
 from spolab.oracles import swap_operator
-from spolab.states import LayoutError, RegisterLayout, StateVector
+from spolab.permutations import (
+    MonotoneFactorization,
+    Permutation,
+    compose_from_factors,
+    monotone_factorize,
+)
+from spolab.states import CQEnsemble, LayoutError, RegisterLayout, StateVector
 
 
 def basis_state(layout: RegisterLayout, indices=None) -> StateVector:
@@ -22,6 +32,18 @@ def basis_state(layout: RegisterLayout, indices=None) -> StateVector:
     return StateVector(layout, amps)
 
 
+def perm_of_index(n: int, d: int) -> Permutation:
+    """The permutation with database label d: factor digits
+    t_k = (d // k!) mod (k + 1), t_1 least significant."""
+    digits = tuple((d // math.factorial(k)) % (k + 1) for k in range(n))
+    return compose_from_factors(MonotoneFactorization(digits))
+
+
+def index_of_perm(p: Permutation) -> int:
+    """The database label of p: sum_k t_k k! over its factor digits."""
+    return sum(tk * math.factorial(k) for k, tk in enumerate(monotone_factorize(p).t))
+
+
 def with_loading_query(circ: QueryCircuit) -> QueryCircuit:
     """Append one forward query that loads pi(x) into Y.
 
@@ -35,3 +57,36 @@ def with_loading_query(circ: QueryCircuit) -> QueryCircuit:
     )
     return QueryCircuit(circ.n, steps, work_dim=circ.work_dim, output="xy",
                         has_z=True, name=circ.name + "+load")
+
+
+def count_runs(monkeypatch) -> list:
+    """Record the backend of every ``circuits.run`` call from now on."""
+    import spolab.circuits as circuits_mod
+
+    calls = []
+    original = circuits_mod.run
+
+    def counting(circ, backend):
+        calls.append(backend)
+        return original(circ, backend)
+
+    monkeypatch.setattr(circuits_mod, "run", counting)
+    return calls
+
+
+def dense_trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:
+    """(1/2)||rho_a - rho_b||_1 from the eigenvalues of the dense difference.
+
+    rho = sum_k |k><k| (x) |psi_k><psi_k| over the union of both label sets,
+    built label by label; an independent reference for ``trace_distance``."""
+    index: dict[tuple[int, ...], int] = {}
+    for row in (*a.labels, *b.labels):
+        index.setdefault(tuple(int(v) for v in row), len(index))
+    dim = a.layout.total_dim
+    diff = np.zeros((len(index) * dim,) * 2, dtype=np.complex128)
+    for ens, sign in ((a, 1.0), (b, -1.0)):
+        for row, amps in zip(ens.labels, ens.amps):
+            k = index[tuple(int(v) for v in row)]
+            block = slice(k * dim, (k + 1) * dim)
+            diff[block, block] += sign * np.outer(amps, amps.conj())
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())

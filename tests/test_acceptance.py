@@ -169,7 +169,7 @@ def test_criterion_05_exact_oracle_simulation():
         q = 1 + i % 3
         wd = 1 + i % 4
         circ = random_circuit(1000 + i, q, wd, n)
-        d = trace_distance(concrete_ensemble(circ, n),
+        d = trace_distance(concrete_ensemble(circ),
                            spo_ensemble(circ, spo_backend(n)))
         worst = max(worst, d)
         count += 1

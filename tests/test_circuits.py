@@ -30,7 +30,13 @@ from spolab.circuits import (
     zero_search_adversary,
 )
 from spolab.oracles import BudgetError, concrete_backend, spo_backend
-from spolab.permutations import all_permutations, identity, parse_one_line, sample_uniform
+from spolab.permutations import (
+    all_images,
+    all_permutations,
+    identity,
+    parse_one_line,
+    sample_uniform,
+)
 from spolab.relations import (
     Relation,
     from_pairs,
@@ -38,9 +44,9 @@ from spolab.relations import (
     sponge_preimage_relation,
     zero_search_relation,
 )
-from spolab.states import from_matrix, trace_distance
+from spolab.states import CQEnsemble, from_matrix, trace_distance
 
-from helpers import with_loading_query
+from helpers import count_runs, with_loading_query
 
 RNG = np.random.default_rng(31)
 
@@ -143,9 +149,31 @@ def test_concrete_ensemble_never_touches_the_database_kernel(monkeypatch):
 
     monkeypatch.setattr(oracles_mod, "spo_query", fail)
     monkeypatch.setattr(oracles_mod, "_shift_table", fail)
-    concrete = concrete_ensemble(circ, n)
-    assert len(concrete.entries) == 24
+    concrete = concrete_ensemble(circ)
+    assert concrete.labels.shape == (24, n)
     assert trace_distance(concrete, spo) <= 1e-9
+
+
+def test_concrete_ensemble_runs_its_circuit_once(monkeypatch):
+    calls = count_runs(monkeypatch)
+    ens = concrete_ensemble(random_circuit(5, 2, 2, 4))
+    assert len(calls) == 1 and ens.labels.shape == (24, 4)
+    assert calls[0].images.shape == (24, 4)
+
+
+def test_concrete_vs_spo_ensembles_at_n8():
+    """40,320 labels from ``all_permutations`` against the database readout,
+    whose labels come from ``perm_tables``: matched by image, not by row."""
+    circ = grover_preimage(3, 1, 1, 1)
+    concrete = concrete_ensemble(circ)
+    spo = spo_ensemble(circ, spo_backend(8))
+    assert concrete.labels.shape == spo.labels.shape == (40320, 8)
+    assert not np.shares_memory(concrete.labels, spo.labels)
+    assert trace_distance(concrete, spo) <= 1e-9
+    order = np.random.default_rng(0).permutation(40320)
+    shuffled = CQEnsemble(concrete.labels[order], concrete.layout,
+                          concrete.amps[order])
+    assert trace_distance(shuffled, spo) <= 1e-9
 
 
 def test_haar_unitary_is_unitary():
@@ -199,7 +227,7 @@ def test_concrete_vs_spo_ensembles():
     n = 4
     for seed in (1, 2):
         circ = random_circuit(seed, 2, 2, n)
-        d = trace_distance(concrete_ensemble(circ, n),
+        d = trace_distance(concrete_ensemble(circ),
                            spo_ensemble(circ, spo_backend(n)))
         assert d < 1e-9
 
@@ -267,7 +295,7 @@ def test_grover_matches_reference_fixed_pi():
         marked = sum(1 for x in range(space) if (x << c, perm(x << c)) in rel)
         for k in (0, 1, 2):
             circ = grover_preimage(n_bits, c, target, k)
-            got = success_probability(circ, perm, rel)
+            (got,) = success_probability(circ, perm, rel)
             assert got == pytest.approx(grover_reference(marked, space, k),
                                         abs=1e-9)
 
@@ -279,7 +307,7 @@ def test_zero_search_matches_reference_fixed_pi():
     perm = sample_uniform(16, np.random.default_rng(9))
     marked = sum(1 for x in range(space) if (x << c, perm(x << c)) in rel)
     for k in (0, 1):
-        got = success_probability(zero_search_adversary(n_bits, c, k), perm, rel)
+        (got,) = success_probability(zero_search_adversary(n_bits, c, k), perm, rel)
         assert got == pytest.approx(grover_reference(marked, space, k), abs=1e-9)
 
 
@@ -293,7 +321,7 @@ def test_zero_iteration_uniform_guess():
     for _ in range(trials):
         perm = sample_uniform(16, rng)
         total += success_probability(zero_search_adversary(n_bits, c, 0),
-                                     perm, rel)
+                                     perm, rel)[0]
     # expectation over pi is exactly 2^-c
     assert abs(total / trials - 0.25) < 0.06
 
@@ -311,7 +339,8 @@ def test_averaged_reference_matches_exhaustive_small():
     n_bits, c, k = 2, 1, 1
     rel = sponge_preimage_relation(n_bits, c, 1)
     circ = grover_preimage(n_bits, c, 1, k)
-    vals = [success_probability(circ, p, rel) for p in all_permutations(4)]
+    vals = success_probability(circ, all_images(4), rel)
+    assert vals.shape == (24,)
     assert np.mean(vals) == pytest.approx(
         averaged_grover_reference(n_bits, c, k, "sponge"), abs=1e-10)
 
@@ -323,8 +352,10 @@ def test_spo_success_matches_concrete_small():
              (random_circuit(21, 2, 2, 4),
               Relation(4, np.random.default_rng(4).random((4, 4)) < 0.4))]
     for circ, rel in cases:
-        concrete = np.mean([success_probability(circ, p, rel)
+        concrete = np.mean([success_probability(circ, p, rel)[0]
                             for p in all_permutations(4)])
+        assert success_probability(circ, all_images(4), rel).mean() == \
+            pytest.approx(concrete, abs=1e-12)
         assert spo_success_probability(circ, rel) == pytest.approx(concrete,
                                                                    abs=1e-10)
 
@@ -338,12 +369,18 @@ def test_success_probability_reads_the_relation_at_pi_x():
     miss = from_pairs(n, [(x, y) for x in range(n) for y in range(n)
                           if y != perm(x)])
     assert success_probability(circ, perm, hit) == pytest.approx(
-        dist[0] + dist[2], abs=1e-12)
-    assert success_probability(circ, perm, miss) == 0.0
+        [dist[0] + dist[2]], abs=1e-12)
+    assert success_probability(circ, perm, miss).tolist() == [0.0]
     assert success_probability(circ, perm, full_relation(n)) == pytest.approx(
-        1.0, abs=1e-12)
+        [1.0], abs=1e-12)
     with pytest.raises(ValueError, match="relation size"):
         success_probability(circ, perm, full_relation(2 * n))
+    # one row per permutation of a table, each read at its own pi(x)
+    other = parse_one_line("2 3 1 4")  # other(1) = 2: only (1, 2) is hit
+    table = np.array([perm.images, other.images])
+    dist_other = output_distribution(run(circ, concrete_backend(other)), "x")
+    assert success_probability(circ, table, hit) == pytest.approx(
+        [dist[0] + dist[2], dist_other[1]], abs=1e-12)
 
 
 def test_circuit_text_roundtrip():

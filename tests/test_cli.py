@@ -116,6 +116,15 @@ def test_attack_rejects_fewer_than_two_trials(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+def test_exact_attack_above_the_enumeration_cap_exits_1(tmp_path, capsys):
+    out = tmp_path / "attack.json"
+    code = run_cli(["attack", "--kind", "zero-search", "--n-bits", "4", "--c", "2",
+                    "--iterations", "1", "--out", str(out)])
+    assert code == 1
+    assert "capped at N = 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, named", [
     (["--trials", "200", "--seed", "1"], "trials"),
     (["--seed", "1"], "seed"),

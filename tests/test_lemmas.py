@@ -39,7 +39,6 @@ from spolab.lemmas import (
 from spolab.oracles import (
     database_dim,
     db_register_geometry,
-    perm_of_index,
     perm_tables,
     project_plus_db,
     spo_backend,
@@ -60,7 +59,7 @@ from spolab.relations import (
 )
 from spolab.states import StateVector, operator_norm
 
-from helpers import with_loading_query
+from helpers import count_runs, perm_of_index, with_loading_query
 
 RNG = np.random.default_rng(23)
 
@@ -303,7 +302,6 @@ def test_p_i_equals_the_success_of_every_direct_twirled_run():
     tau^{-1} pi sigma: (x, image[x]) in R."""
     from spolab.oracles import spo_recover
     from spolab.permutations import all_permutations
-    from spolab.states import marginal
     from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
 
     n = 4
@@ -318,11 +316,12 @@ def test_p_i_equals_the_success_of_every_direct_twirled_run():
     for sigma in perms:
         for tau in perms:
             final = run(circ, spo_backend(n, sigma=sigma, tau=tau))
-            got = np.zeros(len(rels))
-            for images, rest in spo_recover(final, sigma, tau).entries.items():
-                xy = marginal(rest, ("X", "Y"))
-                ys = np.array(images)
-                got += (members[:, xs, ys] * xy[xs, ys]).sum(axis=1)
+            ens = spo_recover(final, sigma, tau)
+            xy = (np.abs(ens.amps.reshape(len(ens.labels), -1, n, n)) ** 2
+                  ).sum(axis=1)  # (label, x, y) after summing A and Z
+            rows = np.arange(len(ens.labels))[:, None]
+            won = members[:, xs, ens.labels] * xy[rows, xs, ens.labels]
+            got = won.sum(axis=(1, 2))
             assert np.abs(got - want).max() <= 1e-12, (sigma, tau)
 
 
@@ -758,3 +757,10 @@ def test_theorem_spo_cross_check():
     plan = make_twirl_plan(n)
     res = experiment_probabilities(with_loading_query(circ), rel, plan)
     assert rep.lhs == pytest.approx(res.p_i, abs=1e-9)
+
+
+def test_theorem_check_runs_its_circuit_once(monkeypatch):
+    calls = count_runs(monkeypatch)
+    rep = theorem_check(random_circuit(67, 1, 2, 4), diagonal_relation(4))
+    assert len(calls) == 1 and calls[0].images.shape == (24, 4)
+    assert 0.0 < rep.lhs < 1.0

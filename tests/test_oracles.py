@@ -9,9 +9,7 @@ from spolab.oracles import (
     cnot_operator,
     concrete_backend,
     database_dim,
-    index_of_perm,
     left_right_map,
-    perm_of_index,
     perm_tables,
     project_plus_db,
     query_slice_map,
@@ -33,7 +31,7 @@ from spolab.permutations import (
 )
 from spolab.states import RegisterLayout, StateVector, apply
 
-from helpers import basis_state
+from helpers import basis_state, index_of_perm, perm_of_index
 
 RNG = np.random.default_rng(11)
 
@@ -59,14 +57,29 @@ def test_perm_tables_consistent():
 def test_u_oracle_action():
     p = parse_one_line("2 3 4 1")
     op = u_oracle(p)
-    lay = RegisterLayout((("X", 4), ("Y", 4)))
+    lay = RegisterLayout((("P", 1), ("X", 4), ("Y", 4)))
     s = basis_state(lay, {"X": 1, "Y": 0})
-    out = apply(op, s, ("X", "Y"))
+    out = apply(op, s, ("P", "X", "Y"))
     # pi(1) = 2 in 0-based labels, so |1,0> -> |1,2>
     assert out.amps[1 * 4 + 2] == 1.0
     # identity permutation copies x into y
-    out2 = apply(u_oracle(identity(4)), basis_state(lay, {"X": 3}), ("X", "Y"))
+    out2 = apply(u_oracle(identity(4)), basis_state(lay, {"X": 3}),
+                 ("P", "X", "Y"))
     assert out2.amps[3 * 4 + 3] == 1.0
+
+
+def test_u_oracle_over_a_table_acts_row_by_row():
+    """One map on (P, X, Y): label k applies U^{pi_k}, forward or inverse."""
+    rows = [sample_uniform(4, RNG) for _ in range(5)]
+    table = np.array([p.images for p in rows])
+    for inverse in (False, True):
+        whole = u_oracle(table, inverse=inverse).dense()
+        blocks = [u_oracle(p, inverse=inverse).dense() for p in rows]
+        want = np.zeros_like(whole)
+        for k, block in enumerate(blocks):
+            want[16 * k:16 * (k + 1), 16 * k:16 * (k + 1)] = block
+        assert np.array_equal(whole, want)
+    assert u_oracle(table).mapping is not None  # a basis map, never matrix-free
 
 
 def test_u_oracle_self_inverse():
@@ -206,14 +219,14 @@ def test_twirls_commute():
 def test_spo_recover_fresh():
     n = 3
     ens = spo_recover(_fresh_state_xy(n))
-    assert ens.total_probability() == pytest.approx(1.0)
-    dist = ens.distribution()
-    assert len(dist) == 6
-    assert all(p == pytest.approx(1 / 6) for p in dist.values())
+    dist = (np.abs(ens.amps) ** 2).sum(axis=1)
+    assert dist.sum() == pytest.approx(1.0)
+    assert ens.labels.shape == (6, 3)
+    assert len({tuple(row) for row in ens.labels}) == 6
+    assert dist == pytest.approx(np.full(6, 1 / 6))
     # residual states all equal (the X, Y registers are untouched)
-    states = list(ens.entries.values())
-    for s in states[1:]:
-        assert np.allclose(s.amps, states[0].amps)
+    assert ens.layout.names == ("X", "Y")
+    assert np.allclose(ens.amps, ens.amps[0])
 
 
 def _fresh_state_xy(n):
@@ -230,13 +243,13 @@ def test_spo_recover_after_probe_collapses():
     n = 4
     out = spo_query(_fresh_joint(n, x=1), "forward")
     ens = spo_recover(out)
-    assert ens.total_probability() == pytest.approx(1.0)
-    for images, state in ens.entries.items():
-        probs = np.abs(state.amps.reshape(n, n)) ** 2
+    assert (np.abs(ens.amps) ** 2).sum() == pytest.approx(1.0)
+    for images, amps in zip(ens.labels, ens.amps):
+        probs = np.abs(amps.reshape(n, n)) ** 2
         y = int(np.argmax(probs[1]))
         assert y == images[1]
         # all of the branch's weight sits at (x, pi(x))
-        assert probs[1, y] == pytest.approx(state.norm_sq())
+        assert probs[1, y] == pytest.approx(probs.sum())
 
 
 def test_spo_recover_tspo_relabels():
@@ -244,14 +257,16 @@ def test_spo_recover_tspo_relabels():
     sigma, tau = sample_uniform(n, RNG), sample_uniform(n, RNG)
     plain = spo_recover(_fresh_state_xy(n))
     twisted = spo_recover(_fresh_state_xy(n), sigma=sigma, tau=tau)
-    assert set(twisted.entries) == set(plain.entries)  # full support either way
-    # and the relabeling is exactly tau^{-1} pi sigma
+    # full support either way
+    assert {tuple(r) for r in twisted.labels} == {tuple(r) for r in plain.labels}
+    # and the relabeling is exactly tau^{-1} pi sigma, row by row
     from spolab.permutations import Permutation
 
     tau_inv = invert(tau)
-    for d, (images, state) in enumerate(spo_recover(_fresh_state_xy(n)).entries.items()):
-        relabeled = compose(compose(tau_inv, Permutation(images)), sigma).images
-        assert np.allclose(twisted.entries[relabeled].amps, state.amps)
+    for images, amps, got in zip(plain.labels, plain.amps, twisted.labels):
+        relabeled = compose(compose(tau_inv, Permutation(tuple(images))), sigma)
+        assert tuple(got) == relabeled.images
+    assert np.array_equal(twisted.amps, plain.amps)
 
 
 def test_project_plus_db():
@@ -337,12 +352,13 @@ def test_concrete_backend_builds_u_oracle_once_per_direction(monkeypatch):
     built = []
     original = oracles_mod.u_oracle
 
-    def counting(p, inverse=False):
+    def counting(images, inverse=False):
         built.append(inverse)
-        return original(p, inverse=inverse)
+        return original(images, inverse=inverse)
 
     monkeypatch.setattr(oracles_mod, "u_oracle", counting)
-    backend = concrete_backend(parse_one_line("2 3 4 1"))
+    table = np.array([parse_one_line("2 3 4 1").images, [0, 1, 2, 3]])
+    backend = concrete_backend(table)
     fwd = random_circuit(11, 2, 2, 4, directions=("forward", "forward"))
     inv = random_circuit(12, 2, 2, 4, directions=("inverse", "inverse"))
     first = run(fwd, backend)
@@ -350,19 +366,52 @@ def test_concrete_backend_builds_u_oracle_once_per_direction(monkeypatch):
     again = run(fwd, backend)
     assert built == [False, True]
     assert np.array_equal(first.amps, again.amps)
+    # each label of P carries the run against its own permutation
+    for k, row in enumerate(table):
+        alone = run(fwd, concrete_backend(row))
+        assert np.allclose(first.amps.reshape(2, -1)[k], alone.amps, atol=1e-14)
 
 
 def test_backend_validation():
     with pytest.raises(ValueError):
-        OracleBackend(4, perm=identity(3))
+        OracleBackend(4, images=identity(3).images)
     with pytest.raises(ValueError):
-        OracleBackend(4, perm=identity(4), sigma=identity(4))
+        OracleBackend(4, images=identity(4).images, sigma=identity(4))
     with pytest.raises(ValueError):
-        OracleBackend(4, perm=identity(4), tau=identity(4))
+        OracleBackend(4, images=identity(4).images, tau=identity(4))
     with pytest.raises(ValueError):
         spo_backend(4, sigma=identity(3), tau=identity(4))
-    assert concrete_backend(identity(4)).perm == identity(4)
+    assert concrete_backend(identity(4)).images.tolist() == [[0, 1, 2, 3]]
     assert not concrete_backend(identity(4)).has_database
     assert spo_backend(3).has_database
     twirled = spo_backend(3, sigma=identity(3), tau=identity(3))
-    assert twirled.has_database and twirled.perm is None
+    assert twirled.has_database and twirled.images is None
+
+
+@pytest.mark.parametrize("table, problem", [
+    ([[0, 1, 2, 3], [0, 0, 1, 2]], "permutations of 0..N-1"),
+    ([[0, 1, 2, 3], [1, 2, 3, 4]], "permutations of 0..N-1"),
+    ([[0, 1, 2, 3], [3, 2, 1, -1]], "permutations of 0..N-1"),
+    (np.zeros((0, 4), dtype=int), "table"),
+    (np.zeros((2, 2, 2), dtype=int), "table"),
+])
+def test_concrete_backend_refuses_bad_tables_before_any_allocation(
+        monkeypatch, table, problem):
+    import spolab.circuits as circuits_mod
+    import spolab.oracles as oracles_mod
+    from spolab.circuits import empty_circuit
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built an operator or a state for a bad table")
+
+    for mod, name in ((oracles_mod, "u_oracle"), (oracles_mod, "from_permutation"),
+                      (circuits_mod, "initial_state")):
+        monkeypatch.setattr(mod, name, fail)
+    with pytest.raises(ValueError, match=problem):
+        concrete_backend(np.array(table))
+    with pytest.raises(ValueError, match=problem):
+        OracleBackend(4, images=np.array(table))
+    with pytest.raises(ValueError, match="width 3"):  # rows of the wrong size
+        OracleBackend(4, images=np.array([[0, 1, 2], [2, 1, 0]]))
+    with pytest.raises(ValueError):  # and a circuit of another size
+        circuits_mod.run(empty_circuit(8), concrete_backend(identity(4)))

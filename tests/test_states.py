@@ -22,7 +22,7 @@ from spolab.states import (
     trace_distance,
 )
 
-from helpers import basis_state
+from helpers import basis_state, dense_trace_distance
 
 RNG = np.random.default_rng(42)
 
@@ -170,65 +170,125 @@ def test_marginal_sums_out_the_other_registers_in_keep_order():
         marginal(state, ("X", "Z"))
 
 
+def ensemble(labels, layout, rows):
+    """A CQEnsemble from label rows and one amplitude row per label."""
+    return CQEnsemble(np.array(labels), layout,
+                      np.array(rows, dtype=np.complex128).reshape(len(labels), -1))
+
+
+PERMS3 = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+
+
 def test_trace_distance_basic():
     lay = RegisterLayout((("A", 4),))
-    psi = random_state(lay)
-    ens_a = CQEnsemble({"x": psi})
-    assert trace_distance(ens_a, CQEnsemble({"x": psi})) == pytest.approx(0.0)
-    phi = basis_state(lay, {"A": 0})
-    chi = basis_state(lay, {"A": 1})
-    assert trace_distance(CQEnsemble({"x": phi}), CQEnsemble({"x": chi})) == \
-        pytest.approx(1.0)
+    psi = random_state(lay).amps
+    ens_a = ensemble([PERMS3[0]], lay, [psi])
+    assert trace_distance(ens_a, ensemble([PERMS3[0]], lay, [psi])) == \
+        pytest.approx(0.0)
+    phi = basis_state(lay, {"A": 0}).amps
+    chi = basis_state(lay, {"A": 1}).amps
+    assert trace_distance(ensemble([PERMS3[0]], lay, [phi]),
+                          ensemble([PERMS3[0]], lay, [chi])) == pytest.approx(1.0)
     # global phase per branch is invisible
-    phased = CQEnsemble({"x": StateVector(lay, np.exp(0.7j) * psi.amps)})
+    phased = ensemble([PERMS3[0]], lay, [np.exp(0.7j) * psi])
     assert trace_distance(ens_a, phased) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trace_distance_disjoint_labels():
     lay = RegisterLayout((("A", 2),))
-    half = StateVector(lay, np.array([1 / math.sqrt(2), 0], dtype=complex))
-    a = CQEnsemble({"u": half, "v": half})
-    b = CQEnsemble({"w": half, "z": half})
+    half = [1 / math.sqrt(2), 0]
+    a = ensemble(PERMS3[:2], lay, [half, half])
+    b = ensemble(PERMS3[2:4], lay, [half, half])
     assert trace_distance(a, b) == pytest.approx(1.0)
 
 
 def test_trace_distance_layout_mismatch():
-    lay_a = RegisterLayout((("A", 2),))
-    lay_b = RegisterLayout((("A", 3),))
-    a = CQEnsemble({"u": basis_state(lay_a)})
-    b = CQEnsemble({"u": basis_state(lay_b)})
+    a = ensemble([PERMS3[0]], RegisterLayout((("A", 2),)), [[1, 0]])
+    b = ensemble([PERMS3[0]], RegisterLayout((("A", 3),)), [[1, 0, 0]])
     with pytest.raises(LayoutError):
         trace_distance(a, b)
+    with pytest.raises(LayoutError):  # labels of a different width
+        trace_distance(a, ensemble([[0, 1]], a.layout, [[1, 0]]))
+    with pytest.raises(LayoutError):  # one amplitude row per label
+        ensemble(PERMS3[:2], a.layout, [[1, 0]])
+
+
+def test_trace_distance_refuses_repeated_labels():
+    lay = RegisterLayout((("A", 2),))
+    half = [1 / math.sqrt(2), 0]
+    twice = ensemble([PERMS3[0], PERMS3[0]], lay, [half, half])
+    with pytest.raises(ValueError, match="repeats a label"):
+        trace_distance(twice, ensemble(PERMS3[:2], lay, [half, half]))
+
+
+def _random_ensemble(lay, labels):
+    rows = np.array([random_state(lay).amps for _ in labels])
+    weights = RNG.dirichlet(np.ones(len(labels)))
+    return ensemble(labels, lay, np.sqrt(weights)[:, None] * rows)
 
 
 def test_trace_distance_triangle_and_unitary_invariance():
     lay = RegisterLayout((("A", 5),))
     for _ in range(5):
-        ens = []
-        for _k in range(3):
-            branches = {}
-            weights = RNG.dirichlet(np.ones(3))
-            for lab, w in enumerate(weights):
-                v = random_state(lay)
-                branches[lab] = StateVector(lay, math.sqrt(w) * v.amps)
-            ens.append(CQEnsemble(branches))
-        a, b, c = ens
+        a, b, c = (_random_ensemble(lay, PERMS3[:3]) for _ in range(3))
         dab, dbc, dac = (trace_distance(a, b), trace_distance(b, c),
                          trace_distance(a, c))
         assert dac <= dab + dbc + 1e-9
         u = np.linalg.qr(RNG.standard_normal((5, 5))
                          + 1j * RNG.standard_normal((5, 5)))[0]
-        rot = [CQEnsemble({lab: StateVector(lay, u @ s.amps)
-                           for lab, s in e.entries.items()}) for e in (a, b)]
+        rot = [CQEnsemble(e.labels, lay, e.amps @ u.T) for e in (a, b)]
         assert trace_distance(*rot) == pytest.approx(dab, abs=1e-9)
 
 
-def test_ensemble_total_probability():
+def test_trace_distance_matches_rows_by_label_not_position():
+    lay = RegisterLayout((("A", 3),))
+    a, b = (_random_ensemble(lay, PERMS3) for _ in range(2))
+    order = RNG.permutation(len(PERMS3))
+    shuffled = CQEnsemble(b.labels[order], lay, b.amps[order])
+    assert trace_distance(a, shuffled) == trace_distance(a, b)
+    assert trace_distance(a, CQEnsemble(a.labels[order], lay, a.amps[order])) \
+        == pytest.approx(0.0, abs=1e-15)
+    # the same rows under two swapped labels are a different ensemble
+    swapped = a.labels.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    assert trace_distance(a, CQEnsemble(swapped, lay, a.amps)) > 1e-3
+
+
+def test_trace_distance_matches_dense_eigenvalue_reference():
+    lay = RegisterLayout((("A", 2), ("B", 2)))
+    for trial in range(8):
+        picks = RNG.permutation(6)  # the two sides share labels picks[2:4]
+        a = _random_ensemble(lay, [PERMS3[i] for i in picks[:4]])
+        b = _random_ensemble(lay, [PERMS3[i] for i in picks[2:5]])
+        if trial % 2:  # a row equal on both sides, and a zero row against one
+            b.amps[0] = a.amps[2]
+            a.amps[3] = 0.0
+        assert trace_distance(a, b) == pytest.approx(dense_trace_distance(a, b),
+                                                     abs=1e-12)
+
+
+def test_trace_distance_is_stable_for_nearly_equal_states():
+    # |u> and |v> at angle theta: the exact trace distance is sin(theta), which
+    # a form in |<u|v>|^2 loses to cancellation at this angle
     lay = RegisterLayout((("A", 2),))
-    ens = CQEnsemble({k: StateVector(lay, np.array([0.5, 0.5], dtype=complex))
-                      for k in range(2)})
-    assert ens.total_probability() == pytest.approx(1.0)
-    assert ens.distribution()[0] == pytest.approx(0.5)
+    theta = 1e-9
+    a = ensemble([PERMS3[0]], lay, [[1.0, 0.0]])
+    b = ensemble([PERMS3[0]], lay, [[math.cos(theta), math.sin(theta)]])
+    assert trace_distance(a, b) == pytest.approx(math.sin(theta), rel=1e-9)
+
+
+def test_ensemble_total_probability():
+    """The concrete and recovered ensembles carry probability 1, spread
+    uniformly over the N! labels."""
+    from spolab.circuits import concrete_ensemble, random_circuit, run, spo_ensemble
+    from spolab.oracles import spo_backend
+
+    circ = random_circuit(3, 2, 2, 4)
+    for ens in (concrete_ensemble(circ), spo_ensemble(circ, spo_backend(4))):
+        probs = (np.abs(ens.amps) ** 2).sum(axis=1)
+        assert ens.labels.shape == (24, 4)
+        assert probs.sum() == pytest.approx(1.0)
+        assert probs == pytest.approx(np.full(24, 1 / 24))
 
 
 def test_basis_state_helper():

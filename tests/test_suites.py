@@ -21,6 +21,8 @@ from spolab.suites import (
     suite_relations,
 )
 
+from helpers import count_runs
+
 
 def test_check_pass_rules():
     assert check("a", 1.0, 2.0).passed
@@ -230,9 +232,76 @@ def test_backend_equivalence_across_suite_circuits():
         avg /= 24
         spo_dist = output_distribution(run(circ, spo_backend(n)), "xy")
         assert _np.abs(avg - spo_dist).max() < 1e-9
-        d = trace_distance(concrete_ensemble(circ, n),
+        d = trace_distance(concrete_ensemble(circ),
                            spo_ensemble(circ, spo_backend(n)))
         assert d < 1e-9
+
+
+def test_exact_attack_runs_its_circuit_once(monkeypatch):
+    calls = count_runs(monkeypatch)
+    res = run_attack("sponge", 3, 1, 1, target=1)
+    assert len(calls) == 1 and calls[0].images.shape == (40320, 8)
+    assert res["method"] == "exact-ensemble"
+    assert res["success_mean"] == pytest.approx(res["reference_exact"], abs=1e-12)
+
+
+def test_sampled_attack_runs_one_drawn_permutation_per_trial(monkeypatch):
+    """Trials are drawn by sample_uniform in order and run one per pass; the
+    values equal a loop of K = 1 success_probability calls bit for bit."""
+    import spolab.suites as suites_mod
+    from spolab.circuits import grover_preimage, success_probability
+    from spolab.permutations import sample_uniform
+    from spolab.relations import sponge_preimage_relation
+
+    draws = []
+
+    def drawing(n, rng):
+        draws.append(sample_uniform(n, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(suites_mod, "sample_uniform", drawing)
+    calls = count_runs(monkeypatch)
+    res = run_attack("sponge", 4, 2, 1, trials=12, seed=5)
+    assert len(draws) == 12 and len(calls) == 12
+    assert all(backend.images.shape == (1, 16) for backend in calls)
+    rng = np.random.default_rng(5)
+    assert [p.images for p in draws] == [sample_uniform(16, rng).images
+                                         for _ in range(12)]
+    circ, rel = grover_preimage(4, 2, 0, 1), sponge_preimage_relation(4, 2, 0)
+    vals = np.array([success_probability(circ, p, rel)[0] for p in draws])
+    assert res["success_mean"] == float(vals.mean())
+    assert res["success_std"] == float(vals.std(ddof=1))
+    assert res["success_stderr"] == float(vals.std(ddof=1) / np.sqrt(12))
+
+
+def test_exact_attack_refuses_n_above_the_enumeration_cap(monkeypatch):
+    import spolab.suites as suites_mod
+    from spolab.permutations import SizeLimitError
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a circuit or a table before the size check")
+
+    for name in ("all_images", "grover_preimage", "zero_search_adversary", "run"):
+        monkeypatch.setattr(suites_mod, name, fail)
+    for kind in ("sponge", "zero-search"):
+        for backend in ("concrete", "spo"):
+            with pytest.raises(SizeLimitError, match="capped at N = 8"):
+                run_attack(kind, 4, 2, 1, backend=backend)
+
+
+def test_append_zero_z_refuses_an_unexpected_layout():
+    from spolab.circuits import empty_circuit, run
+    from spolab.oracles import concrete_backend, spo_backend
+    from spolab.permutations import identity
+    from spolab.states import LayoutError
+    from spolab.suites import _append_zero_z
+
+    with_z = _append_zero_z(run(empty_circuit(2), spo_backend(2)), 2)
+    assert with_z.layout.names[:2] == ("A", "Z")
+    with pytest.raises(LayoutError):  # a Z register is already there
+        _append_zero_z(with_z, 2)
+    with pytest.raises(LayoutError):  # a concrete run leads with the label P
+        _append_zero_z(run(empty_circuit(2), concrete_backend(identity(2))), 2)
 
 
 def test_run_attack_validation():
