@@ -204,6 +204,29 @@ def _progress_norm2(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> float
     return float(np.vdot(out, out).real)
 
 
+@lru_cache(maxsize=None)
+def _hit_fibers(n: int, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hits, base): the labels d with pi_d(s) = t, and for each the first
+    label of its D_{s+1} fiber, which is base + s! * arange(s + 1).
+
+    pi_d(s) = pi_{>s}(t_s) and a fiber varies t_s alone, so the (n-1)! hits
+    lie in distinct fibers; the tables are checked for exactly that.
+    """
+    pi, _ = perm_tables(n)
+    _hi, radix, lo = db_register_geometry(n, s)
+    hits = np.flatnonzero(pi[:, s] == t)
+    base = hits - (hits // lo % radix) * lo
+    fibers = np.unique(base).size
+    if hits.size != math.factorial(n - 1) or fibers != hits.size:
+        raise RuntimeError(f"pi_d({s}) = {t} holds on {hits.size} labels in "
+                           f"{fibers} D_{s + 1} fibers, expected "
+                           f"{math.factorial(n - 1)} in distinct fibers (n={n})")
+    hits, base = hits.astype(np.int32), base.astype(np.int32)
+    hits.setflags(write=False)
+    base.setflags(write=False)
+    return hits, base
+
+
 def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, float]:
     """Exact norm of sum_{pi: pi(x) in Y} |pi><pi| |+_{x+1}><+_{x+1}|, and
     the bound sqrt(|Y| / (x+1))."""
@@ -259,39 +282,79 @@ def experiment_probabilities(circ: QueryCircuit, rel: Relation,
     One untwirled SPO run provides the joint state; each (sigma, tau) branch
     is its database relabeling (checked separately as the twisted-vs-not
     identity).  For every output pair (x, y) in R the projector-norm forms
-    are evaluated on the <x,y| slice of the state.  The twirl only relabels
-    a uniform permutation, so p_(i') is read once from the untwirled slices:
-    |v|^2 on the labels with pi_d(x) = y.
+    are evaluated on the <x,y| slice v of the state.  The twirl only
+    relabels a uniform permutation, so p_(i') is read once from the
+    untwirled slices: |v|^2 on the labels with pi_d(x) = y.
+
+    p_(ii') sums ||Pi (I - P_s) w||^2 over the slices, for the twirled slice
+    w = v[:, minv], s = sigma(x), t = tau(y) and Pi the labels with
+    pi_d(s) = t.  In the factorization pi_d = pi_{>s} <s t_s> pi_{<s},
+    pi_{<s} fixes s, so pi_d(s) = pi_{>s}(t_s): each D_{s+1} fiber holds at
+    most one such label (_hit_fibers).  The norm is therefore the sum over
+    the hit labels of |w_hit - mean of its fiber|^2, read without projecting
+    the whole block; s = 0 adds nothing, since P_0 is the identity.  The
+    first pair of the plan is also evaluated in the projector form, and the
+    two must agree to 1e-12 relative.
     """
     n = circ.n
-    final = run(circ, spo_backend(n))
-    lay = final.layout
-    arr = final.reshaped()
-    x_ax, y_ax = lay.axis("X"), lay.axis("Y")
-    nf = database_dim(n)
+    slices = _xy_slices(run(circ, spo_backend(n)), rel)
     pi_table, _ = perm_tables(n)
+    p_i = sum(float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
+              for x, y, v in slices)
 
-    p_i = 0.0
-    slices: list[tuple[int, int, np.ndarray]] = []
-    for x, y in rel.pairs():
-        idx = [slice(None)] * len(lay.names)
-        idx[x_ax], idx[y_ax] = x, y
-        v = np.ascontiguousarray(arr[tuple(idx)]).reshape(-1, nf)
-        if np.vdot(v, v).real > 1e-28:
-            p_i += float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
-            slices.append((x, y, v))
+    first = (plan.sigmas[0], plan.taus[0], plan.right_inv[0][plan.left_inv[0]])
+    got, ref = _p_ii_fibers(slices, n, *first), _p_ii_projector(slices, n, *first)
+    if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
+        raise RuntimeError(f"fiber-hit p_ii {got!r} differs from the projector "
+                           f"form {ref!r} on the first pair of the plan (n={n})")
 
     def term(sigma, tau, _si, _ti, minv):
-        p_ii = 0.0
-        for x, y, v in slices:
-            sx = sigma.images[x]
-            mask = pi_table[:, sx] == tau.images[y]
-            p_ii += _progress_norm2(v[:, minv], n, sx, mask)
-        return (p_ii,)
+        return (_p_ii_fibers(slices, n, sigma, tau, minv),)
 
     p_ii, se_ii = _twirl_average(plan, 1, term)[0]
     method = "exact" if plan.exhaustive else "monte_carlo"
     return ExperimentResult(p_i, p_ii, se_ii, method, plan.pair_count)
+
+
+def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.ndarray]]:
+    """(x, y, v) for each pair of R whose <x,y| slice v, a (rest, n!) block,
+    is not zero."""
+    n = rel.n
+    lay = final.layout
+    arr = final.reshaped()
+    x_ax, y_ax = lay.axis("X"), lay.axis("Y")
+    slices = []
+    for x, y in rel.pairs():
+        idx = [slice(None)] * len(lay.names)
+        idx[x_ax], idx[y_ax] = x, y
+        v = np.ascontiguousarray(arr[tuple(idx)]).reshape(-1, database_dim(n))
+        if np.vdot(v, v).real > 1e-28:
+            slices.append((x, y, v))
+    return slices
+
+
+def _p_ii_fibers(slices: list[tuple[int, int, np.ndarray]], n: int,
+                 sigma: Permutation, tau: Permutation, minv: np.ndarray) -> float:
+    """p_(ii') of one pair from the fiber hits: sum over the slices and over
+    the labels with pi_d(sigma(x)) = tau(y) of |w_hit - fiber mean|^2."""
+    p_ii = 0.0
+    for x, y, v in slices:
+        s = sigma.images[x]
+        if s:  # P on D_1 is the identity
+            hits, base = _hit_fibers(n, s, tau.images[y])
+            fibers = base + math.factorial(s) * np.arange(s + 1)[:, None]
+            diff = v[:, minv[hits]] - v[:, minv[fibers]].sum(axis=1) / (s + 1)
+            p_ii += float(np.vdot(diff, diff).real)
+    return p_ii
+
+
+def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
+                    sigma: Permutation, tau: Permutation, minv: np.ndarray) -> float:
+    """p_(ii') of one pair as sum ||E^{R,s} w||^2 over the whole twirled block."""
+    pi_table, _ = perm_tables(n)
+    return sum(_progress_norm2(v[:, minv], n, sigma.images[x],
+                               pi_table[:, sigma.images[x]] == tau.images[y])
+               for x, y, v in slices)
 
 
 def fundamental_check(circ: QueryCircuit, rel: Relation,

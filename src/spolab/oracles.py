@@ -96,27 +96,6 @@ def _compose_digit_batch(t: np.ndarray) -> np.ndarray:
     return images
 
 
-def _factorize_batch(images: np.ndarray) -> np.ndarray:
-    """Indices of each one-line row under the mixed-radix labeling."""
-    p = images.astype(np.int64).copy()
-    m, n = p.shape
-    inv = np.empty_like(p)
-    rows_col = np.arange(m)[:, None]
-    inv[rows_col, p] = np.arange(n)[None, :]
-    rows = np.arange(m)
-    idx = np.zeros(m, dtype=np.int64)
-    for k in range(n - 1, 0, -1):
-        tk = p[rows, k].copy()
-        idx += tk * factorial(k)
-        i1 = inv[rows, k]
-        i2 = inv[rows, tk]
-        p[rows, i1] = tk
-        p[rows, i2] = k
-        inv[rows, k] = i2
-        inv[rows, tk] = i1
-    return idx
-
-
 @lru_cache(maxsize=None)
 def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(pi_table, inv_table): pi_table[d, x] = pi_d(x) for every label d."""
@@ -132,11 +111,22 @@ def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, inv
 
 
+@lru_cache(maxsize=None)
+def _label_codes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, labels): the codes sum_k pi_d(k) n^k of every label d, sorted,
+    and the label of each sorted code."""
+    pi, _ = perm_tables(n)
+    codes = pi @ n ** np.arange(n)
+    labels = np.argsort(codes)
+    return codes[labels], labels
+
+
 def left_right_map(n: int, tau: Permutation | None = None,
                    sigma: Permutation | None = None) -> np.ndarray:
     """Label map d -> index(tau o pi_d o sigma^{-1}).
 
-    This is the basis action of L^tau R^sigma on the database.
+    This is the basis action of L^tau R^sigma on the database; each image
+    row is looked up by its code in the sorted codes of perm_tables(n).
     """
     pi, _ = perm_tables(n)
     images = pi
@@ -146,7 +136,8 @@ def left_right_map(n: int, tau: Permutation | None = None,
     if tau is not None:
         tau_arr = np.array(tau.images)
         images = tau_arr[images]
-    return _factorize_batch(images)
+    codes, labels = _label_codes(n)
+    return labels[np.searchsorted(codes, images @ n ** np.arange(n))]
 
 
 # --------------------------------------------------------------------------

@@ -265,13 +265,15 @@ def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
     return compose_from_factors(MonotoneFactorization(t))
 
 
-def sample_uniform_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sampler: returns a (count, n) array of one-line images."""
-    images = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+def _compose_factor_rows(t: np.ndarray) -> np.ndarray:
+    """One-line images of <n-1 t_{n-1}> ... <0 t_0> for each row of a (m, n)
+    factor array, rightmost factor first (compose_from_factors, batched)."""
+    m, n = t.shape
+    images = np.tile(np.arange(n, dtype=np.int64), (m, 1))
     inv = images.copy()
-    rows = np.arange(count)
+    rows = np.arange(m)
     for k in range(1, n):
-        tk = rng.integers(0, k + 1, size=count)
+        tk = t[:, k]
         i1 = inv[rows, k]
         i2 = inv[rows, tk]
         images[rows, i1] = tk
@@ -279,6 +281,14 @@ def sample_uniform_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
         inv[rows, k] = i2
         inv[rows, tk] = i1
     return images
+
+
+def sample_uniform_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized sampler: returns a (count, n) array of one-line images."""
+    t = np.zeros((count, n), dtype=np.int64)
+    for k in range(1, n):
+        t[:, k] = rng.integers(0, k + 1, size=count)
+    return _compose_factor_rows(t)
 
 
 def all_factor_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -296,8 +306,13 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 
 def all_images(n: int) -> np.ndarray:
-    """The (n!, n) table of one-line images, in ``all_permutations`` order."""
-    return np.array([p.images for p in all_permutations(n)], dtype=np.int64)
+    """The (n!, n) table of one-line images, in ``all_permutations`` order:
+    row i has the factors t_k = (i // k!) mod (k + 1)."""
+    if n > EXACT_ENUM_LIMIT:
+        raise SizeLimitError(f"exact enumeration capped at n={EXACT_ENUM_LIMIT}")
+    rows = np.arange(math.factorial(n))[:, None]
+    weights = np.array([math.factorial(k) for k in range(n)])
+    return _compose_factor_rows(rows // weights % (np.arange(n) + 1))
 
 
 def active_set(p: Permutation | MonotoneFactorization, x: int) -> ActiveSet:

@@ -4,7 +4,9 @@
 refactor that renames or drops one of them would leave a span that records
 nothing; this test makes that a tier-1 failure rather than a problem seen
 only in a traced benchmark run.  The tracer patches modules in place, so it
-is installed in a fresh interpreter.
+is installed in a fresh interpreter.  A short traced run of the sampled
+``N = 8`` fundamental suite must also pass the tracer's own self-test, so a
+span prediction that the program no longer meets fails here too.
 """
 import json
 import subprocess
@@ -22,13 +24,39 @@ spans.install(tracer)
 print(json.dumps({{name: tracer.rebinds.get(name, 0) for name in spans.PRESENT}}))
 """
 
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import spans
+tracer = spans.Tracer()
+hooks = spans.install(tracer)
+import spolab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = spolab.cli.main({argv!r})
+problems = spans.selftest({workload!r}, spans.finish(tracer, hooks), tracer.rebinds)
+print(json.dumps({{"rc": rc, "problems": problems}}))
+"""
+
+
+def _run(program: str) -> dict:
+    done = subprocess.run([sys.executable, "-c", program], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
 
 def test_every_predicted_span_is_intercepted():
-    program = PROGRAM.format(bench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", program], cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    rebinds = json.loads(done.stdout)
+    rebinds = _run(PROGRAM.format(bench=str(ROOT / "perfbench"),
+                                  src=str(ROOT / "src")))
     assert rebinds, "spans.PRESENT is empty"
     missing = sorted(name for name, hits in rebinds.items() if hits <= 0)
     assert not missing, f"spans intercepted nowhere: {missing}"
+
+
+def test_traced_fundamental_run_passes_the_span_selftest():
+    argv = ["verify", "--suite", "fundamental", "--n", "8", "--samples", "4"]
+    result = _run(TRACED_RUN.format(bench=str(ROOT / "perfbench"),
+                                    src=str(ROOT / "src"), argv=argv,
+                                    workload="fundamental-mc"))
+    assert result["rc"] == 0
+    assert result["problems"] == []

@@ -295,6 +295,80 @@ def test_experiment_matches_direct_simulation():
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
 
 
+def _assert_fiber_form_matches_projector(circ, rel, plan):
+    """Both p_ii kernels agree to 1e-12 relative on every pair of the plan."""
+    from spolab.lemmas import _p_ii_fibers, _p_ii_projector, _xy_slices
+
+    slices = _xy_slices(run(circ, spo_backend(plan.n)), rel)
+    for _i, _j, sigma, tau, minv in plan.pairs():
+        got = _p_ii_fibers(slices, plan.n, sigma, tau, minv)
+        ref = _p_ii_projector(slices, plan.n, sigma, tau, minv)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (circ.name, sigma, tau)
+
+
+def test_fiber_hit_p_ii_matches_projector_form_on_every_n4_pair():
+    from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
+
+    plan = make_twirl_plan(4)
+    for circ in suite_circuits(4, DEFAULT_SEED):
+        for _name, rel in suite_relations(4):
+            _assert_fiber_form_matches_projector(circ, rel, plan)
+
+
+def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n8_plan():
+    n = 8
+    plan = make_twirl_plan(n, seed=3, min_pairs=9, exhaustive=False)
+    assert plan.grid_shape == (3, 3)
+    circ = random_circuit(5, 1, 1, n)
+    for rel in (diagonal_relation(n), from_pairs(n, [(0, n - 1), (3, 5)])):
+        _assert_fiber_form_matches_projector(circ, rel, plan)
+
+
+def test_hit_fibers_hold_one_hit_per_fiber():
+    from spolab.lemmas import _hit_fibers
+
+    n = 5
+    pi, _ = perm_tables(n)
+    for s in range(n):
+        _hi, radix, lo = db_register_geometry(n, s)
+        for t in range(n):
+            hits, base = _hit_fibers(n, s, t)
+            assert hits.dtype == base.dtype == np.int32
+            assert np.array_equal(hits, np.flatnonzero(pi[:, s] == t))
+            fibers = base[:, None] + lo * np.arange(radix)
+            assert (np.isin(hits[:, None], fibers).sum(axis=1) == 1).all()
+            assert ((pi[fibers, s] == t).sum(axis=1) == 1).all()
+
+
+def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
+    import spolab.lemmas as lemmas_mod
+
+    n = 4
+    pi, inv = perm_tables(n)
+    bad = pi.copy()
+    bad[:, 2] = 0  # every label now "hits" pi_d(2) = 0
+    monkeypatch.setattr(lemmas_mod, "perm_tables", lambda _n: (bad, inv))
+    with pytest.raises(RuntimeError, match="distinct fibers"):
+        lemmas_mod._hit_fibers.__wrapped__(n, 2, 0)
+
+
+def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
+    import spolab.lemmas as lemmas_mod
+
+    n = 4
+    circ = random_circuit(43, 2, 2, n)
+    plan = make_twirl_plan(n)
+    good = lemmas_mod._hit_fibers
+
+    def corrupted(n_, s, t):
+        hits, base = good(n_, s, t)
+        return np.roll(hits, 1), base  # each hit read against another fiber
+
+    monkeypatch.setattr(lemmas_mod, "_hit_fibers", corrupted)
+    with pytest.raises(RuntimeError, match="projector form"):
+        experiment_probabilities(circ, full_relation(n), plan)
+
+
 def test_p_i_equals_the_success_of_every_direct_twirled_run():
     """p_i, read once from the untwirled state, is the success of experiment
     (i') run directly against the oracle twirled by each of the 576 pairs at

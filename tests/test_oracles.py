@@ -207,6 +207,20 @@ def test_twirl_left_right_actions():
             index_of_perm(compose(perm_of_index(n, d), invert(sigma)))] == 1.0
 
 
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_left_right_map_matches_scalar_composition(n):
+    rng = np.random.default_rng(n)
+    tau, sigma = sample_uniform(n, rng), sample_uniform(n, rng)
+    labels = rng.integers(0, math.factorial(n), size=50)
+    for kw in ({"tau": tau}, {"sigma": sigma}, {"tau": tau, "sigma": sigma}):
+        got = left_right_map(n, **kw)
+        for d in labels:
+            p = compose(kw.get("tau", identity(n)),
+                        compose(perm_of_index(n, int(d)),
+                                invert(kw.get("sigma", identity(n)))))
+            assert got[d] == index_of_perm(p), (kw, d)
+
+
 def test_twirls_commute():
     n = 4
     sigma, tau = sample_uniform(n, RNG), sample_uniform(n, RNG)

@@ -13,6 +13,7 @@ from spolab.permutations import (
     UnsupportedMethodError,
     active_set,
     all_factor_tuples,
+    all_images,
     all_permutations,
     apply_via_active,
     cayley_distance,
@@ -133,6 +134,15 @@ def test_sample_uniform_batch_matches_scalar():
     batch = sample_uniform_batch(5, 8, rng_a)
     for row in batch:
         Permutation(tuple(int(v) for v in row))  # validates bijectivity
+
+
+def test_all_images_matches_all_permutations():
+    for n in range(1, 7):
+        table = all_images(n)
+        want = np.array([p.images for p in all_permutations(n)], dtype=np.int64)
+        assert table.dtype == want.dtype and np.array_equal(table, want), n
+    with pytest.raises(SizeLimitError):
+        all_images(9)
 
 
 def test_active_set_identity():
