@@ -258,10 +258,11 @@ def cycle_count(p: Permutation) -> int:
 
 
 def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform permutation from independent uniform factors t_k in {0..k}."""
+    """Uniform permutation from independent uniform factors t_k in {0..k},
+    drawn in one call (the same stream as n scalar draws, k ascending)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = tuple(int(rng.integers(0, k + 1)) for k in range(n))
+    t = tuple(rng.integers(0, np.arange(1, n + 1)).tolist())
     return compose_from_factors(MonotoneFactorization(t))
 
 

@@ -134,8 +134,11 @@ class LinearOperator:
     """An operator on a block of registers with the given dims.
 
     ``apply_block`` maps a matricized (d, rest) array to its image; adjoint
-    likewise.  A dense ``matrix`` is optional and used for exact norms; a
-    basis ``mapping`` (|j> -> |mapping[j]>) marks a validated permutation.
+    likewise.  Either may use the operator's structure rather than a dense
+    product.  The optional ``matrix`` is the operator's dense form: it is
+    used for exact norms and ``dense()``, and as the reference a structured
+    apply is checked against.  A basis ``mapping`` (|j> -> |mapping[j]>)
+    marks a validated permutation.
     """
 
     dims: tuple[int, ...]

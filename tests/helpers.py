@@ -1,6 +1,7 @@
 """Builders that only the tests use: basis states, database labels, a
-loading query, a counter of circuit runs and a dense trace-distance
-reference."""
+loading query, a counter of circuit runs, a dense trace-distance reference,
+the scalar permutation sampler and dense Grover steps."""
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,13 @@ from spolab.permutations import (
     compose_from_factors,
     monotone_factorize,
 )
-from spolab.states import CQEnsemble, LayoutError, RegisterLayout, StateVector
+from spolab.states import (
+    CQEnsemble,
+    LayoutError,
+    RegisterLayout,
+    StateVector,
+    from_matrix,
+)
 
 
 def basis_state(layout: RegisterLayout, indices=None) -> StateVector:
@@ -90,3 +97,33 @@ def dense_trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:
             block = slice(k * dim, (k + 1) * dim)
             diff[block, block] += sign * np.outer(amps, amps.conj())
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def sample_uniform_scalar(n: int, rng: np.random.Generator) -> Permutation:
+    """``sample_uniform`` as n scalar draws t_k in {0..k}, k ascending."""
+    t = tuple(int(rng.integers(0, k + 1)) for k in range(n))
+    return compose_from_factors(MonotoneFactorization(t))
+
+
+def grover_matrices(n_bits: int, c: int) -> dict[str, np.ndarray]:
+    """The Grover prep H^{(x)(n-c)} (x) I and diffusion 2|psi><psi| - I,
+    psi uniform over {x || 0^c}, entry by entry: the Hadamard power has
+    entries (-1)^{popcount(a & b)} / sqrt(m) on the leading n - c bits."""
+    dim, pad = 2 ** n_bits, 2 ** c
+    m = dim // pad
+    a, r = np.divmod(np.arange(dim), pad)
+    signs = 1.0 - 2.0 * (np.bitwise_count(a[:, None] & a[None, :]) % 2)
+    prep = np.where(r[:, None] == r[None, :], signs / math.sqrt(m), 0.0)
+    psi = (r == 0) / math.sqrt(m)
+    return {"prep": prep, "diffuse": 2.0 * np.outer(psi, psi) - np.eye(dim)}
+
+
+def dense_grover(circ: QueryCircuit, c: int) -> QueryCircuit:
+    """The same Grover circuit with its prep and diffusion as plain
+    ``from_matrix`` steps built by ``grover_matrices``."""
+    mats = grover_matrices(int(circ.n).bit_length() - 1, c)
+    steps = tuple(
+        LocalUnitary(step.targets, from_matrix(mats[step.tag]), tag=step.tag)
+        if isinstance(step, LocalUnitary) and step.tag in mats else step
+        for step in circ.steps)
+    return dataclasses.replace(circ, steps=steps, name=circ.name + "+dense")

@@ -4,9 +4,11 @@
 refactor that renames or drops one of them would leave a span that records
 nothing; this test makes that a tier-1 failure rather than a problem seen
 only in a traced benchmark run.  The tracer patches modules in place, so it
-is installed in a fresh interpreter.  A short traced run of the sampled
-``N = 8`` fundamental suite must also pass the tracer's own self-test, so a
-span prediction that the program no longer meets fails here too.
+is installed in a fresh interpreter.  Short traced runs of the sampled
+``N = 8`` fundamental suite and of the sampled 8-bit sponge attack must also
+pass the tracer's own self-test, so a span prediction that the program no
+longer meets (for instance, how an ``apply`` is classified as dense, perm,
+diag or free) fails here too.
 """
 import json
 import subprocess
@@ -58,5 +60,17 @@ def test_traced_fundamental_run_passes_the_span_selftest():
     result = _run(TRACED_RUN.format(bench=str(ROOT / "perfbench"),
                                     src=str(ROOT / "src"), argv=argv,
                                     workload="fundamental-mc"))
+    assert result["rc"] == 0
+    assert result["problems"] == []
+
+
+def test_traced_sponge_attack_passes_the_span_selftest():
+    # 20 trials keep the time outside any span under the selftest's limit;
+    # two trials leave about a tenth of the run unattributed.
+    argv = ["attack", "--kind", "sponge", "--n-bits", "8", "--c", "4",
+            "--iterations", "4", "--trials", "20", "--seed", "1"]
+    result = _run(TRACED_RUN.format(bench=str(ROOT / "perfbench"),
+                                    src=str(ROOT / "src"), argv=argv,
+                                    workload="sponge-attack"))
     assert result["rc"] == 0
     assert result["problems"] == []

@@ -46,7 +46,7 @@ from spolab.relations import (
 )
 from spolab.states import CQEnsemble, from_matrix, trace_distance
 
-from helpers import count_runs, with_loading_query
+from helpers import count_runs, dense_grover, grover_matrices, with_loading_query
 
 RNG = np.random.default_rng(31)
 
@@ -205,6 +205,72 @@ def test_grover_budget_is_enforced_before_allocation(monkeypatch):
         grover_preimage(4, 2, 1, 1)
     with pytest.raises(BudgetError, match="768"):
         zero_search_adversary(4, 2, 1)
+
+
+GROVER_SIZES = [(2, 1), (3, 1), (4, 2), (5, 2), (8, 4)]
+
+
+@pytest.mark.parametrize("n_bits,c", GROVER_SIZES)
+def test_structured_grover_steps_match_their_matrices(n_bits, c):
+    """prep and diffuse apply through their structure; each keeps a dense
+    matrix equal to the entry-by-entry reference, and both directions
+    agree with it on random complex blocks."""
+    rng = np.random.default_rng(n_bits * 10 + c)
+    dim = 2 ** n_bits
+    reference = grover_matrices(n_bits, c)
+    ops = {s.tag: s.op for s in grover_preimage(n_bits, c, 0, 1).steps
+           if isinstance(s, LocalUnitary)}
+    for tag in ("prep", "diffuse"):
+        op = ops[tag]
+        assert np.abs(op.matrix - reference[tag]).max() < 1e-15
+        block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        for apply_fn, mat in ((op.apply_block, op.matrix),
+                              (op.adjoint_block, op.matrix.conj().T)):
+            ref = mat @ block
+            gap = np.linalg.norm(apply_fn(block) - ref)
+            assert gap <= 1e-12 * max(1.0, np.linalg.norm(ref)), (tag, gap)
+
+
+@pytest.mark.parametrize("tag", ["prep", "diffuse"])
+def test_structured_grover_guard_raises_on_a_wrong_apply(monkeypatch, tag):
+    import spolab.circuits as circuits_mod
+
+    original = circuits_mod._structured
+
+    def corrupted(matrix, apply_block, label):
+        if label == tag:
+            return original(matrix, lambda b: apply_block(b) * (1 + 1e-9), label)
+        return original(matrix, apply_block, label)
+
+    monkeypatch.setattr(circuits_mod, "_structured", corrupted)
+    with pytest.raises(RuntimeError, match=f"structured {tag} differs"):
+        grover_preimage(4, 2, 1, 1)
+
+
+@pytest.mark.parametrize("kind,args", [("sponge", (8, 4, 4, 20, 1)),
+                                       ("zero-search", (6, 2, 2, 20, 3))])
+def test_attacks_match_the_dense_grover_reference(monkeypatch, kind, args):
+    """A sampled attack through the structured steps gives the same success
+    statistics as the same attack with dense prep and diffusion matrices."""
+    import spolab.suites as suites_mod
+
+    n_bits, c, k, trials, seed = args
+    structured = suites_mod.run_attack(kind, n_bits, c, k, trials=trials, seed=seed)
+    built = []
+
+    def densified(build):
+        def wrapper(*a):
+            built.append(dense_grover(build(*a), a[1]))
+            return built[-1]
+        return wrapper
+
+    for name in ("grover_preimage", "zero_search_adversary"):
+        monkeypatch.setattr(suites_mod, name, densified(getattr(suites_mod, name)))
+    dense = suites_mod.run_attack(kind, n_bits, c, k, trials=trials, seed=seed)
+    assert len(built) == 1
+    assert dense["method"] == structured["method"] == "monte_carlo"
+    for key in ("success_mean", "success_std"):
+        assert structured[key] == pytest.approx(dense[key], rel=1e-12, abs=0)
 
 
 def test_backend_size_mismatch():

@@ -37,6 +37,8 @@ from spolab.permutations import (
     transposition,
 )
 
+from helpers import sample_uniform_scalar
+
 
 def compose_transpositions(n, factors):
     """Independent oracle: apply <k t> pairs right-to-left by brute force."""
@@ -127,6 +129,17 @@ def test_sample_uniform_deterministic():
     # fresh generators replay the same stream
     assert a[0] == b[0]
     assert sample_uniform(1, np.random.default_rng(0)).images == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 256])
+def test_sample_uniform_draws_the_scalar_stream(n):
+    """One vectorised draw gives the n scalar draws bit for bit, and leaves
+    the generator where they leave it."""
+    for seed in range(6):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_uniform(n, a).images == sample_uniform_scalar(n, b).images
+        assert a.integers(0, 2 ** 62) == b.integers(0, 2 ** 62)
+        assert a.random() == b.random()
 
 
 def test_sample_uniform_batch_matches_scalar():
