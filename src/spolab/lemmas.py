@@ -33,6 +33,7 @@ from .circuits import (
 )
 from .oracles import (
     AMPLITUDE_BUDGET,
+    BudgetError,
     database_dim,
     db_register_geometry,
     left_right_map,
@@ -156,21 +157,21 @@ def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var_rows / rows + var_cols / cols)
 
 
-def _twirl_average(plan: TwirlPlan, width: int,
-                   term: Callable[..., tuple[float, ...]]) -> list[tuple[float, float]]:
-    """(mean, stderr) over the plan of each of the ``width`` values that
+def _twirl_average(plan: TwirlPlan,
+                   term: Callable[..., float]) -> tuple[float, float]:
+    """(mean, stderr) over the plan of the value that
     ``term(sigma, tau, sigma_inv, tau_inv, minv)`` gives for one pair.
 
     ``sigma_inv``/``tau_inv`` are inverse images; the twirled block is
     ``block[..., minv]``.  Exhaustive plans give the exact mean with stderr
     0, sampled plans the crossed-grid estimate of grid_mean_stderr.
     """
-    grid = np.zeros((width, *plan.grid_shape))
+    grid = np.zeros(plan.grid_shape)
     for i, j, sigma, tau, minv in plan.pairs():
-        grid[:, i, j] = term(sigma, tau, plan.sigma_inv[i], plan.tau_inv[j], minv)
+        grid[i, j] = term(sigma, tau, plan.sigma_inv[i], plan.tau_inv[j], minv)
     if plan.exhaustive:
-        return [(float(values.mean()), 0.0) for values in grid]
-    return [grid_mean_stderr(values) for values in grid]
+        return float(grid.mean()), 0.0
+    return grid_mean_stderr(grid)
 
 
 # --------------------------------------------------------------------------
@@ -309,9 +310,9 @@ def experiment_probabilities(circ: QueryCircuit, rel: Relation,
                            f"form {ref!r} on the first pair of the plan (n={n})")
 
     def term(sigma, tau, _si, _ti, minv):
-        return (_p_ii_fibers(slices, n, sigma, tau, minv),)
+        return _p_ii_fibers(slices, n, sigma, tau, minv)
 
-    p_ii, se_ii = _twirl_average(plan, 1, term)[0]
+    p_ii, se_ii = _twirl_average(plan, term)
     method = "exact" if plan.exhaustive else "monte_carlo"
     return ExperimentResult(p_i, p_ii, se_ii, method, plan.pair_count)
 
@@ -397,9 +398,9 @@ def p2_upper_bound(circ: QueryCircuit, rel: Relation,
             hit[[tau.images[y] for y in ys]] = True
             sx = sigma.images[x]
             acc += _progress_norm2(tw, n, sx, hit[pi_table[:, sx]])
-        return (acc,)
+        return acc
 
-    return _twirl_average(plan, 1, term)[0]
+    return _twirl_average(plan, term)
 
 
 def progress_measure(circ: QueryCircuit, rel: Relation,
@@ -413,10 +414,10 @@ def progress_measure(circ: QueryCircuit, rel: Relation,
         tw = amps[:, minv]
         twisted = rel.members[np.ix_(si, ti)]  # R^{sigma,tau} bitset
         # mask: (x, pi_d(x)) in R^{sigma,tau}
-        return (sum(_progress_norm2(tw, n, x, twisted[x][pi_table[:, x]])
-                    for x in range(n)) / n,)
+        return sum(_progress_norm2(tw, n, x, twisted[x][pi_table[:, x]])
+                   for x in range(n)) / n
 
-    return _twirl_average(plan, 1, term)[0]
+    return _twirl_average(plan, term)
 
 
 # --------------------------------------------------------------------------
@@ -586,9 +587,9 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
         for x in range(n):
             proj = project_plus_db(tw, n, x, complement=True)
             acc += float(np.vdot(proj, proj).real) / (x + 1)
-        return (acc / n,)
+        return acc / n
 
-    return _twirl_average(plan, 1, term)[0]
+    return _twirl_average(plan, term)
 
 
 def crucial_term_values(circ: QueryCircuit, rel: Relation,
@@ -715,25 +716,27 @@ def _cycle_maps(n: int, length: int, side: str) -> np.ndarray:
     return np.stack([left_right_map(n, tau=g) for g in cycles])
 
 
+def _charge_dense(nf: int, count: int, what: str) -> None:
+    """Refuse, before any allocation, ``count`` live nf x nf matrices that
+    would exceed AMPLITUDE_BUDGET."""
+    if count * nf * nf > AMPLITUDE_BUDGET:
+        raise BudgetError(f"{what} needs {count} dense {nf} x {nf} matrices "
+                          f"({count * nf * nf} amplitudes, budget {AMPLITUDE_BUDGET})")
+
+
 def cycle_average(n: int, length: int, side: str = "right") -> LinearOperator:
     """W^(l): the uniform average of right-action (or left-action) operators
     over all l-cycles; symmetric with norm <= 1."""
     if n < length:
         raise ValueError(f"no {length}-cycles in S_{n}")
-    maps = _cycle_maps(n, length, side)
     nf = database_dim(n)
-
-    def apply_block(block: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(block)
-        for m in maps:
-            out[m] += block
-        return out / len(maps)
-
+    _charge_dense(nf, 1, f"W^{length} at n={n}")
+    maps = _cycle_maps(n, length, side)
+    w = np.zeros((nf, nf), dtype=np.complex128)
+    np.add.at(w, (maps, np.arange(nf)), 1.0)  # column d: |d> -> |m[d]>
+    w /= len(maps)
     # Averages of the inverse cycles coincide, so W is self-adjoint.
-    op = LinearOperator((nf,), apply_block, apply_block, label=f"W^{length}")
-    if nf <= 1024:
-        op.matrix = op.dense()
-    return op
+    return from_matrix(w, (nf,), label=f"W^{length}")
 
 
 def gamma_coefficients(n: int) -> tuple[float, float, float]:
@@ -747,20 +750,14 @@ def gamma_operator(n: int, method: str = "closed_form") -> LinearOperator:
     if method == "closed_form":
         if n == 1:
             return from_matrix(np.zeros((1, 1)), (1,), label="Gamma")
+        # Gamma, one cycle average and its scaled copy are live at once.
+        _charge_dense(nf, 3, f"Gamma at n={n}")
         c1, c2, c3 = gamma_coefficients(n)
-        w2 = cycle_average(n, 2)
-        w3 = cycle_average(n, 3) if n >= 3 else None
-
-        def apply_block(block: np.ndarray) -> np.ndarray:
-            out = c1 * block - c2 * w2.apply_block(block)
-            if w3 is not None:
-                out = out - c3 * w3.apply_block(block)
-            return out
-
-        op = LinearOperator((nf,), apply_block, apply_block, label="Gamma")
-        if nf <= 1024:
-            op.matrix = op.dense()
-        return op
+        mat = cycle_average(n, 2).matrix * -c2
+        mat.flat[::nf + 1] += c1
+        if n >= 3:
+            mat -= c3 * cycle_average(n, 3).matrix
+        return from_matrix(mat, (nf,), label="Gamma")
     if method == "brute_force":
         if n > 6:
             raise ValueError("brute-force Gamma capped at n=6")
@@ -795,17 +792,16 @@ def gamma_expectation(state: StateVector, gamma: LinearOperator) -> float:
 def commutator_operator(n: int, z: int, direction: str,
                         gamma: LinearOperator) -> LinearOperator:
     """[Gamma, O^{SPO,z}] on the Y (x) D slice."""
-    q = from_permutation((n, database_dim(n)), query_slice_map(n, z, direction),
+    nf = database_dim(n)
+    q = from_permutation((n, nf), query_slice_map(n, z, direction),
                          label=f"O^SPO,{z}")
-    dim = n * database_dim(n)
+    g = gamma.dense()
 
     def gamma_yd(block: np.ndarray) -> np.ndarray:
+        # I_N (x) Gamma: one product with the (D, Y * rest) matricization.
         rest = block.shape[1]
-        v = block.reshape(n, database_dim(n), rest)
-        out = np.empty_like(v)
-        for y in range(n):
-            out[y] = gamma.apply_block(v[y])
-        return out.reshape(dim, rest)
+        v = block.reshape(n, nf, rest).transpose(1, 0, 2).reshape(nf, n * rest)
+        return (g @ v).reshape(nf, n, rest).transpose(1, 0, 2).reshape(n * nf, rest)
 
     def apply_block(block: np.ndarray) -> np.ndarray:
         return gamma_yd(q.apply_block(block)) - q.apply_block(gamma_yd(block))
@@ -814,7 +810,7 @@ def commutator_operator(n: int, z: int, direction: str,
         # [Gamma, Q]^+ = Q^+ Gamma - Gamma Q^+ (Gamma self-adjoint)
         return q.adjoint_block(gamma_yd(block)) - gamma_yd(q.adjoint_block(block))
 
-    return LinearOperator((n, database_dim(n)), apply_block, adjoint_block,
+    return LinearOperator((n, nf), apply_block, adjoint_block,
                           label=f"[Gamma,O^{z}]")
 
 

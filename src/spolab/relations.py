@@ -29,10 +29,6 @@ class Relation:
         """R_x = {y : (x, y) in R} as sorted indices."""
         return np.flatnonzero(self.members[x])
 
-    def inverse_section(self, y: int) -> np.ndarray:
-        """R^inv_y = {x : (x, y) in R}."""
-        return np.flatnonzero(self.members[:, y])
-
     def pairs(self) -> list[tuple[int, int]]:
         xs, ys = np.nonzero(self.members)
         return [(int(x), int(y)) for x, y in zip(xs, ys)]

@@ -115,9 +115,6 @@ class StateVector:
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.layout.shape)
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
 
 def product_uniform(layout: RegisterLayout) -> StateVector:
     """Every register uniform; globally uniform amplitude 1/sqrt(total_dim)."""
@@ -212,11 +209,6 @@ def from_diagonal(dims: tuple[int, ...], diag: np.ndarray,
         lambda block: col.conj() * block,
         label=label,
     )
-
-
-def identity_operator(dims: tuple[int, ...]) -> LinearOperator:
-    return LinearOperator(tuple(dims), lambda b: b.copy(), lambda b: b.copy(),
-                          label="I")
 
 
 def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...]) -> StateVector:

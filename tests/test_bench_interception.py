@@ -8,7 +8,9 @@ is installed in a fresh interpreter.  Short traced runs of the sampled
 ``N = 8`` fundamental suite and of the sampled 8-bit sponge attack must also
 pass the tracer's own self-test, so a span prediction that the program no
 longer meets (for instance, how an ``apply`` is classified as dense, perm,
-diag or free) fails here too.
+diag or free) fails here too.  A traced ``N = 6`` commutator suite must
+still reach the Lanczos norm and the Gamma builder that ``verify-all`` is
+predicted to call.
 """
 import json
 import subprocess
@@ -35,8 +37,10 @@ hooks = spans.install(tracer)
 import spolab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = spolab.cli.main({argv!r})
-problems = spans.selftest({workload!r}, spans.finish(tracer, hooks), tracer.rebinds)
-print(json.dumps({{"rc": rc, "problems": problems}}))
+summary = spans.finish(tracer, hooks)
+problems = spans.selftest({workload!r}, summary, tracer.rebinds)
+calls = {{name: row["calls"] for name, row in summary.items()}}
+print(json.dumps({{"rc": rc, "problems": problems, "calls": calls}}))
 """
 
 
@@ -74,3 +78,16 @@ def test_traced_sponge_attack_passes_the_span_selftest():
                                     workload="sponge-attack"))
     assert result["rc"] == 0
     assert result["problems"] == []
+
+
+def test_traced_commutator_run_reaches_lanczos_and_gamma():
+    # Not a benchmark workload: only the workload-independent self-checks
+    # (nesting, unattributed time) apply, and the two calls are read directly.
+    argv = ["verify", "--suite", "commutator", "--n", "6"]
+    result = _run(TRACED_RUN.format(bench=str(ROOT / "perfbench"),
+                                    src=str(ROOT / "src"), argv=argv,
+                                    workload="commutator-n6"))
+    assert result["rc"] == 0
+    assert result["problems"] == []
+    assert result["calls"]["states.operator_norm.lanczos"] >= 1
+    assert result["calls"]["lemmas.gamma_operator"] >= 1

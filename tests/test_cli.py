@@ -95,6 +95,23 @@ def test_verify_budget_error_is_diagnosed(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_gamma_over_budget_exits_1_before_any_matrix(monkeypatch, capsys):
+    """At N = 8 one 8! x 8! matrix alone exceeds the amplitude budget; the
+    refusal comes before any Gamma or W matrix is built."""
+    import spolab.lemmas as lemmas_mod
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a Gamma or W matrix was built before the budget check")
+
+    for name in ("cycle_average", "_cycle_maps", "from_matrix"):
+        monkeypatch.setattr(lemmas_mod, name, no_build)
+    code = run_cli(["verify", "--suite", "gamma", "--n", "8"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: Gamma at n=8 needs 3 dense 40320 x 40320 matrices" in err
+    assert "budget 268435456" in err
+
+
 def test_attack_json(tmp_path):
     out = tmp_path / "attack.json"
     code = run_cli(["attack", "--kind", "sponge", "--n-bits", "3", "--c", "1",

@@ -18,6 +18,7 @@ from spolab.lemmas import (
     _section_mask,
     check_uniform_weights,
     commutator_growth_check,
+    commutator_operator,
     cycle_average,
     easy_norm_check,
     experiment_probabilities,
@@ -37,10 +38,12 @@ from spolab.lemmas import (
     zeta_terms,
 )
 from spolab.oracles import (
+    BudgetError,
     database_dim,
     db_register_geometry,
     perm_tables,
     project_plus_db,
+    query_slice_map,
     spo_backend,
     spo_init,
 )
@@ -765,6 +768,53 @@ def test_cycle_average_properties():
     # n=2: the unique 2-cycle is the swap; W = R^{swap}
     w2 = cycle_average(2, 2).dense()
     assert np.allclose(w2, [[0, 1], [1, 0]])
+
+
+def test_gamma_and_cycle_averages_are_charged_before_any_build(monkeypatch):
+    """Gamma holds three N! x N! matrices at once and W one; a size over
+    the amplitude budget is refused before a label map is read."""
+    import spolab.lemmas as lemmas_mod
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a cycle label map was read before the budget check")
+
+    monkeypatch.setattr(lemmas_mod, "_cycle_maps", no_build)
+    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 3 * 24 * 24 - 1)
+    with pytest.raises(BudgetError, match="Gamma at n=4 needs 3 dense 24 x 24"):
+        gamma_operator(4)
+    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 24 * 24 - 1)
+    with pytest.raises(BudgetError, match="W\\^2 at n=4 needs 1 dense 24 x 24"):
+        cycle_average(4, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_commutator_operator_matches_a_dense_reference(n):
+    """[Gamma, O^{SPO,z}] = (I_N (x) G) Q - Q (I_N (x) G), with G the
+    brute-force twirl average and Q the query's permutation matrix set entry
+    by entry; the adjoint action is the conjugate transpose."""
+    nf = math.factorial(n)
+    big_g = np.kron(np.eye(n), gamma_operator(n, "brute_force").dense())
+    gamma = gamma_operator(n)
+    for direction in ("forward", "inverse"):
+        for z in range(n):
+            q = np.zeros((n * nf, n * nf))
+            for basis, image in enumerate(query_slice_map(n, z, direction)):
+                q[image, basis] = 1.0
+            want = big_g @ q - q @ big_g
+            op = commutator_operator(n, z, direction, gamma)
+            assert np.abs(op.dense() - want).max() < 1e-12
+            adjoint = op.adjoint_block(np.eye(n * nf, dtype=np.complex128))
+            assert np.abs(adjoint - want.conj().T).max() < 1e-12
+
+
+def test_commutator_n6_rows_keep_the_recorded_norm():
+    """Both N = 6 rows (the Lanczos path) keep the value the benchmark's
+    verify-all reference records."""
+    reps = commutator_growth_check(6)
+    assert [r.name for r in reps] == ["commutator[n=6,forward]",
+                                      "commutator[n=6,inverse]"]
+    for rep in reps:
+        assert rep.lhs == pytest.approx(0.07578796296296296, rel=1e-9)
 
 
 def test_gamma_annihilates_fresh_database():

@@ -14,7 +14,6 @@ from spolab.states import (
     from_diagonal,
     from_matrix,
     from_permutation,
-    identity_operator,
     marginal,
     operator_norm,
     probe_unitary,
@@ -56,7 +55,8 @@ def test_product_uniform_is_flat():
 def test_apply_identity_and_inverse():
     lay = RegisterLayout((("A", 3), ("B", 4)))
     s = random_state(lay)
-    assert np.allclose(apply(identity_operator((4,)), s, ("B",)).amps, s.amps)
+    assert np.allclose(apply(from_permutation((4,), np.arange(4)), s, ("B",)).amps,
+                       s.amps)
     perm = np.array([2, 0, 3, 1])
     op = from_permutation((4,), perm)
     forth = apply(op, s, ("B",))
@@ -92,11 +92,11 @@ def test_apply_on_reordered_targets():
 def test_apply_dim_mismatch():
     lay = RegisterLayout((("A", 2), ("B", 3)))
     with pytest.raises(LayoutError):
-        apply(identity_operator((4,)), random_state(lay), ("B",))
+        apply(from_permutation((4,), np.arange(4)), random_state(lay), ("B",))
 
 
 def test_operator_norm_dense():
-    assert operator_norm(identity_operator((7,))) == pytest.approx(1.0)
+    assert operator_norm(from_permutation((7,), np.arange(7))) == pytest.approx(1.0)
     v = RNG.standard_normal(9)
     proj = np.outer(v, v) / (v @ v)
     assert operator_norm(from_matrix(proj)) == pytest.approx(1.0)
