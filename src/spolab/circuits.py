@@ -1,10 +1,11 @@
 """Query circuits: oracle adversaries as alternating local unitaries and queries.
 
-A circuit runs on registers A (work), optionally Z (standard-form scratch),
-X, Y, plus the oracle database D or, leading, the classical label P of a
-concrete backend's permutation table.  Local unitaries may target any subset
-of {A, Z, X, Y}; queries are forward or inverse oracle calls dispatched
-through an :class:`~spolab.oracles.OracleBackend`.
+A circuit runs on a leading classical label P, one run per row of its
+backend's table, then registers A (work), optionally Z (standard-form
+scratch), X, Y, plus the oracle database D for a database backend.  Local
+unitaries may target any subset of {P, A, Z, X, Y}; queries are forward or
+inverse oracle calls dispatched through an
+:class:`~spolab.oracles.OracleBackend`.
 
 The module also provides the concrete adversaries used by the verification
 experiments (classical probes, Grover preimage and double-sided zero search
@@ -37,7 +38,7 @@ from .oracles import (
     swap_operator,
     v_oracle,
 )
-from .permutations import Permutation, all_images, invert
+from .permutations import Permutation, all_images
 from .relations import Relation
 from .states import (
     CQEnsemble,
@@ -89,7 +90,7 @@ class QueryCircuit:
     name: str = ""
 
     def __post_init__(self) -> None:
-        allowed = {"A", "X", "Y"} | ({"Z"} if self.has_z else set())
+        allowed = {"P", "A", "X", "Y"} | ({"Z"} if self.has_z else set())
         for step in self.steps:
             if isinstance(step, LocalUnitary):
                 if not set(step.targets) <= allowed:
@@ -106,8 +107,7 @@ class QueryCircuit:
 
 
 def circuit_layout(circ: QueryCircuit, backend: OracleBackend) -> RegisterLayout:
-    regs = [] if backend.has_database else [("P", len(backend.images))]
-    regs.append(("A", circ.work_dim))
+    regs = [("P", backend.rows), ("A", circ.work_dim)]
     if circ.has_z:
         regs.append(("Z", circ.n))
     regs += [("X", circ.n), ("Y", circ.n)]
@@ -122,42 +122,38 @@ def initial_state(circ: QueryCircuit, backend: OracleBackend) -> StateVector:
         raise BudgetError(f"joint state needs {lay.total_dim} amplitudes "
                           f"(budget {AMPLITUDE_BUDGET})")
     amps = np.zeros(lay.total_dim, dtype=np.complex128)
-    if backend.has_database:
-        nf = database_dim(circ.n)
-        amps.reshape(-1, nf)[0, :] = 1.0 / math.sqrt(nf)
-    else:  # one normalized run per label of P
-        amps.reshape(len(backend.images), -1)[:, 0] = 1.0
+    # One normalized run per label of P, with the database uniform over S_n.
+    nf = database_dim(circ.n) if backend.has_database else 1
+    amps.reshape(backend.rows, -1, nf)[:, 0, :] = 1.0 / math.sqrt(nf)
     return StateVector(lay, amps)
 
 
 def run(circ: QueryCircuit, backend: OracleBackend) -> StateVector:
     """Run the circuit to completion and return the final joint state."""
-    if backend.n != circ.n:
-        raise ValueError(f"backend size {backend.n} != circuit size {circ.n}")
-    state = initial_state(circ, backend)
-    for step in circ.steps:
-        if isinstance(step, Query):
-            state = backend.query(state, step.direction)
-        else:
-            state = apply(step.op, state, step.targets)
-    return state
+    return _execute(circ, backend, None)
 
 
 def run_with_intermediates(
     circ: QueryCircuit, backend: OracleBackend
 ) -> tuple[StateVector, list[tuple[Direction, StateVector]]]:
     """Final state plus (direction, state) right before each query."""
+    pre_query: list[tuple[Direction, StateVector]] = []
+    return _execute(circ, backend, pre_query), pre_query
+
+
+def _execute(circ: QueryCircuit, backend: OracleBackend,
+             pre_query: list | None) -> StateVector:
     if backend.n != circ.n:
         raise ValueError(f"backend size {backend.n} != circuit size {circ.n}")
     state = initial_state(circ, backend)
-    pre_query: list[tuple[Direction, StateVector]] = []
     for step in circ.steps:
         if isinstance(step, Query):
-            pre_query.append((step.direction, state))
+            if pre_query is not None:
+                pre_query.append((step.direction, state))
             state = backend.query(state, step.direction)
         else:
             state = apply(step.op, state, step.targets)
-    return state, pre_query
+    return state
 
 
 def output_distribution(state: StateVector, output: str = "x") -> np.ndarray:
@@ -218,64 +214,57 @@ def random_circuit(seed: int, q: int, work_dim: int, n: int,
 # Standard form (query-count-doubling preprocessing)
 
 
-def standard_form(circ: QueryCircuit) -> QueryCircuit:
-    """Append a scratch register Z=|0> and replace each query by the
-    SWAP / query / CNOT / query / SWAP gadget; makes exactly 2q queries and
-    produces the same joint state on (A,Z),X,Y,D against the twirled oracle
-    for every sigma, tau."""
+def _gadget_form(circ: QueryCircuit, dress: Callable[[Query], tuple[list, list]],
+                 suffix: str) -> QueryCircuit:
+    """Append a scratch register Z=|0> and replace each query q by
+    SWAP / *first / CNOT / *second / SWAP on Y, Z, with dress(q) = (first,
+    second)."""
     if circ.has_z:
         raise ValueError("circuit already carries a Z register")
-    n = circ.n
-    swap_yz = LocalUnitary(("Y", "Z"), swap_operator(n), tag="swapYZ")
-    cnot_yz = LocalUnitary(("Y", "Z"), cnot_operator(n), tag="cnotYZ")
+    swap_yz = LocalUnitary(("Y", "Z"), swap_operator(circ.n), tag="swapYZ")
+    cnot_yz = LocalUnitary(("Y", "Z"), cnot_operator(circ.n), tag="cnotYZ")
     steps: list[Step] = []
     for step in circ.steps:
         if isinstance(step, Query):
-            steps += [swap_yz, Query(step.direction), cnot_yz,
-                      Query(step.direction), swap_yz]
+            first, second = dress(step)
+            steps += [swap_yz, *first, cnot_yz, *second, swap_yz]
         else:
             steps.append(step)
-    return QueryCircuit(n, tuple(steps), work_dim=circ.work_dim,
-                        output=circ.output, has_z=True,
-                        name=circ.name + "+std")
+    return QueryCircuit(circ.n, tuple(steps), work_dim=circ.work_dim,
+                        output=circ.output, has_z=True, name=circ.name + suffix)
 
 
-def dressed_standard_form(circ: QueryCircuit, sigma: Permutation,
-                          tau: Permutation) -> QueryCircuit:
+def standard_form(circ: QueryCircuit) -> QueryCircuit:
+    """The SWAP / query / CNOT / query / SWAP gadget in place of each query;
+    makes exactly 2q queries and produces the same joint state on
+    (A,Z),X,Y,D against the twirled oracle for every sigma, tau."""
+    return _gadget_form(circ, lambda q: ([q], [q]), "+std")
+
+
+def dressed_standard_form(circ: QueryCircuit, sigma: Permutation | np.ndarray,
+                          tau: Permutation | np.ndarray) -> QueryCircuit:
     """The standard-form circuit with V-dressed queries: run against the
-    *untwirled* oracle it reproduces the twirled run of the original."""
-    if circ.has_z:
-        raise ValueError("circuit already carries a Z register")
-    n = circ.n
-    swap_yz = LocalUnitary(("Y", "Z"), swap_operator(n), tag="swapYZ")
-    cnot_yz = LocalUnitary(("Y", "Z"), cnot_operator(n), tag="cnotYZ")
+    *untwirled* oracle it reproduces the twirled run of the original.  With
+    (K, N) tables sigma and tau, each V is a basis map on (P, X) or (P, Y)
+    acting by row k on label k, against the K-row identity table."""
+    sigmas, taus = image_table(sigma), image_table(tau)
+    if sigmas.shape != taus.shape:
+        raise ValueError(f"sigma and tau tables differ: {sigmas.shape} vs {taus.shape}")
 
-    def vx(p: Permutation, tag: str) -> LocalUnitary:
-        return LocalUnitary(("X",), v_oracle(p), tag=tag)
+    def v(register: str, table: np.ndarray, inverse: bool, tag: str) -> LocalUnitary:
+        return LocalUnitary(("P", register), v_oracle(table, inverse),
+                            tag=tag + ("-" if inverse else ""))
 
-    def vy(p: Permutation, tag: str) -> LocalUnitary:
-        return LocalUnitary(("Y",), v_oracle(p), tag=tag)
+    def dress(q: Query) -> tuple[list, list]:
+        # V^pre on X and V^post on Y: sigma, tau forward; tau, sigma inverse.
+        forward = q.direction == "forward"
+        pre, post = (sigmas, taus) if forward else (taus, sigmas)
+        a, b = ("Vs", "Vt") if forward else ("Vt", "Vs")
+        vx, vx_inv = v("X", pre, False, a), v("X", pre, True, a)
+        return ([vx, q, v("Y", post, True, b), vx_inv],
+                [v("Y", post, False, b), vx, q, vx_inv])
 
-    sigma_inv, tau_inv = invert(sigma), invert(tau)
-    steps: list[Step] = []
-    for step in circ.steps:
-        if not isinstance(step, Query):
-            steps.append(step)
-            continue
-        if step.direction == "forward":
-            first = [vx(sigma, "Vs"), Query("forward"), vy(tau_inv, "Vt-"),
-                     vx(sigma_inv, "Vs-")]
-            second = [vy(tau, "Vt"), vx(sigma, "Vs"), Query("forward"),
-                      vx(sigma_inv, "Vs-")]
-        else:
-            first = [vx(tau, "Vt"), Query("inverse"), vy(sigma_inv, "Vs-"),
-                     vx(tau_inv, "Vt-")]
-            second = [vy(sigma, "Vs"), vx(tau, "Vt"), Query("inverse"),
-                      vx(tau_inv, "Vt-")]
-        steps += [swap_yz, *first, cnot_yz, *second, swap_yz]
-    return QueryCircuit(n, tuple(steps), work_dim=circ.work_dim,
-                        output=circ.output, has_z=True,
-                        name=circ.name + "+dressed")
+    return _gadget_form(circ, dress, "+dressed")
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +283,12 @@ def concrete_ensemble(circ: QueryCircuit) -> CQEnsemble:
 
 
 def spo_ensemble(circ: QueryCircuit, backend: OracleBackend) -> CQEnsemble:
-    """Init + run + recover against a database backend, twirled or not."""
+    """Init + run + recover against a one-row database backend, twirled or
+    not; a K-row run is read one label of P at a time with spo_recover."""
+    if backend.rows != 1:
+        raise ValueError(f"spo_ensemble reads one run, got {backend.rows} rows")
     final = run(circ, backend)
-    return spo_recover(final, sigma=backend.sigma, tau=backend.tau)
+    return spo_recover(final, sigma=backend.sigmas, tau=backend.taus)
 
 
 # --------------------------------------------------------------------------

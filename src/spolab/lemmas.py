@@ -40,6 +40,7 @@ from .oracles import (
     perm_tables,
     project_plus_db,
     query_slice_map,
+    shift_table,
     spo_backend,
     spo_query,
     _db_size_from_layout,
@@ -506,7 +507,7 @@ def query_step_check(state: StateVector, x: int, rel: Relation,
     amps = _db_block(state)
     mask = _section_mask(rel, x)
     before = float(np.linalg.norm(_apply_progress(amps, n, x, mask)))
-    queried = spo_query(state, direction)
+    queried = spo_query(state, shift_table(n, direction))
     after = float(np.linalg.norm(_apply_progress(_db_block(queried), n, x, mask)))
     comp_norm = float(np.linalg.norm(project_plus_db(amps, n, x, complement=True)))
     zeta = zeta_terms(state, x, rel, direction)
@@ -630,7 +631,8 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
 
 
 def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
-                    plan: TwirlPlan) -> list[VerificationReport]:
+                    plan: TwirlPlan, gamma: LinearOperator | None = None,
+                    ) -> list[VerificationReport]:
     """The progress rows of one circuit against each named relation.
 
     Per relation R: N * progress_measure equals the p_(ii)-dominating
@@ -642,8 +644,8 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
     and the three crucial-term bounds.  Each twirl average is computed once
     per relation.  The sparsity tail sum_j E[...] does not depend on R; it is
     sum_j <phi_j|Gamma|phi_j> over the standard-form pre-query states (the
-    identity the sparsity rows check), computed once per circuit.  A row's
-    runtime_ms is the time of the averages it reads.
+    identity the sparsity rows check), once per circuit, with ``gamma`` if
+    given.  A row's runtime_ms is the time of the averages it reads.
     """
     _require_exhaustive(plan, "progress_checks")
     n = circ.n
@@ -656,8 +658,8 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         return value, (time.perf_counter() - start) * 1000.0
 
     def sparsity_tail() -> float:
-        gamma = gamma_operator(n)
-        return sum(gamma_expectation(state, gamma)
+        g = gamma_operator(n) if gamma is None else gamma
+        return sum(gamma_expectation(state, g)
                    for _direction, state in standard_form_prequery_states(circ))
 
     tail = None
@@ -838,17 +840,17 @@ def commutator_norm(n: int, direction: str,
 
 
 def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
-                              name: str = "") -> list[VerificationReport]:
+                              name: str = "", gamma: LinearOperator | None = None,
+                              ) -> list[VerificationReport]:
     """<phi^(j)| Gamma |phi^(j)> <= 6 j (ln N + 1) / N^2 along the run, with
     per-step increments bounded by the matching commutator norm; when a plan
     is given, the Gamma expectation is also matched against the direct twirl
-    average (the defining identity) to 1e-10."""
+    average (the defining identity) to 1e-10; Gamma is built unless given."""
     if plan is not None:
         _require_exhaustive(plan, "sparsity_trajectory_check")
     n = circ.n
-    gamma = gamma_operator(n)
-    backend = spo_backend(n)
-    final, pre = run_with_intermediates(circ, backend)
+    gamma = gamma_operator(n) if gamma is None else gamma
+    final, pre = run_with_intermediates(circ, spo_backend(n))
     states = [state for _d, state in pre] + [final]
     directions = [d for d, _s in pre]
     per_query = 6.0 * (math.log(n) + 1.0) / n ** 2

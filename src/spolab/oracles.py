@@ -1,21 +1,22 @@
 """Quantum-accessible permutation oracles on registers X, Y, D.
 
-An :class:`OracleBackend` is one of two oracles:
+An :class:`OracleBackend` runs one normalized circuit run per label k of a
+leading classical register P, against row k of a (K, N) table:
 
 * concrete (it holds ``images``): the XOR unitaries U^pi, U^{pi^{-1}} on
-  X, Y for each row of a (K, N) table of permutations, selected by a
-  classical label register P, with no database; the in-place variants V^pi
-  act on X alone.
+  X, Y for each row of a table of permutations, with no database; the
+  in-place variants V^pi act on X (on P, X for a table).
 * database (no ``images``): the superposition permutation oracle.  The
   database D is a block of registers D_n ... D_1 whose flat index is the
   mixed-radix factor label of a permutation; queries XOR pi(x) (or its
   inverse) into Y, controlled on the database in the permutation basis.
-  Given sigma and tau it is the twirled oracle, the same query on the
-  database relabelled by L^tau R^sigma.
+  Row k of the tables ``sigmas`` and ``taus`` twirls it: the same query on
+  the database relabelled by L^{tau_k} R^{sigma_k}.  The untwirled oracle
+  is the one-row identity pair.
 
 Database queries are basis permutations of the joint (X, Y, D) space,
-applied as pure index shuffles backed by precomputed tables pi_d(x) and
-pi_d^{-1}(x) for every database label d.
+applied as pure index shuffles read from one (K, N, N!) shift table: the
+value shifted into Y for every row k, input x and database label d.
 """
 from __future__ import annotations
 
@@ -171,10 +172,16 @@ def u_oracle(images: Permutation | np.ndarray,
                             label=f"U^pi{'^-1' if inverse else ''}")
 
 
-def v_oracle(p: Permutation, inverse: bool = False) -> LinearOperator:
-    """In-place oracle on X: |x> -> |pi^{+-1}(x)>; any N."""
-    images = np.array((invert(p) if inverse else p).images)
-    return from_permutation((p.n,), images,
+def v_oracle(images: Permutation | np.ndarray,
+             inverse: bool = False) -> LinearOperator:
+    """In-place oracle on P (x) X for a (K, N) table of one-line images:
+    |k, x> -> |k, pi_k^{+-1}(x)>; any N."""
+    table = image_table(images)
+    if inverse:
+        table = np.argsort(table, axis=1)
+    k, n = table.shape
+    mapping = (np.arange(k)[:, None] * n + table).reshape(-1)
+    return from_permutation((k, n), mapping,
                             label=f"V^pi{'^-1' if inverse else ''}")
 
 
@@ -211,83 +218,62 @@ def spo_init(n: int) -> StateVector:
     return product_uniform(database_layout(n))
 
 
-@lru_cache(maxsize=None)
-def _shift_table(n: int, direction: str,
-                 sigma_images: tuple[int, ...] | None,
-                 tau_images: tuple[int, ...] | None) -> np.ndarray:
-    """v[x, d]: the value XORed into Y for input x on database label d."""
+def shift_table(n: int, direction: str,
+                sigmas: Permutation | np.ndarray | None = None,
+                taus: Permutation | np.ndarray | None = None) -> np.ndarray:
+    """v[k, x, d]: the value shifted into Y for input x on database label d
+    under row k of the (K, N) sigma and tau tables (one permutation is a
+    one-row table, None the identity): tau_k^{-1} pi_d sigma_k (x) forward,
+    sigma_k^{-1} pi_d^{-1} tau_k (x) inverse."""
     pi, inv = perm_tables(n)
     if direction == "forward":
-        base, pre, post = pi, sigma_images, tau_images
+        base, pre, post = pi, sigmas, taus
     elif direction == "inverse":
-        base, pre, post = inv, tau_images, sigma_images
+        base, pre, post = inv, taus, sigmas
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    xs = np.arange(n)
-    if pre is not None:
-        xs = np.array(pre)[xs]
-    table = base[:, xs].T.copy()  # (n, n!)
-    if post is not None:
-        post_inv = np.empty(n, dtype=np.int64)
-        post_inv[np.array(post)] = np.arange(n)
-        table = post_inv[table]
-    table.setflags(write=False)
-    return table
+    ident = np.arange(n)[None, :]
+    pre = ident if pre is None else image_table(pre)
+    post_inv = ident if post is None else np.argsort(image_table(post), axis=1)
+    table = base[:, pre].transpose(1, 2, 0)  # (K, n, n!): pi_d(pre_k(x))
+    return post_inv[np.arange(len(post_inv))[:, None, None], table]
 
 
-def _xy_db_view(state: StateVector, n: int) -> np.ndarray:
-    """View as (rest, N, N, N!) requiring X, Y, then the D block trailing."""
-    lay = state.layout
-    names = lay.names
-    db = database_names(n)
-    if names[-len(db):] != db or names[-len(db) - 2: -len(db)] != ("X", "Y"):
-        raise LayoutError("expected registers ..., X, Y, D_n..D_1")
-    nf = database_dim(n)
-    return state.amps.reshape(-1, n, n, nf)
-
-
-def spo_query(state: StateVector, direction: str,
-              sigma: Permutation | None = None,
-              tau: Permutation | None = None) -> StateVector:
-    """One (possibly twirled) oracle query; D is untouched (control only)."""
-    n = state.layout.dim("X")
-    _require_xor(n)
-    shift = _shift_table(
-        n, direction,
-        None if sigma is None else sigma.images,
-        None if tau is None else tau.images,
-    )
-    arr = _xy_db_view(state, n)
-    out = np.empty_like(arr)
-    nf = arr.shape[-1]
-    y_idx = np.arange(n)[:, None]
-    d_idx = np.arange(nf)[None, :]
-    for x in range(n):
-        src_y = y_idx ^ shift[x][None, :]
-        out[:, x, :, :] = arr[:, x, src_y, d_idx]
-    return StateVector(state.layout, out.reshape(-1))
+def slice_maps(shift: np.ndarray, x: int) -> np.ndarray:
+    """The (K, N * N!) basis maps |y, d> -> |y + v[k, x, d], d> of O^{SPO,x}
+    on Y (x) D, d fastest, one per row k of a shift table v.  The Y action
+    is XOR for power-of-two N and addition mod N otherwise: the
+    Gamma-commutator analysis only needs *some* group shift by pi_d(x), so
+    its growth check covers the non-power-of-two sizes too."""
+    k, n, nf = shift.shape
+    ys, v = np.arange(n)[:, None], shift[:, x, None, :]
+    ys = ys ^ v if is_power_of_two(n) else (ys + v) % n
+    return (ys * nf + np.arange(nf)).reshape(k, -1)
 
 
 def query_slice_map(n: int, x: int, direction: str,
                     sigma: Permutation | None = None,
                     tau: Permutation | None = None) -> np.ndarray:
-    """The (y, d) basis map of O^{SPO,x} on Y (x) D, d varying fastest:
-    |y, d> -> |y + v[x, d], d> for the (twirled) shift table v of spo_query.
+    """The (y, d) basis map of O^{SPO,x} on Y (x) D for one (sigma, tau)."""
+    return slice_maps(shift_table(n, direction, sigma, tau), x)[0]
 
-    The Y action is XOR for power-of-two N and addition mod N otherwise;
-    the Gamma-commutator analysis only needs *some* group shift by pi_d(x),
-    so the non-power-of-two sizes of its growth check are covered too.
-    """
-    shift = _shift_table(n, direction,
-                         None if sigma is None else sigma.images,
-                         None if tau is None else tau.images)[x]
-    y_grid = np.arange(n)[:, None]
-    if is_power_of_two(n):
-        ys = y_grid ^ shift[None, :]
-    else:
-        ys = (y_grid + shift[None, :]) % n
-    nf = shift.size
-    return (ys * nf + np.arange(nf)[None, :]).reshape(-1)
+
+def spo_query(state: StateVector, shift: np.ndarray) -> StateVector:
+    """One oracle query per run on P: row k of the (K, N, N!) shift table
+    acts on the run of label k (a state without P is one run); D is
+    untouched (control only)."""
+    k, n, nf = shift.shape
+    _require_xor(n)
+    lay = state.layout
+    runs = lay.shape[0] if lay.names[0] == "P" else 1
+    if lay.names[-n - 2:] != ("X", "Y", *database_names(n)) or runs != k:
+        raise LayoutError(f"expected P ({k} runs), ..., X, Y, D_n..D_1: {lay.names}")
+    arr = state.amps.reshape(k, -1, n, n * nf)
+    out = np.empty_like(arr)
+    for x in range(n):  # an XOR map is its own inverse, so it gathers too
+        out[:, :, x] = np.take_along_axis(arr[:, :, x], slice_maps(shift, x)[:, None],
+                                          axis=-1)
+    return StateVector(lay, out.reshape(-1))
 
 
 def twirl(state: StateVector, side: str, perm: Permutation) -> StateVector:
@@ -306,23 +292,24 @@ def twirl(state: StateVector, side: str, perm: Permutation) -> StateVector:
     return StateVector(state.layout, out.reshape(-1))
 
 
-def spo_recover(state: StateVector, sigma: Permutation | None = None,
-                tau: Permutation | None = None) -> CQEnsemble:
-    """Full computational-basis readout of D as a label table.
-
-    Row d is labelled by the one-line images of pi_d, which the TSPO variant
-    relabels as tau^{-1} pi_d sigma.  Residual states keep all non-database
-    registers and are subnormalized by the outcome amplitude.
-    """
+def spo_recover(state: StateVector, sigma: Permutation | np.ndarray | None = None,
+                tau: Permutation | np.ndarray | None = None,
+                row: int = 0) -> CQEnsemble:
+    """Full computational-basis readout of D in the run on label ``row`` of
+    P (a state without P is one run) as a label table.  Row d is labelled
+    by the one-line images of pi_d, which the TSPO variant relabels as
+    tau^{-1} pi_d sigma.  Residual states keep all registers but P and D,
+    and are subnormalized by the outcome amplitude."""
     lay = state.layout
     n = _db_size_from_layout(lay)
     labels, _ = perm_tables(n)
     if sigma is not None:
-        labels = labels[:, np.array(sigma.images)]
+        labels = labels[:, image_table(sigma)[0]]
     if tau is not None:
-        labels = np.array(invert(tau).images)[labels]
-    amps = np.ascontiguousarray(state.amps.reshape(-1, database_dim(n)).T)
-    return CQEnsemble(labels, lay.drop(database_names(n)), amps)
+        labels = np.argsort(image_table(tau)[0])[labels]
+    runs = state.amps.reshape(lay.dim("P") if lay.has("P") else 1, -1, database_dim(n))
+    amps = np.ascontiguousarray(runs[row].T)
+    return CQEnsemble(labels, lay.drop(("P", *database_names(n))), amps)
 
 
 def _db_size_from_layout(lay: RegisterLayout) -> int:
@@ -368,45 +355,63 @@ def project_plus_db(block: np.ndarray, n: int, x: int,
 class OracleBackend:
     """Dispatch point for query application during circuit runs.
 
-    A backend holding ``images``, a (K, N) table of one-line images, is the
-    concrete oracle: U^{pi_k} on X, Y for label k of the register P.
-    Without it, it is the database oracle, twirled by ``sigma``/``tau`` when
-    given.
+    Every run leads with the classical label register P: label k carries
+    one normalized run against row k of the backend's table.  A backend
+    holding ``images``, a (K, N) table of one-line images, is the concrete
+    oracle: U^{pi_k} on X, Y.  Without it, it is the database oracle
+    twirled by L^{tau_k} R^{sigma_k}, from the (K, N) tables ``sigmas`` and
+    ``taus``; a missing table is K identity rows, so with neither it is the
+    untwirled oracle on one row.
     """
 
     n: int
     images: np.ndarray | None = None
-    sigma: Permutation | None = None
-    tau: Permutation | None = None
+    sigmas: np.ndarray | None = None
+    taus: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.images is not None:
-            if self.sigma is not None or self.tau is not None:
+            if self.sigmas is not None or self.taus is not None:
                 raise ValueError("a concrete backend takes no sigma or tau; "
                                  "twirl the database oracle instead")
-            table = image_table(self.images)
-            if table.shape[1] != self.n:
-                raise ValueError(f"concrete backend needs permutations of size "
-                                 f"{self.n}, got width {table.shape[1]}")
-            object.__setattr__(self, "images", table)
+            object.__setattr__(self, "images", self._table(self.images))
             return
         if self.n > EXACT_DB_LIMIT:
             raise SizeLimitError(
                 f"full database simulation capped at n={EXACT_DB_LIMIT}")
-        if any(p is not None and p.n != self.n for p in (self.sigma, self.tau)):
-            raise ValueError("sigma and tau must be permutations of size n")
+        tables = [None if t is None else self._table(t)
+                  for t in (self.sigmas, self.taus)]
+        rows = {len(t) for t in tables if t is not None} or {1}
+        if len(rows) > 1:
+            raise ValueError(f"sigma and tau tables have unequal row counts {rows}")
+        ident = image_table(np.tile(np.arange(self.n), (rows.pop(), 1)))
+        for name, table in zip(("sigmas", "taus"), tables):
+            object.__setattr__(self, name, ident if table is None else table)
+
+    def _table(self, perms: Permutation | np.ndarray) -> np.ndarray:
+        table = image_table(perms)
+        if table.shape[1] != self.n:
+            raise ValueError(f"backend needs permutations of size {self.n}, "
+                             f"got width {table.shape[1]}")
+        return table
 
     @property
     def has_database(self) -> bool:
         return self.images is None
 
+    @property
+    def rows(self) -> int:
+        """The dimension of P: one run per row of the backend's table."""
+        return len(self.sigmas if self.has_database else self.images)
+
     def query(self, state: StateVector, direction: str) -> StateVector:
         if self.images is not None:
             return self._concrete_query(state, direction)
-        return spo_query(state, direction, sigma=self.sigma, tau=self.tau)
+        inverse = direction == "inverse"
+        return spo_query(state, self._shift_inverse if inverse else self._shift_forward)
 
-    # U^pi and U^{pi^{-1}} are built once per backend, on first use; they
-    # live as long as the backend, so nothing outlives a trial.
+    # U^pi, U^{pi^{-1}} and the shift tables are built once per backend, on
+    # first use; they live as long as the backend, so nothing outlives a trial.
     @cached_property
     def _u_forward(self) -> LinearOperator:
         return u_oracle(self.images)
@@ -414,6 +419,14 @@ class OracleBackend:
     @cached_property
     def _u_inverse(self) -> LinearOperator:
         return u_oracle(self.images, inverse=True)
+
+    @cached_property
+    def _shift_forward(self) -> np.ndarray:
+        return shift_table(self.n, "forward", self.sigmas, self.taus)
+
+    @cached_property
+    def _shift_inverse(self) -> np.ndarray:
+        return shift_table(self.n, "inverse", self.sigmas, self.taus)
 
     def _concrete_query(self, state: StateVector, direction: str) -> StateVector:
         """U^pi (forward) or U^{pi^{-1}} (inverse) applied on P, X, Y."""
@@ -427,7 +440,8 @@ def concrete_backend(perms: Permutation | np.ndarray) -> OracleBackend:
     return OracleBackend(table.shape[1], images=table)
 
 
-def spo_backend(n: int, sigma: Permutation | None = None,
-                tau: Permutation | None = None) -> OracleBackend:
-    """The database oracle; with sigma/tau, its twirl by L^tau R^sigma."""
-    return OracleBackend(n, sigma=sigma, tau=tau)
+def spo_backend(n: int, sigma: Permutation | np.ndarray | None = None,
+                tau: Permutation | np.ndarray | None = None) -> OracleBackend:
+    """The database oracle; with sigma/tau (permutations or (K, N) tables),
+    its twirl by L^{tau_k} R^{sigma_k} on each label k of P."""
+    return OracleBackend(n, sigmas=sigma, taus=tau)

@@ -10,6 +10,7 @@ a full health check at any supported n.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -55,8 +56,11 @@ from .oracles import (
     left_right_map,
     perm_tables,
     query_slice_map,
+    shift_table,
+    slice_maps,
     spo_backend,
     spo_init,
+    spo_recover,
     twirl,
     u_oracle,
     v_oracle,
@@ -100,7 +104,7 @@ from .relations import (
     zero_search_relation,
 )
 from .reporting import VerificationReport, check, check_close
-from .states import LayoutError, RegisterLayout, StateVector, trace_distance
+from .states import StateVector, trace_distance
 
 DEFAULT_SEED = 20240917
 
@@ -231,7 +235,7 @@ def active_sets_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRepo
             if got != expected:
                 bad_prob += 1
             marginals.append(expected)
-        for pattern in _all_patterns(m):
+        for pattern in itertools.product((0, 1), repeat=m):
             expected = Fraction(1)
             for k in range(m):
                 pk = marginals[k]
@@ -276,15 +280,6 @@ def active_sets_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRepo
     out.append(check("inverse-active-vs-active-of-inverse-smallest-n",
                      smallest, 2, tol=0.0, note="witness recorded, not asserted"))
     return out
-
-
-def _all_patterns(m: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    patterns = []
-    for bits in itertools.product((0, 1), repeat=m):
-        patterns.append(bits)
-    return patterns
 
 
 def _wrong_side_checks(n: int) -> list[VerificationReport]:
@@ -380,18 +375,11 @@ def uv_identity_checks(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRep
                        tol=1e-12),
            check_close("u-from-v-inverse", float(np.abs(lhs2 - u_b).max()), 0.0,
                        tol=1e-12)]
-    zero_y = np.zeros(n)
-    zero_y[0] = 1.0
+    zero_y = eye[:, :1]  # column x of kron(I, |0>) is |x>|0>
     for tag, v_mat, first, second in (("v-from-u-forward", v_f, u_f, u_b),
                                       ("v-from-u-inverse", v_b, u_b, u_f)):
-        worst = 0.0
-        for x in range(n):
-            e_x = np.zeros(n)
-            e_x[x] = 1.0
-            state = np.kron(e_x, zero_y)
-            got = second @ (swap @ (first @ state))
-            want = np.kron(v_mat @ e_x, zero_y)
-            worst = max(worst, float(np.abs(got - want).max()))
+        got = second @ (swap @ (first @ np.kron(eye, zero_y)))
+        worst = float(np.abs(got - np.kron(v_mat, zero_y)).max())
         out.append(check_close(tag, worst, 0.0, tol=1e-12))
     return out
 
@@ -416,6 +404,14 @@ def small_x_untouched_checks(n: int) -> list[VerificationReport]:
     return [check(f"small-x-not-touched[n={n}]", violations, 0, tol=0.0)]
 
 
+def _sigma_rows(n: int):
+    """Each sigma-row of the exhaustive plan, in plan order, as (K, N)
+    tables (sigmas, taus): one sigma repeated against every tau."""
+    taus = all_images(n)
+    for sigma in taus:
+        yield np.tile(sigma, (len(taus), 1)), taus
+
+
 def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
                           max_q: int = 3) -> list[VerificationReport]:
     if not is_power_of_two(n) or n > 4:
@@ -423,7 +419,6 @@ def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
     out = uv_identity_checks(n, seed)
     out.extend(small_x_untouched_checks(n))
     circuits = suite_circuits(n, seed, max_q=max_q)
-    perms = list(all_permutations(n))
     for circ in circuits:
         base = concrete_ensemble(circ)
         spo = spo_ensemble(circ, spo_backend(n))
@@ -431,54 +426,56 @@ def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
                          trace_distance(base, spo), 1e-9, tol=0.0))
     # spo vs tspo: identical (pi, B) ensembles for every fixed pair; this is
     # the exact factorization of the joint (sigma, tau, pi, B) distribution.
+    # One twirled run per sigma carries every tau, one per label of P.
     probe = circuits[1]
     spo_ens = spo_ensemble(probe, spo_backend(n))
+    start = time.perf_counter()
     worst = 0.0
-    for sigma in perms:
-        for tau in perms:
-            twirled = spo_ensemble(probe, spo_backend(n, sigma=sigma, tau=tau))
-            worst = max(worst, trace_distance(spo_ens, twirled))
-    out.append(check(f"spo-vs-tspo-all-pairs[{probe.name}]", worst, 1e-9, tol=0.0))
+    for sigmas, taus in _sigma_rows(n):
+        final = run(probe, spo_backend(n, sigma=sigmas, tau=taus))
+        for k in range(len(taus)):
+            worst = max(worst, trace_distance(
+                spo_ens, spo_recover(final, sigmas[k], taus[k], row=k)))
+    out.append(check(f"spo-vs-tspo-all-pairs[{probe.name}]", worst, 1e-9, tol=0.0,
+                     runtime_ms=(time.perf_counter() - start) * 1000.0,
+                     pairs=len(taus) ** 2))
     out.extend(standard_form_checks(n, seed))
     return out
 
 
 def standard_form_checks(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    """The three standard-form experiments agree for every (sigma, tau)."""
+    """The three standard-form experiments agree for every (sigma, tau), each
+    run once per sigma-row; experiment 3, the dressed circuit, against the
+    all-identity table.  Experiments 2 and 3 must equal experiment 1 on
+    Z = 0 and vanish on every Z != 0; both rows time all three runs."""
     out = []
-    perms = list(all_permutations(n))
+    k = math.factorial(n)
+    identity_rows = spo_backend(n, sigma=np.tile(np.arange(n), (k, 1)))
+
+    def deviation(got: StateVector, ref: np.ndarray) -> float:
+        z = got.amps.reshape(*ref.shape[:2], n, -1)
+        return max(float(np.abs(z[:, :, :1] - ref).max()),
+                   float(np.abs(z[:, :, 1:]).max()))
+
     for circ in (classical_probe(n, 0, "forward"),
                  random_circuit(seed + 9, 2, 2, n)):
         b = standard_form(circ)
         out.append(check_close(f"std-doubles-queries[{circ.name}]",
                                b.query_count, 2 * circ.query_count, tol=0.0))
+        start = time.perf_counter()
         worst12 = worst13 = 0.0
-        for sigma in perms:
-            for tau in perms:
-                twirled = spo_backend(n, sigma=sigma, tau=tau)
-                ref_z = _append_zero_z(run(circ, twirled), n)
-                got2 = run(b, twirled)
-                worst12 = max(worst12, float(np.abs(ref_z.amps - got2.amps).max()))
-                got3 = run(dressed_standard_form(circ, sigma, tau), spo_backend(n))
-                worst13 = max(worst13, float(np.abs(ref_z.amps - got3.amps).max()))
+        for sigmas, taus in _sigma_rows(n):
+            twirled = spo_backend(n, sigma=sigmas, tau=taus)
+            ref = run(circ, twirled).amps.reshape(len(taus), circ.work_dim, 1, -1)
+            worst12 = max(worst12, deviation(run(b, twirled), ref))
+            dressed = dressed_standard_form(circ, sigmas, taus)
+            worst13 = max(worst13, deviation(run(dressed, identity_rows), ref))
+        elapsed = (time.perf_counter() - start) * 1000.0
         out.append(check(f"std-experiment-1-vs-2[{circ.name}]", worst12, 1e-12,
-                         tol=0.0))
+                         tol=0.0, runtime_ms=elapsed, pairs=k * k))
         out.append(check(f"std-experiment-1-vs-3[{circ.name}]", worst13, 1e-12,
-                         tol=0.0))
+                         tol=0.0, runtime_ms=elapsed, pairs=k * k))
     return out
-
-
-def _append_zero_z(state: StateVector, n: int) -> StateVector:
-    """Tensor a |0>_Z register into the layout position used by standard form."""
-    lay = state.layout
-    regs = list(lay.registers)
-    if regs[0][0] != "A" or lay.has("Z"):
-        raise LayoutError(f"expected a leading A register and no Z, got {lay.names}")
-    a_dim = regs[0][1]
-    amps = np.zeros((a_dim, n, lay.total_dim // a_dim), dtype=np.complex128)
-    amps[:, 0, :] = state.amps.reshape(a_dim, -1)
-    return StateVector(RegisterLayout((regs[0], ("Z", n), *regs[1:])),
-                       amps.reshape(-1))
 
 
 def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
@@ -487,7 +484,6 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     out = []
     perms = list(all_permutations(n))
     nf = database_dim(n)
-    pi_table, _ = perm_tables(n)
 
     # Initial-state invariance is exact: uniform amplitudes permuted in place.
     init = spo_init(n)
@@ -502,7 +498,6 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     # untwirled one -- both as exact integer label maps.
     bad_commute = 0
     bad_conjugate = 0
-    arange = np.arange(nf)
     for sigma in perms:
         rm = left_right_map(n, sigma=sigma)
         for tau in perms:
@@ -516,41 +511,41 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     out.append(check(f"left-right-compose[n={n}]", bad_conjugate, 0, tol=0.0))
 
     # The twirled query equals (L R) O^SPO (L R)^{-1}: exact label-map identity
-    # on the joint (x, y, d) basis, the slice maps of O^{SPO,x} side by side.
+    # on the joint (x, y, d) basis, the slice maps of O^{SPO,x} side by side,
+    # for a whole sigma-row of the plan at once.
+    plan = make_twirl_plan(n)
     bad_ops = 0
-    joint = np.arange(n * n * nf)
-    rest, d_part = np.divmod(joint, nf)
+    rest, d_part = np.divmod(np.arange(n * n * nf), nf)
 
-    def joint_map(direction, sigma=None, tau=None):
-        return np.concatenate([x * n * nf
-                               + query_slice_map(n, x, direction, sigma, tau)
-                               for x in range(n)])
+    def joint_maps(shift: np.ndarray) -> np.ndarray:
+        return np.concatenate([x * n * nf + slice_maps(shift, x)
+                               for x in range(n)], axis=1)
 
     for direction in ("forward", "inverse"):
-        base_map = joint_map(direction)
-        for sigma in perms:
-            for tau in perms:
-                twisted = joint_map(direction, sigma, tau)
-                m = left_right_map(n, tau=tau, sigma=sigma)
-                minv = np.empty_like(m)
-                minv[m] = arange
-                p_lr = rest * nf + m[d_part]       # joint action of L R
-                p_lr_inv = rest * nf + minv[d_part]
-                conj = p_lr[base_map[p_lr_inv]]
-                if not np.array_equal(conj, twisted):
-                    bad_ops += 1
+        base_map = joint_maps(shift_table(n, direction))[0]
+        for i, (sigmas, taus) in enumerate(_sigma_rows(n)):
+            minv = plan.right_inv[i][plan.left_inv]  # (L R)^{-1} per tau
+            p_lr = rest * nf + np.argsort(minv, axis=1)[:, d_part]  # L R
+            conj = np.take_along_axis(p_lr, base_map[rest * nf + minv[:, d_part]], 1)
+            twisted = joint_maps(shift_table(n, direction, sigmas, taus))
+            bad_ops += int((conj != twisted).any(axis=1).sum())
     out.append(check(f"twirled-query-conjugation[n={n}]", bad_ops, 0, tol=0.0))
 
-    # Output state twisted vs not, for the suite circuits, all pairs.
+    # Output state twisted vs not, for the suite circuits, all pairs: row k
+    # of one twirled run per sigma equals the untwirled run relabelled by
+    # (sigma, tau_k), i.e. plain[..., minv_k] with the plan's label maps.
     for circ in suite_circuits(n, seed, max_q=2):
-        plain = run(circ, spo_backend(n))
+        start = time.perf_counter()
+        plain = run(circ, spo_backend(n)).amps.reshape(-1, nf)
         worst = 0.0
-        for sigma in perms:
-            for tau in perms:
-                direct = run(circ, spo_backend(n, sigma=sigma, tau=tau))
-                relabeled = twirl(twirl(plain, "right", sigma), "left", tau)
-                worst = max(worst, float(np.abs(direct.amps - relabeled.amps).max()))
-        out.append(check(f"twisted-vs-not[{circ.name}]", worst, 1e-12, tol=0.0))
+        for i, (sigmas, taus) in enumerate(_sigma_rows(n)):
+            direct = run(circ, spo_backend(n, sigma=sigmas, tau=taus))
+            relabeled = plain[:, plan.right_inv[i][plan.left_inv]].transpose(1, 0, 2)
+            worst = max(worst, float(np.abs(direct.amps.reshape(relabeled.shape)
+                                            - relabeled).max()))
+        out.append(check(f"twisted-vs-not[{circ.name}]", worst, 1e-12, tol=0.0,
+                         runtime_ms=(time.perf_counter() - start) * 1000.0,
+                         pairs=plan.pair_count))
 
     # Relation twirling: identity twirl fixes R; r_max and size invariant.
     rels = suite_relations(n)
@@ -576,17 +571,12 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
 def help_norm_suite(n: int) -> list[VerificationReport]:
     if n > 5:
         raise ValueError("exhaustive help-norm suite capped at n=5")
-    import itertools
-
     worst = -1.0
-    equality_seen = 0.0
     for x in range(n):
         for r in range(n + 1):
             for y_set in itertools.combinations(range(n), r):
                 norm, bound = help_norm(n, x, set(y_set))
                 worst = max(worst, norm - bound)
-                if abs(norm - bound) < 1e-12 and r:
-                    equality_seen += 1
     out = [check(f"help-norm-bound[n={n},all-subsets]", worst, 0.0)]
     if n >= 2:
         norm, bound = help_norm(2, 1, {0})
@@ -633,11 +623,12 @@ def progress_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
     if n > 4 or not is_power_of_two(n):
         raise ValueError("progress suite runs exhaustively at n in {2, 4}")
     plan = make_twirl_plan(n)
+    gamma = gamma_operator(n)
     out = []
     circuits = suite_circuits(n, seed, max_q=2)
     rels = suite_relations(n)
     for circ in circuits:
-        out.extend(progress_checks(circ, rels, plan))
+        out.extend(progress_checks(circ, rels, plan, gamma))
     # Per-query inequalities at every intermediate state of every run.
     from .circuits import run_with_intermediates
 
@@ -717,9 +708,10 @@ def sparsity_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
     if not is_power_of_two(n) or n > 4:
         raise ValueError("sparsity suite runs at n in {2, 4}")
     plan = make_twirl_plan(n)
+    gamma = gamma_operator(n)
     out = []
     for circ in suite_circuits(n, seed, max_q=3):
-        out.extend(sparsity_trajectory_check(circ, plan))
+        out.extend(sparsity_trajectory_check(circ, plan, gamma=gamma))
     return out
 
 

@@ -1,8 +1,9 @@
 """Builders that only the tests use: basis states, database labels, a
-loading query, a counter of circuit runs, a dense trace-distance reference,
-the scalar permutation sampler and dense Grover steps."""
+loading query, counters of calls and of circuit runs, a dense trace-distance
+reference, the scalar permutation sampler and dense Grover steps."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -66,19 +67,29 @@ def with_loading_query(circ: QueryCircuit) -> QueryCircuit:
                         has_z=True, name=circ.name + "+load")
 
 
+def count_calls(monkeypatch, module, name: str, record=None) -> list:
+    """Record every call to ``module.<name>`` from now on, in every spolab
+    module that binds it: ``record(*args)``, or the argument tuple."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args if record is None else record(*args))
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "spolab" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 def count_runs(monkeypatch) -> list:
-    """Record the backend of every ``circuits.run`` call from now on."""
+    """Record the backend of every ``circuits.run`` call from now on,
+    wherever a spolab module binds ``run``."""
     import spolab.circuits as circuits_mod
 
-    calls = []
-    original = circuits_mod.run
-
-    def counting(circ, backend):
-        calls.append(backend)
-        return original(circ, backend)
-
-    monkeypatch.setattr(circuits_mod, "run", counting)
-    return calls
+    return count_calls(monkeypatch, circuits_mod, "run",
+                       lambda circ, backend: backend)
 
 
 def dense_trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:

@@ -148,7 +148,7 @@ def test_concrete_ensemble_never_touches_the_database_kernel(monkeypatch):
         raise AssertionError("database kernel used by the concrete oracle")
 
     monkeypatch.setattr(oracles_mod, "spo_query", fail)
-    monkeypatch.setattr(oracles_mod, "_shift_table", fail)
+    monkeypatch.setattr(oracles_mod, "shift_table", fail)
     concrete = concrete_ensemble(circ)
     assert concrete.labels.shape == (24, n)
     assert trace_distance(concrete, spo) <= 1e-9
@@ -480,3 +480,42 @@ def test_circuit_text_errors():
         parse_circuit("n 4\nunitary A\n")  # seed missing
     with pytest.raises(ValueError):
         parse_circuit("n 4\nbogus 3\n")
+
+
+def test_pair_table_rows_equal_the_relabelled_untwirled_run():
+    """Row k of a run against a sigma-row table (sigma, tau_k) is exactly
+    the untwirled run relabelled by L^{tau_k} R^sigma, for every suite
+    circuit and every sigma at N = 4; a one-row run keeps today's flat
+    amplitudes, with P of dimension 1 leading."""
+    from spolab.oracles import twirl
+    from spolab.suites import suite_circuits
+
+    n = 4
+    perms = list(all_permutations(n))
+    taus = all_images(n)
+    for circ in suite_circuits(n):
+        plain = run(circ, spo_backend(n))
+        assert plain.layout.registers[0] == ("P", 1)
+        for sigma in perms:
+            sigmas = np.tile(sigma.images, (len(perms), 1))
+            rows = run(circ, spo_backend(n, sigma=sigmas, tau=taus)).amps
+            for row, tau in zip(rows.reshape(len(perms), -1), perms):
+                relabelled = twirl(twirl(plain, "right", sigma), "left", tau)
+                assert np.array_equal(row, relabelled.amps)
+
+
+def test_dressed_form_over_a_table_matches_its_one_row_circuits():
+    """A dressed circuit built from (K, N) tables runs row k against the
+    identity table exactly as the one-row circuit of (sigma_k, tau_k)."""
+    n = 4
+    circ = random_circuit(5, 2, 2, n)
+    sigmas, taus = all_images(n)[3:7], all_images(n)[10:14]
+    identity_rows = spo_backend(n, sigma=np.tile(np.arange(n), (4, 1)))
+    rows = run(dressed_standard_form(circ, sigmas, taus), identity_rows).amps
+    for row, sigma, tau in zip(rows.reshape(4, -1), sigmas, taus):
+        alone = run(dressed_standard_form(circ, sigma, tau), spo_backend(n))
+        assert np.array_equal(row, alone.amps)
+    with pytest.raises(ValueError, match="tables differ"):
+        dressed_standard_form(circ, sigmas, taus[:3])
+    with pytest.raises(ValueError):  # four-row V steps against a one-row P
+        run(dressed_standard_form(circ, sigmas, taus), spo_backend(n))

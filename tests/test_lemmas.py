@@ -279,7 +279,7 @@ def test_experiment_matches_direct_simulation():
     from spolab.oracles import project_plus_db
 
     for x, y in rel.pairs():
-        sl = arr[:, x, y, :, :, :, :].reshape(-1, nf)
+        sl = arr[..., x, y, :, :, :, :].reshape(-1, nf)  # registers ..., X, Y, D4..D1
         sx, ty = sigma.images[x], tau.images[y]
         mask = pi_table[:, sx] == ty
         p_i_direct += float((np.abs(sl[:, mask]) ** 2).sum())

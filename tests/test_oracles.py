@@ -13,6 +13,7 @@ from spolab.oracles import (
     perm_tables,
     project_plus_db,
     query_slice_map,
+    shift_table,
     spo_backend,
     spo_init,
     spo_query,
@@ -29,7 +30,7 @@ from spolab.permutations import (
     parse_one_line,
     sample_uniform,
 )
-from spolab.states import RegisterLayout, StateVector, apply
+from spolab.states import LayoutError, RegisterLayout, StateVector, apply
 
 from helpers import basis_state, index_of_perm, perm_of_index
 
@@ -142,25 +143,26 @@ def test_spo_query_basis_action():
     n = 4
     pi_table, inv_table = perm_tables(n)
     s = _fresh_joint(n, x=2, y=1)
-    out = spo_query(s, "forward").amps.reshape(n, n, 24)
+    out = spo_query(s, shift_table(n, "forward")).amps.reshape(n, n, 24)
     for d in range(24):
         y_expected = 1 ^ pi_table[d, 2]
         assert out[2, y_expected, d] == pytest.approx(1 / math.sqrt(24))
-    out_inv = spo_query(s, "inverse").amps.reshape(n, n, 24)
+    out_inv = spo_query(s, shift_table(n, "inverse")).amps.reshape(n, n, 24)
     for d in range(24):
         assert out_inv[2, 1 ^ inv_table[d, 2], d] == pytest.approx(1 / math.sqrt(24))
 
 
 def test_spo_query_xor_cancellation():
     s = _fresh_joint(4, x=1, y=3)
-    twice = spo_query(spo_query(s, "forward"), "forward")
+    shift = shift_table(4, "forward")
+    twice = spo_query(spo_query(s, shift), shift)
     assert np.allclose(twice.amps, s.amps, atol=1e-12)
 
 
 def test_spo_query_fresh_marginal_uniform():
     # X=|x>, Y=|0>, fresh D: measuring (Y, D) gives uniform pi and y = pi(x)
     n = 4
-    out = spo_query(_fresh_joint(n, x=3), "forward").amps.reshape(n, n, 24)
+    out = spo_query(_fresh_joint(n, x=3), shift_table(n, "forward")).amps.reshape(n, n, 24)
     probs = np.abs(out[3]) ** 2
     assert np.allclose(probs.sum(axis=1), 1 / 4)  # Y marginal uniform
     pi_table, _ = perm_tables(n)
@@ -174,7 +176,7 @@ def test_tspo_query_action():
     pi_table, _ = perm_tables(n)
     tau_inv = invert(tau).images
     s = _fresh_joint(n, x=1, y=0)
-    out = spo_query(s, "forward", sigma=sigma, tau=tau).amps.reshape(n, n, 24)
+    out = spo_query(s, shift_table(n, "forward", sigma, tau)).amps.reshape(n, n, 24)
     for d in range(24):
         want_y = tau_inv[pi_table[d, sigma.images[1]]]
         assert out[1, want_y, d] == pytest.approx(1 / math.sqrt(24))
@@ -182,8 +184,8 @@ def test_tspo_query_action():
 
 def test_tspo_identity_twirls_match_spo():
     s = _fresh_joint(4, x=2)
-    a = spo_query(s, "forward")
-    b = spo_query(s, "forward", sigma=identity(4), tau=identity(4))
+    a = spo_query(s, shift_table(4, "forward"))
+    b = spo_query(s, shift_table(4, "forward", identity(4), identity(4)))
     assert np.allclose(a.amps, b.amps)
 
 
@@ -255,7 +257,7 @@ def _fresh_state_xy(n):
 def test_spo_recover_after_probe_collapses():
     # after a forward query with X=|x>, the recovered pi determines Y = pi(x)
     n = 4
-    out = spo_query(_fresh_joint(n, x=1), "forward")
+    out = spo_query(_fresh_joint(n, x=1), shift_table(n, "forward"))
     ens = spo_recover(out)
     assert (np.abs(ens.amps) ** 2).sum() == pytest.approx(1.0)
     for images, amps in zip(ens.labels, ens.amps):
@@ -323,7 +325,7 @@ def test_spo_query_matches_dense_matrix():
             mapping = _joint_query_map(n, direction, s, t)
             dense = np.zeros((len(mapping), len(mapping)))
             dense[mapping, np.arange(len(mapping))] = 1.0
-            got = spo_query(state, direction, sigma=s, tau=t).amps
+            got = spo_query(state, shift_table(n, direction, s, t)).amps
             assert np.allclose(got, dense @ amps, atol=1e-12)
 
 
@@ -390,9 +392,9 @@ def test_backend_validation():
     with pytest.raises(ValueError):
         OracleBackend(4, images=identity(3).images)
     with pytest.raises(ValueError):
-        OracleBackend(4, images=identity(4).images, sigma=identity(4))
+        OracleBackend(4, images=identity(4).images, sigmas=identity(4))
     with pytest.raises(ValueError):
-        OracleBackend(4, images=identity(4).images, tau=identity(4))
+        OracleBackend(4, images=identity(4).images, taus=identity(4))
     with pytest.raises(ValueError):
         spo_backend(4, sigma=identity(3), tau=identity(4))
     assert concrete_backend(identity(4)).images.tolist() == [[0, 1, 2, 3]]
@@ -429,3 +431,43 @@ def test_concrete_backend_refuses_bad_tables_before_any_allocation(
         OracleBackend(4, images=np.array([[0, 1, 2], [2, 1, 0]]))
     with pytest.raises(ValueError):  # and a circuit of another size
         circuits_mod.run(empty_circuit(8), concrete_backend(identity(4)))
+
+
+@pytest.mark.parametrize("sigma, tau, problem", [
+    ([[0, 1, 2, 3]] * 3, [[0, 1, 2, 3]] * 2, "unequal row counts"),
+    ([[0, 1, 2]] * 2, None, "width 3"),
+    (None, [[0, 1, 2, 3], [0, 2, 1, 0]], "permutations of 0..N-1"),
+    ([[0, 1, 2, 3], [1, 1, 2, 3]], [[0, 1, 2, 3]] * 2, "permutations of 0..N-1"),
+])
+def test_pair_tables_are_refused_before_any_allocation(monkeypatch, sigma, tau,
+                                                       problem):
+    import spolab.circuits as circuits_mod
+    import spolab.oracles as oracles_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a shift table or a state for bad tables")
+
+    for mod, name in ((oracles_mod, "shift_table"), (oracles_mod, "perm_tables"),
+                      (circuits_mod, "initial_state")):
+        monkeypatch.setattr(mod, name, fail)
+    with pytest.raises(ValueError, match=problem):
+        spo_backend(4, sigma=None if sigma is None else np.array(sigma),
+                    tau=None if tau is None else np.array(tau))
+
+
+def test_pair_table_backend_rows_and_defaults():
+    """A missing table is K identity rows; the untwirled oracle is the
+    one-row identity pair, and its shift table is that of spo_query."""
+    plain = spo_backend(4)
+    assert plain.rows == 1
+    assert plain.sigmas.tolist() == plain.taus.tolist() == [[0, 1, 2, 3]]
+    table = np.array([[1, 0, 2, 3], [3, 2, 1, 0]])
+    half = spo_backend(4, sigma=table)
+    assert half.rows == 2 and half.taus.tolist() == [[0, 1, 2, 3]] * 2
+    assert concrete_backend(table).rows == 2
+    shifts = shift_table(4, "forward", table)
+    assert shifts.shape == (2, 4, 24)
+    for k, row in enumerate(table):
+        assert np.array_equal(shifts[k], shift_table(4, "forward", row)[0])
+    with pytest.raises(LayoutError):  # a two-row table on a one-run state
+        spo_query(_fresh_joint(4), shifts)

@@ -21,7 +21,7 @@ from spolab.suites import (
     suite_relations,
 )
 
-from helpers import count_runs
+from helpers import count_calls, count_runs
 
 
 def test_check_pass_rules():
@@ -289,21 +289,6 @@ def test_exact_attack_refuses_n_above_the_enumeration_cap(monkeypatch):
                 run_attack(kind, 4, 2, 1, backend=backend)
 
 
-def test_append_zero_z_refuses_an_unexpected_layout():
-    from spolab.circuits import empty_circuit, run
-    from spolab.oracles import concrete_backend, spo_backend
-    from spolab.permutations import identity
-    from spolab.states import LayoutError
-    from spolab.suites import _append_zero_z
-
-    with_z = _append_zero_z(run(empty_circuit(2), spo_backend(2)), 2)
-    assert with_z.layout.names[:2] == ("A", "Z")
-    with pytest.raises(LayoutError):  # a Z register is already there
-        _append_zero_z(with_z, 2)
-    with pytest.raises(LayoutError):  # a concrete run leads with the label P
-        _append_zero_z(run(empty_circuit(2), concrete_backend(identity(2))), 2)
-
-
 def test_run_attack_validation():
     with pytest.raises(ValueError):
         run_attack("sponge", 3, 1, 1, backend="concrete", trials=10)  # no seed
@@ -389,3 +374,32 @@ def test_run_attack_zero_search_sampled():
     gap = abs(res["success_mean"] - res["reference_exact"])
     assert gap <= 3 * res["success_stderr"]
     assert res["q"] == 2
+
+
+def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
+    """Every (sigma, tau) check runs one sigma-row of the exhaustive plan per
+    circuit run, counted wherever a spolab module binds ``run``; the rows
+    read from those runs carry their time and pair count."""
+    from spolab.suites import spo_equivalence_suite, twirl_suite
+
+    calls = count_runs(monkeypatch)
+    reports = spo_equivalence_suite(4, max_q=2)
+    assert len(calls) <= 179  # 10 ensembles, 1 + 24 probe runs, 2 x 24 x 3
+    calls.clear()
+    reports += twirl_suite(4)
+    assert len(calls) <= 125  # 5 circuits x (1 plain + 24 sigma-rows)
+    assert max(backend.rows for backend in calls) == 24
+    batched = [r for r in reports if r.name.split("[")[0] in (
+        "spo-vs-tspo-all-pairs", "twisted-vs-not", "std-experiment-1-vs-2",
+        "std-experiment-1-vs-3")]
+    assert len(batched) == 10 and all(r.passed for r in reports)
+    assert all(r.extra["pairs"] == 576 and r.runtime_ms > 0 for r in batched)
+
+
+@pytest.mark.parametrize("suite", ["progress", "sparsity"])
+def test_gamma_is_built_once_per_suite(monkeypatch, suite):
+    import spolab.lemmas as lemmas_mod
+
+    builds = count_calls(monkeypatch, lemmas_mod, "gamma_operator")
+    assert all(r.passed for r in run_suite(suite, 2))
+    assert len(builds) == 1
