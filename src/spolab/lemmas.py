@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -60,6 +60,10 @@ from .states import (
 )
 
 EXHAUSTIVE_TWIRL_LIMIT = 4
+# Amplitudes one step of a twirl average may gather, rest * C * n! for a
+# chunk of C pairs (1 MiB of complex128): a whole sigma-row at n = 4, one
+# pair at n = 8.
+TWIRL_CHUNK_AMPS = 2 ** 16
 
 
 class WeightPreconditionError(ValueError):
@@ -83,10 +87,13 @@ class TwirlPlan:
     # and L^{tau^{-1}}.
     right_inv: np.ndarray  # (len(sigmas), n!): d -> idx(pi_d sigma)
     left_inv: np.ndarray   # (len(taus), n!):  d -> idx(tau^{-1} pi_d)
+    chunk: int = 1  # columns of a sigma-row per step of pairs()
     sigma_inv: np.ndarray = field(init=False, repr=False)  # (len(sigmas), n)
     tau_inv: np.ndarray = field(init=False, repr=False)    # (len(taus), n)
 
     def __post_init__(self) -> None:
+        if self.chunk < 1:
+            raise ValueError(f"a twirl chunk holds at least one pair, got {self.chunk}")
         # The inverse images, built once: argsort inverts a permutation row.
         for name, perms in (("sigma_inv", self.sigmas), ("tau_inv", self.taus)):
             images = np.array([p.images for p in perms])
@@ -100,13 +107,15 @@ class TwirlPlan:
     def grid_shape(self) -> tuple[int, int]:
         return len(self.sigmas), len(self.taus)
 
-    def pairs(self) -> Iterator[tuple[int, int, Permutation, Permutation, np.ndarray]]:
-        """Yields (i, j, sigma, tau, minv) with minv the inverse label map
-        of L^tau R^sigma: the twirled state is old_amps[..., minv]."""
+    def pairs(self) -> Iterator[tuple[int, int, Permutation, np.ndarray]]:
+        """Yields (i, c0, sigma, minv) for each chunk of at most ``chunk``
+        columns c0, c0 + 1, ... of sigma-row i: minv[c] is the inverse label
+        map of L^tau R^sigma for tau = taus[c0 + c], so the twirled state of
+        that pair is old_amps[..., minv[c]]."""
         for i, sigma in enumerate(self.sigmas):
             ri = self.right_inv[i]
-            for j, tau in enumerate(self.taus):
-                yield i, j, sigma, tau, ri[self.left_inv[j]]
+            for c0 in range(0, len(self.taus), self.chunk):
+                yield i, c0, sigma, ri[self.left_inv[c0:c0 + self.chunk]]
 
 
 def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
@@ -158,18 +167,25 @@ def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var_rows / rows + var_cols / cols)
 
 
-def _twirl_average(plan: TwirlPlan,
-                   term: Callable[..., float]) -> tuple[float, float]:
-    """(mean, stderr) over the plan of the value that
-    ``term(sigma, tau, sigma_inv, tau_inv, minv)`` gives for one pair.
+def _twirl_average(plan: TwirlPlan, rest: int,
+                   term: Callable[..., np.ndarray]) -> tuple[float, float]:
+    """(mean, stderr) over the plan of the values that
+    ``term(sigma, sigma_inv, taus, tau_inv, minv)`` gives for one chunk of a
+    sigma-row: one value per column, for the taus of the chunk.
 
-    ``sigma_inv``/``tau_inv`` are inverse images; the twirled block is
-    ``block[..., minv]``.  Exhaustive plans give the exact mean with stderr
-    0, sampled plans the crossed-grid estimate of grid_mean_stderr.
+    ``sigma_inv`` is the inverse images of sigma and ``tau_inv`` the
+    (C, n) inverse images of the taus; the twirled (rest, n!) block of
+    column c is ``block[:, minv[c]]``.  A chunk holds as many columns as
+    keep the gathered (rest, C, n!) block within TWIRL_CHUNK_AMPS, and at
+    least one.  Exhaustive plans give the exact mean with stderr 0, sampled
+    plans the crossed-grid estimate of grid_mean_stderr.
     """
+    chunk = max(1, TWIRL_CHUNK_AMPS // (rest * database_dim(plan.n)))
     grid = np.zeros(plan.grid_shape)
-    for i, j, sigma, tau, minv in plan.pairs():
-        grid[i, j] = term(sigma, tau, plan.sigma_inv[i], plan.tau_inv[j], minv)
+    for i, c0, sigma, minv in replace(plan, chunk=chunk).pairs():
+        cols = slice(c0, c0 + len(minv))
+        grid[i, cols] = term(sigma, plan.sigma_inv[i], plan.taus[cols],
+                             plan.tau_inv[cols], minv)
     if plan.exhaustive:
         return float(grid.mean()), 0.0
     return grid_mean_stderr(grid)
@@ -193,17 +209,25 @@ def _section_mask(rel: Relation, x: int) -> np.ndarray:
 
 
 def _apply_progress(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.ndarray:
-    """E^{R,x} on a (rest, n!) block."""
+    """E^{R,x} on a (rest, n!) block, or on a (rest, C, n!) block with one
+    (C, n!) mask row per column."""
     out = project_plus_db(amps, n, x, complement=True)
     return out * mask[None, :]
 
 
-def _progress_norm2(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> float:
-    """||E^{R,x} v||^2 for a (rest, n!) block v and the section mask of R."""
+def _norm2(block: np.ndarray) -> np.ndarray:
+    """Squared norm of a (rest, n!) block, or of each column of a
+    (rest, C, n!) block, summed over its real and imaginary parts."""
+    f = np.ascontiguousarray(block).view(np.float64)
+    return np.einsum("r...d,r...d->...", f, f)
+
+
+def _progress_norm2(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.ndarray:
+    """||E^{R,x} v||^2 for a (rest, n!) block v and the section mask of R,
+    or per column of a (rest, C, n!) block and its (C, n!) masks."""
     if not mask.any():
-        return 0.0
-    out = _apply_progress(amps, n, x, mask)
-    return float(np.vdot(out, out).real)
+        return np.zeros(mask.shape[:-1])
+    return _norm2(_apply_progress(amps, n, x, mask))
 
 
 @lru_cache(maxsize=None)
@@ -277,16 +301,17 @@ class ExperimentResult:
     pairs: int
 
 
-def experiment_probabilities(circ: QueryCircuit, rel: Relation,
+def experiment_probabilities(final: StateVector, rel: Relation,
                              plan: TwirlPlan) -> ExperimentResult:
     """p_(i') exactly and p_(ii') averaged over the plan.
 
-    One untwirled SPO run provides the joint state; each (sigma, tau) branch
-    is its database relabeling (checked separately as the twisted-vs-not
-    identity).  For every output pair (x, y) in R the projector-norm forms
-    are evaluated on the <x,y| slice v of the state.  The twirl only
-    relabels a uniform permutation, so p_(i') is read once from the
-    untwirled slices: |v|^2 on the labels with pi_d(x) = y.
+    ``final``, the final state of one untwirled SPO run, is the joint state;
+    each (sigma, tau) branch is its database relabeling (checked separately
+    as the twisted-vs-not identity).  For every output pair (x, y) in R
+    the projector-norm forms are evaluated on the <x,y| slice v of the
+    state.  The twirl only relabels a uniform permutation, so p_(i') is
+    read once from the untwirled slices: |v|^2 on the labels with
+    pi_d(x) = y.
 
     p_(ii') sums ||Pi (I - P_s) w||^2 over the slices, for the twirled slice
     w = v[:, minv], s = sigma(x), t = tau(y) and Pi the labels with
@@ -296,10 +321,11 @@ def experiment_probabilities(circ: QueryCircuit, rel: Relation,
     the hit labels of |w_hit - mean of its fiber|^2, read without projecting
     the whole block; s = 0 adds nothing, since P_0 is the identity.  The
     first pair of the plan is also evaluated in the projector form, and the
-    two must agree to 1e-12 relative.
+    two must agree to 1e-12 relative.  The twirl average evaluates the
+    fiber form column by column of each chunk.
     """
-    n = circ.n
-    slices = _xy_slices(run(circ, spo_backend(n)), rel)
+    n = rel.n
+    slices = _xy_slices(final, rel)
     pi_table, _ = perm_tables(n)
     p_i = sum(float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
               for x, y, v in slices)
@@ -310,10 +336,11 @@ def experiment_probabilities(circ: QueryCircuit, rel: Relation,
         raise RuntimeError(f"fiber-hit p_ii {got!r} differs from the projector "
                            f"form {ref!r} on the first pair of the plan (n={n})")
 
-    def term(sigma, tau, _si, _ti, minv):
-        return _p_ii_fibers(slices, n, sigma, tau, minv)
+    def term(sigma, _si, taus, _ti, minv):
+        return [_p_ii_fibers(slices, n, sigma, tau, m) for tau, m in zip(taus, minv)]
 
-    p_ii, se_ii = _twirl_average(plan, term)
+    rest = _db_block(final).shape[0] // n ** 2  # rows of one <x,y| slice
+    p_ii, se_ii = _twirl_average(plan, rest, term)
     method = "exact" if plan.exhaustive else "monte_carlo"
     return ExperimentResult(p_i, p_ii, se_ii, method, plan.pair_count)
 
@@ -354,8 +381,8 @@ def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
                     sigma: Permutation, tau: Permutation, minv: np.ndarray) -> float:
     """p_(ii') of one pair as sum ||E^{R,s} w||^2 over the whole twirled block."""
     pi_table, _ = perm_tables(n)
-    return sum(_progress_norm2(v[:, minv], n, sigma.images[x],
-                               pi_table[:, sigma.images[x]] == tau.images[y])
+    return sum(float(_progress_norm2(v[:, minv], n, sigma.images[x],
+                                     pi_table[:, sigma.images[x]] == tau.images[y]))
                for x, y, v in slices)
 
 
@@ -363,8 +390,8 @@ def fundamental_check(circ: QueryCircuit, rel: Relation,
                       plan: TwirlPlan, name: str = "") -> VerificationReport:
     """sqrt(p_i) <= sqrt(p_ii) + sqrt((ln N + 1) / N)."""
     start = time.perf_counter()
-    res = experiment_probabilities(circ, rel, plan)
     n = circ.n
+    res = experiment_probabilities(run(circ, spo_backend(n)), rel, plan)
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -379,46 +406,50 @@ def fundamental_check(circ: QueryCircuit, rel: Relation,
                  p_i=res.p_i, p_ii=res.p_ii, **sampled)
 
 
-def p2_upper_bound(circ: QueryCircuit, rel: Relation,
+def p2_upper_bound(final: StateVector, rel: Relation,
                    plan: TwirlPlan) -> tuple[float, float]:
     """The p_(ii)-dominating expression: expectation over (sigma, tau) of
     sum over (x,y) in R, pi with tau^{-1}(pi(sigma(x))) = y, of the squared
-    norm of <pi| (I - P_{+sigma(x)}) |phi^{sigma,tau}>.  Returns (value, stderr).
+    norm of <pi| (I - P_{+sigma(x)}) |phi^{sigma,tau}>, for the final state
+    of the untwirled run.  Returns (value, stderr).
     """
-    n = circ.n
-    amps = _db_block(run(circ, spo_backend(n)))
+    n = rel.n
+    amps = _db_block(final)
     pi_table, _ = perm_tables(n)
     sections = [(x, rel.section(x)) for x in range(n) if rel.section(x).size]
 
-    def term(sigma, tau, _si, _ti, minv):
-        tw = amps[:, minv]
+    def term(sigma, _si, taus, _ti, minv):
+        tw = amps[:, minv]  # (rest, C, n!)
+        images = np.array([tau.images for tau in taus])
+        cols = np.arange(len(taus))[:, None]
         acc = 0.0
         for x, ys in sections:
             # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
-            hit = np.zeros(n, dtype=bool)
-            hit[[tau.images[y] for y in ys]] = True
+            hit = np.zeros((len(taus), n), dtype=bool)
+            hit[cols, images[:, ys]] = True
             sx = sigma.images[x]
-            acc += _progress_norm2(tw, n, sx, hit[pi_table[:, sx]])
+            acc = acc + _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
         return acc
 
-    return _twirl_average(plan, term)
+    return _twirl_average(plan, amps.shape[0], term)
 
 
-def progress_measure(circ: QueryCircuit, rel: Relation,
+def progress_measure(final: StateVector, rel: Relation,
                      plan: TwirlPlan) -> tuple[float, float]:
-    """E over x, sigma, tau of || E^{R^{sigma,tau},x} |phi^{sigma,tau}> ||^2."""
-    n = circ.n
-    amps = _db_block(run(circ, spo_backend(n)))
+    """E over x, sigma, tau of || E^{R^{sigma,tau},x} |phi^{sigma,tau}> ||^2,
+    for the final state phi of the untwirled run."""
+    n = rel.n
+    amps = _db_block(final)
     pi_table, _ = perm_tables(n)
 
-    def term(_sigma, _tau, si, ti, minv):
-        tw = amps[:, minv]
-        twisted = rel.members[np.ix_(si, ti)]  # R^{sigma,tau} bitset
+    def term(_sigma, si, _taus, ti, minv):
+        tw = amps[:, minv]  # (rest, C, n!)
+        twisted = rel.members[si[None, :, None], ti[:, None, :]]  # R^{sigma,tau} bitsets
         # mask: (x, pi_d(x)) in R^{sigma,tau}
-        return sum(_progress_norm2(tw, n, x, twisted[x][pi_table[:, x]])
+        return sum(_progress_norm2(tw, n, x, twisted[:, x, pi_table[:, x]])
                    for x in range(n)) / n
 
-    return _twirl_average(plan, term)
+    return _twirl_average(plan, amps.shape[0], term)
 
 
 # --------------------------------------------------------------------------
@@ -582,15 +613,12 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
     n = plan.n
     amps = _db_block(state)
 
-    def term(_sigma, _tau, _si, _ti, minv):
-        tw = amps[:, minv]
-        acc = 0.0
-        for x in range(n):
-            proj = project_plus_db(tw, n, x, complement=True)
-            acc += float(np.vdot(proj, proj).real) / (x + 1)
-        return acc / n
+    def term(_sigma, _si, _taus, _ti, minv):
+        tw = amps[:, minv]  # (rest, C, n!)
+        return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
+                   for x in range(n)) / n
 
-    return _twirl_average(plan, term)
+    return _twirl_average(plan, amps.shape[0], term)
 
 
 def crucial_term_values(circ: QueryCircuit, rel: Relation,
@@ -641,8 +669,10 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
 
         progress measure <= 384 q^2 r (ln N + 2)/N^2 + 4 q r * sum_j E[...]
 
-    and the three crucial-term bounds.  Each twirl average is computed once
-    per relation.  The sparsity tail sum_j E[...] does not depend on R; it is
+    and the three crucial-term bounds.  The circuit runs once, untwirled, and
+    each twirl average is computed once per relation from its final state;
+    every row read from a twirl average reports the plan's pair count.  The
+    sparsity tail sum_j E[...] does not depend on R; it is
     sum_j <phi_j|Gamma|phi_j> over the standard-form pre-query states (the
     identity the sparsity rows check), once per circuit, with ``gamma`` if
     given.  A row's runtime_ms is the time of the averages it reads.
@@ -662,17 +692,19 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         return sum(gamma_expectation(state, g)
                    for _direction, state in standard_form_prequery_states(circ))
 
+    pairs = plan.pair_count
+    final = run(circ, spo_backend(n))
     tail = None
     out = []
     for rname, rel in rels:
         tag = f"{circ.name},{rname}"
-        (measure, _), t_measure = timed(progress_measure, circ, rel, plan)
-        (p2, _), t_p2 = timed(p2_upper_bound, circ, rel, plan)
-        res, t_res = timed(experiment_probabilities, circ, rel, plan)
+        (measure, _), t_measure = timed(progress_measure, final, rel, plan)
+        (p2, _), t_p2 = timed(p2_upper_bound, final, rel, plan)
+        res, t_res = timed(experiment_probabilities, final, rel, plan)
         out.append(check_close(f"progress-identity[{tag}]", n * measure, p2,
-                               tol=1e-10, runtime_ms=t_measure + t_p2))
+                               tol=1e-10, runtime_ms=t_measure + t_p2, pairs=pairs))
         out.append(check(f"p2-dominates-p_ii[{tag}]", res.p_ii, p2, tol=1e-10,
-                         runtime_ms=t_res + t_p2))
+                         runtime_ms=t_res + t_p2, pairs=pairs))
         if not (q and rel.size):
             continue
         if tail is None:
@@ -680,7 +712,7 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         r = rel.r_max
         rhs = 384.0 * q * q * r * (log_n + 2.0) / n ** 2 + 4.0 * q * r * tail
         out.append(check(f"hard-database[{tag}]", measure, rhs,
-                         runtime_ms=t_measure + t_tail))
+                         runtime_ms=t_measure + t_tail, pairs=pairs))
         values, t_crucial = timed(crucial_term_values, circ, rel, plan)
         bounds = ((log_n + 3.0) * r / n ** 2,
                   (log_n + 1.0) * r / n ** 2,
@@ -688,7 +720,7 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         for k in range(3):
             worst = max(v[k] for v in values) if values else 0.0
             out.append(check(f"crucial[{tag}]:{k + 1}", worst, bounds[k],
-                             runtime_ms=t_crucial))
+                             runtime_ms=t_crucial, pairs=pairs))
     return out
 
 
@@ -867,7 +899,7 @@ def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
         for j, state in enumerate(states):
             direct = sparsity_expectation(state, plan)[0]
             out.append(check_close(f"{base}:identity j={j}", direct, values[j],
-                                   tol=1e-10))
+                                   tol=1e-10, pairs=plan.pair_count))
     return out
 
 

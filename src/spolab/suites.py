@@ -607,12 +607,12 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
     if n == 4:
         # Analytic fixture: classical probe against the full relation has
         # p_i = 1 and p_ii = (1/N) sum_s (1 - 1/s)^2 = 181/576.
-        res = experiment_probabilities(classical_probe(n, 0, "forward"),
-                                       full_relation(n), plan)
+        probe = run(classical_probe(n, 0, "forward"), spo_backend(n))
+        res = experiment_probabilities(probe, full_relation(n), plan)
         out.append(check_close("probe-full-p_i", res.p_i, 1.0, tol=1e-10))
         out.append(check_close("probe-full-p_ii", res.p_ii, 181.0 / 576.0,
                                tol=1e-10))
-        empty = empty_circuit(n)
+        empty = run(empty_circuit(n), spo_backend(n))
         res0 = experiment_probabilities(empty, from_pairs(n, [(0, 0)]), plan)
         out.append(check_close("empty-pair-p_i", res0.p_i, 1.0 / n, tol=1e-10))
         out.append(check_close("empty-pair-p_ii", res0.p_ii, 0.0, tol=1e-12))

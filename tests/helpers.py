@@ -1,25 +1,29 @@
 """Builders that only the tests use: basis states, database labels, a
-loading query, counters of calls and of circuit runs, a dense trace-distance
-reference, the scalar permutation sampler and dense Grover steps."""
+loading query, the untwirled final state, counters of calls and of circuit
+runs, a per-pair twirl-average reference, a dense trace-distance reference,
+the scalar permutation sampler and dense Grover steps."""
 import dataclasses
 import math
 import sys
 
 import numpy as np
 
-from spolab.circuits import LocalUnitary, Query, QueryCircuit
-from spolab.oracles import swap_operator
+from spolab.circuits import LocalUnitary, Query, QueryCircuit, run
+from spolab.lemmas import TwirlPlan, grid_mean_stderr
+from spolab.oracles import perm_tables, project_plus_db, spo_backend, swap_operator
 from spolab.permutations import (
     MonotoneFactorization,
     Permutation,
     compose_from_factors,
     monotone_factorize,
 )
+from spolab.relations import Relation
 from spolab.states import (
     CQEnsemble,
     LayoutError,
     RegisterLayout,
     StateVector,
+    database_names,
     from_matrix,
 )
 
@@ -67,6 +71,60 @@ def with_loading_query(circ: QueryCircuit) -> QueryCircuit:
                         has_z=True, name=circ.name + "+load")
 
 
+def final_state(circ: QueryCircuit) -> StateVector:
+    """The final state of the untwirled database-oracle run of ``circ``."""
+    return run(circ, spo_backend(circ.n))
+
+
+TWIRL_AVERAGES = ("p_ii", "p2", "progress", "sparsity")
+
+
+def per_pair_twirl_averages(final: StateVector, rel: Relation, plan: TwirlPlan,
+                            averages=TWIRL_AVERAGES) -> dict[str, tuple[float, float]]:
+    """(mean, stderr) of the twirl averages of ``spolab.lemmas`` named in
+    ``averages`` from one loop over the plan's pairs, one (sigma, tau) at a
+    time: ``p_ii``, and ``p2``, ``progress`` and ``sparsity`` of the whole
+    database block of ``final``.  Each pair is read in the projector form,
+    |(I - P_s) w|^2 of the twirled block w = amps[:, minv], with masks
+    written from the definitions.  Exhaustive plans report stderr 0.  For
+    ``p_ii`` alone only the <x,y| rows with (x, y) in R are projected."""
+    n = plan.n
+    nf = math.factorial(n)
+    pi, _ = perm_tables(n)
+    amps = final.amps.reshape(-1, nf)
+    rest = [(name, dim) for name, dim in final.layout.registers
+            if name not in database_names(n)]
+    coords = np.indices([dim for _name, dim in rest]).reshape(len(rest), -1)
+    names = [name for name, _dim in rest]
+    x_row, y_row = coords[names.index("X")], coords[names.index("Y")]
+    if set(averages) == {"p_ii"}:
+        keep = rel.members[x_row, y_row]
+        amps, x_row, y_row = amps[keep], x_row[keep], y_row[keep]
+    sections = [rel.section(x).tolist() for x in range(n)]
+    xy_rows = {(x, y): (x_row == x) & (y_row == y) for x, y in rel.pairs()}
+    grids = {key: np.zeros(plan.grid_shape) for key in TWIRL_AVERAGES}
+    for i, sigma in enumerate(plan.sigmas):
+        for j, tau in enumerate(plan.taus):
+            w = amps[:, plan.right_inv[i][plan.left_inv[j]]]
+            # R^{sigma,tau} = {(sigma(x), tau(y)) : (x, y) in R}
+            twisted = np.zeros((n, n), dtype=bool)
+            for x, y in rel.pairs():
+                twisted[sigma.images[x], tau.images[y]] = True
+            for x in range(n):
+                s = sigma.images[x]
+                sq = np.abs(project_plus_db(w, n, s, complement=True)) ** 2
+                grids["sparsity"][i, j] += sq.sum() / (s + 1) / n
+                grids["progress"][i, j] += sq[:, twisted[s, pi[:, s]]].sum() / n
+                for y in sections[x]:
+                    # pi_d(sigma(x)) = tau(y): disjoint label sets over y
+                    hit = sq[:, pi[:, s] == tau.images[y]]
+                    grids["p2"][i, j] += hit.sum()
+                    grids["p_ii"][i, j] += hit[xy_rows[x, y]].sum()
+    if plan.exhaustive:
+        return {key: (float(grids[key].mean()), 0.0) for key in averages}
+    return {key: grid_mean_stderr(grids[key]) for key in averages}
+
+
 def count_calls(monkeypatch, module, name: str, record=None) -> list:
     """Record every call to ``module.<name>`` from now on, in every spolab
     module that binds it: ``record(*args)``, or the argument tuple."""
@@ -81,6 +139,21 @@ def count_calls(monkeypatch, module, name: str, record=None) -> list:
         if key.split(".")[0] == "spolab" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def count_pair_steps(monkeypatch) -> list:
+    """Record the width (pairs) of every step ``TwirlPlan.pairs`` yields
+    from now on."""
+    steps = []
+    original = TwirlPlan.pairs
+
+    def pairs(self):
+        for step in original(self):
+            steps.append(len(step[3]))
+            yield step
+
+    monkeypatch.setattr(TwirlPlan, "pairs", pairs)
+    return steps
 
 
 def count_runs(monkeypatch) -> list:

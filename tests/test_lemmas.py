@@ -1,4 +1,5 @@
 """Lemma checkers: help norm, experiments, zeta terms, Gamma, trajectories."""
+import dataclasses
 import itertools
 import math
 
@@ -62,7 +63,15 @@ from spolab.relations import (
 )
 from spolab.states import StateVector, operator_norm
 
-from helpers import count_runs, perm_of_index, with_loading_query
+from helpers import (
+    TWIRL_AVERAGES,
+    count_pair_steps,
+    count_runs,
+    final_state,
+    per_pair_twirl_averages,
+    perm_of_index,
+    with_loading_query,
+)
 
 RNG = np.random.default_rng(23)
 
@@ -244,7 +253,7 @@ def test_zeta_weight_precondition():
 def test_experiment_probe_full_relation():
     n = 4
     plan = make_twirl_plan(n)
-    res = experiment_probabilities(classical_probe(n, 0, "forward"),
+    res = experiment_probabilities(final_state(classical_probe(n, 0, "forward")),
                                    full_relation(n), plan)
     assert res.p_i == pytest.approx(1.0, abs=1e-10)
     assert res.p_ii == pytest.approx(181 / 576, abs=1e-10)
@@ -254,10 +263,11 @@ def test_experiment_probe_full_relation():
 def test_experiment_empty_circuit():
     n = 4
     plan = make_twirl_plan(n)
-    res = experiment_probabilities(empty_circuit(n), from_pairs(n, [(0, 0)]), plan)
+    empty = final_state(empty_circuit(n))
+    res = experiment_probabilities(empty, from_pairs(n, [(0, 0)]), plan)
     assert res.p_i == pytest.approx(1 / n, abs=1e-12)
     assert res.p_ii == pytest.approx(0.0, abs=1e-12)
-    res_empty = experiment_probabilities(empty_circuit(n), empty_relation(n), plan)
+    res_empty = experiment_probabilities(empty, empty_relation(n), plan)
     assert res_empty.p_i == 0.0 and res_empty.p_ii == 0.0
 
 
@@ -293,7 +303,7 @@ def test_experiment_matches_direct_simulation():
     plan_one = TwirlPlan(n, (sigma,), (tau,), True, None,
                          left_right_map(n, sigma=invert(sigma))[None, :],
                          left_right_map(n, tau=invert(tau))[None, :])
-    res = experiment_probabilities(circ, rel, plan_one)
+    res = experiment_probabilities(final_state(circ), rel, plan_one)
     assert res.p_i == pytest.approx(p_i_direct, abs=1e-12)
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
 
@@ -302,17 +312,21 @@ def _assert_fiber_form_matches_projector(circ, rel, plan):
     """Both p_ii kernels agree to 1e-12 relative on every pair of the plan."""
     from spolab.lemmas import _p_ii_fibers, _p_ii_projector, _xy_slices
 
-    slices = _xy_slices(run(circ, spo_backend(plan.n)), rel)
-    for _i, _j, sigma, tau, minv in plan.pairs():
-        got = _p_ii_fibers(slices, plan.n, sigma, tau, minv)
-        ref = _p_ii_projector(slices, plan.n, sigma, tau, minv)
-        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (circ.name, sigma, tau)
+    slices = _xy_slices(final_state(circ), rel)
+    seen = 0
+    for _i, c0, sigma, minv in plan.pairs():
+        for tau, col in zip(plan.taus[c0:c0 + len(minv)], minv):
+            got = _p_ii_fibers(slices, plan.n, sigma, tau, col)
+            ref = _p_ii_projector(slices, plan.n, sigma, tau, col)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (circ.name, sigma, tau)
+            seen += 1
+    assert seen == plan.pair_count
 
 
 def test_fiber_hit_p_ii_matches_projector_form_on_every_n4_pair():
     from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
 
-    plan = make_twirl_plan(4)
+    plan = dataclasses.replace(make_twirl_plan(4), chunk=7)
     for circ in suite_circuits(4, DEFAULT_SEED):
         for _name, rel in suite_relations(4):
             _assert_fiber_form_matches_projector(circ, rel, plan)
@@ -325,6 +339,89 @@ def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n8_plan():
     circ = random_circuit(5, 1, 1, n)
     for rel in (diagonal_relation(n), from_pairs(n, [(0, n - 1), (3, 5)])):
         _assert_fiber_form_matches_projector(circ, rel, plan)
+
+
+def _chunked_averages(monkeypatch, final, rel, plan, width):
+    """The four twirl averages with TWIRL_CHUNK_AMPS set so that every step
+    is ``width`` pairs wide (the last of a row may be narrower)."""
+    import spolab.lemmas as lemmas_mod
+    from spolab.lemmas import sparsity_expectation
+
+    nf = database_dim(plan.n)
+    block_rest = final.amps.size // nf
+    slice_rest = block_rest // plan.n ** 2  # one <x,y| slice
+
+    def chunked(rest, average, *args):
+        monkeypatch.setattr(lemmas_mod, "TWIRL_CHUNK_AMPS", width * rest * nf)
+        return average(*args)
+
+    res = chunked(slice_rest, experiment_probabilities, final, rel, plan)
+    return {"p_ii": (res.p_ii, res.stderr_ii),
+            "p2": chunked(block_rest, p2_upper_bound, final, rel, plan),
+            "progress": chunked(block_rest, progress_measure, final, rel, plan),
+            "sparsity": chunked(block_rest, sparsity_expectation, final, plan)}
+
+
+def _assert_averages_match(got, want, context):
+    for key in want:
+        for g, w in zip(got[key], want[key]):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-15), (context, key)
+
+
+@pytest.fixture(scope="module")
+def per_pair_references():
+    """Per-pair references for every suite circuit and relation at N = 2, 4,
+    on the exhaustive plan and on a sampled 5 x 5 plan at N = 4."""
+    from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
+
+    plans = [make_twirl_plan(2), make_twirl_plan(4),
+             make_twirl_plan(4, seed=9, min_pairs=25, exhaustive=False)]
+    cases = []
+    for plan in plans:
+        for circ in suite_circuits(plan.n, DEFAULT_SEED):
+            final = final_state(circ)
+            for rname, rel in suite_relations(plan.n):
+                cases.append((plan, final, rel, (plan.n, circ.name, rname),
+                              per_pair_twirl_averages(final, rel, plan)))
+    return cases
+
+
+@pytest.mark.parametrize("width", [1, 5, 24])
+def test_chunked_twirl_averages_match_the_per_pair_reference(
+        monkeypatch, per_pair_references, width):
+    """Every twirl average, evaluated in chunks of 1, 5 (a ragged last
+    chunk) or 24 pairs, equals the per-pair reference to 1e-12 relative,
+    stderr included."""
+    steps = count_pair_steps(monkeypatch)
+    for plan, final, rel, context, want in per_pair_references:
+        steps.clear()
+        got = _chunked_averages(monkeypatch, final, rel, plan, width)
+        _assert_averages_match(got, want, (context, width))
+        rows, cols = plan.grid_shape
+        assert len(steps) == len(TWIRL_AVERAGES) * rows * -(-cols // width)
+        assert max(steps) == min(width, cols)
+
+
+def test_sampled_n8_p_ii_matches_the_per_pair_reference(monkeypatch):
+    """On a sampled 3 x 3 plan at N = 8, one pair per step, and in chunks
+    of 2 pairs, p_ii and its stderr equal the per-pair reference."""
+    import spolab.lemmas as lemmas_mod
+
+    n = 8
+    plan = make_twirl_plan(n, seed=3, min_pairs=9, exhaustive=False)
+    assert plan.grid_shape == (3, 3)
+    final = final_state(random_circuit(5, 1, 1, n))
+    steps = count_pair_steps(monkeypatch)
+    for rel in (diagonal_relation(n), from_pairs(n, [(0, n - 1), (3, 5)])):
+        want = per_pair_twirl_averages(final, rel, plan, averages=("p_ii",))
+        for width in (1, 2):
+            steps.clear()
+            monkeypatch.setattr(lemmas_mod, "TWIRL_CHUNK_AMPS",
+                                width * database_dim(n))  # slices hold one row
+            res = experiment_probabilities(final, rel, plan)
+            _assert_averages_match({"p_ii": (res.p_ii, res.stderr_ii)}, want,
+                                   (rel, width))
+            assert steps == ([2, 1] * 3 if width == 2 else [1] * 9)
 
 
 def test_hit_fibers_hold_one_hit_per_fiber():
@@ -369,7 +466,7 @@ def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
 
     monkeypatch.setattr(lemmas_mod, "_hit_fibers", corrupted)
     with pytest.raises(RuntimeError, match="projector form"):
-        experiment_probabilities(circ, full_relation(n), plan)
+        experiment_probabilities(final_state(circ), full_relation(n), plan)
 
 
 def test_p_i_equals_the_success_of_every_direct_twirled_run():
@@ -386,7 +483,9 @@ def test_p_i_equals_the_success_of_every_direct_twirled_run():
     assert circ.query_count == 2
     rels = [rel for _name, rel in suite_relations(n) if rel.size]
     plan = make_twirl_plan(n)
-    want = np.array([experiment_probabilities(circ, rel, plan).p_i for rel in rels])
+    untwirled = final_state(circ)
+    want = np.array([experiment_probabilities(untwirled, rel, plan).p_i
+                     for rel in rels])
     members = np.stack([rel.members for rel in rels])  # (relation, x, y)
     xs = np.arange(n)
     perms = list(all_permutations(n))
@@ -416,7 +515,7 @@ def test_fundamental_check_suite_cases():
 def test_p2_fresh_database_is_zero():
     n = 4
     plan = make_twirl_plan(n)
-    val, se = p2_upper_bound(empty_circuit(n), full_relation(n), plan)
+    val, se = p2_upper_bound(final_state(empty_circuit(n)), full_relation(n), plan)
     assert val == pytest.approx(0.0, abs=1e-12)
     assert se == 0.0
 
@@ -426,15 +525,16 @@ def test_p2_dominates_and_identity():
     plan = make_twirl_plan(n)
     for seed in (3, 4):
         circ = random_circuit(seed, 2, 2, n)
+        final = final_state(circ)
         for rel in (diagonal_relation(n), sponge_preimage_relation(2, 1, 1)):
-            p2, _ = p2_upper_bound(circ, rel, plan)
-            res = experiment_probabilities(circ, rel, plan)
+            p2, _ = p2_upper_bound(final, rel, plan)
+            res = experiment_probabilities(final, rel, plan)
             assert res.p_ii <= p2 + 1e-10
             rows = {r.name: r for r in progress_checks(circ, [("r", rel)], plan)}
             rep = rows[f"progress-identity[{circ.name},r]"]
             assert rep.passed, rep
             assert rep.rhs == p2
-            assert abs(n * progress_measure(circ, rel, plan)[0] - p2) < 1e-10
+            assert abs(n * progress_measure(final, rel, plan)[0] - p2) < 1e-10
 
 
 def test_twirl_averages_on_non_square_sampled_grid():
@@ -464,13 +564,14 @@ def test_twirl_averages_on_non_square_sampled_grid():
     assert plan.grid_shape == (2, 3)
     singles = [[plan_of([s], [t], True) for t in taus] for s in sigmas]
     circ = random_circuit(71, 1, 2, n)
+    final = final_state(circ)
     rel = sponge_preimage_relation(2, 1, 1)
     state = standard_form_prequery_states(circ)[-1][1]
 
     def averages(p):
-        res = experiment_probabilities(circ, rel, p)
+        res = experiment_probabilities(final, rel, p)
         values = [(res.p_ii, res.stderr_ii),
-                  p2_upper_bound(circ, rel, p), progress_measure(circ, rel, p),
+                  p2_upper_bound(final, rel, p), progress_measure(final, rel, p),
                   sparsity_expectation(state, p)]
         crucial = [v for per_state in crucial_term_values(circ, rel, p)
                    for v in per_state]
@@ -480,7 +581,7 @@ def test_twirl_averages_on_non_square_sampled_grid():
     per_pair = [[averages(p) for p in row] for row in singles]
     # p_i is exact: read once from the untwirled state, with no stderr, and
     # the same whichever pairs the plan holds.
-    assert not hasattr(experiment_probabilities(circ, rel, plan), "stderr_i")
+    assert not hasattr(experiment_probabilities(final, rel, plan), "stderr_i")
     assert got_p_i > 0.0
     assert all(cell[0] == got_p_i for row in per_pair for cell in row)
     for k, (mean, se) in enumerate(got):
@@ -668,7 +769,7 @@ def test_progress_expectation_and_crucial():
         names = [f"hard-database[{tag}]"] + [f"crucial[{tag}]:{k}" for k in (1, 2, 3)]
         for name in names:
             assert rows[name].passed, rows[name]
-    assert progress_measure(empty_circuit(n), diagonal_relation(n), plan)[0] \
+    assert progress_measure(final_state(empty_circuit(n)), diagonal_relation(n), plan)[0] \
         == pytest.approx(0.0, abs=1e-12)
 
 
@@ -879,7 +980,7 @@ def test_theorem_spo_cross_check():
     rel = diagonal_relation(n)
     rep = theorem_check(circ, rel)
     plan = make_twirl_plan(n)
-    res = experiment_probabilities(with_loading_query(circ), rel, plan)
+    res = experiment_probabilities(final_state(with_loading_query(circ)), rel, plan)
     assert rep.lhs == pytest.approx(res.p_i, abs=1e-9)
 
 

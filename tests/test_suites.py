@@ -1,4 +1,5 @@
 """Named suites and report plumbing."""
+import dataclasses
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from spolab.suites import (
     suite_relations,
 )
 
-from helpers import count_calls, count_runs
+from helpers import count_calls, count_pair_steps, count_runs, final_state
 
 
 def test_check_pass_rules():
@@ -94,12 +95,12 @@ def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch):
         return grid_mean_stderr(values)
 
     monkeypatch.setattr(lemmas, "grid_mean_stderr", record)
-    circ = suite_circuits(4, DEFAULT_SEED, max_q=2)[-1]
+    final = final_state(suite_circuits(4, DEFAULT_SEED, max_q=2)[-1])
     rels = dict(suite_relations(4))
     for rname in ("pair", "sponge"):
-        lemmas.experiment_probabilities(circ, rels[rname], crossed)
-        lemmas.p2_upper_bound(circ, rels[rname], crossed)
-        lemmas.progress_measure(circ, rels[rname], crossed)
+        lemmas.experiment_probabilities(final, rels[rname], crossed)
+        lemmas.p2_upper_bound(final, rels[rname], crossed)
+        lemmas.progress_measure(final, rels[rname], crossed)
     assert len(grids) == 6 and all(g.shape == (24, 24) for g in grids)
 
     rng = np.random.default_rng(45)
@@ -149,14 +150,19 @@ def test_twirl_plan_pairs_invert_the_composed_label_maps():
     from spolab.oracles import left_right_map
 
     n = 4
-    plan = make_twirl_plan(n)
+    # Chunks of 5 columns leave a ragged last chunk of 4 on every row.
+    plan = dataclasses.replace(make_twirl_plan(n), chunk=5)
     arange = np.arange(24)
-    seen = 0
-    for _i, _j, sigma, tau, minv in plan.pairs():
-        m = left_right_map(n, tau=tau)[left_right_map(n, sigma=sigma)]
-        assert np.array_equal(m[minv], arange)
-        seen += 1
-    assert seen == plan.pair_count == 576
+    seen = []
+    for i, c0, sigma, minv in plan.pairs():
+        assert sigma == plan.sigmas[i] and len(minv) == min(5, 24 - c0)
+        for c, col in enumerate(minv):
+            tau = plan.taus[c0 + c]
+            m = left_right_map(n, tau=tau)[left_right_map(n, sigma=sigma)]
+            assert np.array_equal(m[col], arange)
+            seen.append((i, c0 + c))
+    assert sorted(seen) == [(i, j) for i in range(24) for j in range(24)]
+    assert len(seen) == plan.pair_count == 576
 
 
 def test_suite_registry_runs_small():
@@ -199,6 +205,33 @@ def test_progress_suite_computes_each_twirl_average_once(monkeypatch):
     assert all(r.passed for r in reports)
     assert calls == {"progress_measure": 20, "p2_upper_bound": 20,
                      "sparsity_expectation": 0}
+
+
+# project_plus_db calls of progress_suite(4) and sparsity_suite(4) when each
+# twirl average steps through one (sigma, tau) pair at a time.
+PER_PAIR_PROJECTOR_CALLS = 96_165
+
+
+def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch):
+    """At N = 4 every twirl average takes one step per sigma-row, each step
+    24 pairs wide, and the two suites make at most a tenth of the projector
+    calls of one pair per step.  progress_suite runs each of its circuits
+    once (75 runs when each average ran its own)."""
+    import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
+
+    from spolab.suites import DEFAULT_SEED, progress_suite, sparsity_suite
+
+    projector = count_calls(monkeypatch, oracles_mod, "project_plus_db")
+    averages = count_calls(monkeypatch, lemmas_mod, "_twirl_average")
+    steps = count_pair_steps(monkeypatch)
+    runs = count_runs(monkeypatch)
+    assert all(r.passed for r in progress_suite(4))
+    assert len(runs) == len(suite_circuits(4, DEFAULT_SEED, max_q=2)) == 5
+    assert all(r.passed for r in sparsity_suite(4))
+    assert averages and len(steps) == 24 * len(averages)
+    assert set(steps) == {24}
+    assert len(projector) <= PER_PAIR_PROJECTOR_CALLS // 10
 
 
 def test_sampler_chi_square_rejects_bias():
