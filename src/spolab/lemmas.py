@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -389,12 +388,10 @@ def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
 def fundamental_check(circ: QueryCircuit, rel: Relation,
                       plan: TwirlPlan, name: str = "") -> VerificationReport:
     """sqrt(p_i) <= sqrt(p_ii) + sqrt((ln N + 1) / N)."""
-    start = time.perf_counter()
     n = circ.n
     res = experiment_probabilities(run(circ, spo_backend(n)), rel, plan)
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
-    elapsed = (time.perf_counter() - start) * 1000.0
     sampled = {}
     if res.method != "exact":
         # p_i is exact, so the error sits on the rhs: the 1-sigma increment
@@ -402,7 +399,7 @@ def fundamental_check(circ: QueryCircuit, rel: Relation,
         # where the delta method degenerates.
         se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
         sampled = {"method": "monte_carlo", "stderr": se_rhs, "samples": res.pairs}
-    return check(name or f"fundamental[{circ.name}]", lhs, rhs, runtime_ms=elapsed,
+    return check(name or f"fundamental[{circ.name}]", lhs, rhs,
                  p_i=res.p_i, p_ii=res.p_ii, **sampled)
 
 
@@ -568,11 +565,13 @@ def easy_norm_check(n: int, x: int, rel: Relation, direction: str,
     return check(name or f"easy-i[x={x},{direction}]", worst, bound)
 
 
-def progress_accumulation_check(circ: QueryCircuit, rel: Relation, x: int,
-                                name: str = "") -> list[VerificationReport]:
-    """Both accumulation inequalities over the untwirled run's pre-query states."""
-    n = circ.n
-    final, pre = run_with_intermediates(circ, spo_backend(n))
+def progress_accumulation_check(final: StateVector,
+                                pre: list[tuple[str, StateVector]], rel: Relation,
+                                x: int, name: str = "") -> list[VerificationReport]:
+    """Both accumulation inequalities of one untwirled run, given its final
+    state and its (direction, pre-query state) list as run_with_intermediates
+    returns them."""
+    n = rel.n
     amps = _db_block(final)
     mask = _section_mask(rel, x)
     lhs = float(np.linalg.norm(_apply_progress(amps, n, x, mask)))
@@ -586,7 +585,7 @@ def progress_accumulation_check(circ: QueryCircuit, rel: Relation, x: int,
         rhs_sq_sum += ratio * comp_norm ** 2 + 16.0 * zeta
     q = len(pre)
     rhs_cauchy = math.sqrt(2 * q * rhs_sq_sum)
-    base = name or f"accumulation[{circ.name},x={x}]"
+    base = name or f"accumulation[x={x}]"
     return [
         check(base + ":linear", lhs, rhs_linear),
         check(base + ":cauchy-schwarz", lhs, rhs_cauchy),
@@ -636,8 +635,8 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
     n = circ.n
     nf = database_dim(n)
     if plan.pair_count * n * nf > AMPLITUDE_BUDGET:
-        raise ValueError(f"crucial terms gather {plan.pair_count} pairs x {n} "
-                         f"x {nf} labels, over the {AMPLITUDE_BUDGET} budget")
+        raise BudgetError(f"crucial terms gather {plan.pair_count} pairs x {n} "
+                          f"x {nf} labels, over the {AMPLITUDE_BUDGET} budget")
     rows, cols = plan.grid_shape
     # Pair (i, j) is row i * cols + j, with minv = right_inv[i][left_inv[j]].
     minv = plan.right_inv[:, plan.left_inv].reshape(-1, nf)
@@ -675,17 +674,13 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
     sparsity tail sum_j E[...] does not depend on R; it is
     sum_j <phi_j|Gamma|phi_j> over the standard-form pre-query states (the
     identity the sparsity rows check), once per circuit, with ``gamma`` if
-    given.  A row's runtime_ms is the time of the averages it reads.
+    given.  The averages of a relation are computed before its first row is
+    made, so under run_suite that row's runtime_ms carries them.
     """
     _require_exhaustive(plan, "progress_checks")
     n = circ.n
     q = circ.query_count
     log_n = math.log(n)
-
-    def timed(fn, *args):
-        start = time.perf_counter()
-        value = fn(*args)
-        return value, (time.perf_counter() - start) * 1000.0
 
     def sparsity_tail() -> float:
         g = gamma_operator(n) if gamma is None else gamma
@@ -698,29 +693,28 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
     out = []
     for rname, rel in rels:
         tag = f"{circ.name},{rname}"
-        (measure, _), t_measure = timed(progress_measure, final, rel, plan)
-        (p2, _), t_p2 = timed(p2_upper_bound, final, rel, plan)
-        res, t_res = timed(experiment_probabilities, final, rel, plan)
+        measure, _ = progress_measure(final, rel, plan)
+        p2, _ = p2_upper_bound(final, rel, plan)
+        res = experiment_probabilities(final, rel, plan)
         out.append(check_close(f"progress-identity[{tag}]", n * measure, p2,
-                               tol=1e-10, runtime_ms=t_measure + t_p2, pairs=pairs))
+                               tol=1e-10, pairs=pairs))
         out.append(check(f"p2-dominates-p_ii[{tag}]", res.p_ii, p2, tol=1e-10,
-                         runtime_ms=t_res + t_p2, pairs=pairs))
+                         pairs=pairs))
         if not (q and rel.size):
             continue
         if tail is None:
-            tail, t_tail = timed(sparsity_tail)
+            tail = sparsity_tail()
         r = rel.r_max
         rhs = 384.0 * q * q * r * (log_n + 2.0) / n ** 2 + 4.0 * q * r * tail
-        out.append(check(f"hard-database[{tag}]", measure, rhs,
-                         runtime_ms=t_measure + t_tail, pairs=pairs))
-        values, t_crucial = timed(crucial_term_values, circ, rel, plan)
+        out.append(check(f"hard-database[{tag}]", measure, rhs, pairs=pairs))
+        values = crucial_term_values(circ, rel, plan)
         bounds = ((log_n + 3.0) * r / n ** 2,
                   (log_n + 1.0) * r / n ** 2,
                   (log_n + 1.0) * r / n ** 2)
         for k in range(3):
             worst = max(v[k] for v in values) if values else 0.0
             out.append(check(f"crucial[{tag}]:{k + 1}", worst, bounds[k],
-                             runtime_ms=t_crucial, pairs=pairs))
+                             pairs=pairs))
     return out
 
 
@@ -856,10 +850,8 @@ def commutator_growth_check(n: int, name: str = "") -> list[VerificationReport]:
     bound = 6.0 * (math.log(n) + 1.0) / n ** 2
     out = []
     for direction in ("forward", "inverse"):
-        start = time.perf_counter()
         worst = commutator_norm(n, direction, gamma)
-        out.append(check(name or f"commutator[n={n},{direction}]", worst, bound,
-                         runtime_ms=(time.perf_counter() - start) * 1000.0))
+        out.append(check(name or f"commutator[n={n},{direction}]", worst, bound))
     return out
 
 
@@ -912,12 +904,10 @@ def theorem_check(circ: QueryCircuit, rel: Relation, *,
     """lhs = Pr[(x, pi(x)) in R] over all pi; rhs = min(1, 914 q^3 r_max
     (ln N + 2)/N) with 'fewer than q' semantics (q = query count + 1);
     flags vacuity."""
-    start = time.perf_counter()
     n = circ.n
     q = circ.query_count + 1
     rhs_raw = main_bound(q, n, rel.r_max) if rel.r_max else 0.0
     rhs = clamped(rhs_raw)
     wins = success_probability(circ, all_images(n), rel).tolist()
     return check(name or f"theorem[{circ.name}]", sum(wins) / len(wins), rhs,
-                 runtime_ms=(time.perf_counter() - start) * 1000.0,
                  vacuous=(rhs >= 1.0), q=q, r_max=rel.r_max, bound_raw=rhs_raw)

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .permutations import Permutation, SizeLimitError, invert
+from .permutations import Permutation, SizeLimitError, all_images, invert
 from .states import (
     CQEnsemble,
     LayoutError,
@@ -72,39 +72,13 @@ def database_dim(n: int) -> int:
 # Mixed-radix label machinery
 
 
-def _digits_from_indices(n: int, idx: np.ndarray) -> np.ndarray:
-    """Factor digits t_k = (idx // k!) % (k+1), shape (m, n)."""
-    out = np.zeros((idx.shape[0], n), dtype=np.int64)
-    for k in range(1, n):
-        out[:, k] = (idx // factorial(k)) % (k + 1)
-    return out
-
-
-def _compose_digit_batch(t: np.ndarray) -> np.ndarray:
-    """Compose <n-1 t_{n-1}> ... <0 t_0> for each row of digits."""
-    m, n = t.shape
-    images = np.tile(np.arange(n, dtype=np.int64), (m, 1))
-    inv = images.copy()
-    rows = np.arange(m)
-    for k in range(1, n):
-        tk = t[:, k]
-        i1 = inv[rows, k]
-        i2 = inv[rows, tk]
-        images[rows, i1] = tk
-        images[rows, i2] = k
-        inv[rows, k] = i2
-        inv[rows, tk] = i1
-    return images
-
-
 @lru_cache(maxsize=None)
 def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(pi_table, inv_table): pi_table[d, x] = pi_d(x) for every label d."""
     if n > EXACT_DB_LIMIT:
         raise SizeLimitError(f"database tables capped at n={EXACT_DB_LIMIT}")
     nf = factorial(n)
-    digits = _digits_from_indices(n, np.arange(nf))
-    pi = _compose_digit_batch(digits)
+    pi = all_images(n)  # label d has the factor digits t_k = (d // k!) % (k+1)
     inv = np.empty_like(pi)
     inv[np.arange(nf)[:, None], pi] = np.arange(n)[None, :]
     pi.setflags(write=False)

@@ -4,14 +4,18 @@ A report records one inequality or identity check: lhs, rhs, slack = rhs - lhs,
 and the pass rule.  Exact checks pass when slack >= -tolerance; Monte Carlo
 checks when slack >= -k * stderr (k = 3 by default).  Reports embed enough of
 their configuration that a suite document is regenerable from one command.
+
+A report is stamped when it is made; ``timed_rows`` turns the stamps of one
+run into each row's runtime_ms, the time since the previous row.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 EXACT_TOL = 1e-9
 MC_SIGMAS = 3.0
@@ -28,6 +32,9 @@ class VerificationReport:
     samples: int | None = None
     runtime_ms: float = 0.0
     extra: dict[str, Any] = field(default_factory=dict)
+    # perf_counter() at creation; read by timed_rows, never emitted.
+    _made: float = field(default_factory=time.perf_counter, init=False,
+                         repr=False, compare=False)
 
     @property
     def slack(self) -> float:
@@ -55,7 +62,7 @@ class VerificationReport:
 def check(name: str, lhs: float, rhs: float, *, method: str = "exact",
           tol: float = EXACT_TOL, stderr: float | None = None,
           sigmas: float = MC_SIGMAS, samples: int | None = None,
-          runtime_ms: float = 0.0, **extra: Any) -> VerificationReport:
+          **extra: Any) -> VerificationReport:
     """Build a report with the standard pass rule."""
     slack = rhs - lhs
     if method == "exact":
@@ -68,16 +75,28 @@ def check(name: str, lhs: float, rhs: float, *, method: str = "exact",
         raise ValueError(f"unknown method {method!r}")
     return VerificationReport(name, float(lhs), float(rhs), bool(passed),
                               method=method, stderr=stderr, samples=samples,
-                              runtime_ms=runtime_ms, extra=dict(extra))
+                              extra=dict(extra))
 
 
 def check_close(name: str, lhs: float, rhs: float, *, tol: float = EXACT_TOL,
-                runtime_ms: float = 0.0, **extra: Any) -> VerificationReport:
+                **extra: Any) -> VerificationReport:
     """Equality check: passes when |lhs - rhs| <= tol."""
     passed = abs(rhs - lhs) <= tol
     return VerificationReport(name, float(lhs), float(rhs), bool(passed),
-                              method="exact", runtime_ms=runtime_ms,
-                              extra=dict(extra))
+                              method="exact", extra=dict(extra))
+
+
+def timed_rows(make: Callable[[], list[VerificationReport]],
+               ) -> list[VerificationReport]:
+    """The reports of ``make()``, each with runtime_ms set to the time from
+    the previous report's creation to its own (the first one's from the
+    call), so the rows' times add up to the call's wall time."""
+    last = time.perf_counter()
+    reports = make()
+    for report in reports:
+        report.runtime_ms = (report._made - last) * 1000.0
+        last = report._made
+    return reports
 
 
 def suite_document(suite: str, n: int, seed: int | None,

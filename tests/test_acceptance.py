@@ -328,7 +328,7 @@ def test_criterion_11_per_query_lemmas():
     for circ in circuits:
         if not circ.query_count:
             continue
-        _, pre = run_with_intermediates(circ, spo_backend(n))
+        final, pre = run_with_intermediates(circ, spo_backend(n))
         for rname, rel in rels:
             for _next_direction, state in pre:
                 # both query lemmas hold at every intermediate state,
@@ -339,7 +339,7 @@ def test_criterion_11_per_query_lemmas():
                         ok &= rep.passed
             for x in range(n):
                 ok &= all(r.passed
-                          for r in progress_accumulation_check(circ, rel, x))
+                          for r in progress_accumulation_check(final, pre, rel, x))
     for rname, rel in rels:
         for x in range(n):
             for direction in ("forward", "inverse"):

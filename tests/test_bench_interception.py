@@ -60,7 +60,7 @@ def test_every_predicted_span_is_intercepted():
 
 
 def test_traced_fundamental_run_passes_the_span_selftest():
-    argv = ["verify", "--suite", "fundamental", "--n", "8", "--samples", "4"]
+    argv = ["verify", "--suite", "fundamental", "--n", "8", "--samples", "196"]
     result = _run(TRACED_RUN.format(bench=str(ROOT / "perfbench"),
                                     src=str(ROOT / "src"), argv=argv,
                                     workload="fundamental-mc"))

@@ -50,8 +50,17 @@ def test_verify_deterministic(tmp_path):
     assert strip(a) == strip(b)
 
 
-@pytest.mark.parametrize("samples", ["1", "0"])
-def test_verify_rejects_sampled_plan_below_2x2(tmp_path, capsys, samples):
+@pytest.mark.parametrize("samples", ["1", "0", "4", "169"])
+def test_verify_rejects_sampled_plan_below_2x2(tmp_path, capsys, monkeypatch,
+                                               samples):
+    """A sampled fundamental grid below 14 x 14 is refused before its plan
+    is built."""
+    import spolab.suites as suites_mod
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("built a plan before the size check")
+
+    monkeypatch.setattr(suites_mod, "make_twirl_plan", no_plan)
     out = tmp_path / "r.json"
     code = run_cli(["verify", "--suite", "fundamental", "--n", "8",
                     "--samples", samples, "--seed", "1", "--out", str(out)])

@@ -748,11 +748,13 @@ def test_accumulation_checks():
     n = 4
     circ = random_circuit(53, 3, 2, n)
     rel = diagonal_relation(n)
+    final, pre = run_with_intermediates(circ, spo_backend(n))
     for x in range(n):
-        reps = progress_accumulation_check(circ, rel, x)
+        reps = progress_accumulation_check(final, pre, rel, x)
         assert all(r.passed for r in reps), reps
     # zero queries: 0 <= 0
-    reps0 = progress_accumulation_check(empty_circuit(n), rel, 0)
+    reps0 = progress_accumulation_check(
+        *run_with_intermediates(empty_circuit(n), spo_backend(n)), rel, 0)
     assert reps0[0].lhs == pytest.approx(0.0, abs=1e-12)
     assert all(r.passed for r in reps0)
 
@@ -793,17 +795,24 @@ def test_hard_database_rhs_is_the_direct_sparsity_tail():
 
 def test_crucial_terms_refuse_a_gather_over_the_budget(monkeypatch):
     """All pairs are gathered at once, so a plan whose (pairs, N, N!) marginal
-    exceeds the amplitude budget is refused before any circuit runs."""
+    exceeds the amplitude budget is refused with a BudgetError before any
+    label map is gathered or any circuit runs."""
     import spolab.lemmas as lemmas_mod
+
+    class NoGather:
+        def __getitem__(self, _index):
+            raise AssertionError("a label map was gathered before the budget check")
 
     def no_run(*args, **kwargs):
         raise AssertionError("a circuit ran before the budget was checked")
 
     monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
     monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
-    with pytest.raises(ValueError, match="576 pairs x 4 x 24 labels"):
+    plan = dataclasses.replace(make_twirl_plan(4), right_inv=NoGather(),
+                               left_inv=NoGather())
+    with pytest.raises(BudgetError, match="576 pairs x 4 x 24 labels"):
         lemmas_mod.crucial_term_values(random_circuit(55, 1, 2, 4),
-                                       diagonal_relation(4), make_twirl_plan(4))
+                                       diagonal_relation(4), plan)
 
 
 def test_exact_only_checks_refuse_sampled_plans(monkeypatch):

@@ -1,6 +1,7 @@
 """Named suites and report plumbing."""
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from spolab.reporting import (
     check,
     check_close,
     suite_document,
+    timed_rows,
     to_csv,
     to_json,
 )
 from spolab.suites import (
+    MIN_SAMPLED_SIDE,
     SUITES,
     run_attack,
     run_suite,
@@ -76,12 +79,14 @@ def test_grid_mean_stderr_crossed_coverage():
     assert covered / grids >= 0.99
 
 
-def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch):
+@pytest.mark.parametrize("side", [MIN_SAMPLED_SIDE, 45])
+def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch, side):
     """3-SE coverage on the per-pair grids the lab averages: the exhaustive
     N = 4 grids of p_ii, the p2 expression and the progress measure of a
     querying suite circuit against the pair and sponge relations.  Each draw
-    is the 45 x 45 grid that ``--samples 2000`` samples, rows and columns
-    drawn uniformly with replacement, as make_twirl_plan draws them."""
+    is a side x side grid, rows and columns drawn uniformly with replacement
+    as make_twirl_plan draws them: the smallest grid the sampled fundamental
+    suite accepts, and the 45 x 45 grid that ``--samples 2000`` samples."""
     import spolab.lemmas as lemmas
     from spolab.suites import DEFAULT_SEED
 
@@ -104,7 +109,7 @@ def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch):
     assert len(grids) == 6 and all(g.shape == (24, 24) for g in grids)
 
     rng = np.random.default_rng(45)
-    draws, side = 1000, 45
+    draws = 1000
     picks = [(rng.integers(0, 24, side), rng.integers(0, 24, side))
              for _ in range(draws)]
     coverage = []
@@ -178,6 +183,25 @@ def test_suite_registry_runs_small():
         run_suite("bogus", 2)
 
 
+def timed_by_gaps(make):
+    """The reports of ``make()``, checked for the timing rule: every row
+    carries a gap >= 0, and the gaps add up to the wall time of the call,
+    to 5 % or 5 ms."""
+    start = time.perf_counter()
+    reports = make()
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    assert reports and all(r.runtime_ms >= 0.0 for r in reports)
+    total = sum(r.runtime_ms for r in reports)
+    assert abs(total - wall_ms) <= max(0.05 * wall_ms, 5.0), (total, wall_ms)
+    return reports
+
+
+@pytest.mark.parametrize("name, n", [(name, 2) for name in sorted(SUITES)
+                                     if name != "all"] + [("progress", 4)])
+def test_run_suite_times_each_row_since_the_previous_row(name, n):
+    timed_by_gaps(lambda: run_suite(name, n, seed=5, samples=64))
+
+
 def test_suite_circuit_and_relation_sets():
     circuits = suite_circuits(4, seed=1)
     assert circuits[0].query_count == 0
@@ -216,7 +240,10 @@ def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch)
     """At N = 4 every twirl average takes one step per sigma-row, each step
     24 pairs wide, and the two suites make at most a tenth of the projector
     calls of one pair per step.  progress_suite runs each of its circuits
-    once (75 runs when each average ran its own)."""
+    once (75 runs when each average ran its own), and makes at most 29 runs
+    in all: the accumulation rows read the run of the query-step rows
+    (109 when they reran it for every relation and x)."""
+    import spolab.circuits as circuits_mod
     import spolab.lemmas as lemmas_mod
     import spolab.oracles as oracles_mod
 
@@ -226,8 +253,10 @@ def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch)
     averages = count_calls(monkeypatch, lemmas_mod, "_twirl_average")
     steps = count_pair_steps(monkeypatch)
     runs = count_runs(monkeypatch)
+    staged = count_calls(monkeypatch, circuits_mod, "run_with_intermediates")
     assert all(r.passed for r in progress_suite(4))
     assert len(runs) == len(suite_circuits(4, DEFAULT_SEED, max_q=2)) == 5
+    assert len(runs) + len(staged) <= 29
     assert all(r.passed for r in sparsity_suite(4))
     assert averages and len(steps) == 24 * len(averages)
     assert set(steps) == {24}
@@ -412,21 +441,23 @@ def test_run_attack_zero_search_sampled():
 def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
     """Every (sigma, tau) check runs one sigma-row of the exhaustive plan per
     circuit run, counted wherever a spolab module binds ``run``; the rows
-    read from those runs carry their time and pair count."""
+    read from those runs carry their pair count, and under the timing rule
+    of run_suite every row its gap."""
     from spolab.suites import spo_equivalence_suite, twirl_suite
 
     calls = count_runs(monkeypatch)
-    reports = spo_equivalence_suite(4, max_q=2)
+    reports = timed_by_gaps(
+        lambda: timed_rows(lambda: spo_equivalence_suite(4, max_q=2)))
     assert len(calls) <= 179  # 10 ensembles, 1 + 24 probe runs, 2 x 24 x 3
     calls.clear()
-    reports += twirl_suite(4)
+    reports += timed_by_gaps(lambda: timed_rows(lambda: twirl_suite(4)))
     assert len(calls) <= 125  # 5 circuits x (1 plain + 24 sigma-rows)
     assert max(backend.rows for backend in calls) == 24
     batched = [r for r in reports if r.name.split("[")[0] in (
         "spo-vs-tspo-all-pairs", "twisted-vs-not", "std-experiment-1-vs-2",
         "std-experiment-1-vs-3")]
     assert len(batched) == 10 and all(r.passed for r in reports)
-    assert all(r.extra["pairs"] == 576 and r.runtime_ms > 0 for r in batched)
+    assert all(r.extra["pairs"] == 576 for r in batched)
 
 
 @pytest.mark.parametrize("suite", ["progress", "sparsity"])
