@@ -45,7 +45,7 @@ from .oracles import (
     _db_size_from_layout,
 )
 from .permutations import (Permutation, all_images, all_permutations, invert,
-                           sample_uniform)
+                           sample_uniform, transposition)
 from .relations import Relation
 from .reporting import VerificationReport, check, check_close
 from .states import (
@@ -83,7 +83,7 @@ class TwirlPlan:
     exhaustive: bool
     seed: int | None
     # Inverse label maps of R^sigma and L^tau, i.e. those of R^{sigma^{-1}}
-    # and L^{tau^{-1}}.
+    # and L^{tau^{-1}} (int32 from make_twirl_plan).
     right_inv: np.ndarray  # (len(sigmas), n!): d -> idx(pi_d sigma)
     left_inv: np.ndarray   # (len(taus), n!):  d -> idx(tau^{-1} pi_d)
     chunk: int = 1  # columns of a sigma-row per step of pairs()
@@ -107,14 +107,14 @@ class TwirlPlan:
         return len(self.sigmas), len(self.taus)
 
     def pairs(self) -> Iterator[tuple[int, int, Permutation, np.ndarray]]:
-        """Yields (i, c0, sigma, minv) for each chunk of at most ``chunk``
-        columns c0, c0 + 1, ... of sigma-row i: minv[c] is the inverse label
-        map of L^tau R^sigma for tau = taus[c0 + c], so the twirled state of
-        that pair is old_amps[..., minv[c]]."""
+        """Yields (i, c0, sigma, lj) for each chunk of at most ``chunk``
+        columns c0, c0 + 1, ... of sigma-row i: lj = left_inv[c0:c0 + C], so
+        the inverse label map of L^tau R^sigma for tau = taus[c0 + c] is
+        minv = right_inv[i][lj[c]], and the twirled state of that pair is
+        old_amps[..., minv]."""
         for i, sigma in enumerate(self.sigmas):
-            ri = self.right_inv[i]
             for c0 in range(0, len(self.taus), self.chunk):
-                yield i, c0, sigma, ri[self.left_inv[c0:c0 + self.chunk]]
+                yield i, c0, sigma, self.left_inv[c0:c0 + self.chunk]
 
 
 def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
@@ -135,8 +135,13 @@ def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
         side = math.ceil(math.sqrt(min_pairs))
         sigmas = tuple(sample_uniform(n, rng) for _ in range(side))
         taus = tuple(sample_uniform(n, rng) for _ in range(side))
-    right_inv = np.stack([left_right_map(n, sigma=invert(s)) for s in sigmas])
-    left_inv = np.stack([left_right_map(n, tau=invert(t)) for t in taus])
+    # int32 (n! < 2^31), filled row by row: no int64 stack of the maps.
+    right_inv = np.empty((len(sigmas), database_dim(n)), dtype=np.int32)
+    left_inv = np.empty((len(taus), database_dim(n)), dtype=np.int32)
+    for row, sigma in zip(right_inv, sigmas):
+        row[:] = left_right_map(n, sigma=invert(sigma))
+    for row, tau in zip(left_inv, taus):
+        row[:] = left_right_map(n, tau=invert(tau))
     return TwirlPlan(n, sigmas, taus, exhaustive, seed, right_inv, left_inv)
 
 
@@ -167,24 +172,27 @@ def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _twirl_average(plan: TwirlPlan, rest: int,
-                   term: Callable[..., np.ndarray]) -> tuple[float, float]:
-    """(mean, stderr) over the plan of the values that
-    ``term(sigma, sigma_inv, taus, tau_inv, minv)`` gives for one chunk of a
-    sigma-row: one value per column, for the taus of the chunk.
+                   term: Callable[..., Callable[..., np.ndarray]]) -> tuple[float, float]:
+    """(mean, stderr) over the plan of the values of one twirl term.
 
-    ``sigma_inv`` is the inverse images of sigma and ``tau_inv`` the
-    (C, n) inverse images of the taus; the twirled (rest, n!) block of
-    column c is ``block[:, minv[c]]``.  A chunk holds as many columns as
-    keep the gathered (rest, C, n!) block within TWIRL_CHUNK_AMPS, and at
-    least one.  Exhaustive plans give the exact mean with stderr 0, sampled
-    plans the crossed-grid estimate of grid_mean_stderr.
+    ``term(sigma, sigma_inv, ri)`` is called once per sigma-row, with the
+    inverse images of sigma and ri = right_inv[i], so that it can precompute
+    what the row shares.  It returns ``chunk(taus, tau_inv, lj)``, which
+    gives one value per column of a chunk of the row: for its taus, their
+    (C, n) inverse images and their (C, n!) maps lj = left_inv[cols].  The
+    twirled (rest, n!) block of column c is ``block[:, ri[lj[c]]]``.  A
+    chunk holds as many columns as keep that gathered (rest, C, n!) block
+    within TWIRL_CHUNK_AMPS, and at least one.  Exhaustive plans give the
+    exact mean with stderr 0, sampled plans the crossed-grid estimate of
+    grid_mean_stderr.
     """
     chunk = max(1, TWIRL_CHUNK_AMPS // (rest * database_dim(plan.n)))
     grid = np.zeros(plan.grid_shape)
-    for i, c0, sigma, minv in replace(plan, chunk=chunk).pairs():
-        cols = slice(c0, c0 + len(minv))
-        grid[i, cols] = term(sigma, plan.sigma_inv[i], plan.taus[cols],
-                             plan.tau_inv[cols], minv)
+    for i, c0, sigma, lj in replace(plan, chunk=chunk).pairs():
+        if c0 == 0:
+            row = term(sigma, plan.sigma_inv[i], plan.right_inv[i])
+        cols = slice(c0, c0 + len(lj))
+        grid[i, cols] = row(plan.taus[cols], plan.tau_inv[cols], lj)
     if plan.exhaustive:
         return float(grid.mean()), 0.0
     return grid_mean_stderr(grid)
@@ -230,26 +238,50 @@ def _progress_norm2(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.nd
 
 
 @lru_cache(maxsize=None)
-def _hit_fibers(n: int, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hits, base): the labels d with pi_d(s) = t, and for each the first
-    label of its D_{s+1} fiber, which is base + s! * arange(s + 1).
+def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  tuple[np.ndarray, ...]]:
+    """(hits, offsets, pos, swaps): int32 tables of the labels hit at each
+    register s and of their D_{s+1} fibers, with m = (n-1)!.
 
-    pi_d(s) = pi_{>s}(t_s) and a fiber varies t_s alone, so the (n-1)! hits
-    lie in distinct fibers; the tables are checked for exactly that.
+      hits[s, t]     the m labels d with pi_d(s) = t, ascending;
+      offsets[s, t]  a(d) * m for those d, where a(d) = pi_{<s}^{-1}(t_s)
+                     = pi_d^{-1}(pi_{d'}(s)) and d' = d + (s - t_s) s! is
+                     the member of d's fiber with t_s = s;
+      pos[s, e]      the index of label e in hits[s, pi_e(s)];
+      swaps[s][c]    the map e -> idx(pi_e <s c>), for c = 0..s.
+
+    pi_d(s) = pi_{>s}(t_s) and a fiber varies t_s alone, so the m hits of
+    each t lie in distinct fibers; the tables are checked for exactly that.
     """
-    pi, _ = perm_tables(n)
-    _hi, radix, lo = db_register_geometry(n, s)
-    hits = np.flatnonzero(pi[:, s] == t)
-    base = hits - (hits // lo % radix) * lo
-    fibers = np.unique(base).size
-    if hits.size != math.factorial(n - 1) or fibers != hits.size:
-        raise RuntimeError(f"pi_d({s}) = {t} holds on {hits.size} labels in "
-                           f"{fibers} D_{s + 1} fibers, expected "
-                           f"{math.factorial(n - 1)} in distinct fibers (n={n})")
-    hits, base = hits.astype(np.int32), base.astype(np.int32)
-    hits.setflags(write=False)
-    base.setflags(write=False)
-    return hits, base
+    pi, inv = perm_tables(n)
+    nf = database_dim(n)
+    m = nf // n
+    hits = np.empty((n, n, m), dtype=np.int32)
+    offsets = np.empty((n, n, m), dtype=np.int32)
+    pos = np.empty((n, nf), dtype=np.int32)
+    swaps = []
+    for s in range(n):
+        lo = math.factorial(s)
+        counts = np.bincount(pi[:, s], minlength=n)
+        hit = np.argsort(pi[:, s], kind="stable").reshape(n, m)
+        digit = hit // lo % (s + 1)
+        base = np.sort(hit - digit * lo, axis=1)  # first label of each fiber
+        shared = int((base[:, 1:] == base[:, :-1]).sum())
+        if (counts != m).any() or shared:
+            raise RuntimeError(f"pi_d({s}) = t holds on {counts.tolist()} labels "
+                               f"per t, {shared} of them in a shared D_{s + 1} "
+                               f"fiber; expected {m} per t in distinct fibers "
+                               f"(n={n})")
+        hits[s] = hit
+        offsets[s] = inv[hit, pi[hit + (s - digit) * lo, s]] * m
+        pos[s, hit.ravel()] = np.arange(nf) % m
+        swap = np.empty((s + 1, nf), dtype=np.int32)
+        for c, row in enumerate(swap):
+            row[:] = left_right_map(n, sigma=transposition(n, s, c))
+        swaps.append(swap)
+    for table in (hits, offsets, pos, *swaps):
+        table.setflags(write=False)
+    return hits, offsets, pos, tuple(swaps)
 
 
 def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, float]:
@@ -313,15 +345,26 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     pi_d(x) = y.
 
     p_(ii') sums ||Pi (I - P_s) w||^2 over the slices, for the twirled slice
-    w = v[:, minv], s = sigma(x), t = tau(y) and Pi the labels with
-    pi_d(s) = t.  In the factorization pi_d = pi_{>s} <s t_s> pi_{<s},
-    pi_{<s} fixes s, so pi_d(s) = pi_{>s}(t_s): each D_{s+1} fiber holds at
-    most one such label (_hit_fibers).  The norm is therefore the sum over
-    the hit labels of |w_hit - mean of its fiber|^2, read without projecting
-    the whole block; s = 0 adds nothing, since P_0 is the identity.  The
-    first pair of the plan is also evaluated in the projector form, and the
-    two must agree to 1e-12 relative.  The twirl average evaluates the
-    fiber form column by column of each chunk.
+    w = v[:, ri[lj]], s = sigma(x), t = tau(y) and Pi the hit labels H(s, t),
+    those with pi_d(s) = t.  In the factorization pi_d = pi_{>s} <s t_s>
+    pi_{<s}, pi_{<s} fixes s, so pi_d(s) = pi_{>s}(t_s): each D_{s+1} fiber
+    holds at most one hit, and the norm is the sum over the hits of
+    |w_hit - mean of its fiber|^2; s = 0 adds nothing, since P_0 is the
+    identity.  The fiber of d is {pi_d <s a><s c> : c = 0..s} with
+    a = a(d) = pi_{<s}^{-1}(t_s), and left multiplication by tau^{-1} keeps
+    that form.  So with u = v[:, ri], the slice twirled by sigma, and
+    e = lj[d] = idx(tau^{-1} pi_d), which runs over the tau-free set H(s, y),
+    the term is
+
+        sum over d in H(s, t) of |u[e] - M[a(d), e]|^2,
+        M[a, e] = (1 / (s+1)) sum_c u[idx(pi_e <s a><s c>)].
+
+    The summand depends on tau only through (a(d), e), so each sigma-row
+    tabulates it once for every a and every e in H(s, y), and each chunk of
+    columns looks its hits up (_p_ii_term).  The first pair of the plan is
+    also evaluated in the projector form, and the two must agree to 1e-12
+    relative.  Label 0 has every t_k = 0, so on an exhaustive plan neither
+    map of that pair is the identity (the identity is the last label).
     """
     n = rel.n
     slices = _xy_slices(final, rel)
@@ -329,14 +372,15 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     p_i = sum(float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
               for x, y, v in slices)
 
-    first = (plan.sigmas[0], plan.taus[0], plan.right_inv[0][plan.left_inv[0]])
-    got, ref = _p_ii_fibers(slices, n, *first), _p_ii_projector(slices, n, *first)
+    term = _p_ii_term(slices, n)
+    ri = plan.right_inv[0]
+    got = float(term(plan.sigmas[0], plan.sigma_inv[0], ri)(
+        plan.taus[:1], plan.tau_inv[:1], plan.left_inv[:1])[0])
+    ref = _p_ii_projector(slices, n, plan.sigmas[0], plan.taus[0],
+                          ri[plan.left_inv[0]])
     if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
         raise RuntimeError(f"fiber-hit p_ii {got!r} differs from the projector "
                            f"form {ref!r} on the first pair of the plan (n={n})")
-
-    def term(sigma, _si, taus, _ti, minv):
-        return [_p_ii_fibers(slices, n, sigma, tau, m) for tau, m in zip(taus, minv)]
 
     rest = _db_block(final).shape[0] // n ** 2  # rows of one <x,y| slice
     p_ii, se_ii = _twirl_average(plan, rest, term)
@@ -361,19 +405,49 @@ def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.nda
     return slices
 
 
-def _p_ii_fibers(slices: list[tuple[int, int, np.ndarray]], n: int,
-                 sigma: Permutation, tau: Permutation, minv: np.ndarray) -> float:
-    """p_(ii') of one pair from the fiber hits: sum over the slices and over
-    the labels with pi_d(sigma(x)) = tau(y) of |w_hit - fiber mean|^2."""
-    p_ii = 0.0
-    for x, y, v in slices:
-        s = sigma.images[x]
-        if s:  # P on D_1 is the identity
-            hits, base = _hit_fibers(n, s, tau.images[y])
-            fibers = base + math.factorial(s) * np.arange(s + 1)[:, None]
-            diff = v[:, minv[hits]] - v[:, minv[fibers]].sum(axis=1) / (s + 1)
-            p_ii += float(np.vdot(diff, diff).real)
-    return p_ii
+def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], n: int):
+    """The fiber-hit p_(ii') term of _twirl_average over the <x,y| slices
+    (see experiment_probabilities).
+
+    Per sigma-row it tabulates, for each slice with s = sigma(x) >= 1,
+    sq[a * m + j] = |u[e] - M[a, e]|^2 summed over the slice's rows, for
+    e = H(s, y)[j] and m = (n-1)!; the tables of the row are concatenated.
+    A chunk then reads, for every column, slice and hit d in H(s, tau(y)),
+    the entry at a(d) and at the index of lj[d] in H(s, y), and sums them
+    per column.
+    """
+    nf = database_dim(n)
+    hits, offsets, pos, swaps = _hit_fibers(n)
+
+    def row(sigma: Permutation, _si, ri: np.ndarray):
+        keys, tables = [], []
+        for x, y, v in slices:
+            s = sigma.images[x]
+            if s:  # P on D_1 is the identity
+                u = v.take(ri, axis=1)
+                h = hits[s, y]
+                fibers = swaps[s].take(swaps[s].take(h, axis=1), axis=1)  # [c, a, j]
+                diff = (u.take(h, axis=1)[:, None]
+                        - u.take(fibers, axis=1).sum(axis=1) / (s + 1))
+                keys.append((s, y))
+                tables.append((diff.real ** 2 + diff.imag ** 2).sum(axis=0).ravel())
+        if not tables:
+            return lambda _taus, _ti, lj: np.zeros(len(lj))
+        ss, ys = np.array(keys).T  # K slices
+        base = np.cumsum([0] + [table.size for table in tables[:-1]])[:, None]
+        sq = np.concatenate(tables)
+
+        def chunk(taus, _ti, lj: np.ndarray) -> np.ndarray:
+            t = np.array([tau.images for tau in taus])[:, ys]  # (C, K)
+            cols = nf * np.arange(len(lj))[:, None, None]
+            e = lj.ravel().take(hits[ss, t] + cols)  # (C, K, m)
+            j = pos.ravel().take(ss[:, None] * nf + e)
+            idx = offsets[ss, t] + base + j
+            return sq.take(idx).reshape(len(lj), -1).sum(axis=1)
+
+        return chunk
+
+    return row
 
 
 def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
@@ -385,11 +459,12 @@ def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
                for x, y, v in slices)
 
 
-def fundamental_check(circ: QueryCircuit, rel: Relation,
-                      plan: TwirlPlan, name: str = "") -> VerificationReport:
-    """sqrt(p_i) <= sqrt(p_ii) + sqrt((ln N + 1) / N)."""
-    n = circ.n
-    res = experiment_probabilities(run(circ, spo_backend(n)), rel, plan)
+def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan,
+                      name: str = "") -> VerificationReport:
+    """sqrt(p_i) <= sqrt(p_ii) + sqrt((ln N + 1) / N), given the final state
+    of the untwirled run."""
+    n = rel.n
+    res = experiment_probabilities(final, rel, plan)
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
     sampled = {}
@@ -399,7 +474,7 @@ def fundamental_check(circ: QueryCircuit, rel: Relation,
         # where the delta method degenerates.
         se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
         sampled = {"method": "monte_carlo", "stderr": se_rhs, "samples": res.pairs}
-    return check(name or f"fundamental[{circ.name}]", lhs, rhs,
+    return check(name or "fundamental", lhs, rhs,
                  p_i=res.p_i, p_ii=res.p_ii, **sampled)
 
 
@@ -415,18 +490,21 @@ def p2_upper_bound(final: StateVector, rel: Relation,
     pi_table, _ = perm_tables(n)
     sections = [(x, rel.section(x)) for x in range(n) if rel.section(x).size]
 
-    def term(sigma, _si, taus, _ti, minv):
-        tw = amps[:, minv]  # (rest, C, n!)
-        images = np.array([tau.images for tau in taus])
-        cols = np.arange(len(taus))[:, None]
-        acc = 0.0
-        for x, ys in sections:
-            # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
-            hit = np.zeros((len(taus), n), dtype=bool)
-            hit[cols, images[:, ys]] = True
-            sx = sigma.images[x]
-            acc = acc + _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
-        return acc
+    def term(sigma, _si, ri):
+        def chunk(taus, _ti, lj):
+            tw = amps[:, ri[lj]]  # (rest, C, n!)
+            images = np.array([tau.images for tau in taus])
+            cols = np.arange(len(taus))[:, None]
+            acc = 0.0
+            for x, ys in sections:
+                # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
+                hit = np.zeros((len(taus), n), dtype=bool)
+                hit[cols, images[:, ys]] = True
+                sx = sigma.images[x]
+                acc = acc + _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
+            return acc
+
+        return chunk
 
     return _twirl_average(plan, amps.shape[0], term)
 
@@ -439,12 +517,15 @@ def progress_measure(final: StateVector, rel: Relation,
     amps = _db_block(final)
     pi_table, _ = perm_tables(n)
 
-    def term(_sigma, si, _taus, ti, minv):
-        tw = amps[:, minv]  # (rest, C, n!)
-        twisted = rel.members[si[None, :, None], ti[:, None, :]]  # R^{sigma,tau} bitsets
-        # mask: (x, pi_d(x)) in R^{sigma,tau}
-        return sum(_progress_norm2(tw, n, x, twisted[:, x, pi_table[:, x]])
-                   for x in range(n)) / n
+    def term(_sigma, si, ri):
+        def chunk(_taus, ti, lj):
+            tw = amps[:, ri[lj]]  # (rest, C, n!)
+            twisted = rel.members[si[None, :, None], ti[:, None, :]]  # R^{sigma,tau} bitsets
+            # mask: (x, pi_d(x)) in R^{sigma,tau}
+            return sum(_progress_norm2(tw, n, x, twisted[:, x, pi_table[:, x]])
+                       for x in range(n)) / n
+
+        return chunk
 
     return _twirl_average(plan, amps.shape[0], term)
 
@@ -612,18 +693,23 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
     n = plan.n
     amps = _db_block(state)
 
-    def term(_sigma, _si, _taus, _ti, minv):
-        tw = amps[:, minv]  # (rest, C, n!)
-        return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
-                   for x in range(n)) / n
+    def term(_sigma, _si, ri):
+        def chunk(_taus, _ti, lj):
+            tw = amps[:, ri[lj]]  # (rest, C, n!)
+            return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
+                       for x in range(n)) / n
+
+        return chunk
 
     return _twirl_average(plan, amps.shape[0], term)
 
 
-def crucial_term_values(circ: QueryCircuit, rel: Relation,
+def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,
                         plan: TwirlPlan) -> list[tuple[float, float, float]]:
-    """Per pre-query state j of the standard-form circuit: the three twirl
-    expectations of the crucial lemma, each to be compared with its bound.
+    """Per pre-query state j of the standard-form circuit, given as the
+    (direction, state) list of standard_form_prequery_states: the three
+    twirl expectations of the crucial lemma, each to be compared with its
+    bound.
 
     The underlying outcome distribution q_{omega,xi} is defined relative to a
     purification choice; here it is evaluated on the canonical joint state of
@@ -632,7 +718,7 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
     row of a batch, so the marginal is gathered as (pairs, n, n!) at once and
     must fit AMPLITUDE_BUDGET.
     """
-    n = circ.n
+    n = rel.n
     nf = database_dim(n)
     if plan.pair_count * n * nf > AMPLITUDE_BUDGET:
         raise BudgetError(f"crucial terms gather {plan.pair_count} pairs x {n} "
@@ -643,7 +729,7 @@ def crucial_term_values(circ: QueryCircuit, rel: Relation,
     si = np.repeat(plan.sigma_inv, cols, axis=0)  # (pairs, n) inverse images
     ti = np.tile(plan.tau_inv, (rows, 1))
     out = []
-    for _direction, state in standard_form_prequery_states(circ):
+    for _direction, state in pre:
         g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
         gg = g[:, minv].transpose(1, 0, 2)  # (pairs, x, label)
         acc = np.zeros((len(minv), 3))
@@ -671,10 +757,11 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
     and the three crucial-term bounds.  The circuit runs once, untwirled, and
     each twirl average is computed once per relation from its final state;
     every row read from a twirl average reports the plan's pair count.  The
-    sparsity tail sum_j E[...] does not depend on R; it is
-    sum_j <phi_j|Gamma|phi_j> over the standard-form pre-query states (the
-    identity the sparsity rows check), once per circuit, with ``gamma`` if
-    given.  The averages of a relation are computed before its first row is
+    standard-form circuit runs at most once, for the pre-query states that
+    the crucial terms of every relation read.  The sparsity tail
+    sum_j E[...] does not depend on R; it is sum_j <phi_j|Gamma|phi_j> over
+    those states (the identity the sparsity rows check), once per circuit,
+    with ``gamma`` if given.  The averages of a relation are computed before its first row is
     made, so under run_suite that row's runtime_ms carries them.
     """
     _require_exhaustive(plan, "progress_checks")
@@ -682,14 +769,9 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
     q = circ.query_count
     log_n = math.log(n)
 
-    def sparsity_tail() -> float:
-        g = gamma_operator(n) if gamma is None else gamma
-        return sum(gamma_expectation(state, g)
-                   for _direction, state in standard_form_prequery_states(circ))
-
     pairs = plan.pair_count
     final = run(circ, spo_backend(n))
-    tail = None
+    pre = tail = None
     out = []
     for rname, rel in rels:
         tag = f"{circ.name},{rname}"
@@ -702,12 +784,14 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
                          pairs=pairs))
         if not (q and rel.size):
             continue
-        if tail is None:
-            tail = sparsity_tail()
+        if pre is None:
+            pre = standard_form_prequery_states(circ)
+            g = gamma_operator(n) if gamma is None else gamma
+            tail = sum(gamma_expectation(state, g) for _direction, state in pre)
         r = rel.r_max
         rhs = 384.0 * q * q * r * (log_n + 2.0) / n ** 2 + 4.0 * q * r * tail
         out.append(check(f"hard-database[{tag}]", measure, rhs, pairs=pairs))
-        values = crucial_term_values(circ, rel, plan)
+        values = crucial_term_values(pre, rel, plan)
         bounds = ((log_n + 3.0) * r / n ** 2,
                   (log_n + 1.0) * r / n ** 2,
                   (log_n + 1.0) * r / n ** 2)

@@ -603,9 +603,11 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
         rels = [("diag", diagonal_relation(n)),
                 ("pair", from_pairs(n, [(0, n - 1)]))]
     for circ in circuits:
+        final = run(circ, spo_backend(n))
         for rname, rel in rels:
-            out.append(fundamental_check(circ, rel, plan,
+            out.append(fundamental_check(final, rel, plan,
                                          name=f"fundamental[{circ.name},{rname}]"))
+        del final  # one final state at a time: at n = 8 each holds 41 MB
     if n == 4:
         # Analytic fixture: classical probe against the full relation has
         # p_i = 1 and p_ii = (1/N) sum_s (1 - 1/s)^2 = 181/576.

@@ -284,8 +284,9 @@ def test_criterion_09_fundamental_lemma():
     ok = True
     worst_slack = math.inf
     for circ in suite_circuits(n, SEED):
+        final = run(circ, spo_backend(n))
         for rname, rel in suite_relations(n):
-            rep = fundamental_check(circ, rel, plan)
+            rep = fundamental_check(final, rel, plan)
             ok &= rep.passed and rep.slack >= -1e-9
             worst_slack = min(worst_slack, rep.slack)
     elapsed = time.perf_counter() - t0
@@ -294,7 +295,7 @@ def test_criterion_09_fundamental_lemma():
     plan8 = make_twirl_plan(8, seed=SEED, min_pairs=2000)
     ok &= plan8.pair_count >= 2000
     for circ in (classical_probe(8, 0, "forward"), random_circuit(900, 1, 1, 8)):
-        rep = fundamental_check(circ, diagonal_relation(8), plan8)
+        rep = fundamental_check(run(circ, spo_backend(8)), diagonal_relation(8), plan8)
         ok &= rep.passed
         ok &= rep.method == "monte_carlo"
     record(9, "fundamental lemma: exact N = 4 suite + MC N = 8", ok,

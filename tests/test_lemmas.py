@@ -49,6 +49,7 @@ from spolab.oracles import (
     spo_init,
 )
 from spolab.permutations import (
+    identity,
     invert,
     monotone_factorize,
     partial_product,
@@ -65,9 +66,11 @@ from spolab.states import StateVector, operator_norm
 
 from helpers import (
     TWIRL_AVERAGES,
+    count_calls,
     count_pair_steps,
     count_runs,
     final_state,
+    index_of_perm,
     per_pair_twirl_averages,
     perm_of_index,
     with_loading_query,
@@ -308,19 +311,31 @@ def test_experiment_matches_direct_simulation():
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
 
 
-def _assert_fiber_form_matches_projector(circ, rel, plan):
-    """Both p_ii kernels agree to 1e-12 relative on every pair of the plan."""
-    from spolab.lemmas import _p_ii_fibers, _p_ii_projector, _xy_slices
+def _assert_fiber_form_matches_projector(slices, plan, context):
+    """The fiber-hit kernel over the <x,y| slices, evaluated one chunk of a
+    sigma-row at a time, agrees with the projector form to 1e-12 relative
+    on every pair of the plan."""
+    from spolab.lemmas import _p_ii_projector, _p_ii_term
 
-    slices = _xy_slices(final_state(circ), rel)
+    term = _p_ii_term(slices, plan.n)
     seen = 0
-    for _i, c0, sigma, minv in plan.pairs():
-        for tau, col in zip(plan.taus[c0:c0 + len(minv)], minv):
-            got = _p_ii_fibers(slices, plan.n, sigma, tau, col)
-            ref = _p_ii_projector(slices, plan.n, sigma, tau, col)
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (circ.name, sigma, tau)
+    for i, c0, sigma, lj in plan.pairs():
+        ri = plan.right_inv[i]
+        cols = slice(c0, c0 + len(lj))
+        got = term(sigma, plan.sigma_inv[i], ri)(plan.taus[cols],
+                                                 plan.tau_inv[cols], lj)
+        assert len(got) == len(lj)
+        for tau, col, value in zip(plan.taus[cols], lj, got):
+            ref = _p_ii_projector(slices, plan.n, sigma, tau, ri[col])
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (context, sigma, tau)
             seen += 1
     assert seen == plan.pair_count
+
+
+def _circuit_slices(circ, rel):
+    from spolab.lemmas import _xy_slices
+
+    return _xy_slices(final_state(circ), rel)
 
 
 def test_fiber_hit_p_ii_matches_projector_form_on_every_n4_pair():
@@ -328,8 +343,23 @@ def test_fiber_hit_p_ii_matches_projector_form_on_every_n4_pair():
 
     plan = dataclasses.replace(make_twirl_plan(4), chunk=7)
     for circ in suite_circuits(4, DEFAULT_SEED):
-        for _name, rel in suite_relations(4):
-            _assert_fiber_form_matches_projector(circ, rel, plan)
+        for name, rel in suite_relations(4):
+            _assert_fiber_form_matches_projector(_circuit_slices(circ, rel), plan,
+                                                 (circ.name, name))
+
+
+def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n5_plan():
+    """N = 5 has no XOR oracle, so the slices are random: two rows each for
+    the pairs of a relation that meets every register, with s = 0."""
+    n = 5
+    plan = dataclasses.replace(
+        make_twirl_plan(n, seed=6, min_pairs=16, exhaustive=False), chunk=3)
+    assert plan.grid_shape == (4, 4)
+    rng = np.random.default_rng(5)
+    shape = (2, math.factorial(n))
+    slices = [(x, y, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+              for x, y in [(0, 0), (1, 4), (2, 2), (3, 0), (4, 1), (4, 3)]]
+    _assert_fiber_form_matches_projector(slices, plan, n)
 
 
 def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n8_plan():
@@ -338,7 +368,50 @@ def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n8_plan():
     assert plan.grid_shape == (3, 3)
     circ = random_circuit(5, 1, 1, n)
     for rel in (diagonal_relation(n), from_pairs(n, [(0, n - 1), (3, 5)])):
-        _assert_fiber_form_matches_projector(circ, rel, plan)
+        _assert_fiber_form_matches_projector(_circuit_slices(circ, rel), plan, rel)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tau_maps_each_fiber_onto_swaps_of_a_tau_free_hit(n):
+    """The identity behind the fiber-hit kernel, from Permutation arithmetic
+    alone.  For every label d, register s >= 1 and a few tau, the D_{s+1}
+    fiber of d (its digit t_s varied over 0..s) maps under tau^{-1} onto
+    {pi_e <s a><s c> : c = 0..s}, where pi_e = tau^{-1} pi_d has
+    pi_e(s) = tau^{-1}(pi_d(s)) and a = pi_d^{-1}(pi_{d'}(s)) for the member
+    d' with t_s = s.  The tables of _hit_fibers agree with it: d is a hit of
+    (s, pi_d(s)) with offset a (n-1)!, e sits at pos[s, e] among the hits of
+    (s, pi_e(s)), and swaps[s][c] maps d to idx(pi_d <s c>)."""
+    from spolab.lemmas import _hit_fibers
+    from spolab.permutations import compose, transposition
+
+    rng = np.random.default_rng(n)
+    taus = [identity(n)] + [sample_uniform(n, rng) for _ in range(2)]
+    hits, offsets, pos, swaps = _hit_fibers(n)
+    m = math.factorial(n - 1)
+    for d in range(math.factorial(n)):
+        pi_d = perm_of_index(n, d)
+        for s in range(1, n):
+            t_s = d // math.factorial(s) % (s + 1)
+            fiber = [perm_of_index(n, d + (c - t_s) * math.factorial(s))
+                     for c in range(s + 1)]
+            a = invert(pi_d).images[fiber[s].images[s]]
+            t = pi_d.images[s]
+            j = hits[s, t].tolist().index(d)
+            assert offsets[s, t, j] == a * m
+            for c in range(s + 1):
+                assert swaps[s][c][d] == index_of_perm(
+                    compose(pi_d, transposition(n, s, c)))
+            for tau in taus:
+                tau_inv = invert(tau)
+                pi_e = compose(tau_inv, pi_d)
+                assert pi_e.images[s] == tau_inv.images[t]
+                image = {compose(tau_inv, p).images for p in fiber}
+                swapped = {compose(pi_e, compose(transposition(n, s, a),
+                                                 transposition(n, s, c))).images
+                           for c in range(s + 1)}
+                assert image == swapped, (d, s, tau)
+                e = index_of_perm(pi_e)
+                assert hits[s, pi_e.images[s], pos[s, e]] == e
 
 
 def _chunked_averages(monkeypatch, final, rel, plan, width):
@@ -429,15 +502,19 @@ def test_hit_fibers_hold_one_hit_per_fiber():
 
     n = 5
     pi, _ = perm_tables(n)
+    hits, offsets, pos, swaps = _hit_fibers(n)
+    assert {t.dtype for t in (hits, offsets, pos, *swaps)} == {np.dtype(np.int32)}
+    assert [len(swap) for swap in swaps] == list(range(1, n + 1))
     for s in range(n):
         _hi, radix, lo = db_register_geometry(n, s)
         for t in range(n):
-            hits, base = _hit_fibers(n, s, t)
-            assert hits.dtype == base.dtype == np.int32
-            assert np.array_equal(hits, np.flatnonzero(pi[:, s] == t))
+            assert np.array_equal(hits[s, t], np.flatnonzero(pi[:, s] == t))
+            assert np.array_equal(pos[s, hits[s, t]], np.arange(len(hits[s, t])))
+            base = hits[s, t] - hits[s, t] // lo % radix * lo
             fibers = base[:, None] + lo * np.arange(radix)
-            assert (np.isin(hits[:, None], fibers).sum(axis=1) == 1).all()
+            assert (np.isin(hits[s, t][:, None], fibers).sum(axis=1) == 1).all()
             assert ((pi[fibers, s] == t).sum(axis=1) == 1).all()
+            assert len(np.unique(base)) == len(base)
 
 
 def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
@@ -449,24 +526,30 @@ def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
     bad[:, 2] = 0  # every label now "hits" pi_d(2) = 0
     monkeypatch.setattr(lemmas_mod, "perm_tables", lambda _n: (bad, inv))
     with pytest.raises(RuntimeError, match="distinct fibers"):
-        lemmas_mod._hit_fibers.__wrapped__(n, 2, 0)
+        lemmas_mod._hit_fibers.__wrapped__(n)
 
 
 def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
+    """The guard evaluates the plan's first pair, where neither sigma nor
+    tau is the identity (the last label is), and raises when the a offsets
+    or the positions are corrupted."""
     import spolab.lemmas as lemmas_mod
 
     n = 4
-    circ = random_circuit(43, 2, 2, n)
+    final = final_state(random_circuit(43, 2, 2, n))
     plan = make_twirl_plan(n)
-    good = lemmas_mod._hit_fibers
-
-    def corrupted(n_, s, t):
-        hits, base = good(n_, s, t)
-        return np.roll(hits, 1), base  # each hit read against another fiber
-
-    monkeypatch.setattr(lemmas_mod, "_hit_fibers", corrupted)
-    with pytest.raises(RuntimeError, match="projector form"):
-        experiment_probabilities(final_state(circ), full_relation(n), plan)
+    guarded = count_calls(monkeypatch, lemmas_mod, "_p_ii_projector")
+    experiment_probabilities(final, full_relation(n), plan)
+    assert [args[2:4] for args in guarded] == [(plan.sigmas[0], plan.taus[0])]
+    assert plan.sigmas[-1] == plan.taus[-1] == identity(n)
+    assert identity(n) not in (plan.sigmas[0], plan.taus[0])
+    hits, offsets, pos, swaps = lemmas_mod._hit_fibers(n)
+    # Each hit read against the fiber of another a, or another e.
+    for tables in ((hits, np.roll(offsets, 1, axis=2), pos, swaps),
+                   (hits, offsets, np.roll(pos, 1, axis=1), swaps)):
+        monkeypatch.setattr(lemmas_mod, "_hit_fibers", lambda _n, t=tables: t)
+        with pytest.raises(RuntimeError, match="projector form"):
+            experiment_probabilities(final, full_relation(n), plan)
 
 
 def test_p_i_equals_the_success_of_every_direct_twirled_run():
@@ -507,7 +590,7 @@ def test_fundamental_check_suite_cases():
     for circ in (empty_circuit(n), classical_probe(n, 0, "forward"),
                  random_circuit(43, 2, 2, n)):
         for rel in (empty_relation(n), full_relation(n), diagonal_relation(n)):
-            rep = fundamental_check(circ, rel, plan)
+            rep = fundamental_check(final_state(circ), rel, plan)
             assert rep.passed, rep
             assert rep.slack >= -1e-9
 
@@ -566,14 +649,15 @@ def test_twirl_averages_on_non_square_sampled_grid():
     circ = random_circuit(71, 1, 2, n)
     final = final_state(circ)
     rel = sponge_preimage_relation(2, 1, 1)
-    state = standard_form_prequery_states(circ)[-1][1]
+    pre = standard_form_prequery_states(circ)
+    state = pre[-1][1]
 
     def averages(p):
         res = experiment_probabilities(final, rel, p)
         values = [(res.p_ii, res.stderr_ii),
                   p2_upper_bound(final, rel, p), progress_measure(final, rel, p),
                   sparsity_expectation(state, p)]
-        crucial = [v for per_state in crucial_term_values(circ, rel, p)
+        crucial = [v for per_state in crucial_term_values(pre, rel, p)
                    for v in per_state]
         return res.p_i, values, crucial
 
@@ -667,9 +751,10 @@ def test_crucial_terms_match_direct_tspo_runs():
         plan_one = TwirlPlan(n, (sigma,), (tau,), True, None,
                              left_right_map(n, sigma=perm_invert(sigma))[None, :],
                              left_right_map(n, tau=perm_invert(tau))[None, :])
-        from spolab.lemmas import crucial_term_values
+        from spolab.lemmas import crucial_term_values, standard_form_prequery_states
 
-        got_vals = crucial_term_values(circ, rel, plan_one)
+        got_vals = crucial_term_values(standard_form_prequery_states(circ),
+                                       rel, plan_one)
         # direct run of B against TSPO^{sigma,tau}
         _, pre = run_with_intermediates(b, spo_backend(n, sigma=sigma, tau=tau))
         twisted = twirl_relation(rel, sigma, tau)
@@ -796,23 +881,22 @@ def test_hard_database_rhs_is_the_direct_sparsity_tail():
 def test_crucial_terms_refuse_a_gather_over_the_budget(monkeypatch):
     """All pairs are gathered at once, so a plan whose (pairs, N, N!) marginal
     exceeds the amplitude budget is refused with a BudgetError before any
-    label map is gathered or any circuit runs."""
+    label map is gathered or any pre-query state is read."""
     import spolab.lemmas as lemmas_mod
 
     class NoGather:
         def __getitem__(self, _index):
             raise AssertionError("a label map was gathered before the budget check")
 
-    def no_run(*args, **kwargs):
-        raise AssertionError("a circuit ran before the budget was checked")
+    class NoStates:
+        def __iter__(self):
+            raise AssertionError("a state was read before the budget check")
 
-    monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
     monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
     plan = dataclasses.replace(make_twirl_plan(4), right_inv=NoGather(),
                                left_inv=NoGather())
     with pytest.raises(BudgetError, match="576 pairs x 4 x 24 labels"):
-        lemmas_mod.crucial_term_values(random_circuit(55, 1, 2, 4),
-                                       diagonal_relation(4), plan)
+        lemmas_mod.crucial_term_values(NoStates(), diagonal_relation(4), plan)
 
 
 def test_exact_only_checks_refuse_sampled_plans(monkeypatch):

@@ -144,6 +144,7 @@ def test_sampled_twirl_plan_smallest_grid():
 def test_twirl_plan_shapes():
     plan = make_twirl_plan(3)
     assert plan.exhaustive and plan.pair_count == 36
+    assert plan.right_inv.dtype == plan.left_inv.dtype == np.int32
     sampled = make_twirl_plan(5, seed=1, min_pairs=100)
     assert not sampled.exhaustive
     assert sampled.pair_count >= 100
@@ -159,12 +160,12 @@ def test_twirl_plan_pairs_invert_the_composed_label_maps():
     plan = dataclasses.replace(make_twirl_plan(n), chunk=5)
     arange = np.arange(24)
     seen = []
-    for i, c0, sigma, minv in plan.pairs():
-        assert sigma == plan.sigmas[i] and len(minv) == min(5, 24 - c0)
-        for c, col in enumerate(minv):
+    for i, c0, sigma, lj in plan.pairs():
+        assert sigma == plan.sigmas[i] and len(lj) == min(5, 24 - c0)
+        for c, col in enumerate(lj):
             tau = plan.taus[c0 + c]
             m = left_right_map(n, tau=tau)[left_right_map(n, sigma=sigma)]
-            assert np.array_equal(m[col], arange)
+            assert np.array_equal(m[plan.right_inv[i][col]], arange)
             seen.append((i, c0 + c))
     assert sorted(seen) == [(i, j) for i in range(24) for j in range(24)]
     assert len(seen) == plan.pair_count == 576
@@ -240,9 +241,11 @@ def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch)
     """At N = 4 every twirl average takes one step per sigma-row, each step
     24 pairs wide, and the two suites make at most a tenth of the projector
     calls of one pair per step.  progress_suite runs each of its circuits
-    once (75 runs when each average ran its own), and makes at most 29 runs
+    once (75 runs when each average ran its own), and makes at most 13 runs
     in all: the accumulation rows read the run of the query-step rows
-    (109 when they reran it for every relation and x)."""
+    (109 when they reran it for every relation and x), and the standard
+    form of each querying circuit runs once for its crucial terms and its
+    sparsity tail (29 when the crucial terms reran it per relation)."""
     import spolab.circuits as circuits_mod
     import spolab.lemmas as lemmas_mod
     import spolab.oracles as oracles_mod
@@ -256,11 +259,25 @@ def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch)
     staged = count_calls(monkeypatch, circuits_mod, "run_with_intermediates")
     assert all(r.passed for r in progress_suite(4))
     assert len(runs) == len(suite_circuits(4, DEFAULT_SEED, max_q=2)) == 5
-    assert len(runs) + len(staged) <= 29
+    assert len(runs) + len(staged) <= 13
     assert all(r.passed for r in sparsity_suite(4))
     assert averages and len(steps) == 24 * len(averages)
     assert set(steps) == {24}
     assert len(projector) <= PER_PAIR_PROJECTOR_CALLS // 10
+
+
+def test_fundamental_suite_runs_each_circuit_once(monkeypatch):
+    """fundamental_suite runs each of its circuits once for all of its
+    relations: at N = 4 its 6 circuits and the 2 analytic fixtures (32 runs
+    when every check ran its own circuit), at N = 8 its 2 circuits (4)."""
+    from spolab.suites import DEFAULT_SEED, fundamental_suite
+
+    runs = count_runs(monkeypatch)
+    assert all(r.passed for r in fundamental_suite(4))
+    assert len(runs) == len(suite_circuits(4, DEFAULT_SEED)) + 2 == 8
+    runs.clear()
+    assert all(r.passed for r in fundamental_suite(8, min_pairs=196))
+    assert len(runs) == 2
 
 
 def test_sampler_chi_square_rejects_bias():
