@@ -121,23 +121,27 @@ def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
                     exhaustive: bool | None = None) -> TwirlPlan:
     if exhaustive is None:
         exhaustive = n <= EXHAUSTIVE_TWIRL_LIMIT
-    if exhaustive:
-        perms = tuple(all_permutations(n))
-        sigmas = taus = perms
-    else:
+    nf = database_dim(n)
+    if not exhaustive:
         if seed is None:
             raise ValueError("sampled twirl plans require a seed")
         if min_pairs < 2:
             # A grid with one row or column has no stderr estimate.
             raise ValueError("sampled twirl plans need min_pairs >= 2 (a 2 x 2 "
                              f"grid at least), got min_pairs={min_pairs}")
+    side = nf if exhaustive else math.ceil(math.sqrt(min_pairs))
+    if 2 * side * nf > AMPLITUDE_BUDGET:
+        raise BudgetError(f"a {side} x {side} twirl plan needs 2 x {side} label "
+                          f"maps of {nf} entries, over the {AMPLITUDE_BUDGET} budget")
+    if exhaustive:
+        sigmas = taus = tuple(all_permutations(n))
+    else:
         rng = np.random.default_rng(seed)
-        side = math.ceil(math.sqrt(min_pairs))
         sigmas = tuple(sample_uniform(n, rng) for _ in range(side))
         taus = tuple(sample_uniform(n, rng) for _ in range(side))
     # int32 (n! < 2^31), filled row by row: no int64 stack of the maps.
-    right_inv = np.empty((len(sigmas), database_dim(n)), dtype=np.int32)
-    left_inv = np.empty((len(taus), database_dim(n)), dtype=np.int32)
+    right_inv = np.empty((side, nf), dtype=np.int32)
+    left_inv = np.empty((side, nf), dtype=np.int32)
     for row, sigma in zip(right_inv, sigmas):
         row[:] = left_right_map(n, sigma=invert(sigma))
     for row, tau in zip(left_inv, taus):
@@ -177,13 +181,13 @@ def _twirl_average(plan: TwirlPlan, rest: int,
 
     ``term(sigma, sigma_inv, ri)`` is called once per sigma-row, with the
     inverse images of sigma and ri = right_inv[i], so that it can precompute
-    what the row shares.  It returns ``chunk(taus, tau_inv, lj)``, which
-    gives one value per column of a chunk of the row: for its taus, their
-    (C, n) inverse images and their (C, n!) maps lj = left_inv[cols].  The
-    twirled (rest, n!) block of column c is ``block[:, ri[lj[c]]]``.  A
-    chunk holds as many columns as keep that gathered (rest, C, n!) block
-    within TWIRL_CHUNK_AMPS, and at least one.  Exhaustive plans give the
-    exact mean with stderr 0, sampled plans the crossed-grid estimate of
+    what the row shares.  It returns ``chunk(cols, lj)``, which gives one
+    value per column of a chunk of the row: for the plan's column slice
+    ``cols`` and its (C, n!) maps lj = left_inv[cols].  The twirled
+    (rest, n!) block of column c is ``block[:, ri[lj[c]]]``.  A chunk holds
+    as many columns as keep that gathered (rest, C, n!) block within
+    TWIRL_CHUNK_AMPS, and at least one.  Exhaustive plans give the exact
+    mean with stderr 0, sampled plans the crossed-grid estimate of
     grid_mean_stderr.
     """
     chunk = max(1, TWIRL_CHUNK_AMPS // (rest * database_dim(plan.n)))
@@ -192,7 +196,7 @@ def _twirl_average(plan: TwirlPlan, rest: int,
         if c0 == 0:
             row = term(sigma, plan.sigma_inv[i], plan.right_inv[i])
         cols = slice(c0, c0 + len(lj))
-        grid[i, cols] = row(plan.taus[cols], plan.tau_inv[cols], lj)
+        grid[i, cols] = row(cols, lj)
     if plan.exhaustive:
         return float(grid.mean()), 0.0
     return grid_mean_stderr(grid)
@@ -238,17 +242,15 @@ def _progress_norm2(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.nd
 
 
 @lru_cache(maxsize=None)
-def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  tuple[np.ndarray, ...]]:
-    """(hits, offsets, pos, swaps): int32 tables of the labels hit at each
-    register s and of their D_{s+1} fibers, with m = (n-1)!.
+def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """(hits, fiber_a, swaps): tables of the labels hit at each register s
+    and of their D_{s+1} fibers, with m = (n-1)!.
 
-      hits[s, t]     the m labels d with pi_d(s) = t, ascending;
-      offsets[s, t]  a(d) * m for those d, where a(d) = pi_{<s}^{-1}(t_s)
-                     = pi_d^{-1}(pi_{d'}(s)) and d' = d + (s - t_s) s! is
-                     the member of d's fiber with t_s = s;
-      pos[s, e]      the index of label e in hits[s, pi_e(s)];
-      swaps[s][c]    the map e -> idx(pi_e <s c>), for c = 0..s.
+      hits[s, t]     the m labels d with pi_d(s) = t, ascending (int32);
+      fiber_a[s, d]  a(d) = pi_{<s}^{-1}(t_s) = pi_d^{-1}(pi_{d'}(s)) for
+                     every label d, where d' = d + (s - t_s) s! is the
+                     member of d's fiber with t_s = s (int8, a(d) <= s);
+      swaps[s][c]    the map e -> idx(pi_e <s c>), for c = 0..s (int32).
 
     pi_d(s) = pi_{>s}(t_s) and a fiber varies t_s alone, so the m hits of
     each t lie in distinct fibers; the tables are checked for exactly that.
@@ -257,8 +259,7 @@ def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     nf = database_dim(n)
     m = nf // n
     hits = np.empty((n, n, m), dtype=np.int32)
-    offsets = np.empty((n, n, m), dtype=np.int32)
-    pos = np.empty((n, nf), dtype=np.int32)
+    fiber_a = np.empty((n, nf), dtype=np.int8)
     swaps = []
     for s in range(n):
         lo = math.factorial(s)
@@ -273,15 +274,14 @@ def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                f"fiber; expected {m} per t in distinct fibers "
                                f"(n={n})")
         hits[s] = hit
-        offsets[s] = inv[hit, pi[hit + (s - digit) * lo, s]] * m
-        pos[s, hit.ravel()] = np.arange(nf) % m
+        fiber_a[s, hit] = inv[hit, pi[hit + (s - digit) * lo, s]]
         swap = np.empty((s + 1, nf), dtype=np.int32)
         for c, row in enumerate(swap):
             row[:] = left_right_map(n, sigma=transposition(n, s, c))
         swaps.append(swap)
-    for table in (hits, offsets, pos, *swaps):
+    for table in (hits, fiber_a, *swaps):
         table.setflags(write=False)
-    return hits, offsets, pos, tuple(swaps)
+    return hits, fiber_a, tuple(swaps)
 
 
 def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, float]:
@@ -361,7 +361,8 @@ def experiment_probabilities(final: StateVector, rel: Relation,
 
     The summand depends on tau only through (a(d), e), so each sigma-row
     tabulates it once for every a and every e in H(s, y), and each chunk of
-    columns looks its hits up (_p_ii_term).  The first pair of the plan is
+    columns reads it at a(d) for each e, from a table built once per tau
+    (_p_ii_term).  The first pair of the plan is
     also evaluated in the projector form, and the two must agree to 1e-12
     relative.  Label 0 has every t_k = 0, so on an exhaustive plan neither
     map of that pair is the identity (the identity is the last label).
@@ -372,10 +373,10 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     p_i = sum(float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
               for x, y, v in slices)
 
-    term = _p_ii_term(slices, n)
+    term = _p_ii_term(slices, plan)
     ri = plan.right_inv[0]
     got = float(term(plan.sigmas[0], plan.sigma_inv[0], ri)(
-        plan.taus[:1], plan.tau_inv[:1], plan.left_inv[:1])[0])
+        slice(0, 1), plan.left_inv[:1])[0])
     ref = _p_ii_projector(slices, n, plan.sigmas[0], plan.taus[0],
                           ri[plan.left_inv[0]])
     if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
@@ -405,23 +406,51 @@ def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.nda
     return slices
 
 
-def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], n: int):
+def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """A[c, s, k, j] = a(L(e)) for e = H(s, ys[k])[j], the j-th hit of
+    (s, ys[k]), where L inverts left_inv[c], i.e. L(e) = idx(tau pi_e) for
+    the plan's tau of column c: an int8 (C, n, len(ys), (n-1)!) table,
+    charged against AMPLITUDE_BUDGET before it is built."""
+    nf = database_dim(n)
+    shape = (len(left_inv), n, len(ys), nf // n)
+    if math.prod(shape) > AMPLITUDE_BUDGET:
+        raise BudgetError(f"p_ii a-tables need {' x '.join(map(str, shape))} "
+                          f"entries, over the {AMPLITUDE_BUDGET} budget")
+    hits, fiber_a, _swaps = _hit_fibers(n)
+    flat_a = fiber_a.ravel()
+    e = hits[:, ys]  # (n, len(ys), m)
+    row_of_s = nf * np.arange(n)[:, None, None]
+    labels = np.arange(nf, dtype=np.int32)
+    forward = np.empty(nf, dtype=np.int32)
+    out = np.empty(shape, dtype=np.int8)
+    for table, lj in zip(out, left_inv):
+        forward[lj] = labels  # e -> idx(tau pi_e)
+        table[:] = flat_a.take(forward.take(e) + row_of_s)
+    return out
+
+
+def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
     """The fiber-hit p_(ii') term of _twirl_average over the <x,y| slices
     (see experiment_probabilities).
 
     Per sigma-row it tabulates, for each slice with s = sigma(x) >= 1,
     sq[a * m + j] = |u[e] - M[a, e]|^2 summed over the slice's rows, for
     e = H(s, y)[j] and m = (n-1)!; the tables of the row are concatenated.
-    A chunk then reads, for every column, slice and hit d in H(s, tau(y)),
-    the entry at a(d) and at the index of lj[d] in H(s, y), and sums them
-    per column.
+    Reindexed by e, the hits d of (s, tau(y)) are the labels L(e) = idx(tau
+    pi_e), so a chunk reads, for every column, slice and j, the entry at
+    a(L(e)) from the plan's a-tables (_a_tables, built once per term for the
+    slices' y), and sums them per column.
     """
-    nf = database_dim(n)
-    hits, offsets, pos, swaps = _hit_fibers(n)
+    n = plan.n
+    m = database_dim(n) // n
+    ys, y_at = np.unique(np.array([y for _x, y, _v in slices], dtype=np.intp),
+                         return_inverse=True)
+    a_tables = _a_tables(n, plan.left_inv, ys)
+    hits, _fiber_a, swaps = _hit_fibers(n)
 
     def row(sigma: Permutation, _si, ri: np.ndarray):
         keys, tables = [], []
-        for x, y, v in slices:
+        for (x, y, v), k in zip(slices, y_at):
             s = sigma.images[x]
             if s:  # P on D_1 is the identity
                 u = v.take(ri, axis=1)
@@ -429,20 +458,17 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], n: int):
                 fibers = swaps[s].take(swaps[s].take(h, axis=1), axis=1)  # [c, a, j]
                 diff = (u.take(h, axis=1)[:, None]
                         - u.take(fibers, axis=1).sum(axis=1) / (s + 1))
-                keys.append((s, y))
+                keys.append((s, k))
                 tables.append((diff.real ** 2 + diff.imag ** 2).sum(axis=0).ravel())
         if not tables:
-            return lambda _taus, _ti, lj: np.zeros(len(lj))
-        ss, ys = np.array(keys).T  # K slices
-        base = np.cumsum([0] + [table.size for table in tables[:-1]])[:, None]
+            return lambda _cols, lj: np.zeros(len(lj))
+        ss, ks = np.array(keys).T  # K slices
+        base = np.cumsum([0] + [table.size for table in tables[:-1]])
+        rowbase = base[:, None] + np.arange(m)  # (K, m)
         sq = np.concatenate(tables)
 
-        def chunk(taus, _ti, lj: np.ndarray) -> np.ndarray:
-            t = np.array([tau.images for tau in taus])[:, ys]  # (C, K)
-            cols = nf * np.arange(len(lj))[:, None, None]
-            e = lj.ravel().take(hits[ss, t] + cols)  # (C, K, m)
-            j = pos.ravel().take(ss[:, None] * nf + e)
-            idx = offsets[ss, t] + base + j
+        def chunk(cols: slice, lj: np.ndarray) -> np.ndarray:
+            idx = a_tables[cols, ss, ks].astype(np.intp) * m + rowbase  # (C, K, m)
             return sq.take(idx).reshape(len(lj), -1).sum(axis=1)
 
         return chunk
@@ -491,15 +517,15 @@ def p2_upper_bound(final: StateVector, rel: Relation,
     sections = [(x, rel.section(x)) for x in range(n) if rel.section(x).size]
 
     def term(sigma, _si, ri):
-        def chunk(taus, _ti, lj):
+        def chunk(cols, lj):
             tw = amps[:, ri[lj]]  # (rest, C, n!)
-            images = np.array([tau.images for tau in taus])
-            cols = np.arange(len(taus))[:, None]
+            images = np.array([tau.images for tau in plan.taus[cols]])
+            rows = np.arange(len(lj))[:, None]
             acc = 0.0
             for x, ys in sections:
                 # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
-                hit = np.zeros((len(taus), n), dtype=bool)
-                hit[cols, images[:, ys]] = True
+                hit = np.zeros((len(lj), n), dtype=bool)
+                hit[rows, images[:, ys]] = True
                 sx = sigma.images[x]
                 acc = acc + _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
             return acc
@@ -518,8 +544,9 @@ def progress_measure(final: StateVector, rel: Relation,
     pi_table, _ = perm_tables(n)
 
     def term(_sigma, si, ri):
-        def chunk(_taus, ti, lj):
+        def chunk(cols, lj):
             tw = amps[:, ri[lj]]  # (rest, C, n!)
+            ti = plan.tau_inv[cols]
             twisted = rel.members[si[None, :, None], ti[:, None, :]]  # R^{sigma,tau} bitsets
             # mask: (x, pi_d(x)) in R^{sigma,tau}
             return sum(_progress_norm2(tw, n, x, twisted[:, x, pi_table[:, x]])
@@ -694,7 +721,7 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
     amps = _db_block(state)
 
     def term(_sigma, _si, ri):
-        def chunk(_taus, _ti, lj):
+        def chunk(_cols, lj):
             tw = amps[:, ri[lj]]  # (rest, C, n!)
             return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
                        for x in range(n)) / n
@@ -907,20 +934,31 @@ def commutator_operator(n: int, z: int, direction: str,
     nf = database_dim(n)
     q = from_permutation((n, nf), query_slice_map(n, z, direction),
                          label=f"O^SPO,{z}")
-    g = gamma.dense()
+    dense = gamma.dense()
+    if np.any(dense.imag):
+        raise ValueError(f"{gamma.label} is not real; the commutator reads it "
+                         "as a real matrix")
+    g = np.ascontiguousarray(dense.real)
 
-    def gamma_yd(block: np.ndarray) -> np.ndarray:
-        # I_N (x) Gamma: one product with the (D, Y * rest) matricization.
-        rest = block.shape[1]
-        v = block.reshape(n, nf, rest).transpose(1, 0, 2).reshape(nf, n * rest)
-        return (g @ v).reshape(nf, n, rest).transpose(1, 0, 2).reshape(n * nf, rest)
+    def gamma_yd(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        # I_N (x) Gamma on two (Y * D, rest) blocks: one real product with
+        # the (D, (2, Y, rest)) matricization, real and imaginary parts as
+        # adjacent columns.  Returns the two images stacked.
+        rest = first.shape[1]
+        v = np.stack([first, second]).astype(np.complex128, copy=False)
+        v = v.reshape(2, n, nf, rest).transpose(2, 0, 1, 3)
+        v = np.ascontiguousarray(v).reshape(nf, -1).view(np.float64)
+        out = (g @ v).view(np.complex128).reshape(nf, 2, n, rest)
+        return out.transpose(1, 2, 0, 3).reshape(2, n * nf, rest)
 
     def apply_block(block: np.ndarray) -> np.ndarray:
-        return gamma_yd(q.apply_block(block)) - q.apply_block(gamma_yd(block))
+        g_qb, g_b = gamma_yd(q.apply_block(block), block)
+        return g_qb - q.apply_block(g_b)
 
     def adjoint_block(block: np.ndarray) -> np.ndarray:
         # [Gamma, Q]^+ = Q^+ Gamma - Gamma Q^+ (Gamma self-adjoint)
-        return q.adjoint_block(gamma_yd(block)) - gamma_yd(q.adjoint_block(block))
+        g_b, g_qb = gamma_yd(block, q.adjoint_block(block))
+        return q.adjoint_block(g_b) - g_qb
 
     return LinearOperator((n, nf), apply_block, adjoint_block,
                           label=f"[Gamma,O^{z}]")

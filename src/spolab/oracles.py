@@ -86,33 +86,45 @@ def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, inv
 
 
+def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
+    """The Lehmer rank sum_k c_k (n-1-k)!, c_k = #{j > k : p(j) < p(k)}, of
+    every column p of an (n, K) int8 image table."""
+    n, k = rows.shape
+    ranks = np.zeros(k, dtype=np.intp)
+    for i in range(n - 1):
+        count = (rows[i + 1:] < rows[i]).sum(axis=0, dtype=np.int8)
+        ranks += count.astype(np.intp) * factorial(n - 1 - i)
+    return ranks
+
+
 @lru_cache(maxsize=None)
-def _label_codes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, labels): the codes sum_k pi_d(k) n^k of every label d, sorted,
-    and the label of each sorted code."""
+def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, labels): the int8 image table transposed, rows[k, d] = pi_d(k),
+    so that each position is one contiguous row, and the label of every
+    Lehmer rank, labels[rank(pi_d)] = d."""
     pi, _ = perm_tables(n)
-    codes = pi @ n ** np.arange(n)
-    labels = np.argsort(codes)
-    return codes[labels], labels
+    rows = np.ascontiguousarray(pi.T, dtype=np.int8)
+    labels = np.empty(factorial(n), dtype=np.intp)
+    labels[_lehmer_ranks(rows)] = np.arange(factorial(n))
+    rows.setflags(write=False)
+    labels.setflags(write=False)
+    return rows, labels
 
 
 def left_right_map(n: int, tau: Permutation | None = None,
                    sigma: Permutation | None = None) -> np.ndarray:
     """Label map d -> index(tau o pi_d o sigma^{-1}).
 
-    This is the basis action of L^tau R^sigma on the database; each image
-    row is looked up by its code in the sorted codes of perm_tables(n).
+    This is the basis action of L^tau R^sigma on the database: the image
+    rows of every label are permuted (position k reads row sigma^{-1}(k),
+    values pass through tau), ranked, and looked up by rank.
     """
-    pi, _ = perm_tables(n)
-    images = pi
-    if sigma is not None:
-        sigma_inv = np.array(invert(sigma).images)
-        images = images[:, sigma_inv]
+    rows, labels = _rank_tables(n)
     if tau is not None:
-        tau_arr = np.array(tau.images)
-        images = tau_arr[images]
-    codes, labels = _label_codes(n)
-    return labels[np.searchsorted(codes, images @ n ** np.arange(n))]
+        rows = np.array(tau.images, dtype=np.int8).take(rows)
+    if sigma is not None:
+        rows = rows[list(invert(sigma).images)]
+    return labels.take(_lehmer_ranks(rows))
 
 
 # --------------------------------------------------------------------------

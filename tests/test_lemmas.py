@@ -317,13 +317,12 @@ def _assert_fiber_form_matches_projector(slices, plan, context):
     on every pair of the plan."""
     from spolab.lemmas import _p_ii_projector, _p_ii_term
 
-    term = _p_ii_term(slices, plan.n)
+    term = _p_ii_term(slices, plan)
     seen = 0
     for i, c0, sigma, lj in plan.pairs():
         ri = plan.right_inv[i]
         cols = slice(c0, c0 + len(lj))
-        got = term(sigma, plan.sigma_inv[i], ri)(plan.taus[cols],
-                                                 plan.tau_inv[cols], lj)
+        got = term(sigma, plan.sigma_inv[i], ri)(cols, lj)
         assert len(got) == len(lj)
         for tau, col, value in zip(plan.taus[cols], lj, got):
             ref = _p_ii_projector(slices, plan.n, sigma, tau, ri[col])
@@ -379,15 +378,14 @@ def test_tau_maps_each_fiber_onto_swaps_of_a_tau_free_hit(n):
     {pi_e <s a><s c> : c = 0..s}, where pi_e = tau^{-1} pi_d has
     pi_e(s) = tau^{-1}(pi_d(s)) and a = pi_d^{-1}(pi_{d'}(s)) for the member
     d' with t_s = s.  The tables of _hit_fibers agree with it: d is a hit of
-    (s, pi_d(s)) with offset a (n-1)!, e sits at pos[s, e] among the hits of
-    (s, pi_e(s)), and swaps[s][c] maps d to idx(pi_d <s c>)."""
+    (s, pi_d(s)) with fiber_a[s, d] = a, e is a hit of (s, pi_e(s)), and
+    swaps[s][c] maps d to idx(pi_d <s c>)."""
     from spolab.lemmas import _hit_fibers
     from spolab.permutations import compose, transposition
 
     rng = np.random.default_rng(n)
     taus = [identity(n)] + [sample_uniform(n, rng) for _ in range(2)]
-    hits, offsets, pos, swaps = _hit_fibers(n)
-    m = math.factorial(n - 1)
+    hits, fiber_a, swaps = _hit_fibers(n)
     for d in range(math.factorial(n)):
         pi_d = perm_of_index(n, d)
         for s in range(1, n):
@@ -396,8 +394,8 @@ def test_tau_maps_each_fiber_onto_swaps_of_a_tau_free_hit(n):
                      for c in range(s + 1)]
             a = invert(pi_d).images[fiber[s].images[s]]
             t = pi_d.images[s]
-            j = hits[s, t].tolist().index(d)
-            assert offsets[s, t, j] == a * m
+            assert d in hits[s, t]
+            assert fiber_a[s, d] == a
             for c in range(s + 1):
                 assert swaps[s][c][d] == index_of_perm(
                     compose(pi_d, transposition(n, s, c)))
@@ -410,8 +408,66 @@ def test_tau_maps_each_fiber_onto_swaps_of_a_tau_free_hit(n):
                                                  transposition(n, s, c))).images
                            for c in range(s + 1)}
                 assert image == swapped, (d, s, tau)
-                e = index_of_perm(pi_e)
-                assert hits[s, pi_e.images[s], pos[s, e]] == e
+                assert index_of_perm(pi_e) in hits[s, pi_e.images[s]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_tables_read_the_factorization_of_every_tau_image(n):
+    """A[c, s, y, j] is a(d) = pi_{<s}^{-1}(t_s) of d = tau_c pi_e, for the
+    j-th hit e of (s, y), with a(d) read off monotone_factorize and
+    partial_product.  For each tau and s, the hits of every y cover every
+    label once, so every label is checked."""
+    from spolab.lemmas import _a_tables, _hit_fibers
+    from spolab.oracles import left_right_map
+    from spolab.permutations import compose
+
+    rng = np.random.default_rng(n)
+    taus = [identity(n)] + [sample_uniform(n, rng) for _ in range(2)]
+    left_inv = np.stack([left_right_map(n, tau=invert(tau)) for tau in taus])
+    tables = _a_tables(n, left_inv, np.arange(n))
+    m = math.factorial(n - 1)
+    assert tables.dtype == np.int8 and tables.shape == (len(taus), n, n, m)
+    hits, _fiber_a, _swaps = _hit_fibers(n)
+    for c, tau in enumerate(taus):
+        for s in range(n):
+            seen = set()
+            for y in range(n):
+                for j, e in enumerate(hits[s, y].tolist()):
+                    assert perm_of_index(n, e).images[s] == y
+                    pi_d = compose(tau, perm_of_index(n, e))
+                    f = monotone_factorize(pi_d)
+                    a = invert(partial_product(f, s, "below")).images[f.t[s]]
+                    assert tables[c, s, y, j] == a, (tau, s, y, j)
+                    seen.add(pi_d.images)
+            assert len(seen) == math.factorial(n)
+
+
+def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
+    """Over a (patched) AMPLITUDE_BUDGET, make_twirl_plan refuses its
+    2 x side label maps, and the p_ii term its a-tables, before anything is
+    sampled, mapped or tabulated."""
+    import spolab.lemmas as lemmas_mod
+    from spolab.lemmas import _p_ii_term
+
+    n = 4
+    plan = make_twirl_plan(n, seed=2, min_pairs=4, exhaustive=False)
+
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("reached before the budget check")
+
+    for name in ("left_right_map", "sample_uniform", "all_permutations",
+                 "_hit_fibers"):
+        monkeypatch.setattr(lemmas_mod, name, unreachable)
+    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 2 * 2 * 24 - 1)
+    with pytest.raises(BudgetError, match="2 x 2 twirl plan needs 2 x 2 label maps"):
+        make_twirl_plan(n, seed=2, min_pairs=4, exhaustive=False)
+    with pytest.raises(BudgetError, match="24 x 24 twirl plan"):
+        make_twirl_plan(n)
+    # The 2 x 2 plan's maps fit, its a-tables for all four y do not.
+    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 2 * 4 * 4 * 6 - 1)
+    slices = [(0, y, np.ones((1, 24), dtype=np.complex128)) for y in range(n)]
+    with pytest.raises(BudgetError, match="2 x 4 x 4 x 6"):
+        _p_ii_term(slices, plan)
 
 
 def _chunked_averages(monkeypatch, final, rel, plan, width):
@@ -502,14 +558,15 @@ def test_hit_fibers_hold_one_hit_per_fiber():
 
     n = 5
     pi, _ = perm_tables(n)
-    hits, offsets, pos, swaps = _hit_fibers(n)
-    assert {t.dtype for t in (hits, offsets, pos, *swaps)} == {np.dtype(np.int32)}
+    hits, fiber_a, swaps = _hit_fibers(n)
+    assert {t.dtype for t in (hits, *swaps)} == {np.dtype(np.int32)}
+    assert fiber_a.dtype == np.int8 and fiber_a.shape == (n, math.factorial(n))
     assert [len(swap) for swap in swaps] == list(range(1, n + 1))
     for s in range(n):
         _hi, radix, lo = db_register_geometry(n, s)
+        assert 0 <= fiber_a[s].min() and fiber_a[s].max() <= s
         for t in range(n):
             assert np.array_equal(hits[s, t], np.flatnonzero(pi[:, s] == t))
-            assert np.array_equal(pos[s, hits[s, t]], np.arange(len(hits[s, t])))
             base = hits[s, t] - hits[s, t] // lo % radix * lo
             fibers = base[:, None] + lo * np.arange(radix)
             assert (np.isin(hits[s, t][:, None], fibers).sum(axis=1) == 1).all()
@@ -531,8 +588,8 @@ def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
 
 def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
     """The guard evaluates the plan's first pair, where neither sigma nor
-    tau is the identity (the last label is), and raises when the a offsets
-    or the positions are corrupted."""
+    tau is the identity (the last label is), and raises when the a values
+    or the hit sets are corrupted."""
     import spolab.lemmas as lemmas_mod
 
     n = 4
@@ -543,10 +600,11 @@ def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
     assert [args[2:4] for args in guarded] == [(plan.sigmas[0], plan.taus[0])]
     assert plan.sigmas[-1] == plan.taus[-1] == identity(n)
     assert identity(n) not in (plan.sigmas[0], plan.taus[0])
-    hits, offsets, pos, swaps = lemmas_mod._hit_fibers(n)
-    # Each hit read against the fiber of another a, or another e.
-    for tables in ((hits, np.roll(offsets, 1, axis=2), pos, swaps),
-                   (hits, offsets, np.roll(pos, 1, axis=1), swaps)):
+    hits, fiber_a, swaps = lemmas_mod._hit_fibers(n)
+    # Each hit read with the a of another label, or each slice against the
+    # hits of another y.
+    for tables in ((hits, np.roll(fiber_a, 1, axis=1), swaps),
+                   (np.roll(hits, 1, axis=1), fiber_a, swaps)):
         monkeypatch.setattr(lemmas_mod, "_hit_fibers", lambda _n, t=tables: t)
         with pytest.raises(RuntimeError, match="projector form"):
             experiment_probabilities(final, full_relation(n), plan)
@@ -999,6 +1057,13 @@ def test_commutator_operator_matches_a_dense_reference(n):
             assert np.abs(op.dense() - want).max() < 1e-12
             adjoint = op.adjoint_block(np.eye(n * nf, dtype=np.complex128))
             assert np.abs(adjoint - want.conj().T).max() < 1e-12
+
+
+def test_commutator_operator_refuses_a_complex_gamma():
+    gamma = gamma_operator(3)
+    skewed = dataclasses.replace(gamma, matrix=gamma.dense() + 1e-3j)
+    with pytest.raises(ValueError, match="not real"):
+        commutator_operator(3, 0, "forward", skewed)
 
 
 def test_commutator_n6_rows_keep_the_recorded_norm():
