@@ -539,20 +539,3 @@ def parse_circuit(text: str) -> QueryCircuit:
             steps.append(LocalUnitary(regs, from_matrix(mat, tdims),
                                       tag=f"u-seed{seed}"))
     return QueryCircuit(n, tuple(steps), work_dim=work, output=output, name=name)
-
-
-def format_circuit(circ: QueryCircuit) -> str:
-    """Serialize circuits built from text-format-compatible steps."""
-    lines = [f"n {circ.n}", f"work {circ.work_dim}", f"output {circ.output}"]
-    if circ.name:
-        lines.append(f"name {circ.name}")
-    for step in circ.steps:
-        if isinstance(step, Query):
-            lines.append(f"query {'fwd' if step.direction == 'forward' else 'inv'}")
-        elif step.tag.startswith("load"):
-            lines.append(f"load {step.tag[4:]}")
-        elif step.tag.startswith("u-seed"):
-            lines.append(f"unitary {','.join(step.targets)} seed={step.tag[6:]}")
-        else:
-            raise ValueError(f"step {step.tag!r} has no text form")
-    return "\n".join(lines) + "\n"

@@ -52,7 +52,6 @@ from .states import (
     LinearOperator,
     StateVector,
     database_names,
-    from_matrix,
     from_permutation,
     marginal,
     operator_norm,
@@ -771,8 +770,7 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,
 
 
 def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
-                    plan: TwirlPlan, gamma: LinearOperator | None = None,
-                    ) -> list[VerificationReport]:
+                    plan: TwirlPlan) -> list[VerificationReport]:
     """The progress rows of one circuit against each named relation.
 
     Per relation R: N * progress_measure equals the p_(ii)-dominating
@@ -787,9 +785,9 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
     standard-form circuit runs at most once, for the pre-query states that
     the crucial terms of every relation read.  The sparsity tail
     sum_j E[...] does not depend on R; it is sum_j <phi_j|Gamma|phi_j> over
-    those states (the identity the sparsity rows check), once per circuit,
-    with ``gamma`` if given.  The averages of a relation are computed before its first row is
-    made, so under run_suite that row's runtime_ms carries them.
+    those states (the identity the sparsity rows check), once per circuit.
+    The averages of a relation are computed before its first row is made, so
+    under run_suite that row's runtime_ms carries them.
     """
     _require_exhaustive(plan, "progress_checks")
     n = circ.n
@@ -813,8 +811,7 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
             continue
         if pre is None:
             pre = standard_form_prequery_states(circ)
-            g = gamma_operator(n) if gamma is None else gamma
-            tail = sum(gamma_expectation(state, g) for _direction, state in pre)
+            tail = sum(gamma_expectation(state) for _direction, state in pre)
         r = rel.r_max
         rhs = 384.0 * q * q * r * (log_n + 2.0) / n ** 2 + 4.0 * q * r * tail
         out.append(check(f"hard-database[{tag}]", measure, rhs, pairs=pairs))
@@ -863,19 +860,20 @@ def _charge_dense(nf: int, count: int, what: str) -> None:
                           f"({count * nf * nf} amplitudes, budget {AMPLITUDE_BUDGET})")
 
 
-def cycle_average(n: int, length: int, side: str = "right") -> LinearOperator:
-    """W^(l): the uniform average of right-action (or left-action) operators
-    over all l-cycles; symmetric with norm <= 1."""
+def cycle_average(n: int, length: int, side: str = "right") -> np.ndarray:
+    """W^(l): the real nf x nf uniform average of right-action (or
+    left-action) permutation matrices over all l-cycles; symmetric with
+    norm <= 1."""
     if n < length:
         raise ValueError(f"no {length}-cycles in S_{n}")
     nf = database_dim(n)
     _charge_dense(nf, 1, f"W^{length} at n={n}")
     maps = _cycle_maps(n, length, side)
-    w = np.zeros((nf, nf), dtype=np.complex128)
+    w = np.zeros((nf, nf))
     np.add.at(w, (maps, np.arange(nf)), 1.0)  # column d: |d> -> |m[d]>
     w /= len(maps)
-    # Averages of the inverse cycles coincide, so W is self-adjoint.
-    return from_matrix(w, (nf,), label=f"W^{length}")
+    # Averages of the inverse cycles coincide, so W is symmetric.
+    return w
 
 
 def gamma_coefficients(n: int) -> tuple[float, float, float]:
@@ -883,62 +881,67 @@ def gamma_coefficients(n: int) -> tuple[float, float, float]:
     return ((h1 - h2) / n, 2.0 * (h2 - h3) / n, (h1 - 3.0 * h2 + 2.0 * h3) / n)
 
 
-def gamma_operator(n: int, method: str = "closed_form") -> LinearOperator:
-    """Gamma = E_x (1/(x+1)) E_{sigma,tau} (L R)^+ (I - P_{+x}) (L R)."""
+@lru_cache(maxsize=None)
+def gamma_operator(n: int) -> np.ndarray:
+    """Gamma = E_x (1/(x+1)) E_{sigma,tau} (L R)^+ (I - P_{+x}) (L R), from
+    its closed form c1 I - c2 W^(2) - c3 W^(3): a real symmetric nf x nf
+    array, built once per n and read-only."""
     nf = database_dim(n)
-    if method == "closed_form":
-        if n == 1:
-            return from_matrix(np.zeros((1, 1)), (1,), label="Gamma")
+    if n == 1:
+        mat = np.zeros((1, 1))
+    else:
         # Gamma, one cycle average and its scaled copy are live at once.
         _charge_dense(nf, 3, f"Gamma at n={n}")
         c1, c2, c3 = gamma_coefficients(n)
-        mat = cycle_average(n, 2).matrix * -c2
+        mat = cycle_average(n, 2) * -c2
         mat.flat[::nf + 1] += c1
         if n >= 3:
-            mat -= c3 * cycle_average(n, 3).matrix
-        return from_matrix(mat, (nf,), label="Gamma")
-    if method == "brute_force":
-        if n > 6:
-            raise ValueError("brute-force Gamma capped at n=6")
-        perms = list(all_permutations(n))
-        acc = np.zeros((nf, nf))
-        eye = np.eye(nf)
-        for x in range(n):
-            p_comp = eye - _plus_projector_dense(n, x).real
-            # nested averages: E_tau L^+ M L, then E_sigma R^+ (.) R
-            m_tau = np.zeros((nf, nf))
-            for tau in perms:
-                lm = left_right_map(n, tau=tau)
-                m_tau += p_comp[np.ix_(lm, lm)]
-            m_tau /= len(perms)
-            m_sigma = np.zeros((nf, nf))
-            for sigma in perms:
-                rm = left_right_map(n, sigma=sigma)
-                m_sigma += m_tau[np.ix_(rm, rm)]
-            m_sigma /= len(perms)
-            acc += m_sigma / (x + 1)
-        return from_matrix(acc / n, (nf,), label="Gamma(brute)")
-    raise ValueError(f"unknown method {method!r}")
+            mat -= c3 * cycle_average(n, 3)
+    mat.setflags(write=False)
+    return mat
 
 
-def gamma_expectation(state: StateVector, gamma: LinearOperator) -> float:
-    """<phi| Gamma |phi> on the database block."""
-    amps = _db_block(state)
-    out = gamma.apply_block(amps.T)
-    return float(np.vdot(amps.T, out).real)
+def gamma_brute_force(n: int) -> np.ndarray:
+    """Gamma by its defining twirl average, conjugating I - P_{+x} by every
+    L^tau and R^sigma: the referee of the closed form (n <= 6)."""
+    if n > 6:
+        raise ValueError("brute-force Gamma capped at n=6")
+    nf = database_dim(n)
+    perms = list(all_permutations(n))
+    acc = np.zeros((nf, nf))
+    eye = np.eye(nf)
+    for x in range(n):
+        p_comp = eye - _plus_projector_dense(n, x).real
+        # nested averages: E_tau L^+ M L, then E_sigma R^+ (.) R
+        m_tau = np.zeros((nf, nf))
+        for tau in perms:
+            lm = left_right_map(n, tau=tau)
+            m_tau += p_comp[np.ix_(lm, lm)]
+        m_tau /= len(perms)
+        m_sigma = np.zeros((nf, nf))
+        for sigma in perms:
+            rm = left_right_map(n, sigma=sigma)
+            m_sigma += m_tau[np.ix_(rm, rm)]
+        m_sigma /= len(perms)
+        acc += m_sigma / (x + 1)
+    return acc / n
 
 
-def commutator_operator(n: int, z: int, direction: str,
-                        gamma: LinearOperator) -> LinearOperator:
+def gamma_expectation(state: StateVector) -> float:
+    """<phi| Gamma |phi> on the database block.  Gamma is real and
+    symmetric, so this is the real quadratic form summed over the real and
+    imaginary parts of the (n!, rest) block's columns."""
+    n = _db_size_from_layout(state.layout)
+    v = np.ascontiguousarray(_db_block(state).T).view(np.float64)  # (n!, 2 rest)
+    return float(np.vdot(v, gamma_operator(n) @ v))
+
+
+def commutator_operator(n: int, z: int, direction: str) -> LinearOperator:
     """[Gamma, O^{SPO,z}] on the Y (x) D slice."""
     nf = database_dim(n)
     q = from_permutation((n, nf), query_slice_map(n, z, direction),
                          label=f"O^SPO,{z}")
-    dense = gamma.dense()
-    if np.any(dense.imag):
-        raise ValueError(f"{gamma.label} is not real; the commutator reads it "
-                         "as a real matrix")
-    g = np.ascontiguousarray(dense.real)
+    g = gamma_operator(n)
 
     def gamma_yd(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         # I_N (x) Gamma on two (Y * D, rest) blocks: one real product with
@@ -968,42 +971,37 @@ def commutator_growth_check(n: int, name: str = "") -> list[VerificationReport]:
     """max_x ||[Gamma, O^{SPO,x}]|| <= 6 (ln N + 1) / N^2, both directions."""
     if n > 6:
         raise ValueError("commutator check capped at n=6")
-    gamma = gamma_operator(n)
     bound = 6.0 * (math.log(n) + 1.0) / n ** 2
     out = []
     for direction in ("forward", "inverse"):
-        worst = commutator_norm(n, direction, gamma)
+        worst = commutator_norm(n, direction)
         out.append(check(name or f"commutator[n={n},{direction}]", worst, bound))
     return out
 
 
-def commutator_norm(n: int, direction: str,
-                    gamma: LinearOperator | None = None) -> float:
+def commutator_norm(n: int, direction: str) -> float:
     """max_z ||[Gamma, O^{SPO,z}]|| in one direction."""
-    gamma = gamma_operator(n) if gamma is None else gamma
-    return max(operator_norm(commutator_operator(n, z, direction, gamma))
+    return max(operator_norm(commutator_operator(n, z, direction))
                for z in range(n))
 
 
 def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
-                              name: str = "", gamma: LinearOperator | None = None,
-                              ) -> list[VerificationReport]:
+                              name: str = "") -> list[VerificationReport]:
     """<phi^(j)| Gamma |phi^(j)> <= 6 j (ln N + 1) / N^2 along the run, with
     per-step increments bounded by the matching commutator norm; when a plan
     is given, the Gamma expectation is also matched against the direct twirl
-    average (the defining identity) to 1e-10; Gamma is built unless given."""
+    average (the defining identity) to 1e-10."""
     if plan is not None:
         _require_exhaustive(plan, "sparsity_trajectory_check")
     n = circ.n
-    gamma = gamma_operator(n) if gamma is None else gamma
     final, pre = run_with_intermediates(circ, spo_backend(n))
     states = [state for _d, state in pre] + [final]
     directions = [d for d, _s in pre]
     per_query = 6.0 * (math.log(n) + 1.0) / n ** 2
     base = name or f"sparsity[{circ.name}]"
     out = []
-    comm_norms = {d: commutator_norm(n, d, gamma) for d in set(directions)}
-    values = [gamma_expectation(s, gamma) for s in states]
+    comm_norms = {d: commutator_norm(n, d) for d in set(directions)}
+    values = [gamma_expectation(s) for s in states]
     for j, val in enumerate(values):
         out.append(check(f"{base}:j={j}", val, per_query * j))
     for j in range(1, len(values)):

@@ -393,18 +393,15 @@ def expected_active_size(
     n: int,
     arg: int,
     kind: Literal["forward", "inverse"],
-    method: Literal["exact", "recurrence", "monte_carlo"] = "exact",
-    rng: np.random.Generator | None = None,
-    samples: int = 10000,
+    method: Literal["exact", "recurrence"] = "exact",
 ) -> tuple[float, float]:
     """Mean active-set size over uniform permutations, with standard error.
 
     exact        enumerate all n! factor tuples (n <= EXACT_ENUM_LIMIT)
     recurrence   inverse kind only: e(N, y) = 1 + f(y-1)/N in 1-based
                  terms, i.e. 1 + f(arg)/n here
-    monte_carlo  seeded sample mean; requires rng
 
-    The standard error is 0.0 for the two deterministic methods.
+    Both methods are deterministic, so the standard error is 0.0.
     """
     if not 0 <= arg < n:
         raise ValueError(f"element {arg} outside 0..{n - 1}")
@@ -423,17 +420,6 @@ def expected_active_size(
         if kind != "inverse":
             raise UnsupportedMethodError("recurrence only covers the inverse kind")
         return float(inverse_active_expectation_exact(n, arg)), 0.0
-    if method == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo requires a seeded rng")
-        sizes = np.empty(samples)
-        for i in range(samples):
-            t = tuple(int(rng.integers(0, k + 1)) for k in range(n))
-            f = MonotoneFactorization(t)
-            a = active_set(f, arg) if kind == "forward" else inverse_active_set(f, arg)
-            sizes[i] = len(a)
-        stderr = float(sizes.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        return float(sizes.mean()), stderr
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -27,6 +27,7 @@ from .circuits import (
     grover_preimage,
     random_circuit,
     run,
+    run_with_intermediates,
     spo_ensemble,
     spo_success_probability,
     standard_form,
@@ -35,10 +36,12 @@ from .circuits import (
     averaged_grover_reference,
 )
 from .lemmas import (
+    _all_cycles,
     easy_norm_check,
     commutator_growth_check,
     experiment_probabilities,
     fundamental_check,
+    gamma_brute_force,
     gamma_operator,
     cycle_average,
     help_norm,
@@ -50,6 +53,7 @@ from .lemmas import (
     theorem_check,
 )
 from .oracles import (
+    cnot_operator,
     database_dim,
     is_power_of_two,
     left_right_map,
@@ -60,6 +64,7 @@ from .oracles import (
     spo_backend,
     spo_init,
     spo_recover,
+    swap_operator,
     twirl,
     u_oracle,
     v_oracle,
@@ -361,8 +366,6 @@ def sampler_chi_square(n: int, draws: int, seed: int) -> VerificationReport:
 
 def uv_identity_checks(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """U = V^{pi^-1} CNOT V^pi and V|0> = U^{pi^-1} SWAP U^pi |0> at size n."""
-    from .oracles import cnot_operator, swap_operator
-
     rng = np.random.default_rng(seed)
     p = sample_uniform(n, rng)
     u_f = u_oracle(p).dense()
@@ -627,15 +630,12 @@ def progress_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
     if n > 4 or not is_power_of_two(n):
         raise ValueError("progress suite runs exhaustively at n in {2, 4}")
     plan = make_twirl_plan(n)
-    gamma = gamma_operator(n)
     out = []
     circuits = suite_circuits(n, seed, max_q=2)
     rels = suite_relations(n)
     for circ in circuits:
-        out.extend(progress_checks(circ, rels, plan, gamma))
+        out.extend(progress_checks(circ, rels, plan))
     # Per-query inequalities at every intermediate state of every run.
-    from .circuits import run_with_intermediates
-
     for circ in circuits:
         if not circ.query_count:
             continue
@@ -662,10 +662,9 @@ def gamma_suite(n: int) -> list[VerificationReport]:
     out = []
     gamma = gamma_operator(n)
     if n <= 5:
-        brute = gamma_operator(n, method="brute_force")
-        diff = float(np.abs(gamma.dense() - brute.dense()).max())
+        diff = float(np.abs(gamma - gamma_brute_force(n)).max())
         out.append(check(f"gamma-closed-vs-brute[n={n}]", diff, 1e-10, tol=0.0))
-    eigs = np.linalg.eigvalsh(gamma.dense())
+    eigs = np.linalg.eigvalsh(gamma)
     out.append(check(f"gamma-psd[n={n}]", float(-eigs.min()), 1e-10, tol=0.0))
     out.append(check(f"gamma-norm[n={n}]", float(eigs.max()),
                      (math.log(n) + 1.0) / n))
@@ -676,8 +675,8 @@ def gamma_suite(n: int) -> list[VerificationReport]:
                                float(np.abs(got - expected).max()), 0.0, tol=1e-12))
     if n >= 3:
         for ell in (2, 3):
-            right = cycle_average(n, ell, "right").dense()
-            left = cycle_average(n, ell, "left").dense()
+            right = cycle_average(n, ell, "right")
+            left = cycle_average(n, ell, "left")
             out.append(check(f"cycle-average-left-right[n={n},l={ell}]",
                              float(np.abs(right - left).max()), 1e-12, tol=0.0))
             out.append(check(f"cycle-average-symmetric[n={n},l={ell}]",
@@ -691,8 +690,6 @@ def commutator_suite(n: int) -> list[VerificationReport]:
     out = commutator_growth_check(n)
     # The commutation observation behind the bound: R^gamma commutes with
     # O^{SPO,x} whenever gamma fixes x (exact label-map identity).
-    from .lemmas import _all_cycles
-
     nf = database_dim(n)
     bad = 0
     joint = np.arange(n * nf)
@@ -713,10 +710,9 @@ def sparsity_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
     if not is_power_of_two(n) or n > 4:
         raise ValueError("sparsity suite runs at n in {2, 4}")
     plan = make_twirl_plan(n)
-    gamma = gamma_operator(n)
     out = []
     for circ in suite_circuits(n, seed, max_q=3):
-        out.extend(sparsity_trajectory_check(circ, plan, gamma=gamma))
+        out.extend(sparsity_trajectory_check(circ, plan))
     return out
 
 

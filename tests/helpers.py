@@ -1,7 +1,8 @@
-"""Builders that only the tests use: basis states, database labels, a
-loading query, the untwirled final state, counters of calls and of circuit
-runs, a per-pair twirl-average reference, a dense trace-distance reference,
-the scalar permutation sampler and dense Grover steps."""
+"""Builders that only the tests use: basis states, database labels, a loading
+query, a circuit's text form, the untwirled final state, counters of calls
+and of circuit runs, a per-pair twirl-average reference, a dense
+trace-distance reference, the scalar permutation sampler and dense Grover
+steps."""
 import dataclasses
 import math
 import sys
@@ -69,6 +70,24 @@ def with_loading_query(circ: QueryCircuit) -> QueryCircuit:
     )
     return QueryCircuit(circ.n, steps, work_dim=circ.work_dim, output="xy",
                         has_z=True, name=circ.name + "+load")
+
+
+def format_circuit(circ: QueryCircuit) -> str:
+    """The text form that parse_circuit reads, for circuits built from
+    text-format-compatible steps."""
+    lines = [f"n {circ.n}", f"work {circ.work_dim}", f"output {circ.output}"]
+    if circ.name:
+        lines.append(f"name {circ.name}")
+    for step in circ.steps:
+        if isinstance(step, Query):
+            lines.append(f"query {'fwd' if step.direction == 'forward' else 'inv'}")
+        elif step.tag.startswith("load"):
+            lines.append(f"load {step.tag[4:]}")
+        elif step.tag.startswith("u-seed"):
+            lines.append(f"unitary {','.join(step.targets)} seed={step.tag[6:]}")
+        else:
+            raise ValueError(f"step {step.tag!r} has no text form")
+    return "\n".join(lines) + "\n"
 
 
 def final_state(circ: QueryCircuit) -> StateVector:

@@ -29,6 +29,7 @@ from spolab.lemmas import (
     commutator_growth_check,
     experiment_probabilities,
     fundamental_check,
+    gamma_brute_force,
     gamma_expectation,
     gamma_operator,
     help_norm,
@@ -362,11 +363,10 @@ def test_criterion_12_gamma_operator():
     ok = True
     worst = 0.0
     for n in range(2, 6):
-        diff = float(np.abs(gamma_operator(n).dense()
-                            - gamma_operator(n, "brute_force").dense()).max())
+        diff = float(np.abs(gamma_operator(n) - gamma_brute_force(n)).max())
         worst = max(worst, diff)
     ok &= worst <= 1e-10
-    eigs = np.sort(np.linalg.eigvalsh(gamma_operator(2).dense()))
+    eigs = np.sort(np.linalg.eigvalsh(gamma_operator(2)))
     ok &= bool(np.allclose(eigs, [0.0, 0.25], atol=1e-12))
     record(12, "Gamma closed form = twirl average (N <= 5); N = 2 spectrum",
            ok, f"max elementwise dev {worst:.2e}")
@@ -382,13 +382,12 @@ def test_criterion_13_commutator_and_sparsity():
     ok &= elapsed < 300.0
     n = 4
     plan = make_twirl_plan(n)
-    gamma = gamma_operator(n)
     comm = {d: commutator_norm(n, d) for d in ("forward", "inverse")}
     for circ in suite_circuits(n, SEED):
         backend = spo_backend(n)
         final, pre = run_with_intermediates(circ, backend)
         states = [s for _d, s in pre] + [final]
-        vals = [gamma_expectation(s, gamma) for s in states]
+        vals = [gamma_expectation(s) for s in states]
         for j, val in enumerate(vals):
             ok &= val <= 6 * j * (math.log(n) + 1) / n ** 2 + 1e-9
         for j in range(1, len(vals)):

@@ -13,7 +13,6 @@ from spolab.circuits import (
     concrete_ensemble,
     dressed_standard_form,
     empty_circuit,
-    format_circuit,
     grover_preimage,
     grover_reference,
     haar_unitary,
@@ -46,7 +45,8 @@ from spolab.relations import (
 )
 from spolab.states import CQEnsemble, from_matrix, trace_distance
 
-from helpers import count_runs, dense_grover, grover_matrices, with_loading_query
+from helpers import (count_runs, dense_grover, format_circuit, grover_matrices,
+                     with_loading_query)
 
 RNG = np.random.default_rng(31)
 

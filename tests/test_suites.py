@@ -479,8 +479,14 @@ def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["progress", "sparsity"])
 def test_gamma_is_built_once_per_suite(monkeypatch, suite):
+    """Gamma(N) is built once per process: from a cold cache, the progress
+    and sparsity suites (either first) scatter W^(2) once between them, the
+    only cycle average Gamma(2) reads."""
     import spolab.lemmas as lemmas_mod
 
-    builds = count_calls(monkeypatch, lemmas_mod, "gamma_operator")
-    assert all(r.passed for r in run_suite(suite, 2))
-    assert len(builds) == 1
+    lemmas_mod.gamma_operator.cache_clear()
+    builds = count_calls(monkeypatch, lemmas_mod, "cycle_average")
+    other = {"progress": "sparsity", "sparsity": "progress"}[suite]
+    for name in (suite, other):
+        assert all(r.passed for r in run_suite(name, 2))
+    assert builds == [(2, 2)]
