@@ -23,9 +23,8 @@ from typing import Callable, Iterable, Literal
 import numpy as np
 
 from .oracles import (
-    AMPLITUDE_BUDGET,
-    BudgetError,
     OracleBackend,
+    charge,
     cnot_operator,
     concrete_backend,
     database_dim,
@@ -118,9 +117,7 @@ def circuit_layout(circ: QueryCircuit, backend: OracleBackend) -> RegisterLayout
 
 def initial_state(circ: QueryCircuit, backend: OracleBackend) -> StateVector:
     lay = circuit_layout(circ, backend)
-    if lay.total_dim > AMPLITUDE_BUDGET:
-        raise BudgetError(f"joint state needs {lay.total_dim} amplitudes "
-                          f"(budget {AMPLITUDE_BUDGET})")
+    charge(lay.total_dim, "joint state")
     amps = np.zeros(lay.total_dim, dtype=np.complex128)
     # One normalized run per label of P, with the database uniform over S_n.
     nf = database_dim(circ.n) if backend.has_database else 1
@@ -360,10 +357,8 @@ def _grover_outputs(n_bits: int, c: int) -> np.ndarray:
     if not 1 <= c < n_bits:
         raise ValueError(f"capacity must satisfy 1 <= c < n, got c={c}, n={n_bits}")
     dim = 2 ** n_bits
-    if 3 * dim * dim > AMPLITUDE_BUDGET:
-        raise BudgetError(f"Grover circuit at n_bits={n_bits} needs {3 * dim * dim} "
-                          f"amplitudes (X, Y state and two dense {dim} x {dim} "
-                          f"matrices; budget {AMPLITUDE_BUDGET})")
+    charge(3 * dim * dim, f"Grover circuit at n_bits={n_bits} (X, Y state and "
+           f"two dense {dim} x {dim} matrices)")
     return np.arange(dim)
 
 

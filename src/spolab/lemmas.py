@@ -31,11 +31,11 @@ from .circuits import (
     success_probability,
 )
 from .oracles import (
-    AMPLITUDE_BUDGET,
-    BudgetError,
+    charge,
     database_dim,
     db_register_geometry,
     left_right_map,
+    image_table,
     perm_tables,
     project_plus_db,
     query_slice_map,
@@ -44,8 +44,8 @@ from .oracles import (
     spo_query,
     _db_size_from_layout,
 )
-from .permutations import (Permutation, all_images, all_permutations, invert,
-                           sample_uniform, transposition)
+from .permutations import (Permutation, all_images, all_permutations, sample_uniform,
+                           transposition)
 from .relations import Relation
 from .reporting import VerificationReport, check, check_close
 from .states import (
@@ -74,28 +74,47 @@ class WeightPreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class TwirlPlan:
-    """A (sigma, tau) product grid with precomputed database label maps."""
+    """A (sigma, tau) product grid over read-only (S, n) and (T, n) int
+    image tables.  The constructor derives the inverse images and label
+    maps, charging the maps against AMPLITUDE_BUDGET first; replace() passes
+    them through, so change only chunk, exhaustive or seed that way."""
 
     n: int
-    sigmas: tuple[Permutation, ...]
-    taus: tuple[Permutation, ...]
+    sigmas: np.ndarray
+    taus: np.ndarray
     exhaustive: bool
-    seed: int | None
-    # Inverse label maps of R^sigma and L^tau, i.e. those of R^{sigma^{-1}}
-    # and L^{tau^{-1}} (int32 from make_twirl_plan).
-    right_inv: np.ndarray  # (len(sigmas), n!): d -> idx(pi_d sigma)
-    left_inv: np.ndarray   # (len(taus), n!):  d -> idx(tau^{-1} pi_d)
+    seed: int | None = None
     chunk: int = 1  # columns of a sigma-row per step of pairs()
-    sigma_inv: np.ndarray = field(init=False, repr=False)  # (len(sigmas), n)
-    tau_inv: np.ndarray = field(init=False, repr=False)    # (len(taus), n)
+    # Derived, read-only: the inverse images, and the inverse label maps of
+    # R^sigma and L^tau, i.e. the maps of R^{sigma^{-1}}, L^{tau^{-1}} (int32).
+    sigma_inv: np.ndarray | None = field(default=None, repr=False)  # (S, n)
+    tau_inv: np.ndarray | None = field(default=None, repr=False)    # (T, n)
+    right_inv: np.ndarray | None = field(default=None, repr=False)  # d -> idx(pi_d sigma)
+    left_inv: np.ndarray | None = field(default=None, repr=False)   # d -> idx(tau^{-1} pi_d)
 
     def __post_init__(self) -> None:
         if self.chunk < 1:
             raise ValueError(f"a twirl chunk holds at least one pair, got {self.chunk}")
-        # The inverse images, built once: argsort inverts a permutation row.
-        for name, perms in (("sigma_inv", self.sigmas), ("tau_inv", self.taus)):
-            images = np.array([p.images for p in perms])
-            object.__setattr__(self, name, np.argsort(images, axis=1))
+        if self.right_inv is not None:
+            return  # a copy made by replace()
+        n, nf = self.n, database_dim(self.n)
+        sigmas, taus = image_table(self.sigmas), image_table(self.taus)
+        if sigmas.shape[1] != n or taus.shape[1] != n:
+            raise ValueError(f"a plan at n={n} got {sigmas.shape} and {taus.shape} tables")
+        _charge_maps(n, len(sigmas), len(taus))
+        sigma_inv, tau_inv = np.argsort(sigmas, axis=1), np.argsort(taus, axis=1)
+        # Filled row by row: no int64 stack of the maps.
+        right_inv = np.empty((len(sigmas), nf), dtype=np.int32)
+        left_inv = np.empty((len(taus), nf), dtype=np.int32)
+        for row, si in zip(right_inv, sigma_inv):
+            row[:] = left_right_map(n, sigma=si)
+        for row, ti in zip(left_inv, tau_inv):
+            row[:] = left_right_map(n, tau=ti)
+        tables = dict(sigmas=sigmas, taus=taus, sigma_inv=sigma_inv, tau_inv=tau_inv,
+                      right_inv=right_inv, left_inv=left_inv)
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def pair_count(self) -> int:
@@ -105,22 +124,26 @@ class TwirlPlan:
     def grid_shape(self) -> tuple[int, int]:
         return len(self.sigmas), len(self.taus)
 
-    def pairs(self) -> Iterator[tuple[int, int, Permutation, np.ndarray]]:
+    def pairs(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Yields (i, c0, sigma, lj) for each chunk of at most ``chunk``
-        columns c0, c0 + 1, ... of sigma-row i: lj = left_inv[c0:c0 + C], so
-        the inverse label map of L^tau R^sigma for tau = taus[c0 + c] is
-        minv = right_inv[i][lj[c]], and the twirled state of that pair is
-        old_amps[..., minv]."""
+        columns c0, c0 + 1, ... of sigma-row i: sigma = sigmas[i] and
+        lj = left_inv[c0:c0 + C], so the inverse label map of L^tau R^sigma
+        for tau = taus[c0 + c] is minv = right_inv[i][lj[c]], and the
+        twirled state of that pair is old_amps[..., minv]."""
         for i, sigma in enumerate(self.sigmas):
             for c0 in range(0, len(self.taus), self.chunk):
                 yield i, c0, sigma, self.left_inv[c0:c0 + self.chunk]
+
+
+def _charge_maps(n: int, rows: int, cols: int) -> None:
+    charge((rows + cols) * database_dim(n), f"a {rows} x {cols} twirl plan needs "
+           f"{rows} + {cols} label maps of {database_dim(n)} labels")
 
 
 def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
                     exhaustive: bool | None = None) -> TwirlPlan:
     if exhaustive is None:
         exhaustive = n <= EXHAUSTIVE_TWIRL_LIMIT
-    nf = database_dim(n)
     if not exhaustive:
         if seed is None:
             raise ValueError("sampled twirl plans require a seed")
@@ -128,24 +151,15 @@ def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
             # A grid with one row or column has no stderr estimate.
             raise ValueError("sampled twirl plans need min_pairs >= 2 (a 2 x 2 "
                              f"grid at least), got min_pairs={min_pairs}")
-    side = nf if exhaustive else math.ceil(math.sqrt(min_pairs))
-    if 2 * side * nf > AMPLITUDE_BUDGET:
-        raise BudgetError(f"a {side} x {side} twirl plan needs 2 x {side} label "
-                          f"maps of {nf} entries, over the {AMPLITUDE_BUDGET} budget")
+    side = database_dim(n) if exhaustive else math.ceil(math.sqrt(min_pairs))
+    _charge_maps(n, side, side)  # before a table is drawn
     if exhaustive:
-        sigmas = taus = tuple(all_permutations(n))
+        sigmas = taus = all_images(n)
     else:
         rng = np.random.default_rng(seed)
-        sigmas = tuple(sample_uniform(n, rng) for _ in range(side))
-        taus = tuple(sample_uniform(n, rng) for _ in range(side))
-    # int32 (n! < 2^31), filled row by row: no int64 stack of the maps.
-    right_inv = np.empty((side, nf), dtype=np.int32)
-    left_inv = np.empty((side, nf), dtype=np.int32)
-    for row, sigma in zip(right_inv, sigmas):
-        row[:] = left_right_map(n, sigma=invert(sigma))
-    for row, tau in zip(left_inv, taus):
-        row[:] = left_right_map(n, tau=invert(tau))
-    return TwirlPlan(n, sigmas, taus, exhaustive, seed, right_inv, left_inv)
+        draws = [sample_uniform(n, rng).images for _ in range(2 * side)]
+        sigmas, taus = draws[:side], draws[side:]
+    return TwirlPlan(n, sigmas, taus, exhaustive, seed)
 
 
 def _require_exhaustive(plan: TwirlPlan, check_name: str) -> None:
@@ -175,15 +189,15 @@ def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _twirl_average(plan: TwirlPlan, rest: int,
-                   term: Callable[..., Callable[..., np.ndarray]]) -> tuple[float, float]:
+                   term: Callable[[int], Callable[..., np.ndarray]]) -> tuple[float, float]:
     """(mean, stderr) over the plan of the values of one twirl term.
 
-    ``term(sigma, sigma_inv, ri)`` is called once per sigma-row, with the
-    inverse images of sigma and ri = right_inv[i], so that it can precompute
-    what the row shares.  It returns ``chunk(cols, lj)``, which gives one
-    value per column of a chunk of the row: for the plan's column slice
-    ``cols`` and its (C, n!) maps lj = left_inv[cols].  The twirled
-    (rest, n!) block of column c is ``block[:, ri[lj[c]]]``.  A chunk holds
+    ``term(i)`` is called once per sigma-row i, to precompute what the row
+    shares from the plan's tables (sigmas[i], sigma_inv[i], ri =
+    right_inv[i]).  It returns ``chunk(cols, lj)``: one value per column of
+    a chunk of the row, for the column slice ``cols`` and its (C, n!) maps
+    lj = left_inv[cols].  Column c twirls a (rest, n!) block to
+    ``block[:, ri[lj[c]]]``.  A chunk holds
     as many columns as keep that gathered (rest, C, n!) block within
     TWIRL_CHUNK_AMPS, and at least one.  Exhaustive plans give the exact
     mean with stderr 0, sampled plans the crossed-grid estimate of
@@ -191,9 +205,9 @@ def _twirl_average(plan: TwirlPlan, rest: int,
     """
     chunk = max(1, TWIRL_CHUNK_AMPS // (rest * database_dim(plan.n)))
     grid = np.zeros(plan.grid_shape)
-    for i, c0, sigma, lj in replace(plan, chunk=chunk).pairs():
+    for i, c0, _sigma, lj in replace(plan, chunk=chunk).pairs():
         if c0 == 0:
-            row = term(sigma, plan.sigma_inv[i], plan.right_inv[i])
+            row = term(i)
         cols = slice(c0, c0 + len(lj))
         grid[i, cols] = row(cols, lj)
     if plan.exhaustive:
@@ -307,13 +321,13 @@ def _db_block(state: StateVector) -> np.ndarray:
     return state.amps.reshape(-1, database_dim(n))
 
 
-def check_uniform_weights(state: StateVector, tol: float = 1e-9) -> None:
-    """Require ||<pi|phi>||^2 = 1/N! for every pi (holds along untwirled runs)."""
+def check_uniform_weights(state: StateVector) -> None:
+    """Require ||<pi|phi>||^2 = 1/N! (to 1e-9) for every pi (holds along untwirled runs)."""
     nf = database_dim(_db_size_from_layout(state.layout))
     arr = _db_block(state)
     probs = np.einsum("rd,rd->d", arr.conj(), arr).real
     deviation = float(np.max(np.abs(probs - 1.0 / nf)))
-    if deviation > tol:
+    if deviation > 1e-9:
         raise WeightPreconditionError(
             f"permutation-basis weights deviate from 1/N! by {deviation:.2e}")
 
@@ -373,17 +387,16 @@ def experiment_probabilities(final: StateVector, rel: Relation,
               for x, y, v in slices)
 
     term = _p_ii_term(slices, plan)
-    ri = plan.right_inv[0]
-    got = float(term(plan.sigmas[0], plan.sigma_inv[0], ri)(
-        slice(0, 1), plan.left_inv[:1])[0])
+    first = term(0)  # sigma-row 0, built once for the guard and the average
+    got = float(first(slice(0, 1), plan.left_inv[:1])[0])
     ref = _p_ii_projector(slices, n, plan.sigmas[0], plan.taus[0],
-                          ri[plan.left_inv[0]])
+                          plan.right_inv[0][plan.left_inv[0]])
     if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
         raise RuntimeError(f"fiber-hit p_ii {got!r} differs from the projector "
                            f"form {ref!r} on the first pair of the plan (n={n})")
 
     rest = _db_block(final).shape[0] // n ** 2  # rows of one <x,y| slice
-    p_ii, se_ii = _twirl_average(plan, rest, term)
+    p_ii, se_ii = _twirl_average(plan, rest, lambda i: term(i) if i else first)
     method = "exact" if plan.exhaustive else "monte_carlo"
     return ExperimentResult(p_i, p_ii, se_ii, method, plan.pair_count)
 
@@ -412,9 +425,7 @@ def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
     charged against AMPLITUDE_BUDGET before it is built."""
     nf = database_dim(n)
     shape = (len(left_inv), n, len(ys), nf // n)
-    if math.prod(shape) > AMPLITUDE_BUDGET:
-        raise BudgetError(f"p_ii a-tables need {' x '.join(map(str, shape))} "
-                          f"entries, over the {AMPLITUDE_BUDGET} budget")
+    charge(math.prod(shape), f"p_ii a-tables of {' x '.join(map(str, shape))}")
     hits, fiber_a, _swaps = _hit_fibers(n)
     flat_a = fiber_a.ravel()
     e = hits[:, ys]  # (n, len(ys), m)
@@ -447,10 +458,11 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
     a_tables = _a_tables(n, plan.left_inv, ys)
     hits, _fiber_a, swaps = _hit_fibers(n)
 
-    def row(sigma: Permutation, _si, ri: np.ndarray):
+    def row(i: int):
         keys, tables = [], []
+        ri = plan.right_inv[i]
         for (x, y, v), k in zip(slices, y_at):
-            s = sigma.images[x]
+            s = plan.sigmas[i, x]
             if s:  # P on D_1 is the identity
                 u = v.take(ri, axis=1)
                 h = hits[s, y]
@@ -476,11 +488,11 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
 
 
 def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
-                    sigma: Permutation, tau: Permutation, minv: np.ndarray) -> float:
-    """p_(ii') of one pair as sum ||E^{R,s} w||^2 over the whole twirled block."""
+                    sigma: np.ndarray, tau: np.ndarray, minv: np.ndarray) -> float:
+    """p_(ii') of one pair (image rows) as sum ||E^{R,s} w||^2 over the twirled block."""
     pi_table, _ = perm_tables(n)
-    return sum(float(_progress_norm2(v[:, minv], n, sigma.images[x],
-                                     pi_table[:, sigma.images[x]] == tau.images[y]))
+    return sum(float(_progress_norm2(v[:, minv], n, sigma[x],
+                                     pi_table[:, sigma[x]] == tau[y]))
                for x, y, v in slices)
 
 
@@ -515,17 +527,16 @@ def p2_upper_bound(final: StateVector, rel: Relation,
     pi_table, _ = perm_tables(n)
     sections = [(x, rel.section(x)) for x in range(n) if rel.section(x).size]
 
-    def term(sigma, _si, ri):
+    def term(i):
         def chunk(cols, lj):
-            tw = amps[:, ri[lj]]  # (rest, C, n!)
-            images = np.array([tau.images for tau in plan.taus[cols]])
+            tw = amps[:, plan.right_inv[i][lj]]  # (rest, C, n!)
             rows = np.arange(len(lj))[:, None]
             acc = 0.0
             for x, ys in sections:
                 # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
                 hit = np.zeros((len(lj), n), dtype=bool)
-                hit[rows, images[:, ys]] = True
-                sx = sigma.images[x]
+                hit[rows, plan.taus[cols][:, ys]] = True
+                sx = plan.sigmas[i, x]
                 acc = acc + _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
             return acc
 
@@ -542,10 +553,10 @@ def progress_measure(final: StateVector, rel: Relation,
     amps = _db_block(final)
     pi_table, _ = perm_tables(n)
 
-    def term(_sigma, si, ri):
+    def term(i):
         def chunk(cols, lj):
-            tw = amps[:, ri[lj]]  # (rest, C, n!)
-            ti = plan.tau_inv[cols]
+            tw = amps[:, plan.right_inv[i][lj]]  # (rest, C, n!)
+            si, ti = plan.sigma_inv[i], plan.tau_inv[cols]
             twisted = rel.members[si[None, :, None], ti[:, None, :]]  # R^{sigma,tau} bitsets
             # mask: (x, pi_d(x)) in R^{sigma,tau}
             return sum(_progress_norm2(tw, n, x, twisted[:, x, pi_table[:, x]])
@@ -719,9 +730,9 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
     n = plan.n
     amps = _db_block(state)
 
-    def term(_sigma, _si, ri):
+    def term(i):
         def chunk(_cols, lj):
-            tw = amps[:, ri[lj]]  # (rest, C, n!)
+            tw = amps[:, plan.right_inv[i][lj]]  # (rest, C, n!)
             return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
                        for x in range(n)) / n
 
@@ -746,9 +757,8 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,
     """
     n = rel.n
     nf = database_dim(n)
-    if plan.pair_count * n * nf > AMPLITUDE_BUDGET:
-        raise BudgetError(f"crucial terms gather {plan.pair_count} pairs x {n} "
-                          f"x {nf} labels, over the {AMPLITUDE_BUDGET} budget")
+    charge(plan.pair_count * n * nf,
+           f"crucial terms gather {plan.pair_count} pairs x {n} x {nf} labels")
     rows, cols = plan.grid_shape
     # Pair (i, j) is row i * cols + j, with minv = right_inv[i][left_inv[j]].
     minv = plan.right_inv[:, plan.left_inv].reshape(-1, nf)
@@ -852,14 +862,6 @@ def _cycle_maps(n: int, length: int, side: str) -> np.ndarray:
     return np.stack([left_right_map(n, tau=g) for g in cycles])
 
 
-def _charge_dense(nf: int, count: int, what: str) -> None:
-    """Refuse, before any allocation, ``count`` live nf x nf matrices that
-    would exceed AMPLITUDE_BUDGET."""
-    if count * nf * nf > AMPLITUDE_BUDGET:
-        raise BudgetError(f"{what} needs {count} dense {nf} x {nf} matrices "
-                          f"({count * nf * nf} amplitudes, budget {AMPLITUDE_BUDGET})")
-
-
 def cycle_average(n: int, length: int, side: str = "right") -> np.ndarray:
     """W^(l): the real nf x nf uniform average of right-action (or
     left-action) permutation matrices over all l-cycles; symmetric with
@@ -867,7 +869,7 @@ def cycle_average(n: int, length: int, side: str = "right") -> np.ndarray:
     if n < length:
         raise ValueError(f"no {length}-cycles in S_{n}")
     nf = database_dim(n)
-    _charge_dense(nf, 1, f"W^{length} at n={n}")
+    charge(nf * nf, f"W^{length} at n={n} needs 1 dense {nf} x {nf} matrices")
     maps = _cycle_maps(n, length, side)
     w = np.zeros((nf, nf))
     np.add.at(w, (maps, np.arange(nf)), 1.0)  # column d: |d> -> |m[d]>
@@ -891,7 +893,7 @@ def gamma_operator(n: int) -> np.ndarray:
         mat = np.zeros((1, 1))
     else:
         # Gamma, one cycle average and its scaled copy are live at once.
-        _charge_dense(nf, 3, f"Gamma at n={n}")
+        charge(3 * nf * nf, f"Gamma at n={n} needs 3 dense {nf} x {nf} matrices")
         c1, c2, c3 = gamma_coefficients(n)
         mat = cycle_average(n, 2) * -c2
         mat.flat[::nf + 1] += c1

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .permutations import Permutation, SizeLimitError, all_images, invert
+from .permutations import Permutation, SizeLimitError, all_images
 from .states import (
     CQEnsemble,
     LayoutError,
@@ -48,6 +48,13 @@ AMPLITUDE_BUDGET = 2 ** 28
 
 class BudgetError(ValueError):
     """A requested simulation exceeds the amplitude budget."""
+
+
+def charge(entries: int, what: str) -> None:
+    """Refuse ``entries`` array entries over AMPLITUDE_BUDGET, before any exist."""
+    if entries > AMPLITUDE_BUDGET:
+        raise BudgetError(f"{what}: {entries} entries, over the amplitude "
+                          f"budget {AMPLITUDE_BUDGET}")
 
 
 def is_power_of_two(n: int) -> bool:
@@ -111,9 +118,9 @@ def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, labels
 
 
-def left_right_map(n: int, tau: Permutation | None = None,
-                   sigma: Permutation | None = None) -> np.ndarray:
-    """Label map d -> index(tau o pi_d o sigma^{-1}).
+def left_right_map(n: int, tau: Permutation | np.ndarray | None = None,
+                   sigma: Permutation | np.ndarray | None = None) -> np.ndarray:
+    """Label map d -> index(tau o pi_d o sigma^{-1}) (permutations or image rows).
 
     This is the basis action of L^tau R^sigma on the database: the image
     rows of every label are permuted (position k reads row sigma^{-1}(k),
@@ -121,9 +128,9 @@ def left_right_map(n: int, tau: Permutation | None = None,
     """
     rows, labels = _rank_tables(n)
     if tau is not None:
-        rows = np.array(tau.images, dtype=np.int8).take(rows)
+        rows = image_table(tau)[0].astype(np.int8).take(rows)
     if sigma is not None:
-        rows = rows[list(invert(sigma).images)]
+        rows = rows[np.argsort(image_table(sigma)[0])]
     return labels.take(_lehmer_ranks(rows))
 
 
@@ -262,9 +269,9 @@ def spo_query(state: StateVector, shift: np.ndarray) -> StateVector:
     return StateVector(lay, out.reshape(-1))
 
 
-def twirl(state: StateVector, side: str, perm: Permutation) -> StateVector:
+def twirl(state: StateVector, side: str, perm: Permutation | np.ndarray) -> StateVector:
     """L^tau (side='left': |pi> -> |tau pi>) or R^sigma (|pi> -> |pi sigma^{-1}>)."""
-    n = perm.n
+    n = image_table(perm).shape[1]
     if side == "left":
         mapping = left_right_map(n, tau=perm)
     elif side == "right":

@@ -46,7 +46,7 @@ class Relation:
                        self.members.sum(axis=0).max()))
 
 
-def from_pairs(n: int, pairs: Iterable[tuple[int, int]], name: str = "") -> Relation:
+def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Relation:
     members = np.zeros((n, n), dtype=bool)
     for x, y in pairs:
         members[x, y] = True

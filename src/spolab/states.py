@@ -229,21 +229,19 @@ def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...]) -> S
     return StateVector(lay, np.ascontiguousarray(out).reshape(-1))
 
 
-def probe_unitary(op: LinearOperator, rng: np.random.Generator | None = None,
-                  trials: int = 3, atol: float = 1e-10) -> bool:
-    """Random-vector check that op preserves norms and is linear."""
-    rng = rng or np.random.default_rng(7)
-    d = op.dim
-    for _ in range(trials):
+def probe_unitary(op: LinearOperator) -> bool:
+    """Random-vector check that op preserves norms and is linear (3 trials, 1e-10)."""
+    rng, d = np.random.default_rng(7), op.dim
+    for _ in range(3):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a = complex(rng.standard_normal() + 1j * rng.standard_normal())
         fv = op.apply_block(v[:, None])[:, 0]
         fw = op.apply_block(w[:, None])[:, 0]
         fvw = op.apply_block((a * v + w)[:, None])[:, 0]
-        if np.linalg.norm(fvw - (a * fv + fw)) > atol * max(1.0, np.linalg.norm(fvw)):
+        if np.linalg.norm(fvw - (a * fv + fw)) > 1e-10 * max(1.0, np.linalg.norm(fvw)):
             return False
-        if abs(np.linalg.norm(fv) - np.linalg.norm(v)) > atol * np.linalg.norm(v):
+        if abs(np.linalg.norm(fv) - np.linalg.norm(v)) > 1e-10 * np.linalg.norm(v):
             return False
     return True
 

@@ -36,6 +36,7 @@ from .circuits import (
     averaged_grover_reference,
 )
 from .lemmas import (
+    TwirlPlan,
     _all_cycles,
     easy_norm_check,
     commutator_growth_check,
@@ -284,7 +285,7 @@ def active_sets_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRepo
                      tol=0.0))
 
     # Smallest n where inverse-active differs from active-for-the-inverse.
-    smallest = _smallest_inverse_active_mismatch(limit=5)
+    smallest = _smallest_inverse_active_mismatch()
     out.append(check("inverse-active-vs-active-of-inverse-smallest-n",
                      smallest, 2, tol=0.0, note="witness recorded, not asserted"))
     return out
@@ -325,8 +326,8 @@ def _wrong_side_checks(n: int) -> list[VerificationReport]:
     return out
 
 
-def _smallest_inverse_active_mismatch(limit: int = 5) -> int:
-    for n in range(1, limit + 1):
+def _smallest_inverse_active_mismatch() -> int:
+    for n in range(1, 6):
         for p in all_permutations(n):
             pinv = invert(p)
             for y in range(n):
@@ -410,14 +411,6 @@ def small_x_untouched_checks(n: int) -> list[VerificationReport]:
     return [check(f"small-x-not-touched[n={n}]", violations, 0, tol=0.0)]
 
 
-def _sigma_rows(n: int):
-    """Each sigma-row of the exhaustive plan, in plan order, as (K, N)
-    tables (sigmas, taus): one sigma repeated against every tau."""
-    taus = all_images(n)
-    for sigma in taus:
-        yield np.tile(sigma, (len(taus), 1)), taus
-
-
 def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
                           max_q: int = 3) -> list[VerificationReport]:
     if not is_power_of_two(n) or n > 4:
@@ -435,26 +428,29 @@ def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
     # One twirled run per sigma carries every tau, one per label of P.
     probe = circuits[1]
     spo_ens = spo_ensemble(probe, spo_backend(n))
+    plan = make_twirl_plan(n)
     worst = 0.0
-    for sigmas, taus in _sigma_rows(n):
-        final = run(probe, spo_backend(n, sigma=sigmas, tau=taus))
-        for k in range(len(taus)):
-            worst = max(worst, trace_distance(
-                spo_ens, spo_recover(final, sigmas[k], taus[k], row=k)))
+    for sigma in plan.sigmas:
+        sigmas = np.broadcast_to(sigma, plan.taus.shape)  # sigma against every tau
+        final = run(probe, spo_backend(n, sigma=sigmas, tau=plan.taus))
+        for k, tau in enumerate(plan.taus):
+            ens = spo_recover(final, sigma, tau, row=k)
+            worst = max(worst, trace_distance(spo_ens, ens))
     out.append(check(f"spo-vs-tspo-all-pairs[{probe.name}]", worst, 1e-9, tol=0.0,
-                     pairs=len(taus) ** 2))
-    out.extend(standard_form_checks(n, seed))
+                     pairs=plan.pair_count))
+    out.extend(standard_form_checks(plan, seed))
     return out
 
 
-def standard_form_checks(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    """The three standard-form experiments agree for every (sigma, tau), each
-    run once per sigma-row; experiment 3, the dressed circuit, against the
-    all-identity table.  Experiments 2 and 3 must equal experiment 1 on
-    Z = 0 and vanish on every Z != 0."""
+def standard_form_checks(plan: TwirlPlan,
+                         seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+    """The three standard-form experiments agree for every (sigma, tau) of
+    the plan, each run once per sigma-row; experiment 3, the dressed
+    circuit, against the all-identity table.  Experiments 2 and 3 must equal
+    experiment 1 on Z = 0 and vanish on every Z != 0."""
     out = []
-    k = math.factorial(n)
-    identity_rows = spo_backend(n, sigma=np.tile(np.arange(n), (k, 1)))
+    n, taus = plan.n, plan.taus
+    identity_rows = spo_backend(n, sigma=np.broadcast_to(np.arange(n), taus.shape))
 
     def deviation(got: StateVector, ref: np.ndarray) -> float:
         z = got.amps.reshape(*ref.shape[:2], n, -1)
@@ -467,16 +463,17 @@ def standard_form_checks(n: int, seed: int = DEFAULT_SEED) -> list[VerificationR
         out.append(check_close(f"std-doubles-queries[{circ.name}]",
                                b.query_count, 2 * circ.query_count, tol=0.0))
         worst12 = worst13 = 0.0
-        for sigmas, taus in _sigma_rows(n):
+        for sigma in plan.sigmas:
+            sigmas = np.broadcast_to(sigma, taus.shape)
             twirled = spo_backend(n, sigma=sigmas, tau=taus)
             ref = run(circ, twirled).amps.reshape(len(taus), circ.work_dim, 1, -1)
             worst12 = max(worst12, deviation(run(b, twirled), ref))
             dressed = dressed_standard_form(circ, sigmas, taus)
             worst13 = max(worst13, deviation(run(dressed, identity_rows), ref))
         out.append(check(f"std-experiment-1-vs-2[{circ.name}]", worst12, 1e-12,
-                         tol=0.0, pairs=k * k))
+                         tol=0.0, pairs=plan.pair_count))
         out.append(check(f"std-experiment-1-vs-3[{circ.name}]", worst13, 1e-12,
-                         tol=0.0, pairs=k * k))
+                         tol=0.0, pairs=plan.pair_count))
     return out
 
 
@@ -484,14 +481,14 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     if not is_power_of_two(n) or n > 4:
         raise ValueError("twirl suite needs n in {2, 4}")
     out = []
-    perms = list(all_permutations(n))
+    plan = make_twirl_plan(n)  # every (sigma, tau) of S_n x S_n
     nf = database_dim(n)
 
     # Initial-state invariance is exact: uniform amplitudes permuted in place.
     init = spo_init(n)
     worst = 0.0
     for side in ("left", "right"):
-        for p in perms:
+        for p in plan.sigmas:
             tw = twirl(init, side, p)
             worst = max(worst, float(np.abs(tw.amps - init.amps).max()))
     out.append(check(f"initial-twirl-invariance[n={n}]", worst, 0.0, tol=0.0))
@@ -500,9 +497,9 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     # untwirled one -- both as exact integer label maps.
     bad_commute = 0
     bad_conjugate = 0
-    for sigma in perms:
+    for sigma in plan.sigmas:
         rm = left_right_map(n, sigma=sigma)
-        for tau in perms:
+        for tau in plan.taus:
             lm = left_right_map(n, tau=tau)
             if not np.array_equal(lm[rm], rm[lm]):
                 bad_commute += 1
@@ -515,7 +512,6 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     # The twirled query equals (L R) O^SPO (L R)^{-1}: exact label-map identity
     # on the joint (x, y, d) basis, the slice maps of O^{SPO,x} side by side,
     # for a whole sigma-row of the plan at once.
-    plan = make_twirl_plan(n)
     bad_ops = 0
     rest, d_part = np.divmod(np.arange(n * n * nf), nf)
 
@@ -525,11 +521,11 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
 
     for direction in ("forward", "inverse"):
         base_map = joint_maps(shift_table(n, direction))[0]
-        for i, (sigmas, taus) in enumerate(_sigma_rows(n)):
+        for i, sigma in enumerate(plan.sigmas):
             minv = plan.right_inv[i][plan.left_inv]  # (L R)^{-1} per tau
             p_lr = rest * nf + np.argsort(minv, axis=1)[:, d_part]  # L R
             conj = np.take_along_axis(p_lr, base_map[rest * nf + minv[:, d_part]], 1)
-            twisted = joint_maps(shift_table(n, direction, sigmas, taus))
+            twisted = joint_maps(shift_table(n, direction, sigma, plan.taus))
             bad_ops += int((conj != twisted).any(axis=1).sum())
     out.append(check(f"twirled-query-conjugation[n={n}]", bad_ops, 0, tol=0.0))
 
@@ -539,8 +535,9 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     for circ in suite_circuits(n, seed, max_q=2):
         plain = run(circ, spo_backend(n)).amps.reshape(-1, nf)
         worst = 0.0
-        for i, (sigmas, taus) in enumerate(_sigma_rows(n)):
-            direct = run(circ, spo_backend(n, sigma=sigmas, tau=taus))
+        for i, sigma in enumerate(plan.sigmas):
+            sigmas = np.broadcast_to(sigma, plan.taus.shape)
+            direct = run(circ, spo_backend(n, sigma=sigmas, tau=plan.taus))
             relabeled = plain[:, plan.right_inv[i][plan.left_inv]].transpose(1, 0, 2)
             worst = max(worst, float(np.abs(direct.amps.reshape(relabeled.shape)
                                             - relabeled).max()))

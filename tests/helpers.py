@@ -128,15 +128,15 @@ def per_pair_twirl_averages(final: StateVector, rel: Relation, plan: TwirlPlan,
             # R^{sigma,tau} = {(sigma(x), tau(y)) : (x, y) in R}
             twisted = np.zeros((n, n), dtype=bool)
             for x, y in rel.pairs():
-                twisted[sigma.images[x], tau.images[y]] = True
+                twisted[sigma[x], tau[y]] = True
             for x in range(n):
-                s = sigma.images[x]
+                s = sigma[x]
                 sq = np.abs(project_plus_db(w, n, s, complement=True)) ** 2
                 grids["sparsity"][i, j] += sq.sum() / (s + 1) / n
                 grids["progress"][i, j] += sq[:, twisted[s, pi[:, s]]].sum() / n
                 for y in sections[x]:
                     # pi_d(sigma(x)) = tau(y): disjoint label sets over y
-                    hit = sq[:, pi[:, s] == tau.images[y]]
+                    hit = sq[:, pi[:, s] == tau[y]]
                     grids["p2"][i, j] += hit.sum()
                     grids["p_ii"][i, j] += hit[xy_rows[x, y]].sum()
     if plan.exhaustive:

@@ -276,3 +276,24 @@ def test_console_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["clamped"] == 1.0
+
+
+def test_no_spolab_module_imports_scipy():
+    """numpy is the only runtime dependency.  scipy may be installed, so a
+    stray import would pass silently: import every spolab module in a fresh
+    interpreter and require that scipy was never loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import importlib, json, pkgutil, sys, spolab\n"
+            "names = [m.name for m in pkgutil.iter_modules(spolab.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('spolab.' + name)\n"
+            "print(json.dumps([names, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names, scipy_modules = json.loads(proc.stdout)
+    modules = {p.stem for p in (src / "spolab").glob("*.py")} - {"__init__"}
+    assert set(names) == modules
+    assert scipy_modules == []

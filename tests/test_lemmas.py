@@ -302,11 +302,8 @@ def test_experiment_matches_direct_simulation():
     plan_single = make_twirl_plan(n, exhaustive=True)
     # restrict the plan to exactly this pair for a like-for-like comparison
     from spolab.lemmas import TwirlPlan
-    from spolab.oracles import left_right_map
 
-    plan_one = TwirlPlan(n, (sigma,), (tau,), True, None,
-                         left_right_map(n, sigma=invert(sigma))[None, :],
-                         left_right_map(n, tau=invert(tau))[None, :])
+    plan_one = TwirlPlan(n, [sigma.images], [tau.images], True)
     res = experiment_probabilities(final_state(circ), rel, plan_one)
     assert res.p_i == pytest.approx(p_i_direct, abs=1e-12)
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
@@ -323,7 +320,7 @@ def _assert_fiber_form_matches_projector(slices, plan, context):
     for i, c0, sigma, lj in plan.pairs():
         ri = plan.right_inv[i]
         cols = slice(c0, c0 + len(lj))
-        got = term(sigma, plan.sigma_inv[i], ri)(cols, lj)
+        got = term(i)(cols, lj)
         assert len(got) == len(lj)
         for tau, col, value in zip(plan.taus[cols], lj, got):
             ref = _p_ii_projector(slices, plan.n, sigma, tau, ri[col])
@@ -418,14 +415,13 @@ def test_a_tables_read_the_factorization_of_every_tau_image(n):
     j-th hit e of (s, y), with a(d) read off monotone_factorize and
     partial_product.  For each tau and s, the hits of every y cover every
     label once, so every label is checked."""
-    from spolab.lemmas import _a_tables, _hit_fibers
-    from spolab.oracles import left_right_map
+    from spolab.lemmas import TwirlPlan, _a_tables, _hit_fibers
     from spolab.permutations import compose
 
     rng = np.random.default_rng(n)
     taus = [identity(n)] + [sample_uniform(n, rng) for _ in range(2)]
-    left_inv = np.stack([left_right_map(n, tau=invert(tau)) for tau in taus])
-    tables = _a_tables(n, left_inv, np.arange(n))
+    images = [tau.images for tau in taus]
+    tables = _a_tables(n, TwirlPlan(n, images, images, True).left_inv, np.arange(n))
     m = math.factorial(n - 1)
     assert tables.dtype == np.int8 and tables.shape == (len(taus), n, n, m)
     hits, _fiber_a, _swaps = _hit_fibers(n)
@@ -448,6 +444,7 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
     2 x side label maps, and the p_ii term its a-tables, before anything is
     sampled, mapped or tabulated."""
     import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
     from spolab.lemmas import _p_ii_term
 
     n = 4
@@ -456,16 +453,16 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("reached before the budget check")
 
-    for name in ("left_right_map", "sample_uniform", "all_permutations",
+    for name in ("left_right_map", "sample_uniform", "all_images",
                  "_hit_fibers"):
         monkeypatch.setattr(lemmas_mod, name, unreachable)
-    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 2 * 2 * 24 - 1)
-    with pytest.raises(BudgetError, match="2 x 2 twirl plan needs 2 x 2 label maps"):
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 2 * 2 * 24 - 1)
+    with pytest.raises(BudgetError, match="2 x 2 twirl plan needs 2 \\+ 2 label maps"):
         make_twirl_plan(n, seed=2, min_pairs=4, exhaustive=False)
     with pytest.raises(BudgetError, match="24 x 24 twirl plan"):
         make_twirl_plan(n)
     # The 2 x 2 plan's maps fit, its a-tables for all four y do not.
-    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 2 * 4 * 4 * 6 - 1)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 2 * 4 * 4 * 6 - 1)
     slices = [(0, y, np.ones((1, 24), dtype=np.complex128)) for y in range(n)]
     with pytest.raises(BudgetError, match="2 x 4 x 4 x 6"):
         _p_ii_term(slices, plan)
@@ -587,6 +584,35 @@ def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
         lemmas_mod._hit_fibers.__wrapped__(n)
 
 
+def test_experiment_builds_each_sigma_row_once(monkeypatch):
+    """experiment_probabilities builds the p_ii tables of every sigma-row
+    exactly once per call: row 0 serves both the projector guard and the
+    average, on an exhaustive and on a sampled plan."""
+    import spolab.lemmas as lemmas_mod
+
+    original = lemmas_mod._p_ii_term
+    built = []
+
+    def counting_term(slices, plan):
+        row = original(slices, plan)
+
+        def counted(i):
+            built.append(i)
+            return row(i)
+
+        return counted
+
+    monkeypatch.setattr(lemmas_mod, "_p_ii_term", counting_term)
+    n = 4
+    final = final_state(random_circuit(43, 2, 2, n))
+    for plan in (make_twirl_plan(n),
+                 make_twirl_plan(n, seed=3, min_pairs=9, exhaustive=False)):
+        built.clear()
+        experiment_probabilities(final, full_relation(n), plan)
+        assert len(built) == plan.grid_shape[0]
+        assert sorted(built) == list(range(plan.grid_shape[0]))
+
+
 def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
     """The guard evaluates the plan's first pair, where neither sigma nor
     tau is the identity (the last label is), and raises when the a values
@@ -598,9 +624,11 @@ def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
     plan = make_twirl_plan(n)
     guarded = count_calls(monkeypatch, lemmas_mod, "_p_ii_projector")
     experiment_probabilities(final, full_relation(n), plan)
-    assert [args[2:4] for args in guarded] == [(plan.sigmas[0], plan.taus[0])]
-    assert plan.sigmas[-1] == plan.taus[-1] == identity(n)
-    assert identity(n) not in (plan.sigmas[0], plan.taus[0])
+    assert [[row.tolist() for row in args[2:4]] for args in guarded] == [
+        [plan.sigmas[0].tolist(), plan.taus[0].tolist()]]
+    ident = list(identity(n).images)
+    assert plan.sigmas[-1].tolist() == plan.taus[-1].tolist() == ident
+    assert ident not in (plan.sigmas[0].tolist(), plan.taus[0].tolist())
     hits, fiber_a, swaps = lemmas_mod._hit_fibers(n)
     # Each hit read with the a of another label, or each slice against the
     # hits of another y.
@@ -690,14 +718,11 @@ def test_twirl_averages_on_non_square_sampled_grid():
         sparsity_expectation,
         standard_form_prequery_states,
     )
-    from spolab.oracles import left_right_map
-
     n = 4
 
     def plan_of(sigmas, taus, exhaustive):
-        return TwirlPlan(n, tuple(sigmas), tuple(taus), exhaustive, None,
-                         np.stack([left_right_map(n, sigma=invert(s)) for s in sigmas]),
-                         np.stack([left_right_map(n, tau=invert(t)) for t in taus]))
+        return TwirlPlan(n, [s.images for s in sigmas], [t.images for t in taus],
+                         exhaustive)
 
     rng = np.random.default_rng(5)
     sigmas = [sample_uniform(n, rng) for _ in range(2)]
@@ -796,7 +821,6 @@ def test_crucial_terms_match_direct_tspo_runs():
     evaluate the three displayed sums for a handful of (sigma, tau) pairs."""
     from spolab.circuits import standard_form
     from spolab.lemmas import TwirlPlan
-    from spolab.oracles import left_right_map
     from spolab.permutations import Permutation, invert as perm_invert
     from spolab.relations import twirl_relation
 
@@ -807,9 +831,7 @@ def test_crucial_terms_match_direct_tspo_runs():
     b = standard_form(circ)
     for _trial in range(3):
         sigma, tau = sample_uniform(n, rng), sample_uniform(n, rng)
-        plan_one = TwirlPlan(n, (sigma,), (tau,), True, None,
-                             left_right_map(n, sigma=perm_invert(sigma))[None, :],
-                             left_right_map(n, tau=perm_invert(tau))[None, :])
+        plan_one = TwirlPlan(n, [sigma.images], [tau.images], True)
         from spolab.lemmas import crucial_term_values, standard_form_prequery_states
 
         got_vals = crucial_term_values(standard_form_prequery_states(circ),
@@ -942,6 +964,7 @@ def test_crucial_terms_refuse_a_gather_over_the_budget(monkeypatch):
     exceeds the amplitude budget is refused with a BudgetError before any
     label map is gathered or any pre-query state is read."""
     import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
 
     class NoGather:
         def __getitem__(self, _index):
@@ -951,7 +974,7 @@ def test_crucial_terms_refuse_a_gather_over_the_budget(monkeypatch):
         def __iter__(self):
             raise AssertionError("a state was read before the budget check")
 
-    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
     plan = dataclasses.replace(make_twirl_plan(4), right_inv=NoGather(),
                                left_inv=NoGather())
     with pytest.raises(BudgetError, match="576 pairs x 4 x 24 labels"):
@@ -1028,15 +1051,16 @@ def test_gamma_and_cycle_averages_are_charged_before_any_build(monkeypatch):
     built through the uncached function, so a cached Gamma(4) cannot
     answer in place of the build."""
     import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
 
     def no_build(*args, **kwargs):
         raise AssertionError("a cycle label map was read before the budget check")
 
     monkeypatch.setattr(lemmas_mod, "_cycle_maps", no_build)
-    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 3 * 24 * 24 - 1)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 3 * 24 * 24 - 1)
     with pytest.raises(BudgetError, match="Gamma at n=4 needs 3 dense 24 x 24"):
         gamma_operator.__wrapped__(4)
-    monkeypatch.setattr(lemmas_mod, "AMPLITUDE_BUDGET", 24 * 24 - 1)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 24 * 24 - 1)
     with pytest.raises(BudgetError, match="W\\^2 at n=4 needs 1 dense 24 x 24"):
         cycle_average(4, 2)
 

@@ -90,9 +90,7 @@ def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch, side):
     import spolab.lemmas as lemmas
     from spolab.suites import DEFAULT_SEED
 
-    full = make_twirl_plan(4)
-    crossed = lemmas.TwirlPlan(4, full.sigmas, full.taus, False, None,
-                               full.right_inv, full.left_inv)
+    crossed = dataclasses.replace(make_twirl_plan(4), exhaustive=False)
     grids = []
 
     def record(values):
@@ -152,6 +150,34 @@ def test_twirl_plan_shapes():
         make_twirl_plan(5, seed=None, min_pairs=10)
 
 
+def test_twirl_plan_holds_read_only_image_tables(monkeypatch):
+    """A plan keeps sigmas and taus as read-only int image tables, no
+    Permutation: all_images(n) on both sides when exhaustive, and the seeded
+    sample_uniform draws in order (sigmas first) when sampled.  Its inverse
+    images invert those rows, and a replace() copy with another chunk builds
+    no label map."""
+    import spolab.lemmas as lemmas
+    from spolab.permutations import all_images, sample_uniform
+
+    plan = make_twirl_plan(3)
+    tables = (plan.sigmas, plan.taus, plan.sigma_inv, plan.tau_inv,
+              plan.right_inv, plan.left_inv)
+    assert all(isinstance(t, np.ndarray) and not t.flags.writeable for t in tables)
+    assert plan.sigmas.dtype.kind == plan.taus.dtype.kind == "i"
+    assert plan.sigmas.tolist() == plan.taus.tolist() == all_images(3).tolist()
+    for table, inv in ((plan.sigmas, plan.sigma_inv), (plan.taus, plan.tau_inv)):
+        assert (np.take_along_axis(table, inv, axis=1) == np.arange(3)).all()
+    sampled = make_twirl_plan(5, seed=1, min_pairs=100)
+    rng = np.random.default_rng(1)
+    draws = [list(sample_uniform(5, rng).images) for _ in range(20)]
+    assert sampled.sigmas.tolist() == draws[:10]
+    assert sampled.taus.tolist() == draws[10:]
+    maps = count_calls(monkeypatch, lemmas, "left_right_map")
+    copy = dataclasses.replace(plan, chunk=4)
+    assert maps == [] and copy.chunk == 4
+    assert copy.right_inv is plan.right_inv and copy.left_inv is plan.left_inv
+
+
 def test_twirl_plan_pairs_invert_the_composed_label_maps():
     from spolab.oracles import left_right_map
 
@@ -161,7 +187,7 @@ def test_twirl_plan_pairs_invert_the_composed_label_maps():
     arange = np.arange(24)
     seen = []
     for i, c0, sigma, lj in plan.pairs():
-        assert sigma == plan.sigmas[i] and len(lj) == min(5, 24 - c0)
+        assert sigma.tolist() == plan.sigmas[i].tolist() and len(lj) == min(5, 24 - c0)
         for c, col in enumerate(lj):
             tau = plan.taus[c0 + c]
             m = left_right_map(n, tau=tau)[left_right_map(n, sigma=sigma)]
@@ -408,14 +434,14 @@ def test_run_attack_spo_refuses_sampling_options(monkeypatch, options, named):
 
 
 def test_run_attack_checks_the_budget_before_the_relation(monkeypatch):
-    import spolab.circuits as circuits_mod
+    import spolab.oracles as oracles_mod
     import spolab.suites as suites_mod
     from spolab.oracles import BudgetError
 
     def fail(*args, **kwargs):
         raise AssertionError("built the relation bitset before the budget check")
 
-    monkeypatch.setattr(circuits_mod, "AMPLITUDE_BUDGET", 3 * 16 * 16 - 1)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 3 * 16 * 16 - 1)
     monkeypatch.setattr(suites_mod, "sponge_preimage_relation", fail)
     monkeypatch.setattr(suites_mod, "zero_search_relation", fail)
     for kind in ("sponge", "zero-search"):
