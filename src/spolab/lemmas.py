@@ -58,9 +58,9 @@ from .states import (
 )
 
 EXHAUSTIVE_TWIRL_LIMIT = 4
-# Amplitudes one step of a twirl average may gather, rest * C * n! for a
-# chunk of C pairs (1 MiB of complex128): a whole sigma-row at n = 4, one
-# pair at n = 8.
+# Entries one step of a twirl average may touch, C * width for a chunk of C
+# pairs: 1 MiB of complex128 when a column gathers a (rest, n!) block, a
+# whole sigma-row at n = 4 and one pair at n = 8.
 TWIRL_CHUNK_AMPS = 2 ** 16
 
 
@@ -188,7 +188,7 @@ def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var_rows / rows + var_cols / cols)
 
 
-def _twirl_average(plan: TwirlPlan, rest: int,
+def _twirl_average(plan: TwirlPlan, width: int,
                    term: Callable[[int], Callable[..., np.ndarray]]) -> tuple[float, float]:
     """(mean, stderr) over the plan of the values of one twirl term.
 
@@ -197,13 +197,13 @@ def _twirl_average(plan: TwirlPlan, rest: int,
     right_inv[i]).  It returns ``chunk(cols, lj)``: one value per column of
     a chunk of the row, for the column slice ``cols`` and its (C, n!) maps
     lj = left_inv[cols].  Column c twirls a (rest, n!) block to
-    ``block[:, ri[lj[c]]]``.  A chunk holds
-    as many columns as keep that gathered (rest, C, n!) block within
-    TWIRL_CHUNK_AMPS, and at least one.  Exhaustive plans give the exact
-    mean with stderr 0, sampled plans the crossed-grid estimate of
-    grid_mean_stderr.
+    ``block[:, ri[lj[c]]]``.  ``width`` is the number of entries one column
+    of a step touches, rest * n! for a gathered block; a chunk holds as many
+    columns as keep C * width within TWIRL_CHUNK_AMPS, and at least one.
+    Exhaustive plans give the exact mean with stderr 0, sampled plans the
+    crossed-grid estimate of grid_mean_stderr.
     """
-    chunk = max(1, TWIRL_CHUNK_AMPS // (rest * database_dim(plan.n)))
+    chunk = max(1, TWIRL_CHUNK_AMPS // width)
     grid = np.zeros(plan.grid_shape)
     for i, c0, _sigma, lj in replace(plan, chunk=chunk).pairs():
         if c0 == 0:
@@ -263,7 +263,8 @@ def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
       fiber_a[s, d]  a(d) = pi_{<s}^{-1}(t_s) = pi_d^{-1}(pi_{d'}(s)) for
                      every label d, where d' = d + (s - t_s) s! is the
                      member of d's fiber with t_s = s (int8, a(d) <= s);
-      swaps[s][c]    the map e -> idx(pi_e <s c>), for c = 0..s (int32).
+      swaps[s][c]    the map e -> idx(pi_e <s c>), for c = 0..s (int32);
+                     swaps[max(b, c)][min(b, c)] is the map of <b c> = <c b>.
 
     pi_d(s) = pi_{>s}(t_s) and a fiber varies t_s alone, so the m hits of
     each t lie in distinct fibers; the tables are checked for exactly that.
@@ -342,7 +343,6 @@ class ExperimentResult:
     p_ii: float
     stderr_ii: float
     method: str
-    pairs: int
 
 
 def experiment_probabilities(final: StateVector, rel: Relation,
@@ -374,11 +374,14 @@ def experiment_probabilities(final: StateVector, rel: Relation,
 
     The summand depends on tau only through (a(d), e), so each sigma-row
     tabulates it once for every a and every e in H(s, y), and each chunk of
-    columns reads it at a(d) for each e, from a table built once per tau
-    (_p_ii_term).  The first pair of the plan is
-    also evaluated in the projector form, and the two must agree to 1e-12
-    relative.  Label 0 has every t_k = 0, so on an exhaustive plan neither
-    map of that pair is the identity (the identity is the last label).
+    columns reads it from a table built once per tau (_a_tables).  The row
+    gathers no u: as pi_f <s c> sigma = (pi_f sigma) <x sigma^{-1}(c)>,
+    sum_{c<=s} u[idx(pi_f <s c>)] = G[ri[f]] for ri[f] = idx(pi_f sigma) and
+    G[g] = sum over b with sigma(b) <= s of v[idx(pi_g <x b>)] (_p_ii_term).
+    The first pair of the plan is also evaluated in the projector form, and
+    the two must agree to 1e-12 relative.  Label 0 has every t_k = 0, so on
+    an exhaustive plan neither map of that pair is the identity (the
+    identity is the last label).
     """
     n = rel.n
     slices = _xy_slices(final, rel)
@@ -395,10 +398,10 @@ def experiment_probabilities(final: StateVector, rel: Relation,
         raise RuntimeError(f"fiber-hit p_ii {got!r} differs from the projector "
                            f"form {ref!r} on the first pair of the plan (n={n})")
 
-    rest = _db_block(final).shape[0] // n ** 2  # rows of one <x,y| slice
-    p_ii, se_ii = _twirl_average(plan, rest, lambda i: term(i) if i else first)
+    m = database_dim(n) // n  # a column reads m a-table entries per slice
+    p_ii, se_ii = _twirl_average(plan, m, lambda i: term(i) if i else first)
     method = "exact" if plan.exhaustive else "monte_carlo"
-    return ExperimentResult(p_i, p_ii, se_ii, method, plan.pair_count)
+    return ExperimentResult(p_i, p_ii, se_ii, method)
 
 
 def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.ndarray]]:
@@ -419,12 +422,14 @@ def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.nda
 
 
 def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """A[c, s, k, j] = a(L(e)) for e = H(s, ys[k])[j], the j-th hit of
-    (s, ys[k]), where L inverts left_inv[c], i.e. L(e) = idx(tau pi_e) for
-    the plan's tau of column c: an int8 (C, n, len(ys), (n-1)!) table,
+    """A[c, s, k, j] = a(L(e)) * m + j, m = (n-1)!, for e = H(s, ys[k])[j],
+    the j-th hit of (s, ys[k]), where L inverts left_inv[c], i.e. L(e) =
+    idx(tau pi_e) for the plan's tau of column c: a (C, n, len(ys), m) table
+    into the (s+1) * m row tables of _p_ii_term, uint16 for every n <= 8,
     charged against AMPLITUDE_BUDGET before it is built."""
     nf = database_dim(n)
-    shape = (len(left_inv), n, len(ys), nf // n)
+    m = nf // n
+    shape = (len(left_inv), n, len(ys), m)
     charge(math.prod(shape), f"p_ii a-tables of {' x '.join(map(str, shape))}")
     hits, fiber_a, _swaps = _hit_fibers(n)
     flat_a = fiber_a.ravel()
@@ -432,10 +437,11 @@ def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
     row_of_s = nf * np.arange(n)[:, None, None]
     labels = np.arange(nf, dtype=np.int32)
     forward = np.empty(nf, dtype=np.int32)
-    out = np.empty(shape, dtype=np.int8)
+    out = np.empty(shape, dtype=np.uint16 if nf <= 1 << 16 else np.uint32)
+    j = np.arange(m, dtype=out.dtype)
     for table, lj in zip(out, left_inv):
         forward[lj] = labels  # e -> idx(tau pi_e)
-        table[:] = flat_a.take(forward.take(e) + row_of_s)
+        table[:] = flat_a.take(forward.take(e) + row_of_s).astype(out.dtype) * m + j
     return out
 
 
@@ -444,43 +450,36 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
     (see experiment_probabilities).
 
     Per sigma-row it tabulates, for each slice with s = sigma(x) >= 1,
-    sq[a * m + j] = |u[e] - M[a, e]|^2 summed over the slice's rows, for
-    e = H(s, y)[j] and m = (n-1)!; the tables of the row are concatenated.
-    Reindexed by e, the hits d of (s, tau(y)) are the labels L(e) = idx(tau
-    pi_e), so a chunk reads, for every column, slice and j, the entry at
-    a(L(e)) from the plan's a-tables (_a_tables, built once per term for the
-    slices' y), and sums them per column.
+    sq[a, j] = |u[e] - M[a, e]|^2 summed over the slice's rows, for
+    e = H(s, y)[j] and m = (n-1)!, from (s+1) M[a, e] = G[ri[idx(pi_e <s a>)]].
+    A chunk reads each table, flat, at its a-table entries a * m + j
+    (_a_tables, built once per term for the slices' y), summed per column.
     """
     n = plan.n
-    m = database_dim(n) // n
     ys, y_at = np.unique(np.array([y for _x, y, _v in slices], dtype=np.intp),
                          return_inverse=True)
     a_tables = _a_tables(n, plan.left_inv, ys)
     hits, _fiber_a, swaps = _hit_fibers(n)
 
     def row(i: int):
-        keys, tables = [], []
-        ri = plan.right_inv[i]
+        sigma, ri = plan.sigmas[i], plan.right_inv[i]
+        tables = []
         for (x, y, v), k in zip(slices, y_at):
-            s = plan.sigmas[i, x]
+            s = sigma[x]
             if s:  # P on D_1 is the identity
-                u = v.take(ri, axis=1)
+                g = v.copy()
+                for b in np.flatnonzero(sigma < s):
+                    g += v.take(swaps[max(x, b)][min(x, b)], axis=1)
                 h = hits[s, y]
-                fibers = swaps[s].take(swaps[s].take(h, axis=1), axis=1)  # [c, a, j]
-                diff = (u.take(h, axis=1)[:, None]
-                        - u.take(fibers, axis=1).sum(axis=1) / (s + 1))
-                keys.append((s, k))
-                tables.append((diff.real ** 2 + diff.imag ** 2).sum(axis=0).ravel())
-        if not tables:
-            return lambda _cols, lj: np.zeros(len(lj))
-        ss, ks = np.array(keys).T  # K slices
-        base = np.cumsum([0] + [table.size for table in tables[:-1]])
-        rowbase = base[:, None] + np.arange(m)  # (K, m)
-        sq = np.concatenate(tables)
+                fibers = g.take(ri.take(swaps[s].take(h, axis=1)), axis=1)  # [a, j]
+                diff = v.take(ri.take(h), axis=1)[:, None] - fibers / (s + 1)
+                tables.append((s, k, (diff.real ** 2 + diff.imag ** 2).sum(axis=0)))
 
         def chunk(cols: slice, lj: np.ndarray) -> np.ndarray:
-            idx = a_tables[cols, ss, ks].astype(np.intp) * m + rowbase  # (C, K, m)
-            return sq.take(idx).reshape(len(lj), -1).sum(axis=1)
+            out = np.zeros(len(lj))
+            for s, k, sq in tables:
+                out += sq.take(a_tables[cols, s, k]).sum(axis=1)
+            return out
 
         return chunk
 
@@ -510,7 +509,8 @@ def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan,
         # under the p_ii standard error, well defined even at p_ii = 0
         # where the delta method degenerates.
         se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
-        sampled = {"method": "monte_carlo", "stderr": se_rhs, "samples": res.pairs}
+        sampled = {"method": "monte_carlo", "stderr": se_rhs,
+                   "samples": plan.pair_count, "grid": list(plan.grid_shape)}
     return check(name or "fundamental", lhs, rhs,
                  p_i=res.p_i, p_ii=res.p_ii, **sampled)
 
@@ -542,7 +542,7 @@ def p2_upper_bound(final: StateVector, rel: Relation,
 
         return chunk
 
-    return _twirl_average(plan, amps.shape[0], term)
+    return _twirl_average(plan, amps.size, term)
 
 
 def progress_measure(final: StateVector, rel: Relation,
@@ -564,7 +564,7 @@ def progress_measure(final: StateVector, rel: Relation,
 
         return chunk
 
-    return _twirl_average(plan, amps.shape[0], term)
+    return _twirl_average(plan, amps.size, term)
 
 
 # --------------------------------------------------------------------------
@@ -738,7 +738,7 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
 
         return chunk
 
-    return _twirl_average(plan, amps.shape[0], term)
+    return _twirl_average(plan, amps.size, term)
 
 
 def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,

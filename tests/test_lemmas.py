@@ -411,10 +411,10 @@ def test_tau_maps_each_fiber_onto_swaps_of_a_tau_free_hit(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_tables_read_the_factorization_of_every_tau_image(n):
-    """A[c, s, y, j] is a(d) = pi_{<s}^{-1}(t_s) of d = tau_c pi_e, for the
-    j-th hit e of (s, y), with a(d) read off monotone_factorize and
-    partial_product.  For each tau and s, the hits of every y cover every
-    label once, so every label is checked."""
+    """A[c, s, y, j] = a(d) * m + j, m = (n-1)!, with a(d) = pi_{<s}^{-1}(t_s)
+    of d = tau_c pi_e for the j-th hit e of (s, y), read off
+    monotone_factorize and partial_product.  For each tau and s, the hits of
+    every y cover every label once, so every label is checked."""
     from spolab.lemmas import TwirlPlan, _a_tables, _hit_fibers
     from spolab.permutations import compose
 
@@ -423,7 +423,11 @@ def test_a_tables_read_the_factorization_of_every_tau_image(n):
     images = [tau.images for tau in taus]
     tables = _a_tables(n, TwirlPlan(n, images, images, True).left_inv, np.arange(n))
     m = math.factorial(n - 1)
-    assert tables.dtype == np.int8 and tables.shape == (len(taus), n, n, m)
+    assert tables.shape == (len(taus), n, n, m)
+    assert np.iinfo(tables.dtype).min == 0
+    assert np.iinfo(tables.dtype).max >= math.factorial(n) - 1
+    assert (tables % m == np.arange(m)).all()
+    a_of = tables // m
     hits, _fiber_a, _swaps = _hit_fibers(n)
     for c, tau in enumerate(taus):
         for s in range(n):
@@ -434,7 +438,7 @@ def test_a_tables_read_the_factorization_of_every_tau_image(n):
                     pi_d = compose(tau, perm_of_index(n, e))
                     f = monotone_factorize(pi_d)
                     a = invert(partial_product(f, s, "below")).images[f.t[s]]
-                    assert tables[c, s, y, j] == a, (tau, s, y, j)
+                    assert a_of[c, s, y, j] == a, (tau, s, y, j)
                     seen.add(pi_d.images)
             assert len(seen) == math.factorial(n)
 
@@ -470,23 +474,24 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
 
 def _chunked_averages(monkeypatch, final, rel, plan, width):
     """The four twirl averages with TWIRL_CHUNK_AMPS set so that every step
-    is ``width`` pairs wide (the last of a row may be narrower)."""
+    is ``width`` pairs wide (the last of a row may be narrower).  A p_ii
+    column touches (n-1)! a-table entries, any other column a gathered
+    (rest, n!) block of the whole database block."""
     import spolab.lemmas as lemmas_mod
     from spolab.lemmas import sparsity_expectation
 
     nf = database_dim(plan.n)
-    block_rest = final.amps.size // nf
-    slice_rest = block_rest // plan.n ** 2  # one <x,y| slice
+    block = final.amps.size
 
-    def chunked(rest, average, *args):
-        monkeypatch.setattr(lemmas_mod, "TWIRL_CHUNK_AMPS", width * rest * nf)
+    def chunked(column, average, *args):
+        monkeypatch.setattr(lemmas_mod, "TWIRL_CHUNK_AMPS", width * column)
         return average(*args)
 
-    res = chunked(slice_rest, experiment_probabilities, final, rel, plan)
+    res = chunked(nf // plan.n, experiment_probabilities, final, rel, plan)
     return {"p_ii": (res.p_ii, res.stderr_ii),
-            "p2": chunked(block_rest, p2_upper_bound, final, rel, plan),
-            "progress": chunked(block_rest, progress_measure, final, rel, plan),
-            "sparsity": chunked(block_rest, sparsity_expectation, final, plan)}
+            "p2": chunked(block, p2_upper_bound, final, rel, plan),
+            "progress": chunked(block, progress_measure, final, rel, plan),
+            "sparsity": chunked(block, sparsity_expectation, final, plan)}
 
 
 def _assert_averages_match(got, want, context):
@@ -544,11 +549,92 @@ def test_sampled_n8_p_ii_matches_the_per_pair_reference(monkeypatch):
         for width in (1, 2):
             steps.clear()
             monkeypatch.setattr(lemmas_mod, "TWIRL_CHUNK_AMPS",
-                                width * database_dim(n))  # slices hold one row
+                                width * math.factorial(n - 1))
             res = experiment_probabilities(final, rel, plan)
             _assert_averages_match({"p_ii": (res.p_ii, res.stderr_ii)}, want,
                                    (rel, width))
             assert steps == ([2, 1] * 3 if width == 2 else [1] * 9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sigma_twirled_fiber_sums_are_transposition_sums_of_the_slice(n):
+    """The identity behind the rows of the p_ii kernel, from Permutation
+    composition and perm_tables lookups alone.  For u[g] = v[idx(pi_g sigma)],
+    every register x, s = sigma(x) and every label f,
+
+        sum_{c<=s} u[idx(pi_f <s c>)] = G[idx(pi_f sigma)],
+        G[g] = sum over b with sigma(b) <= s of v[idx(pi_g <x b>)],
+
+    since pi_f <s c> sigma = (pi_f sigma) <x sigma^{-1}(c)>."""
+    from spolab.permutations import Permutation, compose, transposition
+
+    pi, _ = perm_tables(n)
+    perms = [Permutation(tuple(row)) for row in pi.tolist()]
+    label = {p.images: d for d, p in enumerate(perms)}
+
+    def idx(p):
+        return label[p.images]
+
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=len(perms)) + 1j * rng.normal(size=len(perms))
+    sigmas = [identity(n)] + [sample_uniform(n, rng) for _ in range(3)]
+    for sigma in sigmas:
+        u = np.array([v[idx(compose(p, sigma))] for p in perms])
+        for x in range(n):
+            s = sigma.images[x]
+            below = [b for b in range(n) if sigma.images[b] <= s]
+            assert len(below) == s + 1
+            for f, pi_f in enumerate(perms):
+                lhs = sum(u[idx(compose(pi_f, transposition(n, s, c)))]
+                          for c in range(s + 1))
+                pi_g = compose(pi_f, sigma)
+                rhs = sum(v[idx(compose(pi_g, transposition(n, x, b)))]
+                          for b in below)
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (sigma, x, f)
+
+
+def test_twirl_steps_hold_the_columns_their_width_allows(monkeypatch):
+    """A step holds TWIRL_CHUNK_AMPS // width columns, where width is what
+    one column touches.  A p_ii column reads (n-1)! a-table entries per
+    slice, so at N = 8 a step holds 2^16 // 7! = 13 columns and a
+    45-column sigma-row takes 4 steps.  A p2, progress or sparsity column
+    gathers a (rest, n!) block: 128 rows at N = 4 give 2^16 // (128 * 24)
+    = 21 columns, a whole row at N = 2 and for p_ii at N = 4."""
+    from spolab.lemmas import TwirlPlan, sparsity_expectation
+
+    steps = count_pair_steps(monkeypatch)
+    n = 8
+    rng = np.random.default_rng(8)
+    draws = [sample_uniform(n, rng).images for _ in range(2 + 45)]
+    plan = TwirlPlan(n, draws[:2], draws[2:], False, seed=8)
+    final = final_state(random_circuit(5, 1, 1, n))
+    experiment_probabilities(final, from_pairs(n, [(0, n - 1), (3, 5)]), plan)
+    assert steps == [13, 13, 13, 6] * 2
+    for n, work, want in ((2, 2, [2] * 2), (4, 8, [21, 3] * 24)):
+        plan = make_twirl_plan(n)
+        final = final_state(random_circuit(43, 2, work, n))
+        rel = diagonal_relation(n)
+        for average in (lambda: p2_upper_bound(final, rel, plan),
+                        lambda: progress_measure(final, rel, plan),
+                        lambda: sparsity_expectation(final, plan)):
+            steps.clear()
+            average()
+            assert steps == want, n
+        steps.clear()
+        experiment_probabilities(final, rel, plan)
+        assert steps == [len(plan.taus)] * len(plan.sigmas)
+
+
+def test_sampled_fundamental_rows_name_their_grid():
+    """A sampled fundamental row carries its crossed grid as [rows, cols]
+    next to its pair count; an exact row carries neither."""
+    n = 4
+    final = final_state(random_circuit(43, 2, 2, n))
+    plan = make_twirl_plan(n, seed=3, min_pairs=6, exhaustive=False)
+    row = fundamental_check(final, diagonal_relation(n), plan).as_row()
+    assert row["grid"] == [3, 3] and row["samples"] == 9
+    exact = fundamental_check(final, diagonal_relation(n), make_twirl_plan(n)).as_row()
+    assert "grid" not in exact and "samples" not in exact
 
 
 def test_hit_fibers_hold_one_hit_per_fiber():

@@ -299,11 +299,16 @@ def test_fundamental_suite_runs_each_circuit_once(monkeypatch):
     from spolab.suites import DEFAULT_SEED, fundamental_suite
 
     runs = count_runs(monkeypatch)
-    assert all(r.passed for r in fundamental_suite(4))
+    exact = fundamental_suite(4)
+    assert all(r.passed for r in exact)
     assert len(runs) == len(suite_circuits(4, DEFAULT_SEED)) + 2 == 8
+    assert not any("grid" in r.as_row() for r in exact)
     runs.clear()
-    assert all(r.passed for r in fundamental_suite(8, min_pairs=196))
+    sampled = fundamental_suite(8, min_pairs=196)
+    assert all(r.passed for r in sampled)
     assert len(runs) == 2
+    # Sampled rows name their crossed grid, rows x cols.
+    assert [r.as_row()["grid"] for r in sampled] == [[14, 14]] * 4
 
 
 def test_sampler_chi_square_rejects_bias():
