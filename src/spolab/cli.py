@@ -160,10 +160,10 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     print(f"strictly monotone: {factors if factors else '(identity)'}")
     print(f"cayley distance: {cayley_distance(f)}")
     if args.active is not None:
-        members = active_set(perm, args.active - 1).members
+        members = active_set(perm, args.active - 1)
         print(f"active({args.active}): " + " ".join(str(k + 1) for k in members))
     if args.inverse_active is not None:
-        members = inverse_active_set(perm, args.inverse_active - 1).members
+        members = inverse_active_set(perm, args.inverse_active - 1)
         print(f"inverse-active({args.inverse_active}): "
               + " ".join(str(k + 1) for k in members))
     return 0

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .permutations import Permutation, SizeLimitError, all_images
+from .permutations import EXACT_ENUM_LIMIT, Permutation, SizeLimitError, all_images
 from .states import (
     CQEnsemble,
     LayoutError,
@@ -40,9 +40,8 @@ from .states import (
     product_uniform,
 )
 
-# Full-database simulation ceiling (8! = 40320 labels) and the overall
-# amplitude budget for any joint state.
-EXACT_DB_LIMIT = 8
+# The amplitude budget for any joint state.  Full-database simulation shares
+# the ceiling of exact enumeration, EXACT_ENUM_LIMIT (8! = 40320 labels).
 AMPLITUDE_BUDGET = 2 ** 28
 
 
@@ -82,8 +81,8 @@ def database_dim(n: int) -> int:
 @lru_cache(maxsize=None)
 def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(pi_table, inv_table): pi_table[d, x] = pi_d(x) for every label d."""
-    if n > EXACT_DB_LIMIT:
-        raise SizeLimitError(f"database tables capped at n={EXACT_DB_LIMIT}")
+    if n > EXACT_ENUM_LIMIT:
+        raise SizeLimitError(f"database tables capped at n={EXACT_ENUM_LIMIT}")
     nf = factorial(n)
     pi = all_images(n)  # label d has the factor digits t_k = (d // k!) % (k+1)
     inv = np.empty_like(pi)
@@ -206,8 +205,8 @@ def shift_operator(n: int, v: int) -> LinearOperator:
 
 def spo_init(n: int) -> StateVector:
     """The fresh database: every register uniform, i.e. uniform over S_n."""
-    if n > EXACT_DB_LIMIT:
-        raise SizeLimitError(f"full database simulation capped at n={EXACT_DB_LIMIT}")
+    if n > EXACT_ENUM_LIMIT:
+        raise SizeLimitError(f"full database simulation capped at n={EXACT_ENUM_LIMIT}")
     return product_uniform(database_layout(n))
 
 
@@ -369,9 +368,9 @@ class OracleBackend:
                                  "twirl the database oracle instead")
             object.__setattr__(self, "images", self._table(self.images))
             return
-        if self.n > EXACT_DB_LIMIT:
+        if self.n > EXACT_ENUM_LIMIT:
             raise SizeLimitError(
-                f"full database simulation capped at n={EXACT_DB_LIMIT}")
+                f"full database simulation capped at n={EXACT_ENUM_LIMIT}")
         tables = [None if t is None else self._table(t)
                   for t in (self.sigmas, self.taus)]
         rows = {len(t) for t in tables if t is not None} or {1}

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -31,10 +31,6 @@ EXACT_ENUM_LIMIT = 8
 
 class SizeLimitError(ValueError):
     """Raised when an exact-enumeration path is asked to exceed its ceiling."""
-
-
-class UnsupportedMethodError(ValueError):
-    """Raised when a method is requested for inputs it does not cover."""
 
 
 @dataclass(frozen=True)
@@ -80,20 +76,6 @@ class MonotoneFactorization:
     def nontrivial_factors(self) -> list[tuple[int, int]]:
         """The strictly monotone factor list [(k, t_k)] with k > t_k, descending k."""
         return [(k, tk) for k, tk in reversed(list(enumerate(self.t))) if k != tk]
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Indices whose transposition factor influences pi(x) or pi^{-1}(y)."""
-
-    kind: Literal["forward", "inverse"]
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.members
 
 
 def identity(n: int) -> Permutation:
@@ -184,32 +166,28 @@ def monotone_factorize(p: Permutation) -> MonotoneFactorization:
     return MonotoneFactorization(tuple(t))
 
 
-def compose_from_factors(f: MonotoneFactorization) -> Permutation:
-    """Evaluate <n-1 t_{n-1}> ... <0 t_0>, rightmost factor first."""
-    n = f.n
+def _left_multiply(n: int, factors: Iterable[tuple[int, int]]) -> Permutation:
+    """The identity of S_n left-multiplied by each <k t> of ``factors`` in
+    turn, so the first factor acts first."""
     images = list(range(n))
     inv = list(range(n))
-    for k in range(n):
-        tk = f.t[k]
+    for k, tk in factors:
         if tk != k:
+            # images <- <k tk> o images: the values k and tk swap places.
             i, j = inv[k], inv[tk]
             images[i], images[j] = tk, k
             inv[k], inv[tk] = j, i
     return Permutation(tuple(images))
+
+
+def compose_from_factors(f: MonotoneFactorization) -> Permutation:
+    """Evaluate <n-1 t_{n-1}> ... <0 t_0>, rightmost factor first."""
+    return _left_multiply(f.n, enumerate(f.t))
 
 
 def invert_via_factors(f: MonotoneFactorization) -> Permutation:
     """pi^{-1} as the reversed product <0 t_0> <1 t_1> ... <n-1 t_{n-1}>."""
-    n = f.n
-    images = list(range(n))
-    inv = list(range(n))
-    for k in range(n - 1, -1, -1):
-        tk = f.t[k]
-        if tk != k:
-            i, j = inv[k], inv[tk]
-            images[i], images[j] = tk, k
-            inv[k], inv[tk] = j, i
-    return Permutation(tuple(images))
+    return _left_multiply(f.n, zip(range(f.n - 1, -1, -1), reversed(f.t)))
 
 
 def partial_product(
@@ -227,15 +205,7 @@ def partial_product(
         ks = range(0, k)
     else:
         raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    images = list(range(f.n))
-    inv = list(range(f.n))
-    for j in ks:
-        tj = f.t[j]
-        if tj != j:
-            i1, i2 = inv[j], inv[tj]
-            images[i1], images[i2] = tj, j
-            inv[j], inv[tj] = i2, i1
-    return Permutation(tuple(images))
+    return _left_multiply(f.n, ((j, f.t[j]) for j in ks))
 
 
 def cayley_distance(f: MonotoneFactorization) -> int:
@@ -301,13 +271,8 @@ def all_factor_tuples(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(reversed(rev))
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for t in all_factor_tuples(n):
-        yield compose_from_factors(MonotoneFactorization(t))
-
-
 def all_images(n: int) -> np.ndarray:
-    """The (n!, n) table of one-line images, in ``all_permutations`` order:
+    """The (n!, n) table of one-line images in ``all_factor_tuples`` order:
     row i has the factors t_k = (i // k!) mod (k + 1)."""
     if n > EXACT_ENUM_LIMIT:
         raise SizeLimitError(f"exact enumeration capped at n={EXACT_ENUM_LIMIT}")
@@ -316,64 +281,62 @@ def all_images(n: int) -> np.ndarray:
     return _compose_factor_rows(rows // weights % (np.arange(n) + 1))
 
 
-def active_set(p: Permutation | MonotoneFactorization, x: int) -> ActiveSet:
-    """Indices k with pi_{<k}(x) in {k, t_k}; always contains x itself."""
-    f = p if isinstance(p, MonotoneFactorization) else monotone_factorize(p)
-    if not 0 <= x < f.n:
-        raise ValueError(f"element {x} outside 0..{f.n - 1}")
-    members = []
-    w = x  # w = pi_{<k}(x), updated factor by factor
-    for k in range(f.n):
-        tk = f.t[k]
-        if w == k or w == tk:
-            members.append(k)
+def all_permutations(n: int) -> Iterator[Permutation]:
+    """The rows of ``all_images(n)`` as permutations."""
+    for row in all_images(n).tolist():
+        yield Permutation(tuple(row))
+
+
+def _walk(t: tuple[int, ...], w: int, ks: Iterable[int]) -> tuple[list[int], int]:
+    """Carry w through the factors <k t_k>, k in ``ks`` order: the k whose
+    factor moves or holds w (w in {k, t_k} when it is reached), and the
+    final w."""
+    hits = []
+    for k in ks:
+        tk = t[k]
         if w == k:
+            hits.append(k)
             w = tk
         elif w == tk:
+            hits.append(k)
             w = k
-    return ActiveSet("forward", tuple(members))
+    return hits, w
 
 
-def inverse_active_set(p: Permutation | MonotoneFactorization, y: int) -> ActiveSet:
-    """Indices k with (pi_{>k})^{-1}(y) in {k, t_k}.
+def _factors_of(p: Permutation | MonotoneFactorization, w: int) -> tuple[int, ...]:
+    """The factor tuple t of p, once w is checked to be an element."""
+    f = p if isinstance(p, MonotoneFactorization) else monotone_factorize(p)
+    if not 0 <= w < f.n:
+        raise ValueError(f"element {w} outside 0..{f.n - 1}")
+    return f.t
+
+
+def active_set(p: Permutation | MonotoneFactorization, x: int) -> tuple[int, ...]:
+    """Indices k with pi_{<k}(x) in {k, t_k}, ascending; always contains x."""
+    t = _factors_of(p, x)
+    return tuple(_walk(t, x, range(len(t)))[0])
+
+
+def inverse_active_set(p: Permutation | MonotoneFactorization,
+                       y: int) -> tuple[int, ...]:
+    """Indices k with (pi_{>k})^{-1}(y) in {k, t_k}, ascending.
 
     This refers to the factors of pi itself, not to the monotone
     factorization of pi^{-1}; the two notions differ already at n = 2.
     """
-    f = p if isinstance(p, MonotoneFactorization) else monotone_factorize(p)
-    if not 0 <= y < f.n:
-        raise ValueError(f"element {y} outside 0..{f.n - 1}")
-    members = []
-    v = y  # v = (pi_{>k})^{-1}(y), updated from the top down
-    for k in range(f.n - 1, -1, -1):
-        tk = f.t[k]
-        if v == k or v == tk:
-            members.append(k)
-        if v == k:
-            v = tk
-        elif v == tk:
-            v = k
-    return ActiveSet("inverse", tuple(sorted(members)))
+    t = _factors_of(p, y)
+    return tuple(reversed(_walk(t, y, range(len(t) - 1, -1, -1))[0]))
 
 
 def apply_via_active(
     f: MonotoneFactorization, x: int, kind: Literal["forward", "inverse"]
 ) -> int:
-    """Evaluate pi(x) or pi^{-1}(x) using only the active factors."""
+    """Evaluate pi(x) or pi^{-1}(x) walking only the active factors."""
     if kind == "forward":
-        order = active_set(f, x).members
-    elif kind == "inverse":
-        order = tuple(reversed(inverse_active_set(f, x).members))
-    else:
-        raise ValueError(f"kind must be 'forward' or 'inverse', got {kind!r}")
-    w = x
-    for k in order:
-        tk = f.t[k]
-        if w == k:
-            w = tk
-        elif w == tk:
-            w = k
-    return w
+        return _walk(f.t, x, active_set(f, x))[1]
+    if kind == "inverse":
+        return _walk(f.t, x, reversed(inverse_active_set(f, x)))[1]
+    raise ValueError(f"kind must be 'forward' or 'inverse', got {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -389,38 +352,26 @@ def inverse_active_expectation_exact(n: int, y: int) -> Fraction:
     return 1 + _f_recurrence(y) / n
 
 
-def expected_active_size(
-    n: int,
-    arg: int,
-    kind: Literal["forward", "inverse"],
-    method: Literal["exact", "recurrence"] = "exact",
-) -> tuple[float, float]:
-    """Mean active-set size over uniform permutations, with standard error.
+def inverse_active_expectation_float(n: int, y: int) -> float:
+    """e(n, y) = 1 + f(y)/n with f's recurrence run in floats, independently
+    of inverse_active_expectation_exact, which certifies it."""
+    f = total = 0.0  # f(m) and sum_{k<=m} f(k)
+    for m in range(1, y + 1):
+        f = m + total / m
+        total += f
+    return 1.0 + f / n
 
-    exact        enumerate all n! factor tuples (n <= EXACT_ENUM_LIMIT)
-    recurrence   inverse kind only: e(N, y) = 1 + f(y-1)/N in 1-based
-                 terms, i.e. 1 + f(arg)/n here
 
-    Both methods are deterministic, so the standard error is 0.0.
-    """
+def expected_active_size(n: int, arg: int,
+                         kind: Literal["forward", "inverse"]) -> float:
+    """Mean active-set size over all n! factor tuples (n <= EXACT_ENUM_LIMIT)."""
     if not 0 <= arg < n:
         raise ValueError(f"element {arg} outside 0..{n - 1}")
-    if method == "exact":
-        if n > EXACT_ENUM_LIMIT:
-            raise SizeLimitError(f"exact method capped at n={EXACT_ENUM_LIMIT}")
-        total = 0
-        count = 0
-        for t in all_factor_tuples(n):
-            f = MonotoneFactorization(t)
-            a = active_set(f, arg) if kind == "forward" else inverse_active_set(f, arg)
-            total += len(a)
-            count += 1
-        return total / count, 0.0
-    if method == "recurrence":
-        if kind != "inverse":
-            raise UnsupportedMethodError("recurrence only covers the inverse kind")
-        return float(inverse_active_expectation_exact(n, arg)), 0.0
-    raise ValueError(f"unknown method {method!r}")
+    if kind not in ("forward", "inverse"):
+        raise ValueError(f"kind must be 'forward' or 'inverse', got {kind!r}")
+    ks = range(n) if kind == "forward" else range(n - 1, -1, -1)
+    total = sum(len(_walk(t, arg, ks)[0]) for t in all_factor_tuples(n))
+    return total / math.factorial(n)
 
 
 def forward_expectation_bound(n: int, x: int) -> float:

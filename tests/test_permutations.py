@@ -10,7 +10,6 @@ from spolab.permutations import (
     MonotoneFactorization,
     Permutation,
     SizeLimitError,
-    UnsupportedMethodError,
     active_set,
     all_factor_tuples,
     all_images,
@@ -25,6 +24,7 @@ from spolab.permutations import (
     forward_expectation_bound,
     identity,
     inverse_active_expectation_exact,
+    inverse_active_expectation_float,
     inverse_active_set,
     inverse_expectation_bound,
     invert,
@@ -142,32 +142,52 @@ def test_sample_uniform_draws_the_scalar_stream(n):
         assert a.random() == b.random()
 
 
-def test_sample_uniform_batch_matches_scalar():
+def test_sample_uniform_chi_square():
+    """The scalar sampler that twirl plans and attacks draw with is uniform
+    on S_4: chi-square of 24,000 draws within the sampler row's 4-sigma
+    bound, df + 4 sqrt(2 df)."""
+    n, draws = 4, 24_000
+    rng = np.random.default_rng(1)
+    counts = {p.images: 0 for p in all_permutations(n)}
+    for _ in range(draws):
+        counts[sample_uniform(n, rng).images] += 1  # KeyError: not in S_4
+    expected = draws / len(counts)
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    df = len(counts) - 1
+    assert stat <= df + 4.0 * math.sqrt(2.0 * df), stat
+
+
+def test_sample_uniform_batch_rows_are_permutations():
     rng_a = np.random.default_rng(123)
     batch = sample_uniform_batch(5, 8, rng_a)
     for row in batch:
         Permutation(tuple(int(v) for v in row))  # validates bijectivity
 
 
-def test_all_images_matches_all_permutations():
+def test_all_images_matches_compose_from_factors():
+    """The batched table against the scalar composition, row by row in
+    all_factor_tuples order; all_permutations reads the table."""
     for n in range(1, 7):
         table = all_images(n)
-        want = np.array([p.images for p in all_permutations(n)], dtype=np.int64)
+        want = np.array([compose_from_factors(MonotoneFactorization(t)).images
+                         for t in all_factor_tuples(n)], dtype=np.int64)
         assert table.dtype == want.dtype and np.array_equal(table, want), n
+        assert [p.images for p in all_permutations(n)] == \
+            [tuple(row) for row in want.tolist()]
     with pytest.raises(SizeLimitError):
         all_images(9)
 
 
 def test_active_set_identity():
     for x in range(5):
-        assert active_set(identity(5), x).members == (x,)
-        assert inverse_active_set(identity(5), x).members == (x,)
+        assert active_set(identity(5), x) == (x,)
+        assert inverse_active_set(identity(5), x) == (x,)
 
 
 def test_active_set_example():
     # [1,3,2]: element 2 (1-based) has active indices {2, 3}
     p = parse_one_line("1 3 2")
-    assert active_set(p, 1).members == (1, 2)
+    assert active_set(p, 1) == (1, 2)
     f = monotone_factorize(p)
     assert apply_via_active(f, 1, "forward") == 2
 
@@ -194,34 +214,33 @@ def test_inverse_active_singleton_case():
         for y in range(6):
             hits = [k for k, tk in enumerate(t) if tk == y]
             if hits:
-                assert inverse_active_set(f, y).members == (max(hits),)
+                assert inverse_active_set(f, y) == (max(hits),)
 
 
 def test_inverse_active_differs_from_active_of_inverse():
     # the two notions agree at n=1 and first differ at n=2 (the swap)
     for p in all_permutations(1):
-        assert inverse_active_set(p, 0).members == active_set(invert(p), 0).members
+        assert inverse_active_set(p, 0) == active_set(invert(p), 0)
     swap = parse_one_line("2 1")
-    assert inverse_active_set(swap, 0).members != active_set(invert(swap), 0).members
+    assert inverse_active_set(swap, 0) != active_set(invert(swap), 0)
 
 
 def test_expected_active_size_exact_small():
-    mean, se = expected_active_size(2, 0, "forward", "exact")
-    assert mean == 1.5 and se == 0.0
+    mean = expected_active_size(2, 0, "forward")
+    assert mean == 1.5
     assert mean <= 1 + math.log(2)
 
 
 def test_expected_active_size_recurrence_y1():
     for n in (1, 3, 7, 20):
-        mean, _ = expected_active_size(n, 0, "inverse", "recurrence")
-        assert mean == 1.0
+        assert inverse_active_expectation_float(n, 0) == 1.0
 
 
 def test_recurrence_matches_enumeration():
     for n in range(1, 7):
         for y in range(n):
-            exact, _ = expected_active_size(n, y, "inverse", "exact")
-            rec, _ = expected_active_size(n, y, "inverse", "recurrence")
+            exact = expected_active_size(n, y, "inverse")
+            rec = inverse_active_expectation_float(n, y)
             assert abs(exact - rec) < 1e-12
             assert exact < 3.0
 
@@ -229,8 +248,8 @@ def test_recurrence_matches_enumeration():
 def test_expectation_bounds():
     for n in range(1, 8):
         for arg in range(n):
-            fwd, _ = expected_active_size(n, arg, "forward", "exact")
-            inv, _ = expected_active_size(n, arg, "inverse", "exact")
+            fwd = expected_active_size(n, arg, "forward")
+            inv = expected_active_size(n, arg, "inverse")
             assert fwd <= forward_expectation_bound(n, arg) + 1e-12
             assert inv <= inverse_expectation_bound(n, arg) + 1e-12
 
@@ -239,16 +258,16 @@ def test_rational_recurrence_certifies_floats():
     for n in range(1, 13):
         for y in range(n):
             exact = inverse_active_expectation_exact(n, y)
-            flt, _ = expected_active_size(n, y, "inverse", "recurrence")
+            flt = inverse_active_expectation_float(n, y)
             assert abs(flt - float(exact)) < 1e-12
             assert isinstance(exact, Fraction)
 
 
 def test_errors():
     with pytest.raises(SizeLimitError):
-        expected_active_size(EXACT_ENUM_LIMIT + 1, 0, "forward", "exact")
-    with pytest.raises(UnsupportedMethodError):
-        expected_active_size(4, 0, "forward", "recurrence")
+        expected_active_size(EXACT_ENUM_LIMIT + 1, 0, "forward")
+    with pytest.raises(ValueError, match="kind must be"):
+        expected_active_size(4, 0, "backward")
     with pytest.raises(ValueError):
         Permutation((0, 0, 2))
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 """Named suites and report plumbing."""
 import dataclasses
+import importlib.util
 import json
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from spolab.suites import (
 )
 
 from helpers import count_calls, count_pair_steps, count_runs, final_state
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_check_pass_rules():
@@ -208,6 +214,32 @@ def test_suite_registry_runs_small():
             r.name for r in reports if not r.passed])
     with pytest.raises(KeyError):
         run_suite("bogus", 2)
+
+
+def test_recurrence_certification_row_fails_on_a_wrong_rational(monkeypatch):
+    """The certification row sets the float recurrence against the rational
+    one, so a wrong rational f must fail it."""
+    from spolab import permutations
+    name = "recurrence-rational-certification[n<=12]"
+    assert {r.name: r for r in run_suite("active-sets", 3)}[name].passed
+    monkeypatch.setattr(permutations, "_f_recurrence", Fraction)  # f(m) = m
+    assert not {r.name: r for r in run_suite("active-sets", 3)}[name].passed
+
+
+def test_verify_all_matches_the_benchmark_reference(monkeypatch):
+    """``verify --suite all --n 6 --seed 1`` passes the benchmark's own
+    output check against its recorded reference: the same case names, every
+    row passing, and every exact value within the check's width."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS["verify-all"]
+    doc = json.loads(to_json(suite_document("all", 6, 1,
+                                            run_suite("all", 6, seed=1))))
+    assert workloads.check_report(wl, 1, 0, doc,
+                                  workloads.load_reference(wl)) == []
 
 
 def timed_by_gaps(make):
