@@ -90,10 +90,13 @@ class QueryCircuit:
 
     def __post_init__(self) -> None:
         allowed = {"P", "A", "X", "Y"} | ({"Z"} if self.has_z else set())
-        for step in self.steps:
+        for k, step in enumerate(self.steps):
             if isinstance(step, LocalUnitary):
                 if not set(step.targets) <= allowed:
                     raise ValueError(f"unitary targets {step.targets} outside {allowed}")
+                if len(set(step.targets)) < len(step.targets):
+                    raise ValueError(f"step {k} ({step.tag or 'unitary'}) names a "
+                                     f"register twice: {step.targets}")
             elif isinstance(step, Query):
                 if step.direction not in ("forward", "inverse"):
                     raise ValueError(f"bad query direction {step.direction!r}")

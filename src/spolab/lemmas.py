@@ -124,15 +124,12 @@ class TwirlPlan:
     def grid_shape(self) -> tuple[int, int]:
         return len(self.sigmas), len(self.taus)
 
-    def pairs(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yields (i, c0, sigma, lj) for each chunk of at most ``chunk``
-        columns c0, c0 + 1, ... of sigma-row i: sigma = sigmas[i] and
-        lj = left_inv[c0:c0 + C], so the inverse label map of L^tau R^sigma
-        for tau = taus[c0 + c] is minv = right_inv[i][lj[c]], and the
-        twirled state of that pair is old_amps[..., minv]."""
-        for i, sigma in enumerate(self.sigmas):
+    def pairs(self) -> Iterator[tuple[int, slice]]:
+        """Yields (i, cols) for each chunk of sigma-row i, row by row: cols
+        slices at most ``chunk`` columns (see _twirl_average)."""
+        for i in range(len(self.sigmas)):
             for c0 in range(0, len(self.taus), self.chunk):
-                yield i, c0, sigma, self.left_inv[c0:c0 + self.chunk]
+                yield i, slice(c0, min(c0 + self.chunk, len(self.taus)))
 
 
 def _charge_maps(n: int, rows: int, cols: int) -> None:
@@ -172,46 +169,47 @@ def _require_exhaustive(plan: TwirlPlan, check_name: str) -> None:
 
 
 def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error for a crossed (rows x cols) sample.
+    """Mean and standard error of a crossed (rows x cols, ...) sample, elementwise.
 
     The error is sqrt(var(row means) / R + var(col means) / C): the grand
     mean of a crossed grid carries both the row and the column variance
     (Owen, "The pigeonhole bootstrap", 2007), so either term alone
     understates it.  One row or column gives no estimate and reports 0.
     """
-    mean = float(values.mean())
-    rows, cols = values.shape
+    mean = values.mean(axis=(0, 1))
+    rows, cols = values.shape[:2]
     if rows < 2 or cols < 2:
         return mean, 0.0
-    var_rows = float(values.mean(axis=1).var(ddof=1))
-    var_cols = float(values.mean(axis=0).var(ddof=1))
-    return mean, math.sqrt(var_rows / rows + var_cols / cols)
+    var_rows = values.mean(axis=1).var(axis=0, ddof=1)
+    var_cols = values.mean(axis=0).var(axis=0, ddof=1)
+    return mean, np.sqrt(var_rows / rows + var_cols / cols)
 
 
 def _twirl_average(plan: TwirlPlan, width: int,
-                   term: Callable[[int], Callable[..., np.ndarray]]) -> tuple[float, float]:
+                   term: Callable[[int], Callable[[slice], np.ndarray]]) -> tuple:
     """(mean, stderr) over the plan of the values of one twirl term.
 
-    ``term(i)`` is called once per sigma-row i, to precompute what the row
-    shares from the plan's tables (sigmas[i], sigma_inv[i], ri =
-    right_inv[i]).  It returns ``chunk(cols, lj)``: one value per column of
-    a chunk of the row, for the column slice ``cols`` and its (C, n!) maps
-    lj = left_inv[cols].  Column c twirls a (rest, n!) block to
+    The chunk protocol: plan.pairs() yields (i, cols), a slice of columns
+    of sigma-row i.  ``term(i)`` is called once per row, at its first
+    chunk, to precompute what the row shares from the plan's tables
+    (sigmas[i], sigma_inv[i], ri = right_inv[i]).  It returns
+    ``chunk(cols)``, which reads the (C, n!) maps lj = left_inv[cols]
+    itself and returns one value per column: C floats, or C arrays of one
+    fixed shape.  Column c twirls a (rest, n!) block to
     ``block[:, ri[lj[c]]]``.  ``width`` is the number of entries one column
     of a step touches, rest * n! for a gathered block; a chunk holds as many
     columns as keep C * width within TWIRL_CHUNK_AMPS, and at least one.
     Exhaustive plans give the exact mean with stderr 0, sampled plans the
-    crossed-grid estimate of grid_mean_stderr.
+    crossed-grid estimate of grid_mean_stderr, both elementwise.
     """
-    chunk = max(1, TWIRL_CHUNK_AMPS // width)
-    grid = np.zeros(plan.grid_shape)
-    for i, c0, _sigma, lj in replace(plan, chunk=chunk).pairs():
-        if c0 == 0:
+    values = []
+    for i, cols in replace(plan, chunk=max(1, TWIRL_CHUNK_AMPS // width)).pairs():
+        if cols.start == 0:
             row = term(i)
-        cols = slice(c0, c0 + len(lj))
-        grid[i, cols] = row(cols, lj)
+        values.append(row(cols))
+    grid = np.concatenate(values).reshape(plan.grid_shape + values[0].shape[1:])
     if plan.exhaustive:
-        return float(grid.mean()), 0.0
+        return grid.mean(axis=(0, 1)), 0.0
     return grid_mean_stderr(grid)
 
 
@@ -342,7 +340,6 @@ class ExperimentResult:
     p_i: float
     p_ii: float
     stderr_ii: float
-    method: str
 
 
 def experiment_probabilities(final: StateVector, rel: Relation,
@@ -391,7 +388,7 @@ def experiment_probabilities(final: StateVector, rel: Relation,
 
     term = _p_ii_term(slices, plan)
     first = term(0)  # sigma-row 0, built once for the guard and the average
-    got = float(first(slice(0, 1), plan.left_inv[:1])[0])
+    got = float(first(slice(0, 1))[0])
     ref = _p_ii_projector(slices, n, plan.sigmas[0], plan.taus[0],
                           plan.right_inv[0][plan.left_inv[0]])
     if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
@@ -399,9 +396,7 @@ def experiment_probabilities(final: StateVector, rel: Relation,
                            f"form {ref!r} on the first pair of the plan (n={n})")
 
     m = database_dim(n) // n  # a column reads m a-table entries per slice
-    p_ii, se_ii = _twirl_average(plan, m, lambda i: term(i) if i else first)
-    method = "exact" if plan.exhaustive else "monte_carlo"
-    return ExperimentResult(p_i, p_ii, se_ii, method)
+    return ExperimentResult(p_i, *_twirl_average(plan, m, lambda i: term(i) if i else first))
 
 
 def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.ndarray]]:
@@ -475,8 +470,8 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
                 diff = v.take(ri.take(h), axis=1)[:, None] - fibers / (s + 1)
                 tables.append((s, k, (diff.real ** 2 + diff.imag ** 2).sum(axis=0)))
 
-        def chunk(cols: slice, lj: np.ndarray) -> np.ndarray:
-            out = np.zeros(len(lj))
+        def chunk(cols: slice) -> np.ndarray:
+            out = np.zeros(cols.stop - cols.start)
             for s, k, sq in tables:
                 out += sq.take(a_tables[cols, s, k]).sum(axis=1)
             return out
@@ -504,7 +499,7 @@ def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan,
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
     sampled = {}
-    if res.method != "exact":
+    if not plan.exhaustive:
         # p_i is exact, so the error sits on the rhs: the 1-sigma increment
         # under the p_ii standard error, well defined even at p_ii = 0
         # where the delta method degenerates.
@@ -528,16 +523,14 @@ def p2_upper_bound(final: StateVector, rel: Relation,
     sections = [(x, rel.section(x)) for x in range(n) if rel.section(x).size]
 
     def term(i):
-        def chunk(cols, lj):
-            tw = amps[:, plan.right_inv[i][lj]]  # (rest, C, n!)
-            rows = np.arange(len(lj))[:, None]
-            acc = 0.0
+        def chunk(cols):
+            tw = amps[:, plan.right_inv[i][plan.left_inv[cols]]]  # (rest, C, n!)
+            acc = np.zeros(cols.stop - cols.start)
             for x, ys in sections:
                 # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
-                hit = np.zeros((len(lj), n), dtype=bool)
-                hit[rows, plan.taus[cols][:, ys]] = True
+                hit = (plan.taus[cols][:, ys, None] == np.arange(n)).any(axis=1)  # (C, n)
                 sx = plan.sigmas[i, x]
-                acc = acc + _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
+                acc += _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
             return acc
 
         return chunk
@@ -554,8 +547,8 @@ def progress_measure(final: StateVector, rel: Relation,
     pi_table, _ = perm_tables(n)
 
     def term(i):
-        def chunk(cols, lj):
-            tw = amps[:, plan.right_inv[i][lj]]  # (rest, C, n!)
+        def chunk(cols):
+            tw = amps[:, plan.right_inv[i][plan.left_inv[cols]]]  # (rest, C, n!)
             si, ti = plan.sigma_inv[i], plan.tau_inv[cols]
             twisted = rel.members[si[None, :, None], ti[:, None, :]]  # R^{sigma,tau} bitsets
             # mask: (x, pi_d(x)) in R^{sigma,tau}
@@ -603,9 +596,9 @@ def _fiber_sums(g: np.ndarray, n: int, x: int) -> np.ndarray:
 def _fiber_terms(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, n: int,
                  x: int) -> np.ndarray:
     """The three fiber sums behind the zeta terms at register x, unweighted,
-    for a batch: returns (batch, 3).
+    over the leading batch axes that lo, hi and rows share: returns (..., 3).
 
-    ``rows[b]`` is the section bitset R_x; ``lo[b, z]`` / ``hi[b, z]`` are
+    ``rows`` is the section bitset R_x; ``lo[..., z, :]`` / ``hi[..., z, :]`` are
     the per-class fiber sums read for an element z of the first / the other
     two sums (the crucial lemma reads them through sigma^{-1} / tau^{-1}):
       s1 = sum_{z < x}      lo[z] over classes with pi_{x^c}(z) in R_x,
@@ -615,12 +608,12 @@ def _fiber_terms(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, n: int,
     """
     pixc, pigt, pigt_inv = _class_tables(n, x)
     rows = rows.astype(float)
-    s1 = np.einsum("bzc,bcz->b", lo[:, :x], rows[:, pixc[:, :x]])
-    s2 = np.einsum("bzc,bz,cz->b", hi, rows, (pigt_inv < x).astype(float))
-    counts = rows[:, pigt[:, : x + 1]].sum(axis=2)
+    s1 = np.einsum("...zc,...cz->...", lo[..., :x, :], rows[..., pixc[:, :x]])
+    s2 = np.einsum("...zc,...z,cz->...", hi, rows, (pigt_inv < x).astype(float))
+    counts = rows[..., pigt[:, : x + 1]].sum(axis=-1)
     last = (pigt_inv == x) & (np.arange(n) > x)
-    s3 = np.einsum("bzc,bc,cz->b", hi, counts, last.astype(float))
-    return np.stack([s1, s2, s3], axis=1)
+    s3 = np.einsum("...zc,...c,cz->...", hi, counts, last.astype(float))
+    return np.stack([s1, s2, s3], axis=-1)
 
 
 def zeta_parts(state: StateVector, x: int, rel: Relation,
@@ -632,8 +625,8 @@ def zeta_parts(state: StateVector, x: int, rel: Relation,
     rx = rel.section(x)
     term1 = len(rx) / (x + 1) * float(g[x].sum())
     term2 = len(rx) / ((x + 1) ** 2 * n)
-    fs = _fiber_sums(g, n, x)[None]  # a batch of one: (1, n, classes)
-    s1, s2, s3 = _fiber_terms(fs, fs, rel.members[x][None], n, x)[0].tolist()
+    fs = _fiber_sums(g, n, x)  # (n, classes)
+    s1, s2, s3 = _fiber_terms(fs, fs, rel.members[x], n, x).tolist()
     inv_x = 1.0 / (x + 1)
     if direction == "forward":
         return term1, term2, inv_x * s1
@@ -731,8 +724,8 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
     amps = _db_block(state)
 
     def term(i):
-        def chunk(_cols, lj):
-            tw = amps[:, plan.right_inv[i][lj]]  # (rest, C, n!)
+        def chunk(cols):
+            tw = amps[:, plan.right_inv[i][plan.left_inv[cols]]]  # (rest, C, n!)
             return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
                        for x in range(n)) / n
 
@@ -751,32 +744,36 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,
     The underlying outcome distribution q_{omega,xi} is defined relative to a
     purification choice; here it is evaluated on the canonical joint state of
     the actual run (algorithm registers serve as the purifying system), which
-    the averaging argument makes sufficient.  Every pair of the plan is one
-    row of a batch, so the marginal is gathered as (pairs, n, n!) at once and
-    must fit AMPLITUDE_BUDGET.
+    the averaging argument makes sufficient.  One twirl term gives all three
+    for every state: a column gathers the (J, n, n!) marginals of the J
+    states at its pair.
     """
     n = rel.n
-    nf = database_dim(n)
-    charge(plan.pair_count * n * nf,
-           f"crucial terms gather {plan.pair_count} pairs x {n} x {nf} labels")
-    rows, cols = plan.grid_shape
-    # Pair (i, j) is row i * cols + j, with minv = right_inv[i][left_inv[j]].
-    minv = plan.right_inv[:, plan.left_inv].reshape(-1, nf)
-    si = np.repeat(plan.sigma_inv, cols, axis=0)  # (pairs, n) inverse images
-    ti = np.tile(plan.tau_inv, (rows, 1))
-    out = []
-    for _direction, state in pre:
-        g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
-        gg = g[:, minv].transpose(1, 0, 2)  # (pairs, x, label)
-        acc = np.zeros((len(minv), 3))
-        for x in range(n):
-            fs = _fiber_sums(gg, n, x)
-            twisted = rel.members[si[:, x, None], ti]  # row x of R^{sigma,tau}
-            acc += _fiber_terms(np.take_along_axis(fs, si[..., None], axis=1),
-                                np.take_along_axis(fs, ti[..., None], axis=1),
-                                twisted, n, x) / (x + 1)
-        out.append(tuple(float(v) for v in (acc / n).mean(axis=0)))
-    return out
+    if not pre:
+        return []
+    g = np.stack([marginal(state, ("X", *database_names(n))).reshape(n, -1)
+                  for _direction, state in pre])  # (state, x, label)
+
+    def term(i):
+        ri, si = plan.right_inv[i], plan.sigma_inv[i]
+
+        def chunk(cols):
+            gg = g[:, :, ri[plan.left_inv[cols]]].transpose(2, 0, 1, 3)  # (C, J, x, label)
+            ti = plan.tau_inv[cols]
+            c, j = np.ogrid[:len(ti), :len(g)]
+            acc = np.zeros((len(ti), len(g), 3))
+            for x in range(n):
+                fs = _fiber_sums(gg, n, x)  # (C, J, z, class)
+                hi = fs[c[..., None], j[..., None], ti[:, None]]  # read through tau^{-1}
+                # Row x of R^{sigma,tau}, one copy per state.
+                twisted = np.repeat(rel.members[si[x], ti][:, None], len(g), axis=1)
+                acc += _fiber_terms(fs.take(si, axis=2), hi, twisted, n, x) / (x + 1)
+            return acc / n
+
+        return chunk
+
+    mean, _ = _twirl_average(plan, len(g) * n * database_dim(n), term)
+    return [tuple(float(v) for v in row) for row in mean]
 
 
 def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
@@ -826,13 +823,9 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         rhs = 384.0 * q * q * r * (log_n + 2.0) / n ** 2 + 4.0 * q * r * tail
         out.append(check(f"hard-database[{tag}]", measure, rhs, pairs=pairs))
         values = crucial_term_values(pre, rel, plan)
-        bounds = ((log_n + 3.0) * r / n ** 2,
-                  (log_n + 1.0) * r / n ** 2,
-                  (log_n + 1.0) * r / n ** 2)
-        for k in range(3):
-            worst = max(v[k] for v in values) if values else 0.0
-            out.append(check(f"crucial[{tag}]:{k + 1}", worst, bounds[k],
-                             pairs=pairs))
+        for k, c in enumerate((log_n + 3.0, log_n + 1.0, log_n + 1.0)):
+            out.append(check(f"crucial[{tag}]:{k + 1}", max(v[k] for v in values),
+                             c * r / n ** 2, pairs=pairs))
     return out
 
 

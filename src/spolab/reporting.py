@@ -61,8 +61,7 @@ class VerificationReport:
 
 def check(name: str, lhs: float, rhs: float, *, method: str = "exact",
           tol: float = EXACT_TOL, stderr: float | None = None,
-          sigmas: float = MC_SIGMAS, samples: int | None = None,
-          **extra: Any) -> VerificationReport:
+          samples: int | None = None, **extra: Any) -> VerificationReport:
     """Build a report with the standard pass rule."""
     slack = rhs - lhs
     if method == "exact":
@@ -70,7 +69,7 @@ def check(name: str, lhs: float, rhs: float, *, method: str = "exact",
     elif method == "monte_carlo":
         if stderr is None:
             raise ValueError("monte_carlo reports need a stderr")
-        passed = slack >= -sigmas * stderr
+        passed = slack >= -MC_SIGMAS * stderr
     else:
         raise ValueError(f"unknown method {method!r}")
     return VerificationReport(name, float(lhs), float(rhs), bool(passed),

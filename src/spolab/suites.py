@@ -38,6 +38,7 @@ from .circuits import (
 from .lemmas import (
     TwirlPlan,
     _all_cycles,
+    _cycle_maps,
     easy_norm_check,
     commutator_growth_check,
     experiment_probabilities,
@@ -692,12 +693,15 @@ def commutator_suite(n: int) -> list[VerificationReport]:
     bad = 0
     joint = np.arange(n * nf)
     ys, ds = np.divmod(joint, nf)
+    # The right-action maps Gamma is built from, row by row in _all_cycles order.
+    cycles = [(cyc, rmap) for ell in (2, 3) if ell <= n
+              for cyc, rmap in zip(_all_cycles(n, ell), _cycle_maps(n, ell, "right"))]
     for x in range(n):
         qmap = query_slice_map(n, x, "forward")
-        for cyc in _all_cycles(n, 2) + (_all_cycles(n, 3) if n >= 3 else []):
+        for cyc, rmap in cycles:
             if cyc.images[x] != x:
                 continue
-            r_joint = ys * nf + left_right_map(n, sigma=cyc)[ds]
+            r_joint = ys * nf + rmap[ds]
             if not np.array_equal(qmap[r_joint], r_joint[qmap]):
                 bad += 1
     out.append(check(f"commutes-when-fixed[n={n}]", bad, 0, tol=0.0))

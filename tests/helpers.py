@@ -167,9 +167,9 @@ def count_pair_steps(monkeypatch) -> list:
     original = TwirlPlan.pairs
 
     def pairs(self):
-        for step in original(self):
-            steps.append(len(step[3]))
-            yield step
+        for i, cols in original(self):
+            steps.append(cols.stop - cols.start)
+            yield i, cols
 
     monkeypatch.setattr(TwirlPlan, "pairs", pairs)
     return steps
@@ -215,7 +215,11 @@ def grover_matrices(n_bits: int, c: int) -> dict[str, np.ndarray]:
     dim, pad = 2 ** n_bits, 2 ** c
     m = dim // pad
     a, r = np.divmod(np.arange(dim), pad)
-    signs = 1.0 - 2.0 * (np.bitwise_count(a[:, None] & a[None, :]) % 2)
+    common = a[:, None] & a[None, :]
+    parity = np.zeros_like(common)
+    for k in range(n_bits - c):  # popcount(a & b) mod 2, bit by bit
+        parity ^= common >> k & 1
+    signs = 1.0 - 2.0 * parity
     prep = np.where(r[:, None] == r[None, :], signs / math.sqrt(m), 0.0)
     psi = (r == 0) / math.sqrt(m)
     return {"prep": prep, "diffuse": 2.0 * np.outer(psi, psi) - np.eye(dim)}

@@ -1,4 +1,5 @@
 """Harmonic numbers and the headline bound evaluators."""
+import decimal
 import math
 from fractions import Fraction
 
@@ -90,3 +91,22 @@ def test_argument_validation():
         zero_search_bound(1, 8, 17)
     with pytest.raises(ValueError):
         harmonic(0)
+
+
+def test_highprec_bounds_keep_the_callers_precision():
+    """Each Decimal evaluator works at its own ``prec`` and leaves the
+    caller's decimal context as it found it; the 50-digit values are pinned."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        main_bound_highprec(1, 8, 1, prec=7)
+        sponge_bound_highprec(1, 60, 30, prec=7)
+        zero_search_bound_highprec(1, 40, 40, prec=7)
+        assert decimal.getcontext().prec == 28
+        assert str(main_bound_highprec(1, 2 ** 20, 1)) == \
+            "0.013827066860805320984026911907439677872104780632119"
+        assert str(main_bound_highprec(3, 8, 2)) == \
+            "25168.114591393747759348840720008661010225394236808"
+        assert str(sponge_bound_highprec(1, 60, 30)) == "0.0000527761876583099365234375"
+        assert str(zero_search_bound_highprec(1, 40, 40)) == \
+            "6.816480890847742557525634765625E-8"
+        assert decimal.getcontext().prec == 28

@@ -232,6 +232,19 @@ def test_structured_grover_steps_match_their_matrices(n_bits, c):
             assert gap <= 1e-12 * max(1.0, np.linalg.norm(ref)), (tag, gap)
 
 
+def test_grover_reference_prep_is_a_hadamard_power():
+    """The entry-by-entry prep of grover_matrices is H^{(x)(n-c)} (x) I_{2^c}
+    as a Kronecker product, for n_bits 2 to 8 and every capacity c."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    for n_bits in range(2, 9):
+        for c in range(1, n_bits):
+            want = np.eye(2 ** c)
+            for _ in range(n_bits - c):
+                want = np.kron(hadamard, want)
+            got = grover_matrices(n_bits, c)["prep"]
+            assert np.abs(got - want).max() < 1e-15, (n_bits, c)
+
+
 @pytest.mark.parametrize("tag", ["prep", "diffuse"])
 def test_structured_grover_guard_raises_on_a_wrong_apply(monkeypatch, tag):
     import spolab.circuits as circuits_mod
@@ -481,6 +494,14 @@ def test_circuit_text_errors():
         parse_circuit("n 4\nunitary A\n")  # seed missing
     with pytest.raises(ValueError):
         parse_circuit("n 4\nbogus 3\n")
+
+
+def test_circuit_text_rejects_a_unitary_that_names_a_register_twice():
+    """``unitary X,X`` is refused when the circuit is built, naming the
+    step, not when a run reaches it."""
+    with pytest.raises(ValueError, match=r"step 1 \(u-seed1\) names a register "
+                                         r"twice: \('X', 'X'\)"):
+        parse_circuit("n 4\nquery fwd\nunitary X,X seed=1\n")
 
 
 def test_pair_table_rows_equal_the_relabelled_untwirled_run():

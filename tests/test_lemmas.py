@@ -261,7 +261,7 @@ def test_experiment_probe_full_relation():
                                    full_relation(n), plan)
     assert res.p_i == pytest.approx(1.0, abs=1e-10)
     assert res.p_ii == pytest.approx(181 / 576, abs=1e-10)
-    assert res.method == "exact"
+    assert res.stderr_ii == 0.0
 
 
 def test_experiment_empty_circuit():
@@ -317,11 +317,10 @@ def _assert_fiber_form_matches_projector(slices, plan, context):
 
     term = _p_ii_term(slices, plan)
     seen = 0
-    for i, c0, sigma, lj in plan.pairs():
-        ri = plan.right_inv[i]
-        cols = slice(c0, c0 + len(lj))
-        got = term(i)(cols, lj)
-        assert len(got) == len(lj)
+    for i, cols in plan.pairs():
+        sigma, ri, lj = plan.sigmas[i], plan.right_inv[i], plan.left_inv[cols]
+        got = term(i)(cols)
+        assert len(got) == len(lj) == cols.stop - cols.start
         for tau, col, value in zip(plan.taus[cols], lj, got):
             ref = _p_ii_projector(slices, plan.n, sigma, tau, ri[col])
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (context, sigma, tau)
@@ -849,6 +848,34 @@ def test_twirl_averages_on_non_square_sampled_grid():
         assert mean == pytest.approx(grid.mean(), abs=1e-14)
 
 
+def test_twirl_average_of_an_array_valued_term_is_elementwise():
+    """A term whose columns are (J, 3) arrays, read in ragged chunks of two
+    columns on a sampled 2 x 3 grid, averages to the mean and stderr that
+    grid_mean_stderr gives on each component's own grid."""
+    import spolab.lemmas as lemmas_mod
+    from spolab.lemmas import TwirlPlan, grid_mean_stderr
+
+    n = 4
+    rng = np.random.default_rng(23)
+    draws = [sample_uniform(n, rng).images for _ in range(5)]
+    plan = TwirlPlan(n, draws[:2], draws[2:], False, seed=23)
+    values = rng.normal(size=(2, 3, 4, 3))
+    calls = []
+
+    def term(i):
+        calls.append(i)
+        return lambda cols: values[i, cols]
+
+    mean, se = lemmas_mod._twirl_average(plan, lemmas_mod.TWIRL_CHUNK_AMPS // 2, term)
+    assert calls == [0, 1]
+    assert mean.shape == se.shape == (4, 3)
+    for j, k in itertools.product(range(4), range(3)):
+        want_mean, want_se = grid_mean_stderr(values[:, :, j, k])
+        assert mean[j, k] == pytest.approx(want_mean, rel=1e-14, abs=1e-15)
+        assert se[j, k] == pytest.approx(want_se, rel=1e-14)
+        assert se[j, k] > 0.0
+
+
 # --------------------------------------------------------------------------
 # per-query growth and accumulation
 
@@ -1045,26 +1072,20 @@ def test_hard_database_rhs_is_the_direct_sparsity_tail():
     assert abs(rows[f"hard-database[{circ.name},sponge]"].rhs - want) <= 1e-12
 
 
-def test_crucial_terms_refuse_a_gather_over_the_budget(monkeypatch):
-    """All pairs are gathered at once, so a plan whose (pairs, N, N!) marginal
-    exceeds the amplitude budget is refused with a BudgetError before any
-    label map is gathered or any pre-query state is read."""
-    import spolab.lemmas as lemmas_mod
+def test_crucial_terms_fit_a_budget_below_the_whole_grid(monkeypatch):
+    """The crucial terms gather one chunk of a sigma-row at a time, so a
+    budget one entry short of a (576 pairs, 4, 24) gather of the whole
+    N = 4 grid gives the values of the default budget."""
     import spolab.oracles as oracles_mod
+    from spolab.lemmas import crucial_term_values, standard_form_prequery_states
 
-    class NoGather:
-        def __getitem__(self, _index):
-            raise AssertionError("a label map was gathered before the budget check")
-
-    class NoStates:
-        def __iter__(self):
-            raise AssertionError("a state was read before the budget check")
-
+    plan = make_twirl_plan(4)
+    rel = diagonal_relation(4)
+    pre = standard_form_prequery_states(random_circuit(71, 1, 2, 4))
+    want = crucial_term_values(pre, rel, plan)
+    assert len(want) == len(pre) and max(max(v) for v in want) > 0.0
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
-    plan = dataclasses.replace(make_twirl_plan(4), right_inv=NoGather(),
-                               left_inv=NoGather())
-    with pytest.raises(BudgetError, match="576 pairs x 4 x 24 labels"):
-        lemmas_mod.crucial_term_values(NoStates(), diagonal_relation(4), plan)
+    assert crucial_term_values(pre, rel, plan) == want
 
 
 def test_exact_only_checks_refuse_sampled_plans(monkeypatch):

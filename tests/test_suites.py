@@ -161,7 +161,7 @@ def test_twirl_plan_holds_read_only_image_tables(monkeypatch):
     Permutation: all_images(n) on both sides when exhaustive, and the seeded
     sample_uniform draws in order (sigmas first) when sampled.  Its inverse
     images invert those rows, and a replace() copy with another chunk builds
-    no label map."""
+    no label map and steps by its own chunk."""
     import spolab.lemmas as lemmas
     from spolab.permutations import all_images, sample_uniform
 
@@ -181,6 +181,7 @@ def test_twirl_plan_holds_read_only_image_tables(monkeypatch):
     maps = count_calls(monkeypatch, lemmas, "left_right_map")
     copy = dataclasses.replace(plan, chunk=4)
     assert maps == [] and copy.chunk == 4
+    assert list(copy.pairs())[:2] == [(0, slice(0, 4)), (0, slice(4, 6))]
     assert copy.right_inv is plan.right_inv and copy.left_inv is plan.left_inv
 
 
@@ -192,9 +193,11 @@ def test_twirl_plan_pairs_invert_the_composed_label_maps():
     plan = dataclasses.replace(make_twirl_plan(n), chunk=5)
     arange = np.arange(24)
     seen = []
-    for i, c0, sigma, lj in plan.pairs():
-        assert sigma.tolist() == plan.sigmas[i].tolist() and len(lj) == min(5, 24 - c0)
-        for c, col in enumerate(lj):
+    for i, cols in plan.pairs():
+        c0 = cols.start
+        assert cols == slice(c0, c0 + min(5, 24 - c0))
+        sigma = plan.sigmas[i]
+        for c, col in enumerate(plan.left_inv[cols]):
             tau = plan.taus[c0 + c]
             m = left_right_map(n, tau=tau)[left_right_map(n, sigma=sigma)]
             assert np.array_equal(m[plan.right_inv[i][col]], arange)
