@@ -11,7 +11,6 @@ Raw values routinely exceed 1 at desk scale; callers clamp for reporting.
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 
@@ -52,24 +51,6 @@ def zero_search_bound(q: int, n_bits: int, c: int) -> float:
 
 def clamped(value: float) -> float:
     return min(1.0, max(0.0, value))
-
-
-def main_bound_highprec(q: int, n: int, r_max: int, prec: int = 50) -> Decimal:
-    """Independent Decimal recomputation in a local prec-digit context."""
-    with localcontext(Context(prec=prec)):
-        ln_n = Decimal(n).ln()
-        return Decimal(914) * Decimal(q) ** 3 * Decimal(r_max) * (ln_n + 2) / Decimal(n)
-
-
-def sponge_bound_highprec(q: int, n_bits: int, c: int, prec: int = 50) -> Decimal:
-    with localcontext(Context(prec=prec)):
-        return (Decimal(914) * Decimal(q) ** 3 * Decimal(n_bits + 2)
-                / Decimal(2) ** min(c, n_bits - c))
-
-
-def zero_search_bound_highprec(q: int, n_bits: int, c: int, prec: int = 50) -> Decimal:
-    with localcontext(Context(prec=prec)):
-        return Decimal(1828) * Decimal(q) ** 3 * Decimal(n_bits + 1) / Decimal(2) ** c
 
 
 def _check_positive(**kwargs: int) -> None:

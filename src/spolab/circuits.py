@@ -45,6 +45,7 @@ from .states import (
     RegisterLayout,
     StateVector,
     apply,
+    check_buffer,
     database_names,
     from_diagonal,
     from_matrix,
@@ -118,19 +119,31 @@ def circuit_layout(circ: QueryCircuit, backend: OracleBackend) -> RegisterLayout
     return RegisterLayout(tuple(regs))
 
 
-def initial_state(circ: QueryCircuit, backend: OracleBackend) -> StateVector:
+def initial_state(circ: QueryCircuit, backend: OracleBackend,
+                  out: np.ndarray | None = None) -> StateVector:
+    """The state before the first step, written into ``out`` when given."""
     lay = circuit_layout(circ, backend)
     charge(lay.total_dim, "joint state")
-    amps = np.zeros(lay.total_dim, dtype=np.complex128)
+    if out is None:
+        amps = np.zeros(lay.total_dim, dtype=np.complex128)
+    else:
+        amps = check_buffer(lay, out)
+        amps.fill(0.0)
     # One normalized run per label of P, with the database uniform over S_n.
     nf = database_dim(circ.n) if backend.has_database else 1
     amps.reshape(backend.rows, -1, nf)[:, 0, :] = 1.0 / math.sqrt(nf)
     return StateVector(lay, amps)
 
 
-def run(circ: QueryCircuit, backend: OracleBackend) -> StateVector:
-    """Run the circuit to completion and return the final joint state."""
-    return _execute(circ, backend, None)
+def run(circ: QueryCircuit, backend: OracleBackend, *,
+        work: tuple[np.ndarray, np.ndarray] | None = None) -> StateVector:
+    """Run the circuit to completion and return the final joint state.
+
+    The steps alternate between two state buffers.  A run allocates its
+    own pair unless ``work`` passes one, two distinct flat complex128
+    arrays of the joint state's size; the final state then lives in one of
+    them and is valid until the caller reuses the pair."""
+    return _execute(circ, backend, None, work)
 
 
 def run_with_intermediates(
@@ -141,18 +154,27 @@ def run_with_intermediates(
     return _execute(circ, backend, pre_query), pre_query
 
 
-def _execute(circ: QueryCircuit, backend: OracleBackend,
-             pre_query: list | None) -> StateVector:
+def _execute(circ: QueryCircuit, backend: OracleBackend, pre_query: list | None,
+             work: tuple[np.ndarray, np.ndarray] | None = None) -> StateVector:
+    """Each step writes into the buffer that does not hold the current
+    state; ``pre_query`` keeps every state before a query, so then each
+    step writes a fresh array instead."""
     if backend.n != circ.n:
         raise ValueError(f"backend size {backend.n} != circuit size {circ.n}")
-    state = initial_state(circ, backend)
+    first, spare = (None, None) if work is None else work
+    state = initial_state(circ, backend, out=first)
+    if spare is None and pre_query is None:
+        spare = np.empty_like(state.amps)
     for step in circ.steps:
         if isinstance(step, Query):
             if pre_query is not None:
                 pre_query.append((step.direction, state))
-            state = backend.query(state, step.direction)
+            image = backend.query(state, step.direction, out=spare)
         else:
-            state = apply(step.op, state, step.targets)
+            image = apply(step.op, state, step.targets, out=spare)
+        if pre_query is None:
+            spare = state.amps
+        state = image
     return state
 
 
@@ -313,30 +335,51 @@ def _diffusion(n_bits: int, c: int) -> np.ndarray:
     return 2.0 * np.outer(psi, psi) - np.eye(dim)
 
 
-def _structured(matrix: np.ndarray, apply_block: Callable[[np.ndarray], np.ndarray],
+def _structured(matrix: np.ndarray, apply_block: Callable[..., np.ndarray],
                 label: str) -> LinearOperator:
     """A real, self-inverse operator applied through its structure, which
     therefore also serves as its adjoint; ``matrix`` stays its dense form.
 
-    Checked once, here, against ``matrix @ v`` on a seeded random block."""
+    Checked once, here, against ``matrix @ v`` on a seeded random block:
+    first as returned, then as written into an ``out`` buffer, the form
+    that ``apply`` runs."""
     op = from_matrix(matrix, label=label)
     rng = np.random.default_rng(11)
     block = rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2))
     ref = op.apply_block(block)
-    gap = float(np.linalg.norm(apply_block(block) - ref))
-    if gap > 1e-12 * max(1.0, float(np.linalg.norm(ref))):
-        raise RuntimeError(f"structured {label} differs from its dense matrix "
-                           f"by {gap:.3e}")
+
+    def check(image: np.ndarray) -> None:
+        gap = float(np.linalg.norm(image - ref))
+        if gap > 1e-12 * max(1.0, float(np.linalg.norm(ref))):
+            raise RuntimeError(f"structured {label} differs from its dense matrix "
+                               f"by {gap:.3e}")
+
+    check(apply_block(block))
+    out = np.empty_like(block)
+    apply_block(block, out=out)
+    check(out)
     return LinearOperator(op.dims, apply_block, apply_block, matrix=op.matrix,
                           label=label)
 
 
 def _prep_operator(n_bits: int, c: int) -> LinearOperator:
-    """H^{(x)(n-c)} (x) I: one 2^{n-c} x 2^{n-c} product on the reshaped block."""
+    """H^{(x)(n-c)} (x) I: one 2^{n-c} x 2^{n-c} product on the reshaped
+    block.  H is real, so the product is one float64 GEMM on the real and
+    imaginary parts side by side."""
     h = _hadamard_power(n_bits - c)
 
-    def prep(block: np.ndarray) -> np.ndarray:
-        return (h @ block.reshape(len(h), -1)).reshape(block.shape)
+    def prep(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        block = np.ascontiguousarray(block)
+        if out is None:
+            out = np.empty_like(block)
+        elif not out.flags.c_contiguous:  # its float64 view would be a copy
+            raise ValueError("prep writes only into a C-contiguous out")
+
+        def real(a: np.ndarray) -> np.ndarray:
+            return a.view(np.float64).reshape(len(h), -1)
+
+        np.matmul(h, real(block), out=real(out))
+        return out
 
     return _structured(_subspace_prep(n_bits, c), prep, "prep")
 
@@ -346,8 +389,8 @@ def _diffusion_operator(n_bits: int, c: int) -> LinearOperator:
     pad = 2 ** c
     weight = 2.0 / 2 ** (n_bits - c)
 
-    def diffuse(block: np.ndarray) -> np.ndarray:
-        out = -block
+    def diffuse(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.negative(block, out=out)
         out[::pad] += weight * block[::pad].sum(axis=0)
         return out
 
@@ -406,15 +449,17 @@ def _row_success(joint: np.ndarray, images: np.ndarray, rel: Relation) -> np.nda
 
 
 def success_probability(circ: QueryCircuit, images: Permutation | np.ndarray,
-                        rel: Relation) -> np.ndarray:
+                        rel: Relation, *,
+                        work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Exact Born success probability of the X output under each permutation
-    of a (K, N) image table, from one run with the table on P."""
+    of a (K, N) image table, from one run with the table on P (through the
+    ``work`` pair of ``run`` when given)."""
     if rel.n != circ.n:
         raise ValueError(f"relation size {rel.n} != circuit size {circ.n}")
     table = image_table(images)
     # A temporary backend frees its U maps before the readout; holding them
     # longer doubled the page faults of a sampled attack.
-    final = run(circ, concrete_backend(table))
+    final = run(circ, concrete_backend(table), work=work)
     return _row_success(marginal(final, ("P", "X")), table, rel)
 
 

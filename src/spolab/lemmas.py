@@ -949,9 +949,9 @@ def commutator_operator(n: int, z: int, direction: str) -> LinearOperator:
         out = (g @ v).view(np.complex128).reshape(nf, 2, n, rest)
         return out.transpose(1, 2, 0, 3).reshape(2, n * nf, rest)
 
-    def apply_block(block: np.ndarray) -> np.ndarray:
+    def apply_block(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         g_qb, g_b = gamma_yd(q.apply_block(block), block)
-        return g_qb - q.apply_block(g_b)
+        return np.subtract(g_qb, q.apply_block(g_b), out=out)
 
     def adjoint_block(block: np.ndarray) -> np.ndarray:
         # [Gamma, Q]^+ = Q^+ Gamma - Gamma Q^+ (Gamma self-adjoint)

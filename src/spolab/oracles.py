@@ -38,6 +38,7 @@ from .states import (
     database_names,
     from_permutation,
     product_uniform,
+    result_buffer,
 )
 
 # The amplitude budget for any joint state.  Full-database simulation shares
@@ -158,9 +159,11 @@ def u_oracle(images: Permutation | np.ndarray,
     _require_xor(n)
     if inverse:  # row k of the argsort is the one-line form of pi_k^{-1}
         table = np.argsort(table, axis=1)
-    xs = np.arange(k * n).reshape(k, n, 1)  # flat (k, x)
-    mapping = (xs * n + (np.arange(n) ^ table[:, :, None])).reshape(-1)
-    return from_permutation((k, n, n), mapping,
+    # The flat index j = (k n + x) n + y keeps y in its low bits, so the
+    # image of j is j xor pi_k(x): one allocation, one in-place XOR.
+    mapping = np.arange(k * n * n).reshape(k * n, n)
+    mapping ^= table.reshape(-1, 1)
+    return from_permutation((k, n, n), mapping.reshape(-1),
                             label=f"U^pi{'^-1' if inverse else ''}")
 
 
@@ -250,10 +253,11 @@ def query_slice_map(n: int, x: int, direction: str,
     return slice_maps(shift_table(n, direction, sigma, tau), x)[0]
 
 
-def spo_query(state: StateVector, shift: np.ndarray) -> StateVector:
+def spo_query(state: StateVector, shift: np.ndarray,
+              out: np.ndarray | None = None) -> StateVector:
     """One oracle query per run on P: row k of the (K, N, N!) shift table
     acts on the run of label k (a state without P is one run); D is
-    untouched (control only)."""
+    untouched (control only).  The result goes into ``out`` when given."""
     k, n, nf = shift.shape
     _require_xor(n)
     lay = state.layout
@@ -261,11 +265,12 @@ def spo_query(state: StateVector, shift: np.ndarray) -> StateVector:
     if lay.names[-n - 2:] != ("X", "Y", *database_names(n)) or runs != k:
         raise LayoutError(f"expected P ({k} runs), ..., X, Y, D_n..D_1: {lay.names}")
     arr = state.amps.reshape(k, -1, n, n * nf)
-    out = np.empty_like(arr)
+    res = result_buffer(state, out)
+    dst = res.reshape(arr.shape)
     for x in range(n):  # an XOR map is its own inverse, so it gathers too
-        out[:, :, x] = np.take_along_axis(arr[:, :, x], slice_maps(shift, x)[:, None],
+        dst[:, :, x] = np.take_along_axis(arr[:, :, x], slice_maps(shift, x)[:, None],
                                           axis=-1)
-    return StateVector(lay, out.reshape(-1))
+    return StateVector(lay, res)
 
 
 def twirl(state: StateVector, side: str, perm: Permutation | np.ndarray) -> StateVector:
@@ -396,11 +401,14 @@ class OracleBackend:
         """The dimension of P: one run per row of the backend's table."""
         return len(self.sigmas if self.has_database else self.images)
 
-    def query(self, state: StateVector, direction: str) -> StateVector:
+    def query(self, state: StateVector, direction: str,
+              out: np.ndarray | None = None) -> StateVector:
+        """One query on every run, written into ``out`` when given."""
         if self.images is not None:
-            return self._concrete_query(state, direction)
+            return self._concrete_query(state, direction, out)
         inverse = direction == "inverse"
-        return spo_query(state, self._shift_inverse if inverse else self._shift_forward)
+        return spo_query(state, self._shift_inverse if inverse else self._shift_forward,
+                         out=out)
 
     # U^pi, U^{pi^{-1}} and the shift tables are built once per backend, on
     # first use; they live as long as the backend, so nothing outlives a trial.
@@ -420,10 +428,11 @@ class OracleBackend:
     def _shift_inverse(self) -> np.ndarray:
         return shift_table(self.n, "inverse", self.sigmas, self.taus)
 
-    def _concrete_query(self, state: StateVector, direction: str) -> StateVector:
+    def _concrete_query(self, state: StateVector, direction: str,
+                        out: np.ndarray | None = None) -> StateVector:
         """U^pi (forward) or U^{pi^{-1}} (inverse) applied on P, X, Y."""
         op = self._u_inverse if direction == "inverse" else self._u_forward
-        return apply(op, state, ("P", "X", "Y"))
+        return apply(op, state, ("P", "X", "Y"), out=out)
 
 
 def concrete_backend(perms: Permutation | np.ndarray) -> OracleBackend:

@@ -7,14 +7,18 @@ registers D_n, ..., D_1 trailing and in descending order, so the flat index
 of the database block is exactly the mixed-radix permutation label with t_1
 least significant.
 
-State vectors are immutable from the caller's perspective: every operation
-returns a fresh array, so read-only sharing across threads is safe.
+Buffer ownership: an operation never writes into its input.  It writes its
+result into ``out`` when the caller passes one, else into a fresh array.  A
+state built on a caller's buffer is the caller's: it stays valid until the
+caller writes that buffer again, as the next step or run given the same
+buffer does.  A state that no caller's buffer backs is never written after
+it is returned, so read-only sharing across threads is safe.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -130,20 +134,23 @@ def product_uniform(layout: RegisterLayout) -> StateVector:
 class LinearOperator:
     """An operator on a block of registers with the given dims.
 
-    ``apply_block`` maps a matricized (d, rest) array to its image; adjoint
-    likewise.  Either may use the operator's structure rather than a dense
-    product.  The optional ``matrix`` is the operator's dense form: it is
-    used for exact norms and ``dense()``, and as the reference a structured
-    apply is checked against.  A basis ``mapping`` (|j> -> |mapping[j]>)
-    marks a validated permutation.
+    ``apply_block(block, out=None)`` maps a matricized (d, rest) array to
+    its image, written into ``out`` when given; ``adjoint_block(block)``
+    maps it to the adjoint's image.  Either may use the operator's
+    structure rather than a dense product.  The optional ``matrix`` is the
+    operator's dense form: it is used for exact norms and ``dense()``, and
+    as the reference a structured apply is checked against.  A basis
+    ``mapping`` (|j> -> |mapping[j]>) marks a validated permutation; a
+    ``diagonal`` marks a diagonal operator.
     """
 
     dims: tuple[int, ...]
-    apply_block: Callable[[np.ndarray], np.ndarray]
+    apply_block: Callable[..., np.ndarray]
     adjoint_block: Callable[[np.ndarray], np.ndarray] | None = None
     matrix: np.ndarray | None = None
     label: str = ""
     mapping: np.ndarray | None = None
+    diagonal: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -166,11 +173,20 @@ def from_matrix(mat: np.ndarray, dims: tuple[int, ...] | None = None,
         raise ValueError("dims do not multiply to the matrix dimension")
     return LinearOperator(
         tuple(dims),
-        lambda block: mat @ block,
+        lambda block, out=None: np.matmul(mat, block, out=out),
         lambda block: mat.conj().T @ block,
         matrix=mat,
         label=label,
     )
+
+
+@lru_cache(maxsize=1)
+def _positions(d: int) -> np.ndarray:
+    """0..d-1, read-only, shared by the basis maps of the last dimension
+    seen: a sampled attack builds every U^pi at one size."""
+    out = np.arange(d)
+    out.setflags(write=False)
+    return out
 
 
 def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
@@ -182,13 +198,15 @@ def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
         raise ValueError("mapping length does not match dims")
     if d and (mapping.min() < 0 or mapping.max() >= d):
         raise ValueError(f"mapping values must lie in 0..{d - 1}")
-    inverse = np.full(d, -1, dtype=np.int64)
-    inverse[mapping] = np.arange(d)
-    if (inverse < 0).any():
+    gather = np.full(d, -1, dtype=np.int64)
+    gather[mapping] = _positions(d)
+    if (gather < 0).any():
         raise ValueError("mapping is not a bijection: some basis state is hit twice")
 
-    def fwd(block: np.ndarray) -> np.ndarray:
-        return block[inverse]
+    # gather is a checked bijection, so mode "clip" never clips; mode
+    # "raise" with an out argument would buffer the whole output.
+    def fwd(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.take(block, gather, axis=0, out=out, mode="clip")
 
     def bwd(block: np.ndarray) -> np.ndarray:
         return block[mapping]
@@ -205,28 +223,81 @@ def from_diagonal(dims: tuple[int, ...], diag: np.ndarray,
     col = diag[:, None]
     return LinearOperator(
         tuple(dims),
-        lambda block: col * block,
+        lambda block, out=None: np.multiply(col, block, out=out),
         lambda block: col.conj() * block,
         label=label,
+        diagonal=diag,
     )
 
 
-def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...]) -> StateVector:
-    """Apply ``op`` on the named registers, identity elsewhere."""
+def check_buffer(layout: RegisterLayout, out: np.ndarray) -> np.ndarray:
+    """``out`` once it is a writable, contiguous, flat complex128 array of
+    the layout's dimension, else LayoutError."""
+    if (out.shape != (layout.total_dim,) or out.dtype != np.complex128
+            or not out.flags.c_contiguous or not out.flags.writeable):
+        raise LayoutError(f"output buffer {out.dtype}{out.shape} is not a writable "
+                          f"contiguous complex128 array of length {layout.total_dim}")
+    return out
+
+
+def result_buffer(state: StateVector, out: np.ndarray | None) -> np.ndarray:
+    """Where an operation on ``state`` writes: ``out``, checked and apart
+    from the state's memory, or a fresh array."""
+    if out is None:
+        return np.empty_like(state.amps)
+    if np.may_share_memory(out, state.amps):
+        raise ValueError("the output buffer may share memory with the input state")
+    return check_buffer(state.layout, out)
+
+
+def _pre_post(shape: tuple[int, ...], axes: list[int]) -> tuple[int, int] | None:
+    """(pre, post) such that the flat state is a (pre, d, post) array with
+    the target block in the middle: the targets of dimension > 1 must be in
+    layout order with only dimension-1 registers between them.  None
+    otherwise."""
+    live = [a for a in axes if shape[a] > 1]
+    if not live:
+        return math.prod(shape), 1
+    if any(a >= b for a, b in zip(live, live[1:])) or any(
+            shape[a] > 1 and a not in live for a in range(live[0], live[-1])):
+        return None
+    return math.prod(shape[:live[0]]), math.prod(shape[live[-1] + 1:])
+
+
+def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...],
+          out: np.ndarray | None = None) -> StateVector:
+    """Apply ``op`` on the named registers, identity elsewhere, writing the
+    result into ``out`` when given (see the buffer ownership rule above).
+
+    Registers of dimension 1 do not move the flat index, so they are
+    ignored.  When the other targets are then consecutive layout axes in
+    layout order, the state is viewed as (pre, d, post) without a copy: a
+    diagonal multiplies once, and any other operator acts on the (d, post)
+    view when pre = 1, a basis map by one gather.  Every other target
+    layout moves the target axes to the front and back."""
     lay = state.layout
     axes = [lay.axis(t) for t in targets]
     dims = tuple(lay.shape[a] for a in axes)
     if dims != tuple(op.dims):
         raise LayoutError(f"operator dims {op.dims} do not match targets "
                           f"{targets} with dims {dims}")
-    arr = state.reshaped()
-    moved = np.moveaxis(arr, axes, range(len(axes)))
+    res = result_buffer(state, out)
+    split = _pre_post(lay.shape, axes)
+    if split is not None:
+        pre, post = split
+        view = (pre, op.dim, post)
+        src, dst = state.amps.reshape(view), res.reshape(view)
+        if op.diagonal is not None:
+            np.multiply(op.diagonal[:, None], src, out=dst)
+            return StateVector(lay, res)
+        if pre == 1:
+            op.apply_block(src[0], out=dst[0])
+            return StateVector(lay, res)
+    moved = np.moveaxis(state.reshaped(), axes, range(len(axes)))
     tail_shape = moved.shape[len(axes):]
-    block = moved.reshape(op.dim, -1)
-    out = op.apply_block(block)
-    out = out.reshape(dims + tail_shape)
-    out = np.moveaxis(out, range(len(axes)), axes)
-    return StateVector(lay, np.ascontiguousarray(out).reshape(-1))
+    image = op.apply_block(moved.reshape(op.dim, -1)).reshape(dims + tail_shape)
+    np.copyto(res.reshape(lay.shape), np.moveaxis(image, range(len(axes)), axes))
+    return StateVector(lay, res)
 
 
 def probe_unitary(op: LinearOperator) -> bool:

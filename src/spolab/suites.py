@@ -20,6 +20,7 @@ import numpy as np
 from . import bounds
 from .circuits import (
     QueryCircuit,
+    circuit_layout,
     classical_probe,
     concrete_ensemble,
     dressed_standard_form,
@@ -56,6 +57,7 @@ from .lemmas import (
 )
 from .oracles import (
     cnot_operator,
+    concrete_backend,
     database_dim,
     is_power_of_two,
     left_right_map,
@@ -795,11 +797,15 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
     if trials is None:  # one run over all N! permutations on P
         vals = success_probability(circ, all_images(n), rel)
         result["method"] = "exact-ensemble"
-    else:  # one run per trial: a (trials, N) table would hold every
-        # trial's state and its working copies at once
+    else:  # one run per trial, every trial through one pair of state
+        # buffers (the circuit's build charged three such states): a
+        # (trials, N) table would hold every trial's state at once
+        dim = circuit_layout(circ, concrete_backend(np.arange(n))).total_dim
+        work = (np.empty(dim, dtype=np.complex128), np.empty(dim, dtype=np.complex128))
         rng = np.random.default_rng(seed)
-        vals = np.concatenate([success_probability(circ, sample_uniform(n, rng), rel)
-                               for _ in range(trials)])
+        vals = np.concatenate([
+            success_probability(circ, sample_uniform(n, rng), rel, work=work)
+            for _ in range(trials)])
         result.update(method="monte_carlo", trials=trials)
     result["success_mean"] = float(vals.mean())
     result["success_std"] = float(vals.std(ddof=1))

@@ -1,11 +1,13 @@
 """Builders that only the tests use: basis states, database labels, a loading
 query, a circuit's text form, the untwirled final state, counters of calls
 and of circuit runs, a per-pair twirl-average reference, a dense
-trace-distance reference, the scalar permutation sampler and dense Grover
-steps."""
+trace-distance reference, the scalar permutation sampler, dense Grover
+steps, a transposing reference for ``apply`` and high-precision bound
+evaluators."""
 import dataclasses
 import math
 import sys
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -234,3 +236,36 @@ def dense_grover(circ: QueryCircuit, c: int) -> QueryCircuit:
         if isinstance(step, LocalUnitary) and step.tag in mats else step
         for step in circ.steps)
     return dataclasses.replace(circ, steps=steps, name=circ.name + "+dense")
+
+
+def moveaxis_apply(op, state: StateVector, targets: tuple[str, ...]) -> StateVector:
+    """``states.apply`` by transposition, for any target layout: move the
+    target axes to the front, apply ``op.apply_block`` to the (d, rest)
+    matricization, move them back and copy into a fresh array."""
+    lay = state.layout
+    axes = [lay.axis(t) for t in targets]
+    moved = np.moveaxis(state.reshaped(), axes, range(len(axes)))
+    tail_shape = moved.shape[len(axes):]
+    image = op.apply_block(moved.reshape(op.dim, -1))
+    image = image.reshape(tuple(op.dims) + tail_shape)
+    image = np.moveaxis(image, range(len(axes)), axes)
+    return StateVector(lay, np.ascontiguousarray(image).reshape(-1))
+
+
+def main_bound_highprec(q: int, n: int, r_max: int, prec: int = 50) -> Decimal:
+    """914 q^3 r_max (ln N + 2) / N in a local prec-digit Decimal context,
+    independent of ``spolab.bounds``."""
+    with localcontext(Context(prec=prec)):
+        ln_n = Decimal(n).ln()
+        return Decimal(914) * Decimal(q) ** 3 * Decimal(r_max) * (ln_n + 2) / Decimal(n)
+
+
+def sponge_bound_highprec(q: int, n_bits: int, c: int, prec: int = 50) -> Decimal:
+    with localcontext(Context(prec=prec)):
+        return (Decimal(914) * Decimal(q) ** 3 * Decimal(n_bits + 2)
+                / Decimal(2) ** min(c, n_bits - c))
+
+
+def zero_search_bound_highprec(q: int, n_bits: int, c: int, prec: int = 50) -> Decimal:
+    with localcontext(Context(prec=prec)):
+        return Decimal(1828) * Decimal(q) ** 3 * Decimal(n_bits + 1) / Decimal(2) ** c

@@ -73,6 +73,8 @@ from spolab.suites import (
     suite_relations,
 )
 
+from helpers import main_bound_highprec, sponge_bound_highprec, zero_search_bound_highprec
+
 SEED = 20240917
 
 
@@ -425,10 +427,9 @@ def test_criterion_14_attack_experiments():
 def test_criterion_15_bound_evaluators():
     ok = True
     fixtures = [
-        (bounds.main_bound(1, 2 ** 20, 1), bounds.main_bound_highprec(1, 2 ** 20, 1)),
-        (bounds.sponge_bound(1, 60, 30), bounds.sponge_bound_highprec(1, 60, 30)),
-        (bounds.zero_search_bound(1, 40, 40),
-         bounds.zero_search_bound_highprec(1, 40, 40)),
+        (bounds.main_bound(1, 2 ** 20, 1), main_bound_highprec(1, 2 ** 20, 1)),
+        (bounds.sponge_bound(1, 60, 30), sponge_bound_highprec(1, 60, 30)),
+        (bounds.zero_search_bound(1, 40, 40), zero_search_bound_highprec(1, 40, 40)),
     ]
     for got, want in fixtures:
         ok &= abs(got - float(want)) <= abs(float(want)) * 1e-12

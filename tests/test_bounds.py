@@ -10,12 +10,11 @@ from spolab.bounds import (
     harmonic,
     harmonic_fraction,
     main_bound,
-    main_bound_highprec,
     sponge_bound,
-    sponge_bound_highprec,
     zero_search_bound,
-    zero_search_bound_highprec,
 )
+
+from helpers import main_bound_highprec, sponge_bound_highprec, zero_search_bound_highprec
 
 
 def test_harmonic_values():

@@ -1,4 +1,5 @@
 """Adversary circuits: runs, attack library, standard form, text format."""
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from spolab.circuits import (
     parse_circuit,
     random_circuit,
     run,
+    run_with_intermediates,
     spo_ensemble,
     spo_success_probability,
     standard_form,
@@ -43,7 +45,7 @@ from spolab.relations import (
     sponge_preimage_relation,
     zero_search_relation,
 )
-from spolab.states import CQEnsemble, from_matrix, trace_distance
+from spolab.states import CQEnsemble, LayoutError, from_matrix, trace_distance
 
 from helpers import (count_runs, dense_grover, format_circuit, grover_matrices,
                      with_loading_query)
@@ -215,7 +217,9 @@ GROVER_SIZES = [(2, 1), (3, 1), (4, 2), (5, 2), (8, 4)]
 def test_structured_grover_steps_match_their_matrices(n_bits, c):
     """prep and diffuse apply through their structure; each keeps a dense
     matrix equal to the entry-by-entry reference, and both directions
-    agree with it on random complex blocks."""
+    agree with it on random complex blocks, the forward one also when it
+    writes into an ``out`` block.  prep refuses an ``out`` that is not
+    C-contiguous, whose float64 view would be a copy."""
     rng = np.random.default_rng(n_bits * 10 + c)
     dim = 2 ** n_bits
     reference = grover_matrices(n_bits, c)
@@ -230,6 +234,11 @@ def test_structured_grover_steps_match_their_matrices(n_bits, c):
             ref = mat @ block
             gap = np.linalg.norm(apply_fn(block) - ref)
             assert gap <= 1e-12 * max(1.0, np.linalg.norm(ref)), (tag, gap)
+        out = np.empty_like(block)
+        assert op.apply_block(block, out=out) is out
+        assert np.array_equal(out, op.apply_block(block))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        ops["prep"].apply_block(block, out=np.empty((dim, 6), dtype=complex)[:, ::2])
 
 
 def test_grover_reference_prep_is_a_hadamard_power():
@@ -285,6 +294,50 @@ def test_attacks_match_the_dense_grover_reference(monkeypatch, kind, args):
     assert dense["method"] == structured["method"] == "monte_carlo"
     for key in ("success_mean", "success_std"):
         assert structured[key] == pytest.approx(dense[key], rel=1e-12, abs=0)
+
+
+def _work(circ, backend):
+    dim = initial_state(circ, backend).amps.size
+    return np.empty(dim, dtype=np.complex128), np.empty(dim, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("database", [False, True])
+def test_run_through_work_buffers_matches_a_fresh_run(database):
+    """With work buffers every step writes into one of the pair and the
+    final state lives there, equal bit for bit to a run that allocates its
+    own pair; one buffer passed twice, or a buffer of the wrong size, is
+    refused."""
+    circ = with_loading_query(random_circuit(4, 3, 2, 4))
+    backend = spo_backend(4) if database else concrete_backend(sample_uniform(4, RNG))
+    want = run(circ, backend).amps
+    work = _work(circ, backend)
+    got = run(circ, backend, work=work)
+    assert any(got.amps is buf for buf in work)
+    assert np.array_equal(got.amps, want)
+    with pytest.raises(ValueError, match="share memory"):
+        run(circ, backend, work=(work[0], work[0]))
+    with pytest.raises(LayoutError, match="output buffer"):
+        run(circ, backend, work=(work[0], work[1][1:]))
+
+
+@pytest.mark.parametrize("database", [False, True])
+def test_run_with_intermediates_keeps_its_pre_query_states(database):
+    """The states recorded before each query own their arrays: a later run
+    through work buffers leaves them as they were, and each equals the
+    final state of a fresh run of the steps before its query."""
+    circ = with_loading_query(random_circuit(5, 3, 2, 4))
+    backend = spo_backend(4) if database else concrete_backend(sample_uniform(4, RNG))
+    final, pre = run_with_intermediates(circ, backend)
+    kept = [state.amps.copy() for _direction, state in pre]
+    work = _work(circ, backend)
+    assert np.array_equal(run(circ, backend, work=work).amps, final.amps)
+    assert len(pre) == 4
+    assert all(np.array_equal(state.amps, k) for (_d, state), k in zip(pre, kept))
+    queries = [j for j, step in enumerate(circ.steps) if isinstance(step, Query)]
+    for (direction, state), j in zip(pre, queries):
+        assert direction == circ.steps[j].direction
+        head = dataclasses.replace(circ, steps=circ.steps[:j])
+        assert np.array_equal(state.amps, run(head, backend).amps)
 
 
 def test_backend_size_mismatch():

@@ -30,7 +30,13 @@ from spolab.permutations import (
     parse_one_line,
     sample_uniform,
 )
-from spolab.states import LayoutError, RegisterLayout, StateVector, apply
+from spolab.states import (
+    LayoutError,
+    RegisterLayout,
+    StateVector,
+    apply,
+    from_permutation,
+)
 
 from helpers import basis_state, index_of_perm, perm_of_index
 
@@ -81,6 +87,32 @@ def test_u_oracle_over_a_table_acts_row_by_row():
             want[16 * k:16 * (k + 1), 16 * k:16 * (k + 1)] = block
         assert np.array_equal(whole, want)
     assert u_oracle(table).mapping is not None  # a basis map, never matrix-free
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_u_oracle_matches_a_per_entry_reference_and_is_an_involution(n, k, inverse):
+    """U^pi's map sends |k, x, y> to |k, x, y xor pi_k^{+-1}(x)>, written
+    entry by entry through from_permutation, and applied twice it is the
+    identity."""
+    table = np.array([sample_uniform(n, RNG).images for _ in range(k)])
+    mapping = np.empty(k * n * n, dtype=np.int64)
+    for row in range(k):
+        image = list(table[row])
+        for x in range(n):
+            v = image.index(x) if inverse else image[x]
+            for y in range(n):
+                mapping[(row * n + x) * n + y] = (row * n + x) * n + (y ^ v)
+    want = from_permutation((k, n, n), mapping)
+    op = u_oracle(table, inverse=inverse)
+    assert op.dims == want.dims and np.array_equal(op.mapping, mapping)
+    lay = RegisterLayout((("P", k), ("X", n), ("Y", n)))
+    d = k * n * n
+    s = StateVector(lay, RNG.standard_normal(d) + 1j * RNG.standard_normal(d))
+    once = apply(op, s, ("P", "X", "Y"))
+    assert np.array_equal(once.amps, apply(want, s, ("P", "X", "Y")).amps)
+    assert np.array_equal(apply(op, once, ("P", "X", "Y")).amps, s.amps)
 
 
 def test_u_oracle_self_inverse():

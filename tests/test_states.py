@@ -21,7 +21,7 @@ from spolab.states import (
     trace_distance,
 )
 
-from helpers import basis_state, dense_trace_distance
+from helpers import basis_state, dense_trace_distance, moveaxis_apply
 
 RNG = np.random.default_rng(42)
 
@@ -87,6 +87,67 @@ def test_apply_on_reordered_targets():
             swap[b * 2 + a, a * 3 + b] = 1.0
     want = swap.T @ (mat @ (swap @ s.amps))
     assert np.allclose(got, want, atol=1e-12)
+
+
+# (registers, targets): size-1 registers between and around the targets,
+# reversed and scattered targets, and blocks with pre, post > 1.
+APPLY_CASES = [
+    ((("P", 1), ("A", 1), ("X", 4), ("Y", 4)), ("P", "X", "Y")),
+    ((("P", 1), ("A", 1), ("X", 4), ("Y", 4)), ("X",)),
+    ((("P", 1), ("A", 1), ("X", 4), ("Y", 4)), ("Y",)),
+    ((("A", 3), ("Z", 1), ("X", 4), ("Y", 2)), ("A", "X")),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("B", "D")),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("C", "B", "D")),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("D", "B")),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("A", "D")),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("E", "A")),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("C",)),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("A", "B", "C", "D", "E")),
+]
+
+
+@pytest.mark.parametrize("registers,targets", APPLY_CASES)
+@pytest.mark.parametrize("kind", ["perm", "diag", "dense"])
+def test_apply_matches_the_transposing_reference(registers, targets, kind):
+    """apply equals the moveaxis reference of ``helpers`` with and without
+    ``out``: exactly for basis maps and diagonals, to 1e-12 for dense
+    operators.  With ``out`` the result is written there and the input
+    state is left as it was."""
+    rng = np.random.default_rng(len(targets) * 7 + len(registers))
+    lay = RegisterLayout(registers)
+    dims = tuple(lay.dim(t) for t in targets)
+    d = int(np.prod(dims))
+    op = {"perm": lambda: from_permutation(dims, rng.permutation(d)),
+          "diag": lambda: from_diagonal(dims, np.exp(1j * rng.uniform(0, 7, d))),
+          "dense": lambda: from_matrix(rng.standard_normal((d, d))
+                                       + 1j * rng.standard_normal((d, d)), dims),
+          }[kind]()
+    s = random_state(lay)
+    before = s.amps.copy()
+    want = moveaxis_apply(op, s, targets).amps
+    buffer = np.full(lay.total_dim, np.nan + 0j)
+    for got in (apply(op, s, targets), apply(op, s, targets, out=buffer)):
+        if kind == "dense":
+            assert np.abs(got.amps - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert np.array_equal(got.amps, want)
+    assert got.amps is buffer
+    assert np.array_equal(s.amps, before)
+
+
+def test_apply_refuses_an_out_that_may_share_the_state():
+    lay = RegisterLayout((("A", 3), ("B", 4)))
+    s = random_state(lay)
+    op = from_permutation((4,), np.array([2, 0, 3, 1]))
+    with pytest.raises(ValueError, match="share memory"):
+        apply(op, s, ("B",), out=s.amps)
+    wide = np.zeros(2 * lay.total_dim, dtype=np.complex128)
+    with pytest.raises(ValueError, match="share memory"):
+        apply(op, StateVector(lay, wide[:12]), ("B",), out=wide[6:18])
+    for bad in (np.zeros(12), np.zeros(13, dtype=np.complex128),
+                np.zeros(24, dtype=np.complex128)[::2]):
+        with pytest.raises(LayoutError, match="output buffer"):
+            apply(op, s, ("B",), out=bad)
 
 
 def test_apply_dim_mismatch():

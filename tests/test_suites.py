@@ -2,6 +2,8 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -417,6 +419,24 @@ def test_sampled_attack_runs_one_drawn_permutation_per_trial(monkeypatch):
     assert res["success_mean"] == float(vals.mean())
     assert res["success_std"] == float(vals.std(ddof=1))
     assert res["success_stderr"] == float(vals.std(ddof=1) / np.sqrt(12))
+
+
+def test_sampled_attack_reuses_its_state_buffers():
+    """The 200-trial sponge attack runs every trial through one pair of
+    state buffers, so the allocator does not hand fresh pages to each step:
+    in a fresh interpreter the attack makes fewer than 10,000 minor page
+    faults (about 98,700 when every step allocated a 1 MB state)."""
+    pytest.importorskip("resource")
+    code = ("import resource\n"
+            "from spolab.suites import run_attack\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_attack('sponge', 8, 4, 4, trials=200, seed=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert int(proc.stdout) < 10_000
 
 
 def test_exact_attack_refuses_n_above_the_enumeration_cap(monkeypatch):
