@@ -619,11 +619,12 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
         res = experiment_probabilities(probe, full_relation(n), plan)
         out.append(check_close("probe-full-p_i", res.p_i, 1.0, tol=1e-10))
         out.append(check_close("probe-full-p_ii", res.p_ii, 181.0 / 576.0,
-                               tol=1e-10))
+                               tol=1e-10, subsets=res.subsets))
         empty = run(empty_circuit(n), spo_backend(n))
         res0 = experiment_probabilities(empty, from_pairs(n, [(0, 0)]), plan)
         out.append(check_close("empty-pair-p_i", res0.p_i, 1.0 / n, tol=1e-10))
-        out.append(check_close("empty-pair-p_ii", res0.p_ii, 0.0, tol=1e-12))
+        out.append(check_close("empty-pair-p_ii", res0.p_ii, 0.0, tol=1e-12,
+                               subsets=res0.subsets))
     return out
 
 

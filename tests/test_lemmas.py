@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spolab.lemmas import (
     _section_mask,
     check_uniform_weights,
     commutator_growth_check,
+    commutator_norm,
     commutator_operator,
     cycle_average,
     easy_norm_check,
@@ -66,7 +68,6 @@ from spolab.relations import (
 from spolab.states import StateVector
 
 from helpers import (
-    TWIRL_AVERAGES,
     count_calls,
     count_pair_steps,
     count_runs,
@@ -252,6 +253,19 @@ def test_zeta_weight_precondition():
 
 # --------------------------------------------------------------------------
 # experiments and the fundamental lemma
+
+
+def half_group_plan(n):
+    """An exhaustive plan that is not the full group: the first half of the
+    sigma labels (at least one) against every tau.  Its averages are the
+    exact means over its own pairs, so they run through the twirl engine."""
+    from spolab.lemmas import TwirlPlan
+    from spolab.permutations import all_images
+
+    images = all_images(n)
+    plan = TwirlPlan(n, images[:max(1, len(images) // 2)], images, True)
+    assert plan.exhaustive and not plan.full_group
+    return plan
 
 
 def test_experiment_probe_full_relation():
@@ -471,11 +485,14 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
         _p_ii_term(slices, plan)
 
 
+ENGINE_AVERAGES = ("p_ii", "p2", "sparsity")
+
+
 def _chunked_averages(monkeypatch, final, rel, plan, width):
-    """The four twirl averages with TWIRL_CHUNK_AMPS set so that every step
-    is ``width`` pairs wide (the last of a row may be narrower).  A p_ii
-    column touches (n-1)! a-table entries, any other column a gathered
-    (rest, n!) block of the whole database block."""
+    """The three averages of the twirl engine with TWIRL_CHUNK_AMPS set so
+    that every step is ``width`` pairs wide (the last of a row may be
+    narrower).  A p_ii column touches (n-1)! a-table entries, any other
+    column a gathered (rest, n!) block of the whole database block."""
     import spolab.lemmas as lemmas_mod
     from spolab.lemmas import sparsity_expectation
 
@@ -489,7 +506,6 @@ def _chunked_averages(monkeypatch, final, rel, plan, width):
     res = chunked(nf // plan.n, experiment_probabilities, final, rel, plan)
     return {"p_ii": (res.p_ii, res.stderr_ii),
             "p2": chunked(block, p2_upper_bound, final, rel, plan),
-            "progress": chunked(block, progress_measure, final, rel, plan),
             "sparsity": chunked(block, sparsity_expectation, final, plan)}
 
 
@@ -499,38 +515,137 @@ def _assert_averages_match(got, want, context):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-15), (context, key)
 
 
-@pytest.fixture(scope="module")
-def per_pair_references():
-    """Per-pair references for every suite circuit and relation at N = 2, 4,
-    on the exhaustive plan and on a sampled 5 x 5 plan at N = 4."""
+def _per_pair_cases(plans, averages):
     from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
 
-    plans = [make_twirl_plan(2), make_twirl_plan(4),
-             make_twirl_plan(4, seed=9, min_pairs=25, exhaustive=False)]
     cases = []
     for plan in plans:
         for circ in suite_circuits(plan.n, DEFAULT_SEED):
             final = final_state(circ)
             for rname, rel in suite_relations(plan.n):
                 cases.append((plan, final, rel, (plan.n, circ.name, rname),
-                              per_pair_twirl_averages(final, rel, plan)))
+                              per_pair_twirl_averages(final, rel, plan, averages)))
     return cases
+
+
+@pytest.fixture(scope="module")
+def per_pair_references():
+    """Per-pair references of the engine averages for every suite circuit
+    and relation, on plans that are not the full group: the half-group
+    exhaustive plans at N = 2, 4 and a sampled 5 x 5 plan at N = 4."""
+    plans = [half_group_plan(2), half_group_plan(4),
+             make_twirl_plan(4, seed=9, min_pairs=25, exhaustive=False)]
+    return _per_pair_cases(plans, ENGINE_AVERAGES)
 
 
 @pytest.mark.parametrize("width", [1, 5, 24])
 def test_chunked_twirl_averages_match_the_per_pair_reference(
         monkeypatch, per_pair_references, width):
-    """Every twirl average, evaluated in chunks of 1, 5 (a ragged last
-    chunk) or 24 pairs, equals the per-pair reference to 1e-12 relative,
-    stderr included."""
+    """Every average of the twirl engine, evaluated in chunks of 1, 5 (a
+    ragged last chunk) or 24 pairs, equals the per-pair reference to 1e-12
+    relative, stderr included."""
     steps = count_pair_steps(monkeypatch)
     for plan, final, rel, context, want in per_pair_references:
         steps.clear()
         got = _chunked_averages(monkeypatch, final, rel, plan, width)
         _assert_averages_match(got, want, (context, width))
         rows, cols = plan.grid_shape
-        assert len(steps) == len(TWIRL_AVERAGES) * rows * -(-cols // width)
+        assert len(steps) == len(ENGINE_AVERAGES) * rows * -(-cols // width)
         assert max(steps) == min(width, cols)
+
+
+def test_subset_kernel_matches_the_per_pair_reference():
+    """On the full group at N = 2 and 4, for every suite circuit and
+    relation, p_ii and the progress measure read from the subset kernel
+    equal the per-pair average over all (N!)^2 pairs to 1e-12 relative, and
+    N times the measure equals the direct p2 average of the engine."""
+    plans = [make_twirl_plan(2), make_twirl_plan(4)]
+    for plan, final, rel, context, want in _per_pair_cases(
+            plans, ("p_ii", "progress")):
+        assert plan.full_group
+        res = experiment_probabilities(final, rel, plan)
+        assert res.subsets == 2 ** (plan.n - 1) - 1 and res.stderr_ii == 0.0
+        got = {"p_ii": (res.p_ii, 0.0), "progress": (progress_measure(final, rel), 0.0)}
+        _assert_averages_match(got, want, context)
+        p2, _ = p2_upper_bound(final, rel, plan)
+        assert plan.n * got["progress"][0] == pytest.approx(p2, rel=1e-12, abs=1e-15)
+
+
+def test_sampled_n8_p_ii_covers_the_exact_kernel():
+    """The 3-stderr bar of the sampled p_ii is honest at N = 8: for the
+    probe against the one-slice suite relation (0, N-1), the estimate from
+    make_twirl_plan(8, seed=s, min_pairs=2000) lies within 3 stderr of the
+    exact subset kernel for at least 9 of the seeds 0..9, fixed in advance."""
+    from spolab.lemmas import _p_ii_kernel, _xy_slices
+
+    n = 8
+    final = final_state(classical_probe(n, 0, "forward"))
+    rel = from_pairs(n, [(0, n - 1)])
+    exact = _p_ii_kernel(_xy_slices(final, rel), n)
+    assert exact > 0.0
+    covered = 0
+    for seed in range(10):
+        res = experiment_probabilities(final, rel,
+                                       make_twirl_plan(n, seed=seed, min_pairs=2000))
+        assert res.subsets is None and res.stderr_ii > 0.0
+        covered += abs(res.p_ii - exact) <= 3.0 * res.stderr_ii
+    assert covered >= 9
+
+
+def test_subset_kernel_gives_the_n8_probe_fixture():
+    """The classical probe against the full relation has
+    p_ii = (1/N) sum_{s=1}^{N} (1 - 1/s)^2, which is 2887109/5644800 at
+    N = 8; the kernel gives it to 1e-12 relative."""
+    from spolab.lemmas import _p_ii_kernel, _xy_slices
+
+    n = 8
+    want = sum(Fraction(s - 1, s) ** 2 for s in range(1, n + 1)) / n
+    assert want == Fraction(2887109, 5644800)
+    final = final_state(classical_probe(n, 0, "forward"))
+    got = _p_ii_kernel(_xy_slices(final, full_relation(n)), n)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_subset_kernel_is_charged_before_it_gathers(monkeypatch):
+    """Over a (patched) AMPLITUDE_BUDGET the subset kernel refuses its
+    gathered (rest, N, N, |H|) block before it reads a swap map; one entry
+    more and it runs."""
+    import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
+
+    n, rest = 4, 2
+    block = np.ones((rest, math.factorial(n)), dtype=np.complex128)
+    labels = np.arange(6)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", rest * n * n * 6 - 1)
+    with monkeypatch.context() as patched:
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("reached before the budget check")
+
+        patched.setattr(lemmas_mod, "_hit_fibers", unreachable)
+        with pytest.raises(BudgetError, match="gathered 2 x 4 x 4 x 6 block"):
+            lemmas_mod._subset_kernel(block, n, 1, labels)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", rest * n * n * 6)
+    assert lemmas_mod._subset_kernel(block, n, 1, labels) == pytest.approx(0.0, abs=1e-30)
+
+
+def test_exact_checks_refuse_a_plan_that_is_not_the_full_group(monkeypatch):
+    """progress_checks sets the subset kernel, and the sparsity identity
+    sets Gamma, against the plan's direct averages; both are full-group
+    values, so an exhaustive plan of part of S_N is refused before any
+    circuit runs."""
+    import spolab.lemmas as lemmas_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a circuit ran before the plan was checked")
+
+    monkeypatch.setattr(lemmas_mod, "run", no_run)
+    monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
+    plan = half_group_plan(4)
+    circ = random_circuit(55, 1, 2, 4)
+    for call in (lambda: progress_checks(circ, [("diag", diagonal_relation(4))], plan),
+                 lambda: sparsity_trajectory_check(circ, plan)):
+        with pytest.raises(ValueError, match="all of S_4 on both sides"):
+            call()
 
 
 def test_sampled_n8_p_ii_matches_the_per_pair_reference(monkeypatch):
@@ -596,9 +711,10 @@ def test_twirl_steps_hold_the_columns_their_width_allows(monkeypatch):
     """A step holds TWIRL_CHUNK_AMPS // width columns, where width is what
     one column touches.  A p_ii column reads (n-1)! a-table entries per
     slice, so at N = 8 a step holds 2^16 // 7! = 13 columns and a
-    45-column sigma-row takes 4 steps.  A p2, progress or sparsity column
-    gathers a (rest, n!) block: 128 rows at N = 4 give 2^16 // (128 * 24)
-    = 21 columns, a whole row at N = 2 and for p_ii at N = 4."""
+    45-column sigma-row takes 4 steps.  A p2 or sparsity column gathers a
+    (rest, n!) block: 128 rows at N = 4 give 2^16 // (128 * 24) = 21
+    columns, a whole row at N = 2 and for p_ii at N = 4.  The plans at
+    N = 2, 4 are half-group plans, so p_ii runs through the engine."""
     from spolab.lemmas import TwirlPlan, sparsity_expectation
 
     steps = count_pair_steps(monkeypatch)
@@ -609,12 +725,11 @@ def test_twirl_steps_hold_the_columns_their_width_allows(monkeypatch):
     final = final_state(random_circuit(5, 1, 1, n))
     experiment_probabilities(final, from_pairs(n, [(0, n - 1), (3, 5)]), plan)
     assert steps == [13, 13, 13, 6] * 2
-    for n, work, want in ((2, 2, [2] * 2), (4, 8, [21, 3] * 24)):
-        plan = make_twirl_plan(n)
+    for n, work, want in ((2, 2, [2]), (4, 8, [21, 3] * 12)):
+        plan = half_group_plan(n)
         final = final_state(random_circuit(43, 2, work, n))
         rel = diagonal_relation(n)
         for average in (lambda: p2_upper_bound(final, rel, plan),
-                        lambda: progress_measure(final, rel, plan),
                         lambda: sparsity_expectation(final, plan)):
             steps.clear()
             average()
@@ -626,14 +741,17 @@ def test_twirl_steps_hold_the_columns_their_width_allows(monkeypatch):
 
 def test_sampled_fundamental_rows_name_their_grid():
     """A sampled fundamental row carries its crossed grid as [rows, cols]
-    next to its pair count; an exact row carries neither."""
+    next to its pair count; an exact row carries neither, and a row read
+    from the subset kernel names its subsets per register."""
     n = 4
     final = final_state(random_circuit(43, 2, 2, n))
     plan = make_twirl_plan(n, seed=3, min_pairs=6, exhaustive=False)
     row = fundamental_check(final, diagonal_relation(n), plan).as_row()
     assert row["grid"] == [3, 3] and row["samples"] == 9
+    assert "subsets" not in row
     exact = fundamental_check(final, diagonal_relation(n), make_twirl_plan(n)).as_row()
     assert "grid" not in exact and "samples" not in exact
+    assert exact["subsets"] == 7
 
 
 def test_hit_fibers_hold_one_hit_per_fiber():
@@ -672,7 +790,8 @@ def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
 def test_experiment_builds_each_sigma_row_once(monkeypatch):
     """experiment_probabilities builds the p_ii tables of every sigma-row
     exactly once per call: row 0 serves both the projector guard and the
-    average, on an exhaustive and on a sampled plan."""
+    average, on an exhaustive half-group plan and on a sampled plan.  On
+    the full group it builds none: p_ii is the subset kernel's."""
     import spolab.lemmas as lemmas_mod
 
     original = lemmas_mod._p_ii_term
@@ -690,29 +809,33 @@ def test_experiment_builds_each_sigma_row_once(monkeypatch):
     monkeypatch.setattr(lemmas_mod, "_p_ii_term", counting_term)
     n = 4
     final = final_state(random_circuit(43, 2, 2, n))
-    for plan in (make_twirl_plan(n),
+    for plan in (half_group_plan(n),
                  make_twirl_plan(n, seed=3, min_pairs=9, exhaustive=False)):
         built.clear()
         experiment_probabilities(final, full_relation(n), plan)
         assert len(built) == plan.grid_shape[0]
         assert sorted(built) == list(range(plan.grid_shape[0]))
+    built.clear()
+    experiment_probabilities(final, full_relation(n), make_twirl_plan(n))
+    assert built == []
 
 
 def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
-    """The guard evaluates the plan's first pair, where neither sigma nor
-    tau is the identity (the last label is), and raises when the a values
-    or the hit sets are corrupted."""
+    """The guard of the twirl engine evaluates the plan's first pair, where
+    neither sigma nor tau is the identity (the last label is), and raises
+    when the a values or the hit sets are corrupted.  The plan is a
+    half-group plan, so the engine runs."""
     import spolab.lemmas as lemmas_mod
 
     n = 4
     final = final_state(random_circuit(43, 2, 2, n))
-    plan = make_twirl_plan(n)
+    plan = half_group_plan(n)
     guarded = count_calls(monkeypatch, lemmas_mod, "_p_ii_projector")
     experiment_probabilities(final, full_relation(n), plan)
     assert [[row.tolist() for row in args[2:4]] for args in guarded] == [
         [plan.sigmas[0].tolist(), plan.taus[0].tolist()]]
     ident = list(identity(n).images)
-    assert plan.sigmas[-1].tolist() == plan.taus[-1].tolist() == ident
+    assert plan.taus[-1].tolist() == ident
     assert ident not in (plan.sigmas[0].tolist(), plan.taus[0].tolist())
     hits, fiber_a, swaps = lemmas_mod._hit_fibers(n)
     # Each hit read with the a of another label, or each slice against the
@@ -789,13 +912,15 @@ def test_p2_dominates_and_identity():
             rep = rows[f"progress-identity[{circ.name},r]"]
             assert rep.passed, rep
             assert rep.rhs == p2
-            assert abs(n * progress_measure(final, rel, plan)[0] - p2) < 1e-10
+            assert rep.extra["subsets"] == 7 and rep.extra["pairs"] == 576
+            assert abs(n * progress_measure(final, rel) - p2) < 1e-10
 
 
 def test_twirl_averages_on_non_square_sampled_grid():
-    """2 sigmas x 3 taus: every twirl average is the mean of its six
-    single-pair plans, with the crossed-grid stderr of that 2 x 3 grid; p_i
-    is exact and the same for every plan."""
+    """2 sigmas x 3 taus: every average of the twirl engine is the mean of
+    its six single-pair plans, with the crossed-grid stderr of that 2 x 3
+    grid; p_i is exact and the same for every plan.  A single-pair plan is
+    exhaustive but not the full group, so its p_ii is the engine's too."""
     from spolab.lemmas import (
         TwirlPlan,
         crucial_term_values,
@@ -823,8 +948,7 @@ def test_twirl_averages_on_non_square_sampled_grid():
 
     def averages(p):
         res = experiment_probabilities(final, rel, p)
-        values = [(res.p_ii, res.stderr_ii),
-                  p2_upper_bound(final, rel, p), progress_measure(final, rel, p),
+        values = [(res.p_ii, res.stderr_ii), p2_upper_bound(final, rel, p),
                   sparsity_expectation(state, p)]
         crucial = [v for per_state in crucial_term_values(pre, rel, p)
                    for v in per_state]
@@ -1050,7 +1174,7 @@ def test_progress_expectation_and_crucial():
         names = [f"hard-database[{tag}]"] + [f"crucial[{tag}]:{k}" for k in (1, 2, 3)]
         for name in names:
             assert rows[name].passed, rows[name]
-    assert progress_measure(final_state(empty_circuit(n)), diagonal_relation(n), plan)[0] \
+    assert progress_measure(final_state(empty_circuit(n)), diagonal_relation(n)) \
         == pytest.approx(0.0, abs=1e-12)
 
 
@@ -1189,6 +1313,59 @@ def test_commutator_operator_matches_a_dense_reference(n):
             assert np.abs(op.dense() - want).max() < 1e-12
             adjoint = op.adjoint_block(np.eye(n * nf, dtype=np.complex128))
             assert np.abs(adjoint - want.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_commutator_norm_equals_the_dense_norm_of_every_query(n):
+    """The referee of the one certified norm: the dense spectral norm of
+    [Gamma, O^{SPO,z}] for every z and both directions, which never uses
+    the symmetries, equals commutator_norm to 1e-12."""
+    for direction in ("forward", "inverse"):
+        want = commutator_norm(n, direction)
+        for z in range(n):
+            dense = np.linalg.norm(commutator_operator(n, z, direction).dense(), 2)
+            assert abs(dense - want) <= 1e-12, (direction, z)
+
+
+def test_commutator_norm_refuses_a_broken_symmetry(monkeypatch):
+    """A Gamma that is not central, or a query map that the inversion does
+    not carry to its partner, makes the uncached commutator_norm raise
+    before any norm is taken."""
+    import spolab.lemmas as lemmas_mod
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm was taken before the symmetries held")
+
+    monkeypatch.setattr(lemmas_mod, "operator_norm", no_norm)
+    n = 4
+    bent = gamma_operator(n).copy()
+    bent[0, 1] = bent[1, 0] = bent[0, 1] + 1e-3
+    with monkeypatch.context() as patched:
+        patched.setattr(lemmas_mod, "gamma_operator", lambda _n: bent)
+        for direction in ("forward", "inverse"):
+            with pytest.raises(RuntimeError, match="fixes Gamma"):
+                commutator_norm.__wrapped__(n, direction)
+    forward_only = lemmas_mod.query_slice_map
+    monkeypatch.setattr(lemmas_mod, "query_slice_map",
+                        lambda n, z, _direction: forward_only(n, z, "forward"))
+    with pytest.raises(RuntimeError, match="does not carry the query map onto that of z=0"):
+        commutator_norm.__wrapped__(n, "forward")
+
+
+def test_commutator_rows_take_one_norm_per_n(monkeypatch):
+    """Both directions of every N read one cached norm, of (z = 0,
+    forward), and the commutator and sparsity step rows say so."""
+    import spolab.lemmas as lemmas_mod
+
+    commutator_norm.cache_clear()
+    norms = count_calls(monkeypatch, lemmas_mod, "operator_norm")
+    rows = commutator_growth_check(3) + commutator_growth_check(4)
+    rows += sparsity_trajectory_check(random_circuit(61, 2, 2, 4))
+    assert len(norms) == 2
+    steps = [r for r in rows if ":step" in r.name]
+    assert len(steps) == 2 and len(rows) == 4 + 5
+    assert all(r.extra["normed"] == "z=0,forward" for r in rows
+               if r.name.startswith("commutator") or ":step" in r.name)
 
 
 def test_commutator_n6_rows_keep_the_recorded_norm():

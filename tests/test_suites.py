@@ -90,8 +90,8 @@ def test_grid_mean_stderr_crossed_coverage():
 @pytest.mark.parametrize("side", [MIN_SAMPLED_SIDE, 45])
 def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch, side):
     """3-SE coverage on the per-pair grids the lab averages: the exhaustive
-    N = 4 grids of p_ii, the p2 expression and the progress measure of a
-    querying suite circuit against the pair and sponge relations.  Each draw
+    N = 4 grids of p_ii and the p2 expression of a querying suite circuit
+    against the pair and sponge relations.  Each draw
     is a side x side grid, rows and columns drawn uniformly with replacement
     as make_twirl_plan draws them: the smallest grid the sampled fundamental
     suite accepts, and the 45 x 45 grid that ``--samples 2000`` samples."""
@@ -111,8 +111,7 @@ def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch, side):
     for rname in ("pair", "sponge"):
         lemmas.experiment_probabilities(final, rels[rname], crossed)
         lemmas.p2_upper_bound(final, rels[rname], crossed)
-        lemmas.progress_measure(final, rels[rname], crossed)
-    assert len(grids) == 6 and all(g.shape == (24, 24) for g in grids)
+    assert len(grids) == 4 and all(g.shape == (24, 24) for g in grids)
 
     rng = np.random.default_rng(45)
     draws = 1000
