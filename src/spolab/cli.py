@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import bounds
 from .circuits import output_distribution, parse_circuit, run
+from .lemmas import EXHAUSTIVE_TWIRL_LIMIT
 from .oracles import BudgetError, concrete_backend, spo_backend
 from .permutations import (
     SizeLimitError,
@@ -35,7 +36,7 @@ from .permutations import (
     parse_one_line,
 )
 from .reporting import suite_document, to_csv, to_json
-from .suites import DEFAULT_SEED, SUITES, run_attack, run_suite
+from .suites import DEFAULT_SAMPLES, DEFAULT_SEED, SUITES, run_attack, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=None,
                           help="also run every size up to this value")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--samples", type=int, default=2000,
-                          help="minimum (sigma, tau) pairs on Monte Carlo paths")
+    p_verify.add_argument("--samples", type=int, default=None,
+                          help="minimum (sigma, tau) pairs of a sampled grid "
+                               f"(--suite fundamental, n > {EXHAUSTIVE_TWIRL_LIMIT})")
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -65,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--trials", type=int, default=None,
                           help="sampled permutations; omit for the exact ensemble")
     p_attack.add_argument("--seed", type=int, default=None)
-    p_attack.add_argument("--target", type=int, default=0)
+    p_attack.add_argument("--target", type=int, default=None)  # sponge only; 0 if unset
     p_attack.add_argument("--out", type=Path, default=None)
 
     p_bound = sub.add_parser("bound", help="evaluate a bound")
@@ -94,14 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sampled(args: argparse.Namespace) -> bool:
+    """Whether a verify run samples a twirl grid: fundamental above EXHAUSTIVE_TWIRL_LIMIT."""
+    top = args.n if args.n_max is None else args.n_max
+    return args.suite == "fundamental" and top > EXHAUSTIVE_TWIRL_LIMIT
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     sizes = [args.n] if args.n_max is None else list(range(args.n, args.n_max + 1))
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     all_reports = []
     for n in sizes:
-        all_reports.extend(run_suite(args.suite, n, seed=args.seed,
-                                     samples=args.samples))
+        all_reports.extend(run_suite(args.suite, n, seed=args.seed, samples=samples))
     doc = suite_document(args.suite, args.n, args.seed, all_reports,
-                         config={"n_max": args.n_max, "samples": args.samples,
+                         config={"n_max": args.n_max,
+                                 "samples": samples if _sampled(args) else None,
                                  "format": args.format})
     text = to_json(doc) if args.format == "json" else to_csv(doc)
     if args.out is not None:
@@ -118,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     result = run_attack(args.kind, args.n_bits, args.c, args.iterations,
                         backend=args.backend, trials=args.trials,
-                        seed=args.seed, target=args.target)
+                        seed=args.seed, target=args.target or 0)
     text = json.dumps(result, indent=2) + "\n"
     if args.out is not None:
         args.out.write_text(text)
@@ -191,8 +200,17 @@ def cmd_run_circuit(args: argparse.Namespace) -> int:
 
 def _usage_problem(args: argparse.Namespace) -> str | None:
     """A missing or inconsistent option that parse_args cannot see alone."""
-    if args.command == "verify" and args.n_max is not None and args.n_max < args.n:
-        return f"--n-max {args.n_max} is below --n {args.n}"
+    if args.command == "verify":
+        if args.n < 1:  # an --n-max below 1 is then below --n too
+            return f"--n {args.n} is below 1"
+        if args.n_max is not None and args.n_max < args.n:
+            return f"--n-max {args.n_max} is below --n {args.n}"
+        if args.samples is not None and not _sampled(args):
+            return (f"--samples sizes a sampled twirl grid, and only --suite "
+                    f"fundamental above n={EXHAUSTIVE_TWIRL_LIMIT} samples one")
+    if args.command == "attack" and args.kind == "zero-search" \
+            and args.target is not None:
+        return "a zero-search attack has no --target"
     if args.command == "bound":
         needed = ("n", "r_max") if args.kind == "main" else ("n_bits", "c")
         if any(getattr(args, dest) is None for dest in needed):

@@ -5,12 +5,12 @@ The central objects are the database operators
     Pi^{R,x} = sum_{pi : pi(x) in R_x} |pi><pi|          (relation projector)
     E^{R,x}  = Pi^{R,x} (I - |+_x><+_x| on D_x)          (progress operator)
 
-and the twirl average over (sigma, tau) pairs.  Averages are exhaustive for
-N <= 4 (all (N!)^2 pairs) and stratified seeded sampling above: a row sample
-of sigmas crossed with a column sample of taus, whose standard error adds
-the row and column variance components (see grid_mean_stderr).  Over the
-full group, p_(ii') and the progress measure need no pairs at all: they
-read the subset kernel (_subset_kernel), in which tau drops out and sigma
+and the twirl average over (sigma, tau) pairs.  An average over a plan
+whose sigma and tau tables each hold all of S_N (TwirlPlan.full_group) is
+exact; any other plan is a crossed sample, whose standard error adds the
+row and column variance components (see grid_mean_stderr).  Over the full
+group, p_(ii') and the progress measure need no pairs at all: they read
+the subset kernel (_subset_kernel), in which tau drops out and sigma
 enters only through a set.
 
 All element labels are 0-based; the 1-based 1/x weights become 1/(x+1).
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -80,21 +80,17 @@ class TwirlPlan:
     """A (sigma, tau) product grid over read-only (S, n) and (T, n) int
     image tables.  The constructor derives the inverse images and label
     maps, charging the maps against AMPLITUDE_BUDGET first; replace() passes
-    them through, so change only chunk, exhaustive or seed that way.
+    them through, so change only chunk that way.
 
-    ``exhaustive`` means that an average over the plan is the exact mean
-    over *its* pairs (stderr 0); otherwise the grid is a crossed sample.
-    ``full_group`` is a separate property: both tables hold all of S_n.
-    Only an exhaustive plan over the full group has experiment_probabilities
-    read p_(ii') from the subset kernel; every other plan, such as a
-    hand-built exhaustive plan of one pair, runs the twirl engine over its
-    own pairs."""
+    An average over the plan is exact, with stderr 0, exactly when both
+    tables hold all of S_n (full_group), in any row order; then
+    experiment_probabilities reads p_(ii') from the subset kernel.  Every
+    other grid, a hand-built one of a few pairs included, is a crossed
+    sample that the twirl engine averages over its own pairs."""
 
     n: int
     sigmas: np.ndarray
     taus: np.ndarray
-    exhaustive: bool
-    seed: int | None = None
     chunk: int = 1  # columns of a sigma-row per step of pairs()
     # Derived, read-only: the inverse images, and the inverse label maps of
     # R^sigma and L^tau, i.e. the maps of R^{sigma^{-1}}, L^{tau^{-1}} (int32).
@@ -135,10 +131,10 @@ class TwirlPlan:
     def grid_shape(self) -> tuple[int, int]:
         return len(self.sigmas), len(self.taus)
 
-    @property
+    @cached_property
     def full_group(self) -> bool:
         """Whether the sigma and the tau table each hold every permutation of
-        S_n exactly once."""
+        S_n exactly once; worked out once per plan."""
         nf = database_dim(self.n)
         return all(len(t) == nf and len(np.unique(t, axis=0)) == nf
                    for t in (self.sigmas, self.taus))
@@ -156,42 +152,32 @@ def _charge_maps(n: int, rows: int, cols: int) -> None:
            f"{rows} + {cols} label maps of {database_dim(n)} labels")
 
 
-def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000,
-                    exhaustive: bool | None = None) -> TwirlPlan:
-    if exhaustive is None:
-        exhaustive = n <= EXHAUSTIVE_TWIRL_LIMIT
-    if not exhaustive:
-        if seed is None:
-            raise ValueError("sampled twirl plans require a seed")
-        if min_pairs < 2:
-            # A grid with one row or column has no stderr estimate.
-            raise ValueError("sampled twirl plans need min_pairs >= 2 (a 2 x 2 "
-                             f"grid at least), got min_pairs={min_pairs}")
-    side = database_dim(n) if exhaustive else math.ceil(math.sqrt(min_pairs))
+def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000) -> TwirlPlan:
+    """Without a seed, the full group: one shared plan per n, refused above
+    EXHAUSTIVE_TWIRL_LIMIT.  With a seed, a crossed sample at any n: the
+    first ceil(sqrt(min_pairs)) seeded draws as sigmas against as many more
+    as taus."""
+    if seed is None:
+        return _full_group_plan(n)
+    if min_pairs < 2:
+        # A grid with one row or column has no stderr estimate.
+        raise ValueError("sampled twirl plans need min_pairs >= 2 (a 2 x 2 "
+                         f"grid at least), got min_pairs={min_pairs}")
+    side = math.ceil(math.sqrt(min_pairs))
     _charge_maps(n, side, side)  # before a table is drawn
-    if exhaustive:
-        sigmas = taus = all_images(n)
-    else:
-        rng = np.random.default_rng(seed)
-        draws = [sample_uniform(n, rng).images for _ in range(2 * side)]
-        sigmas, taus = draws[:side], draws[side:]
-    return TwirlPlan(n, sigmas, taus, exhaustive, seed)
+    rng = np.random.default_rng(seed)
+    draws = [sample_uniform(n, rng).images for _ in range(2 * side)]
+    return TwirlPlan(n, draws[:side], draws[side:])
 
 
-def _require_full_group(plan: TwirlPlan, check_name: str) -> None:
-    """Refuse a plan whose exact mean is not the full-group average, where
-    exact rows set the plan's averages against full-group values (the
-    subset kernel, Gamma): a sampled plan, or an exhaustive one whose
-    tables miss part of S_n."""
-    rows, cols = plan.grid_shape
-    if not plan.exhaustive:
-        raise ValueError(f"{check_name} reports exact rows and needs an "
-                         f"exhaustive twirl plan, got a sampled {rows} x {cols} "
-                         f"plan (n={plan.n}, seed={plan.seed})")
-    if not plan.full_group:
-        raise ValueError(f"{check_name} sets full-group values against the "
-                         f"plan's averages and needs all of S_{plan.n} on both "
-                         f"sides, got an exhaustive {rows} x {cols} plan")
+@lru_cache(maxsize=None)
+def _full_group_plan(n: int) -> TwirlPlan:
+    if n > EXHAUSTIVE_TWIRL_LIMIT:
+        raise ValueError(f"the full-group twirl plan is capped at n="
+                         f"{EXHAUSTIVE_TWIRL_LIMIT}; sample one with a seed at n={n}")
+    _charge_maps(n, database_dim(n), database_dim(n))  # before the table is built
+    images = all_images(n)
+    return TwirlPlan(n, images, images)
 
 
 def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -225,7 +211,7 @@ def _twirl_average(plan: TwirlPlan, width: int,
     ``block[:, ri[lj[c]]]``.  ``width`` is the number of entries one column
     of a step touches, rest * n! for a gathered block; a chunk holds as many
     columns as keep C * width within TWIRL_CHUNK_AMPS, and at least one.
-    Exhaustive plans give the exact mean with stderr 0, sampled plans the
+    A full-group plan gives the exact mean with stderr 0, any other the
     crossed-grid estimate of grid_mean_stderr, both elementwise.
     """
     values = []
@@ -234,7 +220,7 @@ def _twirl_average(plan: TwirlPlan, width: int,
             row = term(i)
         values.append(row(cols))
     grid = np.concatenate(values).reshape(plan.grid_shape + values[0].shape[1:])
-    if plan.exhaustive:
+    if plan.full_group:
         return grid.mean(axis=(0, 1)), 0.0
     return grid_mean_stderr(grid)
 
@@ -448,13 +434,11 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     read once from the untwirled slices: |v|^2 on the labels with
     pi_d(x) = y.
 
-    Which path runs depends on the plan.  On an exhaustive plan whose two
-    tables hold all of S_n (TwirlPlan.full_group, as make_twirl_plan builds
-    at n <= 4), p_(ii') is the exact full-group mean, read from the subset
-    kernel (_subset_kernel, over the hits H(x, y) of each slice), and the
-    result names the kernel's subsets per register.  On any other plan,
-    sampled or a hand-built exhaustive plan of some pairs, p_(ii') is the
-    mean over the plan's own pairs from the twirl engine, as follows.
+    On a full-group plan (TwirlPlan.full_group), p_(ii') is the exact mean,
+    read from the subset kernel (_subset_kernel, over the hits H(x, y) of
+    each slice), and the result names the kernel's subsets per register.
+    On any other plan it is the crossed-sample mean over the plan's own
+    pairs from the twirl engine, as follows.
 
     p_(ii') sums ||Pi (I - P_s) w||^2 over the slices, for the twirled slice
     w = v[:, ri[lj]], s = sigma(x), t = tau(y) and Pi the hit labels H(s, t),
@@ -479,8 +463,8 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     G[g] = sum over b with sigma(b) <= s of v[idx(pi_g <x b>)] (_p_ii_term).
     The first pair of the plan is also evaluated in the projector form, and
     the two must agree to 1e-12 relative.  Label 0 has every t_k = 0, so on
-    an exhaustive plan neither map of that pair is the identity (the
-    identity is the last label).
+    a plan drawn from all_images in order neither map of that pair is the
+    identity (the identity is the last label).
     """
     n = rel.n
     slices = _xy_slices(final, rel)
@@ -488,7 +472,7 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     p_i = sum(float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
               for x, y, v in slices)
 
-    if plan.exhaustive and plan.full_group:
+    if plan.full_group:
         return ExperimentResult(p_i, _p_ii_kernel(slices, n), 0.0,
                                 subsets=_subset_count(n))
 
@@ -611,16 +595,16 @@ def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan,
     res = experiment_probabilities(final, rel, plan)
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
-    sampled = {} if res.subsets is None else {"subsets": res.subsets}
-    if not plan.exhaustive:
+    extra = {"subsets": res.subsets}
+    if not plan.full_group:
         # p_i is exact, so the error sits on the rhs: the 1-sigma increment
         # under the p_ii standard error, well defined even at p_ii = 0
         # where the delta method degenerates.
         se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
-        sampled = {"method": "monte_carlo", "stderr": se_rhs,
-                   "samples": plan.pair_count, "grid": list(plan.grid_shape)}
+        extra = {"method": "monte_carlo", "stderr": se_rhs,
+                 "samples": plan.pair_count, "grid": list(plan.grid_shape)}
     return check(name or "fundamental", lhs, rhs,
-                 p_i=res.p_i, p_ii=res.p_ii, **sampled)
+                 p_i=res.p_i, p_ii=res.p_ii, **extra)
 
 
 def p2_upper_bound(final: StateVector, rel: Relation,
@@ -885,8 +869,8 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,
     return [tuple(float(v) for v in row) for row in mean]
 
 
-def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
-                    plan: TwirlPlan) -> list[VerificationReport]:
+def progress_checks(circ: QueryCircuit,
+                    rels: list[tuple[str, Relation]]) -> list[VerificationReport]:
     """The progress rows of one circuit against each named relation.
 
     Per relation R: N * progress_measure equals the p_(ii)-dominating
@@ -896,22 +880,21 @@ def progress_checks(circ: QueryCircuit, rels: list[tuple[str, Relation]],
         progress measure <= 384 q^2 r (ln N + 2)/N^2 + 4 q r * sum_j E[...]
 
     and the three crucial-term bounds.  The progress measure and p_(ii) are
-    read from the subset kernel, and p2_upper_bound is the direct twirl
-    average over the plan, so both identity rows set the kernel against the
-    engine; the plan must therefore hold all of S_N on both sides.  The
-    circuit runs once, untwirled, and each average is computed once per
-    relation from its final state; every row read from a twirl average
-    reports the plan's pair count, and every row read from the kernel its
-    subsets per register.  The
-    standard-form circuit runs at most once, for the pre-query states that
-    the crucial terms of every relation read.  The sparsity tail
-    sum_j E[...] does not depend on R; it is sum_j <phi_j|Gamma|phi_j> over
-    those states (the identity the sparsity rows check), once per circuit.
-    The averages of a relation are computed before its first row is made, so
-    under run_suite that row's runtime_ms carries them.
+    read from the subset kernel and p2_upper_bound is the engine's average
+    over make_twirl_plan(N), so both identity rows set the kernel against
+    the engine.  The circuit runs once, untwirled, and each average is
+    computed once per relation from its final state; every row read from a
+    twirl average reports the plan's pair count, and every row read from the
+    kernel its subsets per register.  The standard-form circuit runs at most
+    once, for the pre-query states that the crucial terms of every relation
+    read.  The sparsity tail sum_j E[...] does not depend on R; it is
+    sum_j <phi_j|Gamma|phi_j> over those states (the identity the sparsity
+    rows check), once per circuit.  The averages of a relation are computed
+    before its first row is made, so under run_suite that row's runtime_ms
+    carries them.
     """
-    _require_full_group(plan, "progress_checks")
     n = circ.n
+    plan = make_twirl_plan(n)
     q = circ.query_count
     log_n = math.log(n)
 
@@ -1149,16 +1132,14 @@ def commutator_norm(n: int, direction: str) -> float:
     return operator_norm(commutator_operator(n, 0, "forward"))
 
 
-def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
+def sparsity_trajectory_check(circ: QueryCircuit,
                               name: str = "") -> list[VerificationReport]:
     """<phi^(j)| Gamma |phi^(j)> <= 6 j (ln N + 1) / N^2 along the run, with
-    per-step increments bounded by the matching commutator norm; when a plan
-    is given, which must hold all of S_N on both sides, the Gamma
-    expectation is also matched against the direct twirl average (the
-    defining identity) to 1e-10."""
-    if plan is not None:
-        _require_full_group(plan, "sparsity_trajectory_check")
+    per-step increments bounded by the matching commutator norm, and the
+    Gamma expectation matched against its defining twirl average over
+    make_twirl_plan(N) to 1e-10."""
     n = circ.n
+    plan = make_twirl_plan(n)
     final, pre = run_with_intermediates(circ, spo_backend(n))
     states = [state for _d, state in pre] + [final]
     directions = [d for d, _s in pre]
@@ -1172,11 +1153,10 @@ def sparsity_trajectory_check(circ: QueryCircuit, plan: TwirlPlan | None = None,
     for j in range(1, len(values)):
         out.append(check(f"{base}:step{j}", values[j] - values[j - 1],
                          comm_norms[directions[j - 1]], normed=NORMED_COMMUTATOR))
-    if plan is not None:
-        for j, state in enumerate(states):
-            direct = sparsity_expectation(state, plan)[0]
-            out.append(check_close(f"{base}:identity j={j}", direct, values[j],
-                                   tol=1e-10, pairs=plan.pair_count))
+    for j, state in enumerate(states):
+        direct = sparsity_expectation(state, plan)[0]
+        out.append(check_close(f"{base}:identity j={j}", direct, values[j],
+                               tol=1e-10, pairs=plan.pair_count))
     return out
 
 

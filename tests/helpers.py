@@ -100,14 +100,14 @@ def final_state(circ: QueryCircuit) -> StateVector:
 TWIRL_AVERAGES = ("p_ii", "p2", "progress", "sparsity")
 
 
-def per_pair_twirl_averages(final: StateVector, rel: Relation, plan: TwirlPlan,
-                            averages=TWIRL_AVERAGES) -> dict[str, tuple[float, float]]:
-    """(mean, stderr) of the twirl averages of ``spolab.lemmas`` named in
-    ``averages`` from one loop over the plan's pairs, one (sigma, tau) at a
-    time: ``p_ii``, and ``p2``, ``progress`` and ``sparsity`` of the whole
-    database block of ``final``.  Each pair is read in the projector form,
-    |(I - P_s) w|^2 of the twirled block w = amps[:, minv], with masks
-    written from the definitions.  Exhaustive plans report stderr 0.  For
+def per_pair_twirl_grids(final: StateVector, rel: Relation, plan: TwirlPlan,
+                         averages=TWIRL_AVERAGES) -> dict[str, np.ndarray]:
+    """The (sigmas, taus) per-pair grids of the twirl averages of
+    ``spolab.lemmas`` named in ``averages``, from one loop over the plan's
+    pairs, one (sigma, tau) at a time: ``p_ii``, and ``p2``, ``progress`` and
+    ``sparsity`` of the whole database block of ``final``.  Each pair is read
+    in the projector form, |(I - P_s) w|^2 of the twirled block
+    w = amps[:, minv], with masks written from the definitions.  For
     ``p_ii`` alone only the <x,y| rows with (x, y) in R are projected."""
     n = plan.n
     nf = math.factorial(n)
@@ -141,9 +141,17 @@ def per_pair_twirl_averages(final: StateVector, rel: Relation, plan: TwirlPlan,
                     hit = sq[:, pi[:, s] == tau[y]]
                     grids["p2"][i, j] += hit.sum()
                     grids["p_ii"][i, j] += hit[xy_rows[x, y]].sum()
-    if plan.exhaustive:
-        return {key: (float(grids[key].mean()), 0.0) for key in averages}
-    return {key: grid_mean_stderr(grids[key]) for key in averages}
+    return {key: grids[key] for key in averages}
+
+
+def per_pair_twirl_averages(final: StateVector, rel: Relation, plan: TwirlPlan,
+                            averages=TWIRL_AVERAGES) -> dict[str, tuple[float, float]]:
+    """(mean, stderr) of each grid of per_pair_twirl_grids: stderr 0 on a
+    full-group plan, the crossed-grid estimate on any other."""
+    grids = per_pair_twirl_grids(final, rel, plan, averages)
+    if plan.full_group:
+        return {key: (float(grid.mean()), 0.0) for key, grid in grids.items()}
+    return {key: grid_mean_stderr(grid) for key, grid in grids.items()}
 
 
 def count_calls(monkeypatch, module, name: str, record=None) -> list:

@@ -326,7 +326,6 @@ def test_criterion_10_progress_identity():
 
 def test_criterion_11_per_query_lemmas():
     n = 4
-    plan = make_twirl_plan(n)
     circuits = suite_circuits(n, SEED)
     rels = suite_relations(n)
     ok = True
@@ -352,7 +351,7 @@ def test_criterion_11_per_query_lemmas():
     counts = {"hard-database": 0, "crucial": 0}
     nonempty = [(rname, rel) for rname, rel in rels if rel.size]
     for circ in suite_circuits(n, SEED, max_q=2):
-        for rep in progress_checks(circ, nonempty, plan):
+        for rep in progress_checks(circ, nonempty):
             kind = rep.name.split("[")[0]
             if kind in counts:
                 counts[kind] += 1
@@ -384,7 +383,6 @@ def test_criterion_13_commutator_and_sparsity():
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 300.0
     n = 4
-    plan = make_twirl_plan(n)
     comm = {d: commutator_norm(n, d) for d in ("forward", "inverse")}
     for circ in suite_circuits(n, SEED):
         backend = spo_backend(n)
@@ -395,7 +393,7 @@ def test_criterion_13_commutator_and_sparsity():
             ok &= val <= 6 * j * (math.log(n) + 1) / n ** 2 + 1e-9
         for j in range(1, len(vals)):
             ok &= vals[j] - vals[j - 1] <= comm[pre[j - 1][0]] + 1e-9
-        ok &= all(r.passed for r in sparsity_trajectory_check(circ, plan))
+        ok &= all(r.passed for r in sparsity_trajectory_check(circ))
     record(13, "commutator growth N in 2..6 + sparsity trajectories", ok,
            f"commutator sweep {elapsed:.1f}s")
 

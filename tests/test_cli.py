@@ -21,6 +21,7 @@ def test_verify_writes_json(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["suite"] == "factorization"
+    assert doc["config"]["samples"] is None  # nothing sampled
     assert doc["totals"]["failed"] == 0
     assert all("runtime_ms" in case for case in doc["cases"])
 
@@ -92,6 +93,30 @@ def test_verify_n_max_below_n_is_usage_error(monkeypatch, capsys):
     assert "--n-max 2 is below --n 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--suite", "help-norm", "--n", "0"], "--n 0 is below 1"),
+    (["--suite", "gamma", "--n", "2", "--n-max", "0"], "--n-max 0 is below --n 2"),
+    (["--suite", "progress", "--n", "4", "--samples", "7"], "--samples"),
+    (["--suite", "fundamental", "--n", "4", "--samples", "2000"], "--samples"),
+    (["--suite", "all", "--n", "6", "--samples", "2000"], "--samples"),
+])
+def test_verify_usage_errors_come_before_any_output(monkeypatch, capsys, args,
+                                                    message):
+    """A size below 1, and --samples on a run that samples no twirl grid
+    (only --suite fundamental above N = 4 does), exit 2 before a suite runs."""
+    import spolab.cli as cli_mod
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the options were checked")
+
+    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", *args])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_verify_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "--suite", "nonsense", "--n", "4"])
@@ -129,6 +154,29 @@ def test_attack_json(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["kind"] == "sponge" and doc["q"] == 2
     assert 0 <= doc["success_mean"] <= 1
+
+
+@pytest.mark.parametrize("extra, target", [([], 0), (["--target", "3"], 3)])
+def test_sponge_attack_json_records_its_target(tmp_path, extra, target):
+    out = tmp_path / "attack.json"
+    assert run_cli(["attack", "--kind", "sponge", "--n-bits", "3", "--c", "1",
+                    "--iterations", "1", "--backend", "spo", *extra,
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["target"] == target
+
+
+def test_zero_search_attack_with_a_target_is_usage_error(monkeypatch, capsys):
+    import spolab.cli as cli_mod
+
+    def no_attack(*args, **kwargs):
+        raise AssertionError("the attack ran before the options were checked")
+
+    monkeypatch.setattr(cli_mod, "run_attack", no_attack)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["attack", "--kind", "zero-search", "--n-bits", "2", "--c", "1",
+                 "--iterations", "1", "--target", "0"])
+    assert err.value.code == 2
+    assert "a zero-search attack has no --target" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["1", "0", "-3"])

@@ -256,16 +256,75 @@ def test_zeta_weight_precondition():
 
 
 def half_group_plan(n):
-    """An exhaustive plan that is not the full group: the first half of the
-    sigma labels (at least one) against every tau.  Its averages are the
-    exact means over its own pairs, so they run through the twirl engine."""
+    """A plan that is not the full group: the first half of the sigma labels
+    (at least one) against every tau.  It is a crossed sample, so its
+    averages run through the twirl engine."""
     from spolab.lemmas import TwirlPlan
     from spolab.permutations import all_images
 
     images = all_images(n)
-    plan = TwirlPlan(n, images[:max(1, len(images) // 2)], images, True)
-    assert plan.exhaustive and not plan.full_group
+    plan = TwirlPlan(n, images[:max(1, len(images) // 2)], images)
+    assert not plan.full_group
     return plan
+
+
+def test_a_plan_is_exact_exactly_when_its_tables_hold_the_full_group():
+    """All of S_4 on both sides, in another row order, is the full group:
+    p_ii reads the subset kernel, with stderr 0.  A 24-row sigma table with
+    one repeated row, and a seeded plan at N = 4, are crossed samples that
+    the engine averages with a crossed-grid stderr."""
+    from spolab.lemmas import TwirlPlan
+    from spolab.permutations import all_images
+
+    n = 4
+    images = all_images(n)
+    shuffled = TwirlPlan(n, images[::-1],
+                         images[np.random.default_rng(7).permutation(len(images))])
+    repeated = images.copy()
+    repeated[1] = repeated[0]
+    final = final_state(random_circuit(43, 2, 2, n))
+    rel = diagonal_relation(n)
+    want = experiment_probabilities(final, rel, make_twirl_plan(n))
+    assert shuffled.full_group
+    got = experiment_probabilities(final, rel, shuffled)
+    assert got.subsets == 7 and got.stderr_ii == 0.0
+    assert got.p_ii == pytest.approx(want.p_ii, rel=1e-12)
+    for plan in (TwirlPlan(n, repeated, images), make_twirl_plan(n, seed=3)):
+        assert not plan.full_group
+        res = experiment_probabilities(final, rel, plan)
+        assert res.subsets is None and res.stderr_ii > 0.0
+
+
+def test_the_full_group_plan_is_one_shared_read_only_plan():
+    """make_twirl_plan(n) without a seed gives one cached plan per n, whose
+    tables cannot be written; above N = 4 it refuses."""
+    plan = make_twirl_plan(4)
+    assert make_twirl_plan(4) is plan and plan.full_group
+    for table in (plan.sigmas, plan.taus, plan.sigma_inv, plan.tau_inv,
+                  plan.right_inv, plan.left_inv):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.chunk = 2
+    with pytest.raises(ValueError, match="capped at n=4"):
+        make_twirl_plan(5)
+
+
+def test_full_group_checks_refuse_n_above_the_limit_before_a_run(monkeypatch):
+    """progress_checks and sparsity_trajectory_check read the full-group
+    plan, so at N = 8 they refuse before any circuit runs."""
+    import spolab.lemmas as lemmas_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a circuit ran before the plan was built")
+
+    monkeypatch.setattr(lemmas_mod, "run", no_run)
+    monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
+    circ = random_circuit(55, 1, 1, 8)
+    for call in (lambda: progress_checks(circ, [("diag", diagonal_relation(8))]),
+                 lambda: sparsity_trajectory_check(circ)):
+        with pytest.raises(ValueError, match="capped at n=4"):
+            call()
 
 
 def test_experiment_probe_full_relation():
@@ -313,11 +372,10 @@ def test_experiment_matches_direct_simulation():
         p_i_direct += float((np.abs(sl[:, mask]) ** 2).sum())
         proj = project_plus_db(sl, n, sx, complement=True)
         p_ii_direct += float((np.abs(proj[:, mask]) ** 2).sum())
-    plan_single = make_twirl_plan(n, exhaustive=True)
     # restrict the plan to exactly this pair for a like-for-like comparison
     from spolab.lemmas import TwirlPlan
 
-    plan_one = TwirlPlan(n, [sigma.images], [tau.images], True)
+    plan_one = TwirlPlan(n, [sigma.images], [tau.images])
     res = experiment_probabilities(final_state(circ), rel, plan_one)
     assert res.p_i == pytest.approx(p_i_direct, abs=1e-12)
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
@@ -363,7 +421,7 @@ def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n5_plan():
     the pairs of a relation that meets every register, with s = 0."""
     n = 5
     plan = dataclasses.replace(
-        make_twirl_plan(n, seed=6, min_pairs=16, exhaustive=False), chunk=3)
+        make_twirl_plan(n, seed=6, min_pairs=16), chunk=3)
     assert plan.grid_shape == (4, 4)
     rng = np.random.default_rng(5)
     shape = (2, math.factorial(n))
@@ -374,7 +432,7 @@ def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n5_plan():
 
 def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n8_plan():
     n = 8
-    plan = make_twirl_plan(n, seed=3, min_pairs=9, exhaustive=False)
+    plan = make_twirl_plan(n, seed=3, min_pairs=9)
     assert plan.grid_shape == (3, 3)
     circ = random_circuit(5, 1, 1, n)
     for rel in (diagonal_relation(n), from_pairs(n, [(0, n - 1), (3, 5)])):
@@ -434,7 +492,7 @@ def test_a_tables_read_the_factorization_of_every_tau_image(n):
     rng = np.random.default_rng(n)
     taus = [identity(n)] + [sample_uniform(n, rng) for _ in range(2)]
     images = [tau.images for tau in taus]
-    tables = _a_tables(n, TwirlPlan(n, images, images, True).left_inv, np.arange(n))
+    tables = _a_tables(n, TwirlPlan(n, images, images).left_inv, np.arange(n))
     m = math.factorial(n - 1)
     assert tables.shape == (len(taus), n, n, m)
     assert np.iinfo(tables.dtype).min == 0
@@ -465,7 +523,7 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
     from spolab.lemmas import _p_ii_term
 
     n = 4
-    plan = make_twirl_plan(n, seed=2, min_pairs=4, exhaustive=False)
+    plan = make_twirl_plan(n, seed=2, min_pairs=4)
 
     def unreachable(*_args, **_kwargs):
         raise AssertionError("reached before the budget check")
@@ -475,9 +533,9 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
         monkeypatch.setattr(lemmas_mod, name, unreachable)
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 2 * 2 * 24 - 1)
     with pytest.raises(BudgetError, match="2 x 2 twirl plan needs 2 \\+ 2 label maps"):
-        make_twirl_plan(n, seed=2, min_pairs=4, exhaustive=False)
+        make_twirl_plan(n, seed=2, min_pairs=4)
     with pytest.raises(BudgetError, match="24 x 24 twirl plan"):
-        make_twirl_plan(n)
+        lemmas_mod._full_group_plan.__wrapped__(n)
     # The 2 x 2 plan's maps fit, its a-tables for all four y do not.
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 2 * 4 * 4 * 6 - 1)
     slices = [(0, y, np.ones((1, 24), dtype=np.complex128)) for y in range(n)]
@@ -532,9 +590,9 @@ def _per_pair_cases(plans, averages):
 def per_pair_references():
     """Per-pair references of the engine averages for every suite circuit
     and relation, on plans that are not the full group: the half-group
-    exhaustive plans at N = 2, 4 and a sampled 5 x 5 plan at N = 4."""
+    plans at N = 2, 4 and a sampled 5 x 5 plan at N = 4."""
     plans = [half_group_plan(2), half_group_plan(4),
-             make_twirl_plan(4, seed=9, min_pairs=25, exhaustive=False)]
+             make_twirl_plan(4, seed=9, min_pairs=25)]
     return _per_pair_cases(plans, ENGINE_AVERAGES)
 
 
@@ -628,33 +686,13 @@ def test_subset_kernel_is_charged_before_it_gathers(monkeypatch):
     assert lemmas_mod._subset_kernel(block, n, 1, labels) == pytest.approx(0.0, abs=1e-30)
 
 
-def test_exact_checks_refuse_a_plan_that_is_not_the_full_group(monkeypatch):
-    """progress_checks sets the subset kernel, and the sparsity identity
-    sets Gamma, against the plan's direct averages; both are full-group
-    values, so an exhaustive plan of part of S_N is refused before any
-    circuit runs."""
-    import spolab.lemmas as lemmas_mod
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("a circuit ran before the plan was checked")
-
-    monkeypatch.setattr(lemmas_mod, "run", no_run)
-    monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
-    plan = half_group_plan(4)
-    circ = random_circuit(55, 1, 2, 4)
-    for call in (lambda: progress_checks(circ, [("diag", diagonal_relation(4))], plan),
-                 lambda: sparsity_trajectory_check(circ, plan)):
-        with pytest.raises(ValueError, match="all of S_4 on both sides"):
-            call()
-
-
 def test_sampled_n8_p_ii_matches_the_per_pair_reference(monkeypatch):
     """On a sampled 3 x 3 plan at N = 8, one pair per step, and in chunks
     of 2 pairs, p_ii and its stderr equal the per-pair reference."""
     import spolab.lemmas as lemmas_mod
 
     n = 8
-    plan = make_twirl_plan(n, seed=3, min_pairs=9, exhaustive=False)
+    plan = make_twirl_plan(n, seed=3, min_pairs=9)
     assert plan.grid_shape == (3, 3)
     final = final_state(random_circuit(5, 1, 1, n))
     steps = count_pair_steps(monkeypatch)
@@ -721,7 +759,7 @@ def test_twirl_steps_hold_the_columns_their_width_allows(monkeypatch):
     n = 8
     rng = np.random.default_rng(8)
     draws = [sample_uniform(n, rng).images for _ in range(2 + 45)]
-    plan = TwirlPlan(n, draws[:2], draws[2:], False, seed=8)
+    plan = TwirlPlan(n, draws[:2], draws[2:])
     final = final_state(random_circuit(5, 1, 1, n))
     experiment_probabilities(final, from_pairs(n, [(0, n - 1), (3, 5)]), plan)
     assert steps == [13, 13, 13, 6] * 2
@@ -745,7 +783,7 @@ def test_sampled_fundamental_rows_name_their_grid():
     from the subset kernel names its subsets per register."""
     n = 4
     final = final_state(random_circuit(43, 2, 2, n))
-    plan = make_twirl_plan(n, seed=3, min_pairs=6, exhaustive=False)
+    plan = make_twirl_plan(n, seed=3, min_pairs=6)
     row = fundamental_check(final, diagonal_relation(n), plan).as_row()
     assert row["grid"] == [3, 3] and row["samples"] == 9
     assert "subsets" not in row
@@ -790,7 +828,7 @@ def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
 def test_experiment_builds_each_sigma_row_once(monkeypatch):
     """experiment_probabilities builds the p_ii tables of every sigma-row
     exactly once per call: row 0 serves both the projector guard and the
-    average, on an exhaustive half-group plan and on a sampled plan.  On
+    average, on a half-group plan and on a sampled plan.  On
     the full group it builds none: p_ii is the subset kernel's."""
     import spolab.lemmas as lemmas_mod
 
@@ -810,7 +848,7 @@ def test_experiment_builds_each_sigma_row_once(monkeypatch):
     n = 4
     final = final_state(random_circuit(43, 2, 2, n))
     for plan in (half_group_plan(n),
-                 make_twirl_plan(n, seed=3, min_pairs=9, exhaustive=False)):
+                 make_twirl_plan(n, seed=3, min_pairs=9)):
         built.clear()
         experiment_probabilities(final, full_relation(n), plan)
         assert len(built) == plan.grid_shape[0]
@@ -908,7 +946,7 @@ def test_p2_dominates_and_identity():
             p2, _ = p2_upper_bound(final, rel, plan)
             res = experiment_probabilities(final, rel, plan)
             assert res.p_ii <= p2 + 1e-10
-            rows = {r.name: r for r in progress_checks(circ, [("r", rel)], plan)}
+            rows = {r.name: r for r in progress_checks(circ, [("r", rel)])}
             rep = rows[f"progress-identity[{circ.name},r]"]
             assert rep.passed, rep
             assert rep.rhs == p2
@@ -920,7 +958,8 @@ def test_twirl_averages_on_non_square_sampled_grid():
     """2 sigmas x 3 taus: every average of the twirl engine is the mean of
     its six single-pair plans, with the crossed-grid stderr of that 2 x 3
     grid; p_i is exact and the same for every plan.  A single-pair plan is
-    exhaustive but not the full group, so its p_ii is the engine's too."""
+    not the full group, so its p_ii is the engine's too, with the stderr 0
+    that grid_mean_stderr gives a single row."""
     from spolab.lemmas import (
         TwirlPlan,
         crucial_term_values,
@@ -930,16 +969,15 @@ def test_twirl_averages_on_non_square_sampled_grid():
     )
     n = 4
 
-    def plan_of(sigmas, taus, exhaustive):
-        return TwirlPlan(n, [s.images for s in sigmas], [t.images for t in taus],
-                         exhaustive)
+    def plan_of(sigmas, taus):
+        return TwirlPlan(n, [s.images for s in sigmas], [t.images for t in taus])
 
     rng = np.random.default_rng(5)
     sigmas = [sample_uniform(n, rng) for _ in range(2)]
     taus = [sample_uniform(n, rng) for _ in range(3)]
-    plan = plan_of(sigmas, taus, False)
+    plan = plan_of(sigmas, taus)
     assert plan.grid_shape == (2, 3)
-    singles = [[plan_of([s], [t], True) for t in taus] for s in sigmas]
+    singles = [[plan_of([s], [t]) for t in taus] for s in sigmas]
     circ = random_circuit(71, 1, 2, n)
     final = final_state(circ)
     rel = sponge_preimage_relation(2, 1, 1)
@@ -982,7 +1020,7 @@ def test_twirl_average_of_an_array_valued_term_is_elementwise():
     n = 4
     rng = np.random.default_rng(23)
     draws = [sample_uniform(n, rng).images for _ in range(5)]
-    plan = TwirlPlan(n, draws[:2], draws[2:], False, seed=23)
+    plan = TwirlPlan(n, draws[:2], draws[2:])
     values = rng.normal(size=(2, 3, 4, 3))
     calls = []
 
@@ -1068,7 +1106,7 @@ def test_crucial_terms_match_direct_tspo_runs():
     b = standard_form(circ)
     for _trial in range(3):
         sigma, tau = sample_uniform(n, rng), sample_uniform(n, rng)
-        plan_one = TwirlPlan(n, [sigma.images], [tau.images], True)
+        plan_one = TwirlPlan(n, [sigma.images], [tau.images])
         from spolab.lemmas import crucial_term_values, standard_form_prequery_states
 
         got_vals = crucial_term_values(standard_form_prequery_states(circ),
@@ -1164,11 +1202,10 @@ def test_accumulation_checks():
 
 def test_progress_expectation_and_crucial():
     n = 4
-    plan = make_twirl_plan(n)
     circ = random_circuit(55, 1, 2, n)
     rels = [("diag", diagonal_relation(n)),
             ("sponge", sponge_preimage_relation(2, 1, 1))]
-    rows = {r.name: r for r in progress_checks(circ, rels, plan)}
+    rows = {r.name: r for r in progress_checks(circ, rels)}
     for rname, _rel in rels:
         tag = f"{circ.name},{rname}"
         names = [f"hard-database[{tag}]"] + [f"crucial[{tag}]:{k}" for k in (1, 2, 3)]
@@ -1187,7 +1224,7 @@ def test_hard_database_rhs_is_the_direct_sparsity_tail():
     plan = make_twirl_plan(n)
     circ = random_circuit(55, 2, 2, n)
     rel = sponge_preimage_relation(2, 1, 1)
-    rows = {r.name: r for r in progress_checks(circ, [("sponge", rel)], plan)}
+    rows = {r.name: r for r in progress_checks(circ, [("sponge", rel)])}
     q, r = circ.query_count, rel.r_max
     tail = sum(sparsity_expectation(state, plan)[0]
                for _d, state in standard_form_prequery_states(circ))
@@ -1210,26 +1247,6 @@ def test_crucial_terms_fit_a_budget_below_the_whole_grid(monkeypatch):
     assert len(want) == len(pre) and max(max(v) for v in want) > 0.0
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
     assert crucial_term_values(pre, rel, plan) == want
-
-
-def test_exact_only_checks_refuse_sampled_plans(monkeypatch):
-    """Checks that report only the mean of a twirl average as an exact row
-    raise on a sampled plan, before any circuit runs."""
-    import spolab.lemmas as lemmas_mod
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("a circuit ran before the plan was checked")
-
-    monkeypatch.setattr(lemmas_mod, "run", no_run)
-    monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
-    n = 4
-    sampled = make_twirl_plan(n, seed=1, min_pairs=4, exhaustive=False)
-    circ = random_circuit(55, 1, 2, n)
-    rel = diagonal_relation(n)
-    for call in (lambda: progress_checks(circ, [("diag", rel)], sampled),
-                 lambda: sparsity_trajectory_check(circ, sampled)):
-        with pytest.raises(ValueError, match=r"exhaustive .* sampled 2 x 2 plan"):
-            call()
 
 
 # --------------------------------------------------------------------------
@@ -1363,7 +1380,7 @@ def test_commutator_rows_take_one_norm_per_n(monkeypatch):
     rows += sparsity_trajectory_check(random_circuit(61, 2, 2, 4))
     assert len(norms) == 2
     steps = [r for r in rows if ":step" in r.name]
-    assert len(steps) == 2 and len(rows) == 4 + 5
+    assert len(steps) == 2 and len(rows) == 4 + 8
     assert all(r.extra["normed"] == "z=0,forward" for r in rows
                if r.name.startswith("commutator") or ":step" in r.name)
 
@@ -1411,10 +1428,9 @@ def test_commutator_growth():
 
 def test_sparsity_trajectory():
     n = 4
-    plan = make_twirl_plan(n)
     for seed in (61, 62):
         circ = random_circuit(seed, 2, 2, n)
-        reps = sparsity_trajectory_check(circ, plan)
+        reps = sparsity_trajectory_check(circ)
         assert all(r.passed for r in reps), [r for r in reps if not r.passed]
     # 0 queries: expectation exactly 0
     reps0 = sparsity_trajectory_check(empty_circuit(n))

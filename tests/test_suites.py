@@ -31,7 +31,8 @@ from spolab.suites import (
     suite_relations,
 )
 
-from helpers import count_calls, count_pair_steps, count_runs, final_state
+from helpers import (count_calls, count_pair_steps, count_runs, final_state,
+                     per_pair_twirl_grids)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,30 +88,27 @@ def test_grid_mean_stderr_crossed_coverage():
     assert covered / grids >= 0.99
 
 
-@pytest.mark.parametrize("side", [MIN_SAMPLED_SIDE, 45])
-def test_grid_mean_stderr_covers_real_twirl_grids(monkeypatch, side):
-    """3-SE coverage on the per-pair grids the lab averages: the exhaustive
-    N = 4 grids of p_ii and the p2 expression of a querying suite circuit
-    against the pair and sponge relations.  Each draw
-    is a side x side grid, rows and columns drawn uniformly with replacement
-    as make_twirl_plan draws them: the smallest grid the sampled fundamental
-    suite accepts, and the 45 x 45 grid that ``--samples 2000`` samples."""
-    import spolab.lemmas as lemmas
+@pytest.fixture(scope="module")
+def n4_twirl_grids():
+    """The full-group N = 4 per-pair grids of p_ii and the p2 expression of
+    a querying suite circuit against the pair and sponge relations."""
     from spolab.suites import DEFAULT_SEED
 
-    crossed = dataclasses.replace(make_twirl_plan(4), exhaustive=False)
-    grids = []
-
-    def record(values):
-        grids.append(values.copy())
-        return grid_mean_stderr(values)
-
-    monkeypatch.setattr(lemmas, "grid_mean_stderr", record)
     final = final_state(suite_circuits(4, DEFAULT_SEED, max_q=2)[-1])
     rels = dict(suite_relations(4))
-    for rname in ("pair", "sponge"):
-        lemmas.experiment_probabilities(final, rels[rname], crossed)
-        lemmas.p2_upper_bound(final, rels[rname], crossed)
+    return [grid for rname in ("pair", "sponge")
+            for grid in per_pair_twirl_grids(final, rels[rname], make_twirl_plan(4),
+                                             ("p_ii", "p2")).values()]
+
+
+@pytest.mark.parametrize("side", [MIN_SAMPLED_SIDE, 45])
+def test_grid_mean_stderr_covers_real_twirl_grids(n4_twirl_grids, side):
+    """3-SE coverage on the per-pair grids the lab averages: the full-group
+    N = 4 grids of n4_twirl_grids.  Each draw is a side x side grid, rows
+    and columns drawn uniformly with replacement as make_twirl_plan draws
+    them: the smallest grid the sampled fundamental suite accepts, and the
+    45 x 45 grid that ``--samples 2000`` samples."""
+    grids = n4_twirl_grids
     assert len(grids) == 4 and all(g.shape == (24, 24) for g in grids)
 
     rng = np.random.default_rng(45)
@@ -141,6 +139,14 @@ def test_sampled_twirl_plan_rejects_fewer_than_2x2(monkeypatch, min_pairs):
         make_twirl_plan(8, seed=1, min_pairs=min_pairs)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_help_norm_suite_refuses_a_size_below_1(n):
+    from spolab.suites import help_norm_suite
+
+    with pytest.raises(ValueError, match="n in 1..5"):
+        help_norm_suite(n)
+
+
 def test_sampled_twirl_plan_smallest_grid():
     plan = make_twirl_plan(5, seed=1, min_pairs=2)
     assert plan.grid_shape == (2, 2)
@@ -148,10 +154,10 @@ def test_sampled_twirl_plan_smallest_grid():
 
 def test_twirl_plan_shapes():
     plan = make_twirl_plan(3)
-    assert plan.exhaustive and plan.pair_count == 36
+    assert plan.full_group and plan.pair_count == 36
     assert plan.right_inv.dtype == plan.left_inv.dtype == np.int32
     sampled = make_twirl_plan(5, seed=1, min_pairs=100)
-    assert not sampled.exhaustive
+    assert not sampled.full_group
     assert sampled.pair_count >= 100
     with pytest.raises(ValueError):
         make_twirl_plan(5, seed=None, min_pairs=10)
@@ -159,7 +165,7 @@ def test_twirl_plan_shapes():
 
 def test_twirl_plan_holds_read_only_image_tables(monkeypatch):
     """A plan keeps sigmas and taus as read-only int image tables, no
-    Permutation: all_images(n) on both sides when exhaustive, and the seeded
+    Permutation: all_images(n) on both sides for the full group, and the seeded
     sample_uniform draws in order (sigmas first) when sampled.  Its inverse
     images invert those rows, and a replace() copy with another chunk builds
     no label map and steps by its own chunk."""
@@ -230,19 +236,26 @@ def test_recurrence_certification_row_fails_on_a_wrong_rational(monkeypatch):
     assert not {r.name: r for r in run_suite("active-sets", 3)}[name].passed
 
 
-def test_verify_all_matches_the_benchmark_reference(monkeypatch):
-    """``verify --suite all --n 6 --seed 1`` passes the benchmark's own
-    output check against its recorded reference: the same case names, every
-    row passing, and every exact value within the check's width."""
+@pytest.mark.parametrize("workload", ["verify-all", "fundamental-mc", "sponge-attack"])
+def test_workload_matches_the_benchmark_reference(monkeypatch, tmp_path, capsys,
+                                                 workload):
+    """Each benchmark workload's command line, run at seed 1, passes the
+    benchmark's own output check against its recorded reference: for the
+    verify runs the same case names, every row passing, and every value
+    within the check's width; for the attack its recorded fields and a
+    success mean within 3 stderr of the reference."""
+    from spolab.cli import main
+
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     spec.loader.exec_module(workloads)
-    wl = workloads.WORKLOADS["verify-all"]
-    doc = json.loads(to_json(suite_document("all", 6, 1,
-                                            run_suite("all", 6, seed=1))))
-    assert workloads.check_report(wl, 1, 0, doc,
+    wl = workloads.WORKLOADS[workload]
+    out = tmp_path / "report.json"
+    rc = main(workloads.cli_argv(wl, 1, out))
+    capsys.readouterr()
+    assert workloads.check_report(wl, 1, rc, json.loads(out.read_text()),
                                   workloads.load_reference(wl)) == []
 
 
@@ -541,7 +554,7 @@ def test_run_attack_zero_search_sampled():
 
 
 def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
-    """Every (sigma, tau) check runs one sigma-row of the exhaustive plan per
+    """Every (sigma, tau) check runs one sigma-row of the full-group plan per
     circuit run, counted wherever a spolab module binds ``run``; the rows
     read from those runs carry their pair count, and under the timing rule
     of run_suite every row its gap."""
