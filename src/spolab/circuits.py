@@ -273,18 +273,21 @@ def dressed_standard_form(circ: QueryCircuit, sigma: Permutation | np.ndarray,
     if sigmas.shape != taus.shape:
         raise ValueError(f"sigma and tau tables differ: {sigmas.shape} vs {taus.shape}")
 
-    def v(register: str, table: np.ndarray, inverse: bool, tag: str) -> LocalUnitary:
-        return LocalUnitary(("P", register), v_oracle(table, inverse),
-                            tag=tag + ("-" if inverse else ""))
+    # The four V maps are built once, so each is one operator (with one
+    # cached gather index) however many queries it dresses.
+    ops = {(name, inverse): v_oracle(table, inverse)
+           for name, table in (("Vs", sigmas), ("Vt", taus)) for inverse in (False, True)}
+
+    def v(register: str, name: str, inverse: bool) -> LocalUnitary:
+        return LocalUnitary(("P", register), ops[name, inverse],
+                            tag=name + ("-" if inverse else ""))
 
     def dress(q: Query) -> tuple[list, list]:
         # V^pre on X and V^post on Y: sigma, tau forward; tau, sigma inverse.
-        forward = q.direction == "forward"
-        pre, post = (sigmas, taus) if forward else (taus, sigmas)
-        a, b = ("Vs", "Vt") if forward else ("Vt", "Vs")
-        vx, vx_inv = v("X", pre, False, a), v("X", pre, True, a)
-        return ([vx, q, v("Y", post, True, b), vx_inv],
-                [v("Y", post, False, b), vx, q, vx_inv])
+        a, b = ("Vs", "Vt") if q.direction == "forward" else ("Vt", "Vs")
+        vx, vx_inv = v("X", a, False), v("X", a, True)
+        return ([vx, q, v("Y", b, True), vx_inv],
+                [v("Y", b, False), vx, q, vx_inv])
 
     return _gadget_form(circ, dress, "+dressed")
 

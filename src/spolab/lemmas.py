@@ -607,32 +607,45 @@ def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan,
                  p_i=res.p_i, p_ii=res.p_ii, **extra)
 
 
-def p2_upper_bound(final: StateVector, rel: Relation,
-                   plan: TwirlPlan) -> tuple[float, float]:
-    """The p_(ii)-dominating expression: expectation over (sigma, tau) of
-    sum over (x,y) in R, pi with tau^{-1}(pi(sigma(x))) = y, of the squared
-    norm of <pi| (I - P_{+sigma(x)}) |phi^{sigma,tau}>, for the final state
-    of the untwirled run.  Returns (value, stderr).
+def p2_upper_bound(final: StateVector, rels: list[Relation],
+                   plan: TwirlPlan) -> list[tuple[float, float]]:
+    """The p_(ii)-dominating expression of each relation: expectation over
+    (sigma, tau) of the sum over (x,y) in R, pi with tau^{-1}(pi(sigma(x))) = y,
+    of the squared norm of <pi| (I - P_{+sigma(x)}) |phi^{sigma,tau}>, for
+    the final state of the untwirled run.  Returns one (value, stderr) per
+    relation.
+
+    One twirl pass serves every relation.  A column projects its twirled
+    block once per x and sums the squared entries over the rest and over
+    the labels d with pi_d(sigma(x)) = t, for each t; only the last step
+    reads R: t counts when tau^{-1}(t) lies in R_x.
     """
-    n = rel.n
+    if not rels:
+        return []
+    n = plan.n
     amps = _db_block(final)
-    pi_table, _ = perm_tables(n)
-    sections = [(x, rel.section(x)) for x in range(n) if rel.section(x).size]
+    hits = _hit_fibers(n)[0]  # hits[s, t]: the labels d with pi_d(s) = t
+    members = np.stack([rel.members for rel in rels])  # (relation, x, y)
+    xs = [x for x in range(n) if members[:, x].any()]
 
     def term(i):
         def chunk(cols):
             tw = amps[:, plan.right_inv[i][plan.left_inv[cols]]]  # (rest, C, n!)
-            acc = np.zeros(cols.stop - cols.start)
-            for x, ys in sections:
-                # Labels with pi(sigma(x)) in tau(R_x), from the images of R's pairs.
-                hit = (plan.taus[cols][:, ys, None] == np.arange(n)).any(axis=1)  # (C, n)
+            sections = members[:, :, plan.tau_inv[cols]]  # [k, x, c, t]: tau^{-1}(t) in R_x
+            acc = np.zeros((len(rels), cols.stop - cols.start))
+            for x in xs:
                 sx = plan.sigmas[i, x]
-                acc += _progress_norm2(tw, n, sx, hit[:, pi_table[:, sx]])
-            return acc
+                f = project_plus_db(tw, n, sx, complement=True).view(np.float64)
+                sq = np.einsum("rck,rck->ck", f, f)  # (C, 2 n!), real and imaginary parts
+                per_t = sq.reshape(len(sq), -1, 2)[:, hits[sx]].sum(axis=(2, 3))  # (C, n)
+                acc += (sections[:, x] * per_t).sum(axis=2)
+            return acc.T
 
         return chunk
 
-    return _twirl_average(plan, amps.size, term)
+    mean, stderr = _twirl_average(plan, amps.size, term)
+    return [(float(m), float(e)) for m, e in
+            zip(mean, np.broadcast_to(stderr, mean.shape))]
 
 
 def progress_measure(final: StateVector, rel: Relation) -> float:
@@ -689,7 +702,8 @@ def _fiber_sums(g: np.ndarray, n: int, x: int) -> np.ndarray:
 def _fiber_terms(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, n: int,
                  x: int) -> np.ndarray:
     """The three fiber sums behind the zeta terms at register x, unweighted,
-    over the leading batch axes that lo, hi and rows share: returns (..., 3).
+    over the leading batch axes of lo and hi broadcast against those of
+    rows: returns (..., 3).
 
     ``rows`` is the section bitset R_x; ``lo[..., z, :]`` / ``hi[..., z, :]`` are
     the per-class fiber sums read for an element z of the first / the other
@@ -697,16 +711,39 @@ def _fiber_terms(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, n: int,
       s1 = sum_{z < x}      lo[z] over classes with pi_{x^c}(z) in R_x,
       s2 = sum_{z in R_x}   hi[z] over classes with pi_{>x}^{-1}(z) < x,
       s3 = sum_{z > x} c *  hi[z] over classes with pi_{>x}^{-1}(z) = x,
-    where c = |{t <= x : pi_{>x}(t) in R_x}|.
+    where c = |{t <= x : pi_{>x}(t) in R_x}|.  Each sum is linear in the
+    bitset, s = sum_y rows[y] W[y], and W, an (n, 3) table per batch entry,
+    reads lo and hi alone; so relations broadcast against one W.
+    """
+    lo_to_y, below, last, above_to_y = _fiber_tables(n, x)
+    w1 = lo[..., :x, :].reshape(*lo.shape[:-2], -1) @ lo_to_y
+    w2 = np.einsum("...zc,cz->...z", hi, below)
+    w3 = np.einsum("...zc,cz->...c", hi, last) @ above_to_y
+    return np.einsum("...y,...yk->...k", rows.astype(float),
+                     np.stack([w1, w2, w3], axis=-1))
+
+
+@lru_cache(maxsize=None)
+def _fiber_tables(n: int, x: int) -> tuple[np.ndarray, ...]:
+    """The 0/1 tables of _fiber_terms at register x, over the classes c of
+    _class_tables, read-only:
+
+      lo_to_y[(z, c), y]  z < x and pi_{x^c}(z) = y        (x * classes, n)
+      below[c, z]         pi_{>x}^{-1}(z) < x               (classes, n)
+      last[c, z]          pi_{>x}^{-1}(z) = x and z > x     (classes, n)
+      above_to_y[c, y]    y = pi_{>x}(t) for some t <= x    (classes, n)
     """
     pixc, pigt, pigt_inv = _class_tables(n, x)
-    rows = rows.astype(float)
-    s1 = np.einsum("...zc,...cz->...", lo[..., :x, :], rows[..., pixc[:, :x]])
-    s2 = np.einsum("...zc,...z,cz->...", hi, rows, (pigt_inv < x).astype(float))
-    counts = rows[..., pigt[:, : x + 1]].sum(axis=-1)
-    last = (pigt_inv == x) & (np.arange(n) > x)
-    s3 = np.einsum("...zc,...c,cz->...", hi, counts, last.astype(float))
-    return np.stack([s1, s2, s3], axis=-1)
+    classes = np.arange(len(pixc))[:, None]
+    lo_to_y = np.zeros((x, len(pixc), n))
+    lo_to_y[np.arange(x)[:, None], classes.T, pixc[:, :x].T] = 1.0
+    above_to_y = np.zeros((len(pixc), n))
+    above_to_y[classes, pigt[:, :x + 1]] = 1.0
+    tables = (lo_to_y.reshape(-1, n), (pigt_inv < x).astype(float),
+              ((pigt_inv == x) & (np.arange(n) > x)).astype(float), above_to_y)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def zeta_parts(state: StateVector, x: int, rel: Relation,
@@ -827,25 +864,31 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
     return _twirl_average(plan, amps.size, term)
 
 
-def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,
-                        plan: TwirlPlan) -> list[tuple[float, float, float]]:
-    """Per pre-query state j of the standard-form circuit, given as the
-    (direction, state) list of standard_form_prequery_states: the three
-    twirl expectations of the crucial lemma, each to be compared with its
-    bound.
+def crucial_term_values(pre: list[tuple[str, StateVector]], rels: list[Relation],
+                        plan: TwirlPlan) -> list[list[tuple[float, float, float]]]:
+    """Per relation, and per pre-query state j of the standard-form circuit,
+    given as the (direction, state) list of standard_form_prequery_states:
+    the three twirl expectations of the crucial lemma, each to be compared
+    with its bound.
 
     The underlying outcome distribution q_{omega,xi} is defined relative to a
     purification choice; here it is evaluated on the canonical joint state of
     the actual run (algorithm registers serve as the purifying system), which
-    the averaging argument makes sufficient.  One twirl term gives all three
-    for every state: a column gathers the (J, n, n!) marginals of the J
-    states at its pair.
+    the averaging argument makes sufficient.  One twirl pass gives all three
+    for every state and every relation: a column gathers the (J, n, n!)
+    marginals of the J states at its pair, charged against AMPLITUDE_BUDGET
+    before any is built, and the relations read its fiber sums through
+    their twisted section rows alone (_fiber_terms).
     """
-    n = rel.n
-    if not pre:
-        return []
+    n = plan.n
+    if not pre or not rels:
+        return [[] for _rel in rels]
+    width = len(pre) * n * database_dim(n)
+    charge(width, f"the crucial terms' gather of {len(pre)} x {n} x "
+           f"{database_dim(n)} marginals per pair")
     g = np.stack([marginal(state, ("X", *database_names(n))).reshape(n, -1)
                   for _direction, state in pre])  # (state, x, label)
+    members = np.stack([rel.members for rel in rels])  # (relation, x, y)
 
     def term(i):
         ri, si = plan.right_inv[i], plan.sigma_inv[i]
@@ -854,19 +897,20 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rel: Relation,
             gg = g[:, :, ri[plan.left_inv[cols]]].transpose(2, 0, 1, 3)  # (C, J, x, label)
             ti = plan.tau_inv[cols]
             c, j = np.ogrid[:len(ti), :len(g)]
-            acc = np.zeros((len(ti), len(g), 3))
+            acc = np.zeros((len(ti), len(rels), len(g), 3))
             for x in range(n):
                 fs = _fiber_sums(gg, n, x)  # (C, J, z, class)
                 hi = fs[c[..., None], j[..., None], ti[:, None]]  # read through tau^{-1}
-                # Row x of R^{sigma,tau}, one copy per state.
-                twisted = np.repeat(rel.members[si[x], ti][:, None], len(g), axis=1)
-                acc += _fiber_terms(fs.take(si, axis=2), hi, twisted, n, x) / (x + 1)
+                # Row x of R^{sigma,tau} for every relation: (C, relation, 1, n).
+                twisted = members[:, si[x], ti].transpose(1, 0, 2)[:, :, None]
+                acc += _fiber_terms(fs.take(si, axis=2)[:, None], hi[:, None], twisted,
+                                    n, x) / (x + 1)
             return acc / n
 
         return chunk
 
-    mean, _ = _twirl_average(plan, len(g) * n * database_dim(n), term)
-    return [tuple(float(v) for v in row) for row in mean]
+    mean, _ = _twirl_average(plan, width, term)  # (relation, state, 3)
+    return [[tuple(float(v) for v in row) for row in per_rel] for per_rel in mean]
 
 
 def progress_checks(circ: QueryCircuit,
@@ -882,16 +926,16 @@ def progress_checks(circ: QueryCircuit,
     and the three crucial-term bounds.  The progress measure and p_(ii) are
     read from the subset kernel and p2_upper_bound is the engine's average
     over make_twirl_plan(N), so both identity rows set the kernel against
-    the engine.  The circuit runs once, untwirled, and each average is
-    computed once per relation from its final state; every row read from a
-    twirl average reports the plan's pair count, and every row read from the
-    kernel its subsets per register.  The standard-form circuit runs at most
-    once, for the pre-query states that the crucial terms of every relation
-    read.  The sparsity tail sum_j E[...] does not depend on R; it is
-    sum_j <phi_j|Gamma|phi_j> over those states (the identity the sparsity
-    rows check), once per circuit.  The averages of a relation are computed
-    before its first row is made, so under run_suite that row's runtime_ms
-    carries them.
+    the engine.  The circuit runs once, untwirled.  p2_upper_bound makes one
+    twirl pass for every relation, from that run's final state, and
+    crucial_term_values one for every non-empty relation, from the
+    pre-query states of the standard-form circuit, which runs at most once.
+    Both passes run before the first row is made, so under run_suite that
+    row's runtime_ms carries them.  Every row read from a twirl average
+    reports the plan's pair count, and every row read from the kernel its
+    subsets per register.  The sparsity tail sum_j E[...] does not depend
+    on R; it is sum_j <phi_j|Gamma|phi_j> over the pre-query states (the
+    identity the sparsity rows check), once per circuit.
     """
     n = circ.n
     plan = make_twirl_plan(n)
@@ -900,12 +944,17 @@ def progress_checks(circ: QueryCircuit,
 
     pairs, subsets = plan.pair_count, _subset_count(n)
     final = run(circ, spo_backend(n))
-    pre = tail = None
+    p2s = p2_upper_bound(final, [rel for _rname, rel in rels], plan)
+    hard = [rel for _rname, rel in rels if q and rel.size]
+    crucial = iter(())
+    if hard:
+        pre = standard_form_prequery_states(circ)
+        tail = sum(gamma_expectation(state) for _direction, state in pre)
+        crucial = iter(crucial_term_values(pre, hard, plan))
     out = []
-    for rname, rel in rels:
+    for (rname, rel), (p2, _) in zip(rels, p2s):
         tag = f"{circ.name},{rname}"
         measure = progress_measure(final, rel)
-        p2, _ = p2_upper_bound(final, rel, plan)
         res = experiment_probabilities(final, rel, plan)
         out.append(check_close(f"progress-identity[{tag}]", n * measure, p2,
                                tol=1e-10, pairs=pairs, subsets=subsets))
@@ -913,14 +962,11 @@ def progress_checks(circ: QueryCircuit,
                          pairs=pairs, subsets=subsets))
         if not (q and rel.size):
             continue
-        if pre is None:
-            pre = standard_form_prequery_states(circ)
-            tail = sum(gamma_expectation(state) for _direction, state in pre)
         r = rel.r_max
         rhs = 384.0 * q * q * r * (log_n + 2.0) / n ** 2 + 4.0 * q * r * tail
         out.append(check(f"hard-database[{tag}]", measure, rhs, pairs=pairs,
                          subsets=subsets))
-        values = crucial_term_values(pre, rel, plan)
+        values = next(crucial)
         for k, c in enumerate((log_n + 3.0, log_n + 1.0, log_n + 1.0)):
             out.append(check(f"crucial[{tag}]:{k + 1}", max(v[k] for v in values),
                              c * r / n ** 2, pairs=pairs))

@@ -180,6 +180,9 @@ def v_oracle(images: Permutation | np.ndarray,
                             label=f"V^pi{'^-1' if inverse else ''}")
 
 
+# SWAP and CNOT are built once per n and shared, so every circuit that
+# applies them on one layout reads one cached gather index (states.apply).
+@lru_cache(maxsize=None)
 def cnot_operator(n: int) -> LinearOperator:
     """|y,z> -> |y, z xor y> on two N-dim registers (control first)."""
     _require_xor(n)
@@ -189,6 +192,7 @@ def cnot_operator(n: int) -> LinearOperator:
     return from_permutation((n, n), mapping, label="CNOT")
 
 
+@lru_cache(maxsize=None)
 def swap_operator(n: int) -> LinearOperator:
     a = np.arange(n)[:, None]
     b = np.arange(n)[None, :]

@@ -17,13 +17,16 @@ it is returned, so read-only sharing across threads is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
 
 DENSE_NORM_CAP = 4096
+# Layouts per basis map whose flat gather index apply keeps (see _flat_gather).
+GATHER_CACHE_LAYOUTS = 2
 
 
 class LayoutError(ValueError):
@@ -141,7 +144,9 @@ class LinearOperator:
     operator's dense form: it is used for exact norms and ``dense()``, and
     as the reference a structured apply is checked against.  A basis
     ``mapping`` (|j> -> |mapping[j]>) marks a validated permutation; a
-    ``diagonal`` marks a diagonal operator.
+    ``diagonal`` marks a diagonal operator.  ``gathers`` caches, per
+    (layout, targets), the flat index through which ``apply`` runs a basis
+    map off the view path (see _flat_gather).
     """
 
     dims: tuple[int, ...]
@@ -151,6 +156,8 @@ class LinearOperator:
     label: str = ""
     mapping: np.ndarray | None = None
     diagonal: np.ndarray | None = None
+    gathers: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                 repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -264,6 +271,41 @@ def _pre_post(shape: tuple[int, ...], axes: list[int]) -> tuple[int, int] | None
     return math.prod(shape[:live[0]]), math.prod(shape[live[-1] + 1:])
 
 
+def _flat_gather(op: LinearOperator, lay: RegisterLayout,
+                 targets: tuple[str, ...], axes: list[int]) -> np.ndarray:
+    """The read-only flat index g with image[j] = state[g[j]] for the basis
+    map ``op`` on ``targets``: the identity plus, at each position, the
+    offset from its target digits to their preimage's.  Built once per
+    (layout, targets) and kept on the operator for the GATHER_CACHE_LAYOUTS
+    layouts used last; one index has as many entries as the state and is
+    charged against AMPLITUDE_BUDGET before it is built."""
+    key = (lay, targets)
+    index = op.gathers.pop(key, None)
+    if index is None:
+        from .oracles import charge  # oracles builds on this module
+        charge(lay.total_dim, f"the flat gather index of {op.label or 'a basis map'} "
+               f"on {targets}")
+        dims = tuple(op.dims)
+        offsets = np.zeros(dims, dtype=np.intp)  # flat offset of each target digit tuple
+        for k, a in enumerate(axes):
+            offsets += (np.arange(dims[k]) * lay.strides[a]).reshape(
+                [-1 if i == k else 1 for i in range(len(dims))])
+        offsets = offsets.reshape(-1)
+        source = np.empty_like(offsets)
+        source[op.mapping] = np.arange(op.dim)  # image digit -> preimage digit
+        delta = (offsets[source] - offsets).reshape(dims)
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        index = np.arange(lay.total_dim).reshape(lay.shape)
+        index += delta.transpose(order).reshape(
+            [lay.shape[a] if a in axes else 1 for a in range(len(lay.shape))])
+        index = index.reshape(-1)
+        index.setflags(write=False)
+    op.gathers[key] = index  # the most recent layout goes last
+    if len(op.gathers) > GATHER_CACHE_LAYOUTS:
+        op.gathers.popitem(last=False)
+    return index
+
+
 def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...],
           out: np.ndarray | None = None) -> StateVector:
     """Apply ``op`` on the named registers, identity elsewhere, writing the
@@ -273,8 +315,10 @@ def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...],
     ignored.  When the other targets are then consecutive layout axes in
     layout order, the state is viewed as (pre, d, post) without a copy: a
     diagonal multiplies once, and any other operator acts on the (d, post)
-    view when pre = 1, a basis map by one gather.  Every other target
-    layout moves the target axes to the front and back."""
+    view when pre = 1, a basis map by one gather.  A basis map on any other
+    target layout is one gather through the flat index of the whole state
+    (_flat_gather), which reads the state once and writes it once.  Every
+    other operator there moves the target axes to the front and back."""
     lay = state.layout
     axes = [lay.axis(t) for t in targets]
     dims = tuple(lay.shape[a] for a in axes)
@@ -293,6 +337,11 @@ def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...],
         if pre == 1:
             op.apply_block(src[0], out=dst[0])
             return StateVector(lay, res)
+    if op.mapping is not None:
+        # A checked bijection never clips; mode "raise" would buffer the output.
+        np.take(state.amps, _flat_gather(op, lay, tuple(targets), axes), out=res,
+                mode="clip")
+        return StateVector(lay, res)
     moved = np.moveaxis(state.reshaped(), axes, range(len(axes)))
     tail_shape = moved.shape[len(axes):]
     image = op.apply_block(moved.reshape(op.dim, -1)).reshape(dims + tail_shape)

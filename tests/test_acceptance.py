@@ -315,7 +315,7 @@ def test_criterion_10_progress_identity():
         final = run(circ, spo_backend(n))
         for rname, rel in suite_relations(n):
             lhs = n * progress_measure(final, rel)
-            rhs = p2_upper_bound(final, rel, plan)[0]
+            rhs = p2_upper_bound(final, [rel], plan)[0][0]
             worst = max(worst, abs(lhs - rhs))
             p_ii = experiment_probabilities(final, rel, plan).p_ii
             ok &= p_ii <= rhs + 1e-10

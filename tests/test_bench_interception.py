@@ -10,12 +10,16 @@ pass the tracer's own self-test, so a span prediction that the program no
 longer meets (for instance, how an ``apply`` is classified as dense, perm,
 diag or free) fails here too.  A traced ``N = 6`` commutator suite must
 still reach the Lanczos norm and the Gamma builder that ``verify-all`` is
-predicted to call.
+predicted to call.  Traced progress and spo-equivalence suites must record
+calls, not just rebinds, of the relation-batched twirl averages and of
+basis-map applies, which a rename would leave rebound but never called.
 """
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,3 +95,21 @@ def test_traced_commutator_run_reaches_lanczos_and_gamma():
     assert result["problems"] == []
     assert result["calls"]["states.operator_norm.lanczos"] >= 1
     assert result["calls"]["lemmas.gamma_operator"] >= 1
+
+
+@pytest.mark.parametrize("suite,spans", [
+    ("progress", ("lemmas.p2_upper_bound", "lemmas.crucial_term_values",
+                  "states.apply.perm")),
+    ("spo-equivalence", ("states.apply.perm",)),
+])
+def test_traced_suites_call_the_batched_averages_and_basis_maps(suite, spans):
+    # Not benchmark workloads: only the workload-independent self-checks
+    # apply, and the calls are read directly.
+    argv = ["verify", "--suite", suite, "--n", "4"]
+    result = _run(TRACED_RUN.format(bench=str(ROOT / "perfbench"),
+                                    src=str(ROOT / "src"), argv=argv,
+                                    workload=f"{suite}-n4"))
+    assert result["rc"] == 0
+    assert result["problems"] == []
+    for span in spans:
+        assert result["calls"].get(span, 0) >= 1, span

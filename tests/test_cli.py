@@ -129,6 +129,30 @@ def test_verify_budget_error_is_diagnosed(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite,message", [
+    ("spo-equivalence", "spo-equivalence suite needs n in {2, 4}, got n=1"),
+    ("twirl", "twirl suite needs n in {2, 4}, got n=1"),
+    ("progress", "progress suite runs exhaustively at n in {2, 4}, got n=1"),
+    ("sparsity", "sparsity suite runs at n in {2, 4}, got n=1"),
+    ("theorem", "theorem suite runs exhaustively at n in {2, 4}, got n=1"),
+])
+def test_verify_exhaustive_suites_refuse_n_1_before_any_run(monkeypatch, capsys,
+                                                            suite, message):
+    """n = 1 is a power of two but not a size these suites run at: each
+    exits 1 with its own message before any circuit runs or plan is built
+    (spo-equivalence used to die in numpy on an empty Z != 0 slice)."""
+    import spolab.circuits as circuits_mod
+    import spolab.suites as suites_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite did work before refusing n = 1")
+
+    monkeypatch.setattr(circuits_mod, "_execute", no_work)
+    monkeypatch.setattr(suites_mod, "make_twirl_plan", no_work)
+    assert run_cli(["verify", "--suite", suite, "--n", "1"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_verify_gamma_over_budget_exits_1_before_any_matrix(monkeypatch, capsys):
     """At N = 8 one 8! x 8! matrix alone exceeds the amplitude budget; the
     refusal comes before any Gamma or W matrix is built."""

@@ -563,7 +563,7 @@ def _chunked_averages(monkeypatch, final, rel, plan, width):
 
     res = chunked(nf // plan.n, experiment_probabilities, final, rel, plan)
     return {"p_ii": (res.p_ii, res.stderr_ii),
-            "p2": chunked(block, p2_upper_bound, final, rel, plan),
+            "p2": chunked(block, p2_upper_bound, final, [rel], plan)[0],
             "sparsity": chunked(block, sparsity_expectation, final, plan)}
 
 
@@ -625,7 +625,7 @@ def test_subset_kernel_matches_the_per_pair_reference():
         assert res.subsets == 2 ** (plan.n - 1) - 1 and res.stderr_ii == 0.0
         got = {"p_ii": (res.p_ii, 0.0), "progress": (progress_measure(final, rel), 0.0)}
         _assert_averages_match(got, want, context)
-        p2, _ = p2_upper_bound(final, rel, plan)
+        (p2, _), = p2_upper_bound(final, [rel], plan)
         assert plan.n * got["progress"][0] == pytest.approx(p2, rel=1e-12, abs=1e-15)
 
 
@@ -767,7 +767,7 @@ def test_twirl_steps_hold_the_columns_their_width_allows(monkeypatch):
         plan = half_group_plan(n)
         final = final_state(random_circuit(43, 2, work, n))
         rel = diagonal_relation(n)
-        for average in (lambda: p2_upper_bound(final, rel, plan),
+        for average in (lambda: p2_upper_bound(final, [rel], plan),
                         lambda: sparsity_expectation(final, plan)):
             steps.clear()
             average()
@@ -931,7 +931,7 @@ def test_fundamental_check_suite_cases():
 def test_p2_fresh_database_is_zero():
     n = 4
     plan = make_twirl_plan(n)
-    val, se = p2_upper_bound(final_state(empty_circuit(n)), full_relation(n), plan)
+    (val, se), = p2_upper_bound(final_state(empty_circuit(n)), [full_relation(n)], plan)
     assert val == pytest.approx(0.0, abs=1e-12)
     assert se == 0.0
 
@@ -943,7 +943,7 @@ def test_p2_dominates_and_identity():
         circ = random_circuit(seed, 2, 2, n)
         final = final_state(circ)
         for rel in (diagonal_relation(n), sponge_preimage_relation(2, 1, 1)):
-            p2, _ = p2_upper_bound(final, rel, plan)
+            (p2, _), = p2_upper_bound(final, [rel], plan)
             res = experiment_probabilities(final, rel, plan)
             assert res.p_ii <= p2 + 1e-10
             rows = {r.name: r for r in progress_checks(circ, [("r", rel)])}
@@ -986,9 +986,9 @@ def test_twirl_averages_on_non_square_sampled_grid():
 
     def averages(p):
         res = experiment_probabilities(final, rel, p)
-        values = [(res.p_ii, res.stderr_ii), p2_upper_bound(final, rel, p),
+        values = [(res.p_ii, res.stderr_ii), p2_upper_bound(final, [rel], p)[0],
                   sparsity_expectation(state, p)]
-        crucial = [v for per_state in crucial_term_values(pre, rel, p)
+        crucial = [v for per_state in crucial_term_values(pre, [rel], p)[0]
                    for v in per_state]
         return res.p_i, values, crucial
 
@@ -1008,6 +1008,56 @@ def test_twirl_averages_on_non_square_sampled_grid():
     for k, mean in enumerate(got_crucial):
         grid = np.array([[cell[2][k] for cell in row] for row in per_pair])
         assert mean == pytest.approx(grid.mean(), abs=1e-14)
+
+
+@pytest.mark.parametrize("grid", ["sampled 2 x 3", "full N = 4"])
+def test_relation_batched_averages_match_one_relation_calls(grid):
+    """p2_upper_bound and crucial_term_values over every suite relation in
+    one pass: the column of each relation equals a call with that relation
+    alone, and the mean of its single-pair plans, with grid_mean_stderr's
+    stderr on the sampled grid and stderr 0 on the full group."""
+    from spolab.lemmas import (
+        TwirlPlan,
+        crucial_term_values,
+        grid_mean_stderr,
+        standard_form_prequery_states,
+    )
+    from spolab.suites import suite_relations
+
+    n = 4
+    if grid == "full N = 4":
+        plan = make_twirl_plan(n)
+    else:
+        rng = np.random.default_rng(5)
+        draws = [sample_uniform(n, rng).images for _ in range(5)]
+        plan = TwirlPlan(n, draws[:2], draws[2:])
+    rels = [rel for _name, rel in suite_relations(n)]
+    circ = random_circuit(71, 1, 2, n)
+    final = final_state(circ)
+    pre = standard_form_prequery_states(circ)
+
+    p2 = p2_upper_bound(final, rels, plan)
+    crucial = crucial_term_values(pre, rels, plan)
+    assert len(p2) == len(crucial) == len(rels)
+    for k, rel in enumerate(rels):
+        assert p2[k] == pytest.approx(p2_upper_bound(final, [rel], plan)[0],
+                                      rel=1e-12, abs=1e-15)
+        alone, = crucial_term_values(pre, [rel], plan)
+        assert np.allclose(crucial[k], alone, rtol=1e-12, atol=1e-15)
+
+    singles = [[TwirlPlan(n, [s], [t]) for t in plan.taus] for s in plan.sigmas]
+    p2_grid = np.array([[p2_upper_bound(final, rels, one) for one in row]
+                        for row in singles])  # (S, T, relation, 2)
+    crucial_grid = np.array([[crucial_term_values(pre, rels, one) for one in row]
+                             for row in singles])  # (S, T, relation, state, 3)
+    assert (p2_grid[..., 1] == 0.0).all()
+    want_mean, want_se = grid_mean_stderr(p2_grid[..., 0])
+    if plan.full_group:
+        want_se = np.zeros_like(want_mean)
+    assert np.allclose([v for v, _se in p2], want_mean, rtol=1e-12, atol=1e-15)
+    assert np.allclose([se for _v, se in p2], want_se, rtol=1e-12, atol=1e-15)
+    assert np.allclose(crucial, crucial_grid.mean(axis=(0, 1)), rtol=1e-12, atol=1e-15)
+    assert max(v for v, _se in p2) > 0.0 and np.max(crucial) > 0.0
 
 
 def test_twirl_average_of_an_array_valued_term_is_elementwise():
@@ -1109,8 +1159,8 @@ def test_crucial_terms_match_direct_tspo_runs():
         plan_one = TwirlPlan(n, [sigma.images], [tau.images])
         from spolab.lemmas import crucial_term_values, standard_form_prequery_states
 
-        got_vals = crucial_term_values(standard_form_prequery_states(circ),
-                                       rel, plan_one)
+        got_vals, = crucial_term_values(standard_form_prequery_states(circ),
+                                        [rel], plan_one)
         # direct run of B against TSPO^{sigma,tau}
         _, pre = run_with_intermediates(b, spo_backend(n, sigma=sigma, tau=tau))
         twisted = twirl_relation(rel, sigma, tau)
@@ -1243,10 +1293,37 @@ def test_crucial_terms_fit_a_budget_below_the_whole_grid(monkeypatch):
     plan = make_twirl_plan(4)
     rel = diagonal_relation(4)
     pre = standard_form_prequery_states(random_circuit(71, 1, 2, 4))
-    want = crucial_term_values(pre, rel, plan)
+    want = crucial_term_values(pre, [rel], plan)[0]
     assert len(want) == len(pre) and max(max(v) for v in want) > 0.0
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
-    assert crucial_term_values(pre, rel, plan) == want
+    assert crucial_term_values(pre, [rel], plan)[0] == want
+
+
+def test_crucial_terms_charge_their_gather_before_any_marginal(monkeypatch):
+    """One pass of the crucial terms gathers, per pair, the (J, N, N!)
+    marginals that every relation reads.  A budget one entry short of that
+    gather is refused before any marginal is taken; at the budget the
+    values are those of the default budget."""
+    import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
+    from spolab.lemmas import crucial_term_values, standard_form_prequery_states
+
+    n = 4
+    plan = make_twirl_plan(n)
+    rels = [diagonal_relation(n), full_relation(n)]
+    pre = standard_form_prequery_states(random_circuit(71, 1, 2, n))
+    want = crucial_term_values(pre, rels, plan)
+    gather = len(pre) * n * database_dim(n)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather)
+    assert crucial_term_values(pre, rels, plan) == want
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather - 1)
+
+    def no_marginal(*args, **kwargs):
+        raise AssertionError("a marginal was taken before the budget check")
+
+    monkeypatch.setattr(lemmas_mod, "marginal", no_marginal)
+    with pytest.raises(BudgetError, match=f"{len(pre)} x {n} x 24 marginals"):
+        crucial_term_values(pre, rels, plan)
 
 
 # --------------------------------------------------------------------------

@@ -112,27 +112,89 @@ def test_apply_matches_the_transposing_reference(registers, targets, kind):
     """apply equals the moveaxis reference of ``helpers`` with and without
     ``out``: exactly for basis maps and diagonals, to 1e-12 for dense
     operators.  With ``out`` the result is written there and the input
-    state is left as it was."""
+    state is left as it was.  A basis map is applied twice on the layout,
+    the second time through the gather index the first cached, and again
+    on the layout with its registers reversed, each time bitwise."""
     rng = np.random.default_rng(len(targets) * 7 + len(registers))
-    lay = RegisterLayout(registers)
-    dims = tuple(lay.dim(t) for t in targets)
+    dims = tuple(dict(registers)[t] for t in targets)
     d = int(np.prod(dims))
     op = {"perm": lambda: from_permutation(dims, rng.permutation(d)),
           "diag": lambda: from_diagonal(dims, np.exp(1j * rng.uniform(0, 7, d))),
           "dense": lambda: from_matrix(rng.standard_normal((d, d))
                                        + 1j * rng.standard_normal((d, d)), dims),
           }[kind]()
+    layouts = [RegisterLayout(registers)]
+    if kind == "perm":
+        layouts.append(RegisterLayout(registers[::-1]))
+    for lay in layouts:
+        s = random_state(lay)
+        before = s.amps.copy()
+        want = moveaxis_apply(op, s, targets).amps
+        buffer = np.full(lay.total_dim, np.nan + 0j)
+        calls = [lambda: apply(op, s, targets), lambda: apply(op, s, targets, out=buffer)]
+        if kind == "perm":
+            calls.append(lambda: apply(op, s, targets))
+        for call in calls:
+            got = call()
+            if kind == "dense":
+                assert np.abs(got.amps - want).max() <= 1e-12 * np.abs(want).max()
+            else:
+                assert np.array_equal(got.amps, want)
+        assert apply(op, s, targets, out=buffer).amps is buffer
+        assert np.array_equal(s.amps, before)
+
+
+def test_scattered_basis_map_gathers_through_one_cached_index():
+    """A basis map off the view path keeps one flat index per layout and
+    targets, reused by later applies, for the GATHER_CACHE_LAYOUTS layouts
+    used last; an evicted layout gets its index built again, and every
+    result equals the moveaxis reference bitwise."""
+    from spolab.states import GATHER_CACHE_LAYOUTS
+
+    rng = np.random.default_rng(3)
+    op = from_permutation((4, 2), rng.permutation(8))
+    layouts = [RegisterLayout((("A", 2), (f"W{k}", k + 2), ("B", 4))) for k in range(4)]
+    assert len(layouts) > GATHER_CACHE_LAYOUTS
+    for lay in layouts + layouts[:1]:
+        s = random_state(lay)
+        got = apply(op, s, ("B", "A"))
+        assert np.array_equal(got.amps, moveaxis_apply(op, s, ("B", "A")).amps)
+        key = (lay, ("B", "A"))
+        index = op.gathers[key]
+        assert apply(op, s, ("B", "A")) is not got and op.gathers[key] is index
+        assert not index.flags.writeable
+        assert len(op.gathers) <= GATHER_CACHE_LAYOUTS
+    assert list(op.gathers) == [(lay, ("B", "A"))
+                                for lay in (layouts + layouts[:1])[-GATHER_CACHE_LAYOUTS:]]
+
+
+def test_scattered_basis_map_over_budget_allocates_no_index(monkeypatch):
+    """The flat index of a 4096-amplitude state has 4096 entries: one entry
+    over a patched AMPLITUDE_BUDGET is refused before the index exists: the
+    call's traced peak stays under half of the index's 32 KiB, and nothing
+    is cached."""
+    import tracemalloc
+
+    import spolab.oracles as oracles_mod
+    from spolab.oracles import BudgetError
+
+    lay = RegisterLayout((("A", 8), ("B", 16), ("C", 32)))
+    op = from_permutation((32, 8), np.random.default_rng(4).permutation(256))
     s = random_state(lay)
-    before = s.amps.copy()
-    want = moveaxis_apply(op, s, targets).amps
-    buffer = np.full(lay.total_dim, np.nan + 0j)
-    for got in (apply(op, s, targets), apply(op, s, targets, out=buffer)):
-        if kind == "dense":
-            assert np.abs(got.amps - want).max() <= 1e-12 * np.abs(want).max()
-        else:
-            assert np.array_equal(got.amps, want)
-    assert got.amps is buffer
-    assert np.array_equal(s.amps, before)
+    buffer = np.empty(lay.total_dim, dtype=np.complex128)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", lay.total_dim - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="flat gather index"):
+            apply(op, s, ("C", "A"), out=buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lay.total_dim * 8 // 2
+    assert not op.gathers
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", lay.total_dim)
+    got = apply(op, s, ("C", "A"), out=buffer).amps
+    assert np.array_equal(got, moveaxis_apply(op, s, ("C", "A")).amps)
 
 
 def test_apply_refuses_an_out_that_may_share_the_state():

@@ -288,13 +288,15 @@ def test_suite_circuit_and_relation_sets():
 
 
 def test_progress_suite_computes_each_twirl_average_once(monkeypatch):
-    """One progress_measure and one p2_upper_bound per (circuit, relation);
-    the relation-free sparsity tail is read through Gamma, so the direct
-    sparsity average never runs."""
+    """One progress_measure per (circuit, relation), one p2_upper_bound per
+    circuit and one crucial_term_values per querying circuit, each pass
+    covering every relation; the relation-free sparsity tail is read
+    through Gamma, so the direct sparsity average never runs."""
     import spolab.lemmas as lemmas_mod
+    from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
 
     calls = dict.fromkeys(("progress_measure", "p2_upper_bound",
-                           "sparsity_expectation"), 0)
+                           "crucial_term_values", "sparsity_expectation"), 0)
     for name in calls:
         def counted(*args, _orig=getattr(lemmas_mod, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -303,8 +305,11 @@ def test_progress_suite_computes_each_twirl_average_once(monkeypatch):
         monkeypatch.setattr(lemmas_mod, name, counted)
     reports = run_suite("progress", 2)
     assert all(r.passed for r in reports)
-    assert calls == {"progress_measure": 20, "p2_upper_bound": 20,
-                     "sparsity_expectation": 0}
+    circuits = suite_circuits(2, DEFAULT_SEED, max_q=2)
+    assert len(circuits) == 5 and len(suite_relations(2)) == 4
+    assert sum(1 for c in circuits if c.query_count) == 4
+    assert calls == {"progress_measure": 20, "p2_upper_bound": 5,
+                     "crucial_term_values": 4, "sparsity_expectation": 0}
 
 
 # project_plus_db calls of progress_suite(4) and sparsity_suite(4) when each
