@@ -343,13 +343,14 @@ def _structured(matrix: np.ndarray, apply_block: Callable[..., np.ndarray],
     """A real, self-inverse operator applied through its structure, which
     therefore also serves as its adjoint; ``matrix`` stays its dense form.
 
-    Checked once, here, against ``matrix @ v`` on a seeded random block:
-    first as returned, then as written into an ``out`` buffer, the form
-    that ``apply`` runs."""
-    op = from_matrix(matrix, label=label)
+    Checked once, here, against ``matrix @ block`` on a seeded random
+    (2, d, 2) batch: first as returned, then as written into an ``out``
+    buffer, the form that ``apply`` runs."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
     rng = np.random.default_rng(11)
-    block = rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2))
-    ref = op.apply_block(block)
+    shape = (2, len(matrix), 2)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = matrix @ block
 
     def check(image: np.ndarray) -> None:
         gap = float(np.linalg.norm(image - ref))
@@ -361,7 +362,7 @@ def _structured(matrix: np.ndarray, apply_block: Callable[..., np.ndarray],
     out = np.empty_like(block)
     apply_block(block, out=out)
     check(out)
-    return LinearOperator(op.dims, apply_block, apply_block, matrix=op.matrix,
+    return LinearOperator((len(matrix),), apply_block, apply_block, matrix=matrix,
                           label=label)
 
 
@@ -379,7 +380,7 @@ def _prep_operator(n_bits: int, c: int) -> LinearOperator:
             raise ValueError("prep writes only into a C-contiguous out")
 
         def real(a: np.ndarray) -> np.ndarray:
-            return a.view(np.float64).reshape(len(h), -1)
+            return a.view(np.float64).reshape(a.shape[:-2] + (len(h), -1))
 
         np.matmul(h, real(block), out=real(out))
         return out
@@ -394,7 +395,7 @@ def _diffusion_operator(n_bits: int, c: int) -> LinearOperator:
 
     def diffuse(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.negative(block, out=out)
-        out[::pad] += weight * block[::pad].sum(axis=0)
+        out[..., ::pad, :] += weight * block[..., ::pad, :].sum(axis=-2, keepdims=True)
         return out
 
     return _structured(_diffusion(n_bits, c), diffuse, "diffuse")

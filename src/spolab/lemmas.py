@@ -1041,29 +1041,27 @@ def gamma_operator(n: int) -> np.ndarray:
 
 
 def gamma_brute_force(n: int) -> np.ndarray:
-    """Gamma by its defining twirl average, conjugating I - P_{+x} by every
-    L^tau and R^sigma: the referee of the closed form (n <= 6)."""
+    """Gamma by its defining twirl average, conjugating the complements
+    I - P_{+x} by every L^tau and R^sigma: the referee of the closed form
+    (n <= 6).  The average is linear, so it twirls their weighted sum
+    M = (1/n) sum_x (I - P_{+x}) / (x + 1) once."""
     if n > 6:
         raise ValueError("brute-force Gamma capped at n=6")
     nf = database_dim(n)
     perms = list(all_permutations(n))
-    acc = np.zeros((nf, nf))
     eye = np.eye(nf)
-    for x in range(n):
-        p_comp = eye - _plus_projector_dense(n, x).real
-        # nested averages: E_tau L^+ M L, then E_sigma R^+ (.) R
-        m_tau = np.zeros((nf, nf))
-        for tau in perms:
-            lm = left_right_map(n, tau=tau)
-            m_tau += p_comp[np.ix_(lm, lm)]
-        m_tau /= len(perms)
-        m_sigma = np.zeros((nf, nf))
-        for sigma in perms:
-            rm = left_right_map(n, sigma=sigma)
-            m_sigma += m_tau[np.ix_(rm, rm)]
-        m_sigma /= len(perms)
-        acc += m_sigma / (x + 1)
-    return acc / n
+    m = sum((eye - _plus_projector_dense(n, x).real) / (x + 1) for x in range(n)) / n
+    # nested averages: E_tau L^+ M L, then E_sigma R^+ (.) R
+    m_tau = np.zeros((nf, nf))
+    for tau in perms:
+        lm = left_right_map(n, tau=tau)
+        m_tau += m[np.ix_(lm, lm)]
+    m_tau /= len(perms)
+    m_sigma = np.zeros((nf, nf))
+    for sigma in perms:
+        rm = left_right_map(n, sigma=sigma)
+        m_sigma += m_tau[np.ix_(rm, rm)]
+    return m_sigma / len(perms)
 
 
 def gamma_expectation(state: StateVector) -> float:

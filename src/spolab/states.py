@@ -137,16 +137,17 @@ def product_uniform(layout: RegisterLayout) -> StateVector:
 class LinearOperator:
     """An operator on a block of registers with the given dims.
 
-    ``apply_block(block, out=None)`` maps a matricized (d, rest) array to
-    its image, written into ``out`` when given; ``adjoint_block(block)``
-    maps it to the adjoint's image.  Either may use the operator's
-    structure rather than a dense product.  The optional ``matrix`` is the
-    operator's dense form: it is used for exact norms and ``dense()``, and
-    as the reference a structured apply is checked against.  A basis
-    ``mapping`` (|j> -> |mapping[j]>) marks a validated permutation; a
-    ``diagonal`` marks a diagonal operator.  ``gathers`` caches, per
-    (layout, targets), the flat index through which ``apply`` runs a basis
-    map off the view path (see _flat_gather).
+    ``apply_block(block, out=None)`` maps a ``(..., d, post)`` array along
+    axis -2, each leading index separately, and writes the image into
+    ``out`` when given; a 2-D ``(d, rest)`` block is the case with no
+    leading axes.  ``adjoint_block(block)`` maps a 2-D block to the
+    adjoint's image.  Either may use the operator's structure rather than
+    a dense product.  The optional ``matrix`` is the operator's dense form:
+    it is used for exact norms and ``dense()``, and as the reference a
+    structured apply is checked against.  A basis ``mapping``
+    (|j> -> |mapping[j]>) marks a validated permutation.  ``gathers``
+    caches, per (layout, targets), the flat index through which ``apply``
+    runs a basis map on scattered targets (see _flat_gather).
     """
 
     dims: tuple[int, ...]
@@ -155,7 +156,6 @@ class LinearOperator:
     matrix: np.ndarray | None = None
     label: str = ""
     mapping: np.ndarray | None = None
-    diagonal: np.ndarray | None = None
     gathers: OrderedDict = field(default_factory=OrderedDict, init=False,
                                  repr=False, compare=False)
 
@@ -213,7 +213,7 @@ def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
     # gather is a checked bijection, so mode "clip" never clips; mode
     # "raise" with an out argument would buffer the whole output.
     def fwd(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.take(block, gather, axis=0, out=out, mode="clip")
+        return np.take(block, gather, axis=-2, out=out, mode="clip")
 
     def bwd(block: np.ndarray) -> np.ndarray:
         return block[mapping]
@@ -228,13 +228,9 @@ def from_diagonal(dims: tuple[int, ...], diag: np.ndarray,
     if diag.shape != (d,):
         raise ValueError("diagonal length does not match dims")
     col = diag[:, None]
-    return LinearOperator(
-        tuple(dims),
-        lambda block, out=None: np.multiply(col, block, out=out),
-        lambda block: col.conj() * block,
-        label=label,
-        diagonal=diag,
-    )
+    return LinearOperator(tuple(dims),
+                          lambda block, out=None: np.multiply(col, block, out=out),
+                          label=label)
 
 
 def check_buffer(layout: RegisterLayout, out: np.ndarray) -> np.ndarray:
@@ -312,13 +308,14 @@ def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...],
     result into ``out`` when given (see the buffer ownership rule above).
 
     Registers of dimension 1 do not move the flat index, so they are
-    ignored.  When the other targets are then consecutive layout axes in
-    layout order, the state is viewed as (pre, d, post) without a copy: a
-    diagonal multiplies once, and any other operator acts on the (d, post)
-    view when pre = 1, a basis map by one gather.  A basis map on any other
-    target layout is one gather through the flat index of the whole state
-    (_flat_gather), which reads the state once and writes it once.  Every
-    other operator there moves the target axes to the front and back."""
+    ignored.  There are three cases.  When the other targets are
+    consecutive layout axes in layout order, the state is viewed as
+    (pre, d, post) without a copy and ``op.apply_block`` maps that batch
+    into the result's view, whatever the operator.  A basis map on
+    scattered targets is one gather through the flat index of the whole
+    state (_flat_gather), which reads the state once and writes it once.
+    Every other operator there moves the target axes to the front and
+    back."""
     lay = state.layout
     axes = [lay.axis(t) for t in targets]
     dims = tuple(lay.shape[a] for a in axes)
@@ -328,24 +325,17 @@ def apply(op: LinearOperator, state: StateVector, targets: tuple[str, ...],
     res = result_buffer(state, out)
     split = _pre_post(lay.shape, axes)
     if split is not None:
-        pre, post = split
-        view = (pre, op.dim, post)
-        src, dst = state.amps.reshape(view), res.reshape(view)
-        if op.diagonal is not None:
-            np.multiply(op.diagonal[:, None], src, out=dst)
-            return StateVector(lay, res)
-        if pre == 1:
-            op.apply_block(src[0], out=dst[0])
-            return StateVector(lay, res)
-    if op.mapping is not None:
+        view = (split[0], op.dim, split[1])
+        op.apply_block(state.amps.reshape(view), out=res.reshape(view))
+    elif op.mapping is not None:
         # A checked bijection never clips; mode "raise" would buffer the output.
         np.take(state.amps, _flat_gather(op, lay, tuple(targets), axes), out=res,
                 mode="clip")
-        return StateVector(lay, res)
-    moved = np.moveaxis(state.reshaped(), axes, range(len(axes)))
-    tail_shape = moved.shape[len(axes):]
-    image = op.apply_block(moved.reshape(op.dim, -1)).reshape(dims + tail_shape)
-    np.copyto(res.reshape(lay.shape), np.moveaxis(image, range(len(axes)), axes))
+    else:
+        moved = np.moveaxis(state.reshaped(), axes, range(len(axes)))
+        tail_shape = moved.shape[len(axes):]
+        image = op.apply_block(moved.reshape(op.dim, -1)).reshape(dims + tail_shape)
+        np.copyto(res.reshape(lay.shape), np.moveaxis(image, range(len(axes)), axes))
     return StateVector(lay, res)
 
 

@@ -502,10 +502,10 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     # untwirled one -- both as exact integer label maps.
     bad_commute = 0
     bad_conjugate = 0
+    lms = [left_right_map(n, tau=tau) for tau in plan.taus]
     for sigma in plan.sigmas:
         rm = left_right_map(n, sigma=sigma)
-        for tau in plan.taus:
-            lm = left_right_map(n, tau=tau)
+        for tau, lm in zip(plan.taus, lms):
             if not np.array_equal(lm[rm], rm[lm]):
                 bad_commute += 1
             both = left_right_map(n, tau=tau, sigma=sigma)

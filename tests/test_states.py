@@ -90,7 +90,14 @@ def test_apply_on_reordered_targets():
 
 
 # (registers, targets): size-1 registers between and around the targets,
-# reversed and scattered targets, and blocks with pre, post > 1.
+# reversed and scattered targets, and blocks with pre, post > 1.  The last
+# CONTIGUOUS_CASES are contiguous blocks with pre > 1, which apply maps as
+# one (pre, d, post) batch.
+CONTIGUOUS_CASES = [
+    ((("A", 3), ("B", 2), ("C", 4), ("D", 3)), ("B", "C")),
+    ((("A", 3), ("B", 2), ("C", 1), ("D", 4)), ("D",)),
+    ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("B", "C", "D")),
+]
 APPLY_CASES = [
     ((("P", 1), ("A", 1), ("X", 4), ("Y", 4)), ("P", "X", "Y")),
     ((("P", 1), ("A", 1), ("X", 4), ("Y", 4)), ("X",)),
@@ -103,7 +110,17 @@ APPLY_CASES = [
     ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("E", "A")),
     ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("C",)),
     ((("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)), ("A", "B", "C", "D", "E")),
+    *CONTIGUOUS_CASES,
 ]
+
+
+def make_operator(kind, dims, rng):
+    d = int(np.prod(dims))
+    return {"perm": lambda: from_permutation(dims, rng.permutation(d)),
+            "diag": lambda: from_diagonal(dims, np.exp(1j * rng.uniform(0, 7, d))),
+            "dense": lambda: from_matrix(rng.standard_normal((d, d))
+                                         + 1j * rng.standard_normal((d, d)), dims),
+            }[kind]()
 
 
 @pytest.mark.parametrize("registers,targets", APPLY_CASES)
@@ -116,13 +133,7 @@ def test_apply_matches_the_transposing_reference(registers, targets, kind):
     the second time through the gather index the first cached, and again
     on the layout with its registers reversed, each time bitwise."""
     rng = np.random.default_rng(len(targets) * 7 + len(registers))
-    dims = tuple(dict(registers)[t] for t in targets)
-    d = int(np.prod(dims))
-    op = {"perm": lambda: from_permutation(dims, rng.permutation(d)),
-          "diag": lambda: from_diagonal(dims, np.exp(1j * rng.uniform(0, 7, d))),
-          "dense": lambda: from_matrix(rng.standard_normal((d, d))
-                                       + 1j * rng.standard_normal((d, d)), dims),
-          }[kind]()
+    op = make_operator(kind, tuple(dict(registers)[t] for t in targets), rng)
     layouts = [RegisterLayout(registers)]
     if kind == "perm":
         layouts.append(RegisterLayout(registers[::-1]))
@@ -142,6 +153,49 @@ def test_apply_matches_the_transposing_reference(registers, targets, kind):
                 assert np.array_equal(got.amps, want)
         assert apply(op, s, targets, out=buffer).amps is buffer
         assert np.array_equal(s.amps, before)
+
+
+def grover_operators():
+    from spolab.circuits import LocalUnitary, grover_preimage
+
+    return {s.tag: s.op for s in grover_preimage(4, 2, 0, 1).steps
+            if isinstance(s, LocalUnitary) and s.tag in ("prep", "diffuse")}
+
+
+@pytest.mark.parametrize("builder", ["perm", "diag", "dense", "prep", "diffuse"])
+def test_apply_block_maps_each_leading_index_as_one_block(builder):
+    """Every operator apply can reach maps a (pre, d, post) batch along
+    axis -2 as it maps each 2-D (d, post) slice, with and without ``out``:
+    bitwise for basis maps and diagonals, to 1e-15 relative for products."""
+    rng = np.random.default_rng(5)
+    op = (grover_operators()[builder] if builder in ("prep", "diffuse")
+          else make_operator(builder, (4, 3), rng))
+    batch = rng.standard_normal((3, op.dim, 5)) + 1j * rng.standard_normal((3, op.dim, 5))
+    want = np.stack([op.apply_block(block) for block in batch])
+    out = np.full_like(batch, np.nan)
+    assert op.apply_block(batch, out=out) is out
+    for got in (op.apply_block(batch), out):
+        if builder in ("perm", "diag"):
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("registers,targets", CONTIGUOUS_CASES)
+@pytest.mark.parametrize("kind", ["perm", "diag", "dense"])
+def test_contiguous_targets_take_the_view_path(monkeypatch, registers, targets, kind):
+    """Contiguous targets are one apply_block on the (pre, d, post) view:
+    apply never moves axes and a basis map builds no flat gather index.
+    The results are checked in test_apply_matches_the_transposing_reference."""
+    rng = np.random.default_rng(9)
+    op = make_operator(kind, tuple(dict(registers)[t] for t in targets), rng)
+
+    def moved(*args, **kwargs):
+        raise AssertionError("apply moved axes for contiguous targets")
+
+    monkeypatch.setattr(np, "moveaxis", moved)
+    apply(op, random_state(RegisterLayout(registers)), targets)
+    assert not op.gathers
 
 
 def test_scattered_basis_map_gathers_through_one_cached_index():
