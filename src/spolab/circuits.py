@@ -1,8 +1,8 @@
 """Query circuits: oracle adversaries as alternating local unitaries and queries.
 
 A circuit runs on a leading classical label P, one run per row of its
-backend's table, then registers A (work), optionally Z (standard-form
-scratch), X, Y, plus the oracle database D for a database backend.  Local
+backend's table, then optionally Z (standard-form scratch), registers A
+(work), X, Y, plus the oracle database D for a database backend.  Local
 unitaries may target any subset of {P, A, Z, X, Y}; queries are forward or
 inverse oracle calls dispatched through an
 :class:`~spolab.oracles.OracleBackend`.
@@ -110,10 +110,16 @@ class QueryCircuit:
 
 
 def circuit_layout(circ: QueryCircuit, backend: OracleBackend) -> RegisterLayout:
-    regs = [("P", backend.rows), ("A", circ.work_dim)]
+    """The registers of a run, in the order P, (Z,) A, X, Y(, D).
+
+    Z leads A so that A, X, Y, which the local unitaries of the circuit
+    library act on, are consecutive: such a step is one (pre, d, post) view
+    of the state (states.apply), with no transpose.  Read Z by name, never
+    by position."""
+    regs = [("P", backend.rows)]
     if circ.has_z:
         regs.append(("Z", circ.n))
-    regs += [("X", circ.n), ("Y", circ.n)]
+    regs += [("A", circ.work_dim), ("X", circ.n), ("Y", circ.n)]
     if backend.has_database:
         regs += list(database_layout(circ.n).registers)
     return RegisterLayout(tuple(regs))

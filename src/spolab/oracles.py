@@ -238,42 +238,66 @@ def shift_table(n: int, direction: str,
     return post_inv[np.arange(len(post_inv))[:, None, None], table]
 
 
-def slice_maps(shift: np.ndarray, x: int) -> np.ndarray:
-    """The (K, N * N!) basis maps |y, d> -> |y + v[k, x, d], d> of O^{SPO,x}
-    on Y (x) D, d fastest, one per row k of a shift table v.  The Y action
-    is XOR for power-of-two N and addition mod N otherwise: the
-    Gamma-commutator analysis only needs *some* group shift by pi_d(x), so
-    its growth check covers the non-power-of-two sizes too."""
+def joint_maps(shift: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The (K, b * N * N!) basis maps |x, y, d> -> |x, y + v[k, x, d], d> of
+    O^SPO on X (x) Y (x) D for the b inputs x in [start, stop) (all N by
+    default), one per row k of a shift table v, as flat (x, y, d) indices
+    with d fastest.  The Y action is XOR for power-of-two N and addition
+    mod N otherwise: the Gamma-commutator analysis only needs *some* group
+    shift by pi_d(x), so its growth check covers the non-power-of-two sizes
+    too."""
     k, n, nf = shift.shape
-    ys, v = np.arange(n)[:, None], shift[:, x, None, :]
-    ys = ys ^ v if is_power_of_two(n) else (ys + v) % n
-    return (ys * nf + np.arange(nf)).reshape(k, -1)
+    stop = n if stop is None else stop
+    ys, v = np.arange(n)[:, None], shift[:, start:stop, None, :]
+    index = ys ^ v if is_power_of_two(n) else (ys + v) % n  # (K, b, N, N!)
+    index += np.arange(start, stop)[:, None, None] * n
+    index *= nf
+    index += np.arange(nf)
+    return index.reshape(k, -1)
 
 
 def query_slice_map(n: int, x: int, direction: str,
                     sigma: Permutation | None = None,
                     tau: Permutation | None = None) -> np.ndarray:
     """The (y, d) basis map of O^{SPO,x} on Y (x) D for one (sigma, tau)."""
-    return slice_maps(shift_table(n, direction, sigma, tau), x)[0]
+    joint = joint_maps(shift_table(n, direction, sigma, tau), x, x + 1)[0]
+    return joint - x * n * factorial(n)
 
 
 def spo_query(state: StateVector, shift: np.ndarray,
               out: np.ndarray | None = None) -> StateVector:
     """One oracle query per run on P: row k of the (K, N, N!) shift table
     acts on the run of label k (a state without P is one run); D is
-    untouched (control only).  The result goes into ``out`` when given."""
+    untouched (control only).  The result goes into ``out`` when given.
+
+    The state is viewed as (K, rest, N, N * N!), rest being the registers
+    between P and X, so an x-slab, the amplitudes with one value of X, is
+    K * rest * N * N! of them.  The query gathers through the joint maps of
+    blocks of min(N, rest) values of x, built per block: no index has more
+    entries than one x-slab, and nothing outlives the call.  A block is one
+    np.take per run, its index shared by every rest row of the run."""
     k, n, nf = shift.shape
     _require_xor(n)
     lay = state.layout
     runs = lay.shape[0] if lay.names[0] == "P" else 1
     if lay.names[-n - 2:] != ("X", "Y", *database_names(n)) or runs != k:
         raise LayoutError(f"expected P ({k} runs), ..., X, Y, D_n..D_1: {lay.names}")
-    arr = state.amps.reshape(k, -1, n, n * nf)
+    width = n * nf  # the (y, d) block of one x
+    src = state.amps.reshape(k, -1, n * width)
     res = result_buffer(state, out)
-    dst = res.reshape(arr.shape)
-    for x in range(n):  # an XOR map is its own inverse, so it gathers too
-        dst[:, :, x] = np.take_along_axis(arr[:, :, x], slice_maps(shift, x)[:, None],
-                                          axis=-1)
+    dst = res.reshape(src.shape)
+    step = min(n, src.shape[1])
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        # An XOR map is its own inverse, so it gathers too.
+        index = joint_maps(shift, start, stop)
+        cols = slice(start * width, stop * width)
+        for row, (run, image) in enumerate(zip(src, dst)):
+            # A bijection never clips; mode "raise" would buffer the output,
+            # as np.take does anyway for a partial block of a run whose
+            # 1 < rest < N rows make image[:, cols] a strided view.
+            np.take(run, index[row], axis=1, out=image[:, cols], mode="clip")
+        del index  # so that the next block's index is the only one alive
     return StateVector(lay, res)
 
 

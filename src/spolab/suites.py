@@ -60,11 +60,11 @@ from .oracles import (
     concrete_backend,
     database_dim,
     is_power_of_two,
+    joint_maps,
     left_right_map,
     perm_tables,
     query_slice_map,
     shift_table,
-    slice_maps,
     spo_backend,
     spo_init,
     spo_recover,
@@ -457,10 +457,11 @@ def standard_form_checks(plan: TwirlPlan,
     n, taus = plan.n, plan.taus
     identity_rows = spo_backend(n, sigma=np.broadcast_to(np.arange(n), taus.shape))
 
-    def deviation(got: StateVector, ref: np.ndarray) -> float:
-        z = got.amps.reshape(*ref.shape[:2], n, -1)
-        return max(float(np.abs(z[:, :, :1] - ref).max()),
-                   float(np.abs(z[:, :, 1:]).max()))
+    def deviation(got: StateVector, ref: StateVector) -> float:
+        # Z leading, the other registers keep the reference's order.
+        z = np.moveaxis(got.reshaped(), got.layout.axis("Z"), 0)
+        return max(float(np.abs(z[0] - ref.reshaped()).max()),
+                   float(np.abs(z[1:]).max()))
 
     for circ in (classical_probe(n, 0, "forward"),
                  random_circuit(seed + 9, 2, 2, n)):
@@ -471,7 +472,7 @@ def standard_form_checks(plan: TwirlPlan,
         for sigma in plan.sigmas:
             sigmas = np.broadcast_to(sigma, taus.shape)
             twirled = spo_backend(n, sigma=sigmas, tau=taus)
-            ref = run(circ, twirled).amps.reshape(len(taus), circ.work_dim, 1, -1)
+            ref = run(circ, twirled)
             worst12 = max(worst12, deviation(run(b, twirled), ref))
             dressed = dressed_standard_form(circ, sigmas, taus)
             worst13 = max(worst13, deviation(run(dressed, identity_rows), ref))
@@ -515,15 +516,10 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     out.append(check(f"left-right-compose[n={n}]", bad_conjugate, 0, tol=0.0))
 
     # The twirled query equals (L R) O^SPO (L R)^{-1}: exact label-map identity
-    # on the joint (x, y, d) basis, the slice maps of O^{SPO,x} side by side,
-    # for a whole sigma-row of the plan at once.
+    # on the joint (x, y, d) basis of joint_maps, for a whole sigma-row of
+    # the plan at once.
     bad_ops = 0
     rest, d_part = np.divmod(np.arange(n * n * nf), nf)
-
-    def joint_maps(shift: np.ndarray) -> np.ndarray:
-        return np.concatenate([x * n * nf + slice_maps(shift, x)
-                               for x in range(n)], axis=1)
-
     for direction in ("forward", "inverse"):
         base_map = joint_maps(shift_table(n, direction))[0]
         for i, sigma in enumerate(plan.sigmas):

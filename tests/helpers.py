@@ -2,8 +2,8 @@
 query, a circuit's text form, the untwirled final state, counters of calls
 and of circuit runs, a per-pair twirl-average reference, a dense
 trace-distance reference, the scalar permutation sampler, dense Grover
-steps, a transposing reference for ``apply`` and high-precision bound
-evaluators."""
+steps, a transposing reference for ``apply``, a per-x reference for
+``spo_query`` and high-precision bound evaluators."""
 import dataclasses
 import math
 import sys
@@ -258,6 +258,23 @@ def moveaxis_apply(op, state: StateVector, targets: tuple[str, ...]) -> StateVec
     image = image.reshape(tuple(op.dims) + tail_shape)
     image = np.moveaxis(image, range(len(axes)), axes)
     return StateVector(lay, np.ascontiguousarray(image).reshape(-1))
+
+
+def per_x_spo_query(state: StateVector, shift: np.ndarray,
+                    out: np.ndarray | None = None) -> StateVector:
+    """``oracles.spo_query`` one x at a time: for each x, the slice maps
+    |y, d> -> |y xor v[k, x, d], d> of every row k, written here from the
+    (K, N, N!) shift table v, gathered by ``np.take_along_axis`` from the
+    (K, rest, N, N * N!) view of the state into ``out`` or a fresh array."""
+    k, n, nf = shift.shape
+    arr = state.amps.reshape(k, -1, n, n * nf)
+    res = np.empty_like(state.amps) if out is None else out
+    dst = res.reshape(arr.shape)
+    ys = np.arange(n)[:, None]
+    for x in range(n):
+        maps = ((ys ^ shift[:, x, None, :]) * nf + np.arange(nf)).reshape(k, -1)
+        dst[:, :, x] = np.take_along_axis(arr[:, :, x], maps[:, None], axis=-1)
+    return StateVector(state.layout, res)
 
 
 def main_bound_highprec(q: int, n: int, r_max: int, prec: int = 50) -> Decimal:

@@ -10,6 +10,7 @@ from spolab.circuits import (
     Query,
     QueryCircuit,
     averaged_grover_reference,
+    circuit_layout,
     classical_probe,
     concrete_ensemble,
     dressed_standard_form,
@@ -387,12 +388,43 @@ def test_standard_form_reproduces_tspo_run():
         got = run(b, spo_backend(n, sigma=sigma, tau=tau))
         got3 = run(dressed_standard_form(circ, sigma, tau), spo_backend(n))
         # compare on the common registers: Z ends in |0>
-        got_z0 = got.amps.reshape(circ.work_dim, n, -1)[:, 0, :]
-        got3_z0 = got3.amps.reshape(circ.work_dim, n, -1)[:, 0, :]
-        assert np.abs(got_z0.reshape(-1) - ref.amps).max() < 1e-12
-        assert np.abs(got3_z0.reshape(-1) - ref.amps).max() < 1e-12
+        got_z0 = got.reshaped().take(0, axis=got.layout.axis("Z"))
+        got3_z0 = got3.reshaped().take(0, axis=got3.layout.axis("Z"))
+        assert np.abs(got_z0 - ref.reshaped()).max() < 1e-12
+        assert np.abs(got3_z0 - ref.reshaped()).max() < 1e-12
         # no weight escapes the Z=|0> slice
         assert np.vdot(got.amps, got.amps).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dressed", [False, True], ids=["standard", "dressed"])
+def test_standard_form_steps_take_no_transposing_path(monkeypatch, dressed):
+    """On the P, Z, A, X, Y, D layout of a standard-form run, every dense
+    step (the A, X, Y unitaries) is one (pre, d, post) view and no step
+    moves axes; the scattered basis maps (SWAP and CNOT on Y, Z, and V on
+    P, X and P, Y) gather through their cached flat index."""
+    n = 4
+    circ = random_circuit(8, 2, 2, n)
+    rng = np.random.default_rng(6)
+    sigmas, taus = (np.stack([sample_uniform(n, rng).images for _ in range(3)])
+                    for _ in "st")
+    if dressed:
+        b = dressed_standard_form(circ, sigmas, taus)
+        backend = spo_backend(n, sigma=np.tile(np.arange(n), (3, 1)))
+    else:
+        b = standard_form(circ)
+        backend = spo_backend(n, sigma=sigmas, tau=taus)
+
+    def moved(*args, **kwargs):
+        raise AssertionError("a standard-form step moved axes")
+
+    monkeypatch.setattr(np, "moveaxis", moved)
+    run(b, backend)
+    lay = circuit_layout(b, backend)
+    steps = [s for s in b.steps if isinstance(s, LocalUnitary)]
+    assert {s.tag for s in steps if s.op.mapping is None} == {"U0", "U1", "U2"}
+    for s in steps:
+        if s.op.mapping is not None:
+            assert (lay, s.targets) in s.op.gathers, s.tag
 
 
 def test_with_loading_query():

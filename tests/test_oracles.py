@@ -1,5 +1,6 @@
 """Oracle machinery: XOR/in-place unitaries, SPO/TSPO queries, twirls, recovery."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,10 +36,11 @@ from spolab.states import (
     RegisterLayout,
     StateVector,
     apply,
+    database_layout,
     from_permutation,
 )
 
-from helpers import basis_state, index_of_perm, perm_of_index
+from helpers import basis_state, index_of_perm, per_x_spo_query, perm_of_index
 
 RNG = np.random.default_rng(11)
 
@@ -361,6 +363,59 @@ def test_spo_query_matches_dense_matrix():
             dense[mapping, np.arange(len(mapping))] = 1.0
             got = spo_query(state, shift_table(n, direction, s, t)).amps
             assert np.allclose(got, dense @ amps, atol=1e-12)
+
+
+def _query_state(k, rest, n, rng):
+    """A random state on P (k runs), A (rest), X, Y, D_n..D_1."""
+    lay = RegisterLayout((("P", k), ("A", rest), ("X", n), ("Y", n))
+                         + database_layout(n).registers)
+    size = lay.total_dim
+    return StateVector(lay, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+QUERY_SHAPES = [(k, rest, n) for k in (1, 24) for rest in (1, 2, 8) for n in (2, 4)]
+
+
+@pytest.mark.parametrize("twirled", [False, True], ids=["untwirled", "twirled"])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("k,rest,n", QUERY_SHAPES + [(1, 1, 8)])
+def test_spo_query_matches_the_per_x_reference(k, rest, n, direction, twirled):
+    """The blocked query equals the per-x take_along_axis referee bitwise,
+    as returned and as written into ``out``: blocks of every x (rest >= N),
+    of fewer (1 < rest < N) and of single x values (rest = 1, as at N = 8).
+    The untwirled table is K identity rows."""
+    rng = np.random.default_rng(100 * k + 10 * rest + n)
+    if twirled:
+        sigmas, taus = (np.stack([rng.permutation(n) for _ in range(k)]) for _ in "st")
+    else:
+        sigmas = taus = np.tile(np.arange(n), (k, 1))
+    shift = shift_table(n, direction, sigmas, taus)
+    state = _query_state(k, rest, n, rng)
+    want = per_x_spo_query(state, shift).amps
+    assert np.array_equal(spo_query(state, shift).amps, want)
+    out = np.full_like(want, np.nan)
+    assert spo_query(state, shift, out=out).amps is out
+    assert np.array_equal(out, want)
+
+
+def test_spo_query_peak_stays_under_a_quarter_of_the_state():
+    """At N = 8 with one run and rest = 1, the query's index blocks are
+    single x values (N * N! entries, 1/16 of the state's bytes): its peak
+    allocation into ``out`` stays below a quarter of the state's bytes,
+    which a joint map of every x, cached or not, or a whole-state flat
+    index would exceed."""
+    n = 8
+    shift = shift_table(n, "forward")
+    state = _query_state(1, 1, n, np.random.default_rng(8))
+    out = np.empty_like(state.amps)
+    tracemalloc.start()
+    try:
+        spo_query(state, shift, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amps.nbytes / 4
+    assert np.array_equal(out, per_x_spo_query(state, shift).amps)
 
 
 def test_exact_db_limit():
