@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
@@ -61,10 +61,6 @@ from .states import (
 )
 
 EXHAUSTIVE_TWIRL_LIMIT = 4
-# Entries one step of a twirl average may touch, C * width for a chunk of C
-# pairs: 1 MiB of complex128 when a column gathers a (rest, n!) block, a
-# whole sigma-row at n = 4 and one pair at n = 8.
-TWIRL_CHUNK_AMPS = 2 ** 16
 
 
 class WeightPreconditionError(ValueError):
@@ -79,8 +75,8 @@ class WeightPreconditionError(ValueError):
 class TwirlPlan:
     """A (sigma, tau) product grid over read-only (S, n) and (T, n) int
     image tables.  The constructor derives the inverse images and label
-    maps, charging the maps against AMPLITUDE_BUDGET first; replace() passes
-    them through, so change only chunk that way.
+    maps, charging the maps against AMPLITUDE_BUDGET first.  A twirl
+    average steps through the grid one sigma-row of T pairs at a time.
 
     An average over the plan is exact, with stderr 0, exactly when both
     tables hold all of S_n (full_group), in any row order; then
@@ -91,19 +87,14 @@ class TwirlPlan:
     n: int
     sigmas: np.ndarray
     taus: np.ndarray
-    chunk: int = 1  # columns of a sigma-row per step of pairs()
     # Derived, read-only: the inverse images, and the inverse label maps of
     # R^sigma and L^tau, i.e. the maps of R^{sigma^{-1}}, L^{tau^{-1}} (int32).
-    sigma_inv: np.ndarray | None = field(default=None, repr=False)  # (S, n)
-    tau_inv: np.ndarray | None = field(default=None, repr=False)    # (T, n)
-    right_inv: np.ndarray | None = field(default=None, repr=False)  # d -> idx(pi_d sigma)
-    left_inv: np.ndarray | None = field(default=None, repr=False)   # d -> idx(tau^{-1} pi_d)
+    sigma_inv: np.ndarray = field(init=False, repr=False)  # (S, n)
+    tau_inv: np.ndarray = field(init=False, repr=False)    # (T, n)
+    right_inv: np.ndarray = field(init=False, repr=False)  # d -> idx(pi_d sigma)
+    left_inv: np.ndarray = field(init=False, repr=False)   # d -> idx(tau^{-1} pi_d)
 
     def __post_init__(self) -> None:
-        if self.chunk < 1:
-            raise ValueError(f"a twirl chunk holds at least one pair, got {self.chunk}")
-        if self.right_inv is not None:
-            return  # a copy made by replace()
         n, nf = self.n, database_dim(self.n)
         sigmas, taus = image_table(self.sigmas), image_table(self.taus)
         if sigmas.shape[1] != n or taus.shape[1] != n:
@@ -139,12 +130,10 @@ class TwirlPlan:
         return all(len(t) == nf and len(np.unique(t, axis=0)) == nf
                    for t in (self.sigmas, self.taus))
 
-    def pairs(self) -> Iterator[tuple[int, slice]]:
-        """Yields (i, cols) for each chunk of sigma-row i, row by row: cols
-        slices at most ``chunk`` columns (see _twirl_average)."""
-        for i in range(len(self.sigmas)):
-            for c0 in range(0, len(self.taus), self.chunk):
-                yield i, slice(c0, min(c0 + self.chunk, len(self.taus)))
+    def pairs(self) -> Iterator[int]:
+        """Yields the index i of each sigma-row, in order: the steps of
+        _twirl_average, each over the row's T pairs (sigmas[i], taus[j])."""
+        yield from range(len(self.sigmas))
 
 
 def _charge_maps(n: int, rows: int, cols: int) -> None:
@@ -197,28 +186,27 @@ def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, np.sqrt(var_rows / rows + var_cols / cols)
 
 
-def _twirl_average(plan: TwirlPlan, width: int,
-                   term: Callable[[int], Callable[[slice], np.ndarray]]) -> tuple:
+def _charge_rows(plan: TwirlPlan, per_pair: tuple[int, ...], what: str) -> None:
+    """Charge the gather of one sigma-row, T blocks of shape ``per_pair``,
+    against AMPLITUDE_BUDGET."""
+    shape = (len(plan.taus), *per_pair)
+    charge(math.prod(shape), f"one sigma-row of {what} gathers "
+           f"{' x '.join(map(str, shape))} entries")
+
+
+def _twirl_average(plan: TwirlPlan, row: Callable[[int], np.ndarray]) -> tuple:
     """(mean, stderr) over the plan of the values of one twirl term.
 
-    The chunk protocol: plan.pairs() yields (i, cols), a slice of columns
-    of sigma-row i.  ``term(i)`` is called once per row, at its first
-    chunk, to precompute what the row shares from the plan's tables
-    (sigmas[i], sigma_inv[i], ri = right_inv[i]).  It returns
-    ``chunk(cols)``, which reads the (C, n!) maps lj = left_inv[cols]
-    itself and returns one value per column: C floats, or C arrays of one
-    fixed shape.  Column c twirls a (rest, n!) block to
-    ``block[:, ri[lj[c]]]``.  ``width`` is the number of entries one column
-    of a step touches, rest * n! for a gathered block; a chunk holds as many
-    columns as keep C * width within TWIRL_CHUNK_AMPS, and at least one.
+    One step is one sigma-row: for each i that plan.pairs() yields,
+    ``row(i)`` returns the row's T values, one per column j: T floats, or
+    T arrays of one fixed shape.  Column j twirls a (rest, n!) block to
+    ``block[:, ri[lj]]`` for ri = right_inv[i] and lj = left_inv[j], so a
+    row reads the (T, n!) maps left_inv whole; its caller charges what a
+    row gathers against AMPLITUDE_BUDGET before the first row is built.
     A full-group plan gives the exact mean with stderr 0, any other the
     crossed-grid estimate of grid_mean_stderr, both elementwise.
     """
-    values = []
-    for i, cols in replace(plan, chunk=max(1, TWIRL_CHUNK_AMPS // width)).pairs():
-        if cols.start == 0:
-            row = term(i)
-        values.append(row(cols))
+    values = [row(i) for i in plan.pairs()]
     grid = np.concatenate(values).reshape(plan.grid_shape + values[0].shape[1:])
     if plan.full_group:
         return grid.mean(axis=(0, 1)), 0.0
@@ -456,13 +444,14 @@ def experiment_probabilities(final: StateVector, rel: Relation,
         M[a, e] = (1 / (s+1)) sum_c u[idx(pi_e <s a><s c>)].
 
     The summand depends on tau only through (a(d), e), so each sigma-row
-    tabulates it once for every a and every e in H(s, y), and each chunk of
-    columns reads it from a table built once per tau (_a_tables).  The row
+    tabulates it once for every a and every e in H(s, y), and reads it for
+    every column from a table built once per tau (_a_tables).  The row
     gathers no u: as pi_f <s c> sigma = (pi_f sigma) <x sigma^{-1}(c)>,
     sum_{c<=s} u[idx(pi_f <s c>)] = G[ri[f]] for ri[f] = idx(pi_f sigma) and
     G[g] = sum over b with sigma(b) <= s of v[idx(pi_g <x b>)] (_p_ii_term).
     The first pair of the plan is also evaluated in the projector form, and
-    the two must agree to 1e-12 relative.  Label 0 has every t_k = 0, so on
+    the two must agree to 1e-12 relative; sigma-row 0 is computed once, for
+    that guard and for the average.  Label 0 has every t_k = 0, so on
     a plan drawn from all_images in order neither map of that pair is the
     identity (the identity is the last label).
     """
@@ -476,17 +465,15 @@ def experiment_probabilities(final: StateVector, rel: Relation,
         return ExperimentResult(p_i, _p_ii_kernel(slices, n), 0.0,
                                 subsets=_subset_count(n))
 
-    term = _p_ii_term(slices, plan)
-    first = term(0)  # sigma-row 0, built once for the guard and the average
-    got = float(first(slice(0, 1))[0])
+    row = _p_ii_term(slices, plan)
+    first = row(0)
+    got = float(first[0])
     ref = _p_ii_projector(slices, n, plan.sigmas[0], plan.taus[0],
                           plan.right_inv[0][plan.left_inv[0]])
     if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
         raise RuntimeError(f"fiber-hit p_ii {got!r} differs from the projector "
                            f"form {ref!r} on the first pair of the plan (n={n})")
-
-    m = database_dim(n) // n  # a column reads m a-table entries per slice
-    return ExperimentResult(p_i, *_twirl_average(plan, m, lambda i: term(i) if i else first))
+    return ExperimentResult(p_i, *_twirl_average(plan, lambda i: row(i) if i else first))
 
 
 def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.ndarray]]:
@@ -544,8 +531,9 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
     Per sigma-row it tabulates, for each slice with s = sigma(x) >= 1,
     sq[a, j] = |u[e] - M[a, e]|^2 summed over the slice's rows, for
     e = H(s, y)[j] and m = (n-1)!, from (s+1) M[a, e] = G[ri[idx(pi_e <s a>)]].
-    A chunk reads each table, flat, at its a-table entries a * m + j
-    (_a_tables, built once per term for the slices' y), summed per column.
+    It reads each table, flat, at the a-table entries a * m + j of every
+    column (_a_tables, built once per term for the slices' y) and returns
+    their sums, one per column.
     """
     n = plan.n
     ys, y_at = np.unique(np.array([y for _x, y, _v in slices], dtype=np.intp),
@@ -553,9 +541,9 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
     a_tables = _a_tables(n, plan.left_inv, ys)
     hits, _fiber_a, swaps = _hit_fibers(n)
 
-    def row(i: int):
+    def row(i: int) -> np.ndarray:
         sigma, ri = plan.sigmas[i], plan.right_inv[i]
-        tables = []
+        out = np.zeros(len(plan.taus))
         for (x, y, v), k in zip(slices, y_at):
             s = sigma[x]
             if s:  # P on D_1 is the identity
@@ -565,15 +553,9 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
                 h = hits[s, y]
                 fibers = g.take(ri.take(swaps[s].take(h, axis=1)), axis=1)  # [a, j]
                 diff = v.take(ri.take(h), axis=1)[:, None] - fibers / (s + 1)
-                tables.append((s, k, (diff.real ** 2 + diff.imag ** 2).sum(axis=0)))
-
-        def chunk(cols: slice) -> np.ndarray:
-            out = np.zeros(cols.stop - cols.start)
-            for s, k, sq in tables:
-                out += sq.take(a_tables[cols, s, k]).sum(axis=1)
-            return out
-
-        return chunk
+                sq = (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
+                out += sq.take(a_tables[:, s, k]).sum(axis=1)
+        return out
 
     return row
 
@@ -615,35 +597,34 @@ def p2_upper_bound(final: StateVector, rels: list[Relation],
     the final state of the untwirled run.  Returns one (value, stderr) per
     relation.
 
-    One twirl pass serves every relation.  A column projects its twirled
-    block once per x and sums the squared entries over the rest and over
-    the labels d with pi_d(sigma(x)) = t, for each t; only the last step
-    reads R: t counts when tau^{-1}(t) lies in R_x.
+    One twirl pass serves every relation.  A sigma-row projects its
+    (rest, T, n!) twirled blocks once per x, charged against
+    AMPLITUDE_BUDGET before the first row, and sums the squared entries
+    over the rest and over the labels d with pi_d(sigma(x)) = t, for each t;
+    only the last step reads R: t counts when tau^{-1}(t) lies in R_x.
     """
     if not rels:
         return []
     n = plan.n
     amps = _db_block(final)
+    _charge_rows(plan, amps.shape, "p2_upper_bound")
     hits = _hit_fibers(n)[0]  # hits[s, t]: the labels d with pi_d(s) = t
     members = np.stack([rel.members for rel in rels])  # (relation, x, y)
+    sections = members[:, :, plan.tau_inv]  # [k, x, j, t]: tau_j^{-1}(t) in R_x
     xs = [x for x in range(n) if members[:, x].any()]
 
-    def term(i):
-        def chunk(cols):
-            tw = amps[:, plan.right_inv[i][plan.left_inv[cols]]]  # (rest, C, n!)
-            sections = members[:, :, plan.tau_inv[cols]]  # [k, x, c, t]: tau^{-1}(t) in R_x
-            acc = np.zeros((len(rels), cols.stop - cols.start))
-            for x in xs:
-                sx = plan.sigmas[i, x]
-                f = project_plus_db(tw, n, sx, complement=True).view(np.float64)
-                sq = np.einsum("rck,rck->ck", f, f)  # (C, 2 n!), real and imaginary parts
-                per_t = sq.reshape(len(sq), -1, 2)[:, hits[sx]].sum(axis=(2, 3))  # (C, n)
-                acc += (sections[:, x] * per_t).sum(axis=2)
-            return acc.T
+    def row(i):
+        tw = amps[:, plan.right_inv[i][plan.left_inv]]  # (rest, T, n!)
+        acc = np.zeros((len(rels), len(plan.taus)))
+        for x in xs:
+            sx = plan.sigmas[i, x]
+            f = project_plus_db(tw, n, sx, complement=True).view(np.float64)
+            sq = np.einsum("rck,rck->ck", f, f)  # (T, 2 n!), real and imaginary parts
+            per_t = sq.reshape(len(sq), -1, 2)[:, hits[sx]].sum(axis=(2, 3))  # (T, n)
+            acc += (sections[:, x] * per_t).sum(axis=2)
+        return acc.T
 
-        return chunk
-
-    mean, stderr = _twirl_average(plan, amps.size, term)
+    mean, stderr = _twirl_average(plan, row)
     return [(float(m), float(e)) for m, e in
             zip(mean, np.broadcast_to(stderr, mean.shape))]
 
@@ -849,19 +830,19 @@ def standard_form_prequery_states(
 
 
 def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, float]:
-    """E over x, sigma, tau of ||(I - P_{+x}) L^tau R^sigma |phi>||^2 / (x+1)."""
+    """E over x, sigma, tau of ||(I - P_{+x}) L^tau R^sigma |phi>||^2 / (x+1).
+    A sigma-row gathers (rest, T, n!) twirled blocks, charged against
+    AMPLITUDE_BUDGET before the first row."""
     n = plan.n
     amps = _db_block(state)
+    _charge_rows(plan, amps.shape, "sparsity_expectation")
 
-    def term(i):
-        def chunk(cols):
-            tw = amps[:, plan.right_inv[i][plan.left_inv[cols]]]  # (rest, C, n!)
-            return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
-                       for x in range(n)) / n
+    def row(i):
+        tw = amps[:, plan.right_inv[i][plan.left_inv]]  # (rest, T, n!)
+        return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
+                   for x in range(n)) / n
 
-        return chunk
-
-    return _twirl_average(plan, amps.size, term)
+    return _twirl_average(plan, row)
 
 
 def crucial_term_values(pre: list[tuple[str, StateVector]], rels: list[Relation],
@@ -875,41 +856,35 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rels: list[Relation]
     purification choice; here it is evaluated on the canonical joint state of
     the actual run (algorithm registers serve as the purifying system), which
     the averaging argument makes sufficient.  One twirl pass gives all three
-    for every state and every relation: a column gathers the (J, n, n!)
-    marginals of the J states at its pair, charged against AMPLITUDE_BUDGET
-    before any is built, and the relations read its fiber sums through
-    their twisted section rows alone (_fiber_terms).
+    for every state and every relation: a sigma-row gathers the (J, n, n!)
+    marginals of the J states at each of its T pairs, charged against
+    AMPLITUDE_BUDGET before any marginal is taken, and the relations read
+    its fiber sums through their twisted section rows alone (_fiber_terms).
     """
     n = plan.n
     if not pre or not rels:
         return [[] for _rel in rels]
-    width = len(pre) * n * database_dim(n)
-    charge(width, f"the crucial terms' gather of {len(pre)} x {n} x "
-           f"{database_dim(n)} marginals per pair")
+    _charge_rows(plan, (len(pre), n, database_dim(n)), "crucial_term_values")
     g = np.stack([marginal(state, ("X", *database_names(n))).reshape(n, -1)
                   for _direction, state in pre])  # (state, x, label)
     members = np.stack([rel.members for rel in rels])  # (relation, x, y)
+    ti = plan.tau_inv
+    c, j = np.ogrid[:len(ti), :len(g)]
 
-    def term(i):
+    def row(i):
         ri, si = plan.right_inv[i], plan.sigma_inv[i]
+        gg = g[:, :, ri[plan.left_inv]].transpose(2, 0, 1, 3)  # (T, J, x, label)
+        acc = np.zeros((len(ti), len(rels), len(g), 3))
+        for x in range(n):
+            fs = _fiber_sums(gg, n, x)  # (T, J, z, class)
+            hi = fs[c[..., None], j[..., None], ti[:, None]]  # read through tau^{-1}
+            # Row x of R^{sigma,tau} for every relation: (T, relation, 1, n).
+            twisted = members[:, si[x], ti].transpose(1, 0, 2)[:, :, None]
+            acc += _fiber_terms(fs.take(si, axis=2)[:, None], hi[:, None], twisted,
+                                n, x) / (x + 1)
+        return acc / n
 
-        def chunk(cols):
-            gg = g[:, :, ri[plan.left_inv[cols]]].transpose(2, 0, 1, 3)  # (C, J, x, label)
-            ti = plan.tau_inv[cols]
-            c, j = np.ogrid[:len(ti), :len(g)]
-            acc = np.zeros((len(ti), len(rels), len(g), 3))
-            for x in range(n):
-                fs = _fiber_sums(gg, n, x)  # (C, J, z, class)
-                hi = fs[c[..., None], j[..., None], ti[:, None]]  # read through tau^{-1}
-                # Row x of R^{sigma,tau} for every relation: (C, relation, 1, n).
-                twisted = members[:, si[x], ti].transpose(1, 0, 2)[:, :, None]
-                acc += _fiber_terms(fs.take(si, axis=2)[:, None], hi[:, None], twisted,
-                                    n, x) / (x + 1)
-            return acc / n
-
-        return chunk
-
-    mean, _ = _twirl_average(plan, width, term)  # (relation, state, 3)
+    mean, _ = _twirl_average(plan, row)  # (relation, state, 3)
     return [[tuple(float(v) for v in row) for row in per_rel] for per_rel in mean]
 
 

@@ -1,18 +1,19 @@
 """Builders that only the tests use: basis states, database labels, a loading
-query, a circuit's text form, the untwirled final state, counters of calls
-and of circuit runs, a per-pair twirl-average reference, a dense
+query, a circuit's text form, the untwirled final state, counters of calls,
+of twirl rows and of circuit runs, a per-pair twirl-average reference, a dense
 trace-distance reference, the scalar permutation sampler, dense Grover
 steps, a transposing reference for ``apply``, a per-x reference for
 ``spo_query`` and high-precision bound evaluators."""
 import dataclasses
 import math
+import statistics
 import sys
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
 from spolab.circuits import LocalUnitary, Query, QueryCircuit, run
-from spolab.lemmas import TwirlPlan, grid_mean_stderr
+from spolab.lemmas import TwirlPlan
 from spolab.oracles import perm_tables, project_plus_db, spo_backend, swap_operator
 from spolab.permutations import (
     MonotoneFactorization,
@@ -147,11 +148,23 @@ def per_pair_twirl_grids(final: StateVector, rel: Relation, plan: TwirlPlan,
 def per_pair_twirl_averages(final: StateVector, rel: Relation, plan: TwirlPlan,
                             averages=TWIRL_AVERAGES) -> dict[str, tuple[float, float]]:
     """(mean, stderr) of each grid of per_pair_twirl_grids: stderr 0 on a
-    full-group plan, the crossed-grid estimate on any other."""
+    full-group plan, the crossed-grid estimate of crossed_grid_stderr on any
+    other."""
     grids = per_pair_twirl_grids(final, rel, plan, averages)
-    if plan.full_group:
-        return {key: (float(grid.mean()), 0.0) for key, grid in grids.items()}
-    return {key: grid_mean_stderr(grid) for key, grid in grids.items()}
+    return {key: (float(grid.mean()), 0.0 if plan.full_group else crossed_grid_stderr(grid))
+            for key, grid in grids.items()}
+
+
+def crossed_grid_stderr(grid: np.ndarray) -> float:
+    """sqrt(var(row means) / R + var(col means) / C) of an R x C grid, with
+    the sample variances (ddof 1) of ``statistics``; 0 when R or C is 1."""
+    rows, cols = grid.shape
+    if rows < 2 or cols < 2:
+        return 0.0
+    row_means = [statistics.fmean(row) for row in grid.tolist()]
+    col_means = [statistics.fmean(col) for col in grid.T.tolist()]
+    return math.sqrt(statistics.variance(row_means) / rows
+                     + statistics.variance(col_means) / cols)
 
 
 def count_calls(monkeypatch, module, name: str, record=None) -> list:
@@ -170,19 +183,19 @@ def count_calls(monkeypatch, module, name: str, record=None) -> list:
     return calls
 
 
-def count_pair_steps(monkeypatch) -> list:
-    """Record the width (pairs) of every step ``TwirlPlan.pairs`` yields
-    from now on."""
-    steps = []
+def count_twirl_rows(monkeypatch) -> list:
+    """Record the index of every sigma-row ``TwirlPlan.pairs`` yields from
+    now on: one per step of a twirl average."""
+    rows = []
     original = TwirlPlan.pairs
 
     def pairs(self):
-        for i, cols in original(self):
-            steps.append(cols.stop - cols.start)
-            yield i, cols
+        for i in original(self):
+            rows.append(i)
+            yield i
 
     monkeypatch.setattr(TwirlPlan, "pairs", pairs)
-    return steps
+    return rows
 
 
 def count_runs(monkeypatch) -> list:

@@ -69,8 +69,8 @@ from spolab.states import StateVector
 
 from helpers import (
     count_calls,
-    count_pair_steps,
     count_runs,
+    count_twirl_rows,
     final_state,
     index_of_perm,
     per_pair_twirl_averages,
@@ -305,7 +305,7 @@ def test_the_full_group_plan_is_one_shared_read_only_plan():
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.chunk = 2
+        plan.sigmas = plan.taus
     with pytest.raises(ValueError, match="capped at n=4"):
         make_twirl_plan(5)
 
@@ -382,19 +382,19 @@ def test_experiment_matches_direct_simulation():
 
 
 def _assert_fiber_form_matches_projector(slices, plan, context):
-    """The fiber-hit kernel over the <x,y| slices, evaluated one chunk of a
-    sigma-row at a time, agrees with the projector form to 1e-12 relative
-    on every pair of the plan."""
+    """The fiber-hit kernel over the <x,y| slices, evaluated one sigma-row
+    at a time, agrees with the projector form to 1e-12 relative on every
+    pair of the plan."""
     from spolab.lemmas import _p_ii_projector, _p_ii_term
 
-    term = _p_ii_term(slices, plan)
+    row = _p_ii_term(slices, plan)
     seen = 0
-    for i, cols in plan.pairs():
-        sigma, ri, lj = plan.sigmas[i], plan.right_inv[i], plan.left_inv[cols]
-        got = term(i)(cols)
-        assert len(got) == len(lj) == cols.stop - cols.start
-        for tau, col, value in zip(plan.taus[cols], lj, got):
-            ref = _p_ii_projector(slices, plan.n, sigma, tau, ri[col])
+    for i in plan.pairs():
+        sigma, ri = plan.sigmas[i], plan.right_inv[i]
+        got = row(i)
+        assert len(got) == len(plan.taus)
+        for tau, lj, value in zip(plan.taus, plan.left_inv, got):
+            ref = _p_ii_projector(slices, plan.n, sigma, tau, ri[lj])
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (context, sigma, tau)
             seen += 1
     assert seen == plan.pair_count
@@ -409,7 +409,7 @@ def _circuit_slices(circ, rel):
 def test_fiber_hit_p_ii_matches_projector_form_on_every_n4_pair():
     from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
 
-    plan = dataclasses.replace(make_twirl_plan(4), chunk=7)
+    plan = make_twirl_plan(4)
     for circ in suite_circuits(4, DEFAULT_SEED):
         for name, rel in suite_relations(4):
             _assert_fiber_form_matches_projector(_circuit_slices(circ, rel), plan,
@@ -420,8 +420,7 @@ def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n5_plan():
     """N = 5 has no XOR oracle, so the slices are random: two rows each for
     the pairs of a relation that meets every register, with s = 0."""
     n = 5
-    plan = dataclasses.replace(
-        make_twirl_plan(n, seed=6, min_pairs=16), chunk=3)
+    plan = make_twirl_plan(n, seed=6, min_pairs=16)
     assert plan.grid_shape == (4, 4)
     rng = np.random.default_rng(5)
     shape = (2, math.factorial(n))
@@ -546,25 +545,14 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
 ENGINE_AVERAGES = ("p_ii", "p2", "sparsity")
 
 
-def _chunked_averages(monkeypatch, final, rel, plan, width):
-    """The three averages of the twirl engine with TWIRL_CHUNK_AMPS set so
-    that every step is ``width`` pairs wide (the last of a row may be
-    narrower).  A p_ii column touches (n-1)! a-table entries, any other
-    column a gathered (rest, n!) block of the whole database block."""
-    import spolab.lemmas as lemmas_mod
+def _engine_averages(final, rel, plan):
+    """The three averages of the twirl engine on the whole database block."""
     from spolab.lemmas import sparsity_expectation
 
-    nf = database_dim(plan.n)
-    block = final.amps.size
-
-    def chunked(column, average, *args):
-        monkeypatch.setattr(lemmas_mod, "TWIRL_CHUNK_AMPS", width * column)
-        return average(*args)
-
-    res = chunked(nf // plan.n, experiment_probabilities, final, rel, plan)
+    res = experiment_probabilities(final, rel, plan)
     return {"p_ii": (res.p_ii, res.stderr_ii),
-            "p2": chunked(block, p2_upper_bound, final, [rel], plan)[0],
-            "sparsity": chunked(block, sparsity_expectation, final, plan)}
+            "p2": p2_upper_bound(final, [rel], plan)[0],
+            "sparsity": sparsity_expectation(final, plan)}
 
 
 def _assert_averages_match(got, want, context):
@@ -589,27 +577,33 @@ def _per_pair_cases(plans, averages):
 @pytest.fixture(scope="module")
 def per_pair_references():
     """Per-pair references of the engine averages for every suite circuit
-    and relation, on plans that are not the full group: the half-group
-    plans at N = 2, 4 and a sampled 5 x 5 plan at N = 4."""
-    plans = [half_group_plan(2), half_group_plan(4),
-             make_twirl_plan(4, seed=9, min_pairs=25)]
+    and relation, on plans that are not the full group, one for each
+    sigma-row width T: a 2 x 1 plan at N = 2, a sampled 5 x 5 plan at
+    N = 4 and the 12 x 24 half-group plan at N = 4."""
+    from spolab.lemmas import TwirlPlan
+    from spolab.permutations import all_images
+
+    images = all_images(2)
+    plans = [TwirlPlan(2, images, images[:1]),
+             make_twirl_plan(4, seed=9, min_pairs=25), half_group_plan(4)]
     return _per_pair_cases(plans, ENGINE_AVERAGES)
 
 
 @pytest.mark.parametrize("width", [1, 5, 24])
 def test_chunked_twirl_averages_match_the_per_pair_reference(
         monkeypatch, per_pair_references, width):
-    """Every average of the twirl engine, evaluated in chunks of 1, 5 (a
-    ragged last chunk) or 24 pairs, equals the per-pair reference to 1e-12
-    relative, stderr included."""
-    steps = count_pair_steps(monkeypatch)
-    for plan, final, rel, context, want in per_pair_references:
-        steps.clear()
-        got = _chunked_averages(monkeypatch, final, rel, plan, width)
-        _assert_averages_match(got, want, (context, width))
-        rows, cols = plan.grid_shape
-        assert len(steps) == len(ENGINE_AVERAGES) * rows * -(-cols // width)
-        assert max(steps) == min(width, cols)
+    """A step of the twirl engine is one whole sigma-row, so the chunk it
+    reads is the row's T pairs: 1, 5 or 24 here.  Every average equals the
+    per-pair reference to 1e-12 relative, stderr included, and steps
+    through each sigma-row of the plan once, in order.  The plan with one
+    column has stderr 0."""
+    rows = count_twirl_rows(monkeypatch)
+    cases = [case for case in per_pair_references if len(case[0].taus) == width]
+    assert cases
+    for plan, final, rel, context, want in cases:
+        rows.clear()
+        _assert_averages_match(_engine_averages(final, rel, plan), want, (context, width))
+        assert rows == list(range(len(plan.sigmas))) * len(ENGINE_AVERAGES), context
 
 
 def test_subset_kernel_matches_the_per_pair_reference():
@@ -687,25 +681,51 @@ def test_subset_kernel_is_charged_before_it_gathers(monkeypatch):
 
 
 def test_sampled_n8_p_ii_matches_the_per_pair_reference(monkeypatch):
-    """On a sampled 3 x 3 plan at N = 8, one pair per step, and in chunks
-    of 2 pairs, p_ii and its stderr equal the per-pair reference."""
-    import spolab.lemmas as lemmas_mod
-
+    """On a sampled 3 x 3 plan at N = 8, one sigma-row per step, p_ii and
+    its stderr equal the per-pair reference."""
     n = 8
     plan = make_twirl_plan(n, seed=3, min_pairs=9)
     assert plan.grid_shape == (3, 3)
     final = final_state(random_circuit(5, 1, 1, n))
-    steps = count_pair_steps(monkeypatch)
+    rows = count_twirl_rows(monkeypatch)
     for rel in (diagonal_relation(n), from_pairs(n, [(0, n - 1), (3, 5)])):
         want = per_pair_twirl_averages(final, rel, plan, averages=("p_ii",))
-        for width in (1, 2):
-            steps.clear()
-            monkeypatch.setattr(lemmas_mod, "TWIRL_CHUNK_AMPS",
-                                width * math.factorial(n - 1))
-            res = experiment_probabilities(final, rel, plan)
-            _assert_averages_match({"p_ii": (res.p_ii, res.stderr_ii)}, want,
-                                   (rel, width))
-            assert steps == ([2, 1] * 3 if width == 2 else [1] * 9)
+        rows.clear()
+        res = experiment_probabilities(final, rel, plan)
+        _assert_averages_match({"p_ii": (res.p_ii, res.stderr_ii)}, want, rel)
+        assert rows == [0, 1, 2]
+
+
+def test_sampled_n8_experiment_computes_each_sigma_row_once(monkeypatch):
+    """On a sampled 2 x 45 plan at N = 8, experiment_probabilities computes
+    each sigma-row of 45 pairs exactly once, as one step: row 0 serves both
+    the projector-form guard and the average, so the row function runs once
+    for each of rows 0 and 1."""
+    import spolab.lemmas as lemmas_mod
+    from spolab.lemmas import TwirlPlan
+
+    n = 8
+    rng = np.random.default_rng(8)
+    draws = [sample_uniform(n, rng).images for _ in range(2 + 45)]
+    plan = TwirlPlan(n, draws[:2], draws[2:])
+    original = lemmas_mod._p_ii_term
+    built = []
+
+    def counted_term(slices, p):
+        row = original(slices, p)
+
+        def counted_row(i):
+            built.append(i)
+            return row(i)
+
+        return counted_row
+
+    monkeypatch.setattr(lemmas_mod, "_p_ii_term", counted_term)
+    steps = count_twirl_rows(monkeypatch)
+    final = final_state(random_circuit(5, 1, 1, n))
+    res = experiment_probabilities(final, from_pairs(n, [(0, n - 1), (3, 5)]), plan)
+    assert built == [0, 1] and steps == [0, 1]
+    assert res.stderr_ii > 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -743,38 +763,6 @@ def test_sigma_twirled_fiber_sums_are_transposition_sums_of_the_slice(n):
                 rhs = sum(v[idx(compose(pi_g, transposition(n, x, b)))]
                           for b in below)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (sigma, x, f)
-
-
-def test_twirl_steps_hold_the_columns_their_width_allows(monkeypatch):
-    """A step holds TWIRL_CHUNK_AMPS // width columns, where width is what
-    one column touches.  A p_ii column reads (n-1)! a-table entries per
-    slice, so at N = 8 a step holds 2^16 // 7! = 13 columns and a
-    45-column sigma-row takes 4 steps.  A p2 or sparsity column gathers a
-    (rest, n!) block: 128 rows at N = 4 give 2^16 // (128 * 24) = 21
-    columns, a whole row at N = 2 and for p_ii at N = 4.  The plans at
-    N = 2, 4 are half-group plans, so p_ii runs through the engine."""
-    from spolab.lemmas import TwirlPlan, sparsity_expectation
-
-    steps = count_pair_steps(monkeypatch)
-    n = 8
-    rng = np.random.default_rng(8)
-    draws = [sample_uniform(n, rng).images for _ in range(2 + 45)]
-    plan = TwirlPlan(n, draws[:2], draws[2:])
-    final = final_state(random_circuit(5, 1, 1, n))
-    experiment_probabilities(final, from_pairs(n, [(0, n - 1), (3, 5)]), plan)
-    assert steps == [13, 13, 13, 6] * 2
-    for n, work, want in ((2, 2, [2]), (4, 8, [21, 3] * 12)):
-        plan = half_group_plan(n)
-        final = final_state(random_circuit(43, 2, work, n))
-        rel = diagonal_relation(n)
-        for average in (lambda: p2_upper_bound(final, [rel], plan),
-                        lambda: sparsity_expectation(final, plan)):
-            steps.clear()
-            average()
-            assert steps == want, n
-        steps.clear()
-        experiment_probabilities(final, rel, plan)
-        assert steps == [len(plan.taus)] * len(plan.sigmas)
 
 
 def test_sampled_fundamental_rows_name_their_grid():
@@ -1061,8 +1049,8 @@ def test_relation_batched_averages_match_one_relation_calls(grid):
 
 
 def test_twirl_average_of_an_array_valued_term_is_elementwise():
-    """A term whose columns are (J, 3) arrays, read in ragged chunks of two
-    columns on a sampled 2 x 3 grid, averages to the mean and stderr that
+    """A term whose columns are (J, 3) arrays, read one sigma-row at a time
+    on a sampled 2 x 3 grid, averages to the mean and stderr that
     grid_mean_stderr gives on each component's own grid."""
     import spolab.lemmas as lemmas_mod
     from spolab.lemmas import TwirlPlan, grid_mean_stderr
@@ -1074,11 +1062,11 @@ def test_twirl_average_of_an_array_valued_term_is_elementwise():
     values = rng.normal(size=(2, 3, 4, 3))
     calls = []
 
-    def term(i):
+    def row(i):
         calls.append(i)
-        return lambda cols: values[i, cols]
+        return values[i]
 
-    mean, se = lemmas_mod._twirl_average(plan, lemmas_mod.TWIRL_CHUNK_AMPS // 2, term)
+    mean, se = lemmas_mod._twirl_average(plan, row)
     assert calls == [0, 1]
     assert mean.shape == se.shape == (4, 3)
     for j, k in itertools.product(range(4), range(3)):
@@ -1284,7 +1272,7 @@ def test_hard_database_rhs_is_the_direct_sparsity_tail():
 
 
 def test_crucial_terms_fit_a_budget_below_the_whole_grid(monkeypatch):
-    """The crucial terms gather one chunk of a sigma-row at a time, so a
+    """The crucial terms gather one sigma-row at a time, so a
     budget one entry short of a (576 pairs, 4, 24) gather of the whole
     N = 4 grid gives the values of the default budget."""
     import spolab.oracles as oracles_mod
@@ -1300,10 +1288,11 @@ def test_crucial_terms_fit_a_budget_below_the_whole_grid(monkeypatch):
 
 
 def test_crucial_terms_charge_their_gather_before_any_marginal(monkeypatch):
-    """One pass of the crucial terms gathers, per pair, the (J, N, N!)
-    marginals that every relation reads.  A budget one entry short of that
-    gather is refused before any marginal is taken; at the budget the
-    values are those of the default budget."""
+    """One pass of the crucial terms gathers, per sigma-row, the (J, N, N!)
+    marginals of each of its T pairs that every relation reads.  A budget
+    one entry short of that T x J x N x N! gather is refused before any
+    marginal is taken; at the budget the values are those of the default
+    budget."""
     import spolab.lemmas as lemmas_mod
     import spolab.oracles as oracles_mod
     from spolab.lemmas import crucial_term_values, standard_form_prequery_states
@@ -1313,7 +1302,7 @@ def test_crucial_terms_charge_their_gather_before_any_marginal(monkeypatch):
     rels = [diagonal_relation(n), full_relation(n)]
     pre = standard_form_prequery_states(random_circuit(71, 1, 2, n))
     want = crucial_term_values(pre, rels, plan)
-    gather = len(pre) * n * database_dim(n)
+    gather = len(plan.taus) * len(pre) * n * database_dim(n)
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather)
     assert crucial_term_values(pre, rels, plan) == want
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather - 1)
@@ -1322,8 +1311,42 @@ def test_crucial_terms_charge_their_gather_before_any_marginal(monkeypatch):
         raise AssertionError("a marginal was taken before the budget check")
 
     monkeypatch.setattr(lemmas_mod, "marginal", no_marginal)
-    with pytest.raises(BudgetError, match=f"{len(pre)} x {n} x 24 marginals"):
+    with pytest.raises(BudgetError, match=f"gathers 24 x {len(pre)} x {n} x 24 entries"):
         crucial_term_values(pre, rels, plan)
+
+
+@pytest.mark.parametrize("average", ["p2", "sparsity"])
+def test_block_averages_charge_their_row_gather_before_any_row(monkeypatch, average):
+    """p2_upper_bound and sparsity_expectation gather, per sigma-row, the
+    (rest, N!) twirled block of each of its T pairs.  A budget one entry
+    short of that T x rest x N! gather is refused before any row is
+    computed; at the budget the values are those of the default budget."""
+    import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
+    from spolab.lemmas import sparsity_expectation
+
+    n = 4
+    plan = make_twirl_plan(n)
+    final = final_state(random_circuit(71, 1, 2, n))
+    if average == "p2":
+        call = lambda: p2_upper_bound(final, [diagonal_relation(n)], plan)
+    else:
+        call = lambda: sparsity_expectation(final, plan)
+    want = call()
+    rest = final.amps.size // database_dim(n)
+    gather = len(plan.taus) * rest * database_dim(n)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather)
+    assert call() == want
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather - 1)
+    rows = count_twirl_rows(monkeypatch)
+
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was computed before the budget check")
+
+    monkeypatch.setattr(lemmas_mod, "project_plus_db", no_row)
+    with pytest.raises(BudgetError, match=f"gathers 24 x {rest} x 24 entries"):
+        call()
+    assert rows == []
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Named suites and report plumbing."""
-import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +31,7 @@ from spolab.suites import (
     suite_relations,
 )
 
-from helpers import (count_calls, count_pair_steps, count_runs, final_state,
+from helpers import (count_calls, count_runs, count_twirl_rows, final_state,
                      per_pair_twirl_grids)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,11 +63,13 @@ def test_report_document_and_csv():
 
 
 def test_grid_mean_stderr():
-    rng = np.random.default_rng(0)
-    vals = rng.normal(5.0, 1.0, size=(40, 50))
-    mean, se = grid_mean_stderr(vals)
-    assert mean == pytest.approx(vals.mean())
-    assert 0 < se < 0.2
+    """On [[1, 2, 3], [4, 5, 9]] the row means 2, 6 have sample variance 8
+    and the column means 2.5, 3.5, 6 have 13/4, so the stderr is
+    sqrt(8/2 + (13/4)/3) = sqrt(61/12) about the mean 4.  One row gives no
+    estimate and reports 0."""
+    mean, se = grid_mean_stderr(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 9.0]]))
+    assert mean == 4.0
+    assert se == pytest.approx(math.sqrt(61 / 12), rel=1e-15)
     mean1, se1 = grid_mean_stderr(np.ones((1, 3)))
     assert se1 == 0.0
 
@@ -163,12 +165,12 @@ def test_twirl_plan_shapes():
         make_twirl_plan(5, seed=None, min_pairs=10)
 
 
-def test_twirl_plan_holds_read_only_image_tables(monkeypatch):
+def test_twirl_plan_holds_read_only_image_tables():
     """A plan keeps sigmas and taus as read-only int image tables, no
     Permutation: all_images(n) on both sides for the full group, and the seeded
     sample_uniform draws in order (sigmas first) when sampled.  Its inverse
-    images invert those rows, and a replace() copy with another chunk builds
-    no label map and steps by its own chunk."""
+    images invert those rows, and its derived tables are no constructor
+    arguments.  Its steps are its sigma-rows, in order."""
     import spolab.lemmas as lemmas
     from spolab.permutations import all_images, sample_uniform
 
@@ -185,30 +187,24 @@ def test_twirl_plan_holds_read_only_image_tables(monkeypatch):
     draws = [list(sample_uniform(5, rng).images) for _ in range(20)]
     assert sampled.sigmas.tolist() == draws[:10]
     assert sampled.taus.tolist() == draws[10:]
-    maps = count_calls(monkeypatch, lemmas, "left_right_map")
-    copy = dataclasses.replace(plan, chunk=4)
-    assert maps == [] and copy.chunk == 4
-    assert list(copy.pairs())[:2] == [(0, slice(0, 4)), (0, slice(4, 6))]
-    assert copy.right_inv is plan.right_inv and copy.left_inv is plan.left_inv
+    with pytest.raises(TypeError, match="right_inv"):
+        lemmas.TwirlPlan(3, plan.sigmas, plan.taus, right_inv=plan.right_inv)
+    assert list(plan.pairs()) == list(range(6))
 
 
 def test_twirl_plan_pairs_invert_the_composed_label_maps():
     from spolab.oracles import left_right_map
 
     n = 4
-    # Chunks of 5 columns leave a ragged last chunk of 4 on every row.
-    plan = dataclasses.replace(make_twirl_plan(n), chunk=5)
+    plan = make_twirl_plan(n)
     arange = np.arange(24)
     seen = []
-    for i, cols in plan.pairs():
-        c0 = cols.start
-        assert cols == slice(c0, c0 + min(5, 24 - c0))
+    for i in plan.pairs():
         sigma = plan.sigmas[i]
-        for c, col in enumerate(plan.left_inv[cols]):
-            tau = plan.taus[c0 + c]
+        for j, (tau, col) in enumerate(zip(plan.taus, plan.left_inv)):
             m = left_right_map(n, tau=tau)[left_right_map(n, sigma=sigma)]
             assert np.array_equal(m[plan.right_inv[i][col]], arange)
-            seen.append((i, c0 + c))
+            seen.append((i, j))
     assert sorted(seen) == [(i, j) for i in range(24) for j in range(24)]
     assert len(seen) == plan.pair_count == 576
 
@@ -318,8 +314,8 @@ PER_PAIR_PROJECTOR_CALLS = 96_165
 
 
 def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch):
-    """At N = 4 every twirl average takes one step per sigma-row, each step
-    24 pairs wide, and the two suites make at most a tenth of the projector
+    """At N = 4 every twirl average takes one step per sigma-row, 24 in
+    all, each over the row's 24 pairs, and the two suites make at most a tenth of the projector
     calls of one pair per step.  progress_suite runs each of its circuits
     once (75 runs when each average ran its own), and makes at most 13 runs
     in all: the accumulation rows read the run of the query-step rows
@@ -334,15 +330,14 @@ def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch)
 
     projector = count_calls(monkeypatch, oracles_mod, "project_plus_db")
     averages = count_calls(monkeypatch, lemmas_mod, "_twirl_average")
-    steps = count_pair_steps(monkeypatch)
+    rows = count_twirl_rows(monkeypatch)
     runs = count_runs(monkeypatch)
     staged = count_calls(monkeypatch, circuits_mod, "run_with_intermediates")
     assert all(r.passed for r in progress_suite(4))
     assert len(runs) == len(suite_circuits(4, DEFAULT_SEED, max_q=2)) == 5
     assert len(runs) + len(staged) <= 13
     assert all(r.passed for r in sparsity_suite(4))
-    assert averages and len(steps) == 24 * len(averages)
-    assert set(steps) == {24}
+    assert averages and rows == list(range(24)) * len(averages)
     assert len(projector) <= PER_PAIR_PROJECTOR_CALLS // 10
 
 
