@@ -448,7 +448,11 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     every column from a table built once per tau (_a_tables).  The row
     gathers no u: as pi_f <s c> sigma = (pi_f sigma) <x sigma^{-1}(c)>,
     sum_{c<=s} u[idx(pi_f <s c>)] = G[ri[f]] for ri[f] = idx(pi_f sigma) and
-    G[g] = sum over b with sigma(b) <= s of v[idx(pi_g <x b>)] (_p_ii_term).
+    G[g] = sum over b with sigma(b) <= s of v[idx(pi_g <x b>)]
+         = T[g] - sum over b with sigma(b) > s of v[idx(pi_g <x b>)],
+    T[g] = sum over every b of v[idx(pi_g <x b>)] (<x x> the identity).
+    T depends on the slice alone, so _p_ii_term builds it once and each row
+    sums whichever side of the split has fewer reads.
     The first pair of the plan is also evaluated in the projector form, and
     the two must agree to 1e-12 relative; sigma-row 0 is computed once, for
     that guard and for the average.  Label 0 has every t_k = 0, so on
@@ -501,19 +505,18 @@ def _p_ii_kernel(slices: list[tuple[int, int, np.ndarray]], n: int) -> float:
 
 
 def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """A[c, s, k, j] = a(L(e)) * m + j, m = (n-1)!, for e = H(s, ys[k])[j],
+    """A[c, s-1, k, j] = a(L(e)) * m + j, m = (n-1)!, for e = H(s, ys[k])[j],
     the j-th hit of (s, ys[k]), where L inverts left_inv[c], i.e. L(e) =
-    idx(tau pi_e) for the plan's tau of column c: a (C, n, len(ys), m) table
-    into the (s+1) * m row tables of _p_ii_term, uint16 for every n <= 8,
-    charged against AMPLITUDE_BUDGET before it is built."""
+    idx(tau pi_e) for the plan's tau of column c: a (C, n-1, len(ys), m)
+    table over s = 1..n-1 (s = 0 adds nothing) into the (s+1) * m row
+    tables of _p_ii_term, uint16 for every n <= 8; _p_ii_term charges it."""
     nf = database_dim(n)
     m = nf // n
-    shape = (len(left_inv), n, len(ys), m)
-    charge(math.prod(shape), f"p_ii a-tables of {' x '.join(map(str, shape))}")
+    shape = (len(left_inv), n - 1, len(ys), m)
     hits, fiber_a, _swaps = _hit_fibers(n)
     flat_a = fiber_a.ravel()
-    e = hits[:, ys]  # (n, len(ys), m)
-    row_of_s = nf * np.arange(n)[:, None, None]
+    e = hits[1:, ys]  # (n-1, len(ys), m)
+    row_of_s = nf * np.arange(1, n)[:, None, None]
     labels = np.arange(nf, dtype=np.int32)
     forward = np.empty(nf, dtype=np.int32)
     out = np.empty(shape, dtype=np.uint16 if nf <= 1 << 16 else np.uint32)
@@ -531,30 +534,67 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
     Per sigma-row it tabulates, for each slice with s = sigma(x) >= 1,
     sq[a, j] = |u[e] - M[a, e]|^2 summed over the slice's rows, for
     e = H(s, y)[j] and m = (n-1)!, from (s+1) M[a, e] = G[ri[idx(pi_e <s a>)]].
-    It reads each table, flat, at the a-table entries a * m + j of every
+    G sums the s + 1 reads v[idx(pi_g <x b>)] with sigma(b) <= s, and the
+    row builds it from the smaller side of that split: v plus the s reads
+    with sigma(b) < s, or the slice's total T over every b minus the
+    n - 1 - s reads with sigma(b) > s, so at most min(s, n - 1 - s) reads
+    of all n! labels.  T (n - 1 reads per slice) and the sigma-free fiber
+    index idx(pi_e <s a>) of every (s, y) are built once per term, after
+    they and the a-tables are each charged against AMPLITUDE_BUDGET.  The
+    row reads each table, flat, at the a-table entries a * m + j of every
     column (_a_tables, built once per term for the slices' y) and returns
     their sums, one per column.
     """
     n = plan.n
+    m = database_dim(n) // n
     ys, y_at = np.unique(np.array([y for _x, y, _v in slices], dtype=np.intp),
                          return_inverse=True)
+    shape = (len(plan.taus), n - 1, len(ys), m)
+    charge(math.prod(shape), f"p_ii a-tables of {' x '.join(map(str, shape))}")
+    charge(sum(v.size for _x, _y, v in slices),
+           f"p_ii totals of {len(slices)} slices")
+    charge(len(ys) * (n * (n + 1) // 2 - 1) * m,
+           f"p_ii fiber indices of {len(ys)} y x {n - 1} registers")
     a_tables = _a_tables(n, plan.left_inv, ys)
     hits, _fiber_a, swaps = _hit_fibers(n)
+
+    def swap(x: int, b: int) -> np.ndarray:  # f -> idx(pi_f <x b>)
+        return swaps[max(x, b)][min(x, b)]
+
+    totals = []
+    for x, _y, v in slices:
+        total = v.copy()
+        for b in range(n):
+            if b != x:
+                total += v.take(swap(x, b), axis=1)
+        totals.append(total)
+    fiber_index = {(s, y): swaps[s].take(hits[s, y], axis=1)  # [a, j]
+                   for s in range(1, n) for y in ys.tolist()}
+
+    def fiber_sq(sigma, ri, s, x, y, v, total) -> np.ndarray:
+        """sq[a, j] of one slice in one sigma-row."""
+        below = 2 * s < n  # sigma(b) < s holds for s of the n - 1 others
+        g, op = (v, np.add) if below else (total, np.subtract)
+        for b in np.flatnonzero(sigma < s if below else sigma > s):
+            term = v.take(swap(x, b), axis=1)
+            g = op(g, term, out=term)
+        fibers = g.take(ri.take(fiber_index[s, y]), axis=1)  # [r, a, j]
+        fibers /= s + 1
+        fibers -= v.take(ri.take(hits[s, y]), axis=1)[:, None]
+        return (fibers.real ** 2 + fibers.imag ** 2).sum(axis=0)
 
     def row(i: int) -> np.ndarray:
         sigma, ri = plan.sigmas[i], plan.right_inv[i]
         out = np.zeros(len(plan.taus))
-        for (x, y, v), k in zip(slices, y_at):
+        for (x, y, v), total, k in zip(slices, totals, y_at):
             s = sigma[x]
             if s:  # P on D_1 is the identity
-                g = v.copy()
-                for b in np.flatnonzero(sigma < s):
-                    g += v.take(swaps[max(x, b)][min(x, b)], axis=1)
-                h = hits[s, y]
-                fibers = g.take(ri.take(swaps[s].take(h, axis=1)), axis=1)  # [a, j]
-                diff = v.take(ri.take(h), axis=1)[:, None] - fibers / (s + 1)
-                sq = (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
-                out += sq.take(a_tables[:, s, k]).sum(axis=1)
+                # fiber_sq's gathers are freed before the lookup makes the
+                # row's largest temporaries.  Holding both outgrew the
+                # allocator's heap-trim threshold at N = 8, and every row
+                # re-faulted its memory (~63,000 page faults per 45 rows).
+                sq = fiber_sq(sigma, ri, s, x, y, v, total)
+                out += sq.take(a_tables[:, s - 1, k]).sum(axis=1)
         return out
 
     return row

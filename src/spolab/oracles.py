@@ -275,7 +275,9 @@ def spo_query(state: StateVector, shift: np.ndarray,
     K * rest * N * N! of them.  The query gathers through the joint maps of
     blocks of min(N, rest) values of x, built per block: no index has more
     entries than one x-slab, and nothing outlives the call.  A block is one
-    np.take per run, its index shared by every rest row of the run."""
+    np.take per run, its index shared by every rest row of the run.  With
+    rest = 1 and K >= N, a block is instead K // N whole runs, every x, in
+    one flat take: about N takes per query, not K * N."""
     k, n, nf = shift.shape
     _require_xor(n)
     lay = state.layout
@@ -286,6 +288,16 @@ def spo_query(state: StateVector, shift: np.ndarray,
     src = state.amps.reshape(k, -1, n * width)
     res = result_buffer(state, out)
     dst = res.reshape(src.shape)
+    if src.shape[1] == 1 and k >= n:
+        src, dst = src.reshape(k, -1), dst.reshape(k, -1)
+        group = k // n
+        for first in range(0, k, group):
+            runs = slice(first, first + group)
+            index = joint_maps(shift[runs])
+            index += np.arange(len(index))[:, None] * n * width  # run offsets
+            np.take(src[runs], index, out=dst[runs], mode="clip")
+            del index
+        return StateVector(lay, res)
     step = min(n, src.shape[1])
     for start in range(0, n, step):
         stop = min(n, start + step)

@@ -481,10 +481,11 @@ def test_tau_maps_each_fiber_onto_swaps_of_a_tau_free_hit(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_tables_read_the_factorization_of_every_tau_image(n):
-    """A[c, s, y, j] = a(d) * m + j, m = (n-1)!, with a(d) = pi_{<s}^{-1}(t_s)
-    of d = tau_c pi_e for the j-th hit e of (s, y), read off
-    monotone_factorize and partial_product.  For each tau and s, the hits of
-    every y cover every label once, so every label is checked."""
+    """A[c, s-1, y, j] = a(d) * m + j, m = (n-1)!, with a(d) =
+    pi_{<s}^{-1}(t_s) of d = tau_c pi_e for the j-th hit e of (s, y), read
+    off monotone_factorize and partial_product, for s = 1..n-1 (no row
+    reads s = 0).  For each tau and s, the hits of every y cover every
+    label once, so every label is checked."""
     from spolab.lemmas import TwirlPlan, _a_tables, _hit_fibers
     from spolab.permutations import compose
 
@@ -493,14 +494,14 @@ def test_a_tables_read_the_factorization_of_every_tau_image(n):
     images = [tau.images for tau in taus]
     tables = _a_tables(n, TwirlPlan(n, images, images).left_inv, np.arange(n))
     m = math.factorial(n - 1)
-    assert tables.shape == (len(taus), n, n, m)
+    assert tables.shape == (len(taus), n - 1, n, m)
     assert np.iinfo(tables.dtype).min == 0
     assert np.iinfo(tables.dtype).max >= math.factorial(n) - 1
     assert (tables % m == np.arange(m)).all()
     a_of = tables // m
     hits, _fiber_a, _swaps = _hit_fibers(n)
     for c, tau in enumerate(taus):
-        for s in range(n):
+        for s in range(1, n):
             seen = set()
             for y in range(n):
                 for j, e in enumerate(hits[s, y].tolist()):
@@ -508,7 +509,7 @@ def test_a_tables_read_the_factorization_of_every_tau_image(n):
                     pi_d = compose(tau, perm_of_index(n, e))
                     f = monotone_factorize(pi_d)
                     a = invert(partial_product(f, s, "below")).images[f.t[s]]
-                    assert a_of[c, s, y, j] == a, (tau, s, y, j)
+                    assert a_of[c, s - 1, y, j] == a, (tau, s, y, j)
                     seen.add(pi_d.images)
             assert len(seen) == math.factorial(n)
 
@@ -536,10 +537,49 @@ def test_twirl_plan_and_a_tables_are_charged_before_they_are_built(monkeypatch):
     with pytest.raises(BudgetError, match="24 x 24 twirl plan"):
         lemmas_mod._full_group_plan.__wrapped__(n)
     # The 2 x 2 plan's maps fit, its a-tables for all four y do not.
-    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 2 * 4 * 4 * 6 - 1)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 2 * 3 * 4 * 6 - 1)
     slices = [(0, y, np.ones((1, 24), dtype=np.complex128)) for y in range(n)]
-    with pytest.raises(BudgetError, match="2 x 4 x 4 x 6"):
+    with pytest.raises(BudgetError, match="2 x 3 x 4 x 6"):
         _p_ii_term(slices, plan)
+
+
+@pytest.mark.parametrize("rest,what,entries", [
+    (3, "p_ii totals of 4 slices", 4 * 3 * 24),
+    (1, "p_ii fiber indices of 4 y x 3 registers", 4 * (2 + 3 + 4) * 6),
+], ids=["totals", "fiber-indices"])
+def test_p_ii_totals_and_fiber_indices_are_charged_before_they_are_built(
+        monkeypatch, rest, what, entries):
+    """The p_ii term's per-slice totals (slices x rest x n! amplitudes) and
+    its cached fiber indices (sum over s = 1..n-1 of (s+1) (n-1)! entries
+    per y) are each charged before anything is gathered.  Here each is the
+    term's largest array: one entry short of it is refused before a hit
+    table is read, and a budget of exactly its size runs every row."""
+    import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
+    from spolab.lemmas import _p_ii_projector, _p_ii_term
+
+    n = 4
+    plan = make_twirl_plan(n, seed=2, min_pairs=4)
+    rng = np.random.default_rng(rest)
+    shape = (rest, 24)
+    slices = [(x, y, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+              for x, y in [(0, 0), (1, 1), (2, 3), (3, 2)]]
+    assert entries == max(2 * 3 * 4 * 6, 4 * rest * 24, 4 * (2 + 3 + 4) * 6)
+    with monkeypatch.context() as patch:
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("reached before the budget check")
+
+        patch.setattr(lemmas_mod, "_hit_fibers", unreachable)
+        patch.setattr(oracles_mod, "AMPLITUDE_BUDGET", entries - 1)
+        with pytest.raises(BudgetError, match=f"{what}: {entries} entries"):
+            _p_ii_term(slices, plan)
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", entries)
+    row = _p_ii_term(slices, plan)
+    for i in plan.pairs():
+        for tau, lj, value in zip(plan.taus, plan.left_inv, row(i)):
+            ref = _p_ii_projector(slices, n, plan.sigmas[i], tau,
+                                  plan.right_inv[i][lj])
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 ENGINE_AVERAGES = ("p_ii", "p2", "sparsity")
@@ -763,6 +803,41 @@ def test_sigma_twirled_fiber_sums_are_transposition_sums_of_the_slice(n):
                 rhs = sum(v[idx(compose(pi_g, transposition(n, x, b)))]
                           for b in below)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (sigma, x, f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sigma_split_fiber_sums_are_the_total_minus_the_reads_above_s(n):
+    """The complement the p_ii rows may sum instead, from Permutation
+    composition and perm_tables lookups alone.  For every sigma, register x
+    with s = sigma(x) and label g,
+
+        sum over b with sigma(b) <= s of v[idx(pi_g <x b>)]
+            = T[g] - sum over b with sigma(b) > s of v[idx(pi_g <x b>)],
+        T[g] = sum over every b of v[idx(pi_g <x b>)],
+
+    where <x x> is the identity; at s = n - 1 nothing lies above s."""
+    from spolab.permutations import Permutation, compose, transposition
+
+    pi, _ = perm_tables(n)
+    perms = [Permutation(tuple(row)) for row in pi.tolist()]
+    label = {p.images: d for d, p in enumerate(perms)}
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=len(perms)) + 1j * rng.normal(size=len(perms))
+    # reads[x][b][g] = v[idx(pi_g <x b>)]
+    reads = [[np.array([v[label[compose(p, transposition(n, x, b)).images]]
+                        for p in perms]) for b in range(n)] for x in range(n)]
+    tops = 0
+    for sigma in perms:
+        for x in range(n):
+            s = sigma.images[x]
+            above = [b for b in range(n) if sigma.images[b] > s]
+            assert len(above) == n - 1 - s
+            tops += not above
+            total = sum(reads[x])
+            lhs = sum(reads[x][b] for b in range(n) if sigma.images[b] <= s)
+            rhs = total - sum(reads[x][b] for b in above)
+            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12), (sigma, x)
+    assert tops == len(perms)  # each sigma maps one x to n - 1
 
 
 def test_sampled_fundamental_rows_name_their_grid():
