@@ -8,10 +8,10 @@ The central objects are the database operators
 and the twirl average over (sigma, tau) pairs.  An average over a plan
 whose sigma and tau tables each hold all of S_N (TwirlPlan.full_group) is
 exact; any other plan is a crossed sample, whose standard error adds the
-row and column variance components (see grid_mean_stderr).  Over the full
-group, p_(ii') and the progress measure need no pairs at all: they read
-the subset kernel (_subset_kernel), in which tau drops out and sigma
-enters only through a set.
+row and column variance components (_margins_stderr), so a sampled p_(ii')
+needs only the grid's margins (_p_ii_term).  Over the full group, p_(ii')
+and the progress measure read the subset kernel (_subset_kernel), in
+which tau drops out and sigma enters only through a set.
 
 All element labels are 0-based; the 1-based 1/x weights become 1/(x+1).
 """
@@ -132,7 +132,7 @@ class TwirlPlan:
 
     def pairs(self) -> Iterator[int]:
         """Yields the index i of each sigma-row, in order: the steps of
-        _twirl_average, each over the row's T pairs (sigmas[i], taus[j])."""
+        _twirl_average and _p_ii_term, each over the row's T pairs."""
         yield from range(len(self.sigmas))
 
 
@@ -170,20 +170,20 @@ def _full_group_plan(n: int) -> TwirlPlan:
 
 
 def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of a crossed (rows x cols, ...) sample, elementwise.
+    """Mean and _margins_stderr of a crossed (rows x cols, ...) grid, elementwise."""
+    return values.mean(axis=(0, 1)), _margins_stderr(values.mean(axis=1),
+                                                     values.mean(axis=0))
 
-    The error is sqrt(var(row means) / R + var(col means) / C): the grand
-    mean of a crossed grid carries both the row and the column variance
-    (Owen, "The pigeonhole bootstrap", 2007), so either term alone
-    understates it.  One row or column gives no estimate and reports 0.
-    """
-    mean = values.mean(axis=(0, 1))
-    rows, cols = values.shape[:2]
+
+def _margins_stderr(row_means: np.ndarray, col_means: np.ndarray) -> float:
+    """Stderr of the grand mean of a crossed R x C grid from its R row means
+    and C column means, elementwise: sqrt(var(row means) / R + var(col
+    means) / C), as the mean carries both variances (Owen, "The pigeonhole
+    bootstrap", 2007).  One row or column gives no estimate and reports 0."""
+    rows, cols = len(row_means), len(col_means)
     if rows < 2 or cols < 2:
-        return mean, 0.0
-    var_rows = values.mean(axis=1).var(axis=0, ddof=1)
-    var_cols = values.mean(axis=0).var(axis=0, ddof=1)
-    return mean, np.sqrt(var_rows / rows + var_cols / cols)
+        return 0.0
+    return np.sqrt(row_means.var(axis=0, ddof=1) / rows + col_means.var(axis=0, ddof=1) / cols)
 
 
 def _charge_rows(plan: TwirlPlan, per_pair: tuple[int, ...], what: str) -> None:
@@ -198,12 +198,11 @@ def _twirl_average(plan: TwirlPlan, row: Callable[[int], np.ndarray]) -> tuple:
     """(mean, stderr) over the plan of the values of one twirl term.
 
     One step is one sigma-row: for each i that plan.pairs() yields,
-    ``row(i)`` returns the row's T values, one per column j: T floats, or
-    T arrays of one fixed shape.  Column j twirls a (rest, n!) block to
-    ``block[:, ri[lj]]`` for ri = right_inv[i] and lj = left_inv[j], so a
-    row reads the (T, n!) maps left_inv whole; its caller charges what a
-    row gathers against AMPLITUDE_BUDGET before the first row is built.
-    A full-group plan gives the exact mean with stderr 0, any other the
+    ``row(i)`` returns the row's T values (floats, or arrays of one shape).
+    Column j twirls a (rest, n!) block to ``block[:, ri[lj]]`` for
+    ri = right_inv[i] and lj = left_inv[j]; the caller charges what a row
+    gathers against AMPLITUDE_BUDGET before the first row is built.  A
+    full-group plan gives the exact mean with stderr 0, any other the
     crossed-grid estimate of grid_mean_stderr, both elementwise.
     """
     values = [row(i) for i in plan.pairs()]
@@ -426,7 +425,7 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     read from the subset kernel (_subset_kernel, over the hits H(x, y) of
     each slice), and the result names the kernel's subsets per register.
     On any other plan it is the crossed-sample mean over the plan's own
-    pairs from the twirl engine, as follows.
+    pairs, as follows.
 
     p_(ii') sums ||Pi (I - P_s) w||^2 over the slices, for the twirled slice
     w = v[:, ri[lj]], s = sigma(x), t = tau(y) and Pi the hit labels H(s, t),
@@ -443,21 +442,16 @@ def experiment_probabilities(final: StateVector, rel: Relation,
         sum over d in H(s, t) of |u[e] - M[a(d), e]|^2,
         M[a, e] = (1 / (s+1)) sum_c u[idx(pi_e <s a><s c>)].
 
-    The summand depends on tau only through (a(d), e), so each sigma-row
-    tabulates it once for every a and every e in H(s, y), and reads it for
-    every column from a table built once per tau (_a_tables).  The row
-    gathers no u: as pi_f <s c> sigma = (pi_f sigma) <x sigma^{-1}(c)>,
-    sum_{c<=s} u[idx(pi_f <s c>)] = G[ri[f]] for ri[f] = idx(pi_f sigma) and
-    G[g] = sum over b with sigma(b) <= s of v[idx(pi_g <x b>)]
-         = T[g] - sum over b with sigma(b) > s of v[idx(pi_g <x b>)],
-    T[g] = sum over every b of v[idx(pi_g <x b>)] (<x x> the identity).
-    T depends on the slice alone, so _p_ii_term builds it once and each row
-    sums whichever side of the split has fewer reads.
-    The first pair of the plan is also evaluated in the projector form, and
-    the two must agree to 1e-12 relative; sigma-row 0 is computed once, for
-    that guard and for the average.  Label 0 has every t_k = 0, so on
-    a plan drawn from all_images in order neither map of that pair is the
-    identity (the identity is the last label).
+    The summand depends on tau only through (a(d), e): per sigma-row and
+    slice, _fiber_sq tabulates it for every a and every e in H(s, y), and a
+    column reads that table at its entries of a per-tau table (_a_tables).
+    The crossed-grid stderr needs only the grid's row and column means, so
+    _p_ii_term returns the row and the column sums, with one lookup per
+    (s, y) group of rows, and never forms the (S, T) grid.  Two guards hold
+    to 1e-12 relative: the first pair equals its projector form, and the
+    row and the column sums have equal totals.  Label 0 has every t_k = 0,
+    so on a plan drawn from all_images in order neither map of the first
+    pair is the identity (the identity is the last label).
     """
     n = rel.n
     slices = _xy_slices(final, rel)
@@ -469,15 +463,17 @@ def experiment_probabilities(final: StateVector, rel: Relation,
         return ExperimentResult(p_i, _p_ii_kernel(slices, n), 0.0,
                                 subsets=_subset_count(n))
 
-    row = _p_ii_term(slices, plan)
-    first = row(0)
-    got = float(first[0])
+    rows, cols, first = _p_ii_term(slices, plan)
     ref = _p_ii_projector(slices, n, plan.sigmas[0], plan.taus[0],
                           plan.right_inv[0][plan.left_inv[0]])
-    if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
-        raise RuntimeError(f"fiber-hit p_ii {got!r} differs from the projector "
+    if abs(first - ref) > 1e-12 * max(1.0, abs(ref)):
+        raise RuntimeError(f"fiber-hit p_ii {first!r} differs from the projector "
                            f"form {ref!r} on the first pair of the plan (n={n})")
-    return ExperimentResult(p_i, *_twirl_average(plan, lambda i: row(i) if i else first))
+    total, by_cols = rows.sum(), cols.sum()
+    if abs(total - by_cols) > 1e-12 * abs(total):
+        raise RuntimeError(f"p_ii row sums total {total!r}, column sums {by_cols!r} (n={n})")
+    return ExperimentResult(p_i, total / plan.pair_count,
+                            _margins_stderr(rows / len(cols), cols / len(rows)))
 
 
 def _xy_slices(final: StateVector, rel: Relation) -> list[tuple[int, int, np.ndarray]]:
@@ -506,10 +502,9 @@ def _p_ii_kernel(slices: list[tuple[int, int, np.ndarray]], n: int) -> float:
 
 def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """A[c, s-1, k, j] = a(L(e)) * m + j, m = (n-1)!, for e = H(s, ys[k])[j],
-    the j-th hit of (s, ys[k]), where L inverts left_inv[c], i.e. L(e) =
-    idx(tau pi_e) for the plan's tau of column c: a (C, n-1, len(ys), m)
-    table over s = 1..n-1 (s = 0 adds nothing) into the (s+1) * m row
-    tables of _p_ii_term, uint16 for every n <= 8; _p_ii_term charges it."""
+    the j-th hit of (s, ys[k]), and L(e) = idx(tau pi_e) for the tau of
+    column c: a (C, n-1, len(ys), m) uint16 table (n <= 8) over s = 1..n-1
+    into the flat sq tables of _fiber_sq; _p_ii_term charges it."""
     nf = database_dim(n)
     m = nf // n
     shape = (len(left_inv), n - 1, len(ys), m)
@@ -527,23 +522,17 @@ def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
-    """The fiber-hit p_(ii') term of _twirl_average over the <x,y| slices
-    (see experiment_probabilities).
-
-    Per sigma-row it tabulates, for each slice with s = sigma(x) >= 1,
-    sq[a, j] = |u[e] - M[a, e]|^2 summed over the slice's rows, for
-    e = H(s, y)[j] and m = (n-1)!, from (s+1) M[a, e] = G[ri[idx(pi_e <s a>)]].
-    G sums the s + 1 reads v[idx(pi_g <x b>)] with sigma(b) <= s, and the
-    row builds it from the smaller side of that split: v plus the s reads
-    with sigma(b) < s, or the slice's total T over every b minus the
-    n - 1 - s reads with sigma(b) > s, so at most min(s, n - 1 - s) reads
-    of all n! labels.  T (n - 1 reads per slice) and the sigma-free fiber
-    index idx(pi_e <s a>) of every (s, y) are built once per term, after
-    they and the a-tables are each charged against AMPLITUDE_BUDGET.  The
-    row reads each table, flat, at the a-table entries a * m + j of every
-    column (_a_tables, built once per term for the slices' y) and returns
-    their sums, one per column.
+def _p_ii_term(slices: list[tuple[int, int, np.ndarray]],
+               plan: TwirlPlan) -> tuple[np.ndarray, np.ndarray, float]:
+    """The S row sums, the T column sums and the pair (0, 0) value of the
+    plan's fiber-hit p_(ii') grid (see experiment_probabilities).  Pair
+    (i, c) sums, over the slices with s = sigma_i(x) >= 1, the flat table sq
+    of (i, slice) (_fiber_sq) at the a-table entries A[c] of (s, y).  So one
+    walk of plan.pairs() groups the (i, slice) by (s, y), which fixes A:
+    row i adds cnt @ sq, for cnt the count of each entry of A, and the group
+    adds one lookup into the sum of its sq to the column sums.  The
+    a-tables, the slice totals and the fiber indices idx(pi_e <s a>) of
+    every (s, y) are each charged against AMPLITUDE_BUDGET, then built once.
     """
     n = plan.n
     m = database_dim(n) // n
@@ -551,53 +540,64 @@ def _p_ii_term(slices: list[tuple[int, int, np.ndarray]], plan: TwirlPlan):
                          return_inverse=True)
     shape = (len(plan.taus), n - 1, len(ys), m)
     charge(math.prod(shape), f"p_ii a-tables of {' x '.join(map(str, shape))}")
-    charge(sum(v.size for _x, _y, v in slices),
-           f"p_ii totals of {len(slices)} slices")
+    charge(sum(v.size for _x, _y, v in slices), f"p_ii totals of {len(slices)} slices")
     charge(len(ys) * (n * (n + 1) // 2 - 1) * m,
            f"p_ii fiber indices of {len(ys)} y x {n - 1} registers")
     a_tables = _a_tables(n, plan.left_inv, ys)
     hits, _fiber_a, swaps = _hit_fibers(n)
-
-    def swap(x: int, b: int) -> np.ndarray:  # f -> idx(pi_f <x b>)
-        return swaps[max(x, b)][min(x, b)]
-
-    totals = []
-    for x, _y, v in slices:
-        total = v.copy()
-        for b in range(n):
-            if b != x:
-                total += v.take(swap(x, b), axis=1)
-        totals.append(total)
+    totals = [v.copy() for _x, _y, v in slices]
+    for (x, _y, v), total in zip(slices, totals):
+        for b in np.flatnonzero(np.arange(n) != x):
+            total += v.take(swaps[max(x, b)][min(x, b)], axis=1)
     fiber_index = {(s, y): swaps[s].take(hits[s, y], axis=1)  # [a, j]
                    for s in range(1, n) for y in ys.tolist()}
 
-    def fiber_sq(sigma, ri, s, x, y, v, total) -> np.ndarray:
-        """sq[a, j] of one slice in one sigma-row."""
-        below = 2 * s < n  # sigma(b) < s holds for s of the n - 1 others
-        g, op = (v, np.add) if below else (total, np.subtract)
-        for b in np.flatnonzero(sigma < s if below else sigma > s):
-            term = v.take(swap(x, b), axis=1)
-            g = op(g, term, out=term)
-        fibers = g.take(ri.take(fiber_index[s, y]), axis=1)  # [r, a, j]
-        fibers /= s + 1
-        fibers -= v.take(ri.take(hits[s, y]), axis=1)[:, None]
-        return (fibers.real ** 2 + fibers.imag ** 2).sum(axis=0)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i in plan.pairs():
+        for c, (x, _y, _v) in enumerate(slices):
+            if s := int(plan.sigmas[i][x]):  # P on D_1 is the identity
+                groups.setdefault((s, int(y_at[c])), []).append((i, c))
+    rows, cols, first = np.zeros(len(plan.sigmas)), np.zeros(len(plan.taus)), 0.0
+    for (s, k), members in groups.items():
+        a = a_tables[:, s - 1, k]  # (T, m)
+        cnt = np.bincount(a.ravel(), minlength=(s + 1) * m).astype(np.float64)
+        acc = np.zeros((s + 1) * m)
+        for i, c in members:
+            x, y, v = slices[c]
+            sq = _fiber_sq(v, totals[c], x, y, plan.sigmas[i], plan.right_inv[i],
+                           fiber_index).ravel()
+            rows[i] += cnt @ sq
+            acc += sq
+            if not i:
+                first += float(_table_sums(sq, a[:1])[0])
+        cols += _table_sums(acc, a)
+    return rows, cols, first
 
-    def row(i: int) -> np.ndarray:
-        sigma, ri = plan.sigmas[i], plan.right_inv[i]
-        out = np.zeros(len(plan.taus))
-        for (x, y, v), total, k in zip(slices, totals, y_at):
-            s = sigma[x]
-            if s:  # P on D_1 is the identity
-                # fiber_sq's gathers are freed before the lookup makes the
-                # row's largest temporaries.  Holding both outgrew the
-                # allocator's heap-trim threshold at N = 8, and every row
-                # re-faulted its memory (~63,000 page faults per 45 rows).
-                sq = fiber_sq(sigma, ri, s, x, y, v, total)
-                out += sq.take(a_tables[:, s - 1, k]).sum(axis=1)
-        return out
 
-    return row
+def _table_sums(table: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The sum of the flat (s+1) * m table at each row of a-table entries."""
+    return table.take(entries).sum(axis=1)
+
+
+def _fiber_sq(v: np.ndarray, total: np.ndarray, x: int, y: int, sigma: np.ndarray,
+              ri: np.ndarray, fiber_index: dict) -> np.ndarray:
+    """sq[a, j] = |u[e] - M[a, e]|^2 of slice v in one sigma-row, summed over
+    its rows, for e = H(s, y)[j], s = sigma(x) >= 1.  As pi_f <s c> sigma =
+    (pi_f sigma) <x sigma^{-1}(c)>, (s+1) M[a, e] = G[ri[idx(pi_e <s a>)]]
+    for G the sum of the reads v[idx(pi_g <x b>)] with sigma(b) <= s: v plus
+    those with sigma(b) < s, or ``total`` (every b) minus those with
+    sigma(b) > s, whichever takes fewer reads of all n! labels."""
+    n, s = len(sigma), sigma[x]
+    hits, _fiber_a, swaps = _hit_fibers(n)
+    below = 2 * s < n  # sigma(b) < s holds for s of the n - 1 others
+    g, op = (v, np.add) if below else (total, np.subtract)
+    for b in np.flatnonzero(sigma < s if below else sigma > s):
+        term = v.take(swaps[max(x, b)][min(x, b)], axis=1)
+        g = op(g, term, out=term)
+    fibers = g.take(ri.take(fiber_index[s, y]), axis=1)  # [r, a, j]
+    fibers /= s + 1
+    fibers -= v.take(ri.take(hits[s, y]), axis=1)[:, None]
+    return (fibers.real ** 2 + fibers.imag ** 2).sum(axis=0)
 
 
 def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,

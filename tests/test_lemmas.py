@@ -18,6 +18,7 @@ from spolab.lemmas import (
     WeightPreconditionError,
     _apply_progress,
     _section_mask,
+    _xy_slices,
     check_uniform_weights,
     commutator_growth_check,
     commutator_norm,
@@ -74,6 +75,7 @@ from helpers import (
     final_state,
     index_of_perm,
     per_pair_twirl_averages,
+    per_pair_twirl_grids,
     perm_of_index,
     with_loading_query,
 )
@@ -381,39 +383,51 @@ def test_experiment_matches_direct_simulation():
     assert res.p_ii == pytest.approx(p_ii_direct, abs=1e-12)
 
 
-def _assert_fiber_form_matches_projector(slices, plan, context):
-    """The fiber-hit kernel over the <x,y| slices, evaluated one sigma-row
-    at a time, agrees with the projector form to 1e-12 relative on every
-    pair of the plan."""
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _column_plans(plan):
+    """The S x 1 plans of the plan's columns."""
+    from spolab.lemmas import TwirlPlan
+
+    return [TwirlPlan(plan.n, plan.sigmas, [tau]) for tau in plan.taus]
+
+
+def _assert_fiber_form_matches_projector(slices, plan, context, want=None, columns=None):
+    """The fiber-hit p_ii term over the <x,y| slices agrees with the
+    projector form to 1e-12 relative on every pair of the plan, read as the
+    row sums of the S x 1 plans of its columns (``columns``, if built
+    already).  The row and column sums of the whole plan equal those of
+    ``want``, the per-pair grid of helpers.per_pair_twirl_grids, or, without
+    it, of the projector form."""
     from spolab.lemmas import _p_ii_projector, _p_ii_term
 
-    row = _p_ii_term(slices, plan)
-    seen = 0
-    for i in plan.pairs():
-        sigma, ri = plan.sigmas[i], plan.right_inv[i]
-        got = row(i)
-        assert len(got) == len(plan.taus)
-        for tau, lj, value in zip(plan.taus, plan.left_inv, got):
-            ref = _p_ii_projector(slices, plan.n, sigma, tau, ri[lj])
-            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (context, sigma, tau)
-            seen += 1
-    assert seen == plan.pair_count
-
-
-def _circuit_slices(circ, rel):
-    from spolab.lemmas import _xy_slices
-
-    return _xy_slices(final_state(circ), rel)
+    grid = np.empty(plan.grid_shape)
+    for j, (tau, column_plan) in enumerate(zip(plan.taus, columns or _column_plans(plan))):
+        column, _, _ = _p_ii_term(slices, column_plan)
+        assert column.shape == (len(plan.sigmas),)
+        for i, (sigma, ri) in enumerate(zip(plan.sigmas, plan.right_inv)):
+            grid[i, j] = _p_ii_projector(slices, plan.n, sigma, tau, ri[plan.left_inv[j]])
+            assert _close(column[i], grid[i, j]), (context, sigma, tau)
+    want = grid if want is None else want
+    rows, cols, first = _p_ii_term(slices, plan)
+    assert all(map(_close, rows, want.sum(axis=1))), context
+    assert all(map(_close, cols, want.sum(axis=0))), context
+    assert _close(first, grid[0, 0]), context
 
 
 def test_fiber_hit_p_ii_matches_projector_form_on_every_n4_pair():
     from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
 
     plan = make_twirl_plan(4)
+    columns = _column_plans(plan)
     for circ in suite_circuits(4, DEFAULT_SEED):
+        final = final_state(circ)
         for name, rel in suite_relations(4):
-            _assert_fiber_form_matches_projector(_circuit_slices(circ, rel), plan,
-                                                 (circ.name, name))
+            want = per_pair_twirl_grids(final, rel, plan, ("p_ii",))["p_ii"]
+            _assert_fiber_form_matches_projector(_xy_slices(final, rel), plan,
+                                                 (circ.name, name), want, columns)
 
 
 def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n5_plan():
@@ -433,9 +447,10 @@ def test_fiber_hit_p_ii_matches_projector_form_on_a_sampled_n8_plan():
     n = 8
     plan = make_twirl_plan(n, seed=3, min_pairs=9)
     assert plan.grid_shape == (3, 3)
-    circ = random_circuit(5, 1, 1, n)
+    final = final_state(random_circuit(5, 1, 1, n))
     for rel in (diagonal_relation(n), from_pairs(n, [(0, n - 1), (3, 5)])):
-        _assert_fiber_form_matches_projector(_circuit_slices(circ, rel), plan, rel)
+        want = per_pair_twirl_grids(final, rel, plan, ("p_ii",))["p_ii"]
+        _assert_fiber_form_matches_projector(_xy_slices(final, rel), plan, rel, want)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -553,10 +568,11 @@ def test_p_ii_totals_and_fiber_indices_are_charged_before_they_are_built(
     its cached fiber indices (sum over s = 1..n-1 of (s+1) (n-1)! entries
     per y) are each charged before anything is gathered.  Here each is the
     term's largest array: one entry short of it is refused before a hit
-    table is read, and a budget of exactly its size runs every row."""
+    table is read, and a budget of exactly its size runs the whole plan and
+    each of its columns against the projector form."""
     import spolab.lemmas as lemmas_mod
     import spolab.oracles as oracles_mod
-    from spolab.lemmas import _p_ii_projector, _p_ii_term
+    from spolab.lemmas import _p_ii_term
 
     n = 4
     plan = make_twirl_plan(n, seed=2, min_pairs=4)
@@ -574,12 +590,7 @@ def test_p_ii_totals_and_fiber_indices_are_charged_before_they_are_built(
         with pytest.raises(BudgetError, match=f"{what}: {entries} entries"):
             _p_ii_term(slices, plan)
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", entries)
-    row = _p_ii_term(slices, plan)
-    for i in plan.pairs():
-        for tau, lj, value in zip(plan.taus, plan.left_inv, row(i)):
-            ref = _p_ii_projector(slices, n, plan.sigmas[i], tau,
-                                  plan.right_inv[i][lj])
-            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+    _assert_fiber_form_matches_projector(slices, plan, what)
 
 
 ENGINE_AVERAGES = ("p_ii", "p2", "sparsity")
@@ -599,6 +610,32 @@ def _assert_averages_match(got, want, context):
     for key in want:
         for g, w in zip(got[key], want[key]):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-15), (context, key)
+
+
+def _count_p_ii_tables(monkeypatch):
+    """Record, from now on, the (sigma-row, slice) of every _fiber_sq table,
+    as (sigma images, x, y), and the row count of every a-table lookup."""
+    import spolab.lemmas as lemmas_mod
+
+    tables = count_calls(monkeypatch, lemmas_mod, "_fiber_sq",
+                         lambda _v, _t, x, y, sigma, *_: (sigma.tobytes(), x, y))
+    lookups = count_calls(monkeypatch, lemmas_mod, "_table_sums",
+                          lambda _table, entries: len(entries))
+    return tables, lookups
+
+
+def _assert_each_table_built_once(plan, slices, tables, lookups, context=None):
+    """Each (sigma-row, slice) with s = sigma(x) >= 1 is tabulated exactly
+    once, and each (s, y) group of them makes one lookup of the plan's T
+    columns; the only other lookups are single-row reads, one per slice of row 0,
+    for the projector guard's pair (0, 0)."""
+    members = [(i, x, y) for i in range(len(plan.sigmas)) for x, y, _v in slices
+               if plan.sigmas[i][x]]
+    assert sorted(tables) == sorted((plan.sigmas[i].tobytes(), x, y)
+                                    for i, x, y in members), context
+    groups = {(plan.sigmas[i][x], y) for i, x, y in members}
+    firsts = sum(1 for i, _x, _y in members if i == 0)
+    assert sorted(lookups) == sorted([len(plan.taus)] * len(groups) + [1] * firsts), context
 
 
 def _per_pair_cases(plans, averages):
@@ -635,15 +672,19 @@ def test_chunked_twirl_averages_match_the_per_pair_reference(
     """A step of the twirl engine is one whole sigma-row, so the chunk it
     reads is the row's T pairs: 1, 5 or 24 here.  Every average equals the
     per-pair reference to 1e-12 relative, stderr included, and steps
-    through each sigma-row of the plan once, in order.  The plan with one
-    column has stderr 0."""
+    through each sigma-row of the plan once, in order.  The p_ii term
+    tabulates each (sigma-row, slice) once and makes one lookup per (s, y)
+    group.  The plan with one column has stderr 0."""
     rows = count_twirl_rows(monkeypatch)
+    tables, lookups = _count_p_ii_tables(monkeypatch)
     cases = [case for case in per_pair_references if len(case[0].taus) == width]
     assert cases
     for plan, final, rel, context, want in cases:
-        rows.clear()
+        for record in (rows, tables, lookups):
+            record.clear()
         _assert_averages_match(_engine_averages(final, rel, plan), want, (context, width))
         assert rows == list(range(len(plan.sigmas))) * len(ENGINE_AVERAGES), context
+        _assert_each_table_built_once(plan, _xy_slices(final, rel), tables, lookups, context)
 
 
 def test_subset_kernel_matches_the_per_pair_reference():
@@ -668,7 +709,7 @@ def test_sampled_n8_p_ii_covers_the_exact_kernel():
     probe against the one-slice suite relation (0, N-1), the estimate from
     make_twirl_plan(8, seed=s, min_pairs=2000) lies within 3 stderr of the
     exact subset kernel for at least 9 of the seeds 0..9, fixed in advance."""
-    from spolab.lemmas import _p_ii_kernel, _xy_slices
+    from spolab.lemmas import _p_ii_kernel
 
     n = 8
     final = final_state(classical_probe(n, 0, "forward"))
@@ -688,7 +729,7 @@ def test_subset_kernel_gives_the_n8_probe_fixture():
     """The classical probe against the full relation has
     p_ii = (1/N) sum_{s=1}^{N} (1 - 1/s)^2, which is 2887109/5644800 at
     N = 8; the kernel gives it to 1e-12 relative."""
-    from spolab.lemmas import _p_ii_kernel, _xy_slices
+    from spolab.lemmas import _p_ii_kernel
 
     n = 8
     want = sum(Fraction(s - 1, s) ** 2 for s in range(1, n + 1)) / n
@@ -737,34 +778,22 @@ def test_sampled_n8_p_ii_matches_the_per_pair_reference(monkeypatch):
 
 
 def test_sampled_n8_experiment_computes_each_sigma_row_once(monkeypatch):
-    """On a sampled 2 x 45 plan at N = 8, experiment_probabilities computes
-    each sigma-row of 45 pairs exactly once, as one step: row 0 serves both
-    the projector-form guard and the average, so the row function runs once
-    for each of rows 0 and 1."""
-    import spolab.lemmas as lemmas_mod
+    """On a sampled 2 x 45 plan at N = 8, experiment_probabilities walks the
+    plan's sigma-rows once, tabulates each (sigma-row, slice) once, and
+    makes one 45-column lookup per (s, y) group, not one per row."""
     from spolab.lemmas import TwirlPlan
 
     n = 8
     rng = np.random.default_rng(8)
     draws = [sample_uniform(n, rng).images for _ in range(2 + 45)]
     plan = TwirlPlan(n, draws[:2], draws[2:])
-    original = lemmas_mod._p_ii_term
-    built = []
-
-    def counted_term(slices, p):
-        row = original(slices, p)
-
-        def counted_row(i):
-            built.append(i)
-            return row(i)
-
-        return counted_row
-
-    monkeypatch.setattr(lemmas_mod, "_p_ii_term", counted_term)
     steps = count_twirl_rows(monkeypatch)
+    tables, lookups = _count_p_ii_tables(monkeypatch)
     final = final_state(random_circuit(5, 1, 1, n))
-    res = experiment_probabilities(final, from_pairs(n, [(0, n - 1), (3, 5)]), plan)
-    assert built == [0, 1] and steps == [0, 1]
+    rel = from_pairs(n, [(0, n - 1), (3, 5)])
+    res = experiment_probabilities(final, rel, plan)
+    assert steps == [0, 1]
+    _assert_each_table_built_once(plan, _xy_slices(final, rel), tables, lookups)
     assert res.stderr_ii > 0.0
 
 
@@ -889,36 +918,26 @@ def test_hit_fibers_refuses_a_table_with_shared_fibers(monkeypatch):
 
 
 def test_experiment_builds_each_sigma_row_once(monkeypatch):
-    """experiment_probabilities builds the p_ii tables of every sigma-row
-    exactly once per call: row 0 serves both the projector guard and the
-    average, on a half-group plan and on a sampled plan.  On
-    the full group it builds none: p_ii is the subset kernel's."""
-    import spolab.lemmas as lemmas_mod
-
-    original = lemmas_mod._p_ii_term
-    built = []
-
-    def counting_term(slices, plan):
-        row = original(slices, plan)
-
-        def counted(i):
-            built.append(i)
-            return row(i)
-
-        return counted
-
-    monkeypatch.setattr(lemmas_mod, "_p_ii_term", counting_term)
+    """experiment_probabilities tabulates each (sigma-row, slice) of the
+    p_ii term exactly once per call and makes one lookup per (s, y) group,
+    on a half-group plan and on a sampled plan; the projector guard reads
+    row 0's tables, not a second copy.  On the full group it builds none:
+    p_ii is the subset kernel's."""
+    tables, lookups = _count_p_ii_tables(monkeypatch)
     n = 4
     final = final_state(random_circuit(43, 2, 2, n))
+    slices = _xy_slices(final, full_relation(n))
     for plan in (half_group_plan(n),
                  make_twirl_plan(n, seed=3, min_pairs=9)):
-        built.clear()
+        tables.clear()
+        lookups.clear()
         experiment_probabilities(final, full_relation(n), plan)
-        assert len(built) == plan.grid_shape[0]
-        assert sorted(built) == list(range(plan.grid_shape[0]))
-    built.clear()
+        assert tables
+        _assert_each_table_built_once(plan, slices, tables, lookups, plan.grid_shape)
+    tables.clear()
+    lookups.clear()
     experiment_probabilities(final, full_relation(n), make_twirl_plan(n))
-    assert built == []
+    assert tables == [] and lookups == []
 
 
 def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
@@ -946,6 +965,71 @@ def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
         monkeypatch.setattr(lemmas_mod, "_hit_fibers", lambda _n, t=tables: t)
         with pytest.raises(RuntimeError, match="projector form"):
             experiment_probabilities(final, full_relation(n), plan)
+
+
+class _LeftOutOfTheSum(np.ndarray):
+    """A table that an in-place np.add into another array leaves out; every
+    other ufunc reads its values as they are."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.add and method == "__call__" and out is not None:
+            return out[0]
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+
+def test_experiment_guard_raises_when_row_and_column_sums_disagree(monkeypatch):
+    """The row sums (count dots) and the column sums (group lookups) of the
+    p_ii term total the same for any a-table.  Dropping one member from its
+    group's sum, while its row sum still counts it, trips the guard; the
+    projector guard, which reads pair (0, 0) on its own, still passes."""
+    import spolab.lemmas as lemmas_mod
+
+    n = 4
+    final = final_state(random_circuit(43, 2, 2, n))
+    plan = half_group_plan(n)
+    experiment_probabilities(final, full_relation(n), plan)
+    original = lemmas_mod._fiber_sq
+    calls = []
+
+    def dropped_once(*args):
+        sq = original(*args)
+        calls.append(float(sq.sum()))
+        return sq.view(_LeftOutOfTheSum) if len(calls) == 1 else sq
+
+    monkeypatch.setattr(lemmas_mod, "_fiber_sq", dropped_once)
+    with pytest.raises(RuntimeError, match="p_ii row sums total .* column sums"):
+        experiment_probabilities(final, full_relation(n), plan)
+    assert calls[0] > 1e-3
+
+
+def test_sampled_n8_p_ii_peaks_below_the_query():
+    """Traced (tracemalloc) from the plan's draw onward, as in the sampled
+    fundamental suite, the p_ii of the N = 8 rand-q1-s2 circuit against the
+    diagonal relation peaks below the circuit's run, whose query sets the
+    peak, so p_ii never sets the suite's peak memory.  The perm and hit
+    tables the suite has built by then are built first."""
+    import tracemalloc
+
+    from spolab.lemmas import _hit_fibers
+
+    n = 8
+    perm_tables(n)
+    _hit_fibers(n)
+    circ = random_circuit(2, 1, 1, n)
+    assert circ.name == "rand-q1-s2"
+    tracemalloc.start()
+    try:
+        plan = make_twirl_plan(n, seed=1, min_pairs=2000)
+        final = run(circ, spo_backend(n))
+        _, query_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        experiment_probabilities(final, diagonal_relation(n), plan)
+        _, p_ii_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p_ii_peak < query_peak, (p_ii_peak / 2 ** 20, query_peak / 2 ** 20)
 
 
 def test_p_i_equals_the_success_of_every_direct_twirled_run():
