@@ -7,11 +7,12 @@ The central objects are the database operators
 
 and the twirl average over (sigma, tau) pairs.  An average over a plan
 whose sigma and tau tables each hold all of S_N (TwirlPlan.full_group) is
-exact; any other plan is a crossed sample, whose standard error adds the
-row and column variance components (_margins_stderr), so a sampled p_(ii')
-needs only the grid's margins (_p_ii_term).  Over the full group, p_(ii')
-and the progress measure read the subset kernel (_subset_kernel), in
-which tau drops out and sigma enters only through a set.
+exact; any other plan is a crossed sample whose stderr adds the row and
+column variance components (_margins_stderr), so a sampled p_(ii') needs
+only the grid's margins (_p_ii_term).  Over the full group, p_(ii') and
+the progress measure read the subset kernel (_subset_kernel): tau drops
+out and sigma enters only through a set.  Sparsity rows take (I - P_+)
+norms from Helmert contrasts, with no projected copy (_complement_norm2).
 
 All element labels are 0-based; the 1-based 1/x weights become 1/(x+1).
 """
@@ -869,18 +870,34 @@ def standard_form_prequery_states(
     return pre
 
 
+def _complement_norm2(block: np.ndarray, n: int, x: int) -> np.ndarray:
+    """||(I - P_{+x}) w||^2 of each column w of a (rest, C, n!) block from the
+    Helmert contrasts of its D_{x+1} slices v_0..v_x, an orthonormal basis of
+    the complement of the all-ones vector: sum over k = 1..x of
+    ||S_k - k v_k||^2 / (k (k+1)), S_k = v_0 + ... + v_{k-1}, with no
+    projected copy and no cancellation."""
+    hi, radix, lo = db_register_geometry(n, x)
+    rest, cols = block.shape[:2]
+    view = block.reshape(rest, cols * hi, radix, lo)
+    total, partial = np.zeros(cols), view[:, :, 0]
+    for k in range(1, radix):  # none at x = 0: D_1 has one value
+        contrast = partial - k * view[:, :, k]
+        total += _norm2(contrast.reshape(rest, cols, -1)) / (k * (k + 1))
+        partial = partial + view[:, :, k]
+    return total
+
+
 def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, float]:
-    """E over x, sigma, tau of ||(I - P_{+x}) L^tau R^sigma |phi>||^2 / (x+1).
-    A sigma-row gathers (rest, T, n!) twirled blocks, charged against
-    AMPLITUDE_BUDGET before the first row."""
+    """E over x, sigma, tau of ||(I - P_{+x}) L^tau R^sigma |phi>||^2 / (x+1),
+    read by _complement_norm2.  A sigma-row gathers (rest, T, n!) twirled
+    blocks, charged against AMPLITUDE_BUDGET before the first row."""
     n = plan.n
     amps = _db_block(state)
     _charge_rows(plan, amps.shape, "sparsity_expectation")
 
     def row(i):
-        tw = amps[:, plan.right_inv[i][plan.left_inv]]  # (rest, T, n!)
-        return sum(_norm2(project_plus_db(tw, n, x, complement=True)) / (x + 1)
-                   for x in range(n)) / n
+        tw = amps.take(plan.right_inv[i][plan.left_inv], axis=1)  # (rest, T, n!)
+        return sum(_complement_norm2(tw, n, x) / (x + 1) for x in range(n)) / n
 
     return _twirl_average(plan, row)
 

@@ -95,12 +95,11 @@ def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
     """The Lehmer rank sum_k c_k (n-1-k)!, c_k = #{j > k : p(j) < p(k)}, of
-    every column p of an (n, K) int8 image table."""
-    n, k = rows.shape
-    ranks = np.zeros(k, dtype=np.intp)
-    for i in range(n - 1):
+    every column p of an (n, ...) int8 image table, in the trailing shape."""
+    ranks = np.zeros(rows.shape[1:], dtype=np.intp)
+    for i in range(len(rows) - 1):
         count = (rows[i + 1:] < rows[i]).sum(axis=0, dtype=np.int8)
-        ranks += count.astype(np.intp) * factorial(n - 1 - i)
+        ranks += count.astype(np.intp) * factorial(len(rows) - 1 - i)
     return ranks
 
 
@@ -124,14 +123,20 @@ def left_right_map(n: int, tau: Permutation | np.ndarray | None = None,
 
     This is the basis action of L^tau R^sigma on the database: the image
     rows of every label are permuted (position k reads row sigma^{-1}(k),
-    values pass through tau), ranked, and looked up by rank.
+    values pass through tau), ranked, and looked up by rank.  A (K, N)
+    table of taus or sigmas, against one permutation or a table of as many
+    rows, gives its K joint maps as a (K, N!) array, ranked in one pass.
     """
     rows, labels = _rank_tables(n)
+    rows = rows[:, None]  # (position, row k, label)
     if tau is not None:
-        rows = image_table(tau)[0].astype(np.int8).take(rows)
-    if sigma is not None:
-        rows = rows[np.argsort(image_table(sigma)[0])]
-    return labels.take(_lehmer_ranks(rows))
+        rows = image_table(tau).astype(np.int8).take(rows[:, 0], axis=1).transpose(1, 0, 2)
+    if sigma is not None:  # unequal row counts do not broadcast: IndexError
+        order = np.argsort(image_table(sigma), axis=1).T  # column k: sigma_k^{-1}
+        rows = rows[order, np.arange(rows.shape[1])]
+    maps = labels.take(_lehmer_ranks(rows))
+    tables = [p for p in (tau, sigma) if not isinstance(p, (Permutation, type(None)))]
+    return maps if any(np.ndim(p) == 2 for p in tables) else maps[0]
 
 
 # --------------------------------------------------------------------------

@@ -238,9 +238,9 @@ def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
 
 def _compose_factor_rows(t: np.ndarray) -> np.ndarray:
     """One-line images of <n-1 t_{n-1}> ... <0 t_0> for each row of a (m, n)
-    factor array, rightmost factor first (compose_from_factors, batched)."""
+    factor array in its dtype, rightmost factor first (compose_from_factors)."""
     m, n = t.shape
-    images = np.tile(np.arange(n, dtype=np.int64), (m, 1))
+    images = np.tile(np.arange(n, dtype=t.dtype), (m, 1))
     inv = images.copy()
     rows = np.arange(m)
     for k in range(1, n):
@@ -255,8 +255,9 @@ def _compose_factor_rows(t: np.ndarray) -> np.ndarray:
 
 
 def sample_uniform_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sampler: returns a (count, n) array of one-line images."""
-    t = np.zeros((count, n), dtype=np.int64)
+    """Vectorized sampler: a (count, n) table of one-line images in the least
+    unsigned dtype holding n - 1, from int64 draws, so the stream is dtype-free."""
+    t = np.zeros((count, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     for k in range(1, n):
         t[:, k] = rng.integers(0, k + 1, size=count)
     return _compose_factor_rows(t)

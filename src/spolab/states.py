@@ -447,12 +447,22 @@ class CQEnsemble:
                               f"{self.layout.total_dim}")
 
 
+def trace_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||u u^+ - v v^+||_1 per pair of vectors on the last axis, any leading
+    batch shape: sqrt((|u|^2 - |v|^2)^2 + 4 |u|^2 |v_perp|^2) with
+    v_perp = v - (<u|v>/|u|^2) u."""
+    nu = (np.abs(u) ** 2).sum(axis=-1)
+    nv = (np.abs(v) ** 2).sum(axis=-1)
+    overlap = np.einsum("...i,...i->...", u.conj(), v) / np.where(nu > 0, nu, 1.0)
+    perp = (np.abs(v - overlap[..., None] * u) ** 2).sum(axis=-1)
+    return np.sqrt((nu - nv) ** 2 + 4.0 * nu * perp)
+
+
 def trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:
     """(1/2)||rho_a - rho_b||_1 with labels embedded as orthogonal flags.
 
-    Rows are matched by label.  Per label, |u><u| - |v><v| has trace norm
-    sqrt((|u|^2 - |v|^2)^2 + 4 |u|^2 |v_perp|^2) with the vector
-    v_perp = v - (<u|v>/|u|^2) u; a label missing on one side is a zero row.
+    Rows are matched by label, and each label contributes the trace norm of
+    |u><u| - |v><v| (trace_norms); a label missing on one side is a zero row.
     """
     if a.layout != b.layout or a.labels.shape[1] != b.labels.shape[1]:
         raise LayoutError("ensembles disagree on layout or label width")
@@ -466,8 +476,4 @@ def trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:
     v = np.zeros_like(u)
     u[code[:k]] = a.amps
     v[code[k:]] = b.amps
-    nu = (np.abs(u) ** 2).sum(axis=1)
-    nv = (np.abs(v) ** 2).sum(axis=1)
-    overlap = np.einsum("ij,ij->i", u.conj(), v) / np.where(nu > 0, nu, 1.0)
-    perp = (np.abs(v - overlap[:, None] * u) ** 2).sum(axis=1)
-    return 0.5 * float(np.sqrt((nu - nv) ** 2 + 4.0 * nu * perp).sum())
+    return 0.5 * float(trace_norms(u, v).sum())

@@ -1502,10 +1502,43 @@ def test_block_averages_charge_their_row_gather_before_any_row(monkeypatch, aver
     def no_row(*args, **kwargs):
         raise AssertionError("a row was computed before the budget check")
 
-    monkeypatch.setattr(lemmas_mod, "project_plus_db", no_row)
+    # What a row reads first: the projector for p2, the Helmert contrasts
+    # for the sparsity rows.
+    row_kernel = "project_plus_db" if average == "p2" else "_complement_norm2"
+    monkeypatch.setattr(lemmas_mod, row_kernel, no_row)
     with pytest.raises(BudgetError, match=f"gathers 24 x {rest} x 24 entries"):
         call()
     assert rows == []
+
+
+@pytest.mark.parametrize("n, seed", [(2, None), (4, None), (5, 3)])
+def test_helmert_sparsity_rows_match_the_projector_form(monkeypatch, n, seed):
+    """sparsity_expectation reads each row's complement norms from Helmert
+    contrasts of the D_{x+1} slices.  On the full group at N = 2 and 4 and
+    on a sampled 4 x 4 plan at N = 5, its (mean, stderr) for random states
+    on X, Y, D equals the projector form of per_pair_twirl_averages to
+    1e-12, and no row calls project_plus_db; the uniform state reads
+    exactly 0.0."""
+    import spolab.oracles as oracles_mod
+    from spolab.lemmas import sparsity_expectation
+    from spolab.states import RegisterLayout, database_layout, product_uniform
+
+    plan = make_twirl_plan(n) if seed is None else make_twirl_plan(n, seed, min_pairs=16)
+    layout = RegisterLayout((("X", n), ("Y", n)) + database_layout(n).registers)
+    rng = np.random.default_rng(n)
+    states = []
+    for _ in range(2):
+        amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+        states.append(StateVector(layout, amps / np.linalg.norm(amps)))
+    want = [per_pair_twirl_averages(state, empty_relation(n), plan, ("sparsity",))
+            ["sparsity"] for state in states]
+    calls = count_calls(monkeypatch, oracles_mod, "project_plus_db")
+    got = [sparsity_expectation(state, plan) for state in states]
+    assert calls == []
+    for (g_mean, g_err), (w_mean, w_err) in zip(got, want):
+        assert abs(g_mean - w_mean) <= 1e-12 and abs(g_err - w_err) <= 1e-12
+        assert w_mean > 0.01
+    assert sparsity_expectation(product_uniform(layout), plan) == (0.0, 0.0)
 
 
 # --------------------------------------------------------------------------

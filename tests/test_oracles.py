@@ -30,6 +30,7 @@ from spolab.permutations import (
     invert,
     parse_one_line,
     sample_uniform,
+    sample_uniform_batch,
 )
 from spolab.states import (
     LayoutError,
@@ -257,6 +258,34 @@ def test_left_right_map_matches_scalar_composition(n):
                         compose(perm_of_index(n, int(d)),
                                 invert(kw.get("sigma", identity(n)))))
             assert got[d] == index_of_perm(p), (kw, d)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_left_right_map_ranks_a_table_in_one_call(n):
+    """A (K, N) table of taus, of sigmas or of both gives the K joint maps
+    as a (K, N!) array, row k equal to the one-permutation map of row k; a
+    permutation, a 1-D image row or a one-row table on the other side
+    pairs with every row.  Only 1-D arguments give a 1-D map, and tables
+    of unequal row counts are refused."""
+    rng = np.random.default_rng(n)
+    taus, sigmas = sample_uniform_batch(n, 5, rng), sample_uniform_batch(n, 5, rng)
+    one = sample_uniform(n, rng)
+    cases = [({"tau": taus}, lambda k: {"tau": taus[k]}),
+             ({"sigma": sigmas}, lambda k: {"sigma": sigmas[k]}),
+             ({"tau": taus, "sigma": sigmas},
+              lambda k: {"tau": taus[k], "sigma": sigmas[k]}),
+             ({"tau": taus, "sigma": one}, lambda k: {"tau": taus[k], "sigma": one}),
+             ({"tau": one.images, "sigma": sigmas[:1]},
+              lambda k: {"tau": one, "sigma": sigmas[0]})]
+    for table_kw, row_kw in cases:
+        got = left_right_map(n, **table_kw)
+        rows = len(next(v for v in table_kw.values() if np.ndim(v) == 2))
+        assert got.shape == (rows, math.factorial(n)), table_kw
+        for k in range(rows):
+            assert np.array_equal(got[k], left_right_map(n, **row_kw(k))), (table_kw, k)
+    assert left_right_map(n, tau=taus[0], sigma=one).shape == (math.factorial(n),)
+    with pytest.raises(IndexError):
+        left_right_map(n, tau=taus, sigma=sigmas[:3])
 
 
 def test_twirls_commute():

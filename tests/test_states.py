@@ -19,6 +19,7 @@ from spolab.states import (
     probe_unitary,
     product_uniform,
     trace_distance,
+    trace_norms,
 )
 
 from helpers import basis_state, dense_trace_distance, moveaxis_apply
@@ -452,6 +453,24 @@ def test_trace_distance_is_stable_for_nearly_equal_states():
     a = ensemble([PERMS3[0]], lay, [[1.0, 0.0]])
     b = ensemble([PERMS3[0]], lay, [[math.cos(theta), math.sin(theta)]])
     assert trace_distance(a, b) == pytest.approx(math.sin(theta), rel=1e-9)
+
+
+def test_trace_norms_kernel_matches_dense_eigenvalues_over_a_batch():
+    """The per-label kernel of trace_distance over a (3, 2) batch of
+    vector pairs, zero vectors on either side included, equals the
+    eigenvalue trace norm of |u><u| - |v><v| pair by pair."""
+    shape = (3, 2, 5)
+    u = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    v = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    u[0, 0] = 0.0
+    v[1, 1] = 0.0
+    v[2, 0] = 1j * u[2, 0]  # the same ray: norm 0
+    got = trace_norms(u, v)
+    assert got.shape == shape[:2]
+    for idx in np.ndindex(*shape[:2]):
+        diff = np.outer(u[idx], u[idx].conj()) - np.outer(v[idx], v[idx].conj())
+        assert got[idx] == pytest.approx(np.abs(np.linalg.eigvalsh(diff)).sum(),
+                                         rel=1e-12, abs=1e-12), idx
 
 
 def test_ensemble_total_probability():

@@ -31,8 +31,8 @@ from spolab.suites import (
     suite_relations,
 )
 
-from helpers import (count_calls, count_runs, count_twirl_rows, final_state,
-                     per_pair_twirl_grids)
+from helpers import (count_calls, count_runs, count_twirl_rows, dense_trace_distance,
+                     final_state, per_pair_twirl_grids)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -368,6 +368,25 @@ def test_sampler_chi_square_rejects_bias():
     assert rep.extra["df"] == 5
 
 
+def test_sampler_chi_square_peak_memory_and_statistic():
+    """The 200,000-draw chi-square at N = 4 holds its batch in one-byte
+    factor and image tables and builds its codes one column at a time: the
+    traced peak stays below 9 MiB (25 MiB with int64 tables and a matmul
+    code), and the draws, hence the statistic at seed 1, are those of the
+    int64 sampler."""
+    import tracemalloc
+
+    sampler_chi_square(4, 1000, seed=1)  # caches built outside the trace
+    tracemalloc.start()
+    try:
+        rep = sampler_chi_square(4, 200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.lhs == 17.849919999999997 and rep.passed
+    assert peak < 9 * 2 ** 20, peak
+
+
 def test_backend_equivalence_across_suite_circuits():
     # concrete-ensemble and SPO backends agree in distribution and as CQ
     # ensembles for every suite circuit at N = 4
@@ -551,6 +570,70 @@ def test_run_attack_zero_search_sampled():
     gap = abs(res["success_mean"] - res["reference_exact"])
     assert gap <= 3 * res["success_stderr"]
     assert res["q"] == 2
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_tspo_readout_matches_per_pair_recover_and_dense_reference(n):
+    """tspo_distances reads the T readouts of a sigma-run in one pass.  For
+    the spo-vs-tspo probe and a two-query random circuit, on every pair of
+    the full group, it equals spo_recover + trace_distance of that pair to
+    1e-12, both for matched runs (distance 0) and for runs whose tau rows
+    are shifted by one (distances far from 0); it equals the dense
+    eigenvalue reference helpers.dense_trace_distance on every pair at
+    N = 2 and on one shifted pair per sigma-run at N = 4."""
+    from spolab.circuits import random_circuit, run, spo_ensemble
+    from spolab.oracles import spo_backend, spo_recover
+    from spolab.states import trace_distance
+    from spolab.suites import DEFAULT_SEED, tspo_distances
+
+    plan = make_twirl_plan(n)
+    worst_shifted = 0.0
+    for circ in (suite_circuits(n, DEFAULT_SEED)[1], random_circuit(5, 2, 2, n)):
+        ref = spo_ensemble(circ, spo_backend(n))
+        for shift in (0, 1):
+            taus = np.roll(plan.taus, shift, axis=0)  # the taus the runs query with
+            for i, sigma in enumerate(plan.sigmas):
+                sigmas = np.broadcast_to(sigma, taus.shape)
+                final = run(circ, spo_backend(n, sigma=sigmas, tau=taus))
+                got = tspo_distances(final, sigma, plan.taus, ref)
+                assert got.shape == (len(plan.taus),)
+                for k, tau in enumerate(plan.taus):
+                    ens = spo_recover(final, sigma, tau, row=k)
+                    assert abs(got[k] - trace_distance(ref, ens)) <= 1e-12, (i, k)
+                    if n == 2 or k == i and shift:
+                        assert abs(got[k] - dense_trace_distance(ref, ens)) <= 1e-12
+                if shift:
+                    worst_shifted = max(worst_shifted, float(got.max()))
+                else:
+                    assert got.max() <= 1e-12, (circ.name, i)
+    assert worst_shifted > 0.1
+
+
+def test_spo_vs_tspo_pair_loop_makes_no_spo_recover_call(monkeypatch):
+    """The spo-equivalence suite reads each twirled readout through
+    tspo_distances: spo_recover runs once per concrete-vs-spo circuit and
+    once for the probe's untwirled readout, never once per pair."""
+    import spolab.oracles as oracles_mod
+    from spolab.suites import DEFAULT_SEED, spo_equivalence_suite
+
+    calls = count_calls(monkeypatch, oracles_mod, "spo_recover")
+    reports = spo_equivalence_suite(4, max_q=2)
+    assert all(r.passed for r in reports)
+    assert len(calls) == len(suite_circuits(4, DEFAULT_SEED, max_q=2)) + 1
+
+
+def test_twirl_suite_ranks_its_label_maps_one_table_per_sigma_row(monkeypatch):
+    """The left-right checks rank the tau maps and the sigma maps as one
+    table each, and the joint maps of each sigma-row in one call: 2 + 24
+    left_right_map calls for the 576 pairs, plus the 48 of the
+    initial-twirl check, which twirls one permutation at a time."""
+    import spolab.oracles as oracles_mod
+    from spolab.suites import twirl_suite
+
+    make_twirl_plan(4)  # the shared plan's maps are built once per process
+    calls = count_calls(monkeypatch, oracles_mod, "left_right_map")
+    assert all(r.passed for r in twirl_suite(4))
+    assert len(calls) == 48 + 2 + 24
 
 
 def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
