@@ -5,14 +5,15 @@ The central objects are the database operators
     Pi^{R,x} = sum_{pi : pi(x) in R_x} |pi><pi|          (relation projector)
     E^{R,x}  = Pi^{R,x} (I - |+_x><+_x| on D_x)          (progress operator)
 
-and the twirl average over (sigma, tau) pairs.  An average over a plan
-whose sigma and tau tables each hold all of S_N (TwirlPlan.full_group) is
-exact; any other plan is a crossed sample whose stderr adds the row and
-column variance components (_margins_stderr), so a sampled p_(ii') needs
-only the grid's margins (_p_ii_term).  Over the full group, p_(ii') and
-the progress measure read the subset kernel (_subset_kernel): tau drops
-out and sigma enters only through a set.  Sparsity rows take (I - P_+)
-norms from Helmert contrasts, with no projected copy (_complement_norm2).
+and the twirl average over (sigma, tau) pairs.  The twirl averages are
+exact: p2_upper_bound, sparsity_expectation and crucial_term_values take
+no plan and average over all of S_N x S_N, the cached plan of
+make_twirl_plan(N), so they run at N <= 4.  p_(ii') and the progress
+measure read the subset kernel (_subset_kernel) instead: tau drops out
+and sigma enters only through a set.  Only a sampled p_(ii') reads a
+crossed grid, from its margins (_p_ii_term, _margins_stderr).  Sparsity
+rows take (I - P_+) norms from Helmert contrasts, with no projected copy
+(_complement_norm2).
 
 All element labels are 0-based; the 1-based 1/x weights become 1/(x+1).
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -79,11 +80,9 @@ class TwirlPlan:
     maps, charging the maps against AMPLITUDE_BUDGET first.  A twirl
     average steps through the grid one sigma-row of T pairs at a time.
 
-    An average over the plan is exact, with stderr 0, exactly when both
-    tables hold all of S_n (full_group), in any row order; then
-    experiment_probabilities reads p_(ii') from the subset kernel.  Every
-    other grid, a hand-built one of a few pairs included, is a crossed
-    sample that the twirl engine averages over its own pairs."""
+    make_twirl_plan(n) gives the full group, which the exact twirl averages
+    read; a plan passed to experiment_probabilities is a crossed grid,
+    whatever its tables hold."""
 
     n: int
     sigmas: np.ndarray
@@ -123,14 +122,6 @@ class TwirlPlan:
     def grid_shape(self) -> tuple[int, int]:
         return len(self.sigmas), len(self.taus)
 
-    @cached_property
-    def full_group(self) -> bool:
-        """Whether the sigma and the tau table each hold every permutation of
-        S_n exactly once; worked out once per plan."""
-        nf = database_dim(self.n)
-        return all(len(t) == nf and len(np.unique(t, axis=0)) == nf
-                   for t in (self.sigmas, self.taus))
-
     def pairs(self) -> Iterator[int]:
         """Yields the index i of each sigma-row, in order: the steps of
         _twirl_average and _p_ii_term, each over the row's T pairs."""
@@ -144,9 +135,10 @@ def _charge_maps(n: int, rows: int, cols: int) -> None:
 
 def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000) -> TwirlPlan:
     """Without a seed, the full group: one shared plan per n, refused above
-    EXHAUSTIVE_TWIRL_LIMIT.  With a seed, a crossed sample at any n: the
-    first ceil(sqrt(min_pairs)) seeded draws as sigmas against as many more
-    as taus."""
+    EXHAUSTIVE_TWIRL_LIMIT, which the exact twirl averages also read.
+    With a seed, a crossed sample at any n, for the sampled p_(ii') of
+    experiment_probabilities: the first ceil(sqrt(min_pairs)) seeded draws
+    as sigmas against as many more as taus."""
     if seed is None:
         return _full_group_plan(n)
     if min_pairs < 2:
@@ -163,17 +155,11 @@ def make_twirl_plan(n: int, seed: int | None = None, min_pairs: int = 2000) -> T
 @lru_cache(maxsize=None)
 def _full_group_plan(n: int) -> TwirlPlan:
     if n > EXHAUSTIVE_TWIRL_LIMIT:
-        raise ValueError(f"the full-group twirl plan is capped at n="
-                         f"{EXHAUSTIVE_TWIRL_LIMIT}; sample one with a seed at n={n}")
+        raise ValueError(f"the exact twirl averages run at n <= "
+                         f"{EXHAUSTIVE_TWIRL_LIMIT}, got n={n}")
     _charge_maps(n, database_dim(n), database_dim(n))  # before the table is built
     images = all_images(n)
     return TwirlPlan(n, images, images)
-
-
-def grid_mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and _margins_stderr of a crossed (rows x cols, ...) grid, elementwise."""
-    return values.mean(axis=(0, 1)), _margins_stderr(values.mean(axis=1),
-                                                     values.mean(axis=0))
 
 
 def _margins_stderr(row_means: np.ndarray, col_means: np.ndarray) -> float:
@@ -195,22 +181,19 @@ def _charge_rows(plan: TwirlPlan, per_pair: tuple[int, ...], what: str) -> None:
            f"{' x '.join(map(str, shape))} entries")
 
 
-def _twirl_average(plan: TwirlPlan, row: Callable[[int], np.ndarray]) -> tuple:
-    """(mean, stderr) over the plan of the values of one twirl term.
+def _twirl_average(plan: TwirlPlan, row: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The mean over the plan's (sigma, tau) grid of the values of one twirl
+    term, elementwise; its callers pass the full-group plan, so it is exact.
 
     One step is one sigma-row: for each i that plan.pairs() yields,
     ``row(i)`` returns the row's T values (floats, or arrays of one shape).
     Column j twirls a (rest, n!) block to ``block[:, ri[lj]]`` for
     ri = right_inv[i] and lj = left_inv[j]; the caller charges what a row
-    gathers against AMPLITUDE_BUDGET before the first row is built.  A
-    full-group plan gives the exact mean with stderr 0, any other the
-    crossed-grid estimate of grid_mean_stderr, both elementwise.
+    gathers against AMPLITUDE_BUDGET before the first row is built.
     """
     values = [row(i) for i in plan.pairs()]
     grid = np.concatenate(values).reshape(plan.grid_shape + values[0].shape[1:])
-    if plan.full_group:
-        return grid.mean(axis=(0, 1)), 0.0
-    return grid_mean_stderr(grid)
+    return grid.mean(axis=(0, 1))
 
 
 # --------------------------------------------------------------------------
@@ -411,8 +394,8 @@ class ExperimentResult:
 
 
 def experiment_probabilities(final: StateVector, rel: Relation,
-                             plan: TwirlPlan) -> ExperimentResult:
-    """p_(i') exactly and p_(ii') averaged over the plan.
+                             plan: TwirlPlan | None = None) -> ExperimentResult:
+    """p_(i') exactly, and p_(ii') exactly or, given a plan, over its grid.
 
     ``final``, the final state of one untwirled SPO run, is the joint state;
     each (sigma, tau) branch is its database relabeling (checked separately
@@ -422,11 +405,10 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     read once from the untwirled slices: |v|^2 on the labels with
     pi_d(x) = y.
 
-    On a full-group plan (TwirlPlan.full_group), p_(ii') is the exact mean,
-    read from the subset kernel (_subset_kernel, over the hits H(x, y) of
-    each slice), and the result names the kernel's subsets per register.
-    On any other plan it is the crossed-sample mean over the plan's own
-    pairs, as follows.
+    Without a plan, p_(ii') is the exact mean over all of S_N x S_N, read
+    from the subset kernel (_subset_kernel, over the hits H(x, y) of each
+    slice), and the result names the kernel's subsets per register.  Given
+    a plan, it is the mean over the plan's crossed grid, as follows.
 
     p_(ii') sums ||Pi (I - P_s) w||^2 over the slices, for the twirled slice
     w = v[:, ri[lj]], s = sigma(x), t = tau(y) and Pi the hit labels H(s, t),
@@ -460,7 +442,7 @@ def experiment_probabilities(final: StateVector, rel: Relation,
     p_i = sum(float((np.abs(v[:, pi_table[:, x] == y]) ** 2).sum())
               for x, y, v in slices)
 
-    if plan.full_group:
+    if plan is None:
         return ExperimentResult(p_i, _p_ii_kernel(slices, n), 0.0,
                                 subsets=_subset_count(n))
 
@@ -610,16 +592,17 @@ def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
                for x, y, v in slices)
 
 
-def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan,
+def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan | None = None,
                       name: str = "") -> VerificationReport:
     """sqrt(p_i) <= sqrt(p_ii) + sqrt((ln N + 1) / N), given the final state
-    of the untwirled run."""
+    of the untwirled run: exact without a plan, Monte Carlo over a plan's
+    grid (see experiment_probabilities)."""
     n = rel.n
     res = experiment_probabilities(final, rel, plan)
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
     extra = {"subsets": res.subsets}
-    if not plan.full_group:
+    if plan is not None:
         # p_i is exact, so the error sits on the rhs: the 1-sigma increment
         # under the p_ii standard error, well defined even at p_ii = 0
         # where the delta method degenerates.
@@ -630,13 +613,12 @@ def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan,
                  p_i=res.p_i, p_ii=res.p_ii, **extra)
 
 
-def p2_upper_bound(final: StateVector, rels: list[Relation],
-                   plan: TwirlPlan) -> list[tuple[float, float]]:
+def p2_upper_bound(final: StateVector, rels: list[Relation]) -> list[float]:
     """The p_(ii)-dominating expression of each relation: expectation over
     (sigma, tau) of the sum over (x,y) in R, pi with tau^{-1}(pi(sigma(x))) = y,
     of the squared norm of <pi| (I - P_{+sigma(x)}) |phi^{sigma,tau}>, for
-    the final state of the untwirled run.  Returns one (value, stderr) per
-    relation.
+    the final state of the untwirled run.  Returns one exact value per
+    relation, averaged over the full-group plan (n <= 4).
 
     One twirl pass serves every relation.  A sigma-row projects its
     (rest, T, n!) twirled blocks once per x, charged against
@@ -646,7 +628,8 @@ def p2_upper_bound(final: StateVector, rels: list[Relation],
     """
     if not rels:
         return []
-    n = plan.n
+    n = _db_size_from_layout(final.layout)
+    plan = _full_group_plan(n)
     amps = _db_block(final)
     _charge_rows(plan, amps.shape, "p2_upper_bound")
     hits = _hit_fibers(n)[0]  # hits[s, t]: the labels d with pi_d(s) = t
@@ -665,9 +648,7 @@ def p2_upper_bound(final: StateVector, rels: list[Relation],
             acc += (sections[:, x] * per_t).sum(axis=2)
         return acc.T
 
-    mean, stderr = _twirl_average(plan, row)
-    return [(float(m), float(e)) for m, e in
-            zip(mean, np.broadcast_to(stderr, mean.shape))]
+    return _twirl_average(plan, row).tolist()
 
 
 def progress_measure(final: StateVector, rel: Relation) -> float:
@@ -887,11 +868,13 @@ def _complement_norm2(block: np.ndarray, n: int, x: int) -> np.ndarray:
     return total
 
 
-def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, float]:
+def sparsity_expectation(state: StateVector) -> float:
     """E over x, sigma, tau of ||(I - P_{+x}) L^tau R^sigma |phi>||^2 / (x+1),
-    read by _complement_norm2.  A sigma-row gathers (rest, T, n!) twirled
-    blocks, charged against AMPLITUDE_BUDGET before the first row."""
-    n = plan.n
+    read by _complement_norm2: exact, over the full-group plan (n <= 4).  A
+    sigma-row gathers (rest, T, n!) twirled blocks, charged against
+    AMPLITUDE_BUDGET before the first row."""
+    n = _db_size_from_layout(state.layout)
+    plan = _full_group_plan(n)
     amps = _db_block(state)
     _charge_rows(plan, amps.shape, "sparsity_expectation")
 
@@ -899,15 +882,15 @@ def sparsity_expectation(state: StateVector, plan: TwirlPlan) -> tuple[float, fl
         tw = amps.take(plan.right_inv[i][plan.left_inv], axis=1)  # (rest, T, n!)
         return sum(_complement_norm2(tw, n, x) / (x + 1) for x in range(n)) / n
 
-    return _twirl_average(plan, row)
+    return float(_twirl_average(plan, row))
 
 
-def crucial_term_values(pre: list[tuple[str, StateVector]], rels: list[Relation],
-                        plan: TwirlPlan) -> list[list[tuple[float, float, float]]]:
+def crucial_term_values(pre: list[tuple[str, StateVector]],
+                        rels: list[Relation]) -> list[list[tuple[float, float, float]]]:
     """Per relation, and per pre-query state j of the standard-form circuit,
     given as the (direction, state) list of standard_form_prequery_states:
     the three twirl expectations of the crucial lemma, each to be compared
-    with its bound.
+    with its bound: exact, over the full-group plan (n <= 4).
 
     The underlying outcome distribution q_{omega,xi} is defined relative to a
     purification choice; here it is evaluated on the canonical joint state of
@@ -918,9 +901,10 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rels: list[Relation]
     AMPLITUDE_BUDGET before any marginal is taken, and the relations read
     its fiber sums through their twisted section rows alone (_fiber_terms).
     """
-    n = plan.n
     if not pre or not rels:
         return [[] for _rel in rels]
+    n = rels[0].n
+    plan = _full_group_plan(n)
     _charge_rows(plan, (len(pre), n, database_dim(n)), "crucial_term_values")
     g = np.stack([marginal(state, ("X", *database_names(n))).reshape(n, -1)
                   for _direction, state in pre])  # (state, x, label)
@@ -941,7 +925,7 @@ def crucial_term_values(pre: list[tuple[str, StateVector]], rels: list[Relation]
                                 n, x) / (x + 1)
         return acc / n
 
-    mean, _ = _twirl_average(plan, row)  # (relation, state, 3)
+    mean = _twirl_average(plan, row)  # (relation, state, 3)
     return [[tuple(float(v) for v in row) for row in per_rel] for per_rel in mean]
 
 
@@ -955,10 +939,12 @@ def progress_checks(circ: QueryCircuit,
 
         progress measure <= 384 q^2 r (ln N + 2)/N^2 + 4 q r * sum_j E[...]
 
-    and the three crucial-term bounds.  The progress measure and p_(ii) are
+    and the three crucial-term bounds.  Every value is exact, so the rows
+    run at N <= 4: the full-group plan is read first, which refuses a
+    larger N before the circuit runs.  The progress measure and p_(ii) are
     read from the subset kernel and p2_upper_bound is the engine's average
-    over make_twirl_plan(N), so both identity rows set the kernel against
-    the engine.  The circuit runs once, untwirled.  p2_upper_bound makes one
+    over that plan, so both identity rows set the kernel against the
+    engine.  The circuit runs once, untwirled.  p2_upper_bound makes one
     twirl pass for every relation, from that run's final state, and
     crucial_term_values one for every non-empty relation, from the
     pre-query states of the standard-form circuit, which runs at most once.
@@ -976,18 +962,18 @@ def progress_checks(circ: QueryCircuit,
 
     pairs, subsets = plan.pair_count, _subset_count(n)
     final = run(circ, spo_backend(n))
-    p2s = p2_upper_bound(final, [rel for _rname, rel in rels], plan)
+    p2s = p2_upper_bound(final, [rel for _rname, rel in rels])
     hard = [rel for _rname, rel in rels if q and rel.size]
     crucial = iter(())
     if hard:
         pre = standard_form_prequery_states(circ)
         tail = sum(gamma_expectation(state) for _direction, state in pre)
-        crucial = iter(crucial_term_values(pre, hard, plan))
+        crucial = iter(crucial_term_values(pre, hard))
     out = []
-    for (rname, rel), (p2, _) in zip(rels, p2s):
+    for (rname, rel), p2 in zip(rels, p2s):
         tag = f"{circ.name},{rname}"
         measure = progress_measure(final, rel)
-        res = experiment_probabilities(final, rel, plan)
+        res = experiment_probabilities(final, rel)
         out.append(check_close(f"progress-identity[{tag}]", n * measure, p2,
                                tol=1e-10, pairs=pairs, subsets=subsets))
         out.append(check(f"p2-dominates-p_ii[{tag}]", res.p_ii, p2, tol=1e-10,
@@ -1212,8 +1198,10 @@ def sparsity_trajectory_check(circ: QueryCircuit,
                               name: str = "") -> list[VerificationReport]:
     """<phi^(j)| Gamma |phi^(j)> <= 6 j (ln N + 1) / N^2 along the run, with
     per-step increments bounded by the matching commutator norm, and the
-    Gamma expectation matched against its defining twirl average over
-    make_twirl_plan(N) to 1e-10."""
+    Gamma expectation matched against its defining twirl average,
+    sparsity_expectation, to 1e-10.  That average is exact over the
+    full-group plan, which is read first, so a circuit at N > 4 is refused
+    before it runs."""
     n = circ.n
     plan = make_twirl_plan(n)
     final, pre = run_with_intermediates(circ, spo_backend(n))
@@ -1230,7 +1218,7 @@ def sparsity_trajectory_check(circ: QueryCircuit,
         out.append(check(f"{base}:step{j}", values[j] - values[j - 1],
                          comm_norms[directions[j - 1]], normed=NORMED_COMMUTATOR))
     for j, state in enumerate(states):
-        direct = sparsity_expectation(state, plan)[0]
+        direct = sparsity_expectation(state)
         out.append(check_close(f"{base}:identity j={j}", direct, values[j],
                                tol=1e-10, pairs=plan.pair_count))
     return out

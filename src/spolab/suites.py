@@ -599,7 +599,7 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
         raise ValueError("fundamental suite needs a power-of-two n")
     out = []
     if n <= 4:
-        plan = make_twirl_plan(n)
+        plan = None  # exact: p_ii from the subset kernel
         circuits = suite_circuits(n, seed)
         rels = suite_relations(n)
     else:
@@ -623,12 +623,12 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
         # Analytic fixture: classical probe against the full relation has
         # p_i = 1 and p_ii = (1/N) sum_s (1 - 1/s)^2 = 181/576.
         probe = run(classical_probe(n, 0, "forward"), spo_backend(n))
-        res = experiment_probabilities(probe, full_relation(n), plan)
+        res = experiment_probabilities(probe, full_relation(n))
         out.append(check_close("probe-full-p_i", res.p_i, 1.0, tol=1e-10))
         out.append(check_close("probe-full-p_ii", res.p_ii, 181.0 / 576.0,
                                tol=1e-10, subsets=res.subsets))
         empty = run(empty_circuit(n), spo_backend(n))
-        res0 = experiment_probabilities(empty, from_pairs(n, [(0, 0)]), plan)
+        res0 = experiment_probabilities(empty, from_pairs(n, [(0, 0)]))
         out.append(check_close("empty-pair-p_i", res0.p_i, 1.0 / n, tol=1e-10))
         out.append(check_close("empty-pair-p_ii", res0.p_ii, 0.0, tol=1e-12,
                                subsets=res0.subsets))

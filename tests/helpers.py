@@ -147,11 +147,12 @@ def per_pair_twirl_grids(final: StateVector, rel: Relation, plan: TwirlPlan,
 
 def per_pair_twirl_averages(final: StateVector, rel: Relation, plan: TwirlPlan,
                             averages=TWIRL_AVERAGES) -> dict[str, tuple[float, float]]:
-    """(mean, stderr) of each grid of per_pair_twirl_grids: stderr 0 on a
-    full-group plan, the crossed-grid estimate of crossed_grid_stderr on any
-    other."""
+    """(mean, stderr) of each grid of per_pair_twirl_grids, the stderr the
+    crossed-grid estimate of crossed_grid_stderr.  Over the full group the
+    mean is the exact average, and a check of an exact average reads the
+    mean alone."""
     grids = per_pair_twirl_grids(final, rel, plan, averages)
-    return {key: (float(grid.mean()), 0.0 if plan.full_group else crossed_grid_stderr(grid))
+    return {key: (float(grid.mean()), crossed_grid_stderr(grid))
             for key, grid in grids.items()}
 
 

@@ -282,13 +282,12 @@ def test_criterion_08_help_lemma():
 def test_criterion_09_fundamental_lemma():
     n = 4
     t0 = time.perf_counter()
-    plan = make_twirl_plan(n)
     ok = True
     worst_slack = math.inf
     for circ in suite_circuits(n, SEED):
         final = run(circ, spo_backend(n))
         for rname, rel in suite_relations(n):
-            rep = fundamental_check(final, rel, plan)
+            rep = fundamental_check(final, rel)
             ok &= rep.passed and rep.slack >= -1e-9
             worst_slack = min(worst_slack, rep.slack)
     elapsed = time.perf_counter() - t0
@@ -306,16 +305,15 @@ def test_criterion_09_fundamental_lemma():
 
 def test_criterion_10_progress_identity():
     n = 4
-    plan = make_twirl_plan(n)
     ok = True
     worst = 0.0
     for circ in suite_circuits(n, SEED, max_q=2):
         final = run(circ, spo_backend(n))
         for rname, rel in suite_relations(n):
             lhs = n * progress_measure(final, rel)
-            rhs = p2_upper_bound(final, [rel], plan)[0][0]
+            rhs = p2_upper_bound(final, [rel])[0]
             worst = max(worst, abs(lhs - rhs))
-            p_ii = experiment_probabilities(final, rel, plan).p_ii
+            p_ii = experiment_probabilities(final, rel).p_ii
             ok &= p_ii <= rhs + 1e-10
     ok &= worst <= 1e-10
     record(10, "progress identity N*measure = p_ii bound, and domination",

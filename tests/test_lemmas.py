@@ -72,6 +72,7 @@ from helpers import (
     count_calls,
     count_runs,
     count_twirl_rows,
+    crossed_grid_stderr,
     final_state,
     index_of_perm,
     per_pair_twirl_averages,
@@ -258,23 +259,22 @@ def test_zeta_weight_precondition():
 
 
 def half_group_plan(n):
-    """A plan that is not the full group: the first half of the sigma labels
-    (at least one) against every tau.  It is a crossed sample, so its
-    averages run through the twirl engine."""
+    """The first half of the sigma labels (at least one) against every tau:
+    a crossed grid for the sampled p_ii."""
     from spolab.lemmas import TwirlPlan
     from spolab.permutations import all_images
 
     images = all_images(n)
-    plan = TwirlPlan(n, images[:max(1, len(images) // 2)], images)
-    assert not plan.full_group
-    return plan
+    return TwirlPlan(n, images[:max(1, len(images) // 2)], images)
 
 
-def test_a_plan_is_exact_exactly_when_its_tables_hold_the_full_group():
-    """All of S_4 on both sides, in another row order, is the full group:
-    p_ii reads the subset kernel, with stderr 0.  A 24-row sigma table with
-    one repeated row, and a seeded plan at N = 4, are crossed samples that
-    the engine averages with a crossed-grid stderr."""
+def test_the_caller_chooses_the_subset_kernel_or_the_crossed_grid():
+    """Without a plan, p_ii reads the subset kernel, with stderr 0.  Given a
+    plan, p_ii is the mean over its crossed grid, whatever its tables hold:
+    all of S_4 on both sides, as make_twirl_plan(4) or in other row orders,
+    gives the exact mean to 1e-12 with the grid's nonzero stderr, and a
+    24-row sigma table with one repeated row, or a seeded plan, is a
+    sample.  No plan-read result names subsets."""
     from spolab.lemmas import TwirlPlan
     from spolab.permutations import all_images
 
@@ -286,13 +286,14 @@ def test_a_plan_is_exact_exactly_when_its_tables_hold_the_full_group():
     repeated[1] = repeated[0]
     final = final_state(random_circuit(43, 2, 2, n))
     rel = diagonal_relation(n)
-    want = experiment_probabilities(final, rel, make_twirl_plan(n))
-    assert shuffled.full_group
-    got = experiment_probabilities(final, rel, shuffled)
-    assert got.subsets == 7 and got.stderr_ii == 0.0
-    assert got.p_ii == pytest.approx(want.p_ii, rel=1e-12)
+    want = experiment_probabilities(final, rel)
+    assert want.subsets == 7 and want.stderr_ii == 0.0
+    for plan in (make_twirl_plan(n), shuffled):
+        got = experiment_probabilities(final, rel, plan)
+        assert got.subsets is None and got.stderr_ii > 0.0
+        assert got.p_ii == pytest.approx(want.p_ii, rel=1e-12)
+        assert got.p_i == want.p_i
     for plan in (TwirlPlan(n, repeated, images), make_twirl_plan(n, seed=3)):
-        assert not plan.full_group
         res = experiment_probabilities(final, rel, plan)
         assert res.subsets is None and res.stderr_ii > 0.0
 
@@ -301,14 +302,14 @@ def test_the_full_group_plan_is_one_shared_read_only_plan():
     """make_twirl_plan(n) without a seed gives one cached plan per n, whose
     tables cannot be written; above N = 4 it refuses."""
     plan = make_twirl_plan(4)
-    assert make_twirl_plan(4) is plan and plan.full_group
+    assert make_twirl_plan(4) is plan and plan.pair_count == 576
     for table in (plan.sigmas, plan.taus, plan.sigma_inv, plan.tau_inv,
                   plan.right_inv, plan.left_inv):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.sigmas = plan.taus
-    with pytest.raises(ValueError, match="capped at n=4"):
+    with pytest.raises(ValueError, match="run at n <= 4, got n=5"):
         make_twirl_plan(5)
 
 
@@ -325,15 +326,37 @@ def test_full_group_checks_refuse_n_above_the_limit_before_a_run(monkeypatch):
     circ = random_circuit(55, 1, 1, 8)
     for call in (lambda: progress_checks(circ, [("diag", diagonal_relation(8))]),
                  lambda: sparsity_trajectory_check(circ)):
-        with pytest.raises(ValueError, match="capped at n=4"):
+        with pytest.raises(ValueError, match="run at n <= 4, got n=8"):
+            call()
+
+
+def test_exact_twirl_averages_refuse_n_above_the_limit_before_a_gather(monkeypatch):
+    """p2_upper_bound, sparsity_expectation and crucial_term_values take no
+    plan: each reads the full-group plan of its N first, so at N = 5 each
+    refuses, naming the limit, before it reads a block or a marginal."""
+    import spolab.lemmas as lemmas_mod
+    from spolab.lemmas import crucial_term_values, sparsity_expectation
+    from spolab.states import database_layout, product_uniform
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read before the plan was refused")
+
+    monkeypatch.setattr(lemmas_mod, "_db_block", unreachable)
+    monkeypatch.setattr(lemmas_mod, "marginal", unreachable)
+    n = 5
+    state = product_uniform(database_layout(n))
+    rel = diagonal_relation(n)
+    for call in (lambda: p2_upper_bound(state, [rel]),
+                 lambda: sparsity_expectation(state),
+                 lambda: crucial_term_values([("forward", state)], [rel])):
+        with pytest.raises(ValueError, match="exact twirl averages run at n <= 4"):
             call()
 
 
 def test_experiment_probe_full_relation():
     n = 4
-    plan = make_twirl_plan(n)
     res = experiment_probabilities(final_state(classical_probe(n, 0, "forward")),
-                                   full_relation(n), plan)
+                                   full_relation(n))
     assert res.p_i == pytest.approx(1.0, abs=1e-10)
     assert res.p_ii == pytest.approx(181 / 576, abs=1e-10)
     assert res.stderr_ii == 0.0
@@ -341,12 +364,11 @@ def test_experiment_probe_full_relation():
 
 def test_experiment_empty_circuit():
     n = 4
-    plan = make_twirl_plan(n)
     empty = final_state(empty_circuit(n))
-    res = experiment_probabilities(empty, from_pairs(n, [(0, 0)]), plan)
+    res = experiment_probabilities(empty, from_pairs(n, [(0, 0)]))
     assert res.p_i == pytest.approx(1 / n, abs=1e-12)
     assert res.p_ii == pytest.approx(0.0, abs=1e-12)
-    res_empty = experiment_probabilities(empty, empty_relation(n), plan)
+    res_empty = experiment_probabilities(empty, empty_relation(n))
     assert res_empty.p_i == 0.0 and res_empty.p_ii == 0.0
 
 
@@ -593,19 +615,6 @@ def test_p_ii_totals_and_fiber_indices_are_charged_before_they_are_built(
     _assert_fiber_form_matches_projector(slices, plan, what)
 
 
-ENGINE_AVERAGES = ("p_ii", "p2", "sparsity")
-
-
-def _engine_averages(final, rel, plan):
-    """The three averages of the twirl engine on the whole database block."""
-    from spolab.lemmas import sparsity_expectation
-
-    res = experiment_probabilities(final, rel, plan)
-    return {"p_ii": (res.p_ii, res.stderr_ii),
-            "p2": p2_upper_bound(final, [rel], plan)[0],
-            "sparsity": sparsity_expectation(final, plan)}
-
-
 def _assert_averages_match(got, want, context):
     for key in want:
         for g, w in zip(got[key], want[key]):
@@ -653,28 +662,28 @@ def _per_pair_cases(plans, averages):
 
 @pytest.fixture(scope="module")
 def per_pair_references():
-    """Per-pair references of the engine averages for every suite circuit
-    and relation, on plans that are not the full group, one for each
-    sigma-row width T: a 2 x 1 plan at N = 2, a sampled 5 x 5 plan at
-    N = 4 and the 12 x 24 half-group plan at N = 4."""
+    """Per-pair references of the sampled p_ii for every suite circuit and
+    relation, on crossed grids of each sigma-row width T: a 2 x 1 plan at
+    N = 2, a sampled 5 x 5 plan at N = 4 and the 12 x 24 half-group plan at
+    N = 4."""
     from spolab.lemmas import TwirlPlan
     from spolab.permutations import all_images
 
     images = all_images(2)
     plans = [TwirlPlan(2, images, images[:1]),
              make_twirl_plan(4, seed=9, min_pairs=25), half_group_plan(4)]
-    return _per_pair_cases(plans, ENGINE_AVERAGES)
+    return _per_pair_cases(plans, ("p_ii",))
 
 
 @pytest.mark.parametrize("width", [1, 5, 24])
 def test_chunked_twirl_averages_match_the_per_pair_reference(
         monkeypatch, per_pair_references, width):
-    """A step of the twirl engine is one whole sigma-row, so the chunk it
-    reads is the row's T pairs: 1, 5 or 24 here.  Every average equals the
-    per-pair reference to 1e-12 relative, stderr included, and steps
-    through each sigma-row of the plan once, in order.  The p_ii term
-    tabulates each (sigma-row, slice) once and makes one lookup per (s, y)
-    group.  The plan with one column has stderr 0."""
+    """The sampled p_ii walks its plan one whole sigma-row at a time, so the
+    chunk it reads is the row's T pairs: 1, 5 or 24 here.  Its mean and
+    stderr equal the per-pair reference to 1e-12 relative, and it steps
+    through each sigma-row of the plan once, in order, tabulates each
+    (sigma-row, slice) once and makes one lookup per (s, y) group.  The
+    plan with one column has stderr 0."""
     rows = count_twirl_rows(monkeypatch)
     tables, lookups = _count_p_ii_tables(monkeypatch)
     cases = [case for case in per_pair_references if len(case[0].taus) == width]
@@ -682,26 +691,31 @@ def test_chunked_twirl_averages_match_the_per_pair_reference(
     for plan, final, rel, context, want in cases:
         for record in (rows, tables, lookups):
             record.clear()
-        _assert_averages_match(_engine_averages(final, rel, plan), want, (context, width))
-        assert rows == list(range(len(plan.sigmas))) * len(ENGINE_AVERAGES), context
+        res = experiment_probabilities(final, rel, plan)
+        _assert_averages_match({"p_ii": (res.p_ii, res.stderr_ii)}, want, (context, width))
+        assert rows == list(range(len(plan.sigmas))), context
         _assert_each_table_built_once(plan, _xy_slices(final, rel), tables, lookups, context)
 
 
 def test_subset_kernel_matches_the_per_pair_reference():
     """On the full group at N = 2 and 4, for every suite circuit and
-    relation, p_ii and the progress measure read from the subset kernel
-    equal the per-pair average over all (N!)^2 pairs to 1e-12 relative, and
-    N times the measure equals the direct p2 average of the engine."""
+    relation, p_ii and the progress measure read from the subset kernel,
+    and the engine's p2 and sparsity averages, equal the mean of one
+    per-pair pass over all (N!)^2 pairs to 1e-12 relative, and N times the
+    measure equals p2."""
+    from spolab.lemmas import sparsity_expectation
+
     plans = [make_twirl_plan(2), make_twirl_plan(4)]
-    for plan, final, rel, context, want in _per_pair_cases(
-            plans, ("p_ii", "progress")):
-        assert plan.full_group
-        res = experiment_probabilities(final, rel, plan)
-        assert res.subsets == 2 ** (plan.n - 1) - 1 and res.stderr_ii == 0.0
-        got = {"p_ii": (res.p_ii, 0.0), "progress": (progress_measure(final, rel), 0.0)}
-        _assert_averages_match(got, want, context)
-        (p2, _), = p2_upper_bound(final, [rel], plan)
-        assert plan.n * got["progress"][0] == pytest.approx(p2, rel=1e-12, abs=1e-15)
+    for _plan, final, rel, context, want in _per_pair_cases(
+            plans, ("p_ii", "progress", "p2", "sparsity")):
+        res = experiment_probabilities(final, rel)
+        assert res.subsets == 2 ** (rel.n - 1) - 1 and res.stderr_ii == 0.0
+        p2, = p2_upper_bound(final, [rel])
+        got = {"p_ii": res.p_ii, "progress": progress_measure(final, rel),
+               "p2": p2, "sparsity": sparsity_expectation(final)}
+        for key, (mean, _stderr) in want.items():
+            assert got[key] == pytest.approx(mean, rel=1e-12, abs=1e-15), (context, key)
+        assert rel.n * got["progress"] == pytest.approx(p2, rel=1e-12, abs=1e-15)
 
 
 def test_sampled_n8_p_ii_covers_the_exact_kernel():
@@ -871,15 +885,15 @@ def test_sigma_split_fiber_sums_are_the_total_minus_the_reads_above_s(n):
 
 def test_sampled_fundamental_rows_name_their_grid():
     """A sampled fundamental row carries its crossed grid as [rows, cols]
-    next to its pair count; an exact row carries neither, and a row read
-    from the subset kernel names its subsets per register."""
+    next to its pair count; an exact row, read without a plan, carries
+    neither and names the subset kernel's subsets per register."""
     n = 4
     final = final_state(random_circuit(43, 2, 2, n))
     plan = make_twirl_plan(n, seed=3, min_pairs=6)
     row = fundamental_check(final, diagonal_relation(n), plan).as_row()
     assert row["grid"] == [3, 3] and row["samples"] == 9
     assert "subsets" not in row
-    exact = fundamental_check(final, diagonal_relation(n), make_twirl_plan(n)).as_row()
+    exact = fundamental_check(final, diagonal_relation(n)).as_row()
     assert "grid" not in exact and "samples" not in exact
     assert exact["subsets"] == 7
 
@@ -921,7 +935,7 @@ def test_experiment_builds_each_sigma_row_once(monkeypatch):
     """experiment_probabilities tabulates each (sigma-row, slice) of the
     p_ii term exactly once per call and makes one lookup per (s, y) group,
     on a half-group plan and on a sampled plan; the projector guard reads
-    row 0's tables, not a second copy.  On the full group it builds none:
+    row 0's tables, not a second copy.  Without a plan it builds none:
     p_ii is the subset kernel's."""
     tables, lookups = _count_p_ii_tables(monkeypatch)
     n = 4
@@ -936,15 +950,15 @@ def test_experiment_builds_each_sigma_row_once(monkeypatch):
         _assert_each_table_built_once(plan, slices, tables, lookups, plan.grid_shape)
     tables.clear()
     lookups.clear()
-    experiment_probabilities(final, full_relation(n), make_twirl_plan(n))
+    experiment_probabilities(final, full_relation(n))
     assert tables == [] and lookups == []
 
 
 def test_experiment_guard_raises_on_corrupted_hit_tables(monkeypatch):
-    """The guard of the twirl engine evaluates the plan's first pair, where
+    """The guard of the sampled p_ii evaluates the plan's first pair, where
     neither sigma nor tau is the identity (the last label is), and raises
-    when the a values or the hit sets are corrupted.  The plan is a
-    half-group plan, so the engine runs."""
+    when the a values or the hit sets are corrupted.  The plan is the
+    half-group plan."""
     import spolab.lemmas as lemmas_mod
 
     n = 4
@@ -1045,10 +1059,8 @@ def test_p_i_equals_the_success_of_every_direct_twirled_run():
     circ = suite_circuits(n, DEFAULT_SEED, max_q=2)[-1]
     assert circ.query_count == 2
     rels = [rel for _name, rel in suite_relations(n) if rel.size]
-    plan = make_twirl_plan(n)
     untwirled = final_state(circ)
-    want = np.array([experiment_probabilities(untwirled, rel, plan).p_i
-                     for rel in rels])
+    want = np.array([experiment_probabilities(untwirled, rel).p_i for rel in rels])
     members = np.stack([rel.members for rel in rels])  # (relation, x, y)
     xs = np.arange(n)
     perms = list(all_permutations(n))
@@ -1066,32 +1078,29 @@ def test_p_i_equals_the_success_of_every_direct_twirled_run():
 
 def test_fundamental_check_suite_cases():
     n = 4
-    plan = make_twirl_plan(n)
     for circ in (empty_circuit(n), classical_probe(n, 0, "forward"),
                  random_circuit(43, 2, 2, n)):
         for rel in (empty_relation(n), full_relation(n), diagonal_relation(n)):
-            rep = fundamental_check(final_state(circ), rel, plan)
+            rep = fundamental_check(final_state(circ), rel)
             assert rep.passed, rep
             assert rep.slack >= -1e-9
 
 
 def test_p2_fresh_database_is_zero():
     n = 4
-    plan = make_twirl_plan(n)
-    (val, se), = p2_upper_bound(final_state(empty_circuit(n)), [full_relation(n)], plan)
+    val, = p2_upper_bound(final_state(empty_circuit(n)), [full_relation(n)])
+    assert type(val) is float
     assert val == pytest.approx(0.0, abs=1e-12)
-    assert se == 0.0
 
 
 def test_p2_dominates_and_identity():
     n = 4
-    plan = make_twirl_plan(n)
     for seed in (3, 4):
         circ = random_circuit(seed, 2, 2, n)
         final = final_state(circ)
         for rel in (diagonal_relation(n), sponge_preimage_relation(2, 1, 1)):
-            (p2, _), = p2_upper_bound(final, [rel], plan)
-            res = experiment_probabilities(final, rel, plan)
+            p2, = p2_upper_bound(final, [rel])
+            res = experiment_probabilities(final, rel)
             assert res.p_ii <= p2 + 1e-10
             rows = {r.name: r for r in progress_checks(circ, [("r", rel)])}
             rep = rows[f"progress-identity[{circ.name},r]"]
@@ -1102,18 +1111,12 @@ def test_p2_dominates_and_identity():
 
 
 def test_twirl_averages_on_non_square_sampled_grid():
-    """2 sigmas x 3 taus: every average of the twirl engine is the mean of
-    its six single-pair plans, with the crossed-grid stderr of that 2 x 3
-    grid; p_i is exact and the same for every plan.  A single-pair plan is
-    not the full group, so its p_ii is the engine's too, with the stderr 0
-    that grid_mean_stderr gives a single row."""
-    from spolab.lemmas import (
-        TwirlPlan,
-        crucial_term_values,
-        grid_mean_stderr,
-        sparsity_expectation,
-        standard_form_prequery_states,
-    )
+    """2 sigmas x 3 taus: the sampled p_ii is the mean of its six
+    single-pair plans, with the crossed-grid stderr of that 2 x 3 grid;
+    p_i is exact and the same for every plan.  A single-pair plan has one
+    row, so its stderr is 0."""
+    from spolab.lemmas import TwirlPlan
+
     n = 4
 
     def plan_of(sigmas, taus):
@@ -1124,95 +1127,52 @@ def test_twirl_averages_on_non_square_sampled_grid():
     taus = [sample_uniform(n, rng) for _ in range(3)]
     plan = plan_of(sigmas, taus)
     assert plan.grid_shape == (2, 3)
-    singles = [[plan_of([s], [t]) for t in taus] for s in sigmas]
-    circ = random_circuit(71, 1, 2, n)
-    final = final_state(circ)
+    final = final_state(random_circuit(71, 1, 2, n))
     rel = sponge_preimage_relation(2, 1, 1)
-    pre = standard_form_prequery_states(circ)
-    state = pre[-1][1]
-
-    def averages(p):
-        res = experiment_probabilities(final, rel, p)
-        values = [(res.p_ii, res.stderr_ii), p2_upper_bound(final, [rel], p)[0],
-                  sparsity_expectation(state, p)]
-        crucial = [v for per_state in crucial_term_values(pre, [rel], p)[0]
-                   for v in per_state]
-        return res.p_i, values, crucial
-
-    got_p_i, got, got_crucial = averages(plan)
-    per_pair = [[averages(p) for p in row] for row in singles]
+    got = experiment_probabilities(final, rel, plan)
+    per_pair = [[experiment_probabilities(final, rel, plan_of([s], [t])) for t in taus]
+                for s in sigmas]
     # p_i is exact: read once from the untwirled state, with no stderr, and
     # the same whichever pairs the plan holds.
-    assert not hasattr(experiment_probabilities(final, rel, plan), "stderr_i")
-    assert got_p_i > 0.0
-    assert all(cell[0] == got_p_i for row in per_pair for cell in row)
-    for k, (mean, se) in enumerate(got):
-        grid = np.array([[cell[1][k][0] for cell in row] for row in per_pair])
-        want_mean, want_se = grid_mean_stderr(grid)
-        assert mean == pytest.approx(want_mean, abs=1e-14)
-        assert se == pytest.approx(want_se, abs=1e-14)
-        assert se > 0.0
-    for k, mean in enumerate(got_crucial):
-        grid = np.array([[cell[2][k] for cell in row] for row in per_pair])
-        assert mean == pytest.approx(grid.mean(), abs=1e-14)
+    assert not hasattr(got, "stderr_i")
+    assert got.p_i > 0.0
+    assert all(cell.p_i == got.p_i for row in per_pair for cell in row)
+    assert all(cell.stderr_ii == 0.0 for row in per_pair for cell in row)
+    grid = np.array([[cell.p_ii for cell in row] for row in per_pair])
+    assert got.p_ii == pytest.approx(grid.mean(), abs=1e-14)
+    assert got.stderr_ii == pytest.approx(crossed_grid_stderr(grid), abs=1e-14)
+    assert got.stderr_ii > 0.0
 
 
-@pytest.mark.parametrize("grid", ["sampled 2 x 3", "full N = 4"])
-def test_relation_batched_averages_match_one_relation_calls(grid):
+@pytest.mark.parametrize("n", [2, 4], ids=lambda n: f"full N = {n}")
+def test_relation_batched_averages_match_one_relation_calls(n):
     """p2_upper_bound and crucial_term_values over every suite relation in
-    one pass: the column of each relation equals a call with that relation
-    alone, and the mean of its single-pair plans, with grid_mean_stderr's
-    stderr on the sampled grid and stderr 0 on the full group."""
-    from spolab.lemmas import (
-        TwirlPlan,
-        crucial_term_values,
-        grid_mean_stderr,
-        standard_form_prequery_states,
-    )
+    one pass: the value of each relation equals a call with that relation
+    alone, to 1e-12 relative."""
+    from spolab.lemmas import crucial_term_values, standard_form_prequery_states
     from spolab.suites import suite_relations
 
-    n = 4
-    if grid == "full N = 4":
-        plan = make_twirl_plan(n)
-    else:
-        rng = np.random.default_rng(5)
-        draws = [sample_uniform(n, rng).images for _ in range(5)]
-        plan = TwirlPlan(n, draws[:2], draws[2:])
     rels = [rel for _name, rel in suite_relations(n)]
     circ = random_circuit(71, 1, 2, n)
     final = final_state(circ)
     pre = standard_form_prequery_states(circ)
 
-    p2 = p2_upper_bound(final, rels, plan)
-    crucial = crucial_term_values(pre, rels, plan)
+    p2 = p2_upper_bound(final, rels)
+    crucial = crucial_term_values(pre, rels)
     assert len(p2) == len(crucial) == len(rels)
     for k, rel in enumerate(rels):
-        assert p2[k] == pytest.approx(p2_upper_bound(final, [rel], plan)[0],
-                                      rel=1e-12, abs=1e-15)
-        alone, = crucial_term_values(pre, [rel], plan)
+        alone, = p2_upper_bound(final, [rel])
+        assert p2[k] == pytest.approx(alone, rel=1e-12, abs=1e-15)
+        alone, = crucial_term_values(pre, [rel])
         assert np.allclose(crucial[k], alone, rtol=1e-12, atol=1e-15)
-
-    singles = [[TwirlPlan(n, [s], [t]) for t in plan.taus] for s in plan.sigmas]
-    p2_grid = np.array([[p2_upper_bound(final, rels, one) for one in row]
-                        for row in singles])  # (S, T, relation, 2)
-    crucial_grid = np.array([[crucial_term_values(pre, rels, one) for one in row]
-                             for row in singles])  # (S, T, relation, state, 3)
-    assert (p2_grid[..., 1] == 0.0).all()
-    want_mean, want_se = grid_mean_stderr(p2_grid[..., 0])
-    if plan.full_group:
-        want_se = np.zeros_like(want_mean)
-    assert np.allclose([v for v, _se in p2], want_mean, rtol=1e-12, atol=1e-15)
-    assert np.allclose([se for _v, se in p2], want_se, rtol=1e-12, atol=1e-15)
-    assert np.allclose(crucial, crucial_grid.mean(axis=(0, 1)), rtol=1e-12, atol=1e-15)
-    assert max(v for v, _se in p2) > 0.0 and np.max(crucial) > 0.0
+    assert max(p2) > 0.0 and np.max(crucial) > 0.0
 
 
 def test_twirl_average_of_an_array_valued_term_is_elementwise():
     """A term whose columns are (J, 3) arrays, read one sigma-row at a time
-    on a sampled 2 x 3 grid, averages to the mean and stderr that
-    grid_mean_stderr gives on each component's own grid."""
+    on a 2 x 3 grid, averages to the mean of each component's own grid."""
     import spolab.lemmas as lemmas_mod
-    from spolab.lemmas import TwirlPlan, grid_mean_stderr
+    from spolab.lemmas import TwirlPlan
 
     n = 4
     rng = np.random.default_rng(23)
@@ -1225,14 +1185,11 @@ def test_twirl_average_of_an_array_valued_term_is_elementwise():
         calls.append(i)
         return values[i]
 
-    mean, se = lemmas_mod._twirl_average(plan, row)
+    mean = lemmas_mod._twirl_average(plan, row)
     assert calls == [0, 1]
-    assert mean.shape == se.shape == (4, 3)
+    assert mean.shape == (4, 3)
     for j, k in itertools.product(range(4), range(3)):
-        want_mean, want_se = grid_mean_stderr(values[:, :, j, k])
-        assert mean[j, k] == pytest.approx(want_mean, rel=1e-14, abs=1e-15)
-        assert se[j, k] == pytest.approx(want_se, rel=1e-14)
-        assert se[j, k] > 0.0
+        assert mean[j, k] == pytest.approx(values[:, :, j, k].mean(), rel=1e-14, abs=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -1287,69 +1244,77 @@ def test_easy_norm_matches_full_space_dense():
 
 
 def test_crucial_terms_match_direct_tspo_runs():
-    """Independent oracle for the crucial-lemma expectations: run the
-    standard-form circuit directly against the twirled oracle (no relabeling
-    shortcut), enumerate pi_{x^c} classes via explicit factor surgery, and
-    evaluate the three displayed sums for a handful of (sigma, tau) pairs."""
+    """Independent oracle for the crucial-lemma expectations over all 576
+    (sigma, tau) pairs at N = 4: run the standard-form circuit directly
+    against the twirled oracle (no relabeling shortcut), one run per sigma
+    with the 24 taus as rows of P, enumerate the pi_{x^c} classes once by
+    explicit factor surgery, evaluate the three displayed sums of every pair
+    and state, and set their mean against the engine's values."""
     from spolab.circuits import standard_form
-    from spolab.lemmas import TwirlPlan
-    from spolab.permutations import Permutation, invert as perm_invert
+    from spolab.lemmas import crucial_term_values, standard_form_prequery_states
+    from spolab.permutations import Permutation, all_images
+    from spolab.permutations import invert as perm_invert
     from spolab.relations import twirl_relation
+    from spolab.states import database_names
 
     n = 4
+    nf = database_dim(n)
     circ = random_circuit(71, 1, 2, n)
     rel = sponge_preimage_relation(2, 1, 1)
-    rng = np.random.default_rng(14)
-    b = standard_form(circ)
-    for _trial in range(3):
-        sigma, tau = sample_uniform(n, rng), sample_uniform(n, rng)
-        plan_one = TwirlPlan(n, [sigma.images], [tau.images])
-        from spolab.lemmas import crucial_term_values, standard_form_prequery_states
+    got = crucial_term_values(standard_form_prequery_states(circ), [rel])[0]
 
-        got_vals, = crucial_term_values(standard_form_prequery_states(circ),
-                                        [rel], plan_one)
-        # direct run of B against TSPO^{sigma,tau}
-        _, pre = run_with_intermediates(b, spo_backend(n, sigma=sigma, tau=tau))
-        twisted = twirl_relation(rel, sigma, tau)
-        si = perm_invert(sigma).images
-        ti = perm_invert(tau).images
-        assert len(pre) == len(got_vals)
-        for (direction, state), vals in zip(pre, got_vals):
+    # Per register x, the classes of labels that agree on every t_k, k != x,
+    # as a 0/1 (class, label) table, and per class the images of pi_{x^c}
+    # and of pi_{>x}, and the inverse images of pi_{>x}.
+    surgery = []
+    for x in range(n):
+        fibers = {}
+        for d in range(nf):
+            f = monotone_factorize(perm_of_index(n, d))
+            key = tuple(tk for k, tk in enumerate(f.t) if k != x)
+            fibers.setdefault(key, (f, []))[1].append(d)
+        member = np.zeros((len(fibers), nf))
+        pxc, above, above_inv = [], [], []
+        for c, (f0, labels) in enumerate(fibers.values()):
+            member[c, labels] = 1.0
+            hi = partial_product(f0, x, "above")
+            lo = partial_product(f0, x, "below")
+            pxc.append([hi.images[lo.images[v]] for v in range(n)])
+            above.append(hi.images)
+            above_inv.append(perm_invert(hi).images)
+        surgery.append((member, np.array(pxc), np.array(above), np.array(above_inv)))
+
+    b = standard_form(circ)
+    taus = all_images(n)
+    want = np.zeros((len(got), 3))
+    for sigma in all_images(n):
+        # One run per sigma, row k of P twirled by (sigma, taus[k]).
+        sigmas = np.broadcast_to(sigma, taus.shape)
+        _, pre = run_with_intermediates(b, spo_backend(n, sigma=sigmas, tau=taus))
+        assert len(pre) == len(got)
+        si = np.argsort(sigma)
+        for j, (_direction, state) in enumerate(pre):
             lay = state.layout
-            arr = np.abs(state.reshaped()) ** 2
-            keep = {"X"} | {nm for nm in lay.names if nm.startswith("D")}
+            keep = {"P", "X"} | set(database_names(n))
             axes = tuple(i for i, nm in enumerate(lay.names) if nm not in keep)
-            g = arr.sum(axis=axes).reshape(n, -1)
-            # enumerate fibers by factor surgery per register x
-            want = [0.0, 0.0, 0.0]
-            for x in range(n):
-                fibers = {}
-                for d in range(database_dim(n)):
-                    f = monotone_factorize(perm_of_index(n, d))
-                    key = tuple(tk for k, tk in enumerate(f.t) if k != x)
-                    fibers.setdefault(key, []).append((d, f))
-                rx = [int(v) for v in twisted.section(x)]
-                inv_x = 1.0 / (x + 1)
-                for key, members in fibers.items():
-                    d0, f0 = members[0]
-                    above = partial_product(f0, x, "above")
-                    below = partial_product(f0, x, "below")
-                    pxc = tuple(above.images[below.images[v]] for v in range(n))
-                    above_inv = perm_invert(above).images
-                    fiber_g = {z: sum(g[z, d] for d, _f in members)
-                               for z in range(n)}
-                    for z in range(x):
-                        if pxc[z] in rx:
-                            want[0] += inv_x * fiber_g[si[z]]
-                    for z in rx:
-                        if above_inv[z] < x:
-                            want[1] += inv_x * fiber_g[ti[z]]
-                    count = sum(1 for t in range(x + 1) if above.images[t] in rx)
-                    for z in range(x + 1, n):
-                        if above_inv[z] == x:
-                            want[2] += count * inv_x * fiber_g[ti[z]]
-            for k in range(3):
-                assert vals[k] == pytest.approx(want[k] / n, abs=1e-12)
+            g = (np.abs(state.reshaped()) ** 2).sum(axis=axes).reshape(len(taus), n, nf)
+            for k, tau in enumerate(taus):
+                ti = np.argsort(tau)
+                twisted = twirl_relation(rel, Permutation(tuple(sigma.tolist())),
+                                         Permutation(tuple(tau.tolist())))
+                for x, (member, pxc, above, above_inv) in enumerate(surgery):
+                    fiber_g = g[k] @ member.T  # (z, class)
+                    rx = twisted.section(x)
+                    first = np.isin(pxc[:, :x], rx).T * fiber_g[si[:x]]
+                    second = (above_inv[:, rx] < x).T * fiber_g[ti[rx]]
+                    count = np.isin(above[:, :x + 1], rx).sum(axis=1)
+                    third = (above_inv[:, x + 1:] == x).T * fiber_g[ti[x + 1:]] * count
+                    want[j] += np.array([first.sum(), second.sum(), third.sum()]) / (x + 1)
+    want /= n * nf * nf
+    assert np.max(want) > 0.0
+    for vals, w in zip(got, want):
+        for k in range(3):
+            assert vals[k] == pytest.approx(w[k], abs=1e-12)
 
 
 def test_query_step_checks():
@@ -1418,12 +1383,11 @@ def test_hard_database_rhs_is_the_direct_sparsity_tail():
     from spolab.lemmas import sparsity_expectation, standard_form_prequery_states
 
     n = 4
-    plan = make_twirl_plan(n)
     circ = random_circuit(55, 2, 2, n)
     rel = sponge_preimage_relation(2, 1, 1)
     rows = {r.name: r for r in progress_checks(circ, [("sponge", rel)])}
     q, r = circ.query_count, rel.r_max
-    tail = sum(sparsity_expectation(state, plan)[0]
+    tail = sum(sparsity_expectation(state)
                for _d, state in standard_form_prequery_states(circ))
     want = 384.0 * q * q * r * (math.log(n) + 2.0) / n ** 2 + 4.0 * q * r * tail
     assert tail > 0.0
@@ -1437,13 +1401,12 @@ def test_crucial_terms_fit_a_budget_below_the_whole_grid(monkeypatch):
     import spolab.oracles as oracles_mod
     from spolab.lemmas import crucial_term_values, standard_form_prequery_states
 
-    plan = make_twirl_plan(4)
     rel = diagonal_relation(4)
     pre = standard_form_prequery_states(random_circuit(71, 1, 2, 4))
-    want = crucial_term_values(pre, [rel], plan)[0]
+    want = crucial_term_values(pre, [rel])[0]
     assert len(want) == len(pre) and max(max(v) for v in want) > 0.0
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 576 * 4 * 24 - 1)
-    assert crucial_term_values(pre, [rel], plan)[0] == want
+    assert crucial_term_values(pre, [rel])[0] == want
 
 
 def test_crucial_terms_charge_their_gather_before_any_marginal(monkeypatch):
@@ -1457,13 +1420,12 @@ def test_crucial_terms_charge_their_gather_before_any_marginal(monkeypatch):
     from spolab.lemmas import crucial_term_values, standard_form_prequery_states
 
     n = 4
-    plan = make_twirl_plan(n)
     rels = [diagonal_relation(n), full_relation(n)]
     pre = standard_form_prequery_states(random_circuit(71, 1, 2, n))
-    want = crucial_term_values(pre, rels, plan)
-    gather = len(plan.taus) * len(pre) * n * database_dim(n)
+    want = crucial_term_values(pre, rels)
+    gather = database_dim(n) * len(pre) * n * database_dim(n)
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather)
-    assert crucial_term_values(pre, rels, plan) == want
+    assert crucial_term_values(pre, rels) == want
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather - 1)
 
     def no_marginal(*args, **kwargs):
@@ -1471,7 +1433,7 @@ def test_crucial_terms_charge_their_gather_before_any_marginal(monkeypatch):
 
     monkeypatch.setattr(lemmas_mod, "marginal", no_marginal)
     with pytest.raises(BudgetError, match=f"gathers 24 x {len(pre)} x {n} x 24 entries"):
-        crucial_term_values(pre, rels, plan)
+        crucial_term_values(pre, rels)
 
 
 @pytest.mark.parametrize("average", ["p2", "sparsity"])
@@ -1485,15 +1447,14 @@ def test_block_averages_charge_their_row_gather_before_any_row(monkeypatch, aver
     from spolab.lemmas import sparsity_expectation
 
     n = 4
-    plan = make_twirl_plan(n)
     final = final_state(random_circuit(71, 1, 2, n))
     if average == "p2":
-        call = lambda: p2_upper_bound(final, [diagonal_relation(n)], plan)
+        call = lambda: p2_upper_bound(final, [diagonal_relation(n)])
     else:
-        call = lambda: sparsity_expectation(final, plan)
+        call = lambda: sparsity_expectation(final)
     want = call()
     rest = final.amps.size // database_dim(n)
-    gather = len(plan.taus) * rest * database_dim(n)
+    gather = database_dim(n) * rest * database_dim(n)
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather)
     assert call() == want
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", gather - 1)
@@ -1514,16 +1475,30 @@ def test_block_averages_charge_their_row_gather_before_any_row(monkeypatch, aver
 @pytest.mark.parametrize("n, seed", [(2, None), (4, None), (5, 3)])
 def test_helmert_sparsity_rows_match_the_projector_form(monkeypatch, n, seed):
     """sparsity_expectation reads each row's complement norms from Helmert
-    contrasts of the D_{x+1} slices.  On the full group at N = 2 and 4 and
-    on a sampled 4 x 4 plan at N = 5, its (mean, stderr) for random states
-    on X, Y, D equals the projector form of per_pair_twirl_averages to
-    1e-12, and no row calls project_plus_db; the uniform state reads
-    exactly 0.0."""
+    contrasts of the D_{x+1} slices.  At N = 2 and 4 its exact average over
+    the full group, for random states on X, Y, D, equals the projector form
+    of per_pair_twirl_averages to 1e-12, and no row calls project_plus_db;
+    the uniform state reads exactly 0.0.  N = 5 has no exact average, so
+    there the kernel, _complement_norm2, is set directly against the
+    squared norms of project_plus_db(..., complement=True) on random
+    (rest, C, 120) blocks drawn with ``seed``, at every x."""
     import spolab.oracles as oracles_mod
-    from spolab.lemmas import sparsity_expectation
+    from spolab.lemmas import _complement_norm2, sparsity_expectation
     from spolab.states import RegisterLayout, database_layout, product_uniform
 
-    plan = make_twirl_plan(n) if seed is None else make_twirl_plan(n, seed, min_pairs=16)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        shape = (3, 4, math.factorial(n))
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for x in range(n):
+            want = [np.linalg.norm(project_plus_db(block[:, c], n, x, complement=True)) ** 2
+                    for c in range(shape[1])]
+            got = _complement_norm2(block, n, x)
+            assert got.shape == (shape[1],)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15), x
+            assert x == 0 or min(want) > 0.1
+        return
+    plan = make_twirl_plan(n)
     layout = RegisterLayout((("X", n), ("Y", n)) + database_layout(n).registers)
     rng = np.random.default_rng(n)
     states = []
@@ -1531,14 +1506,14 @@ def test_helmert_sparsity_rows_match_the_projector_form(monkeypatch, n, seed):
         amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
         states.append(StateVector(layout, amps / np.linalg.norm(amps)))
     want = [per_pair_twirl_averages(state, empty_relation(n), plan, ("sparsity",))
-            ["sparsity"] for state in states]
+            ["sparsity"][0] for state in states]
     calls = count_calls(monkeypatch, oracles_mod, "project_plus_db")
-    got = [sparsity_expectation(state, plan) for state in states]
+    got = [sparsity_expectation(state) for state in states]
     assert calls == []
-    for (g_mean, g_err), (w_mean, w_err) in zip(got, want):
-        assert abs(g_mean - w_mean) <= 1e-12 and abs(g_err - w_err) <= 1e-12
-        assert w_mean > 0.01
-    assert sparsity_expectation(product_uniform(layout), plan) == (0.0, 0.0)
+    for g, w in zip(got, want):
+        assert type(g) is float
+        assert abs(g - w) <= 1e-12 and w > 0.01
+    assert sparsity_expectation(product_uniform(layout)) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -1765,8 +1740,7 @@ def test_theorem_spo_cross_check():
     circ = random_circuit(67, 1, 2, n)
     rel = diagonal_relation(n)
     rep = theorem_check(circ, rel)
-    plan = make_twirl_plan(n)
-    res = experiment_probabilities(final_state(with_loading_query(circ)), rel, plan)
+    res = experiment_probabilities(final_state(with_loading_query(circ)), rel)
     assert rep.lhs == pytest.approx(res.p_i, abs=1e-9)
 
 

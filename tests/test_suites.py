@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spolab.lemmas import grid_mean_stderr, make_twirl_plan
+from spolab.lemmas import _margins_stderr, make_twirl_plan
 from spolab.reporting import (
     check,
     check_close,
@@ -62,22 +62,29 @@ def test_report_document_and_csv():
     assert len(lines) == 3
 
 
+def mean_and_margins_stderr(grid):
+    """The mean of a crossed grid and the stderr _margins_stderr gives from
+    its row and column means, as the sampled p_ii reads its grid."""
+    return grid.mean(), _margins_stderr(grid.mean(axis=1), grid.mean(axis=0))
+
+
 def test_grid_mean_stderr():
     """On [[1, 2, 3], [4, 5, 9]] the row means 2, 6 have sample variance 8
-    and the column means 2.5, 3.5, 6 have 13/4, so the stderr is
+    and the column means 2.5, 3.5, 6 have 13/4, so _margins_stderr gives
     sqrt(8/2 + (13/4)/3) = sqrt(61/12) about the mean 4.  One row gives no
     estimate and reports 0."""
-    mean, se = grid_mean_stderr(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 9.0]]))
+    mean, se = mean_and_margins_stderr(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 9.0]]))
     assert mean == 4.0
     assert se == pytest.approx(math.sqrt(61 / 12), rel=1e-15)
-    mean1, se1 = grid_mean_stderr(np.ones((1, 3)))
+    mean1, se1 = mean_and_margins_stderr(np.ones((1, 3)))
     assert se1 == 0.0
 
 
 def test_grid_mean_stderr_crossed_coverage():
     """A crossed grid with row and column effects: the grand mean must sit
-    within 3 stderr of the true mean (0) about 99.7 % of the time.  Taking
-    only the larger of the row and column errors covers about 97.5 %."""
+    within 3 stderr of _margins_stderr of the true mean (0) about 99.7 % of
+    the time.  Taking only the larger of the row and column errors covers
+    about 97.5 %."""
     rng = np.random.default_rng(2007)
     side, grids = 45, 2000
     covered = 0
@@ -85,7 +92,7 @@ def test_grid_mean_stderr_crossed_coverage():
         rows = rng.normal(0.0, 1.0, size=(side, 1))
         cols = rng.normal(0.0, 1.0, size=(1, side))
         vals = rows + cols + rng.normal(0.0, 0.3, size=(side, side))
-        mean, se = grid_mean_stderr(vals)
+        mean, se = mean_and_margins_stderr(vals)
         covered += abs(mean) <= 3.0 * se
     assert covered / grids >= 0.99
 
@@ -105,11 +112,11 @@ def n4_twirl_grids():
 
 @pytest.mark.parametrize("side", [MIN_SAMPLED_SIDE, 45])
 def test_grid_mean_stderr_covers_real_twirl_grids(n4_twirl_grids, side):
-    """3-SE coverage on the per-pair grids the lab averages: the full-group
-    N = 4 grids of n4_twirl_grids.  Each draw is a side x side grid, rows
-    and columns drawn uniformly with replacement as make_twirl_plan draws
-    them: the smallest grid the sampled fundamental suite accepts, and the
-    45 x 45 grid that ``--samples 2000`` samples."""
+    """3-SE coverage of _margins_stderr on the per-pair grids the lab
+    averages: the full-group N = 4 grids of n4_twirl_grids.  Each draw is a
+    side x side grid, rows and columns drawn uniformly with replacement as
+    make_twirl_plan draws them: the smallest grid the sampled fundamental
+    suite accepts, and the 45 x 45 grid that ``--samples 2000`` samples."""
     grids = n4_twirl_grids
     assert len(grids) == 4 and all(g.shape == (24, 24) for g in grids)
 
@@ -122,7 +129,7 @@ def test_grid_mean_stderr_covers_real_twirl_grids(n4_twirl_grids, side):
         exact = grid.mean()
         covered = 0
         for rows, cols in picks:
-            mean, se = grid_mean_stderr(grid[np.ix_(rows, cols)])
+            mean, se = mean_and_margins_stderr(grid[np.ix_(rows, cols)])
             covered += abs(mean - exact) <= 3.0 * se
         coverage.append(covered / draws)
     assert np.mean(coverage) >= 0.98, coverage
@@ -156,10 +163,9 @@ def test_sampled_twirl_plan_smallest_grid():
 
 def test_twirl_plan_shapes():
     plan = make_twirl_plan(3)
-    assert plan.full_group and plan.pair_count == 36
+    assert plan.grid_shape == (6, 6) and plan.pair_count == 36
     assert plan.right_inv.dtype == plan.left_inv.dtype == np.int32
     sampled = make_twirl_plan(5, seed=1, min_pairs=100)
-    assert not sampled.full_group
     assert sampled.pair_count >= 100
     with pytest.raises(ValueError):
         make_twirl_plan(5, seed=None, min_pairs=10)
