@@ -7,10 +7,10 @@ Subcommands:
   factorize    strictly monotone factorization of a 1-based one-line permutation
   run-circuit  run a circuit description file and print output statistics
 
-Exit status: 0 when every emitted case passes, 1 on failures or budget
-errors, 2 on usage errors (a missing or out-of-range option), which are
-reported before any output.  Reports embed the full config and seed so any
-number they contain is regenerable from one command.
+Exit status: 0 when every emitted case passes, 1 on failures, budget or I/O
+errors, 2 on usage errors (a missing or out-of-range option or path), which
+are reported before any output.  Reports embed the full config and seed so
+any number they contain is regenerable from one command.
 """
 from __future__ import annotations
 
@@ -113,8 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                  "samples": samples if _sampled(args) else None,
                                  "format": args.format})
     text = to_json(doc) if args.format == "json" else to_csv(doc)
-    if args.out is not None:
-        args.out.write_text(text)
+    _write_report(args.out, text)
     for case in doc["cases"]:
         status = "PASS" if case["pass"] else "FAIL"
         print(f"{status}  {case['name']}: lhs={case['lhs']:.6g} "
@@ -124,13 +123,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if totals["failed"] == 0 else 1
 
 
+def _write_report(path: Path | None, text: str) -> None:
+    if path is None:
+        return
+    if path.is_file() and not path.is_symlink():  # truncating is slow on ext4
+        try:
+            path.unlink()
+        except OSError:  # the directory refuses it: write in place
+            pass
+    path.write_text(text)
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
     result = run_attack(args.kind, args.n_bits, args.c, args.iterations,
                         backend=args.backend, trials=args.trials,
                         seed=args.seed, target=args.target or 0)
     text = json.dumps(result, indent=2) + "\n"
-    if args.out is not None:
-        args.out.write_text(text)
+    _write_report(args.out, text)
     print(text, end="")
     return 0
 
@@ -168,13 +177,11 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     factors = " ".join(f"<{k + 1} {tk + 1}>" for k, tk in f.nontrivial_factors())
     print(f"strictly monotone: {factors if factors else '(identity)'}")
     print(f"cayley distance: {cayley_distance(f)}")
-    if args.active is not None:
-        members = active_set(perm, args.active - 1)
-        print(f"active({args.active}): " + " ".join(str(k + 1) for k in members))
-    if args.inverse_active is not None:
-        members = inverse_active_set(perm, args.inverse_active - 1)
-        print(f"inverse-active({args.inverse_active}): "
-              + " ".join(str(k + 1) for k in members))
+    for name, element, members in (("active", args.active, active_set),
+                                   ("inverse-active", args.inverse_active, inverse_active_set)):
+        if element is not None:
+            print(f"{name}({element}): "
+                  + " ".join(str(k + 1) for k in members(perm, element - 1)))
     return 0
 
 
@@ -208,6 +215,9 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
         if args.samples is not None and not _sampled(args):
             return (f"--samples sizes a sampled twirl grid, and only --suite "
                     f"fundamental above n={EXHAUSTIVE_TWIRL_LIMIT} samples one")
+    if args.command in ("verify", "attack") and args.out is not None \
+            and (args.out.is_dir() or not args.out.parent.is_dir()):
+        return f"--out {args.out} is not a file in an existing directory"
     if args.command == "attack" and args.kind == "zero-search" \
             and args.target is not None:
         return "a zero-search attack has no --target"
@@ -216,9 +226,11 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
         if any(getattr(args, dest) is None for dest in needed):
             flags = " and ".join("--" + dest.replace("_", "-") for dest in needed)
             return f"{args.kind} bound needs {flags}"
-    if args.command == "run-circuit" and args.backend == "concrete" \
-            and args.perm is None:
-        return "concrete backend needs --perm"
+    if args.command == "run-circuit":
+        if not args.file.exists() or args.file.is_dir():
+            return f"no circuit file {args.file}"
+        if args.backend == "concrete" and args.perm is None:
+            return "concrete backend needs --perm"
     return None
 
 
@@ -237,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (BudgetError, SizeLimitError, ValueError, KeyError) as exc:
+    except (BudgetError, SizeLimitError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

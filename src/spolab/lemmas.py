@@ -44,13 +44,13 @@ from .oracles import (
     perm_tables,
     project_plus_db,
     query_slice_map,
+    rank_labels,
     shift_table,
     spo_backend,
     spo_query,
     _db_size_from_layout,
 )
-from .permutations import (Permutation, all_images, all_permutations, sample_uniform,
-                           transposition)
+from .permutations import all_images, sample_uniform
 from .relations import Relation
 from .reporting import VerificationReport, check, check_close
 from .states import (
@@ -181,17 +181,20 @@ def _charge_rows(plan: TwirlPlan, per_pair: tuple[int, ...], what: str) -> None:
            f"{' x '.join(map(str, shape))} entries")
 
 
-def _twirl_average(plan: TwirlPlan, row: Callable[[int], np.ndarray]) -> np.ndarray:
+def _twirl_average(plan: TwirlPlan, block: np.ndarray,
+                   term: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
     """The mean over the plan's (sigma, tau) grid of the values of one twirl
     term, elementwise; its callers pass the full-group plan, so it is exact.
 
-    One step is one sigma-row: for each i that plan.pairs() yields,
-    ``row(i)`` returns the row's T values (floats, or arrays of one shape).
-    Column j twirls a (rest, n!) block to ``block[:, ri[lj]]`` for
-    ri = right_inv[i] and lj = left_inv[j]; the caller charges what a row
-    gathers against AMPLITUDE_BUDGET before the first row is built.
+    One step is one sigma-row: for each i that plan.pairs() yields, the
+    (..., n!) block is gathered to (..., T, n!) through the row's composed
+    maps right_inv[i][left_inv], column j reading ``block[..., ri[lj]]``,
+    and ``term(i, gathered)`` returns the row's T values (floats, or arrays
+    of one shape).  The caller charges what a row gathers against
+    AMPLITUDE_BUDGET before the first row is built.
     """
-    values = [row(i) for i in plan.pairs()]
+    values = [term(i, block[..., plan.right_inv[i][plan.left_inv]])
+              for i in plan.pairs()]
     grid = np.concatenate(values).reshape(plan.grid_shape + values[0].shape[1:])
     return grid.mean(axis=(0, 1))
 
@@ -255,7 +258,6 @@ def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
     m = nf // n
     hits = np.empty((n, n, m), dtype=np.int32)
     fiber_a = np.empty((n, nf), dtype=np.int8)
-    swaps = []
     for s in range(n):
         lo = math.factorial(s)
         counts = np.bincount(pi[:, s], minlength=n)
@@ -270,10 +272,9 @@ def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
                                f"(n={n})")
         hits[s] = hit
         fiber_a[s, hit] = inv[hit, pi[hit + (s - digit) * lo, s]]
-        swap = np.empty((s + 1, nf), dtype=np.int32)
-        for c, row in enumerate(swap):
-            row[:] = left_right_map(n, sigma=transposition(n, s, c))
-        swaps.append(swap)
+    # Row c of table s is <s c>: the label with every digit t_k = k but t_s = c.
+    swaps = [left_right_map(n, sigma=pi[nf - 1 - math.factorial(s) * (s - np.arange(s + 1))])
+             .astype(np.int32) for s in range(n)]
     for table in (hits, fiber_a, *swaps):
         table.setflags(write=False)
     return hits, fiber_a, tuple(swaps)
@@ -637,8 +638,7 @@ def p2_upper_bound(final: StateVector, rels: list[Relation]) -> list[float]:
     sections = members[:, :, plan.tau_inv]  # [k, x, j, t]: tau_j^{-1}(t) in R_x
     xs = [x for x in range(n) if members[:, x].any()]
 
-    def row(i):
-        tw = amps[:, plan.right_inv[i][plan.left_inv]]  # (rest, T, n!)
+    def term(i, tw):  # tw: (rest, T, n!)
         acc = np.zeros((len(rels), len(plan.taus)))
         for x in xs:
             sx = plan.sigmas[i, x]
@@ -648,7 +648,7 @@ def p2_upper_bound(final: StateVector, rels: list[Relation]) -> list[float]:
             acc += (sections[:, x] * per_t).sum(axis=2)
         return acc.T
 
-    return _twirl_average(plan, row).tolist()
+    return _twirl_average(plan, amps, term).tolist()
 
 
 def progress_measure(final: StateVector, rel: Relation) -> float:
@@ -689,10 +689,7 @@ def _class_tables(n: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # All digits at and below x trivial (t_j = j): sum_{j<=x} j * j! = block - 1.
     d_above = (hi_idx * block + (block - 1)).reshape(-1)
     pigt = np.repeat(pi_table[d_above], lo, axis=0)
-    inv = np.empty_like(pigt)
-    rows = np.arange(pigt.shape[0])[:, None]
-    inv[rows, pigt] = np.arange(n)[None, :]
-    return pixc, pigt, inv
+    return pixc, pigt, np.argsort(pigt, axis=1)
 
 
 def _fiber_sums(g: np.ndarray, n: int, x: int) -> np.ndarray:
@@ -878,11 +875,10 @@ def sparsity_expectation(state: StateVector) -> float:
     amps = _db_block(state)
     _charge_rows(plan, amps.shape, "sparsity_expectation")
 
-    def row(i):
-        tw = amps.take(plan.right_inv[i][plan.left_inv], axis=1)  # (rest, T, n!)
+    def term(_i, tw):  # tw: (rest, T, n!)
         return sum(_complement_norm2(tw, n, x) / (x + 1) for x in range(n)) / n
 
-    return float(_twirl_average(plan, row))
+    return float(_twirl_average(plan, amps, term))
 
 
 def crucial_term_values(pre: list[tuple[str, StateVector]],
@@ -912,9 +908,9 @@ def crucial_term_values(pre: list[tuple[str, StateVector]],
     ti = plan.tau_inv
     c, j = np.ogrid[:len(ti), :len(g)]
 
-    def row(i):
-        ri, si = plan.right_inv[i], plan.sigma_inv[i]
-        gg = g[:, :, ri[plan.left_inv]].transpose(2, 0, 1, 3)  # (T, J, x, label)
+    def term(i, gathered):  # gathered: (J, x, T, label)
+        si = plan.sigma_inv[i]
+        gg = gathered.transpose(2, 0, 1, 3)  # (T, J, x, label)
         acc = np.zeros((len(ti), len(rels), len(g), 3))
         for x in range(n):
             fs = _fiber_sums(gg, n, x)  # (T, J, z, class)
@@ -925,7 +921,7 @@ def crucial_term_values(pre: list[tuple[str, StateVector]],
                                 n, x) / (x + 1)
         return acc / n
 
-    mean = _twirl_average(plan, row)  # (relation, state, 3)
+    mean = _twirl_average(plan, g, term)  # (relation, state, 3)
     return [[tuple(float(v) for v in row) for row in per_rel] for per_rel in mean]
 
 
@@ -995,26 +991,19 @@ def progress_checks(circ: QueryCircuit,
 # The Gamma operator and sparsity trajectories
 
 
-def _all_cycles(n: int, length: int) -> list[Permutation]:
-    """All distinct cycles of the given length as permutations of [n]."""
-    out = []
-    for subset in itertools.combinations(range(n), length):
-        first = subset[0]
-        for rest in itertools.permutations(subset[1:]):
-            images = list(range(n))
-            cycle = (first,) + rest
-            for a, b in zip(cycle, cycle[1:] + (first,)):
-                images[a] = b
-            out.append(Permutation(tuple(images)))
-    return out
+def _all_cycles(n: int, length: int) -> np.ndarray:
+    """The (C, n) image table, in label order, of the 2- or 3-cycles: the
+    permutations that move exactly ``length`` points."""
+    if length not in (2, 3):
+        raise ValueError(f"cycle tables hold 2- or 3-cycles, got length {length}")
+    images = all_images(n)
+    return images[(images != np.arange(n)).sum(axis=1) == length]
 
 
 @lru_cache(maxsize=None)
 def _cycle_maps(n: int, length: int, side: str) -> np.ndarray:
-    cycles = _all_cycles(n, length)
-    if side == "right":
-        return np.stack([left_right_map(n, sigma=g) for g in cycles])
-    return np.stack([left_right_map(n, tau=g) for g in cycles])
+    """The (C, n!) label maps of R^g (side "right") or L^g, g in _all_cycles."""
+    return left_right_map(n, **{"sigma" if side == "right" else "tau": _all_cycles(n, length)})
 
 
 def cycle_average(n: int, length: int, side: str = "right") -> np.ndarray:
@@ -1065,21 +1054,12 @@ def gamma_brute_force(n: int) -> np.ndarray:
     M = (1/n) sum_x (I - P_{+x}) / (x + 1) once."""
     if n > 6:
         raise ValueError("brute-force Gamma capped at n=6")
-    nf = database_dim(n)
-    perms = list(all_permutations(n))
-    eye = np.eye(nf)
+    perms = all_images(n)
+    eye = np.eye(database_dim(n))
     m = sum((eye - _plus_projector_dense(n, x).real) / (x + 1) for x in range(n)) / n
     # nested averages: E_tau L^+ M L, then E_sigma R^+ (.) R
-    m_tau = np.zeros((nf, nf))
-    for tau in perms:
-        lm = left_right_map(n, tau=tau)
-        m_tau += m[np.ix_(lm, lm)]
-    m_tau /= len(perms)
-    m_sigma = np.zeros((nf, nf))
-    for sigma in perms:
-        rm = left_right_map(n, sigma=sigma)
-        m_sigma += m_tau[np.ix_(rm, rm)]
-    return m_sigma / len(perms)
+    m_tau = sum(m[np.ix_(lm, lm)] for lm in left_right_map(n, tau=perms)) / len(perms)
+    return sum(m_tau[np.ix_(rm, rm)] for rm in left_right_map(n, sigma=perms)) / len(perms)
 
 
 def gamma_expectation(state: StateVector) -> float:
@@ -1151,18 +1131,18 @@ def _certify_commutator_symmetries(n: int) -> None:
     """
     g = gamma_operator(n)
     nf = database_dim(n)
-    pi, inv = perm_tables(n)
-    code = n ** np.arange(n)  # one integer per image row
-    order = np.argsort(pi @ code)
-    inverse = order[np.searchsorted((pi @ code)[order], inv @ code)]
     ys, ds = np.divmod(np.arange(n * nf), nf)
     forward = [query_slice_map(n, z, "forward") for z in range(n)]
+    inverse = rank_labels(perm_tables(n)[1].T)  # d -> idx(pi_d^{-1})
     # (name, label map, [(z, map it carries, the map it must give)])
     relabelings = [("J", inverse, [(z, forward[z], query_slice_map(n, z, "inverse"))
                                    for z in range(n)])]
-    for z in range(1, n):
-        relabelings.append((f"R<0 {z}>", left_right_map(n, sigma=transposition(n, 0, z)),
-                            [(z, forward[0], forward[z])]))
+    zs = np.arange(1, n)
+    swaps = np.tile(np.arange(n), (n - 1, 1))  # row z - 1: the images of <0 z>
+    swaps[zs - 1, 0], swaps[zs - 1, zs] = zs, 0
+    r_maps = left_right_map(n, sigma=swaps)  # row z - 1: d -> idx(pi_d <0 z>)
+    relabelings += [(f"R<0 {z}>", r_maps[z - 1], [(z, forward[0], forward[z])])
+                    for z in range(1, n)]
     for name, m, carried in relabelings:
         if not (np.array_equal(m[m], np.arange(nf))
                 and np.array_equal(g[np.ix_(m, m)], g)):

@@ -84,10 +84,8 @@ def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(pi_table, inv_table): pi_table[d, x] = pi_d(x) for every label d."""
     if n > EXACT_ENUM_LIMIT:
         raise SizeLimitError(f"database tables capped at n={EXACT_ENUM_LIMIT}")
-    nf = factorial(n)
     pi = all_images(n)  # label d has the factor digits t_k = (d // k!) % (k+1)
-    inv = np.empty_like(pi)
-    inv[np.arange(nf)[:, None], pi] = np.arange(n)[None, :]
+    inv = np.argsort(pi, axis=1)
     pi.setflags(write=False)
     inv.setflags(write=False)
     return pi, inv
@@ -96,10 +94,10 @@ def perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
     """The Lehmer rank sum_k c_k (n-1-k)!, c_k = #{j > k : p(j) < p(k)}, of
     every column p of an (n, ...) int8 image table, in the trailing shape."""
-    ranks = np.zeros(rows.shape[1:], dtype=np.intp)
+    ranks = np.zeros(rows.shape[1:], dtype=np.int32)  # below 8! = 40320
     for i in range(len(rows) - 1):
         count = (rows[i + 1:] < rows[i]).sum(axis=0, dtype=np.int8)
-        ranks += count.astype(np.intp) * factorial(len(rows) - 1 - i)
+        ranks += count * np.int32(factorial(len(rows) - 1 - i))
     return ranks
 
 
@@ -117,26 +115,31 @@ def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, labels
 
 
+def rank_labels(rows: np.ndarray) -> np.ndarray:
+    """The label d of every permutation pi_d given as a column of an
+    (n, ...) image table, position first, in the trailing shape."""
+    return _rank_tables(len(rows))[1].take(_lehmer_ranks(rows))
+
+
 def left_right_map(n: int, tau: Permutation | np.ndarray | None = None,
                    sigma: Permutation | np.ndarray | None = None) -> np.ndarray:
     """Label map d -> index(tau o pi_d o sigma^{-1}) (permutations or image rows).
 
     This is the basis action of L^tau R^sigma on the database: the image
     rows of every label are permuted (position k reads row sigma^{-1}(k),
-    values pass through tau), ranked, and looked up by rank.  A (K, N)
-    table of taus or sigmas, against one permutation or a table of as many
-    rows, gives its K joint maps as a (K, N!) array, ranked in one pass.
+    values pass through tau) and ranked (rank_labels).  A (K, N) table of
+    taus or sigmas, against one permutation or a table of as many rows,
+    gives its K joint maps as a (K, N!) array, ranked in one pass; the map
+    is 1-D unless an argument is 2-D.
     """
-    rows, labels = _rank_tables(n)
-    rows = rows[:, None]  # (position, row k, label)
+    rows = _rank_tables(n)[0][:, None]  # (position, row k, label)
     if tau is not None:
         rows = image_table(tau).astype(np.int8).take(rows[:, 0], axis=1).transpose(1, 0, 2)
     if sigma is not None:  # unequal row counts do not broadcast: IndexError
         order = np.argsort(image_table(sigma), axis=1).T  # column k: sigma_k^{-1}
         rows = rows[order, np.arange(rows.shape[1])]
-    maps = labels.take(_lehmer_ranks(rows))
-    tables = [p for p in (tau, sigma) if not isinstance(p, (Permutation, type(None)))]
-    return maps if any(np.ndim(p) == 2 for p in tables) else maps[0]
+    maps = rank_labels(rows)
+    return maps if np.ndim(tau) == 2 or np.ndim(sigma) == 2 else maps[0]
 
 
 # --------------------------------------------------------------------------

@@ -116,6 +116,10 @@ def parse_one_line(text: str) -> Permutation:
         vals = [int(s) for s in parts]
     except ValueError as exc:
         raise ValueError(f"malformed permutation text: {text!r}") from exc
+    for pos, v in enumerate(vals, start=1):
+        if v in vals[:pos - 1] or not 1 <= v <= len(vals):
+            fault = "repeats" if v in vals[:pos - 1] else f"is outside 1..{len(vals)}"
+            raise ValueError(f"value {v} at position {pos} {fault}: {text!r}")
     return Permutation(tuple(v - 1 for v in vals))
 
 
@@ -134,6 +138,9 @@ def parse_factorization(text: str) -> MonotoneFactorization:
         raise ValueError(f"malformed factorization text: {text!r}") from exc
     if not vals:
         raise ValueError("empty factorization text")
+    for k, v in enumerate(vals, start=1):
+        if not 1 <= v <= k:
+            raise ValueError(f"factor t[{k}]={v} outside range 1..{k}")
     return MonotoneFactorization(tuple(v - 1 for v in vals))
 
 

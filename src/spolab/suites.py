@@ -68,7 +68,6 @@ from .oracles import (
     spo_backend,
     spo_init,
     swap_operator,
-    twirl,
     u_oracle,
     v_oracle,
 )
@@ -434,28 +433,28 @@ def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
     spo_ens = spo_ensemble(probe, spo_backend(n))
     plan = make_twirl_plan(n)
     worst = 0.0
-    for sigma in plan.sigmas:
+    for i, sigma in enumerate(plan.sigmas):
         sigmas = np.broadcast_to(sigma, plan.taus.shape)  # sigma against every tau
         final = run(probe, spo_backend(n, sigma=sigmas, tau=plan.taus))
-        worst = max(worst, float(tspo_distances(final, sigma, plan.taus, spo_ens).max()))
+        maps = plan.right_inv[i][plan.left_inv]  # d -> idx(tau_k^{-1} pi_d sigma)
+        worst = max(worst, float(tspo_distances(final, maps, spo_ens).max()))
     out.append(check(f"spo-vs-tspo-all-pairs[{probe.name}]", worst, 1e-9, tol=0.0,
                      pairs=plan.pair_count))
     out.extend(standard_form_checks(plan, seed))
     return out
 
 
-def tspo_distances(final: StateVector, sigma: np.ndarray, taus: np.ndarray,
+def tspo_distances(final: StateVector, maps: np.ndarray,
                    ref: CQEnsemble) -> np.ndarray:
     """(1/2)||rho_ref - rho_k||_1 for each run k (label k of P) of a state
-    twirled by (sigma, taus[k]), against the untwirled readout ``ref`` in
+    twirled by (sigma, tau_k), against the untwirled readout ``ref`` in
     label order.  spo_recover labels row d of run k tau_k^{-1} pi_d sigma,
-    i.e. row idx(tau_k^{-1} pi_d sigma) of ``ref``: one left_right_map call
-    ranks that map for every k, one trace_norms call reads all T runs."""
-    n = len(sigma)
+    row maps[k, d] of ``ref`` for a plan's maps right_inv[i][left_inv]:
+    one trace_norms call reads all T runs."""
+    n = ref.labels.shape[1]
     if not np.array_equal(ref.labels, perm_tables(n)[0]):
         raise ValueError("the reference readout must list every label in order")
-    runs = final.amps.reshape(len(taus), -1, database_dim(n))  # (T, rest, N!)
-    maps = left_right_map(n, tau=np.argsort(taus, axis=1), sigma=np.argsort(sigma))
+    runs = final.amps.reshape(len(maps), -1, database_dim(n))  # (T, rest, N!)
     return 0.5 * trace_norms(ref.amps[maps], runs.transpose(0, 2, 1)).sum(axis=1)
 
 
@@ -502,13 +501,11 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     plan = make_twirl_plan(n)  # every (sigma, tau) of S_n x S_n
     nf = database_dim(n)
 
+    # The label maps of every L^tau and every R^sigma, one table each.
+    lms, rms = left_right_map(n, tau=plan.taus), left_right_map(n, sigma=plan.sigmas)
     # Initial-state invariance is exact: uniform amplitudes permuted in place.
-    init = spo_init(n)
-    worst = 0.0
-    for side in ("left", "right"):
-        for p in plan.sigmas:
-            tw = twirl(init, side, p)
-            worst = max(worst, float(np.abs(tw.amps - init.amps).max()))
+    init = spo_init(n).amps
+    worst = max(float(np.abs(init[maps] - init).max()) for maps in (lms, rms))
     out.append(check(f"initial-twirl-invariance[n={n}]", worst, 0.0, tol=0.0))
 
     # L and R commute, and the twirled query operator equals the conjugated
@@ -516,8 +513,7 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     # time, with the row's joint maps ranked apart from the composition.
     bad_commute = 0
     bad_conjugate = 0
-    lms = left_right_map(n, tau=plan.taus)  # (T, n!)
-    for sigma, rm in zip(plan.sigmas, left_right_map(n, sigma=plan.sigmas)):
+    for sigma, rm in zip(plan.sigmas, rms):
         composed = lms[:, rm]
         bad_commute += int((composed != rm[lms]).any(axis=1).sum())
         both = left_right_map(n, tau=plan.taus, sigma=sigma)
@@ -703,16 +699,15 @@ def commutator_suite(n: int) -> list[VerificationReport]:
     joint = np.arange(n * nf)
     ys, ds = np.divmod(joint, nf)
     # The right-action maps Gamma is built from, row by row in _all_cycles order.
-    cycles = [(cyc, rmap) for ell in (2, 3) if ell <= n
-              for cyc, rmap in zip(_all_cycles(n, ell), _cycle_maps(n, ell, "right"))]
+    classes = [(_all_cycles(n, ell), _cycle_maps(n, ell, "right"))
+               for ell in (2, 3) if ell <= n]
     for x in range(n):
         qmap = query_slice_map(n, x, "forward")
-        for cyc, rmap in cycles:
-            if cyc.images[x] != x:
-                continue
-            r_joint = ys * nf + rmap[ds]
-            if not np.array_equal(qmap[r_joint], r_joint[qmap]):
-                bad += 1
+        for cycles, rmaps in classes:
+            for rmap in rmaps[cycles[:, x] == x]:
+                r_joint = ys * nf + rmap[ds]
+                if not np.array_equal(qmap[r_joint], r_joint[qmap]):
+                    bad += 1
     out.append(check(f"commutes-when-fixed[n={n}]", bad, 0, tol=0.0))
     return out
 
@@ -753,6 +748,8 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
 
     Success is scored against the attack's relation, whose N x N bitset is
     built only after the circuit has passed the amplitude budget."""
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     if backend == "spo":
         # The spo backend is exact: a sample size or seed would go unused.
         for option, value in (("trials", trials), ("seed", seed)):

@@ -117,6 +117,89 @@ def test_verify_usage_errors_come_before_any_output(monkeypatch, capsys, args,
     assert captured.out == "" and message in captured.err
 
 
+def test_verify_replaces_an_existing_out_file(tmp_path):
+    """An existing --out file is unlinked and a new one written, not
+    truncated in place: a second link to the old file keeps the old text."""
+    out, old = tmp_path / "report.json", tmp_path / "old.json"
+    out.write_text("stale report\n")
+    os.link(out, old)
+    assert run_cli(["verify", "--suite", "factorization", "--n", "3",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["suite"] == "factorization"
+    assert old.read_text() == "stale report\n"
+
+
+def test_verify_writes_through_a_symlinked_out(tmp_path):
+    """A symlink at --out is kept and its target receives the report."""
+    target, out = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("stale report\n")
+    out.symlink_to(target)
+    assert run_cli(["verify", "--suite", "factorization", "--n", "3",
+                    "--out", str(out)]) == 0
+    assert out.is_symlink()
+    assert json.loads(target.read_text())["suite"] == "factorization"
+
+
+def test_verify_out_to_a_device_is_written_in_place(monkeypatch, capsys):
+    """--out /dev/null writes to the device; nothing is unlinked."""
+    def no_unlink(self, *args, **kwargs):
+        raise AssertionError(f"{self} was unlinked")
+
+    monkeypatch.setattr(Path, "unlink", no_unlink)
+    assert run_cli(["verify", "--suite", "factorization", "--n", "3",
+                    "--out", os.devnull]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_out_that_cannot_be_unlinked_is_written_in_place(monkeypatch, tmp_path):
+    """A report file in a directory that refuses the unlink is rewritten."""
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    out = tmp_path / "report.json"
+    out.write_text("stale report\n")
+    monkeypatch.setattr(Path, "unlink", refuse)
+    assert run_cli(["verify", "--suite", "factorization", "--n", "3",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["suite"] == "factorization"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "factorization", "--n", "3"],
+    ["attack", "--kind", "sponge", "--n-bits", "2", "--c", "1", "--iterations", "1"],
+])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error_before_any_run(monkeypatch, tmp_path, capsys,
+                                                      command, where):
+    """An --out in a missing directory, or naming a directory, exits 2
+    before any suite or attack runs."""
+    import spolab.cli as cli_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite or attack ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "run_suite", no_run)
+    monkeypatch.setattr(cli_mod, "run_attack", no_run)
+    out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    with pytest.raises(SystemExit) as err:
+        run_cli([*command, "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--out {out} is not a file" in captured.err
+
+
+def test_other_os_errors_are_one_error_line(monkeypatch, capsys):
+    import spolab.cli as cli_mod
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_mod, "run_suite", disk_full)
+    assert run_cli(["verify", "--suite", "factorization", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
 def test_verify_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "--suite", "nonsense", "--n", "4"])
@@ -203,6 +286,18 @@ def test_zero_search_attack_with_a_target_is_usage_error(monkeypatch, capsys):
     assert "a zero-search attack has no --target" in capsys.readouterr().err
 
 
+def test_attack_refuses_negative_iterations_before_any_circuit(monkeypatch, capsys):
+    import spolab.suites as suites_mod
+
+    def no_circuit(*args, **kwargs):
+        raise AssertionError("a circuit was built before iterations was checked")
+
+    monkeypatch.setattr(suites_mod, "grover_preimage", no_circuit)
+    assert run_cli(["attack", "--kind", "sponge", "--n-bits", "4", "--c", "2",
+                    "--iterations", "-1", "--trials", "20", "--seed", "1"]) == 1
+    assert "error: iterations must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["1", "0", "-3"])
 def test_attack_rejects_fewer_than_two_trials(tmp_path, capsys, trials):
     out = tmp_path / "attack.json"
@@ -283,6 +378,16 @@ def test_factorize_rejects_non_bijection(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t: 1 1 4", "factor t[3]=4 outside range 1..3"),
+    ("1 1", "value 1 at position 2 repeats: '1 1'"),
+    ("1 3", "value 3 at position 2 is outside 1..2: '1 3'"),
+])
+def test_factorize_errors_name_the_one_based_position(capsys, text, message):
+    assert run_cli(["factorize", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_factorize_consumes_factorization_format(capsys):
     assert run_cli(["factorize", "t: 1 1 1"]) == 0
     out = capsys.readouterr().out
@@ -335,6 +440,36 @@ def test_run_circuit_concrete_without_perm_is_usage_error(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "concrete backend needs --perm" in captured.err
+
+
+def test_run_circuit_missing_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nothing.txt"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["run-circuit", str(missing)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"no circuit file {missing}" in captured.err
+
+
+def test_run_circuit_reads_a_pipe(capsys):
+    """A circuit source that is not a regular file (a /dev/fd pipe) is read."""
+    r, w = os.pipe()
+    try:
+        os.write(w, b"n 4\nload 1\nquery fwd\noutput xy\n")
+        os.close(w)
+        assert run_cli(["run-circuit", f"/dev/fd/{r}", "--backend", "concrete",
+                        "--perm", "2 3 4 1"]) == 0
+    finally:
+        os.close(r)
+    assert json.loads(capsys.readouterr().out)["queries"] == 1
+
+
+def test_run_circuit_perm_error_names_the_one_based_position(tmp_path, capsys):
+    path = tmp_path / "circ.txt"
+    path.write_text("n 2\nquery fwd\n")
+    assert run_cli(["run-circuit", str(path), "--backend", "concrete",
+                    "--perm", "1 1"]) == 1
+    assert "error: value 1 at position 2 repeats" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -1170,22 +1170,33 @@ def test_relation_batched_averages_match_one_relation_calls(n):
 
 def test_twirl_average_of_an_array_valued_term_is_elementwise():
     """A term whose columns are (J, 3) arrays, read one sigma-row at a time
-    on a 2 x 3 grid, averages to the mean of each component's own grid."""
+    on a 2 x 3 grid, averages to the mean of each component's own grid.
+    Each row's term receives the block gathered by its pairs: column j
+    reads label idx(tau_j^{-1} pi_d sigma_i) at label d, by Permutation
+    arithmetic."""
     import spolab.lemmas as lemmas_mod
     from spolab.lemmas import TwirlPlan
+    from spolab.permutations import Permutation, compose
 
     n = 4
     rng = np.random.default_rng(23)
     draws = [sample_uniform(n, rng).images for _ in range(5)]
     plan = TwirlPlan(n, draws[:2], draws[2:])
     values = rng.normal(size=(2, 3, 4, 3))
+    block = rng.normal(size=(2, math.factorial(n)))
     calls = []
 
-    def row(i):
+    def term(i, gathered):
         calls.append(i)
+        sigma = Permutation(tuple(draws[i]))
+        for j, tau in enumerate(draws[2:]):
+            tau_inv = invert(Permutation(tuple(tau)))
+            for d in range(math.factorial(n)):
+                label = index_of_perm(compose(tau_inv, compose(perm_of_index(n, d), sigma)))
+                assert np.array_equal(gathered[:, j, d], block[:, label]), (i, j, d)
         return values[i]
 
-    mean = lemmas_mod._twirl_average(plan, row)
+    mean = lemmas_mod._twirl_average(plan, block, term)
     assert calls == [0, 1]
     assert mean.shape == (4, 3)
     for j, k in itertools.product(range(4), range(3)):

@@ -288,6 +288,18 @@ def test_left_right_map_ranks_a_table_in_one_call(n):
         left_right_map(n, tau=taus, sigma=sigmas[:3])
 
 
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_rank_labels_finds_the_label_of_every_image_row(n):
+    """rank_labels gives back the label of every row of perm_tables, and
+    of every inverse row the label of pi_d^{-1}, by Permutation arithmetic."""
+    from spolab.oracles import rank_labels
+
+    pi, inv = perm_tables(n)
+    assert np.array_equal(rank_labels(pi.T), np.arange(math.factorial(n)))
+    want = [index_of_perm(invert(perm_of_index(n, d))) for d in range(len(inv))]
+    assert rank_labels(inv.T).tolist() == want
+
+
 def test_twirls_commute():
     n = 4
     sigma, tau = sample_uniform(n, RNG), sample_uniform(n, RNG)

@@ -601,7 +601,7 @@ def test_tspo_readout_matches_per_pair_recover_and_dense_reference(n):
             for i, sigma in enumerate(plan.sigmas):
                 sigmas = np.broadcast_to(sigma, taus.shape)
                 final = run(circ, spo_backend(n, sigma=sigmas, tau=taus))
-                got = tspo_distances(final, sigma, plan.taus, ref)
+                got = tspo_distances(final, plan.right_inv[i][plan.left_inv], ref)
                 assert got.shape == (len(plan.taus),)
                 for k, tau in enumerate(plan.taus):
                     ens = spo_recover(final, sigma, tau, row=k)
@@ -629,17 +629,44 @@ def test_spo_vs_tspo_pair_loop_makes_no_spo_recover_call(monkeypatch):
 
 
 def test_twirl_suite_ranks_its_label_maps_one_table_per_sigma_row(monkeypatch):
-    """The left-right checks rank the tau maps and the sigma maps as one
-    table each, and the joint maps of each sigma-row in one call: 2 + 24
-    left_right_map calls for the 576 pairs, plus the 48 of the
-    initial-twirl check, which twirls one permutation at a time."""
+    """The left-right and initial-twirl checks rank the tau maps and the
+    sigma maps as one table each, and the joint maps of each sigma-row in
+    one call: 2 + 24 left_right_map calls for the 576 pairs."""
     import spolab.oracles as oracles_mod
     from spolab.suites import twirl_suite
 
     make_twirl_plan(4)  # the shared plan's maps are built once per process
     calls = count_calls(monkeypatch, oracles_mod, "left_right_map")
     assert all(r.passed for r in twirl_suite(4))
-    assert len(calls) == 48 + 2 + 24
+    assert len(calls) == 2 + 24
+
+
+def test_label_map_families_take_one_left_right_map_call_per_table(monkeypatch):
+    """Every label-map family is ranked as whole image tables: the
+    hit-fiber swaps in one call per register (8 at N = 8), each cycle class
+    (15 transpositions, 40 3-cycles at N = 6) in one call per side, and the
+    brute-force Gamma in one per side, not one call per permutation.  The spo-vs-tspo loop reads the plan's composed
+    maps and ranks nothing."""
+    import itertools
+
+    import spolab.lemmas as lemmas_mod
+    import spolab.oracles as oracles_mod
+    from spolab.suites import spo_equivalence_suite
+
+    make_twirl_plan(4)  # the shared plan's maps are built once per process
+    calls = count_calls(monkeypatch, oracles_mod, "left_right_map")
+    lemmas_mod._hit_fibers.__wrapped__(8)
+    assert len(calls) == 8
+    for (ell, classes), side in itertools.product(((2, 15), (3, 40)), ("left", "right")):
+        calls.clear()
+        maps = lemmas_mod._cycle_maps.__wrapped__(6, ell, side)
+        assert len(calls) == 1 and maps.shape == (classes, 720), (ell, side)
+    calls.clear()
+    lemmas_mod.gamma_brute_force(5)
+    assert len(calls) == 2
+    calls.clear()
+    assert all(r.passed for r in spo_equivalence_suite(4, max_q=2))
+    assert calls == []
 
 
 def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
