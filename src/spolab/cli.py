@@ -138,7 +138,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     result = run_attack(args.kind, args.n_bits, args.c, args.iterations,
                         backend=args.backend, trials=args.trials,
                         seed=args.seed, target=args.target or 0)
-    text = json.dumps(result, indent=2) + "\n"
+    text = to_json(result)
     _write_report(args.out, text)
     print(text, end="")
     return 0

@@ -230,14 +230,6 @@ def _norm2(block: np.ndarray) -> np.ndarray:
     return np.einsum("r...d,r...d->...", f, f)
 
 
-def _progress_norm2(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.ndarray:
-    """||E^{R,x} v||^2 for a (rest, n!) block v and the section mask of R,
-    or per column of a (rest, C, n!) block and its (C, n!) masks."""
-    if not mask.any():
-        return np.zeros(mask.shape[:-1])
-    return _norm2(_apply_progress(amps, n, x, mask))
-
-
 @lru_cache(maxsize=None)
 def _hit_fibers(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """(hits, fiber_a, swaps): tables of the labels hit at each register s
@@ -498,7 +490,7 @@ def _a_tables(n: int, left_inv: np.ndarray, ys: np.ndarray) -> np.ndarray:
     row_of_s = nf * np.arange(1, n)[:, None, None]
     labels = np.arange(nf, dtype=np.int32)
     forward = np.empty(nf, dtype=np.int32)
-    out = np.empty(shape, dtype=np.uint16 if nf <= 1 << 16 else np.uint32)
+    out = np.empty(shape, dtype=np.uint16)  # < n! <= 8! < 2^16: perm_tables caps n
     j = np.arange(m, dtype=out.dtype)
     for table, lj in zip(out, left_inv):
         forward[lj] = labels  # e -> idx(tau pi_e)
@@ -588,8 +580,8 @@ def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
                     sigma: np.ndarray, tau: np.ndarray, minv: np.ndarray) -> float:
     """p_(ii') of one pair (image rows) as sum ||E^{R,s} w||^2 over the twirled block."""
     pi_table, _ = perm_tables(n)
-    return sum(float(_progress_norm2(v[:, minv], n, sigma[x],
-                                     pi_table[:, sigma[x]] == tau[y]))
+    return sum(float(_norm2(_apply_progress(v[:, minv], n, sigma[x],
+                                            pi_table[:, sigma[x]] == tau[y])))
                for x, y, v in slices)
 
 
@@ -602,16 +594,16 @@ def fundamental_check(final: StateVector, rel: Relation, plan: TwirlPlan | None 
     res = experiment_probabilities(final, rel, plan)
     lhs = math.sqrt(res.p_i)
     rhs = math.sqrt(res.p_ii) + math.sqrt((math.log(n) + 1.0) / n)
-    extra = {"subsets": res.subsets}
-    if plan is not None:
-        # p_i is exact, so the error sits on the rhs: the 1-sigma increment
-        # under the p_ii standard error, well defined even at p_ii = 0
-        # where the delta method degenerates.
-        se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
-        extra = {"method": "monte_carlo", "stderr": se_rhs,
-                 "samples": plan.pair_count, "grid": list(plan.grid_shape)}
-    return check(name or "fundamental", lhs, rhs,
-                 p_i=res.p_i, p_ii=res.p_ii, **extra)
+    if plan is None:
+        return check(name or "fundamental", lhs, rhs, p_i=res.p_i, p_ii=res.p_ii,
+                     subsets=res.subsets)
+    # p_i is exact, so the error sits on the rhs: the 1-sigma increment
+    # under the p_ii standard error, well defined even at p_ii = 0 where
+    # the delta method degenerates.
+    se_rhs = math.sqrt(res.p_ii + res.stderr_ii) - math.sqrt(res.p_ii)
+    return check(name or "fundamental", lhs, rhs, method="monte_carlo", stderr=se_rhs,
+                 samples=plan.pair_count, p_i=res.p_i, p_ii=res.p_ii,
+                 grid=list(plan.grid_shape))
 
 
 def p2_upper_bound(final: StateVector, rels: list[Relation]) -> list[float]:
@@ -673,25 +665,6 @@ def progress_measure(final: StateVector, rel: Relation) -> float:
 # Zeta terms and per-query inequalities
 
 
-@lru_cache(maxsize=None)
-def _class_tables(n: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class data for register x: pi_{x^c} images, pi_{>x} images and its
-    inverse; classes enumerate the database with the D_{x+1} digit removed
-    (class id = hi * lo + lo_index, matching the fiber-sum ordering)."""
-    hi, radix, lo = db_register_geometry(n, x)
-    block = radix * lo
-    pi_table, _ = perm_tables(n)
-    hi_idx = np.arange(hi)[:, None]
-    lo_idx = np.arange(lo)[None, :]
-    # t_x set to its trivial value x: the label then encodes pi_{>x} pi_{<x}.
-    d_rep = (hi_idx * block + x * lo + lo_idx).reshape(-1)
-    pixc = pi_table[d_rep]
-    # All digits at and below x trivial (t_j = j): sum_{j<=x} j * j! = block - 1.
-    d_above = (hi_idx * block + (block - 1)).reshape(-1)
-    pigt = np.repeat(pi_table[d_above], lo, axis=0)
-    return pixc, pigt, np.argsort(pigt, axis=1)
-
-
 def _fiber_sums(g: np.ndarray, n: int, x: int) -> np.ndarray:
     """Sum per-label values (last axis) over the D_{x+1} fiber of each class."""
     hi, radix, lo = db_register_geometry(n, x)
@@ -725,15 +698,25 @@ def _fiber_terms(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, n: int,
 
 @lru_cache(maxsize=None)
 def _fiber_tables(n: int, x: int) -> tuple[np.ndarray, ...]:
-    """The 0/1 tables of _fiber_terms at register x, over the classes c of
-    _class_tables, read-only:
+    """The 0/1 tables of _fiber_terms at register x, read-only, over the classes
+    c of labels with the D_{x+1} digit removed (id hi * lo + lo_index, as in
+    _fiber_sums):
 
       lo_to_y[(z, c), y]  z < x and pi_{x^c}(z) = y        (x * classes, n)
       below[c, z]         pi_{>x}^{-1}(z) < x               (classes, n)
       last[c, z]          pi_{>x}^{-1}(z) = x and z > x     (classes, n)
       above_to_y[c, y]    y = pi_{>x}(t) for some t <= x    (classes, n)
     """
-    pixc, pigt, pigt_inv = _class_tables(n, x)
+    hi, radix, lo = db_register_geometry(n, x)
+    block = radix * lo
+    pi_table, _ = perm_tables(n)
+    hi_idx = np.arange(hi)[:, None]
+    lo_idx = np.arange(lo)[None, :]
+    # t_x set to its trivial value x: the label then encodes pi_{>x} pi_{<x}.
+    pixc = pi_table[(hi_idx * block + x * lo + lo_idx).reshape(-1)]
+    # All digits at and below x trivial (t_j = j): sum_{j<=x} j * j! = block - 1.
+    pigt = np.repeat(pi_table[(hi_idx * block + (block - 1)).reshape(-1)], lo, axis=0)
+    pigt_inv = np.argsort(pigt, axis=1)
     classes = np.arange(len(pixc))[:, None]
     lo_to_y = np.zeros((x, len(pixc), n))
     lo_to_y[np.arange(x)[:, None], classes.T, pixc[:, :x].T] = 1.0
@@ -1137,12 +1120,13 @@ def _certify_commutator_symmetries(n: int) -> None:
     # (name, label map, [(z, map it carries, the map it must give)])
     relabelings = [("J", inverse, [(z, forward[z], query_slice_map(n, z, "inverse"))
                                    for z in range(n)])]
-    zs = np.arange(1, n)
-    swaps = np.tile(np.arange(n), (n - 1, 1))  # row z - 1: the images of <0 z>
-    swaps[zs - 1, 0], swaps[zs - 1, zs] = zs, 0
-    r_maps = left_right_map(n, sigma=swaps)  # row z - 1: d -> idx(pi_d <0 z>)
-    relabelings += [(f"R<0 {z}>", r_maps[z - 1], [(z, forward[0], forward[z])])
-                    for z in range(1, n)]
+    if n > 1:  # N = 1 has no <0 z>
+        zs = np.arange(1, n)
+        swaps = np.tile(np.arange(n), (n - 1, 1))  # row z - 1: the images of <0 z>
+        swaps[zs - 1, 0], swaps[zs - 1, zs] = zs, 0
+        r_maps = left_right_map(n, sigma=swaps)  # row z - 1: d -> idx(pi_d <0 z>)
+        relabelings += [(f"R<0 {z}>", r_maps[z - 1], [(z, forward[0], forward[z])])
+                        for z in range(1, n)]
     for name, m, carried in relabelings:
         if not (np.array_equal(m[m], np.arange(nf))
                 and np.array_equal(g[np.ix_(m, m)], g)):

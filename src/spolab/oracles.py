@@ -66,13 +66,8 @@ def _require_xor(n: int) -> None:
         raise ValueError(f"XOR oracle semantics requires N = 2^n, got N={n}")
 
 
-@lru_cache(maxsize=None)
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def database_dim(n: int) -> int:
-    return factorial(n)
+    return math.factorial(n)
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +92,7 @@ def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
     ranks = np.zeros(rows.shape[1:], dtype=np.int32)  # below 8! = 40320
     for i in range(len(rows) - 1):
         count = (rows[i + 1:] < rows[i]).sum(axis=0, dtype=np.int8)
-        ranks += count * np.int32(factorial(len(rows) - 1 - i))
+        ranks += count * np.int32(math.factorial(len(rows) - 1 - i))
     return ranks
 
 
@@ -108,8 +103,8 @@ def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     Lehmer rank, labels[rank(pi_d)] = d."""
     pi, _ = perm_tables(n)
     rows = np.ascontiguousarray(pi.T, dtype=np.int8)
-    labels = np.empty(factorial(n), dtype=np.intp)
-    labels[_lehmer_ranks(rows)] = np.arange(factorial(n))
+    labels = np.empty(math.factorial(n), dtype=np.intp)
+    labels[_lehmer_ranks(rows)] = np.arange(math.factorial(n))
     rows.setflags(write=False)
     labels.setflags(write=False)
     return rows, labels
@@ -269,7 +264,7 @@ def query_slice_map(n: int, x: int, direction: str,
                     tau: Permutation | None = None) -> np.ndarray:
     """The (y, d) basis map of O^{SPO,x} on Y (x) D for one (sigma, tau)."""
     joint = joint_maps(shift_table(n, direction, sigma, tau), x, x + 1)[0]
-    return joint - x * n * factorial(n)
+    return joint - x * n * math.factorial(n)
 
 
 def spo_query(state: StateVector, shift: np.ndarray,
@@ -321,37 +316,24 @@ def spo_query(state: StateVector, shift: np.ndarray,
     return StateVector(lay, res)
 
 
-def twirl(state: StateVector, side: str, perm: Permutation | np.ndarray) -> StateVector:
-    """L^tau (side='left': |pi> -> |tau pi>) or R^sigma (|pi> -> |pi sigma^{-1}>)."""
-    n = image_table(perm).shape[1]
-    if side == "left":
-        mapping = left_right_map(n, tau=perm)
-    elif side == "right":
-        mapping = left_right_map(n, sigma=perm)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    nf = database_dim(n)
-    arr = state.amps.reshape(-1, nf)
-    out = np.empty_like(arr)
-    out[:, mapping] = arr
-    return StateVector(state.layout, out.reshape(-1))
-
-
 def spo_recover(state: StateVector, sigma: Permutation | np.ndarray | None = None,
                 tau: Permutation | np.ndarray | None = None,
                 row: int = 0) -> CQEnsemble:
     """Full computational-basis readout of D in the run on label ``row`` of
     P (a state without P is one run) as a label table.  Row d is labelled
     by the one-line images of pi_d, which the TSPO variant relabels as
-    tau^{-1} pi_d sigma.  Residual states keep all registers but P and D,
+    tau^{-1} pi_d sigma, read from row ``row`` of K-row tables (one row
+    serves every run).  Residual states keep all registers but P and D,
     and are subnormalized by the outcome amplitude."""
     lay = state.layout
     n = _db_size_from_layout(lay)
     labels, _ = perm_tables(n)
     if sigma is not None:
-        labels = labels[:, image_table(sigma)[0]]
+        sigmas = image_table(sigma)
+        labels = labels[:, sigmas[row if len(sigmas) > 1 else 0]]
     if tau is not None:
-        labels = np.argsort(image_table(tau)[0])[labels]
+        taus = image_table(tau)
+        labels = np.argsort(taus[row if len(taus) > 1 else 0])[labels]
     runs = state.amps.reshape(lay.dim("P") if lay.has("P") else 1, -1, database_dim(n))
     amps = np.ascontiguousarray(runs[row].T)
     return CQEnsemble(labels, lay.drop(("P", *database_names(n))), amps)
@@ -373,7 +355,7 @@ def db_register_geometry(n: int, x: int) -> tuple[int, int, int]:
     if not 0 <= x < n:
         raise ValueError(f"element {x} outside 0..{n - 1}")
     radix = x + 1
-    lo = factorial(x)
+    lo = math.factorial(x)
     hi = database_dim(n) // (radix * lo)
     return hi, radix, lo
 

@@ -29,7 +29,6 @@ class VerificationReport:
     passed: bool
     method: str = "exact"  # "exact" | "monte_carlo"
     stderr: float | None = None
-    samples: int | None = None
     runtime_ms: float = 0.0
     extra: dict[str, Any] = field(default_factory=dict)
     # perf_counter() at creation; read by timed_rows, never emitted.
@@ -52,8 +51,6 @@ class VerificationReport:
         }
         if self.stderr is not None:
             row["stderr"] = self.stderr
-        if self.samples is not None:
-            row["samples"] = self.samples
         if self.extra:
             row.update(self.extra)
         return row
@@ -61,7 +58,7 @@ class VerificationReport:
 
 def check(name: str, lhs: float, rhs: float, *, method: str = "exact",
           tol: float = EXACT_TOL, stderr: float | None = None,
-          samples: int | None = None, **extra: Any) -> VerificationReport:
+          **extra: Any) -> VerificationReport:
     """Build a report with the standard pass rule."""
     slack = rhs - lhs
     if method == "exact":
@@ -73,8 +70,7 @@ def check(name: str, lhs: float, rhs: float, *, method: str = "exact",
     else:
         raise ValueError(f"unknown method {method!r}")
     return VerificationReport(name, float(lhs), float(rhs), bool(passed),
-                              method=method, stderr=stderr, samples=samples,
-                              extra=dict(extra))
+                              method=method, stderr=stderr, extra=dict(extra))
 
 
 def check_close(name: str, lhs: float, rhs: float, *, tol: float = EXACT_TOL,

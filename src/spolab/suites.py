@@ -350,8 +350,7 @@ def sampler_chi_square(n: int, draws: int, seed: int) -> VerificationReport:
     batch = sample_uniform_batch(n, draws, rng)
     codes = sum(column * np.int64(n ** i) for i, column in enumerate(batch.T))  # base n
     counts = np.bincount(codes, minlength=n ** n)
-    valid_codes = sorted(int(sum(v * n ** i for i, v in enumerate(p.images)))
-                         for p in all_permutations(n))
+    valid_codes = np.sort(all_images(n) @ n ** np.arange(n))
     observed = counts[valid_codes]
     if int(observed.sum()) != draws:
         raise AssertionError("sampler produced a non-permutation")

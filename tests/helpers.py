@@ -1,9 +1,10 @@
-"""Builders that only the tests use: basis states, database labels, a loading
-query, a circuit's text form, the untwirled final state, counters of calls,
-of twirl rows and of circuit runs, a per-pair twirl-average reference, a dense
-trace-distance reference, the scalar permutation sampler, dense Grover
-steps, a transposing reference for ``apply``, a per-x reference for
-``spo_query`` and high-precision bound evaluators."""
+"""Builders that only the tests use: basis states, database labels, the
+state-level twirl by a scatter, a loading query, a circuit's text form, the
+untwirled final state, counters of calls, of twirl rows and of circuit runs,
+a per-pair twirl-average reference, a dense trace-distance reference, the
+scalar permutation sampler, dense Grover steps, a transposing reference for
+``apply``, a per-x reference for ``spo_query`` and high-precision bound
+evaluators."""
 import dataclasses
 import math
 import statistics
@@ -14,7 +15,15 @@ import numpy as np
 
 from spolab.circuits import LocalUnitary, Query, QueryCircuit, run
 from spolab.lemmas import TwirlPlan
-from spolab.oracles import perm_tables, project_plus_db, spo_backend, swap_operator
+from spolab.oracles import (
+    database_dim,
+    image_table,
+    left_right_map,
+    perm_tables,
+    project_plus_db,
+    spo_backend,
+    swap_operator,
+)
 from spolab.permutations import (
     MonotoneFactorization,
     Permutation,
@@ -58,6 +67,22 @@ def perm_of_index(n: int, d: int) -> Permutation:
 def index_of_perm(p: Permutation) -> int:
     """The database label of p: sum_k t_k k! over its factor digits."""
     return sum(tk * math.factorial(k) for k, tk in enumerate(monotone_factorize(p).t))
+
+
+def twirl(state: StateVector, side: str, perm: Permutation | np.ndarray) -> StateVector:
+    """L^tau (side='left': |pi> -> |tau pi>) or R^sigma (|pi> -> |pi sigma^{-1}>),
+    as a scatter of the database amplitudes: the referee of the lab's gathers."""
+    n = image_table(perm).shape[1]
+    if side == "left":
+        mapping = left_right_map(n, tau=perm)
+    elif side == "right":
+        mapping = left_right_map(n, sigma=perm)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    arr = state.amps.reshape(-1, database_dim(n))
+    out = np.empty_like(arr)
+    out[:, mapping] = arr
+    return StateVector(state.layout, out.reshape(-1))
 
 
 def with_loading_query(circ: QueryCircuit) -> QueryCircuit:

@@ -48,7 +48,6 @@ from spolab.oracles import (
     query_slice_map,
     spo_backend,
     spo_init,
-    twirl,
 )
 from spolab.permutations import (
     MonotoneFactorization,
@@ -73,7 +72,8 @@ from spolab.suites import (
     suite_relations,
 )
 
-from helpers import main_bound_highprec, sponge_bound_highprec, zero_search_bound_highprec
+from helpers import (main_bound_highprec, sponge_bound_highprec, twirl,
+                     zero_search_bound_highprec)
 
 SEED = 20240917
 

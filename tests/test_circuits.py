@@ -49,7 +49,7 @@ from spolab.relations import (
 from spolab.states import CQEnsemble, LayoutError, from_matrix, trace_distance
 
 from helpers import (count_runs, dense_grover, format_circuit, grover_matrices,
-                     with_loading_query)
+                     twirl, with_loading_query)
 
 RNG = np.random.default_rng(31)
 
@@ -594,7 +594,6 @@ def test_pair_table_rows_equal_the_relabelled_untwirled_run():
     the untwirled run relabelled by L^{tau_k} R^sigma, for every suite
     circuit and every sigma at N = 4; a one-row run keeps today's flat
     amplitudes, with P of dimension 1 leading."""
-    from spolab.oracles import twirl
     from spolab.suites import suite_circuits
 
     n = 4

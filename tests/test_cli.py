@@ -236,6 +236,16 @@ def test_verify_exhaustive_suites_refuse_n_1_before_any_run(monkeypatch, capsys,
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["factorization", "active-sets", "fundamental",
+                                   "help-norm", "gamma", "commutator", "all"])
+def test_verify_suites_that_accept_n_1_pass_there(capsys, suite):
+    """Every other suite runs at n = 1 and passes: the commutator's
+    relabeling certificate builds no <0 z> map when there is no z >= 1."""
+    assert run_cli(["verify", "--suite", suite, "--n", "1"]) == 0
+    out = capsys.readouterr()
+    assert "error:" not in out.err and "cases passed" in out.out
+
+
 def test_verify_gamma_over_budget_exits_1_before_any_matrix(monkeypatch, capsys):
     """At N = 8 one 8! x 8! matrix alone exceeds the amplitude budget; the
     refusal comes before any Gamma or W matrix is built."""

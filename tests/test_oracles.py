@@ -20,7 +20,6 @@ from spolab.oracles import (
     spo_query,
     spo_recover,
     swap_operator,
-    twirl,
     u_oracle,
     v_oracle,
 )
@@ -41,7 +40,7 @@ from spolab.states import (
     from_permutation,
 )
 
-from helpers import basis_state, index_of_perm, per_x_spo_query, perm_of_index
+from helpers import basis_state, index_of_perm, per_x_spo_query, perm_of_index, twirl
 
 RNG = np.random.default_rng(11)
 
@@ -360,6 +359,29 @@ def test_spo_recover_tspo_relabels():
         relabeled = compose(compose(tau_inv, Permutation(tuple(images))), sigma)
         assert tuple(got) == relabeled.images
     assert np.array_equal(twisted.amps, plain.amps)
+
+
+def test_spo_recover_reads_the_twirl_of_its_own_run_from_k_row_tables():
+    """Run k of a two-row twirled backend, read with the backend's tables
+    and row=k, equals the one-row run against (sigma_k, tau_k) read with
+    that pair, labels and amplitudes; a one-row table serves every run."""
+    from spolab.circuits import random_circuit, run
+
+    n = 4
+    rng = np.random.default_rng(5)
+    sigmas, taus = sample_uniform_batch(n, 2, rng), sample_uniform_batch(n, 2, rng)
+    circ = random_circuit(7, 2, 2, n)
+    final = run(circ, spo_backend(n, sigma=sigmas, tau=taus))
+    for k in range(2):
+        got = spo_recover(final, sigma=sigmas, tau=taus, row=k)
+        alone = run(circ, spo_backend(n, sigma=sigmas[k], tau=taus[k]))
+        want = spo_recover(alone, sigma=sigmas[k], tau=taus[k])
+        assert np.array_equal(got.labels, want.labels), k
+        assert np.allclose(got.amps, want.amps, atol=1e-12), k
+        one_row = spo_recover(final, sigma=sigmas[k:k + 1], tau=taus[k:k + 1], row=k)
+        assert np.array_equal(one_row.labels, want.labels), k
+    assert not np.array_equal(spo_recover(final, sigmas, taus, row=1).labels,
+                              spo_recover(final, sigmas, taus, row=0).labels)
 
 
 def test_project_plus_db():
