@@ -36,7 +36,8 @@ from .permutations import (
     parse_one_line,
 )
 from .reporting import suite_document, to_csv, to_json
-from .suites import DEFAULT_SAMPLES, DEFAULT_SEED, SUITES, run_attack, run_suite
+from .suites import (DEFAULT_SAMPLES, DEFAULT_SEED, SUITES, check_suite_size,
+                     run_attack, run_suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +105,8 @@ def _sampled(args: argparse.Namespace) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     sizes = [args.n] if args.n_max is None else list(range(args.n, args.n_max + 1))
+    for n in sizes:  # the whole range, before its first size runs
+        check_suite_size(args.suite, n)
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     all_reports = []
     for n in sizes:

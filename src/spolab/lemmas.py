@@ -205,9 +205,8 @@ def _twirl_average(plan: TwirlPlan, block: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _plus_projector_dense(n: int, x: int) -> np.ndarray:
-    nf = database_dim(n)
-    eye = np.eye(nf, dtype=np.complex128)
-    return project_plus_db(eye, n, x)  # symmetric, so row-wise action is fine
+    # real, and symmetric, so row-wise action is fine
+    return project_plus_db(np.eye(database_dim(n)), n, x)
 
 
 def _section_mask(rel: Relation, x: int) -> np.ndarray:
@@ -344,10 +343,7 @@ def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, 
     the bound sqrt(|Y| / (x+1))."""
     if n > 6:
         raise ValueError("dense help-lemma norms capped at n=6")
-    pi, _ = perm_tables(n)
-    y_arr = np.zeros(n, dtype=bool)
-    y_arr[list(y_set)] = True
-    mask = y_arr[pi[:, x]].astype(float)
+    mask = np.isin(perm_tables(n)[0][:, x], list(y_set))
     mat = mask[:, None] * _plus_projector_dense(n, x)
     norm = float(np.linalg.norm(mat, 2)) if mask.any() else 0.0
     return norm, math.sqrt(len(y_set) / (x + 1))
@@ -774,16 +770,14 @@ def easy_norm_check(n: int, x: int, rel: Relation, direction: str,
                     name: str = "") -> VerificationReport:
     """|| E^{R,x} Q^{SPO} (I - Pi^{R,x}) || <= sqrt(|R_x| / (x+1)), computed
     slice-wise over the X control (dense YD-slice norms)."""
-    nf = database_dim(n)
-    mask = _section_mask(rel, x).astype(float)
-    e_dense = mask[:, None] * (np.eye(nf) - _plus_projector_dense(n, x))
-    anti = np.eye(nf) - np.diag(mask)
+    mask = _section_mask(rel, x)
+    e_dense = mask[:, None] * (np.eye(database_dim(n)) - _plus_projector_dense(n, x))
     e_yd = np.kron(np.eye(n), e_dense)
-    anti_yd = np.kron(np.eye(n), anti)
+    keep = np.tile(~mask, n)  # the columns of I - Pi^{R,x} on Y (x) D
     worst = 0.0
     for z in range(n):
         q_map = query_slice_map(n, z, direction)  # Q^{SPO,z} on Y (x) D
-        m = e_yd[:, q_map] @ anti_yd  # M Q for a basis permutation Q|b> = |q(b)>
+        m = e_yd[:, q_map[keep]]  # M Q (I - Pi), its zero columns dropped
         worst = max(worst, float(np.linalg.norm(m, 2)))
     bound = math.sqrt(len(rel.section(x)) / (x + 1))
     return check(name or f"easy-i[x={x},{direction}]", worst, bound)
@@ -1039,7 +1033,7 @@ def gamma_brute_force(n: int) -> np.ndarray:
         raise ValueError("brute-force Gamma capped at n=6")
     perms = all_images(n)
     eye = np.eye(database_dim(n))
-    m = sum((eye - _plus_projector_dense(n, x).real) / (x + 1) for x in range(n)) / n
+    m = sum((eye - _plus_projector_dense(n, x)) / (x + 1) for x in range(n)) / n
     # nested averages: E_tau L^+ M L, then E_sigma R^+ (.) R
     m_tau = sum(m[np.ix_(lm, lm)] for lm in left_right_map(n, tau=perms)) / len(perms)
     return sum(m_tau[np.ix_(rm, rm)] for rm in left_right_map(n, sigma=perms)) / len(perms)

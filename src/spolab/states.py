@@ -34,7 +34,7 @@ class LayoutError(ValueError):
 
 
 class NormConvergenceError(RuntimeError):
-    """Power iteration for an operator norm failed to converge."""
+    """operator_norm's Lanczos iteration failed to converge."""
 
     def __init__(self, message: str, lower: float, estimate: float):
         super().__init__(f"{message} (certified lower bound {lower:.3e}, "

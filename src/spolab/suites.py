@@ -5,8 +5,8 @@ them into a JSON/CSV document.  Suites are deterministic given (n, seed):
 Monte Carlo paths always thread an explicit seed, and reductions run in a
 fixed order so regenerated reports are byte-identical apart from runtimes.
 
-``all`` clamps each sub-suite to its own size cap so that one command gives
-a full health check at any supported n.
+``all`` runs each sub-suite at a size in SUITE_SIZES, chosen by cost, so
+that one command gives a full health check at any n.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .circuits import (
     dressed_standard_form,
     empty_circuit,
     grover_preimage,
+    grover_reference,
     random_circuit,
     run,
     run_with_intermediates,
@@ -59,7 +60,6 @@ from .oracles import (
     cnot_operator,
     concrete_backend,
     database_dim,
-    is_power_of_two,
     joint_maps,
     left_right_map,
     perm_tables,
@@ -150,8 +150,6 @@ def suite_relations(n: int) -> list[tuple[str, Relation]]:
 
 
 def factorization_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    if n > EXACT_ENUM_LIMIT:
-        raise ValueError(f"factorization suite capped at n={EXACT_ENUM_LIMIT}")
     out = []
     seen = set()
     bad_roundtrip = 0
@@ -203,8 +201,6 @@ def factorization_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRe
 
 
 def active_sets_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    if n > EXACT_ENUM_LIMIT:
-        raise ValueError(f"active-set suite capped at n={EXACT_ENUM_LIMIT}")
     out = []
     m = min(n, 6)
     bad_fwd = bad_inv = 0
@@ -415,8 +411,6 @@ def small_x_untouched_checks(n: int) -> list[VerificationReport]:
 
 def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
                           max_q: int = 3) -> list[VerificationReport]:
-    if n not in (2, 4):
-        raise ValueError(f"spo-equivalence suite needs n in {{2, 4}}, got n={n}")
     out = uv_identity_checks(n, seed)
     out.extend(small_x_untouched_checks(n))
     circuits = suite_circuits(n, seed, max_q=max_q)
@@ -494,8 +488,6 @@ def standard_form_checks(plan: TwirlPlan,
 
 
 def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    if n not in (2, 4):
-        raise ValueError(f"twirl suite needs n in {{2, 4}}, got n={n}")
     out = []
     plan = make_twirl_plan(n)  # every (sigma, tau) of S_n x S_n
     nf = database_dim(n)
@@ -572,8 +564,8 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
 
 
 def help_norm_suite(n: int) -> list[VerificationReport]:
-    if not 1 <= n <= 5:
-        raise ValueError(f"help-norm suite over all subsets runs at n in 1..5, got n={n}")
+    if n < 1:  # no x to check: the bound row would pass vacuously
+        check_suite_size("help-norm", n)  # raises: 1 is the entry's least n
     worst = -1.0
     for x in range(n):
         for r in range(n + 1):
@@ -582,16 +574,13 @@ def help_norm_suite(n: int) -> list[VerificationReport]:
                 worst = max(worst, norm - bound)
     out = [check(f"help-norm-bound[n={n},all-subsets]", worst, 0.0)]
     if n >= 2:
-        norm, bound = help_norm(2, 1, {0})
-        out.append(check_close("help-norm-equality[n=2,x=2,|Y|=1]", norm, bound,
-                               tol=1e-12))
+        out.append(check_close("help-norm-equality[n=2,x=2,|Y|=1]",
+                               *help_norm(2, 1, {0}), tol=1e-12))
     return out
 
 
 def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
                       min_pairs: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
-    if not is_power_of_two(n):
-        raise ValueError("fundamental suite needs a power-of-two n")
     out = []
     if n <= 4:
         plan = None  # exact: p_ii from the subset kernel
@@ -631,8 +620,6 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
 
 
 def progress_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    if n not in (2, 4):
-        raise ValueError(f"progress suite runs exhaustively at n in {{2, 4}}, got n={n}")
     out = []
     circuits = suite_circuits(n, seed, max_q=2)
     rels = suite_relations(n)
@@ -712,12 +699,8 @@ def commutator_suite(n: int) -> list[VerificationReport]:
 
 
 def sparsity_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    if n not in (2, 4):
-        raise ValueError(f"sparsity suite runs at n in {{2, 4}}, got n={n}")
-    out = []
-    for circ in suite_circuits(n, seed, max_q=3):
-        out.extend(sparsity_trajectory_check(circ))
-    return out
+    return [rep for circ in suite_circuits(n, seed, max_q=3)
+            for rep in sparsity_trajectory_check(circ)]
 
 
 # --------------------------------------------------------------------------
@@ -725,14 +708,11 @@ def sparsity_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
 
 
 def theorem_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    if n not in (2, 4):
-        raise ValueError(f"theorem suite runs exhaustively at n in {{2, 4}}, got n={n}")
     out = []
     for circ in (empty_circuit(n), classical_probe(n, 0, "forward"),
                  random_circuit(seed + 5, 2, 2, n)):
         for rname, rel in suite_relations(n):
-            rep = theorem_check(circ, rel, name=f"theorem[{circ.name},{rname}]")
-            out.append(rep)
+            out.append(theorem_check(circ, rel, name=f"theorem[{circ.name},{rname}]"))
     # Optimal 0-query guess: lhs = r/N exactly for an r-regular relation.
     rel = from_pairs(n, [(x, x) for x in range(n)])
     rep = theorem_check(empty_circuit(n), rel, name="theorem[0-query-diag]")
@@ -776,13 +756,12 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
         raise ValueError(f"unknown attack kind {kind!r}")
     # The closed-form reference uses the expected marked fraction; for the
     # acceptance's n = 2c sponge cases this is sin^2((2k+1) asin(2^{-c/2})).
-    frac = 2.0 ** (c - n_bits) if kind == "sponge" else 2.0 ** (-c)
-    theta = math.asin(math.sqrt(frac))
+    marked, space = (2 ** c, 2 ** n_bits) if kind == "sponge" else (1, 2 ** c)
     result = {
         "kind": kind, "n_bits": n_bits, "c": c, "iterations": iterations,
         "q": circ.query_count, "backend": backend, "seed": seed,
         "bound_raw": bound_raw, "bound_clamped": bounds.clamped(bound_raw),
-        "reference_simple": math.sin((2 * iterations + 1) * theta) ** 2,
+        "reference_simple": grover_reference(marked, space, iterations),
         "reference_exact": averaged_grover_reference(n_bits, c, iterations,
                                                      kind=kind),
     }
@@ -821,10 +800,32 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
 # --------------------------------------------------------------------------
 # registry
 
+# The sizes run_suite lets each suite run at.  gamma mirrors the amplitude
+# budget, commutator commutator_growth_check's cap; both owners refuse too.
+SUITE_SIZES: dict[str, range | tuple[int, ...]] = {
+    "factorization": range(1, EXACT_ENUM_LIMIT + 1),
+    "active-sets": range(1, EXACT_ENUM_LIMIT + 1),
+    "spo-equivalence": (2, 4),
+    "twirl": (2, 4),
+    "fundamental": (1, 2, 4, 8),
+    "help-norm": range(1, 6),
+    "progress": (2, 4),
+    "gamma": range(1, 8),
+    "commutator": range(1, 7),
+    "sparsity": (2, 4),
+    "theorem": (2, 4),
+}
+
+
+def check_suite_size(name: str, n: int) -> None:
+    """Raise SizeLimitError if the suite has a SUITE_SIZES entry without n."""
+    if n not in SUITE_SIZES.get(name, (n,)):
+        shown = ", ".join(map(str, SUITE_SIZES[name]))
+        raise SizeLimitError(f"the {name} suite runs at n in {{{shown}}}, got n={n}")
+
 
 def _all_suite(n: int, seed: int, samples: int) -> list[VerificationReport]:
-    out = []
-    out.extend(factorization_suite(min(n, 7), seed))
+    out = factorization_suite(min(n, 7), seed)
     out.extend(active_sets_suite(min(n, 6), seed))
     out.append(sampler_chi_square(min(n, 4), 200_000, seed))
     pow2 = 4 if n >= 4 else 2
@@ -863,4 +864,5 @@ def run_suite(name: str, n: int, seed: int = DEFAULT_SEED,
     previous row was made (the first row's since the call began)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    check_suite_size(name, n)
     return timed_rows(lambda: SUITES[name](n, seed, samples))

@@ -80,6 +80,38 @@ def test_verify_n_range(tmp_path):
     assert any("n=2" in nm for nm in names) and any("n=4" in nm for nm in names)
 
 
+@pytest.mark.parametrize("suite, n, n_max, sizes, refused", [
+    ("progress", 2, 4, "{2, 4}", 3),
+    ("help-norm", 4, 6, "{1, 2, 3, 4, 5}", 6),
+    ("fundamental", 4, 8, "{1, 2, 4, 8}", 5),
+    ("gamma", 7, 8, "{1, 2, 3, 4, 5, 6, 7}", 8),
+    ("commutator", 6, 7, "{1, 2, 3, 4, 5, 6}", 7),
+])
+def test_verify_refuses_a_range_before_its_first_size(monkeypatch, capsys, tmp_path,
+                                                      suite, n, n_max, sizes, refused):
+    """A --n..--n-max range through a size its suite does not run at exits 1,
+    naming the first such n, before any size of the range runs, and writes
+    no report."""
+    import spolab.circuits as circuits_mod
+    import spolab.lemmas as lemmas_mod
+    import spolab.suites as suites_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a size ran before the whole range was checked")
+
+    monkeypatch.setattr(circuits_mod, "_execute", no_work)
+    for module, name in ((lemmas_mod, "gamma_operator"), (suites_mod, "gamma_operator"),
+                         (suites_mod, "help_norm")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--suite", suite, "--n", str(n), "--n-max", str(n_max),
+                    "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the {suite} suite runs at n in {sizes}, got n={refused}\n"
+    assert not out.exists()
+
+
 def test_verify_n_max_below_n_is_usage_error(monkeypatch, capsys):
     import spolab.cli as cli_mod
 
@@ -212,18 +244,13 @@ def test_verify_budget_error_is_diagnosed(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite,message", [
-    ("spo-equivalence", "spo-equivalence suite needs n in {2, 4}, got n=1"),
-    ("twirl", "twirl suite needs n in {2, 4}, got n=1"),
-    ("progress", "progress suite runs exhaustively at n in {2, 4}, got n=1"),
-    ("sparsity", "sparsity suite runs at n in {2, 4}, got n=1"),
-    ("theorem", "theorem suite runs exhaustively at n in {2, 4}, got n=1"),
-])
+@pytest.mark.parametrize("suite", ["spo-equivalence", "twirl", "progress",
+                                   "sparsity", "theorem"])
 def test_verify_exhaustive_suites_refuse_n_1_before_any_run(monkeypatch, capsys,
-                                                            suite, message):
+                                                            suite):
     """n = 1 is a power of two but not a size these suites run at: each
-    exits 1 with its own message before any circuit runs or plan is built
-    (spo-equivalence used to die in numpy on an empty Z != 0 slice)."""
+    exits 1 with the size table's message before any circuit runs or plan
+    is built (spo-equivalence used to die in numpy on an empty Z != 0 slice)."""
     import spolab.circuits as circuits_mod
     import spolab.suites as suites_mod
 
@@ -233,7 +260,8 @@ def test_verify_exhaustive_suites_refuse_n_1_before_any_run(monkeypatch, capsys,
     monkeypatch.setattr(circuits_mod, "_execute", no_work)
     monkeypatch.setattr(suites_mod, "make_twirl_plan", no_work)
     assert run_cli(["verify", "--suite", suite, "--n", "1"]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    message = f"error: the {suite} suite runs at n in {{2, 4}}, got n=1"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["factorization", "active-sets", "fundamental",
@@ -247,8 +275,9 @@ def test_verify_suites_that_accept_n_1_pass_there(capsys, suite):
 
 
 def test_verify_gamma_over_budget_exits_1_before_any_matrix(monkeypatch, capsys):
-    """At N = 8 one 8! x 8! matrix alone exceeds the amplitude budget; the
-    refusal comes before any Gamma or W matrix is built."""
+    """At N = 8 one 8! x 8! matrix alone exceeds the amplitude budget, so the
+    gamma suite's sizes stop at 7; the refusal comes before any Gamma or W
+    matrix is built."""
     import spolab.lemmas as lemmas_mod
 
     def no_build(*args, **kwargs):
@@ -259,8 +288,7 @@ def test_verify_gamma_over_budget_exits_1_before_any_matrix(monkeypatch, capsys)
     code = run_cli(["verify", "--suite", "gamma", "--n", "8"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: Gamma at n=8 needs 3 dense 40320 x 40320 matrices" in err
-    assert "budget 268435456" in err
+    assert "error: the gamma suite runs at n in {1, 2, 3, 4, 5, 6, 7}, got n=8" in err
 
 
 def test_attack_json(tmp_path):

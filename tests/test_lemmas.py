@@ -1254,6 +1254,35 @@ def test_easy_norm_matches_full_space_dense():
                 assert rep.lhs == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_easy_norm_lhs_matches_explicit_dense_matrices(n):
+    """The easy lemma's lhs against max_z ||E^{R,x} Q^{SPO,z} (I - Pi^{R,x})||_2
+    built as explicit dense matrices on Y (x) D: Q the permutation matrix of
+    query_slice_map, Pi = np.diag of the section indicator, and P_+ a
+    Kronecker product.  Every x, suite relation and direction."""
+    from spolab.suites import suite_relations
+
+    nf = database_dim(n)
+    pi = perm_tables(n)[0]
+    eye_y = np.eye(n)
+    for x in range(n):
+        hi, radix, lo = db_register_geometry(n, x)
+        plus = np.kron(np.kron(np.eye(hi), np.full((radix, radix), 1.0 / radix)),
+                       np.eye(lo))
+        for rname, rel in suite_relations(n):
+            proj = np.diag(rel.members[x, pi[:, x]].astype(float))  # Pi^{R,x}
+            e_yd = np.kron(eye_y, proj @ (np.eye(nf) - plus))
+            anti_yd = np.kron(eye_y, np.eye(nf) - proj)
+            for direction in ("forward", "inverse"):
+                want = 0.0
+                for z in range(n):
+                    q = np.zeros((n * nf, n * nf))
+                    q[query_slice_map(n, z, direction), np.arange(n * nf)] = 1.0
+                    want = max(want, float(np.linalg.norm(e_yd @ q @ anti_yd, 2)))
+                rep = easy_norm_check(n, x, rel, direction)
+                assert abs(rep.lhs - want) <= 1e-12, (x, rname, direction)
+
+
 def test_crucial_terms_match_direct_tspo_runs():
     """Independent oracle for the crucial-lemma expectations over all 576
     (sigma, tau) pairs at N = 4: run the standard-form circuit directly

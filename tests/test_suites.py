@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spolab.suites as suites_mod
 from spolab.lemmas import _margins_stderr, make_twirl_plan
 from spolab.reporting import (
     check,
@@ -23,6 +25,7 @@ from spolab.reporting import (
 )
 from spolab.suites import (
     MIN_SAMPLED_SIDE,
+    SUITE_SIZES,
     SUITES,
     run_attack,
     run_suite,
@@ -152,7 +155,8 @@ def test_sampled_twirl_plan_rejects_fewer_than_2x2(monkeypatch, min_pairs):
 def test_help_norm_suite_refuses_a_size_below_1(n):
     from spolab.suites import help_norm_suite
 
-    with pytest.raises(ValueError, match="n in 1..5"):
+    message = f"the help-norm suite runs at n in {{1, 2, 3, 4, 5}}, got n={n}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         help_norm_suite(n)
 
 
@@ -226,6 +230,95 @@ def test_suite_registry_runs_small():
             r.name for r in reports if not r.passed])
     with pytest.raises(KeyError):
         run_suite("bogus", 2)
+
+
+# The suite functions SUITES reads by module-global name, as run_suite calls them.
+SUITE_FUNCTIONS = {name: name.replace("-", "_") + "_suite" for name in SUITE_SIZES}
+
+
+def test_size_table_covers_every_suite_but_all():
+    assert set(SUITE_SIZES) == set(SUITES) - {"all"}
+    assert set(SUITE_FUNCTIONS.values()) <= set(vars(suites_mod))
+
+
+def _refused_sizes(sizes):
+    """The sizes just outside each end of an entry, and every gap inside it."""
+    return [n for n in range(min(sizes) - 1, max(sizes) + 2) if n not in sizes]
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_SIZES))
+def test_run_suite_refuses_sizes_outside_the_table_before_the_suite(monkeypatch,
+                                                                   name):
+    """run_suite refuses every n just outside a suite's entry, and every gap
+    of it, with one message format, before the suite function or any circuit
+    runs."""
+    import spolab.circuits as circuits_mod
+    from spolab.permutations import SizeLimitError
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite started before its size was checked")
+
+    monkeypatch.setattr(circuits_mod, "_execute", no_work)
+    for function in SUITE_FUNCTIONS.values():
+        monkeypatch.setattr(suites_mod, function, no_work)
+    sizes = SUITE_SIZES[name]
+    shown = ", ".join(map(str, sizes))
+    for n in _refused_sizes(sizes):
+        message = f"the {name} suite runs at n in {{{shown}}}, got n={n}"
+        with pytest.raises(SizeLimitError, match=re.escape(message)):
+            run_suite(name, n)
+
+
+def test_all_suite_passes_only_sizes_in_the_table(monkeypatch):
+    """``all`` clamps each sub-suite by cost, to a size its entry holds, at
+    every n (its sub-suites recorded, not run)."""
+    seen = []
+    for name, function in SUITE_FUNCTIONS.items():
+        monkeypatch.setattr(suites_mod, function,
+                            lambda n, *a, _name=name, **k: seen.append((_name, n)) or [])
+    monkeypatch.setattr(suites_mod, "sampler_chi_square", lambda *a: None)
+    for n in range(1, 12):
+        seen.clear()
+        suites_mod._all_suite(n, 1, 2000)
+        assert sorted(name for name, _ in seen) == sorted(SUITE_SIZES)
+        assert all(size in SUITE_SIZES[name] for name, size in seen), (n, seen)
+
+
+def test_gamma_and_commutator_entries_mirror_their_owners(monkeypatch):
+    """The gamma entry ends at the largest N whose Gamma fits the amplitude
+    budget, the commutator entry at commutator_growth_check's cap; each
+    owner still refuses a direct call one size above, before any matrix."""
+    import spolab.lemmas as lemmas_mod
+    from spolab.oracles import BudgetError, charge
+    from spolab.suites import commutator_suite, gamma_suite
+
+    class Charged(Exception):
+        pass
+
+    def charge_only(entries, what):
+        charge(entries, what)
+        raise Charged  # within the budget: stop before the matrix is built
+
+    monkeypatch.setattr(lemmas_mod, "charge", charge_only)
+    top = max(SUITE_SIZES["gamma"])
+    with pytest.raises(Charged):
+        gamma_suite(top)
+    with pytest.raises(BudgetError, match=f"Gamma at n={top + 1} needs"):
+        gamma_suite(top + 1)
+    top = max(SUITE_SIZES["commutator"])
+    with pytest.raises(ValueError, match=f"commutator check capped at n={top}$"):
+        commutator_suite(top + 1)
+
+
+def test_run_attack_simple_reference_is_the_textbook_closed_form():
+    """reference_simple is sin^2((2k+1) asin(sqrt(f))) with the expected
+    marked fraction f: 2^(c - n_bits) for the sponge, 2^-c for zero search."""
+    for kind, n_bits, c in (("sponge", 2, 1), ("sponge", 3, 1), ("sponge", 3, 2),
+                            ("zero-search", 2, 1), ("zero-search", 3, 2)):
+        frac = 2.0 ** (c - n_bits) if kind == "sponge" else 2.0 ** (-c)
+        for k in range(4):
+            got = run_attack(kind, n_bits, c, k, backend="spo")["reference_simple"]
+            assert got == math.sin((2 * k + 1) * math.asin(math.sqrt(frac))) ** 2
 
 
 def test_recurrence_certification_row_fails_on_a_wrong_rational(monkeypatch):
