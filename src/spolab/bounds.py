@@ -18,7 +18,7 @@ def harmonic(n: int, order: int = 1) -> float:
     """H_n^(order) = sum_{k=1}^n 1/k^order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(sum(Fraction(1, k ** order) for k in range(1, n + 1)))
+    return float(harmonic_fraction(n, order))
 
 
 def harmonic_fraction(n: int, order: int = 1) -> Fraction:

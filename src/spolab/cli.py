@@ -7,10 +7,14 @@ Subcommands:
   factorize    strictly monotone factorization of a 1-based one-line permutation
   run-circuit  run a circuit description file and print output statistics
 
-Exit status: 0 when every emitted case passes, 1 on failures, budget or I/O
-errors, 2 on usage errors (a missing or out-of-range option or path), which
-are reported before any output.  Reports embed the full config and seed so
-any number they contain is regenerable from one command.
+Exit status: 0 when every emitted case passes.  2 when argparse or
+_usage_problem refuses the command line (an unknown, missing or
+inconsistent option, or a bad path), or factorize a malformed permutation,
+before any output.  1 on failed cases, and when the library refuses a value
+(a size or budget limit, or a parameter out of its range, such as
+``attack --c 0`` or ``bound --q 0``) or I/O fails: one ``error:`` line, and
+no report is written.  Reports embed the full config and seed so any number
+they contain is regenerable from one command.
 """
 from __future__ import annotations
 

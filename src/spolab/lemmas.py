@@ -215,13 +215,6 @@ def _section_mask(rel: Relation, x: int) -> np.ndarray:
     return rel.members[x, pi[:, x]]
 
 
-def _apply_progress(amps: np.ndarray, n: int, x: int, mask: np.ndarray) -> np.ndarray:
-    """E^{R,x} on a (rest, n!) block, or on a (rest, C, n!) block with one
-    (C, n!) mask row per column."""
-    out = project_plus_db(amps, n, x, complement=True)
-    return out * mask[None, :]
-
-
 def _norm2(block: np.ndarray) -> np.ndarray:
     """Squared norm of a (rest, n!) block, or of each column of a
     (rest, C, n!) block, summed over its real and imaginary parts."""
@@ -576,8 +569,8 @@ def _p_ii_projector(slices: list[tuple[int, int, np.ndarray]], n: int,
                     sigma: np.ndarray, tau: np.ndarray, minv: np.ndarray) -> float:
     """p_(ii') of one pair (image rows) as sum ||E^{R,s} w||^2 over the twirled block."""
     pi_table, _ = perm_tables(n)
-    return sum(float(_norm2(_apply_progress(v[:, minv], n, sigma[x],
-                                            pi_table[:, sigma[x]] == tau[y])))
+    return sum(float(_norm2(project_plus_db(v[:, minv], n, sigma[x], complement=True)
+                            * (pi_table[:, sigma[x]] == tau[y])))
                for x, y, v in slices)
 
 
@@ -725,45 +718,73 @@ def _fiber_tables(n: int, x: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def zeta_parts(state: StateVector, x: int, rel: Relation,
-               direction: str) -> tuple[float, ...]:
-    """The summands of zeta (forward: 3 terms) or zeta^inv (4 terms)."""
-    check_uniform_weights(state)
-    n = rel.n
-    g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
-    rx = rel.section(x)
-    term1 = len(rx) / (x + 1) * float(g[x].sum())
-    term2 = len(rx) / ((x + 1) ** 2 * n)
-    fs = _fiber_sums(g, n, x)  # (n, classes)
-    s1, s2, s3 = _fiber_terms(fs, fs, rel.members[x], n, x).tolist()
-    inv_x = 1.0 / (x + 1)
-    if direction == "forward":
-        return term1, term2, inv_x * s1
-    if direction == "inverse":
-        return term1, term2, inv_x * s2, inv_x * s3
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+def query_growth_checks(final: StateVector, pre: list[tuple[str, StateVector]],
+                        rels: list[tuple[str, Relation]],
+                        tag: str) -> list[VerificationReport]:
+    """The per-query rows of one untwirled run, given its final state and its
+    (direction, pre-query state) list as run_with_intermediates returns them.
+    Per named relation R, at each pre-query state phi_j and register x, the
+    one-query growth bound of phi_j's direction (kappa = 2 forward, 4 inverse)
 
+        ||E^{R,x} O phi_j|| - ||E^{R,x} phi_j||
+            <= sqrt(|R_x| / (x+1)) ||(I - P_{+x}) phi_j|| + kappa sqrt(zeta),
+        zeta = |R_x| / (x+1) ||phi_x||^2 + |R_x| / ((x+1)^2 N) + t / (x+1),
 
-def zeta_terms(state: StateVector, x: int, rel: Relation, direction: str) -> float:
-    return float(sum(zeta_parts(state, x, rel, direction)))
+    t = s1 forward and s2 + s3 inverse (_fiber_terms); then at each x both
+    accumulation inequalities for ||E^{R,x} phi_final|| (0 <= 0 with no
+    query) and the dominance of the linear sum by the Cauchy-Schwarz one.
+    Each state is checked for uniform weights, marginalized and queried
+    once, and projected once per x before and after its query; relations
+    read the projections' per-label weights through their section masks.
+    """
+    n = _db_size_from_layout(final.layout)
+    pi, _ = perm_tables(n)
+    members = np.stack([rel.members for _rname, rel in rels])  # (relation, x, y)
+    # masks[k, x, d]: pi_d(x) in R_x, the diagonal of Pi^{R,x} for relation k
+    masks = members[:, np.arange(n)[:, None], pi.T].astype(float)
+    sizes, x1 = members.sum(axis=2), np.arange(1, n + 1)  # |R_x|, x + 1
+    ratio = sizes / x1
 
+    def weights(block):  # (x, label): per-label weights of (I - P_{+x}) block
+        comp = np.stack([project_plus_db(block, n, x, complement=True) for x in range(n)])
+        return np.einsum("xrd,xrd->xd", comp.conj(), comp).real
 
-def query_step_check(state: StateVector, x: int, rel: Relation,
-                     direction: str, name: str = "") -> VerificationReport:
-    """One-query growth bound (forward/inverse lemma) at a pre-query state."""
-    n = rel.n
-    amps = _db_block(state)
-    mask = _section_mask(rel, x)
-    before = float(np.linalg.norm(_apply_progress(amps, n, x, mask)))
-    queried = spo_query(state, shift_table(n, direction))
-    after = float(np.linalg.norm(_apply_progress(_db_block(queried), n, x, mask)))
-    comp_norm = float(np.linalg.norm(project_plus_db(amps, n, x, complement=True)))
-    zeta = zeta_terms(state, x, rel, direction)
-    kappa = 2.0 if direction == "forward" else 4.0
-    lhs = after - before
-    rhs = math.sqrt(len(rel.section(x)) / (x + 1)) * comp_norm \
-        + kappa * math.sqrt(zeta)
-    return check(name or f"query-step[x={x},{direction}]", lhs, rhs, zeta=zeta)
+    def progress_norms(w):  # ||E^{R,x} .|| of each relation and x
+        return np.sqrt(np.einsum("kxd,xd->kx", masks, w))
+
+    steps = []  # per state: (lhs, rhs, zeta), each (relation, x)
+    rhs_linear, rhs_sq_sum = np.zeros(ratio.shape), np.zeros(ratio.shape)
+    for direction, state in pre:
+        check_uniform_weights(state)
+        g = marginal(state, ("X", *database_names(n))).reshape(n, -1)  # (x, label)
+        zeta = ratio * g.sum(axis=1) + sizes / (x1 ** 2 * n)
+        for x in range(n):
+            fs = _fiber_sums(g, n, x)  # (z, class)
+            s1, s2, s3 = _fiber_terms(fs, fs, members[:, x], n, x).T
+            for term in (s1,) if direction == "forward" else (s2, s3):
+                zeta[:, x] += 1.0 / (x + 1) * term
+        before = weights(_db_block(state))
+        after = weights(_db_block(spo_query(state, shift_table(n, direction))))
+        comp_norm = np.sqrt(before.sum(axis=1))
+        kappa = 2.0 if direction == "forward" else 4.0
+        steps.append((progress_norms(after) - progress_norms(before),
+                      np.sqrt(ratio) * comp_norm + kappa * np.sqrt(zeta), zeta))
+        rhs_linear += np.sqrt(ratio) * comp_norm + 4.0 * np.sqrt(zeta)
+        rhs_sq_sum += ratio * comp_norm ** 2 + 16.0 * zeta
+    lhs = progress_norms(weights(_db_block(final)))
+    rhs_cauchy = np.sqrt(2 * len(pre) * rhs_sq_sum)
+
+    out = []
+    for k, (rname, _rel) in enumerate(rels):
+        for j, (step_lhs, step_rhs, zeta) in enumerate(steps):
+            out.extend(check(f"query-step[{tag},{rname},j={j},x={x}]", step_lhs[k, x],
+                             step_rhs[k, x], zeta=float(zeta[k, x])) for x in range(n))
+        for x in range(n):
+            base = f"accumulation[{tag},{rname},x={x}]"
+            out += [check(base + ":linear", lhs[k, x], rhs_linear[k, x]),
+                    check(base + ":cauchy-schwarz", lhs[k, x], rhs_cauchy[k, x]),
+                    check(base + ":dominance", rhs_linear[k, x], rhs_cauchy[k, x])]
+    return out
 
 
 def easy_norm_check(n: int, x: int, rel: Relation, direction: str,
@@ -781,34 +802,6 @@ def easy_norm_check(n: int, x: int, rel: Relation, direction: str,
         worst = max(worst, float(np.linalg.norm(m, 2)))
     bound = math.sqrt(len(rel.section(x)) / (x + 1))
     return check(name or f"easy-i[x={x},{direction}]", worst, bound)
-
-
-def progress_accumulation_check(final: StateVector,
-                                pre: list[tuple[str, StateVector]], rel: Relation,
-                                x: int, name: str = "") -> list[VerificationReport]:
-    """Both accumulation inequalities of one untwirled run, given its final
-    state and its (direction, pre-query state) list as run_with_intermediates
-    returns them."""
-    n = rel.n
-    amps = _db_block(final)
-    mask = _section_mask(rel, x)
-    lhs = float(np.linalg.norm(_apply_progress(amps, n, x, mask)))
-    ratio = len(rel.section(x)) / (x + 1)
-    rhs_linear = rhs_sq_sum = 0.0
-    for direction, state in pre:
-        comp = project_plus_db(_db_block(state), n, x, complement=True)
-        comp_norm = float(np.linalg.norm(comp))
-        zeta = zeta_terms(state, x, rel, direction)
-        rhs_linear += math.sqrt(ratio) * comp_norm + 4.0 * math.sqrt(zeta)
-        rhs_sq_sum += ratio * comp_norm ** 2 + 16.0 * zeta
-    q = len(pre)
-    rhs_cauchy = math.sqrt(2 * q * rhs_sq_sum)
-    base = name or f"accumulation[x={x}]"
-    return [
-        check(base + ":linear", lhs, rhs_linear),
-        check(base + ":cauchy-schwarz", lhs, rhs_cauchy),
-        check(base + ":dominance", rhs_linear, rhs_cauchy),
-    ]
 
 
 # --------------------------------------------------------------------------

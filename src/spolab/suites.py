@@ -50,9 +50,8 @@ from .lemmas import (
     cycle_average,
     help_norm,
     make_twirl_plan,
-    progress_accumulation_check,
     progress_checks,
-    query_step_check,
+    query_growth_checks,
     sparsity_trajectory_check,
     theorem_check,
 )
@@ -630,16 +629,7 @@ def progress_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]
         if not circ.query_count:
             continue
         final, pre = run_with_intermediates(circ, spo_backend(n))
-        for rname, rel in rels:
-            for j, (direction, state) in enumerate(pre):
-                for x in range(n):
-                    out.append(query_step_check(
-                        state, x, rel, direction,
-                        name=f"query-step[{circ.name},{rname},j={j},x={x}]"))
-            for x in range(n):
-                out.extend(progress_accumulation_check(
-                    final, pre, rel, x,
-                    name=f"accumulation[{circ.name},{rname},x={x}]"))
+        out.extend(query_growth_checks(final, pre, rels, circ.name))
     for rname, rel in rels:
         for direction in ("forward", "inverse"):
             for x in range(n):
@@ -741,9 +731,11 @@ def run_attack(kind: str, n_bits: int, c: int, iterations: int,
     if trials is not None and seed is None:
         raise ValueError("sampled attacks require a seed")
     if trials is None and 2 ** n_bits > EXACT_ENUM_LIMIT:
-        raise SizeLimitError(f"an exact attack covers all N! permutations of "
-                             f"N = 2^{n_bits}, capped at N = {EXACT_ENUM_LIMIT}; "
-                             f"sample with trials and a seed instead")
+        what, remedy = (("the spo backend simulates a database of", "it has no sampled mode")
+                        if backend == "spo" else
+                        ("an exact attack covers", "sample with trials and a seed instead"))
+        raise SizeLimitError(f"{what} all N! permutations of N = 2^{n_bits}, "
+                             f"capped at N = {EXACT_ENUM_LIMIT}; {remedy}")
     if kind == "sponge":
         circ = grover_preimage(n_bits, c, target, iterations)
         rel = sponge_preimage_relation(n_bits, c, target)

@@ -3,8 +3,9 @@ state-level twirl by a scatter, a loading query, a circuit's text form, the
 untwirled final state, counters of calls, of twirl rows and of circuit runs,
 a per-pair twirl-average reference, a dense trace-distance reference, the
 scalar permutation sampler, dense Grover steps, a transposing reference for
-``apply``, a per-x reference for ``spo_query`` and high-precision bound
-evaluators."""
+``apply``, a per-x reference for ``spo_query``, a dense referee for the
+per-query growth and accumulation rows, with the zeta terms by explicit
+factor surgery, and high-precision bound evaluators."""
 import dataclasses
 import math
 import statistics
@@ -28,7 +29,9 @@ from spolab.permutations import (
     MonotoneFactorization,
     Permutation,
     compose_from_factors,
+    invert,
     monotone_factorize,
+    partial_product,
 )
 from spolab.relations import Relation
 from spolab.states import (
@@ -314,6 +317,114 @@ def per_x_spo_query(state: StateVector, shift: np.ndarray,
         maps = ((ys ^ shift[:, x, None, :]) * nf + np.arange(nf)).reshape(k, -1)
         dst[:, :, x] = np.take_along_axis(arr[:, :, x], maps[:, None], axis=-1)
     return StateVector(state.layout, res)
+
+
+def brute_zeta(state: StateVector, x: int, rel: Relation, direction: str) -> float:
+    """zeta (forward) or zeta^inv (inverse) at register x, enumerating the
+    pi_{x^c} classes by explicit factor surgery."""
+    n = rel.n
+    lay = state.layout
+    arr = np.abs(state.reshaped()) ** 2
+    keep = {"X"} | {nm for nm in lay.names if nm.startswith("D")}
+    axes = tuple(i for i, nm in enumerate(lay.names) if nm not in keep)
+    g = arr.sum(axis=axes).reshape(n, -1)
+    rx = [int(v) for v in rel.section(x)]
+    term1 = len(rx) / (x + 1) * float(g[x].sum())
+    term2 = len(rx) / ((x + 1) ** 2 * n)
+    # group database labels by their factor tuple with digit x removed
+    fibers = {}
+    for d in range(database_dim(n)):
+        f = monotone_factorize(perm_of_index(n, d))
+        key = tuple(tk for k, tk in enumerate(f.t) if k != x)
+        fibers.setdefault(key, []).append((d, f))
+    total3 = 0.0
+    total4 = 0.0
+    for members in fibers.values():
+        _d0, f0 = members[0]
+        above = partial_product(f0, x, "above")
+        below = partial_product(f0, x, "below")
+        pxc = tuple(above.images[below.images[v]] for v in range(n))
+        above_inv = invert(above)
+        fiber_weight = {z: sum(g[z, d] for d, _f in members) for z in range(n)}
+        if direction == "forward":
+            for z in range(x):
+                if pxc[z] in rx:
+                    total3 += fiber_weight[z]
+        else:
+            for z in rx:
+                if above_inv.images[z] < x:
+                    total3 += fiber_weight[z]
+            count = sum(1 for t in range(x + 1) if above.images[t] in rx)
+            for z in range(x + 1, n):
+                if above_inv.images[z] == x:
+                    total4 += count * fiber_weight[z]
+    if direction == "forward":
+        return term1 + term2 + total3 / (x + 1)
+    return term1 + term2 + total3 / (x + 1) + total4 / (x + 1)
+
+
+def dense_plus_projector(n: int, x: int) -> np.ndarray:
+    """|+_{x+1}><+_{x+1}| on D_{x+1} as a dense (N!, N!) matrix: a Kronecker
+    product over the label digits above, at and below it (d = sum_k t_k k!)."""
+    radix, lo = x + 1, math.factorial(x)
+    hi = math.factorial(n) // (radix * lo)
+    return np.kron(np.kron(np.eye(hi), np.full((radix, radix), 1.0 / radix)), np.eye(lo))
+
+
+def dense_progress_operator(rel: Relation, x: int) -> np.ndarray:
+    """E^{R,x} = Pi^{R,x} (I - |+_{x+1}><+_{x+1}|) as a dense (N!, N!) matrix,
+    Pi the diagonal of the labels d with pi_d(x) in R_x, read from
+    perm_of_index."""
+    n = rel.n
+    nf = math.factorial(n)
+    mask = [rel.members[x, perm_of_index(n, d).images[x]] for d in range(nf)]
+    return np.diag(np.array(mask, dtype=float)) @ (np.eye(nf) - dense_plus_projector(n, x))
+
+
+def query_growth_reference(final: StateVector, pre: list[tuple[str, StateVector]],
+                           rels: list[tuple[str, Relation]],
+                           tag: str) -> dict[str, tuple[float, float, float | None]]:
+    """name -> (lhs, rhs, zeta) of every query-step and accumulation row of
+    ``lemmas.query_growth_checks``, in its order (zeta None on accumulation
+    rows), one (relation, state, x) at a time: E^{R,x} and I - P_+ as dense
+    matrices, the query by per_x_spo_query on a shift table written from
+    perm_of_index, and zeta by brute_zeta."""
+    n = rels[0][1].n
+    nf = math.factorial(n)
+    images = np.array([perm_of_index(n, d).images for d in range(nf)])
+    shifts = {"forward": images.T[None].copy(),
+              "inverse": np.argsort(images, axis=1).T[None].copy()}
+
+    def norm(state, op):  # ||op w|| over the (rest, n!) rows w of the state
+        return float(np.linalg.norm(state.amps.reshape(-1, nf) @ op.T))
+
+    queried = [per_x_spo_query(state, shifts[direction]) for direction, state in pre]
+    rows = {}
+    for rname, rel in rels:
+        steps, accumulation = {}, {}
+        for x in range(n):
+            e = dense_progress_operator(rel, x)
+            comp_op = np.eye(nf) - dense_plus_projector(n, x)
+            ratio = len(rel.section(x)) / (x + 1)
+            linear = sq_sum = 0.0
+            for j, ((direction, state), after) in enumerate(zip(pre, queried)):
+                comp = norm(state, comp_op)
+                zeta = brute_zeta(state, x, rel, direction)
+                kappa = 2.0 if direction == "forward" else 4.0
+                steps[f"query-step[{tag},{rname},j={j},x={x}]", j, x] = (
+                    norm(after, e) - norm(state, e),
+                    math.sqrt(ratio) * comp + kappa * math.sqrt(zeta), zeta)
+                linear += math.sqrt(ratio) * comp + 4.0 * math.sqrt(zeta)
+                sq_sum += ratio * comp ** 2 + 16.0 * zeta
+            lhs, cauchy = norm(final, e), math.sqrt(2 * len(pre) * sq_sum)
+            base = f"accumulation[{tag},{rname},x={x}]"
+            accumulation[base + ":linear"] = (lhs, linear, None)
+            accumulation[base + ":cauchy-schwarz"] = (lhs, cauchy, None)
+            accumulation[base + ":dominance"] = (linear, cauchy, None)
+        rows.update((name, value) for (name, _j, _x), value
+                    in sorted(steps.items(), key=lambda item: item[0][1:]))
+        rows.update(accumulation)
+    return rows
 
 
 def main_bound_highprec(q: int, n: int, r_max: int, prec: int = 50) -> Decimal:

@@ -35,10 +35,9 @@ from spolab.lemmas import (
     help_norm,
     make_twirl_plan,
     p2_upper_bound,
-    progress_accumulation_check,
     progress_checks,
     progress_measure,
-    query_step_check,
+    query_growth_checks,
     sparsity_trajectory_check,
     theorem_check,
 )
@@ -329,17 +328,18 @@ def test_criterion_11_per_query_lemmas():
         if not circ.query_count:
             continue
         final, pre = run_with_intermediates(circ, spo_backend(n))
-        for rname, rel in rels:
-            for _next_direction, state in pre:
-                # both query lemmas hold at every intermediate state,
-                # whichever direction is queried next
-                for direction in ("forward", "inverse"):
-                    for x in range(n):
-                        rep = query_step_check(state, x, rel, direction)
-                        ok &= rep.passed
-            for x in range(n):
-                ok &= all(r.passed
-                          for r in progress_accumulation_check(final, pre, rel, x))
+        # both query lemmas hold at every intermediate state, whichever
+        # direction is queried next
+        for direction in ("forward", "inverse"):
+            relabelled = [(direction, state) for _next_direction, state in pre]
+            steps = [r for r in query_growth_checks(final, relabelled, rels, circ.name)
+                     if r.name.startswith("query-step[")]
+            ok &= len(steps) == len(rels) * len(pre) * n
+            ok &= all(r.passed for r in steps)
+        accumulation = [r for r in query_growth_checks(final, pre, rels, circ.name)
+                        if r.name.startswith("accumulation[")]
+        ok &= len(accumulation) == len(rels) * n * 3
+        ok &= all(r.passed for r in accumulation)
     for rname, rel in rels:
         for x in range(n):
             for direction in ("forward", "inverse"):

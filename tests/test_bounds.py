@@ -25,6 +25,27 @@ def test_harmonic_values():
     assert harmonic_fraction(2, 3) == Fraction(9, 8)
 
 
+# gamma_coefficients(n) for N = 1..8, as float.hex, recorded when
+# bounds.harmonic summed its own Fractions.
+GAMMA_COEFFICIENTS_HEX = {
+    1: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    2: ("0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x0.0p+0"),
+    3: ("0x1.425ed097b425dp-3", "0x1.0fcd6e9e06525p-3", "0x1.948b0fcd6e980p-6"),
+    4: ("0x1.51c71c71c71c8p-3", "0x1.f7b425ed097b8p-4", "0x1.57b425ed097a0p-5"),
+    5: ("0x1.4fc21ad9ff8b6p-3", "0x1.c7644a93d9b60p-4", "0x1.b03fd6404ac26p-5"),
+    6: ("0x1.4734b78fbd403p-3", "0x1.9b191b61ecbbbp-4", "0x1.e6a0a77b1b88bp-5"),
+    7: ("0x1.3c498c2c17648p-3", "0x1.74d75c0761772p-4", "0x1.03bbbc50cd520p-4"),
+    8: ("0x1.30c05aa69477fp-3", "0x1.543c708675484p-4", "0x1.0d4444c6b3a7cp-4"),
+}
+
+
+def test_gamma_coefficients_are_bitwise_unchanged():
+    from spolab.lemmas import gamma_coefficients
+
+    for n, want in GAMMA_COEFFICIENTS_HEX.items():
+        assert tuple(float(v).hex() for v in gamma_coefficients(n)) == want, n
+
+
 def test_harmonic_bound_and_monotonicity():
     # H_n - ln n decreases monotonically and stays below 1
     acc = 0.0

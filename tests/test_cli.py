@@ -356,6 +356,38 @@ def test_exact_attack_above_the_enumeration_cap_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spo_attack_above_the_cap_offers_no_sampling(tmp_path, capsys):
+    """The spo backend's size refusal names its cap and points to no
+    --trials or --seed, which the same backend refuses."""
+    out = tmp_path / "attack.json"
+    code = run_cli(["attack", "--kind", "sponge", "--n-bits", "4", "--c", "2",
+                    "--iterations", "1", "--backend", "spo", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "capped at N = 8" in err
+    assert "trials" not in err and "seed" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, writes", [
+    (["attack", "--kind", "sponge", "--n-bits", "3", "--c", "0", "--iterations", "1"],
+     True),
+    (["attack", "--kind", "sponge", "--n-bits", "3", "--c", "1", "--iterations", "1",
+      "--target", "9"], True),
+    (["bound", "--kind", "main", "--q", "0", "--n", "4", "--r-max", "1"], False),
+    (["verify", "--suite", "fundamental", "--n", "8", "--samples", "100"], True),
+])
+def test_values_the_library_refuses_exit_1(tmp_path, capsys, argv, writes):
+    """Values that pass argparse and _usage_problem but that the library
+    refuses exit 1 with one error: line, and leave no --out file."""
+    out = tmp_path / "report.json"
+    code = run_cli(argv + (["--out", str(out)] if writes else []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, named", [
     (["--trials", "200", "--seed", "1"], "trials"),
     (["--seed", "1"], "seed"),

@@ -1,4 +1,4 @@
-"""Lemma checkers: help norm, experiments, zeta terms, Gamma, trajectories."""
+"""Lemma checkers: help norm, experiments, per-query rows, Gamma, trajectories."""
 import dataclasses
 import itertools
 import math
@@ -16,7 +16,8 @@ from spolab.circuits import (
 )
 from spolab.lemmas import (
     WeightPreconditionError,
-    _apply_progress,
+    _fiber_sums,
+    _fiber_terms,
     _section_mask,
     _xy_slices,
     check_uniform_weights,
@@ -33,14 +34,11 @@ from spolab.lemmas import (
     help_norm,
     make_twirl_plan,
     p2_upper_bound,
-    progress_accumulation_check,
     progress_checks,
     progress_measure,
-    query_step_check,
+    query_growth_checks,
     sparsity_trajectory_check,
     theorem_check,
-    zeta_parts,
-    zeta_terms,
 )
 from spolab.oracles import (
     BudgetError,
@@ -66,18 +64,22 @@ from spolab.relations import (
     full_relation,
     sponge_preimage_relation,
 )
-from spolab.states import StateVector
+from spolab.states import StateVector, database_names, marginal
 
 from helpers import (
+    brute_zeta,
     count_calls,
     count_runs,
     count_twirl_rows,
     crossed_grid_stderr,
+    dense_plus_projector,
+    dense_progress_operator,
     final_state,
     index_of_perm,
     per_pair_twirl_averages,
     per_pair_twirl_grids,
     perm_of_index,
+    query_growth_reference,
     with_loading_query,
 )
 
@@ -128,7 +130,8 @@ def test_help_norm_size_guard():
 
 def test_relation_and_progress_operators():
     """Pi^{R,x}, E^{R,x} and P+ as the checks apply them: the section mask,
-    _apply_progress and project_plus_db (blocks are (rest, n!) rows)."""
+    project_plus_db and its complement times the mask (blocks are (rest, n!)
+    rows), against the dense E^{R,x} of the per-query referee."""
     n = 4
     nf = database_dim(n)
     eye = np.eye(nf, dtype=complex)
@@ -140,75 +143,44 @@ def test_relation_and_progress_operators():
         for d in range(nf):
             assert mask[d] == rel.members[x, perm_of_index(n, d).images[x]]
         # E annihilates the fresh database
-        out = _apply_progress(init.amps[None, :], n, x, mask)
+        out = project_plus_db(init.amps[None, :], n, x, complement=True) * mask
         assert np.abs(out).max() < 1e-12
         # empty and full relations degenerate as expected
         assert not _section_mask(empty_relation(n), x).any()
-        hi, radix, lo = db_register_geometry(n, x)
-        plus = np.kron(np.kron(np.eye(hi), np.full((radix, radix), 1.0 / radix)),
-                       np.eye(lo))  # |+><+| on D_{x+1}
+        plus = dense_plus_projector(n, x)  # |+><+| on D_{x+1}
         assert np.abs(project_plus_db(eye, n, x) - plus).max() < 1e-12
         want = np.eye(nf) - plus
-        full_e = _apply_progress(eye, n, x, _section_mask(full_relation(n), x))
+        comp = project_plus_db(eye, n, x, complement=True)
+        full_e = comp * _section_mask(full_relation(n), x)
         assert np.abs(full_e.T - want).max() < 1e-12
+        assert np.abs(dense_progress_operator(full_relation(n), x) - want).max() < 1e-12
         # E = Pi (I - P+); row d of the block holds E e_d, so compare E^T
-        got = _apply_progress(eye, n, x, mask)
+        got = comp * mask
         assert np.abs(got.T - mask[:, None] * want).max() < 1e-12
+        assert np.abs(dense_progress_operator(rel, x) - mask[:, None] * want).max() < 1e-12
 
 
 # --------------------------------------------------------------------------
-# zeta terms against direct index enumeration
+# zeta terms against direct index enumeration (brute_zeta)
 
 
-def brute_zeta(state, x, rel, direction):
-    """Independent oracle: enumerate pi_{x^c} via explicit factor surgery."""
-    n = rel.n
-    lay = state.layout
-    arr = np.abs(state.reshaped()) ** 2
-    keep = {"X"} | {nm for nm in lay.names if nm.startswith("D")}
-    axes = tuple(i for i, nm in enumerate(lay.names) if nm not in keep)
-    g = arr.sum(axis=axes).reshape(n, -1)
-    rx = [int(v) for v in rel.section(x)]
-    term1 = len(rx) / (x + 1) * float(g[x].sum())
-    term2 = len(rx) / ((x + 1) ** 2 * n)
-    # group database labels by their factor tuple with digit x removed
-    fibers = {}
-    for d in range(database_dim(n)):
-        f = monotone_factorize(perm_of_index(n, d))
-        key = tuple(tk for k, tk in enumerate(f.t) if k != x)
-        fibers.setdefault(key, []).append((d, f))
-    total3 = 0.0
-    total4 = 0.0
-    for key, members in fibers.items():
-        d0, f0 = members[0]
-        above = partial_product(f0, x, "above")
-        below = partial_product(f0, x, "below")
-        pxc = tuple(above.images[below.images[v]] for v in range(n))
-        above_inv = invert(above)
-        fiber_weight = {z: sum(g[z, d] for d, _f in members) for z in range(n)}
-        if direction == "forward":
-            for z in range(x):
-                if pxc[z] in rx:
-                    total3 += fiber_weight[z]
-        else:
-            for z in rx:
-                if above_inv.images[z] < x:
-                    total3 += fiber_weight[z]
-            count = sum(1 for t in range(x + 1) if above.images[t] in rx)
-            for z in range(x + 1, n):
-                if above_inv.images[z] == x:
-                    total4 += count * fiber_weight[z]
-    if direction == "forward":
-        return term1 + term2 + total3 / (x + 1)
-    return term1 + term2 + total3 / (x + 1) + total4 / (x + 1)
+def zetas(final, pre, rels):
+    """{(relation name, j, x): zeta} read off the query-step rows of
+    query_growth_checks."""
+    out = {}
+    for rep in query_growth_checks(final, pre, rels, "t"):
+        if rep.name.startswith("query-step["):
+            _tag, rname, j, x = rep.name[len("query-step["):-1].split(",")
+            out[rname, int(j[2:]), int(x[2:])] = rep.extra["zeta"]
+    return out
 
 
 def test_zeta_fresh_state_empty_relation():
     n = 4
     state = run(classical_probe(n, 2, "forward"), spo_backend(n))
-    for x in range(n):
-        assert zeta_terms(state, x, empty_relation(n), "forward") == 0.0
-        assert zeta_terms(state, x, empty_relation(n), "inverse") == 0.0
+    for direction in ("forward", "inverse"):
+        got = zetas(state, [(direction, state)], [("empty", empty_relation(n))])
+        assert got == {("empty", 0, x): 0.0 for x in range(n)}
 
 
 def test_zeta_matches_brute_force():
@@ -216,16 +188,17 @@ def test_zeta_matches_brute_force():
     circ = random_circuit(21, 2, 2, n)
     _, pre = run_with_intermediates(circ, spo_backend(n))
     states = [s for _d, s in pre] + [run(circ, spo_backend(n))]
-    rels = [full_relation(n), diagonal_relation(n),
-            sponge_preimage_relation(2, 1, 1), from_pairs(n, [(0, 3), (2, 1)])]
-    for state in states[:2] + states[-1:]:
-        for rel in rels:
-            for x in range(n):
-                for direction in ("forward", "inverse"):
-                    got = zeta_terms(state, x, rel, direction)
-                    want = brute_zeta(state, x, rel, direction)
-                    assert got == pytest.approx(want, abs=1e-12)
-                    assert got >= -1e-15
+    rels = [("full", full_relation(n)), ("diag", diagonal_relation(n)),
+            ("sponge", sponge_preimage_relation(2, 1, 1)),
+            ("pairs", from_pairs(n, [(0, 3), (2, 1)]))]
+    checked = states[:2] + states[-1:]
+    for direction in ("forward", "inverse"):
+        got = zetas(states[-1], [(direction, state) for state in checked], rels)
+        assert len(got) == len(rels) * len(checked) * n
+        for (rname, j, x), value in got.items():
+            want = brute_zeta(checked[j], x, dict(rels)[rname], direction)
+            assert value == pytest.approx(want, abs=1e-12)
+            assert value >= -1e-15
 
 
 def test_zeta_term_structure_fresh_full():
@@ -234,13 +207,17 @@ def test_zeta_term_structure_fresh_full():
     n = 4
     state = run(empty_circuit(n), spo_backend(n))
     rel = full_relation(n)
+    g = marginal(state, ("X", *database_names(n))).reshape(n, -1)
+    got = zetas(state, [("forward", state)], [("full", rel)])
     for x in range(n):
-        parts = zeta_parts(state, x, rel, "forward")
-        assert parts[0] == pytest.approx(n / (x + 1) * (1.0 if x == 0 else 0.0))
-        assert parts[1] == pytest.approx(n / ((x + 1) ** 2 * n))
+        term1 = n / (x + 1) * (1.0 if x == 0 else 0.0)
+        term2 = n / ((x + 1) ** 2 * n)
         # the z < x sum only sees the z = 0 slice; every pi_{x^c}(0) is in R
         want3 = (1.0 / (x + 1)) if x > 0 else 0.0
-        assert parts[2] == pytest.approx(want3)
+        fs = _fiber_sums(g, n, x)
+        s1 = _fiber_terms(fs, fs, rel.members[x], n, x)[0]
+        assert s1 / (x + 1) == pytest.approx(want3)
+        assert got["full", 0, x] == pytest.approx(term1 + term2 + want3)
 
 
 def test_zeta_weight_precondition():
@@ -248,10 +225,11 @@ def test_zeta_weight_precondition():
     lay = run(empty_circuit(n), spo_backend(n)).layout
     amps = np.zeros(lay.total_dim, dtype=complex)
     amps[0] = 1.0  # a basis database state: weights are not 1/N!
+    bad = StateVector(lay, amps)
     with pytest.raises(WeightPreconditionError):
-        check_uniform_weights(StateVector(lay, amps))
+        check_uniform_weights(bad)
     with pytest.raises(WeightPreconditionError):
-        zeta_terms(StateVector(lay, amps), 1, full_relation(n), "forward")
+        query_growth_checks(bad, [("forward", bad)], [("full", full_relation(n))], "t")
 
 
 # --------------------------------------------------------------------------
@@ -1360,21 +1338,66 @@ def test_crucial_terms_match_direct_tspo_runs():
 def test_query_step_checks():
     n = 4
     circ = random_circuit(51, 2, 2, n)
-    _, pre = run_with_intermediates(circ, spo_backend(n))
-    rel = sponge_preimage_relation(2, 1, 1)
-    for direction, state in pre:
-        for x in range(n):
-            rep = query_step_check(state, x, rel, direction)
-            assert rep.passed, rep
+    final, pre = run_with_intermediates(circ, spo_backend(n))
+    reps = query_growth_checks(final, pre, [("sponge", sponge_preimage_relation(2, 1, 1))],
+                               circ.name)
+    steps = [r for r in reps if r.name.startswith("query-step[")]
+    assert len(steps) == len(pre) * n
+    assert all(r.passed for r in steps), steps
 
 
 def test_query_step_fresh_empty():
     n = 4
     state = run(empty_circuit(n), spo_backend(n))
-    rep = query_step_check(state, 1, empty_relation(n), "forward")
+    reps = query_growth_checks(state, [("forward", state)],
+                               [("empty", empty_relation(n))], "t")
+    rep = {r.name: r for r in reps}["query-step[t,empty,j=0,x=1]"]
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_query_growth_rows_match_the_dense_referee(n):
+    """Every query-step and accumulation row of every querying progress-suite
+    circuit, relation, pre-query state and x, against the referee
+    (tests/helpers.py): dense E^{R,x}, the per-x query and brute_zeta."""
+    from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
+
+    rels = suite_relations(n)
+    circuits = [c for c in suite_circuits(n, DEFAULT_SEED, max_q=2) if c.query_count]
+    assert circuits
+    for circ in circuits:
+        final, pre = run_with_intermediates(circ, spo_backend(n))
+        reps = query_growth_checks(final, pre, rels, circ.name)
+        ref = query_growth_reference(final, pre, rels, circ.name)
+        assert [r.name for r in reps] == list(ref)
+        for rep in reps:
+            lhs, rhs, zeta = ref[rep.name]
+            assert abs(rep.lhs - lhs) <= 1e-12 * max(1.0, abs(lhs)), rep.name
+            assert abs(rep.rhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), rep.name
+            if zeta is None:
+                assert "zeta" not in rep.extra, rep.name
+            else:
+                assert rep.extra["zeta"] == pytest.approx(zeta, rel=1e-12, abs=1e-12)
+
+
+def test_query_growth_referee_sees_a_swapped_relation_mask():
+    """The referee tells relations apart: with the diag and pair relations'
+    members swapped under their names, some row moves beyond 1e-12."""
+    from spolab.suites import DEFAULT_SEED, suite_circuits, suite_relations
+
+    n = 4
+    rels = suite_relations(n)
+    table = dict(rels)
+    swapped = [(rname, table[{"diag": "pair", "pair": "diag"}.get(rname, rname)])
+               for rname, _rel in rels]
+    circ = next(c for c in suite_circuits(n, DEFAULT_SEED, max_q=2) if c.query_count)
+    final, pre = run_with_intermediates(circ, spo_backend(n))
+    ref = query_growth_reference(final, pre, rels, circ.name)
+    worst = max(max(abs(rep.lhs - ref[rep.name][0]), abs(rep.rhs - ref[rep.name][1]))
+                for rep in query_growth_checks(final, pre, swapped, circ.name))
+    assert worst > 1e-6
 
 
 def test_easy_norm_bound():
@@ -1390,14 +1413,18 @@ def test_easy_norm_bound():
 def test_accumulation_checks():
     n = 4
     circ = random_circuit(53, 3, 2, n)
-    rel = diagonal_relation(n)
+    rels = [("diag", diagonal_relation(n))]
     final, pre = run_with_intermediates(circ, spo_backend(n))
-    for x in range(n):
-        reps = progress_accumulation_check(final, pre, rel, x)
-        assert all(r.passed for r in reps), reps
-    # zero queries: 0 <= 0
-    reps0 = progress_accumulation_check(
-        *run_with_intermediates(empty_circuit(n), spo_backend(n)), rel, 0)
+    reps = [r for r in query_growth_checks(final, pre, rels, circ.name)
+            if r.name.startswith("accumulation[")]
+    assert len(reps) == 3 * n
+    assert all(r.passed for r in reps), reps
+    # zero queries: only the accumulation rows, each 0 <= 0
+    reps0 = query_growth_checks(*run_with_intermediates(empty_circuit(n), spo_backend(n)),
+                                rels, "empty")
+    assert [r.name for r in reps0[:3]] == [f"accumulation[empty,diag,x=0]:{kind}" for kind
+                                           in ("linear", "cauchy-schwarz", "dominance")]
+    assert len(reps0) == 3 * n
     assert reps0[0].lhs == pytest.approx(0.0, abs=1e-12)
     assert all(r.passed for r in reps0)
 

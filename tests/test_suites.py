@@ -407,6 +407,28 @@ def test_progress_suite_computes_each_twirl_average_once(monkeypatch):
                      "crucial_term_values": 4, "sparsity_expectation": 0}
 
 
+def test_progress_suite_queries_and_checks_each_pre_query_state_once(monkeypatch):
+    """The per-query rows of progress_suite(4) query each of its 5 pre-query
+    states once and check its weights once, for every relation and x: 5
+    spo_query and 5 check_uniform_weights calls from spolab.lemmas (100 and
+    200 when each (state, relation, x) made its own)."""
+    import spolab.lemmas as lemmas_mod
+
+    from spolab.suites import progress_suite
+
+    calls = dict.fromkeys(("spo_query", "check_uniform_weights"), 0)
+    for name in calls:
+        def counted(*args, _orig=getattr(lemmas_mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(lemmas_mod, name, counted)
+    reports = progress_suite(4)
+    assert all(r.passed for r in reports)
+    assert sum(r.name.startswith("query-step[") for r in reports) == 100
+    assert calls == {"spo_query": 5, "check_uniform_weights": 5}
+
+
 # project_plus_db calls of progress_suite(4) and sparsity_suite(4) when each
 # twirl average steps through one (sigma, tau) pair at a time.
 PER_PAIR_PROJECTOR_CALLS = 96_165
