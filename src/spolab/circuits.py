@@ -48,6 +48,7 @@ from .states import (
     check_buffer,
     database_names,
     from_diagonal,
+    from_permutation,
     from_matrix,
     marginal,
     probe_unitary,
@@ -269,24 +270,43 @@ def standard_form(circ: QueryCircuit) -> QueryCircuit:
     return _gadget_form(circ, lambda q: ([q], [q]), "+std")
 
 
-def dressed_standard_form(circ: QueryCircuit, sigma: Permutation | np.ndarray,
-                          tau: Permutation | np.ndarray) -> QueryCircuit:
-    """The standard-form circuit with V-dressed queries: run against the
-    *untwirled* oracle it reproduces the twirled run of the original.  With
-    (K, N) tables sigma and tau, each V is a basis map on (P, X) or (P, Y)
-    acting by row k on label k, against the K-row identity table."""
-    sigmas, taus = image_table(sigma), image_table(tau)
-    if sigmas.shape != taus.shape:
-        raise ValueError(f"sigma and tau tables differ: {sigmas.shape} vs {taus.shape}")
+def v_maps(images: Permutation | np.ndarray) -> tuple[LinearOperator, LinearOperator]:
+    """V^pi and V^{pi^-1} as dressed_standard_form applies them.  One
+    permutation (a one-row table) gives maps on one register alone, which
+    states.apply runs as a (pre, d, post) view with no flat index; a (K, N)
+    table gives maps on P and one register acting by row k on label k,
+    which gather through the flat index each operator caches per layout."""
+    table = image_table(images)
+    ops = tuple(v_oracle(table, inverse) for inverse in (False, True))
+    if len(table) > 1:
+        return ops
+    return tuple(from_permutation(op.dims[1:], op.mapping, label=op.label) for op in ops)
 
-    # The four V maps are built once, so each is one operator (with one
-    # cached gather index) however many queries it dresses.
-    ops = {(name, inverse): v_oracle(table, inverse)
-           for name, table in (("Vs", sigmas), ("Vt", taus)) for inverse in (False, True)}
+
+def dressed_standard_form(circ: QueryCircuit,
+                          sigma: Permutation | np.ndarray | tuple[LinearOperator, ...],
+                          tau: Permutation | np.ndarray | tuple[LinearOperator, ...],
+                          ) -> QueryCircuit:
+    """The standard-form circuit with V-dressed queries: run against the
+    *untwirled* oracle it reproduces the twirled run of the original.
+
+    sigma and tau are each a permutation, a (K, N) table or its v_maps
+    pair; a pair shared by several circuits builds each gather index once.
+    A one-row side dresses with V on X or Y alone, a K-row side with V on
+    (P, X) or (P, Y), acting by row k on label k, against the K-row
+    identity table; two K-row sides need the same K."""
+    vs, vt = (side if isinstance(side, tuple) and isinstance(side[0], LinearOperator)
+              else v_maps(side) for side in (sigma, tau))
+    # Each side's (K, N); a V on one register alone is a one-row side.
+    (ks, ns), (kt, nt) = (((1,) + pair[0].dims)[-2:] for pair in (vs, vt))
+    if ns != nt or (ks > 1 and kt > 1 and ks != kt):
+        raise ValueError(f"sigma and tau tables differ: {(ks, ns)} vs {(kt, nt)}")
+    ops = {"Vs": vs, "Vt": vt}
 
     def v(register: str, name: str, inverse: bool) -> LocalUnitary:
-        return LocalUnitary(("P", register), ops[name, inverse],
-                            tag=name + ("-" if inverse else ""))
+        op = ops[name][inverse]
+        targets = ("P", register) if len(op.dims) == 2 else (register,)
+        return LocalUnitary(targets, op, tag=name + ("-" if inverse else ""))
 
     def dress(q: Query) -> tuple[list, list]:
         # V^pre on X and V^post on Y: sigma, tau forward; tau, sigma inverse.

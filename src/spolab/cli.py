@@ -12,8 +12,9 @@ _usage_problem refuses the command line (an unknown, missing or
 inconsistent option, or a bad path), or factorize a malformed permutation,
 before any output.  1 on failed cases, and when the library refuses a value
 (a size or budget limit, or a parameter out of its range, such as
-``attack --c 0`` or ``bound --q 0``) or I/O fails: one ``error:`` line, and
-no report is written.  Reports embed the full config and seed so any number
+``attack --c 0`` or ``bound --q 0``), I/O fails, or an allocation the
+budget admitted still fails (MemoryError, a backstop only): one ``error:``
+line, and no report is written.  Reports embed the full config and seed so any number
 they contain is regenerable from one command.
 """
 from __future__ import annotations
@@ -258,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (BudgetError, SizeLimitError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a backstop: the budget charge is the guard
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

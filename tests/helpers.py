@@ -1,7 +1,8 @@
 """Builders that only the tests use: basis states, database labels, the
 state-level twirl by a scatter, a loading query, a circuit's text form, the
-untwirled final state, counters of calls, of twirl rows and of circuit runs,
-a per-pair twirl-average reference, a dense trace-distance reference, the
+untwirled final state, the all-pairs experiment-2 referee of the
+standard form, counters of calls, of twirl rows and of circuit runs, a
+per-pair twirl-average reference, a dense trace-distance reference, the
 scalar permutation sampler, dense Grover steps, a transposing reference for
 ``apply``, a per-x reference for ``spo_query``, a dense referee for the
 per-query growth and accumulation rows, with the zeta terms by explicit
@@ -124,6 +125,25 @@ def format_circuit(circ: QueryCircuit) -> str:
 def final_state(circ: QueryCircuit) -> StateVector:
     """The final state of the untwirled database-oracle run of ``circ``."""
     return run(circ, spo_backend(circ.n))
+
+
+def all_pairs_experiment_2(circ: QueryCircuit, b: QueryCircuit,
+                           plan: TwirlPlan) -> float:
+    """The worst deviation of experiment 2 from experiment 1 over every
+    (sigma, tau) of the plan, one sigma-row per run: ``b`` (the standard
+    form of ``circ``) against the twirled oracle must equal ``circ`` run
+    the same way on Z = 0 and vanish on every Z != 0."""
+    worst = 0.0
+    for sigma in plan.sigmas:
+        twirled = spo_backend(plan.n, sigma=np.broadcast_to(sigma, plan.taus.shape),
+                              tau=plan.taus)
+        ref = run(circ, twirled).reshaped()
+        got = run(b, twirled)
+        z = got.layout.axis("Z")
+        for value, block in enumerate(np.split(got.reshaped(), plan.n, axis=z)):
+            block = block.squeeze(z)
+            worst = max(worst, float(np.abs(block - (ref if value == 0 else 0)).max()))
+    return worst
 
 
 TWIRL_AVERAGES = ("p_ii", "p2", "progress", "sparsity")

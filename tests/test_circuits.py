@@ -29,6 +29,7 @@ from spolab.circuits import (
     spo_success_probability,
     standard_form,
     success_probability,
+    v_maps,
     zero_search_adversary,
 )
 from spolab.oracles import BudgetError, concrete_backend, spo_backend
@@ -400,15 +401,17 @@ def test_standard_form_reproduces_tspo_run():
 def test_standard_form_steps_take_no_transposing_path(monkeypatch, dressed):
     """On the P, Z, A, X, Y, D layout of a standard-form run, every dense
     step (the A, X, Y unitaries) is one (pre, d, post) view and no step
-    moves axes; the scattered basis maps (SWAP and CNOT on Y, Z, and V on
-    P, X and P, Y) gather through their cached flat index."""
+    moves axes.  So is every V of a one-row side of the dressed form, here
+    sigma's, on X or Y alone; the scattered basis maps (SWAP and CNOT on
+    Y, Z, and the K-row tau side's V on P, X and P, Y) gather through their
+    cached flat index."""
     n = 4
     circ = random_circuit(8, 2, 2, n)
     rng = np.random.default_rng(6)
     sigmas, taus = (np.stack([sample_uniform(n, rng).images for _ in range(3)])
                     for _ in "st")
     if dressed:
-        b = dressed_standard_form(circ, sigmas, taus)
+        b = dressed_standard_form(circ, sigmas[0], taus)
         backend = spo_backend(n, sigma=np.tile(np.arange(n), (3, 1)))
     else:
         b = standard_form(circ)
@@ -422,9 +425,33 @@ def test_standard_form_steps_take_no_transposing_path(monkeypatch, dressed):
     lay = circuit_layout(b, backend)
     steps = [s for s in b.steps if isinstance(s, LocalUnitary)]
     assert {s.tag for s in steps if s.op.mapping is None} == {"U0", "U1", "U2"}
-    for s in steps:
-        if s.op.mapping is not None:
-            assert (lay, s.targets) in s.op.gathers, s.tag
+    maps = [s for s in steps if s.op.mapping is not None]
+    assert {s.tag for s in maps if len(s.targets) == 1} == (
+        {"Vs", "Vs-"} if dressed else set())
+    for s in maps:
+        assert ((lay, s.targets) in s.op.gathers) == (len(s.targets) > 1), s.tag
+
+
+@pytest.mark.parametrize("seed", [1, 20240917])
+def test_one_row_sigma_dressing_equals_its_k_row_broadcast(seed):
+    """On every sigma-row of both standard-form circuits of the suites at
+    N = 4, the dressed circuit with sigma as one permutation (V on X or Y
+    alone, through a shared v_maps pair of tau) runs bitwise as the one
+    with sigma broadcast to a K-row table, whose P-controlled V gathers
+    through the flat index: the flat-gather path referees the register-only
+    V."""
+    n = 4
+    taus = all_images(n)
+    identity_rows = spo_backend(n, sigma=np.broadcast_to(np.arange(n), taus.shape))
+    v_tau = v_maps(taus)
+    for circ in (classical_probe(n, 0, "forward"), random_circuit(seed + 9, 2, 2, n)):
+        for sigma in taus:
+            alone = dressed_standard_form(circ, sigma, v_tau)
+            rows = dressed_standard_form(circ, np.broadcast_to(sigma, taus.shape), taus)
+            v_sigma = [s for s in alone.steps if getattr(s, "tag", "") in ("Vs", "Vs-")]
+            assert v_sigma and all(len(s.targets) == 1 for s in v_sigma)
+            assert np.array_equal(run(alone, identity_rows).amps,
+                                  run(rows, identity_rows).amps), (circ.name, sigma)
 
 
 def test_with_loading_query():
@@ -623,5 +650,8 @@ def test_dressed_form_over_a_table_matches_its_one_row_circuits():
         assert np.array_equal(row, alone.amps)
     with pytest.raises(ValueError, match="tables differ"):
         dressed_standard_form(circ, sigmas, taus[:3])
+    with pytest.raises(ValueError, match="tables differ"):
+        dressed_standard_form(circ, sigmas[0], all_images(3)[:4])
+    dressed_standard_form(circ, sigmas[0], taus[:3])  # one row meets any K
     with pytest.raises(ValueError):  # four-row V steps against a one-row P
         run(dressed_standard_form(circ, sigmas, taus), spo_backend(n))

@@ -388,6 +388,26 @@ def test_values_the_library_refuses_exit_1(tmp_path, capsys, argv, writes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.54 GiB", ""])
+def test_a_memory_error_exits_1_with_one_error_line(monkeypatch, tmp_path, capsys,
+                                                     message):
+    """The backstop behind the budget charge: a MemoryError that escapes a
+    command (here raised by a stubbed handler, allocating nothing) prints
+    one error: line and exits 1, with no traceback."""
+    import spolab.cli as cli_mod
+
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_mod, "cmd_run_circuit", out_of_memory)
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("n 4\nquery fwd\n")
+    assert run_cli(["run-circuit", str(circuit)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1, err
+    assert message in err
+
+
 @pytest.mark.parametrize("extra, named", [
     (["--trials", "200", "--seed", "1"], "trials"),
     (["--seed", "1"], "seed"),

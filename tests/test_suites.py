@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import spolab.suites as suites_mod
+from spolab.circuits import LocalUnitary, classical_probe, random_circuit, standard_form
 from spolab.lemmas import _margins_stderr, make_twirl_plan
 from spolab.reporting import (
     check,
@@ -23,6 +24,7 @@ from spolab.reporting import (
     to_csv,
     to_json,
 )
+from spolab.states import from_diagonal
 from spolab.suites import (
     MIN_SAMPLED_SIDE,
     SUITE_SIZES,
@@ -34,8 +36,8 @@ from spolab.suites import (
     suite_relations,
 )
 
-from helpers import (count_calls, count_runs, count_twirl_rows, dense_trace_distance,
-                     final_state, per_pair_twirl_grids)
+from helpers import (all_pairs_experiment_2, count_calls, count_runs, count_twirl_rows,
+                     dense_trace_distance, final_state, per_pair_twirl_grids)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -760,8 +762,10 @@ def test_label_map_families_take_one_left_right_map_call_per_table(monkeypatch):
     """Every label-map family is ranked as whole image tables: the
     hit-fiber swaps in one call per register (8 at N = 8), each cycle class
     (15 transpositions, 40 3-cycles at N = 6) in one call per side, and the
-    brute-force Gamma in one per side, not one call per permutation.  The spo-vs-tspo loop reads the plan's composed
-    maps and ranks nothing."""
+    brute-force Gamma in one per side, not one call per permutation.  The
+    spo-vs-tspo loop reads the plan's composed maps and ranks nothing: the
+    spo-equivalence suite's only ranking is the twirl certificate's, 2 + 24
+    tables, which the standard-form checks read."""
     import itertools
 
     import spolab.lemmas as lemmas_mod
@@ -780,8 +784,11 @@ def test_label_map_families_take_one_left_right_map_call_per_table(monkeypatch):
     lemmas_mod.gamma_brute_force(5)
     assert len(calls) == 2
     calls.clear()
+    suites_mod.twirl_certificate(make_twirl_plan(4))
+    certificate = len(calls)
+    calls.clear()
     assert all(r.passed for r in spo_equivalence_suite(4, max_q=2))
-    assert calls == []
+    assert certificate == 2 + 24 and len(calls) == certificate
 
 
 def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
@@ -794,7 +801,9 @@ def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
     calls = count_runs(monkeypatch)
     reports = timed_by_gaps(
         lambda: timed_rows(lambda: spo_equivalence_suite(4, max_q=2)))
-    assert len(calls) <= 179  # 10 ensembles, 1 + 24 probe runs, 2 x 24 x 3
+    # 10 ensembles, 1 + 24 probe runs, and per standard-form circuit 24
+    # sigma-rows of experiments 1 and 3 and one of experiment 2.
+    assert len(calls) <= 133
     calls.clear()
     reports += timed_by_gaps(lambda: timed_rows(lambda: twirl_suite(4)))
     assert len(calls) <= 125  # 5 circuits x (1 plain + 24 sigma-rows)
@@ -804,6 +813,82 @@ def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
         "std-experiment-1-vs-3")]
     assert len(batched) == 10 and all(r.passed for r in reports)
     assert all(r.extra["pairs"] == 576 for r in batched)
+    certified = [r for r in batched if r.name.startswith("std-experiment-1-vs-2")]
+    assert len(certified) == 2
+    assert all(r.extra["certified"] and r.extra["pairs_run"] == 24 for r in certified)
+
+
+def _standard_form_circuits(n: int, seed: int = suites_mod.DEFAULT_SEED) -> list:
+    """The two circuits of suites.standard_form_checks."""
+    return [classical_probe(n, 0, "forward"), random_circuit(seed + 9, 2, 2, n)]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_experiment_2_row_matches_the_all_pairs_referee(n):
+    """std-experiment-1-vs-2 runs one sigma-row of the plan and reads the
+    twirl certificate for the others; the tests-only loop over every
+    sigma-row agrees with it within the row's 1e-12."""
+    plan = make_twirl_plan(n)
+    reports = {r.name: r for r in suites_mod.standard_form_checks(plan)}
+    for circ in _standard_form_circuits(n):
+        row = reports[f"std-experiment-1-vs-2[{circ.name}]"]
+        assert row.passed and row.extra["certified"]
+        assert row.extra["pairs"] == plan.pair_count
+        assert row.extra["pairs_run"] == len(plan.taus)
+        referee = all_pairs_experiment_2(circ, standard_form(circ), plan)
+        assert abs(row.lhs - referee) <= 1e-12, (circ.name, row.lhs, referee)
+
+
+@pytest.mark.parametrize("foreign", ["P", "D"])
+def test_experiment_2_row_fails_on_a_step_that_acts_on_p_or_d(monkeypatch, foreign):
+    """Negative control: a standard form with a non-query step on P (a
+    phase per run) or on D (a phase on D4, injected past QueryCircuit's
+    validation) is refused by the structural check, so the one-row row
+    fails uncertified, and the all-pairs referee tells it apart too.  With
+    the structural check stubbed out, the row still fails on its own
+    sigma-row's deviation, which here is every row's."""
+    n = 4
+    plan = make_twirl_plan(n)
+    rows = len(plan.taus)
+    step = {"P": LocalUnitary(("P",), from_diagonal((rows,), (-1.0) ** np.arange(rows))),
+            "D": LocalUnitary(("D4",), from_diagonal((n,), [1.0, 1.0, 1.0, -1.0]))}[foreign]
+
+    def tampered(circ):
+        b = standard_form(circ)
+        object.__setattr__(b, "steps", b.steps + (step,))  # past QueryCircuit's check
+        return b
+
+    monkeypatch.setattr(suites_mod, "standard_form", tampered)
+    reports = {r.name: r for r in suites_mod.standard_form_checks(plan)}
+    monkeypatch.setattr(suites_mod, "_foreign_steps", lambda circ: 0)
+    unchecked = {r.name: r for r in suites_mod.standard_form_checks(plan)}
+    for circ in _standard_form_circuits(n):
+        name = f"std-experiment-1-vs-2[{circ.name}]"
+        row = reports[name]
+        assert not row.passed and not row.extra["certified"] and row.lhs >= 1.0
+        assert reports[f"std-experiment-1-vs-3[{circ.name}]"].passed
+        referee = all_pairs_experiment_2(circ, tampered(circ), plan)
+        assert referee > 0.1
+        assert unchecked[name].extra["certified"] and not unchecked[name].passed
+        assert abs(unchecked[name].lhs - referee) <= 1e-12
+
+
+def test_experiment_2_row_fails_without_the_twirl_certificate(monkeypatch):
+    """A failed twirl-certificate row fails both experiment-2 rows, whose
+    one sigma-row alone still reads 0."""
+    real = suites_mod.twirl_certificate
+
+    def broken(plan):
+        rows = real(plan)
+        rows[-1] = check(rows[-1].name, 1, 0, tol=0.0)
+        return rows
+
+    monkeypatch.setattr(suites_mod, "twirl_certificate", broken)
+    reports = suites_mod.standard_form_checks(make_twirl_plan(4))
+    rows = [r for r in reports if r.name.startswith("std-experiment-1-vs-2")]
+    assert len(rows) == 2
+    assert all(not r.passed and r.lhs == 1.0 and not r.extra["certified"] for r in rows)
+    assert all(r.passed for r in reports if r not in rows)
 
 
 @pytest.mark.parametrize("suite", ["progress", "sparsity"])
