@@ -471,26 +471,30 @@ def zero_search_adversary(n_bits: int, c: int, iterations: int) -> QueryCircuit:
                            name=f"zero-n{n_bits}c{c}k{iterations}")
 
 
-def _row_success(joint: np.ndarray, images: np.ndarray, rel: Relation) -> np.ndarray:
-    """sum_x joint[k, x] R[x, pi_k(x)] for each row k of an image table,
-    adding the winning p(x) in x order."""
-    won = np.where(rel.members[np.arange(rel.n), images], joint, 0.0)
-    return np.cumsum(won, axis=1)[:, -1]
+def _row_success(joint: np.ndarray, images: np.ndarray,
+                 members: np.ndarray) -> np.ndarray:
+    """sum_x joint[k, x] R[x, pi_k(x)] for each row k of an image table and
+    each N x N bitset R of ``members`` (one, or a stack), adding the winning
+    p(x) in x order."""
+    won = np.where(members[..., np.arange(images.shape[1]), images], joint, 0.0)
+    return np.cumsum(won, axis=-1)[..., -1]
 
 
 def success_probability(circ: QueryCircuit, images: Permutation | np.ndarray,
-                        rel: Relation, *,
+                        rel: Relation | list[Relation], *,
                         work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Exact Born success probability of the X output under each permutation
     of a (K, N) image table, from one run with the table on P (through the
-    ``work`` pair of ``run`` when given)."""
-    if rel.n != circ.n:
-        raise ValueError(f"relation size {rel.n} != circuit size {circ.n}")
+    ``work`` pair of ``run`` when given): (K,) for one relation, (R, K)
+    for a list of R relations, all read from that run."""
+    members = rel.members if isinstance(rel, Relation) else np.stack([r.members for r in rel])
+    if members.shape[-1] != circ.n:
+        raise ValueError(f"relation size {members.shape[-1]} != circuit size {circ.n}")
     table = image_table(images)
     # A temporary backend frees its U maps before the readout; holding them
     # longer doubled the page faults of a sampled attack.
     final = run(circ, concrete_backend(table), work=work)
-    return _row_success(marginal(final, ("P", "X")), table, rel)
+    return _row_success(marginal(final, ("P", "X")), table, members)
 
 
 def spo_success_probability(circ: QueryCircuit, rel: Relation) -> float:
@@ -501,7 +505,7 @@ def spo_success_probability(circ: QueryCircuit, rel: Relation) -> float:
         raise ValueError(f"relation size {rel.n} != circuit size {n}")
     final = run(circ, spo_backend(n))
     joint = marginal(final, (*database_names(n), "X")).reshape(-1, n)
-    return float(_row_success(joint, perm_tables(n)[0], rel).sum())
+    return float(_row_success(joint, perm_tables(n)[0], rel.members).sum())
 
 
 def grover_reference(marked: int, space: int, iterations: int) -> float:

@@ -30,7 +30,6 @@ import numpy as np
 from .bounds import clamped, harmonic, main_bound
 from .circuits import (
     QueryCircuit,
-    run,
     run_with_intermediates,
     standard_form,
     success_probability,
@@ -895,9 +894,10 @@ def crucial_term_values(pre: list[tuple[str, StateVector]],
     return [[tuple(float(v) for v in row) for row in per_rel] for per_rel in mean]
 
 
-def progress_checks(circ: QueryCircuit,
+def progress_checks(circ: QueryCircuit, final: StateVector,
                     rels: list[tuple[str, Relation]]) -> list[VerificationReport]:
-    """The progress rows of one circuit against each named relation.
+    """The progress rows of one circuit, from ``final``, the final state of
+    its untwirled run, against each named relation.
 
     Per relation R: N * progress_measure equals the p_(ii)-dominating
     expression (1e-10), and that expression dominates p_(ii).  When the
@@ -907,13 +907,13 @@ def progress_checks(circ: QueryCircuit,
 
     and the three crucial-term bounds.  Every value is exact, so the rows
     run at N <= 4: the full-group plan is read first, which refuses a
-    larger N before the circuit runs.  The progress measure and p_(ii) are
+    larger N before the state is read.  The progress measure and p_(ii) are
     read from the subset kernel and p2_upper_bound is the engine's average
     over that plan, so both identity rows set the kernel against the
-    engine.  The circuit runs once, untwirled.  p2_upper_bound makes one
-    twirl pass for every relation, from that run's final state, and
-    crucial_term_values one for every non-empty relation, from the
-    pre-query states of the standard-form circuit, which runs at most once.
+    engine.  p2_upper_bound makes one twirl pass for every relation, from
+    ``final``, and crucial_term_values one for every non-empty relation,
+    from the pre-query states of the standard-form circuit, which runs at
+    most once (the circuit itself does not run here).
     Both passes run before the first row is made, so under run_suite that
     row's runtime_ms carries them.  Every row read from a twirl average
     reports the plan's pair count, and every row read from the kernel its
@@ -927,7 +927,6 @@ def progress_checks(circ: QueryCircuit,
     log_n = math.log(n)
 
     pairs, subsets = plan.pair_count, _subset_count(n)
-    final = run(circ, spo_backend(n))
     p2s = p2_upper_bound(final, [rel for _rname, rel in rels])
     hard = [rel for _rname, rel in rels if q and rel.size]
     crucial = iter(())
@@ -1179,15 +1178,18 @@ def sparsity_trajectory_check(circ: QueryCircuit,
 # Main-theorem checker
 
 
-def theorem_check(circ: QueryCircuit, rel: Relation, *,
-                  name: str = "") -> VerificationReport:
-    """lhs = Pr[(x, pi(x)) in R] over all pi; rhs = min(1, 914 q^3 r_max
-    (ln N + 2)/N) with 'fewer than q' semantics (q = query count + 1);
-    flags vacuity."""
-    n = circ.n
+def theorem_check(circ: QueryCircuit,
+                  rels: list[tuple[str, Relation]]) -> list[VerificationReport]:
+    """One row per named relation R: lhs = Pr[(x, pi(x)) in R] over all pi,
+    read for every R from one concrete run over all N! permutations
+    (success_probability); rhs = min(1, 914 q^3 r_max (ln N + 2)/N) with
+    'fewer than q' semantics (q = query count + 1); flags vacuity."""
     q = circ.query_count + 1
-    rhs_raw = main_bound(q, n, rel.r_max) if rel.r_max else 0.0
-    rhs = clamped(rhs_raw)
-    wins = success_probability(circ, all_images(n), rel).tolist()
-    return check(name or f"theorem[{circ.name}]", sum(wins) / len(wins), rhs,
-                 vacuous=(rhs >= 1.0), q=q, r_max=rel.r_max, bound_raw=rhs_raw)
+    wins = success_probability(circ, all_images(circ.n), [rel for _rname, rel in rels])
+    out = []
+    for (rname, rel), row in zip(rels, wins.tolist()):
+        rhs_raw = main_bound(q, circ.n, rel.r_max) if rel.r_max else 0.0
+        rhs = clamped(rhs_raw)
+        out.append(check(f"theorem[{circ.name},{rname}]", sum(row) / len(row), rhs,
+                         vacuous=(rhs >= 1.0), q=q, r_max=rel.r_max, bound_raw=rhs_raw))
+    return out

@@ -387,8 +387,8 @@ class OracleBackend:
     holding ``images``, a (K, N) table of one-line images, is the concrete
     oracle: U^{pi_k} on X, Y.  Without it, it is the database oracle
     twirled by L^{tau_k} R^{sigma_k}, from the (K, N) tables ``sigmas`` and
-    ``taus``; a missing table is K identity rows, so with neither it is the
-    untwirled oracle on one row.
+    ``taus``, a one-row or missing (identity) table paired with every row,
+    as in shift_table; with neither it is the untwirled oracle on one row.
     """
 
     n: int
@@ -406,14 +406,14 @@ class OracleBackend:
         if self.n > EXACT_ENUM_LIMIT:
             raise SizeLimitError(
                 f"full database simulation capped at n={EXACT_ENUM_LIMIT}")
-        tables = [None if t is None else self._table(t)
+        tables = [image_table(np.arange(self.n)) if t is None else self._table(t)
                   for t in (self.sigmas, self.taus)]
-        rows = {len(t) for t in tables if t is not None} or {1}
+        rows = {len(t) for t in tables} - {1} or {1}
         if len(rows) > 1:
             raise ValueError(f"sigma and tau tables have unequal row counts {rows}")
-        ident = image_table(np.tile(np.arange(self.n), (rows.pop(), 1)))
+        shape = (rows.pop(), self.n)
         for name, table in zip(("sigmas", "taus"), tables):
-            object.__setattr__(self, name, ident if table is None else table)
+            object.__setattr__(self, name, np.broadcast_to(table, shape))
 
     def _table(self, perms: Permutation | np.ndarray) -> np.ndarray:
         table = image_table(perms)

@@ -53,10 +53,6 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.images[x]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (self * other)(x) = self(other(x))."""
-        return compose(self, other)
-
 
 @dataclass(frozen=True)
 class MonotoneFactorization:

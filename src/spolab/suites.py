@@ -40,6 +40,7 @@ from .circuits import (
     averaged_grover_reference,
 )
 from .lemmas import (
+    EXHAUSTIVE_TWIRL_LIMIT,
     TwirlPlan,
     _all_cycles,
     _cycle_maps,
@@ -414,27 +415,14 @@ def spo_equivalence_suite(n: int, seed: int = DEFAULT_SEED,
                           max_q: int = 3) -> list[VerificationReport]:
     out = uv_identity_checks(n, seed)
     out.extend(small_x_untouched_checks(n))
-    circuits = suite_circuits(n, seed, max_q=max_q)
-    for circ in circuits:
-        base = concrete_ensemble(circ)
-        spo = spo_ensemble(circ, spo_backend(n))
+    readouts = []  # the untwirled readouts, circuit by circuit
+    for circ in suite_circuits(n, seed, max_q=max_q):
+        readouts.append(spo_ensemble(circ, spo_backend(n)))
         out.append(check(f"concrete-vs-spo[{circ.name}]",
-                         trace_distance(base, spo), 1e-9, tol=0.0))
-    # spo vs tspo: identical (pi, B) ensembles for every fixed pair; this is
-    # the exact factorization of the joint (sigma, tau, pi, B) distribution.
-    # One twirled run per sigma carries every tau, one per label of P.
-    probe = circuits[1]
-    spo_ens = spo_ensemble(probe, spo_backend(n))
-    plan = make_twirl_plan(n)
-    worst = 0.0
-    for i, sigma in enumerate(plan.sigmas):
-        sigmas = np.broadcast_to(sigma, plan.taus.shape)  # sigma against every tau
-        final = run(probe, spo_backend(n, sigma=sigmas, tau=plan.taus))
-        maps = plan.right_inv[i][plan.left_inv]  # d -> idx(tau_k^{-1} pi_d sigma)
-        worst = max(worst, float(tspo_distances(final, maps, spo_ens).max()))
-    out.append(check(f"spo-vs-tspo-all-pairs[{probe.name}]", worst, 1e-9, tol=0.0,
-                     pairs=plan.pair_count))
-    out.extend(standard_form_checks(plan, seed))
+                         trace_distance(concrete_ensemble(circ), readouts[-1]),
+                         1e-9, tol=0.0))
+    # suite_circuits' second circuit is the probe of the standard-form checks.
+    out.extend(standard_form_checks(make_twirl_plan(n), readouts[1], seed))
     return out
 
 
@@ -460,7 +448,7 @@ def _foreign_steps(circ: QueryCircuit) -> int:
                for step in circ.steps)
 
 
-def standard_form_checks(plan: TwirlPlan,
+def standard_form_checks(plan: TwirlPlan, probe_readout: CQEnsemble,
                          seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """The three standard-form experiments agree for every (sigma, tau) of
     the plan: experiments 2 and 3 must equal experiment 1 on Z = 0 and
@@ -468,6 +456,11 @@ def standard_form_checks(plan: TwirlPlan,
     once per sigma-row against every tau; experiment 3, the dressed
     circuit, takes sigma as one permutation (V on X or Y alone) and the
     circuit's one P-controlled V^tau pair, against the all-identity table.
+
+    The first circuit, classical_probe(n, 0, "forward"), also gives spo vs
+    tspo, identical (pi, B) ensembles for every pair: tspo_distances reads
+    each of its experiment-1 runs against ``probe_readout``, the probe's
+    untwirled readout (spo_ensemble).
 
     Experiment 2 runs one sigma-row, the last.  When the twirl certificate
     holds and no non-query step of the standard-form circuit acts on P or D
@@ -486,23 +479,29 @@ def standard_form_checks(plan: TwirlPlan,
         return max(float(np.abs(z[0] - ref.reshaped()).max()),
                    float(np.abs(z[1:]).max()))
 
-    for circ in (classical_probe(n, 0, "forward"),
-                 random_circuit(seed + 9, 2, 2, n)):
+    for circ, readout in ((classical_probe(n, 0, "forward"), probe_readout),
+                          (random_circuit(seed + 9, 2, 2, n), None)):
         b = standard_form(circ)
-        out.append(check_close(f"std-doubles-queries[{circ.name}]",
-                               b.query_count, 2 * circ.query_count, tol=0.0))
         violations = uncertified + _foreign_steps(b)
         # Per circuit: kept across circuits, the pair would also hold the
         # last circuit's gather indices, and peak memory grows.
         v_tau = v_maps(taus)
-        worst12 = worst13 = 0.0
+        worst_tspo = worst12 = worst13 = 0.0
         for i, sigma in enumerate(plan.sigmas):
-            twirled = spo_backend(n, sigma=np.broadcast_to(sigma, taus.shape), tau=taus)
+            twirled = spo_backend(n, sigma=sigma, tau=taus)
             ref = run(circ, twirled)
+            if readout is not None:  # d -> idx(tau_k^{-1} pi_d sigma)
+                maps = plan.right_inv[i][plan.left_inv]
+                worst_tspo = max(worst_tspo, float(tspo_distances(ref, maps, readout).max()))
             if i == len(plan.sigmas) - 1:
                 worst12 = deviation(run(b, twirled), ref)
             dressed = dressed_standard_form(circ, sigma, v_tau)
             worst13 = max(worst13, deviation(run(dressed, identity_rows), ref))
+        if readout is not None:
+            out.append(check(f"spo-vs-tspo-all-pairs[{circ.name}]", worst_tspo, 1e-9,
+                             tol=0.0, pairs=plan.pair_count))
+        out.append(check_close(f"std-doubles-queries[{circ.name}]",
+                               b.query_count, 2 * circ.query_count, tol=0.0))
         out.append(check(f"std-experiment-1-vs-2[{circ.name}]", worst12 + violations,
                          1e-12, tol=0.0, pairs=plan.pair_count, pairs_run=len(taus),
                          certified=violations == 0))
@@ -572,8 +571,7 @@ def twirl_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
         plain = run(circ, spo_backend(n)).amps.reshape(-1, nf)
         worst = 0.0
         for i, sigma in enumerate(plan.sigmas):
-            sigmas = np.broadcast_to(sigma, plan.taus.shape)
-            direct = run(circ, spo_backend(n, sigma=sigmas, tau=plan.taus))
+            direct = run(circ, spo_backend(n, sigma=sigma, tau=plan.taus))
             relabeled = plain[:, plan.right_inv[i][plan.left_inv]].transpose(1, 0, 2)
             worst = max(worst, float(np.abs(direct.amps.reshape(relabeled.shape)
                                             - relabeled).max()))
@@ -620,7 +618,7 @@ def help_norm_suite(n: int) -> list[VerificationReport]:
 def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
                       min_pairs: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
     out = []
-    if n <= 4:
+    if n <= EXHAUSTIVE_TWIRL_LIMIT:
         plan = None  # exact: p_ii from the subset kernel
         circuits = suite_circuits(n, seed)
         rels = suite_relations(n)
@@ -635,22 +633,23 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
                     random_circuit(seed + 1, 1, 1, n)]
         rels = [("diag", diagonal_relation(n)),
                 ("pair", from_pairs(n, [(0, n - 1)]))]
+    finals = {}  # the fixtures' finals, kept at n = 4 only
     for circ in circuits:
         final = run(circ, spo_backend(n))
         for rname, rel in rels:
             out.append(fundamental_check(final, rel, plan,
                                          name=f"fundamental[{circ.name},{rname}]"))
+        if n == 4:
+            finals[circ.name] = final
         del final  # one final state at a time: at n = 8 each holds 41 MB
     if n == 4:
         # Analytic fixture: classical probe against the full relation has
         # p_i = 1 and p_ii = (1/N) sum_s (1 - 1/s)^2 = 181/576.
-        probe = run(classical_probe(n, 0, "forward"), spo_backend(n))
-        res = experiment_probabilities(probe, full_relation(n))
+        res = experiment_probabilities(finals["probe-f0"], full_relation(n))
         out.append(check_close("probe-full-p_i", res.p_i, 1.0, tol=1e-10))
         out.append(check_close("probe-full-p_ii", res.p_ii, 181.0 / 576.0,
                                tol=1e-10, subsets=res.subsets))
-        empty = run(empty_circuit(n), spo_backend(n))
-        res0 = experiment_probabilities(empty, from_pairs(n, [(0, 0)]))
+        res0 = experiment_probabilities(finals["empty"], from_pairs(n, [(0, 0)]))
         out.append(check_close("empty-pair-p_i", res0.p_i, 1.0 / n, tol=1e-10))
         out.append(check_close("empty-pair-p_ii", res0.p_ii, 0.0, tol=1e-12,
                                subsets=res0.subsets))
@@ -659,16 +658,16 @@ def fundamental_suite(n: int, seed: int = DEFAULT_SEED,
 
 def progress_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     out = []
-    circuits = suite_circuits(n, seed, max_q=2)
     rels = suite_relations(n)
-    for circ in circuits:
-        out.extend(progress_checks(circ, rels))
+    # One untwirled run per circuit serves its progress and per-query rows.
+    runs = [(circ, *run_with_intermediates(circ, spo_backend(n)))
+            for circ in suite_circuits(n, seed, max_q=2)]
+    for circ, final, _pre in runs:
+        out.extend(progress_checks(circ, final, rels))
     # Per-query inequalities at every intermediate state of every run.
-    for circ in circuits:
-        if not circ.query_count:
-            continue
-        final, pre = run_with_intermediates(circ, spo_backend(n))
-        out.extend(query_growth_checks(final, pre, rels, circ.name))
+    for circ, final, pre in runs:
+        if circ.query_count:
+            out.extend(query_growth_checks(final, pre, rels, circ.name))
     for rname, rel in rels:
         for direction in ("forward", "inverse"):
             for x in range(n):
@@ -740,11 +739,9 @@ def theorem_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     out = []
     for circ in (empty_circuit(n), classical_probe(n, 0, "forward"),
                  random_circuit(seed + 5, 2, 2, n)):
-        for rname, rel in suite_relations(n):
-            out.append(theorem_check(circ, rel, name=f"theorem[{circ.name},{rname}]"))
+        out.extend(theorem_check(circ, suite_relations(n)))
     # Optimal 0-query guess: lhs = r/N exactly for an r-regular relation.
-    rel = from_pairs(n, [(x, x) for x in range(n)])
-    rep = theorem_check(empty_circuit(n), rel, name="theorem[0-query-diag]")
+    (rep,) = [r for r in out if r.name == "theorem[empty,diag]"]
     out.append(check_close("theorem-0query-lhs", rep.lhs, 1.0 / n, tol=1e-12))
     return out
 

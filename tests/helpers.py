@@ -2,12 +2,14 @@
 state-level twirl by a scatter, a loading query, a circuit's text form, the
 untwirled final state, the all-pairs experiment-2 referee of the
 standard form, counters of calls, of twirl rows and of circuit runs, a
+recorder of circuit executions keyed by what they compute, a
 per-pair twirl-average reference, a dense trace-distance reference, the
 scalar permutation sampler, dense Grover steps, a transposing reference for
 ``apply``, a per-x reference for ``spo_query``, a dense referee for the
 per-query growth and accumulation rows, with the zeta terms by explicit
 factor surgery, and high-precision bound evaluators."""
 import dataclasses
+import hashlib
 import math
 import statistics
 import sys
@@ -254,6 +256,52 @@ def count_runs(monkeypatch) -> list:
 
     return count_calls(monkeypatch, circuits_mod, "run",
                        lambda circ, backend: backend)
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    """A digest of the arrays' dtypes, shapes and entries."""
+    h = hashlib.sha1()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def execution_key(circ: QueryCircuit, backend) -> tuple:
+    """What a circuit execution computes: the circuit's content (per step,
+    a query's direction, or a unitary's targets and operator entries) and
+    the backend's tables.  Names and tags are left out, so two executions
+    share a key exactly when they run the same steps against the same
+    oracle."""
+    steps = []
+    for step in circ.steps:
+        if isinstance(step, Query):
+            steps.append(step.direction)
+        else:
+            op = step.op
+            entries = op.dense() if op.mapping is None else op.mapping
+            steps.append((step.targets, op.dims, _digest(entries)))
+    tables = (backend.sigmas, backend.taus) if backend.has_database else (backend.images,)
+    return ((circ.n, circ.work_dim, circ.has_z), tuple(steps),
+            backend.has_database, _digest(*tables))
+
+
+def record_executions(monkeypatch) -> list:
+    """Record the execution_key of every circuit execution from now on:
+    ``run`` and ``run_with_intermediates`` both go through
+    ``circuits._execute``."""
+    import spolab.circuits as circuits_mod
+
+    original = circuits_mod._execute
+    keys = []
+
+    def recording(circ, backend, *args, **kwargs):
+        keys.append(execution_key(circ, backend))
+        return original(circ, backend, *args, **kwargs)
+
+    monkeypatch.setattr(circuits_mod, "_execute", recording)
+    return keys
 
 
 def dense_trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:

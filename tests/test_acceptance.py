@@ -347,7 +347,7 @@ def test_criterion_11_per_query_lemmas():
     counts = {"hard-database": 0, "crucial": 0}
     nonempty = [(rname, rel) for rname, rel in rels if rel.size]
     for circ in suite_circuits(n, SEED, max_q=2):
-        for rep in progress_checks(circ, nonempty):
+        for rep in progress_checks(circ, run(circ, spo_backend(n)), nonempty):
             kind = rep.name.split("[")[0]
             if kind in counts:
                 counts[kind] += 1
@@ -429,10 +429,10 @@ def test_criterion_15_bound_evaluators():
         ok &= abs(got - float(want)) <= abs(float(want)) * 1e-12
     # vacuity flags: raw > 1 must clamp and be flagged
     n = 4
-    rep = theorem_check(classical_probe(n, 0, "forward"), full_relation(n))
+    (rep,) = theorem_check(classical_probe(n, 0, "forward"), [("full", full_relation(n))])
     ok &= rep.extra["vacuous"] and rep.rhs == 1.0
     from spolab.relations import empty_relation
 
-    rep0 = theorem_check(empty_circuit(n), empty_relation(n))
+    (rep0,) = theorem_check(empty_circuit(n), [("empty", empty_relation(n))])
     ok &= not rep0.extra["vacuous"] and rep0.rhs == 0.0
     record(15, "bound evaluators to 12 digits + vacuity flags", ok)

@@ -293,16 +293,17 @@ def test_the_full_group_plan_is_one_shared_read_only_plan():
 
 def test_full_group_checks_refuse_n_above_the_limit_before_a_run(monkeypatch):
     """progress_checks and sparsity_trajectory_check read the full-group
-    plan, so at N = 8 they refuse before any circuit runs."""
+    plan, so at N = 8 they refuse before any circuit runs, progress_checks
+    also before it reads the final state it is given."""
     import spolab.lemmas as lemmas_mod
 
     def no_run(*args, **kwargs):
         raise AssertionError("a circuit ran before the plan was built")
 
-    monkeypatch.setattr(lemmas_mod, "run", no_run)
     monkeypatch.setattr(lemmas_mod, "run_with_intermediates", no_run)
     circ = random_circuit(55, 1, 1, 8)
-    for call in (lambda: progress_checks(circ, [("diag", diagonal_relation(8))]),
+    final = spo_init(8)  # a stand-in: the plan is refused before it is read
+    for call in (lambda: progress_checks(circ, final, [("diag", diagonal_relation(8))]),
                  lambda: sparsity_trajectory_check(circ)):
         with pytest.raises(ValueError, match="run at n <= 4, got n=8"):
             call()
@@ -1080,7 +1081,7 @@ def test_p2_dominates_and_identity():
             p2, = p2_upper_bound(final, [rel])
             res = experiment_probabilities(final, rel)
             assert res.p_ii <= p2 + 1e-10
-            rows = {r.name: r for r in progress_checks(circ, [("r", rel)])}
+            rows = {r.name: r for r in progress_checks(circ, final, [("r", rel)])}
             rep = rows[f"progress-identity[{circ.name},r]"]
             assert rep.passed, rep
             assert rep.rhs == p2
@@ -1434,7 +1435,7 @@ def test_progress_expectation_and_crucial():
     circ = random_circuit(55, 1, 2, n)
     rels = [("diag", diagonal_relation(n)),
             ("sponge", sponge_preimage_relation(2, 1, 1))]
-    rows = {r.name: r for r in progress_checks(circ, rels)}
+    rows = {r.name: r for r in progress_checks(circ, final_state(circ), rels)}
     for rname, _rel in rels:
         tag = f"{circ.name},{rname}"
         names = [f"hard-database[{tag}]"] + [f"crucial[{tag}]:{k}" for k in (1, 2, 3)]
@@ -1452,7 +1453,7 @@ def test_hard_database_rhs_is_the_direct_sparsity_tail():
     n = 4
     circ = random_circuit(55, 2, 2, n)
     rel = sponge_preimage_relation(2, 1, 1)
-    rows = {r.name: r for r in progress_checks(circ, [("sponge", rel)])}
+    rows = {r.name: r for r in progress_checks(circ, final_state(circ), [("sponge", rel)])}
     q, r = circ.query_count, rel.r_max
     tail = sum(sparsity_expectation(state)
                for _d, state in standard_form_prequery_states(circ))
@@ -1776,7 +1777,8 @@ def test_sparsity_trajectory():
 
 
 def test_theorem_empty_relation():
-    rep = theorem_check(empty_circuit(4), empty_relation(4))
+    (rep,) = theorem_check(empty_circuit(4), [("empty", empty_relation(4))])
+    assert rep.name == "theorem[empty,empty]"
     assert rep.lhs == 0.0 and rep.passed
     assert not rep.extra["vacuous"]
 
@@ -1784,18 +1786,18 @@ def test_theorem_empty_relation():
 def test_theorem_zero_query_guess():
     n = 4
     rel = diagonal_relation(n)
-    rep = theorem_check(empty_circuit(n), rel)
-    assert rep.lhs == pytest.approx(1 / n, abs=1e-12)
-    assert rep.extra["q"] == 1
     # two pairs per row -> lhs = 2/N
     rel2 = from_pairs(n, [(x, y) for x in range(n) for y in (0, 1)])
-    rep2 = theorem_check(empty_circuit(n), rel2)
+    rep, rep2 = theorem_check(empty_circuit(n), [("diag", rel), ("two", rel2)])
+    assert rep.lhs == pytest.approx(1 / n, abs=1e-12)
+    assert rep.extra["q"] == rep2.extra["q"] == 1
     assert rep2.lhs == pytest.approx(2 / n, abs=1e-12)
 
 
 def test_theorem_vacuity_flag():
     n = 4
-    rep = theorem_check(classical_probe(n, 0, "forward"), diagonal_relation(n))
+    (rep,) = theorem_check(classical_probe(n, 0, "forward"),
+                           [("diag", diagonal_relation(n))])
     assert rep.extra["vacuous"] == (rep.rhs >= 1.0)
     assert rep.rhs == 1.0  # 914 makes every desk-scale bound vacuous
     assert rep.passed
@@ -1806,13 +1808,27 @@ def test_theorem_spo_cross_check():
     n = 4
     circ = random_circuit(67, 1, 2, n)
     rel = diagonal_relation(n)
-    rep = theorem_check(circ, rel)
+    (rep,) = theorem_check(circ, [("diag", rel)])
     res = experiment_probabilities(final_state(with_loading_query(circ)), rel)
     assert rep.lhs == pytest.approx(res.p_i, abs=1e-9)
 
 
 def test_theorem_check_runs_its_circuit_once(monkeypatch):
+    """theorem_check reads every relation of its list from one concrete run
+    over all N! permutations, one row per relation in list order, and each
+    row's lhs equals that relation's own success_probability mean bit for
+    bit."""
+    from spolab.circuits import success_probability
+    from spolab.permutations import all_images
+
+    circ = random_circuit(67, 1, 2, 4)
+    rels = [("diag", diagonal_relation(4)), ("sponge", sponge_preimage_relation(2, 1, 1)),
+            ("pair", from_pairs(4, [(0, 3)]))]
     calls = count_runs(monkeypatch)
-    rep = theorem_check(random_circuit(67, 1, 2, 4), diagonal_relation(4))
+    reps = theorem_check(circ, rels)
     assert len(calls) == 1 and calls[0].images.shape == (24, 4)
-    assert 0.0 < rep.lhs < 1.0
+    assert [r.name for r in reps] == [f"theorem[{circ.name},{rname}]" for rname, _r in rels]
+    for rep, (_rname, rel) in zip(reps, rels):
+        wins = success_probability(circ, all_images(4), rel).tolist()
+        assert rep.lhs == sum(wins) / len(wins)
+    assert 0.0 < reps[0].lhs < 1.0

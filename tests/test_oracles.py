@@ -623,3 +623,26 @@ def test_pair_table_backend_rows_and_defaults():
         assert np.array_equal(shifts[k], shift_table(4, "forward", row)[0])
     with pytest.raises(LayoutError):  # a two-row table on a one-run state
         spo_query(_fresh_joint(4), shifts)
+
+
+def test_one_row_table_runs_as_its_broadcast_against_a_k_row_table():
+    """A one-row sigma pairs with every row of a K-row tau table, as in
+    shift_table: for every sigma-row of the N = 4 plan, the backend reads
+    as the one with sigma broadcast to K rows, and a circuit querying in
+    both directions runs bitwise equal against the two; a one-row tau
+    pairs with a K-row sigma table the same way."""
+    from spolab.circuits import random_circuit, run
+    from spolab.lemmas import make_twirl_plan
+
+    plan = make_twirl_plan(4)
+    circ = random_circuit(5, 2, 2, 4, directions=("forward", "inverse"))
+    for sigma in plan.sigmas:
+        one = spo_backend(4, sigma=sigma, tau=plan.taus)
+        wide = spo_backend(4, sigma=np.broadcast_to(sigma, plan.taus.shape), tau=plan.taus)
+        assert one.rows == wide.rows == len(plan.taus)
+        assert np.array_equal(one.sigmas, wide.sigmas)
+        assert np.array_equal(run(circ, one).amps, run(circ, wide).amps)
+    tau = plan.taus[5]
+    one = spo_backend(4, sigma=plan.sigmas, tau=tau)
+    wide = spo_backend(4, sigma=plan.sigmas, tau=np.broadcast_to(tau, plan.sigmas.shape))
+    assert np.array_equal(run(circ, one).amps, run(circ, wide).amps)

@@ -37,7 +37,8 @@ from spolab.suites import (
 )
 
 from helpers import (all_pairs_experiment_2, count_calls, count_runs, count_twirl_rows,
-                     dense_trace_distance, final_state, per_pair_twirl_grids)
+                     dense_trace_distance, final_state, per_pair_twirl_grids,
+                     record_executions)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -439,13 +440,14 @@ PER_PAIR_PROJECTOR_CALLS = 96_165
 def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch):
     """At N = 4 every twirl average takes one step per sigma-row, 24 in
     all, each over the row's 24 pairs, and the two suites make at most a tenth of the projector
-    calls of one pair per step.  progress_suite runs each of its circuits
-    once (75 runs when each average ran its own), and makes at most 13 runs
-    in all: the accumulation rows read the run of the query-step rows
-    (109 when they reran it for every relation and x), and the standard
-    form of each querying circuit runs once for its crucial terms and its
-    sparsity tail (29 when the crucial terms reran it per relation)."""
-    import spolab.circuits as circuits_mod
+    calls of one pair per step.  progress_suite makes 9 circuit executions
+    in all: each of its 5 circuits runs once, with intermediates, for its
+    progress, query-step and accumulation rows (13 when the progress rows
+    ran it apart, 75 when each average ran its own, 109 when the
+    accumulation rows reran it for every relation and x), and the standard
+    form of each of the 4 querying circuits runs once for its crucial terms
+    and its sparsity tail (29 when the crucial terms reran it per
+    relation)."""
     import spolab.lemmas as lemmas_mod
     import spolab.oracles as oracles_mod
 
@@ -454,11 +456,11 @@ def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch)
     projector = count_calls(monkeypatch, oracles_mod, "project_plus_db")
     averages = count_calls(monkeypatch, lemmas_mod, "_twirl_average")
     rows = count_twirl_rows(monkeypatch)
+    executions = record_executions(monkeypatch)
     runs = count_runs(monkeypatch)
-    staged = count_calls(monkeypatch, circuits_mod, "run_with_intermediates")
     assert all(r.passed for r in progress_suite(4))
-    assert len(runs) == len(suite_circuits(4, DEFAULT_SEED, max_q=2)) == 5
-    assert len(runs) + len(staged) <= 13
+    assert len(suite_circuits(4, DEFAULT_SEED, max_q=2)) == 5
+    assert len(executions) == 9 and not runs
     assert all(r.passed for r in sparsity_suite(4))
     assert averages and rows == list(range(24)) * len(averages)
     assert len(projector) <= PER_PAIR_PROJECTOR_CALLS // 10
@@ -466,14 +468,15 @@ def test_progress_and_sparsity_suites_step_through_whole_sigma_rows(monkeypatch)
 
 def test_fundamental_suite_runs_each_circuit_once(monkeypatch):
     """fundamental_suite runs each of its circuits once for all of its
-    relations: at N = 4 its 6 circuits and the 2 analytic fixtures (32 runs
-    when every check ran its own circuit), at N = 8 its 2 circuits (4)."""
+    relations: at N = 4 its 6 circuits, whose empty and probe finals also
+    serve the 2 analytic fixtures (8 runs when the fixtures ran their own,
+    32 when every check ran its own circuit), at N = 8 its 2 circuits (4)."""
     from spolab.suites import DEFAULT_SEED, fundamental_suite
 
     runs = count_runs(monkeypatch)
     exact = fundamental_suite(4)
     assert all(r.passed for r in exact)
-    assert len(runs) == len(suite_circuits(4, DEFAULT_SEED)) + 2 == 8
+    assert len(runs) == len(suite_circuits(4, DEFAULT_SEED)) == 6
     assert not any("grid" in r.as_row() for r in exact)
     runs.clear()
     sampled = fundamental_suite(8, min_pairs=196)
@@ -734,15 +737,16 @@ def test_tspo_readout_matches_per_pair_recover_and_dense_reference(n):
 
 def test_spo_vs_tspo_pair_loop_makes_no_spo_recover_call(monkeypatch):
     """The spo-equivalence suite reads each twirled readout through
-    tspo_distances: spo_recover runs once per concrete-vs-spo circuit and
-    once for the probe's untwirled readout, never once per pair."""
+    tspo_distances: spo_recover runs once per concrete-vs-spo circuit, whose
+    readout of the probe is also the untwirled side of spo vs tspo, never
+    once per pair."""
     import spolab.oracles as oracles_mod
     from spolab.suites import DEFAULT_SEED, spo_equivalence_suite
 
     calls = count_calls(monkeypatch, oracles_mod, "spo_recover")
     reports = spo_equivalence_suite(4, max_q=2)
     assert all(r.passed for r in reports)
-    assert len(calls) == len(suite_circuits(4, DEFAULT_SEED, max_q=2)) + 1
+    assert len(calls) == len(suite_circuits(4, DEFAULT_SEED, max_q=2))
 
 
 def test_twirl_suite_ranks_its_label_maps_one_table_per_sigma_row(monkeypatch):
@@ -801,9 +805,10 @@ def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
     calls = count_runs(monkeypatch)
     reports = timed_by_gaps(
         lambda: timed_rows(lambda: spo_equivalence_suite(4, max_q=2)))
-    # 10 ensembles, 1 + 24 probe runs, and per standard-form circuit 24
-    # sigma-rows of experiments 1 and 3 and one of experiment 2.
-    assert len(calls) <= 133
+    # 10 ensembles, and per standard-form circuit 24 sigma-rows of
+    # experiments 1 and 3 and one of experiment 2; spo vs tspo reads the
+    # probe's experiment-1 runs (133 when it made its own 1 + 24).
+    assert len(calls) == 108
     calls.clear()
     reports += timed_by_gaps(lambda: timed_rows(lambda: twirl_suite(4)))
     assert len(calls) <= 125  # 5 circuits x (1 plain + 24 sigma-rows)
@@ -818,9 +823,93 @@ def test_batched_pair_suites_run_one_sigma_row_per_circuit_run(monkeypatch):
     assert all(r.extra["certified"] and r.extra["pairs_run"] == 24 for r in certified)
 
 
+# Circuit executions per suite under _all_suite at n = 6 and n = 2; the
+# other suites run no circuit.
+SUITE_EXECUTIONS = {
+    6: {"spo_equivalence_suite": 108, "twirl_suite": 125, "fundamental_suite": 6,
+        "progress_suite": 9, "sparsity_suite": 6, "theorem_suite": 3},
+    2: {"spo_equivalence_suite": 20, "twirl_suite": 15, "fundamental_suite": 6,
+        "progress_suite": 9, "sparsity_suite": 6, "theorem_suite": 3},
+}
+
+
+@pytest.mark.parametrize("n", sorted(SUITE_EXECUTIONS))
+def test_no_suite_repeats_a_circuit_execution(monkeypatch, n):
+    """Each suite runs each (circuit, oracle tables) pair once and reads
+    every row it needs from that run: under _all_suite, every circuit
+    execution falls inside one suite, and no suite repeats an execution
+    key (helpers.execution_key: the circuit's steps and operator entries,
+    and the backend's tables).  A key may still recur across suites, since
+    each suite also runs on its own.  At n = 6, 301 executions with 44
+    repeats when theorem ran one run per relation, spo vs tspo its own
+    sigma-rows, and progress and fundamental their own runs for rows and
+    fixtures that now read the suite's."""
+    keys = record_executions(monkeypatch)
+    per_suite = {}
+    for name in [name for name in vars(suites_mod) if name.endswith("_suite")
+                 and name not in ("_all_suite", "run_suite")]:
+        def tagged(*args, _orig=getattr(suites_mod, name), _name=name, **kwargs):
+            start = len(keys)
+            reports = _orig(*args, **kwargs)
+            per_suite[_name] = keys[start:]
+            return reports
+
+        monkeypatch.setattr(suites_mod, name, tagged)
+    assert all(r.passed for r in suites_mod._all_suite(n, 1, suites_mod.DEFAULT_SAMPLES))
+    assert sum(map(len, per_suite.values())) == len(keys)
+    repeats = {name: len(k) - len(set(k)) for name, k in per_suite.items()}
+    assert not any(repeats.values()), repeats
+    assert {name: len(k) for name, k in per_suite.items() if k} == SUITE_EXECUTIONS[n]
+
+
+@pytest.mark.parametrize("n", SUITE_SIZES["fundamental"])
+def test_fundamental_rows_are_sampled_exactly_where_verify_takes_samples(n):
+    """fundamental_suite samples above lemmas.EXHAUSTIVE_TWIRL_LIMIT, the
+    threshold at which cli._sampled lets verify take --samples: at every
+    size of the suite, its rows are monte_carlo exactly when --samples is
+    accepted, and exact otherwise."""
+    import argparse
+
+    from spolab.cli import _sampled
+
+    sampled = _sampled(argparse.Namespace(suite="fundamental", n=n, n_max=None))
+    reports = suites_mod.fundamental_suite(n, min_pairs=196)
+    assert reports and all(r.passed for r in reports)
+    assert {r.method for r in reports} == {"monte_carlo" if sampled else "exact"}
+
+
+def test_spo_vs_tspo_row_reads_the_probe_runs_against_the_given_readout():
+    """standard_form_checks emits spo-vs-tspo-all-pairs first, from the
+    probe's experiment-1 runs: 0 against the probe's untwirled readout, as
+    every per-pair spo_recover distance is, and far from 0 against the
+    readout of another probe."""
+    from spolab.circuits import spo_ensemble
+    from spolab.oracles import spo_backend
+
+    n = 4
+    plan = make_twirl_plan(n)
+    rows = _standard_form_checks(plan)
+    assert rows[0].name == "spo-vs-tspo-all-pairs[probe-f0]"
+    assert rows[0].passed and rows[0].lhs <= 1e-12 and rows[0].extra["pairs"] == 576
+    other = spo_ensemble(classical_probe(n, 1, "forward"), spo_backend(n))
+    wrong = suites_mod.standard_form_checks(plan, other)
+    assert wrong[0].name == rows[0].name and not wrong[0].passed and wrong[0].lhs > 0.1
+    assert [r.name for r in wrong] == [r.name for r in rows]
+
+
 def _standard_form_circuits(n: int, seed: int = suites_mod.DEFAULT_SEED) -> list:
     """The two circuits of suites.standard_form_checks."""
     return [classical_probe(n, 0, "forward"), random_circuit(seed + 9, 2, 2, n)]
+
+
+def _standard_form_checks(plan) -> list:
+    """suites.standard_form_checks with the probe's untwirled readout, as
+    the spo-equivalence suite passes it."""
+    from spolab.circuits import spo_ensemble
+    from spolab.oracles import spo_backend
+
+    probe = _standard_form_circuits(plan.n)[0]
+    return suites_mod.standard_form_checks(plan, spo_ensemble(probe, spo_backend(plan.n)))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -829,7 +918,7 @@ def test_experiment_2_row_matches_the_all_pairs_referee(n):
     twirl certificate for the others; the tests-only loop over every
     sigma-row agrees with it within the row's 1e-12."""
     plan = make_twirl_plan(n)
-    reports = {r.name: r for r in suites_mod.standard_form_checks(plan)}
+    reports = {r.name: r for r in _standard_form_checks(plan)}
     for circ in _standard_form_circuits(n):
         row = reports[f"std-experiment-1-vs-2[{circ.name}]"]
         assert row.passed and row.extra["certified"]
@@ -859,9 +948,9 @@ def test_experiment_2_row_fails_on_a_step_that_acts_on_p_or_d(monkeypatch, forei
         return b
 
     monkeypatch.setattr(suites_mod, "standard_form", tampered)
-    reports = {r.name: r for r in suites_mod.standard_form_checks(plan)}
+    reports = {r.name: r for r in _standard_form_checks(plan)}
     monkeypatch.setattr(suites_mod, "_foreign_steps", lambda circ: 0)
-    unchecked = {r.name: r for r in suites_mod.standard_form_checks(plan)}
+    unchecked = {r.name: r for r in _standard_form_checks(plan)}
     for circ in _standard_form_circuits(n):
         name = f"std-experiment-1-vs-2[{circ.name}]"
         row = reports[name]
@@ -884,7 +973,7 @@ def test_experiment_2_row_fails_without_the_twirl_certificate(monkeypatch):
         return rows
 
     monkeypatch.setattr(suites_mod, "twirl_certificate", broken)
-    reports = suites_mod.standard_form_checks(make_twirl_plan(4))
+    reports = _standard_form_checks(make_twirl_plan(4))
     rows = [r for r in reports if r.name.startswith("std-experiment-1-vs-2")]
     assert len(rows) == 2
     assert all(not r.passed and r.lhs == 1.0 and not r.extra["certified"] for r in rows)
