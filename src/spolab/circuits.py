@@ -275,7 +275,8 @@ def v_maps(images: Permutation | np.ndarray) -> tuple[LinearOperator, LinearOper
     permutation (a one-row table) gives maps on one register alone, which
     states.apply runs as a (pre, d, post) view with no flat index; a (K, N)
     table gives maps on P and one register acting by row k on label k,
-    which gather through the flat index each operator caches per layout."""
+    which gather through the flat index each operator keeps for its last
+    layout and targets."""
     table = image_table(images)
     ops = tuple(v_oracle(table, inverse) for inverse in (False, True))
     if len(table) > 1:

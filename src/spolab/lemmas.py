@@ -965,6 +965,8 @@ def _all_cycles(n: int, length: int) -> np.ndarray:
     permutations that move exactly ``length`` points."""
     if length not in (2, 3):
         raise ValueError(f"cycle tables hold 2- or 3-cycles, got length {length}")
+    if n < length:
+        raise ValueError(f"no {length}-cycles in S_{n}")
     images = all_images(n)
     return images[(images != np.arange(n)).sum(axis=1) == length]
 
@@ -973,22 +975,6 @@ def _all_cycles(n: int, length: int) -> np.ndarray:
 def _cycle_maps(n: int, length: int, side: str) -> np.ndarray:
     """The (C, n!) label maps of R^g (side "right") or L^g, g in _all_cycles."""
     return left_right_map(n, **{"sigma" if side == "right" else "tau": _all_cycles(n, length)})
-
-
-def cycle_average(n: int, length: int, side: str = "right") -> np.ndarray:
-    """W^(l): the real nf x nf uniform average of right-action (or
-    left-action) permutation matrices over all l-cycles; symmetric with
-    norm <= 1."""
-    if n < length:
-        raise ValueError(f"no {length}-cycles in S_{n}")
-    nf = database_dim(n)
-    charge(nf * nf, f"W^{length} at n={n} needs 1 dense {nf} x {nf} matrices")
-    maps = _cycle_maps(n, length, side)
-    w = np.zeros((nf, nf))
-    np.add.at(w, (maps, np.arange(nf)), 1.0)  # column d: |d> -> |m[d]>
-    w /= len(maps)
-    # Averages of the inverse cycles coincide, so W is symmetric.
-    return w
 
 
 def gamma_coefficients(n: int) -> tuple[float, float, float]:
@@ -1000,18 +986,16 @@ def gamma_coefficients(n: int) -> tuple[float, float, float]:
 def gamma_operator(n: int) -> np.ndarray:
     """Gamma = E_x (1/(x+1)) E_{sigma,tau} (L R)^+ (I - P_{+x}) (L R), from
     its closed form c1 I - c2 W^(2) - c3 W^(3): a real symmetric nf x nf
-    array, built once per n and read-only."""
+    array, built once per n and read-only.  Each W^(l), the mean of the
+    l-cycles' label maps |d> -> |m_g[d]>, is scattered into the one matrix."""
     nf = database_dim(n)
-    if n == 1:
-        mat = np.zeros((1, 1))
-    else:
-        # Gamma, one cycle average and its scaled copy are live at once.
-        charge(3 * nf * nf, f"Gamma at n={n} needs 3 dense {nf} x {nf} matrices")
-        c1, c2, c3 = gamma_coefficients(n)
-        mat = cycle_average(n, 2) * -c2
-        mat.flat[::nf + 1] += c1
-        if n >= 3:
-            mat -= c3 * cycle_average(n, 3)
+    charge(nf * nf, f"Gamma at n={n} needs 1 dense {nf} x {nf} matrix")
+    c1, *weights = gamma_coefficients(n)
+    mat = np.zeros((nf, nf))
+    mat.flat[::nf + 1] = c1  # the maps fix no label: the diagonal stays c1
+    for c, length in zip(weights, range(2, min(n, 3) + 1)):
+        maps = _cycle_maps(n, length, "right")
+        np.add.at(mat, (maps, np.arange(nf)), -c * (1.0 / len(maps)))
     mat.setflags(write=False)
     return mat
 
@@ -1032,12 +1016,22 @@ def gamma_brute_force(n: int) -> np.ndarray:
 
 
 def gamma_expectation(state: StateVector) -> float:
-    """<phi| Gamma |phi> on the database block.  Gamma is real and
-    symmetric, so this is the real quadratic form summed over the real and
-    imaginary parts of the (n!, rest) block's columns."""
+    """<phi| Gamma |phi> on the database block, as a sum of squares since
+    c1 = c2 + c3: each row v of the (rest, n!) block adds sum_l c_l/(2|C_l|)
+    sum_g ||v - v[m_g]||^2 over the l-cycles' label maps.  Never negative,
+    and exactly 0 on a block constant over labels.  Each class's gather is
+    charged against AMPLITUDE_BUDGET before it is taken."""
     n = _db_size_from_layout(state.layout)
-    v = np.ascontiguousarray(_db_block(state).T).view(np.float64)  # (n!, 2 rest)
-    return float(np.vdot(v, gamma_operator(n) @ v))
+    block = _db_block(state)
+    total = 0.0
+    for c, length in zip(gamma_coefficients(n)[1:], range(2, min(n, 3) + 1)):
+        maps = _cycle_maps(n, length, "right")
+        charge(len(maps) * block.size, f"<Gamma> at n={n} gathers {block.shape[0]} x "
+               f"{len(maps)} x {block.shape[1]} entries")
+        gap = block[:, maps]
+        gap -= block[:, None]
+        total += c / (2 * len(maps)) * np.vdot(gap, gap).real
+    return float(total)
 
 
 def commutator_operator(n: int, z: int, direction: str) -> LinearOperator:

@@ -17,7 +17,6 @@ it is returned, so read-only sharing across threads is safe.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
@@ -25,8 +24,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 DENSE_NORM_CAP = 4096
-# Layouts per basis map whose flat gather index apply keeps (see _flat_gather).
-GATHER_CACHE_LAYOUTS = 2
 
 
 class LayoutError(ValueError):
@@ -145,9 +142,9 @@ class LinearOperator:
     a dense product.  The optional ``matrix`` is the operator's dense form:
     it is used for exact norms and ``dense()``, and as the reference a
     structured apply is checked against.  A basis ``mapping``
-    (|j> -> |mapping[j]>) marks a validated permutation.  ``gathers``
-    caches, per (layout, targets), the flat index through which ``apply``
-    runs a basis map on scattered targets (see _flat_gather).
+    (|j> -> |mapping[j]>) marks a validated permutation.  ``gather``
+    holds the last ((layout, targets), index) pair through which ``apply``
+    ran a basis map on scattered targets (see _flat_gather).
     """
 
     dims: tuple[int, ...]
@@ -156,8 +153,7 @@ class LinearOperator:
     matrix: np.ndarray | None = None
     label: str = ""
     mapping: np.ndarray | None = None
-    gathers: OrderedDict = field(default_factory=OrderedDict, init=False,
-                                 repr=False, compare=False)
+    gather: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -272,33 +268,31 @@ def _flat_gather(op: LinearOperator, lay: RegisterLayout,
     """The read-only flat index g with image[j] = state[g[j]] for the basis
     map ``op`` on ``targets``: the identity plus, at each position, the
     offset from its target digits to their preimage's.  Built once per
-    (layout, targets) and kept on the operator for the GATHER_CACHE_LAYOUTS
-    layouts used last; one index has as many entries as the state and is
-    charged against AMPLITUDE_BUDGET before it is built."""
+    (layout, targets) and kept in the operator's one gather slot until
+    another (layout, targets) replaces it; one index has as many entries as
+    the state and is charged against AMPLITUDE_BUDGET before it is built."""
     key = (lay, targets)
-    index = op.gathers.pop(key, None)
-    if index is None:
-        from .oracles import charge  # oracles builds on this module
-        charge(lay.total_dim, f"the flat gather index of {op.label or 'a basis map'} "
-               f"on {targets}")
-        dims = tuple(op.dims)
-        offsets = np.zeros(dims, dtype=np.intp)  # flat offset of each target digit tuple
-        for k, a in enumerate(axes):
-            offsets += (np.arange(dims[k]) * lay.strides[a]).reshape(
-                [-1 if i == k else 1 for i in range(len(dims))])
-        offsets = offsets.reshape(-1)
-        source = np.empty_like(offsets)
-        source[op.mapping] = np.arange(op.dim)  # image digit -> preimage digit
-        delta = (offsets[source] - offsets).reshape(dims)
-        order = sorted(range(len(axes)), key=axes.__getitem__)
-        index = np.arange(lay.total_dim).reshape(lay.shape)
-        index += delta.transpose(order).reshape(
-            [lay.shape[a] if a in axes else 1 for a in range(len(lay.shape))])
-        index = index.reshape(-1)
-        index.setflags(write=False)
-    op.gathers[key] = index  # the most recent layout goes last
-    if len(op.gathers) > GATHER_CACHE_LAYOUTS:
-        op.gathers.popitem(last=False)
+    if op.gather is not None and op.gather[0] == key:
+        return op.gather[1]
+    from .oracles import charge  # oracles builds on this module
+    charge(lay.total_dim, f"the flat gather index of {op.label or 'a basis map'} "
+           f"on {targets}")
+    dims = tuple(op.dims)
+    offsets = np.zeros(dims, dtype=np.intp)  # flat offset of each target digit tuple
+    for k, a in enumerate(axes):
+        offsets += (np.arange(dims[k]) * lay.strides[a]).reshape(
+            [-1 if i == k else 1 for i in range(len(dims))])
+    offsets = offsets.reshape(-1)
+    source = np.empty_like(offsets)
+    source[op.mapping] = np.arange(op.dim)  # image digit -> preimage digit
+    delta = (offsets[source] - offsets).reshape(dims)
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    index = np.arange(lay.total_dim).reshape(lay.shape)
+    index += delta.transpose(order).reshape(
+        [lay.shape[a] if a in axes else 1 for a in range(len(lay.shape))])
+    index = index.reshape(-1)
+    index.setflags(write=False)
+    op.gather = (key, index)
     return index
 
 

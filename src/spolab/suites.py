@@ -50,7 +50,6 @@ from .lemmas import (
     fundamental_check,
     gamma_brute_force,
     gamma_operator,
-    cycle_average,
     help_norm,
     make_twirl_plan,
     progress_checks,
@@ -692,16 +691,29 @@ def gamma_suite(n: int) -> list[VerificationReport]:
         out.append(check_close("gamma-spectrum[n=2]",
                                float(np.abs(got - expected).max()), 0.0, tol=1e-12))
     if n >= 3:
+        # Exact counts over the class maps' arcs W[m_g[d], d], not a dense W;
+        # the norm is Schur's sqrt(max row sum), every column summing to 1.
+        nf = database_dim(n)
+        labels = np.arange(nf)
         for ell in (2, 3):
-            right = cycle_average(n, ell, "right")
-            left = cycle_average(n, ell, "left")
+            right, left = (_cycle_maps(n, ell, side) for side in ("right", "left"))
+            arcs = right * nf + labels
+            size = len(right)
             out.append(check(f"cycle-average-left-right[n={n},l={ell}]",
-                             float(np.abs(right - left).max()), 1e-12, tol=0.0))
+                             _count_gap(arcs, left * nf + labels) / size, 1e-12, tol=0.0))
             out.append(check(f"cycle-average-symmetric[n={n},l={ell}]",
-                             float(np.abs(right - right.T).max()), 1e-12, tol=0.0))
+                             _count_gap(arcs, labels * nf + right) / size, 1e-12, tol=0.0))
+            rows = np.bincount(right.ravel(), minlength=nf)
             out.append(check(f"cycle-average-norm[n={n},l={ell}]",
-                             float(np.linalg.norm(right, 2)), 1.0 + 1e-12))
+                             math.sqrt(rows.max() / size), 1.0 + 1e-12))
     return out
+
+
+def _count_gap(a: np.ndarray, b: np.ndarray) -> int:
+    """max over values of |count in a - count in b|: 0 exactly when the
+    two integer multisets are equal."""
+    _values, inverse = np.unique(np.concatenate([a, b], axis=None), return_inverse=True)
+    return int(np.abs(np.bincount(inverse, np.repeat([1, -1], [a.size, b.size]))).max())
 
 
 def commutator_suite(n: int) -> list[VerificationReport]:

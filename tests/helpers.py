@@ -1,7 +1,8 @@
 """Builders that only the tests use: basis states, database labels, the
 state-level twirl by a scatter, a loading query, a circuit's text form, the
 untwirled final state, the all-pairs experiment-2 referee of the
-standard form, counters of calls, of twirl rows and of circuit runs, a
+standard form, a dense cycle average scattered from label maps, counters
+of calls, of twirl rows and of circuit runs, a
 recorder of circuit executions keyed by what they compute, a
 per-pair twirl-average reference, a dense trace-distance reference, the
 scalar permutation sampler, dense Grover steps, a transposing reference for
@@ -302,6 +303,15 @@ def record_executions(monkeypatch) -> list:
 
     monkeypatch.setattr(circuits_mod, "_execute", recording)
     return keys
+
+
+def dense_cycle_average(maps: np.ndarray) -> np.ndarray:
+    """W = (1/C) sum_g |m_g[d]><d| scattered from C label maps: the dense
+    referee of the gamma suite's arc counts."""
+    nf = maps.shape[1]
+    w = np.zeros((nf, nf))
+    np.add.at(w, (maps, np.arange(nf)), 1.0 / len(maps))
+    return w
 
 
 def dense_trace_distance(a: CQEnsemble, b: CQEnsemble) -> float:

@@ -46,6 +46,19 @@ def test_gamma_coefficients_are_bitwise_unchanged():
         assert tuple(float(v).hex() for v in gamma_coefficients(n)) == want, n
 
 
+def test_gamma_coefficients_split_as_c1_equal_to_c2_plus_c3():
+    """c1 = c2 + c3 with c2, c3 >= 0, exactly over Fractions for N = 1..8:
+    the premise of gamma_expectation's sum of squares.  The float
+    coefficients match them to 1e-15."""
+    from spolab.lemmas import gamma_coefficients
+
+    for n in range(1, 9):
+        h1, h2, h3 = (harmonic_fraction(n, order) for order in (1, 2, 3))
+        c1, c2, c3 = (h1 - h2) / n, 2 * (h2 - h3) / n, (h1 - 3 * h2 + 2 * h3) / n
+        assert c1 == c2 + c3 and c2 >= 0 and c3 >= 0, n
+        assert gamma_coefficients(n) == pytest.approx((c1, c2, c3), rel=0, abs=1e-15)
+
+
 def test_harmonic_bound_and_monotonicity():
     # H_n - ln n decreases monotonically and stays below 1
     acc = 0.0

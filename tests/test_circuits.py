@@ -403,8 +403,8 @@ def test_standard_form_steps_take_no_transposing_path(monkeypatch, dressed):
     step (the A, X, Y unitaries) is one (pre, d, post) view and no step
     moves axes.  So is every V of a one-row side of the dressed form, here
     sigma's, on X or Y alone; the scattered basis maps (SWAP and CNOT on
-    Y, Z, and the K-row tau side's V on P, X and P, Y) gather through their
-    cached flat index."""
+    Y, Z, and the K-row tau side's V on P, X and P, Y) gather through the
+    flat index each keeps for its last targets."""
     n = 4
     circ = random_circuit(8, 2, 2, n)
     rng = np.random.default_rng(6)
@@ -429,7 +429,11 @@ def test_standard_form_steps_take_no_transposing_path(monkeypatch, dressed):
     assert {s.tag for s in maps if len(s.targets) == 1} == (
         {"Vs", "Vs-"} if dressed else set())
     for s in maps:
-        assert ((lay, s.targets) in s.op.gathers) == (len(s.targets) > 1), s.tag
+        if len(s.targets) == 1:
+            assert s.op.gather is None, s.tag
+        else:  # the op's one slot holds the targets of its last step
+            last = [t.targets for t in maps if t.op is s.op][-1]
+            assert s.op.gather[0] == (lay, last), s.tag
 
 
 @pytest.mark.parametrize("seed", [1, 20240917])

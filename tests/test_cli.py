@@ -276,15 +276,17 @@ def test_verify_suites_that_accept_n_1_pass_there(capsys, suite):
 
 def test_verify_gamma_over_budget_exits_1_before_any_matrix(monkeypatch, capsys):
     """At N = 8 one 8! x 8! matrix alone exceeds the amplitude budget, so the
-    gamma suite's sizes stop at 7; the refusal comes before any Gamma or W
-    matrix is built."""
+    gamma suite's sizes stop at 7; the refusal comes before Gamma is built
+    or any cycle label map is read."""
     import spolab.lemmas as lemmas_mod
+    import spolab.suites as suites_mod
 
     def no_build(*args, **kwargs):
-        raise AssertionError("a Gamma or W matrix was built before the budget check")
+        raise AssertionError("Gamma or a label map was built before the budget check")
 
-    for name in ("cycle_average", "_cycle_maps"):
-        monkeypatch.setattr(lemmas_mod, name, no_build)
+    for module in (lemmas_mod, suites_mod):
+        for name in ("gamma_operator", "_cycle_maps"):
+            monkeypatch.setattr(module, name, no_build)
     code = run_cli(["verify", "--suite", "gamma", "--n", "8"])
     assert code == 1
     err = capsys.readouterr().err

@@ -24,7 +24,6 @@ from spolab.lemmas import (
     commutator_growth_check,
     commutator_norm,
     commutator_operator,
-    cycle_average,
     easy_norm_check,
     experiment_probabilities,
     fundamental_check,
@@ -1609,43 +1608,50 @@ def test_gamma_psd_and_norm():
 
 
 def test_cycle_average_rejects_short_n():
-    with pytest.raises(ValueError):
-        cycle_average(2, 3)
+    """No cycle class longer than N is tabled: S_2 has no 3-cycles, so both
+    the image table and its label maps refuse it rather than read as empty."""
+    import spolab.lemmas as lemmas_mod
+
+    for build in (lambda: lemmas_mod._all_cycles(2, 3),
+                  lambda: lemmas_mod._cycle_maps(2, 3, "right")):
+        with pytest.raises(ValueError, match="no 3-cycles in S_2"):
+            build()
+    assert len(lemmas_mod._all_cycles(2, 2)) == 1
 
 
-def test_cycle_average_properties():
-    for n in (2, 3, 4):
-        for ell in (2, 3):
-            if n < ell:
-                continue
-            w = cycle_average(n, ell)
-            assert np.abs(w - w.T).max() < 1e-12
-            assert np.linalg.norm(w, 2) <= 1 + 1e-12
-            w_left = cycle_average(n, ell, "left")
-            assert np.abs(w - w_left).max() < 1e-12
-    # n=2: the unique 2-cycle is the swap; W = R^{swap}
-    w2 = cycle_average(2, 2)
-    assert np.allclose(w2, [[0, 1], [1, 0]])
+def test_gamma_and_its_expectation_are_charged_before_any_build(monkeypatch):
+    """Gamma holds one N! x N! matrix: a size over the amplitude budget is
+    refused before a label map is read.  It is built through the uncached
+    function, so a cached Gamma(4) cannot answer in place of the build.
+    <Gamma> charges each class's (rest, |C|, N!) gather before it takes
+    it: one entry over the budget is refused with the call's traced peak
+    under half of the gather's size."""
+    import tracemalloc
 
-
-def test_gamma_and_cycle_averages_are_charged_before_any_build(monkeypatch):
-    """Gamma holds three N! x N! matrices at once and W one; a size over
-    the amplitude budget is refused before a label map is read.  Gamma is
-    built through the uncached function, so a cached Gamma(4) cannot
-    answer in place of the build."""
     import spolab.lemmas as lemmas_mod
     import spolab.oracles as oracles_mod
 
     def no_build(*args, **kwargs):
         raise AssertionError("a cycle label map was read before the budget check")
 
-    monkeypatch.setattr(lemmas_mod, "_cycle_maps", no_build)
-    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 3 * 24 * 24 - 1)
-    with pytest.raises(BudgetError, match="Gamma at n=4 needs 3 dense 24 x 24"):
-        gamma_operator.__wrapped__(4)
-    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 24 * 24 - 1)
-    with pytest.raises(BudgetError, match="W\\^2 at n=4 needs 1 dense 24 x 24"):
-        cycle_average(4, 2)
+    with monkeypatch.context() as patched:
+        patched.setattr(lemmas_mod, "_cycle_maps", no_build)
+        patched.setattr(oracles_mod, "AMPLITUDE_BUDGET", 24 * 24 - 1)
+        with pytest.raises(BudgetError, match="Gamma at n=4 needs 1 dense 24 x 24 matrix"):
+            gamma_operator.__wrapped__(4)
+    state = spo_init(6)
+    lemmas_mod._cycle_maps(6, 2, "right")  # cached before the trace
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 15 * 720 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="<Gamma> at n=6 gathers 1 x 15 x 720 entries"):
+            gamma_expectation(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 720 * 16 // 2
+    monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", 40 * 720)
+    assert gamma_expectation(state) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -1730,29 +1736,60 @@ def test_commutator_n6_rows_keep_the_recorded_norm():
         assert rep.lhs == pytest.approx(0.07578796296296296, rel=1e-9)
 
 
-def test_gamma_annihilates_fresh_database():
-    for n in (2, 3, 4):
-        init = spo_init(n)
-        assert gamma_expectation(init) == pytest.approx(
-            0.0, abs=1e-12)
+def test_gamma_annihilates_fresh_database(monkeypatch):
+    """<Gamma> reads exactly 0.0 on the fresh database for N = 1..6, whose
+    block is constant over labels, and it reads the label maps of the cycle
+    classes that exist at N only: none at N = 1, the 2-cycles at N = 2."""
+    import spolab.lemmas as lemmas_mod
+
+    calls = count_calls(monkeypatch, lemmas_mod, "_cycle_maps")
+    for n in range(1, 7):
+        calls.clear()
+        assert gamma_expectation(spo_init(n)) == 0.0
+        assert calls == [(n, length, "right") for length in (2, 3) if length <= n]
 
 
 def test_gamma_is_one_cached_real_matrix():
-    """Gamma(N) is a read-only, symmetric float64 array built once, and
-    gamma_expectation is <phi|Gamma|phi> on every suite circuit's final
-    state."""
-    from spolab.suites import DEFAULT_SEED, suite_circuits
-
+    """Gamma(N) is a read-only, symmetric float64 array built once."""
     for n in (2, 4):
         gamma = gamma_operator(n)
         assert gamma.dtype == np.float64 and not gamma.flags.writeable
         assert np.array_equal(gamma, gamma.T)
         assert gamma_operator(n) is gamma
+
+
+def test_gamma_expectation_is_the_dense_quadratic_form(monkeypatch):
+    """The sum of squares equals v^+ Gamma v with the dense gamma_operator(N)
+    to 1e-12 * max(1, |v|): on every state of every suite circuit's
+    untwirled run at N = 2 and 4, and on seeded random blocks at N = 3, 5
+    and 6.  With one 2-cycle map dropped, it no longer does."""
+    import spolab.lemmas as lemmas_mod
+    from spolab.states import RegisterLayout, database_layout
+    from spolab.suites import DEFAULT_SEED, suite_circuits
+
+    def dense_form(n, state):
+        block = state.amps.reshape(-1, database_dim(n))
+        return np.vdot(block, block @ gamma_operator(n).T).real
+
+    states = []
+    for n in (2, 4):
         for circ in suite_circuits(n, DEFAULT_SEED):
-            state = final_state(circ)
-            block = state.amps.reshape(-1, database_dim(n))
-            want = np.vdot(block, block @ gamma.T).real
-            assert gamma_expectation(state) == pytest.approx(want, abs=1e-12)
+            final, pre = run_with_intermediates(circ, spo_backend(n))
+            states += [(n, state) for _d, state in pre] + [(n, final)]
+    rng = np.random.default_rng(38)
+    blocks = []
+    for n in (3, 5, 6):
+        layout = RegisterLayout((("X", 3),) + database_layout(n).registers)
+        amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+        blocks.append((n, StateVector(layout, amps / np.linalg.norm(amps))))
+    for n, state in states + blocks:
+        want = dense_form(n, state)
+        assert abs(gamma_expectation(state) - want) <= 1e-12 * max(1.0, abs(want))
+    kept = lemmas_mod._cycle_maps
+    monkeypatch.setattr(lemmas_mod, "_cycle_maps", lambda n, length, side: (
+        kept(n, length, side)[1:] if length == 2 else kept(n, length, side)))
+    for n, state in blocks:
+        assert abs(gamma_expectation(state) - dense_form(n, state)) > 1e-6
 
 
 def test_commutator_growth():

@@ -196,31 +196,28 @@ def test_contiguous_targets_take_the_view_path(monkeypatch, registers, targets, 
 
     monkeypatch.setattr(np, "moveaxis", moved)
     apply(op, random_state(RegisterLayout(registers)), targets)
-    assert not op.gathers
+    assert op.gather is None
 
 
 def test_scattered_basis_map_gathers_through_one_cached_index():
-    """A basis map off the view path keeps one flat index per layout and
-    targets, reused by later applies, for the GATHER_CACHE_LAYOUTS layouts
-    used last; an evicted layout gets its index built again, and every
-    result equals the moveaxis reference bitwise."""
-    from spolab.states import GATHER_CACHE_LAYOUTS
-
+    """A basis map off the view path keeps one flat index, for the
+    (layout, targets) it last ran on, and later applies there reuse it;
+    another layout replaces it, so going back builds the index again.
+    Every result equals the moveaxis reference bitwise."""
     rng = np.random.default_rng(3)
     op = from_permutation((4, 2), rng.permutation(8))
-    layouts = [RegisterLayout((("A", 2), (f"W{k}", k + 2), ("B", 4))) for k in range(4)]
-    assert len(layouts) > GATHER_CACHE_LAYOUTS
+    layouts = [RegisterLayout((("A", 2), (f"W{k}", k + 2), ("B", 4))) for k in range(3)]
+    built = []
     for lay in layouts + layouts[:1]:
         s = random_state(lay)
         got = apply(op, s, ("B", "A"))
         assert np.array_equal(got.amps, moveaxis_apply(op, s, ("B", "A")).amps)
-        key = (lay, ("B", "A"))
-        index = op.gathers[key]
-        assert apply(op, s, ("B", "A")) is not got and op.gathers[key] is index
-        assert not index.flags.writeable
-        assert len(op.gathers) <= GATHER_CACHE_LAYOUTS
-    assert list(op.gathers) == [(lay, ("B", "A"))
-                                for lay in (layouts + layouts[:1])[-GATHER_CACHE_LAYOUTS:]]
+        key, index = op.gather
+        assert key == (lay, ("B", "A")) and not index.flags.writeable
+        assert apply(op, s, ("B", "A")) is not got and op.gather[1] is index
+        assert all(index is not old for old in built)
+        built.append(index)
+    assert np.array_equal(built[0], built[-1])
 
 
 def test_scattered_basis_map_over_budget_allocates_no_index(monkeypatch):
@@ -246,7 +243,7 @@ def test_scattered_basis_map_over_budget_allocates_no_index(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < lay.total_dim * 8 // 2
-    assert not op.gathers
+    assert op.gather is None
     monkeypatch.setattr(oracles_mod, "AMPLITUDE_BUDGET", lay.total_dim)
     got = apply(op, s, ("C", "A"), out=buffer).amps
     assert np.array_equal(got, moveaxis_apply(op, s, ("C", "A")).amps)

@@ -37,8 +37,8 @@ from spolab.suites import (
 )
 
 from helpers import (all_pairs_experiment_2, count_calls, count_runs, count_twirl_rows,
-                     dense_trace_distance, final_state, per_pair_twirl_grids,
-                     record_executions)
+                     dense_cycle_average, dense_trace_distance, final_state,
+                     per_pair_twirl_grids, record_executions)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -981,15 +981,64 @@ def test_experiment_2_row_fails_without_the_twirl_certificate(monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["progress", "sparsity"])
-def test_gamma_is_built_once_per_suite(monkeypatch, suite):
-    """Gamma(N) is built once per process: from a cold cache, the progress
-    and sparsity suites (either first) scatter W^(2) once between them, the
-    only cycle average Gamma(2) reads."""
+def test_gamma_is_built_once_per_suite(suite):
+    """From cold caches the progress suite builds no dense Gamma, and the
+    sparsity suite builds Gamma(2) once, through commutator_norm: with
+    that norm cached, neither suite builds one."""
     import spolab.lemmas as lemmas_mod
 
-    lemmas_mod.gamma_operator.cache_clear()
-    builds = count_calls(monkeypatch, lemmas_mod, "cycle_average")
     other = {"progress": "sparsity", "sparsity": "progress"}[suite]
-    for name in (suite, other):
-        assert all(r.passed for r in run_suite(name, 2))
-    assert builds == [(2, 2)]
+    lemmas_mod.commutator_norm.cache_clear()
+    builds = []
+    for warm in (False, True):
+        if warm:
+            for direction in ("forward", "inverse"):
+                lemmas_mod.commutator_norm(2, direction)
+        lemmas_mod.gamma_operator.cache_clear()
+        for name in (suite, other):
+            assert all(r.passed for r in run_suite(name, 2))
+            builds.append(lemmas_mod.gamma_operator.cache_info().misses)
+    assert builds == {"progress": [0, 1, 0, 0], "sparsity": [1, 1, 0, 0]}[suite]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cycle_average_rows_read_what_a_dense_scatter_gives(monkeypatch, n):
+    """The gamma suite's cycle-average rows, exact counts over the class
+    maps' arcs, read what a dense W scattered from the same maps gives:
+    max|W_R - W_L| and max|W - W^T| (0.0), and a Schur bound of exactly 1.0
+    where the SVD norm is 1 to 1e-12.  With one label's image duplicated in
+    a right map, all three rows fail: the two gaps still match the dense W,
+    and the Schur bound stays above its SVD norm."""
+    from spolab.lemmas import _cycle_maps
+
+    def rows():
+        return {r.name: r for r in suites_mod.gamma_suite(n)
+                if r.name.startswith("cycle-average")}
+
+    def duplicated(n, ell, side):
+        maps = _cycle_maps(n, ell, side)
+        if side == "right":
+            maps = maps.copy()
+            maps[0, 1] = maps[0, 0]
+        return maps
+
+    for cycle_maps, passed in ((_cycle_maps, True), (duplicated, False)):
+        monkeypatch.setattr(suites_mod, "_cycle_maps", cycle_maps)
+        got = rows()
+        assert len(got) == 6 and all(r.passed == passed for r in got.values())
+        for ell in (2, 3):
+            right, left = (dense_cycle_average(cycle_maps(n, ell, side))
+                           for side in ("right", "left"))
+            tag = f"[n={n},l={ell}]"
+            assert got[f"cycle-average-left-right{tag}"].lhs == pytest.approx(
+                np.abs(right - left).max(), abs=1e-15)
+            assert got[f"cycle-average-symmetric{tag}"].lhs == pytest.approx(
+                np.abs(right - right.T).max(), abs=1e-15)
+            norm = np.linalg.norm(right, 2)
+            schur = got[f"cycle-average-norm{tag}"].lhs
+            if passed:
+                assert got[f"cycle-average-left-right{tag}"].lhs == 0.0
+                assert got[f"cycle-average-symmetric{tag}"].lhs == 0.0
+                assert schur == 1.0 and abs(norm - 1.0) <= 1e-12
+            else:
+                assert schur >= norm - 1e-12
