@@ -270,42 +270,44 @@ def standard_form(circ: QueryCircuit) -> QueryCircuit:
     return _gadget_form(circ, lambda q: ([q], [q]), "+std")
 
 
-def v_maps(images: Permutation | np.ndarray) -> tuple[LinearOperator, LinearOperator]:
-    """V^pi and V^{pi^-1} as dressed_standard_form applies them.  One
-    permutation (a one-row table) gives maps on one register alone, which
-    states.apply runs as a (pre, d, post) view with no flat index; a (K, N)
-    table gives maps on P and one register acting by row k on label k,
-    which gather through the flat index each operator keeps for its last
-    layout and targets."""
+def v_maps(images: Permutation | np.ndarray) -> dict[str, tuple[LinearOperator, ...]]:
+    """V^pi and V^{pi^-1} per register, X and Y, as dressed_standard_form
+    applies them.  One permutation (a one-row table) gives maps on one
+    register alone, which states.apply runs as a (pre, d, post) view with
+    no flat index, so X and Y share them; a (K, N) table gives maps on P
+    and one register acting by row k on label k, which gather through the
+    flat index each operator keeps for its last layout and targets, so
+    each register gets its own pair and each operator one set of targets."""
     table = image_table(images)
-    ops = tuple(v_oracle(table, inverse) for inverse in (False, True))
     if len(table) > 1:
-        return ops
-    return tuple(from_permutation(op.dims[1:], op.mapping, label=op.label) for op in ops)
+        return {reg: tuple(v_oracle(table, inverse) for inverse in (False, True))
+                for reg in ("X", "Y")}
+    pair = tuple(from_permutation(op.dims[1:], op.mapping, label=op.label)
+                 for op in (v_oracle(table, inverse) for inverse in (False, True)))
+    return {"X": pair, "Y": pair}
 
 
 def dressed_standard_form(circ: QueryCircuit,
-                          sigma: Permutation | np.ndarray | tuple[LinearOperator, ...],
-                          tau: Permutation | np.ndarray | tuple[LinearOperator, ...],
+                          sigma: Permutation | np.ndarray | dict[str, tuple[LinearOperator, ...]],
+                          tau: Permutation | np.ndarray | dict[str, tuple[LinearOperator, ...]],
                           ) -> QueryCircuit:
     """The standard-form circuit with V-dressed queries: run against the
     *untwirled* oracle it reproduces the twirled run of the original.
 
-    sigma and tau are each a permutation, a (K, N) table or its v_maps
-    pair; a pair shared by several circuits builds each gather index once.
+    sigma and tau are each a permutation, a (K, N) table or its v_maps;
+    maps shared by several circuits build each gather index once.
     A one-row side dresses with V on X or Y alone, a K-row side with V on
     (P, X) or (P, Y), acting by row k on label k, against the K-row
     identity table; two K-row sides need the same K."""
-    vs, vt = (side if isinstance(side, tuple) and isinstance(side[0], LinearOperator)
-              else v_maps(side) for side in (sigma, tau))
+    vs, vt = (side if isinstance(side, dict) else v_maps(side) for side in (sigma, tau))
     # Each side's (K, N); a V on one register alone is a one-row side.
-    (ks, ns), (kt, nt) = (((1,) + pair[0].dims)[-2:] for pair in (vs, vt))
+    (ks, ns), (kt, nt) = (((1,) + maps["X"][0].dims)[-2:] for maps in (vs, vt))
     if ns != nt or (ks > 1 and kt > 1 and ks != kt):
         raise ValueError(f"sigma and tau tables differ: {(ks, ns)} vs {(kt, nt)}")
     ops = {"Vs": vs, "Vt": vt}
 
     def v(register: str, name: str, inverse: bool) -> LocalUnitary:
-        op = ops[name][inverse]
+        op = ops[name][register][inverse]
         targets = ("P", register) if len(op.dims) == 2 else (register,)
         return LocalUnitary(targets, op, tag=name + ("-" if inverse else ""))
 
@@ -421,7 +423,10 @@ def _diffusion_operator(n_bits: int, c: int) -> LinearOperator:
     weight = 2.0 / 2 ** (n_bits - c)
 
     def diffuse(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.negative(block, out=out)
+        """-block plus the rank-one term on the padded inputs.  -I is a
+        multiply by -1.0: numpy's complex128 multiply runs vectorised, its
+        negative is about 2.7 times slower on a 65,536-amplitude block."""
+        out = np.multiply(block, -1.0, out=out)
         out[..., ::pad, :] += weight * block[..., ::pad, :].sum(axis=-2, keepdims=True)
         return out
 
@@ -613,7 +618,7 @@ def parse_circuit(text: str) -> QueryCircuit:
                 raise ValueError(f"unitary registers {regs} unavailable")
             rng = np.random.default_rng(seed)
             tdims = tuple(dims[r] for r in regs)
-            mat = haar_unitary(int(np.prod(tdims)), rng)
+            mat = haar_unitary(math.prod(tdims), rng)
             steps.append(LocalUnitary(regs, from_matrix(mat, tdims),
                                       tag=f"u-seed{seed}"))
     return QueryCircuit(n, tuple(steps), work_dim=work, output=output, name=name)

@@ -33,6 +33,7 @@ from .states import (
     LinearOperator,
     RegisterLayout,
     StateVector,
+    _basis_map,
     apply,
     database_layout,
     database_names,
@@ -163,11 +164,15 @@ def u_oracle(images: Permutation | np.ndarray,
     if inverse:  # row k of the argsort is the one-line form of pi_k^{-1}
         table = np.argsort(table, axis=1)
     # The flat index j = (k n + x) n + y keeps y in its low bits, so the
-    # image of j is j xor pi_k(x): one allocation, one in-place XOR.
+    # image of j is j xor pi_k(x): one allocation, one in-place XOR.  XOR
+    # with a value below n = 2^b permutes 0..n-1 and is its own inverse, so
+    # the map is a bijection that gathers through itself, and it stays
+    # writeable, since np.take copies an index it may not write to.
     mapping = np.arange(k * n * n).reshape(k * n, n)
     mapping ^= table.reshape(-1, 1)
-    return from_permutation((k, n, n), mapping.reshape(-1),
-                            label=f"U^pi{'^-1' if inverse else ''}")
+    mapping = mapping.reshape(-1)
+    return _basis_map((k, n, n), mapping, mapping,
+                      label=f"U^pi{'^-1' if inverse else ''}")
 
 
 def v_oracle(images: Permutation | np.ndarray,

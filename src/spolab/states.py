@@ -64,7 +64,7 @@ class RegisterLayout:
 
     @cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.registers else 1
+        return math.prod(self.shape)
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -157,7 +157,7 @@ class LinearOperator:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        return math.prod(self.dims)
 
     def dense(self) -> np.ndarray:
         if self.matrix is not None:
@@ -172,7 +172,7 @@ def from_matrix(mat: np.ndarray, dims: tuple[int, ...] | None = None,
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if dims is None:
         dims = (mat.shape[0],)
-    if int(np.prod(dims)) != mat.shape[0]:
+    if math.prod(dims) != mat.shape[0]:
         raise ValueError("dims do not multiply to the matrix dimension")
     return LinearOperator(
         tuple(dims),
@@ -196,7 +196,7 @@ def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
                      label: str = "") -> LinearOperator:
     """Basis permutation |j> -> |mapping[j]>; rejects non-bijections."""
     mapping = np.asarray(mapping)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if mapping.shape != (d,):
         raise ValueError("mapping length does not match dims")
     if d and (mapping.min() < 0 or mapping.max() >= d):
@@ -205,6 +205,15 @@ def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
     gather[mapping] = _positions(d)
     if (gather < 0).any():
         raise ValueError("mapping is not a bijection: some basis state is hit twice")
+    return _basis_map(dims, mapping, gather, label)
+
+
+def _basis_map(dims: tuple[int, ...], mapping: np.ndarray, gather: np.ndarray,
+               label: str) -> LinearOperator:
+    """|j> -> |mapping[j]> applied as image[j] = block[gather[j]], for a
+    bijection ``mapping`` the caller has checked and its inverse
+    ``gather``.  np.take copies an index it may not write to, so the
+    caller keeps ``gather`` writeable."""
 
     # gather is a checked bijection, so mode "clip" never clips; mode
     # "raise" with an out argument would buffer the whole output.
@@ -220,7 +229,7 @@ def from_permutation(dims: tuple[int, ...], mapping: np.ndarray,
 def from_diagonal(dims: tuple[int, ...], diag: np.ndarray,
                   label: str = "") -> LinearOperator:
     diag = np.asarray(diag, dtype=np.complex128)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if diag.shape != (d,):
         raise ValueError("diagonal length does not match dims")
     col = diag[:, None]
@@ -265,15 +274,17 @@ def _pre_post(shape: tuple[int, ...], axes: list[int]) -> tuple[int, int] | None
 
 def _flat_gather(op: LinearOperator, lay: RegisterLayout,
                  targets: tuple[str, ...], axes: list[int]) -> np.ndarray:
-    """The read-only flat index g with image[j] = state[g[j]] for the basis
-    map ``op`` on ``targets``: the identity plus, at each position, the
-    offset from its target digits to their preimage's.  Built once per
-    (layout, targets) and kept in the operator's one gather slot until
-    another (layout, targets) replaces it; one index has as many entries as
-    the state and is charged against AMPLITUDE_BUDGET before it is built."""
+    """The flat index g with image[j] = state[g[j]] for the basis map ``op``
+    on ``targets``: the identity plus, at each position, the offset from its
+    target digits to their preimage's.  Built once per (layout, targets) and
+    kept in the operator's one gather slot until another (layout, targets)
+    replaces it; one index has as many entries as the state and is charged
+    against AMPLITUDE_BUDGET before it is built.  The slot holds a
+    read-only view; the writeable array that owns its memory is returned,
+    for np.take copies an index it may not write to."""
     key = (lay, targets)
     if op.gather is not None and op.gather[0] == key:
-        return op.gather[1]
+        return op.gather[1].base
     from .oracles import charge  # oracles builds on this module
     charge(lay.total_dim, f"the flat gather index of {op.label or 'a basis map'} "
            f"on {targets}")
@@ -287,12 +298,13 @@ def _flat_gather(op: LinearOperator, lay: RegisterLayout,
     source[op.mapping] = np.arange(op.dim)  # image digit -> preimage digit
     delta = (offsets[source] - offsets).reshape(dims)
     order = sorted(range(len(axes)), key=axes.__getitem__)
-    index = np.arange(lay.total_dim).reshape(lay.shape)
-    index += delta.transpose(order).reshape(
+    index = np.arange(lay.total_dim)
+    grid = index.reshape(lay.shape)
+    grid += delta.transpose(order).reshape(
         [lay.shape[a] if a in axes else 1 for a in range(len(lay.shape))])
-    index = index.reshape(-1)
-    index.setflags(write=False)
-    op.gather = (key, index)
+    shown = index.view()
+    shown.setflags(write=False)
+    op.gather = (key, shown)
     return index
 
 

@@ -482,7 +482,7 @@ def standard_form_checks(plan: TwirlPlan, probe_readout: CQEnsemble,
                           (random_circuit(seed + 9, 2, 2, n), None)):
         b = standard_form(circ)
         violations = uncertified + _foreign_steps(b)
-        # Per circuit: kept across circuits, the pair would also hold the
+        # Per circuit: kept across circuits, the maps would also hold the
         # last circuit's gather indices, and peak memory grows.
         v_tau = v_maps(taus)
         worst_tspo = worst12 = worst13 = 0.0

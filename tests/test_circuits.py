@@ -404,7 +404,7 @@ def test_standard_form_steps_take_no_transposing_path(monkeypatch, dressed):
     moves axes.  So is every V of a one-row side of the dressed form, here
     sigma's, on X or Y alone; the scattered basis maps (SWAP and CNOT on
     Y, Z, and the K-row tau side's V on P, X and P, Y) gather through the
-    flat index each keeps for its last targets."""
+    flat index each keeps for its one set of targets."""
     n = 4
     circ = random_circuit(8, 2, 2, n)
     rng = np.random.default_rng(6)
@@ -431,9 +431,9 @@ def test_standard_form_steps_take_no_transposing_path(monkeypatch, dressed):
     for s in maps:
         if len(s.targets) == 1:
             assert s.op.gather is None, s.tag
-        else:  # the op's one slot holds the targets of its last step
-            last = [t.targets for t in maps if t.op is s.op][-1]
-            assert s.op.gather[0] == (lay, last), s.tag
+        else:  # each op has one set of targets, which its one slot holds
+            assert {t.targets for t in maps if t.op is s.op} == {s.targets}, s.tag
+            assert s.op.gather[0] == (lay, s.targets), s.tag
 
 
 @pytest.mark.parametrize("seed", [1, 20240917])

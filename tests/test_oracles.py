@@ -117,6 +117,24 @@ def test_u_oracle_matches_a_per_entry_reference_and_is_an_involution(n, k, inver
     assert np.array_equal(apply(op, once, ("P", "X", "Y")).amps, s.amps)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_u_oracle_builds_one_index(inverse):
+    """U^pi at N = 256, K = 1 allocates one k N^2 int64 index, its map and
+    its gather alike (XOR with pi(x) is its own inverse): the traced peak
+    of building it stays within 1.25 times that index, where a second
+    (inverse) array would double it."""
+    table = np.array(sample_uniform(256, RNG).images)
+    index_bytes = 8 * 256 * 256
+    tracemalloc.start()
+    try:
+        op = u_oracle(table, inverse=inverse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.mapping.nbytes == index_bytes
+    assert peak <= 1.25 * index_bytes
+
+
 def test_u_oracle_self_inverse():
     p = sample_uniform(8, RNG)
     mat = u_oracle(p).dense()

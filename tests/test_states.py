@@ -220,6 +220,31 @@ def test_scattered_basis_map_gathers_through_one_cached_index():
     assert np.array_equal(built[0], built[-1])
 
 
+def test_cached_flat_gather_copies_no_index():
+    """A gather through the cached flat index writes into ``out`` without
+    a copy of the index, although the slot shows it read-only: np.take
+    gets the writeable array that owns its memory, so the traced peak of
+    the second apply stays under one index (32 KiB here)."""
+    import tracemalloc
+
+    lay = RegisterLayout((("A", 8), ("B", 16), ("C", 32)))
+    op = from_permutation((32, 8), np.random.default_rng(4).permutation(256))
+    s = random_state(lay)
+    buffer = np.empty(lay.total_dim, dtype=np.complex128)
+    want = apply(op, s, ("C", "A"), out=buffer).amps.copy()
+    index = op.gather[1]
+    assert not index.flags.writeable and index.nbytes == 8 * lay.total_dim
+    tracemalloc.start()
+    try:
+        got = apply(op, s, ("C", "A"), out=buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < index.nbytes
+    assert got.amps is buffer and np.array_equal(got.amps, want)
+    assert op.gather[1] is index
+
+
 def test_scattered_basis_map_over_budget_allocates_no_index(monkeypatch):
     """The flat index of a 4096-amplitude state has 4096 entries: one entry
     over a patched AMPLITUDE_BUDGET is refused before the index exists: the

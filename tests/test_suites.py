@@ -862,6 +862,22 @@ def test_no_suite_repeats_a_circuit_execution(monkeypatch, n):
     assert {name: len(k) for name, k in per_suite.items() if k} == SUITE_EXECUTIONS[n]
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_all_suite_builds_few_flat_gather_indices(monkeypatch, seed):
+    """Each operator that gathers through a flat index acts on one set of
+    targets per circuit, so its one gather slot is rebuilt only for a new
+    layout: _all_suite at n = 6 builds at most 18 indices.  Seed 3's
+    standard-form circuit queries inverse, then forward; when the K-row
+    tau side's V served (P, Y) and (P, X) from one op, it built 110."""
+    import spolab.states as states_mod
+
+    built = count_calls(monkeypatch, states_mod, "_flat_gather",
+                        record=lambda op, lay, targets, axes:
+                        op.gather is None or op.gather[0] != (lay, targets))
+    assert all(r.passed for r in suites_mod._all_suite(6, seed, suites_mod.DEFAULT_SAMPLES))
+    assert 0 < sum(built) <= 18
+
+
 @pytest.mark.parametrize("n", SUITE_SIZES["fundamental"])
 def test_fundamental_rows_are_sampled_exactly_where_verify_takes_samples(n):
     """fundamental_suite samples above lemmas.EXHAUSTIVE_TWIRL_LIMIT, the
