@@ -336,9 +336,18 @@ def help_norm(n: int, x: int, y_set: frozenset[int] | set[int]) -> tuple[float, 
     if n > 6:
         raise ValueError("dense help-lemma norms capped at n=6")
     mask = np.isin(perm_tables(n)[0][:, x], list(y_set))
-    mat = mask[:, None] * _plus_projector_dense(n, x)
-    norm = float(np.linalg.norm(mat, 2)) if mask.any() else 0.0
+    norm = _spectral_norm(_plus_projector_dense(n, x)[mask])
     return norm, math.sqrt(len(y_set) / (x + 1))
+
+
+def _spectral_norm(mat: np.ndarray) -> float:
+    """The 2-norm of a real matrix (0 if empty): sqrt of the largest eigenvalue
+    of the Gram matrix on the smaller side of its nonzero rows."""
+    mat = mat[mat.any(axis=1)]
+    if mat.size == 0:
+        return 0.0
+    gram = mat @ mat.T if len(mat) <= mat.shape[1] else mat.T @ mat
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -559,7 +568,7 @@ def _fiber_sq(v: np.ndarray, total: np.ndarray, x: int, y: int, sigma: np.ndarra
         term = v.take(swaps[max(x, b)][min(x, b)], axis=1)
         g = op(g, term, out=term)
     fibers = g.take(ri.take(fiber_index[s, y]), axis=1)  # [r, a, j]
-    fibers /= s + 1
+    fibers *= 1.0 / (s + 1)
     fibers -= v.take(ri.take(hits[s, y]), axis=1)[:, None]
     return (fibers.real ** 2 + fibers.imag ** 2).sum(axis=0)
 
@@ -789,16 +798,16 @@ def query_growth_checks(final: StateVector, pre: list[tuple[str, StateVector]],
 def easy_norm_check(n: int, x: int, rel: Relation, direction: str,
                     name: str = "") -> VerificationReport:
     """|| E^{R,x} Q^{SPO} (I - Pi^{R,x}) || <= sqrt(|R_x| / (x+1)), computed
-    slice-wise over the X control (dense YD-slice norms)."""
+    slice-wise over the X control (dense YD-slice norms, _spectral_norm)."""
     mask = _section_mask(rel, x)
-    e_dense = mask[:, None] * (np.eye(database_dim(n)) - _plus_projector_dense(n, x))
-    e_yd = np.kron(np.eye(n), e_dense)
+    e_rows = (np.eye(database_dim(n)) - _plus_projector_dense(n, x))[mask]
+    e_yd = np.kron(np.eye(n), e_rows)  # the rows of E^{R,x} on Y (x) D it keeps
     keep = np.tile(~mask, n)  # the columns of I - Pi^{R,x} on Y (x) D
     worst = 0.0
     for z in range(n):
         q_map = query_slice_map(n, z, direction)  # Q^{SPO,z} on Y (x) D
-        m = e_yd[:, q_map[keep]]  # M Q (I - Pi), its zero columns dropped
-        worst = max(worst, float(np.linalg.norm(m, 2)))
+        m = e_yd[:, q_map[keep]]  # M Q (I - Pi), its zero rows and columns dropped
+        worst = max(worst, _spectral_norm(m))
     bound = math.sqrt(len(rel.section(x)) / (x + 1))
     return check(name or f"easy-i[x={x},{direction}]", worst, bound)
 

@@ -374,7 +374,8 @@ def project_plus_db(block: np.ndarray, n: int, x: int,
     hi, radix, lo = db_register_geometry(n, x)
     shape = block.shape
     view = block.reshape(shape[:-1] + (hi, radix, lo))
-    mean = view.mean(axis=-2, keepdims=True)
+    mean = view.sum(axis=-2, keepdims=True)
+    mean *= 1.0 / radix  # numpy divides complex by real so: the same bits, faster
     out = (view - mean) if complement else np.broadcast_to(mean, view.shape)
     return np.ascontiguousarray(out).reshape(shape)
 

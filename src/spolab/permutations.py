@@ -243,18 +243,19 @@ def _compose_factor_rows(t: np.ndarray) -> np.ndarray:
     """One-line images of <n-1 t_{n-1}> ... <0 t_0> for each row of a (m, n)
     factor array in its dtype, rightmost factor first (compose_from_factors)."""
     m, n = t.shape
-    images = np.tile(np.arange(n, dtype=t.dtype), (m, 1))
-    inv = images.copy()
-    rows = np.arange(m)
+    flat_images = np.tile(np.arange(n, dtype=t.dtype), m)  # raveled (m, n) tables
+    flat_inv = flat_images.copy()
+    base = np.arange(0, m * n, n)  # row starts
+    at = np.empty_like(base)  # one flat index buffer, refilled for each access
     for k in range(1, n):
         tk = t[:, k]
-        i1 = inv[rows, k]
-        i2 = inv[rows, tk]
-        images[rows, i1] = tk
-        images[rows, i2] = k
-        inv[rows, k] = i2
-        inv[rows, tk] = i1
-    return images
+        i1 = flat_inv[np.add(base, k, out=at)]
+        i2 = flat_inv[np.add(base, tk, out=at)]
+        flat_inv[at] = i1  # i1 == i2 when tk == k, so the write order is free
+        flat_inv[np.add(base, k, out=at)] = i2
+        flat_images[np.add(base, i1, out=at)] = tk
+        flat_images[np.add(base, i2, out=at)] = k
+    return flat_images.reshape(m, n)
 
 
 def sample_uniform_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

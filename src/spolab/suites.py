@@ -292,38 +292,27 @@ def active_sets_suite(n: int, seed: int = DEFAULT_SEED) -> list[VerificationRepo
 
 
 def _wrong_side_checks(n: int) -> list[VerificationReport]:
-    """pi_{>k} xi and xi pi_{>k} uniform; Pr(pi_{>k}(k) = l) = 1/N exactly."""
-    out = []
-    bad_uniform = 0
-    bad_point = 0
+    """pi_{>k} xi and xi pi_{>k} uniform; Pr(pi_{>k}(k) = l) = 1/N exactly.
+
+    Per k the n!/(k+1)! uppers pi_{>k} and the (k+1)! xi on 0..k are image
+    tables, so the products are the gathers uppers[:, xis] (pi_{>k} xi) and
+    xis[:, uppers] (xi pi_{>k}); each permutation is hit exactly once <=>
+    each product table has n! distinct rows."""
+    bad_uniform = bad_point = 0
     for k in range(n - 1):
-        uppers = []
-        for t in all_factor_tuples(n):
-            if all(t[j] == 0 for j in range(k + 1)):
-                f = MonotoneFactorization(t)
-                uppers.append(partial_product(f, k, "above"))
-        point_counts = np.zeros(n, dtype=np.int64)
-        left_products = set()
-        right_products = set()
-        for upper in uppers:
-            point_counts[upper.images[k]] += 1
-            for xi_t in all_factor_tuples(k + 1):
-                xi = compose_from_factors(MonotoneFactorization(
-                    xi_t + tuple(range(k + 1, n))))
-                left_products.add(compose(upper, xi).images)
-                right_products.add(compose(xi, upper).images)
-        # each product permutation is hit exactly once <=> both sets exhaust S_n
-        if len(left_products) != math.factorial(n):
-            bad_uniform += 1
-        if len(right_products) != math.factorial(n):
-            bad_uniform += 1
-        expected = len(uppers) // n
-        for el in range(k + 1, n):
-            if point_counts[el] != expected:
-                bad_point += 1
-    out.append(check(f"wrong-side-uniformity[n={n}]", bad_uniform, 0, tol=0.0))
-    out.append(check(f"wrong-side-point-probability[n={n}]", bad_point, 0, tol=0.0))
-    return out
+        tails = itertools.product(*(range(j + 1) for j in range(k + 1, n)))
+        uppers = np.array([partial_product(MonotoneFactorization((0,) * (k + 1) + t), k,
+                                           "above").images for t in tails])
+        fixed = tuple(range(k + 1, n))  # xi keeps k+1..n-1
+        xis = np.array([compose_from_factors(MonotoneFactorization(t + fixed)).images
+                        for t in all_factor_tuples(k + 1)])
+        for products in (uppers[:, xis], xis[:, uppers]):
+            if len(np.unique(products.reshape(-1, n), axis=0)) != math.factorial(n):
+                bad_uniform += 1
+        point_counts = np.bincount(uppers[:, k], minlength=n)
+        bad_point += int((point_counts[k + 1:] != len(uppers) // n).sum())
+    return [check(f"wrong-side-uniformity[n={n}]", bad_uniform, 0, tol=0.0),
+            check(f"wrong-side-point-probability[n={n}]", bad_point, 0, tol=0.0)]
 
 
 def _smallest_inverse_active_mismatch() -> int:

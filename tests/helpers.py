@@ -8,7 +8,8 @@ per-pair twirl-average reference, a dense trace-distance reference, the
 scalar permutation sampler, dense Grover steps, a transposing reference for
 ``apply``, a per-x reference for ``spo_query``, a dense referee for the
 per-query growth and accumulation rows, with the zeta terms by explicit
-factor surgery, and high-precision bound evaluators."""
+factor surgery, a full-SVD help-lemma norm, a set-based wrong-side
+referee, and high-precision bound evaluators."""
 import dataclasses
 import hashlib
 import math
@@ -32,6 +33,8 @@ from spolab.oracles import (
 from spolab.permutations import (
     MonotoneFactorization,
     Permutation,
+    all_factor_tuples,
+    compose,
     compose_from_factors,
     invert,
     monotone_factorize,
@@ -447,6 +450,36 @@ def dense_plus_projector(n: int, x: int) -> np.ndarray:
     radix, lo = x + 1, math.factorial(x)
     hi = math.factorial(n) // (radix * lo)
     return np.kron(np.kron(np.eye(hi), np.full((radix, radix), 1.0 / radix)), np.eye(lo))
+
+
+def dense_help_norm(n: int, x: int, y_set) -> float:
+    """The help-lemma norm as one full SVD: ||M P_+||_2 for M the diagonal
+    of the labels d with pi_d(x) in Y, its zero rows kept."""
+    mask = np.isin(perm_tables(n)[0][:, x], list(y_set))
+    return float(np.linalg.norm(mask[:, None] * dense_plus_projector(n, x), 2))
+
+
+def wrong_side_referee(n: int) -> tuple[int, int]:
+    """The (uniformity, point-probability) failure counts of the wrong-side
+    rows from sets of composed permutations: for each k, every upper
+    pi_{>k} times every xi on 0..k, on both sides.  The uppers come from
+    ``suites.partial_product``, so a patch of it reaches this referee too."""
+    from spolab import suites
+    bad_uniform = bad_point = 0
+    for k in range(n - 1):
+        uppers = [suites.partial_product(MonotoneFactorization(t), k, "above")
+                  for t in all_factor_tuples(n) if all(t[j] == 0 for j in range(k + 1))]
+        xis = [compose_from_factors(MonotoneFactorization(t + tuple(range(k + 1, n))))
+               for t in all_factor_tuples(k + 1)]
+        left = {compose(u, xi).images for u in uppers for xi in xis}
+        right = {compose(xi, u).images for u in uppers for xi in xis}
+        # each product is hit exactly once <=> both sets exhaust S_n
+        bad_uniform += (len(left) != math.factorial(n)) + (len(right) != math.factorial(n))
+        point_counts = [0] * n
+        for u in uppers:
+            point_counts[u.images[k]] += 1
+        bad_point += sum(point_counts[el] != len(uppers) // n for el in range(k + 1, n))
+    return bad_uniform, bad_point
 
 
 def dense_progress_operator(rel: Relation, x: int) -> np.ndarray:

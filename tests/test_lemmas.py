@@ -19,6 +19,7 @@ from spolab.lemmas import (
     _fiber_sums,
     _fiber_terms,
     _section_mask,
+    _spectral_norm,
     _xy_slices,
     check_uniform_weights,
     commutator_growth_check,
@@ -71,6 +72,7 @@ from helpers import (
     count_runs,
     count_twirl_rows,
     crossed_grid_stderr,
+    dense_help_norm,
     dense_plus_projector,
     dense_progress_operator,
     final_state,
@@ -121,6 +123,47 @@ def test_help_norm_exhaustive_small():
 def test_help_norm_size_guard():
     with pytest.raises(ValueError):
         help_norm(7, 0, {0})
+
+
+def _help_norm_mismatches(tol: float = 1e-12) -> list[tuple]:
+    """The (n, x, Y) at n = 1..5 where help_norm leaves the full-SVD
+    referee ||M P_+||_2 by more than tol."""
+    return [(n, x, y_set)
+            for n in range(1, 6) for x in range(n)
+            for r in range(n + 1) for y_set in itertools.combinations(range(n), r)
+            if abs(help_norm(n, x, set(y_set))[0] - dense_help_norm(n, x, y_set)) > tol]
+
+
+def test_help_norm_matches_the_full_svd_referee():
+    """Every x and every Y at n = 1..5: the Gram-matrix norm of the nonzero
+    rows equals the SVD norm of the masked projector with its zero rows."""
+    assert _help_norm_mismatches() == []
+
+
+def test_help_norm_referee_rejects_a_row_norm_shortcut(monkeypatch):
+    """Negative control: each row of P_+ on D_{x+1} has norm sqrt(1/(x+1)),
+    below the 2-norm 1 of the unmasked projector, so a norm taken row by
+    row fails the referee (at N = 2, x = 2, Y = {1, 2}, 1-based, among others)."""
+    import spolab.lemmas as lemmas_mod
+
+    def row_norm(mat):
+        return float(np.sqrt((mat ** 2).sum(axis=1)).max()) if len(mat) else 0.0
+
+    monkeypatch.setattr(lemmas_mod, "_spectral_norm", row_norm)
+    assert (2, 1, (0, 1)) in _help_norm_mismatches()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 11), (11, 4), (8, 8)])
+def test_spectral_norm_matches_the_svd_with_zero_rows(shape):
+    """Seeded random rectangular matrices, in both orientations, with zero
+    rows spliced in: the Gram-matrix norm equals np.linalg.norm(., 2)."""
+    rng = np.random.default_rng(sum(shape))
+    for mat in (rng.standard_normal(shape), rng.standard_normal(shape[::-1])):
+        padded = np.insert(mat, rng.integers(0, len(mat) + 1, size=3), 0.0, axis=0)
+        want = np.linalg.norm(mat, 2)
+        for m in (mat, padded):
+            assert abs(_spectral_norm(m) - want) <= 1e-12 * max(1.0, want)
+    assert _spectral_norm(np.zeros((3, 5))) == _spectral_norm(np.zeros((0, 4))) == 0.0
 
 
 # --------------------------------------------------------------------------

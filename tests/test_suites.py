@@ -38,7 +38,7 @@ from spolab.suites import (
 
 from helpers import (all_pairs_experiment_2, count_calls, count_runs, count_twirl_rows,
                      dense_cycle_average, dense_trace_distance, final_state,
-                     per_pair_twirl_grids, record_executions)
+                     per_pair_twirl_grids, record_executions, wrong_side_referee)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -334,14 +334,21 @@ def test_recurrence_certification_row_fails_on_a_wrong_rational(monkeypatch):
     assert not {r.name: r for r in run_suite("active-sets", 3)}[name].passed
 
 
-@pytest.mark.parametrize("workload", ["verify-all", "fundamental-mc", "sponge-attack"])
+@pytest.mark.parametrize("workload,seed", [
+    pytest.param("verify-all", 1, id="verify-all"),
+    pytest.param("verify-all", 0, id="verify-all-seed0"),
+    pytest.param("verify-all", 10, id="verify-all-seed10"),
+    pytest.param("fundamental-mc", 1, id="fundamental-mc"),
+    pytest.param("sponge-attack", 1, id="sponge-attack"),
+])
 def test_workload_matches_the_benchmark_reference(monkeypatch, tmp_path, capsys,
-                                                 workload):
-    """Each benchmark workload's command line, run at seed 1, passes the
-    benchmark's own output check against its recorded reference: for the
-    verify runs the same case names, every row passing, and every value
-    within the check's width; for the attack its recorded fields and a
-    success mean within 3 stderr of the reference."""
+                                                 workload, seed):
+    """Each benchmark workload's command line, run at seed 1 (verify-all
+    also at 0 and 10, the ends of the recorded seeds), passes the benchmark's own
+    output check against its recorded reference: for the verify runs the
+    same case names, every row passing, and every value within the check's
+    width; for the attack its recorded fields and a success mean within 3
+    stderr of the reference."""
     from spolab.cli import main
 
     spec = importlib.util.spec_from_file_location(
@@ -351,9 +358,9 @@ def test_workload_matches_the_benchmark_reference(monkeypatch, tmp_path, capsys,
     spec.loader.exec_module(workloads)
     wl = workloads.WORKLOADS[workload]
     out = tmp_path / "report.json"
-    rc = main(workloads.cli_argv(wl, 1, out))
+    rc = main(workloads.cli_argv(wl, seed, out))
     capsys.readouterr()
-    assert workloads.check_report(wl, 1, rc, json.loads(out.read_text()),
+    assert workloads.check_report(wl, seed, rc, json.loads(out.read_text()),
                                   workloads.load_reference(wl)) == []
 
 
@@ -484,6 +491,34 @@ def test_fundamental_suite_runs_each_circuit_once(monkeypatch):
     assert len(runs) == 2
     # Sampled rows name their crossed grid, rows x cols.
     assert [r.as_row()["grid"] for r in sampled] == [[14, 14]] * 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_wrong_side_checks_match_the_set_referee(n):
+    """The image-table gathers give the wrong-side rows the lhs of the
+    set-based referee, both 0."""
+    reps = suites_mod._wrong_side_checks(n)
+    assert [r.name for r in reps] == [f"wrong-side-uniformity[n={n}]",
+                                      f"wrong-side-point-probability[n={n}]"]
+    assert [r.lhs for r in reps] == list(wrong_side_referee(n)) == [0, 0]
+    assert all(r.passed for r in reps)
+
+
+def test_wrong_side_uniformity_fails_on_a_repeated_upper(monkeypatch):
+    """Negative control: when partial_product returns the identity for the
+    all-zero factor tuple, the identity is an upper twice for every k, so
+    some products repeat and both the row and the referee count failures."""
+    from spolab.permutations import identity
+
+    original = suites_mod.partial_product
+
+    def repeated(f, k, side):
+        return identity(f.n) if not any(f.t) else original(f, k, side)
+
+    monkeypatch.setattr(suites_mod, "partial_product", repeated)
+    reps = suites_mod._wrong_side_checks(4)
+    assert [r.lhs for r in reps] == list(wrong_side_referee(4))
+    assert reps[0].lhs >= 1 and not reps[0].passed
 
 
 def test_sampler_chi_square_rejects_bias():
